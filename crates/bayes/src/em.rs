@@ -22,6 +22,7 @@ use crate::dbn::Dbn;
 use crate::engine::Engine;
 use crate::evidence::{EvidenceSeq, Obs};
 use crate::{BayesError, Result};
+use cobra_faults::FaultHandle;
 
 /// EM hyper-parameters.
 #[derive(Debug, Clone)]
@@ -58,6 +59,18 @@ pub struct EmReport {
 /// Runs EM on `dbn` over the training `sequences`, updating its CPTs in
 /// place.
 pub fn train(dbn: &mut Dbn, sequences: &[EvidenceSeq], cfg: &EmConfig) -> Result<EmReport> {
+    train_with_faults(dbn, sequences, cfg, &FaultHandle::default())
+}
+
+/// [`train`] with the caller's fault injector behind the `em.iteration`
+/// site (the VDBMS passes its own, so a test arming one system aborts
+/// that system's training and no other).
+pub fn train_with_faults(
+    dbn: &mut Dbn,
+    sequences: &[EvidenceSeq],
+    cfg: &EmConfig,
+    faults: &FaultHandle,
+) -> Result<EmReport> {
     if sequences.is_empty() || sequences.iter().all(|s| s.is_empty()) {
         return Err(BayesError::EmptySequence);
     }
@@ -69,8 +82,8 @@ pub fn train(dbn: &mut Dbn, sequences: &[EvidenceSeq], cfg: &EmConfig) -> Result
         // Fault site `em.iteration`: tests can abort training at a
         // scripted iteration. An injected or numerical failure leaves
         // the CPTs at their last completed iteration.
-        if cobra_faults::is_armed() {
-            if let Err(e) = cobra_faults::fire("em.iteration") {
+        if faults.is_armed() {
+            if let Err(e) = faults.fire("em.iteration") {
                 return Err(BayesError::EmDiverged {
                     iteration: iter,
                     message: e.to_string(),
@@ -296,13 +309,14 @@ mod tests {
         let (mut model, ea, kw) = hmm_dbn();
         let mut rng = StdRng::seed_from_u64(3);
         let seqs = vec![sample(&model.clone(), ea, kw, &mut rng, 10)];
-        let (result, report) = cobra_faults::with_faults(
+        let faults = FaultHandle::default();
+        let (result, report) = faults.scope(
             cobra_faults::FaultPlan::new(1).fail(
                 "em.iteration",
                 cobra_faults::Trigger::Nth { skip: 2, times: 1 },
             ),
             || {
-                train(
+                train_with_faults(
                     &mut model,
                     &seqs,
                     &EmConfig {
@@ -313,6 +327,7 @@ mod tests {
                         tol: -1.0,
                         pseudocount: 0.1,
                     },
+                    &faults,
                 )
             },
         );

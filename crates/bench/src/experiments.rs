@@ -2039,6 +2039,7 @@ pub fn shard() -> (Table, serde_json::Value) {
             // the numbers measure scatter-gather + kernel work, not the
             // router's result cache.
             cache: false,
+            ..RouterConfig::default()
         })
         .expect("start bench router");
 

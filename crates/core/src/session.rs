@@ -15,7 +15,7 @@ use cobra_store::backend::StorageBackend;
 use cobra_store::{CheckpointOutcome, FileBackend, MemBackend, StoreConfig, StoreStats};
 use parking_lot::RwLock;
 
-use f1_bayes::em::{train, EmConfig};
+use f1_bayes::em::{train_with_faults, EmConfig};
 use f1_bayes::evidence::{EvidenceSeq, Obs};
 use f1_bayes::metrics::threshold_segments;
 use f1_bayes::paper::{audio_visual_dbn, AvNodes};
@@ -348,7 +348,11 @@ impl Vdbms {
         )))?;
         let caches = QueryCaches::new(kernel.metrics().registry());
         let store: Arc<dyn StorageBackend> = match config {
-            Some(c) => Arc::new(FileBackend::open(c, kernel.metrics().registry())?),
+            Some(c) => Arc::new(FileBackend::open(
+                c,
+                kernel.metrics().registry(),
+                kernel.faults().clone(),
+            )?),
             None => Arc::new(MemBackend::new()),
         };
         let catalog = Arc::new(Catalog::with_store(Arc::clone(&kernel), Arc::clone(&store)));
@@ -452,6 +456,14 @@ impl Vdbms {
     /// The shared kernel (for MIL access).
     pub fn kernel(&self) -> &Kernel {
         &self.kernel
+    }
+
+    /// This system's fault injector: the kernel's handle, shared with
+    /// the storage backend, the extractors and EM training, so
+    /// `vdbms.faults().scope(plan, || …)` scripts failures anywhere in
+    /// this instance — and in no other.
+    pub fn faults(&self) -> &cobra_faults::FaultHandle {
+        self.kernel.faults()
     }
 
     /// Ingests a broadcast: registers the raw layer, runs keyword
@@ -761,8 +773,10 @@ impl Vdbms {
         lo_clip: usize,
         hi_clip: usize,
     ) -> Result<Vec<Vec<f64>>> {
-        if cobra_faults::is_armed() {
-            cobra_faults::fire(&format!("extract.{method}")).map_err(f1_monet::MonetError::from)?;
+        if self.faults().is_armed() {
+            self.faults()
+                .fire(&format!("extract.{method}"))
+                .map_err(f1_monet::MonetError::from)?;
         }
         let fx = match method {
             // The degraded profile: coarser wipe detection, same
@@ -775,7 +789,8 @@ impl Vdbms {
                 },
             )?,
             _ => FeatureExtractor::new(scenario)?,
-        };
+        }
+        .with_faults(self.faults().clone());
         Ok(fx.extract(kw, lo_clip, hi_clip)?)
     }
 
@@ -803,7 +818,7 @@ impl Vdbms {
                 seq
             })
             .collect();
-        train(
+        train_with_faults(
             &mut dbn,
             &sequences,
             &EmConfig {
@@ -811,6 +826,7 @@ impl Vdbms {
                 tol: 1e-3,
                 pseudocount: 0.2,
             },
+            self.faults(),
         )?;
         let mut queries = vec![
             ("HL".to_string(), nodes.highlight),

@@ -2,13 +2,18 @@
 //!
 //! Robustness support for the Cobra VDBMS reproduction. Two facilities:
 //!
-//! * **Fault injection**: production code marks *named sites* with
-//!   [`fire`]`("site.name")`. Normally that is a single relaxed atomic
-//!   load. Inside [`with_faults`], a seed-driven [`FaultPlan`] decides —
-//!   deterministically, with no wall clock and no OS entropy — which
-//!   invocations of which sites fail, so tests can script failures of
-//!   BAT operations, extension-module procedures, feature extractors, or
-//!   EM iterations and assert how the system degrades.
+//! * **Fault injection**: the thing under test owns a [`FaultHandle`]
+//!   (disarmed by default) and marks *named sites* with
+//!   [`handle.fire`](FaultHandle::fire)`("site.name")`. Normally that is
+//!   a single relaxed atomic load. Inside
+//!   [`handle.scope`](FaultHandle::scope), a seed-driven [`FaultPlan`]
+//!   decides — deterministically, with no wall clock and no OS entropy —
+//!   which invocations of which sites fail, so tests can script failures
+//!   of BAT operations, extension-module procedures, feature extractors,
+//!   or EM iterations and assert how the system degrades. There is no
+//!   process-global injector: a plan armed on one handle is invisible to
+//!   every other, so tests running in parallel cannot fire each other's
+//!   faults.
 //! * **Cancellation**: [`CancellationToken`], a cheaply clonable flag
 //!   shared between an execution and its controller, checked
 //!   cooperatively by the MIL interpreter's execution guard.
@@ -20,14 +25,15 @@
 //!
 //! The whole injection machinery sits behind the `fault-injection`
 //! feature (on by default so the test suite exercises it); building with
-//! `--no-default-features` turns [`fire`] into a constant `Ok(())`.
+//! `--no-default-features` turns `fire` into a constant `Ok(())`.
 //!
 //! ```
-//! use cobra_faults::{with_faults, fire, FaultPlan, Trigger};
+//! use cobra_faults::{FaultHandle, FaultPlan, Trigger};
 //!
-//! let (result, report) = with_faults(
+//! let faults = FaultHandle::default();
+//! let (result, report) = faults.scope(
 //!     FaultPlan::new(7).fail("demo.step", Trigger::Times(1)),
-//!     || (fire("demo.step").is_err(), fire("demo.step").is_err()),
+//!     || (faults.fire("demo.step").is_err(), faults.fire("demo.step").is_err()),
 //! );
 //! assert_eq!(result, (true, false)); // first invocation fails, second runs
 //! assert_eq!(report.fired.len(), 1);
@@ -144,7 +150,7 @@ impl FaultRule {
     }
 }
 
-/// A deterministic script of failures for one [`with_faults`] scope.
+/// A deterministic script of failures for one [`FaultHandle::scope`].
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Seed feeding [`Trigger::Probability`] decisions.
@@ -198,7 +204,7 @@ impl FaultPlan {
     }
 }
 
-/// A fault that actually fired during a [`with_faults`] scope.
+/// A fault that actually fired during a [`FaultHandle::scope`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiredFault {
     /// Site that failed.
@@ -207,7 +213,7 @@ pub struct FiredFault {
     pub invocation: u64,
 }
 
-/// Everything that fired during one [`with_faults`] scope.
+/// Everything that fired during one [`FaultHandle::scope`].
 #[derive(Debug, Clone, Default)]
 pub struct FaultReport {
     /// Faults in firing order.
@@ -229,7 +235,7 @@ impl FaultReport {
 }
 
 // ---------------------------------------------------------------------------
-// Armed injector (feature-gated)
+// The handle (feature-gated internals)
 // ---------------------------------------------------------------------------
 
 #[cfg(feature = "fault-injection")]
@@ -245,19 +251,15 @@ mod armed {
         pub(super) slowed: Mutex<Vec<FiredFault>>,
     }
 
-    /// Fast-path flag: `fire()` is a single relaxed load when disarmed.
-    pub(super) static ARMED: AtomicBool = AtomicBool::new(false);
-
-    pub(super) fn injector_slot() -> &'static Mutex<Option<Arc<Injector>>> {
-        static SLOT: Mutex<Option<Arc<Injector>>> = Mutex::new(None);
-        &SLOT
-    }
-
-    /// Serializes concurrent `with_faults` scopes (the injector is
-    /// process-global; cargo runs tests on many threads).
-    pub(super) fn scope_lock() -> &'static Mutex<()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        &LOCK
+    /// What every clone of one [`FaultHandle`] shares.
+    #[derive(Default)]
+    pub(super) struct Shared {
+        /// Fast-path flag: `fire()` is a single relaxed load when disarmed.
+        pub(super) armed: AtomicBool,
+        pub(super) injector: Mutex<Option<Arc<Injector>>>,
+        /// Serializes scopes on this handle: a second `scope` waits for
+        /// the first to disarm instead of replacing its plan mid-run.
+        pub(super) turn: Mutex<()>,
     }
 
     /// SplitMix64 over (seed, site, invocation): deterministic verdicts
@@ -275,144 +277,162 @@ mod armed {
     }
 }
 
-/// Marks a named fault site. Returns `Err` when an armed [`FaultPlan`]
-/// scripts a failure for this invocation; otherwise `Ok(())`.
+/// The fault injector of one system under test.
 ///
-/// Disarmed (the overwhelmingly common case) this is one relaxed atomic
-/// load. With the `fault-injection` feature disabled it is a constant.
+/// Whatever owns fault sites — a `Kernel`, a `FileBackend`, a `Vdbms`,
+/// a router — owns a handle (disarmed by default) and marks its sites
+/// with [`fire`](Self::fire). Clones share one injector, so a `Vdbms`
+/// hands the same handle to its kernel, its storage backend and its
+/// extractors, and a test arms exactly the instance it is looking at:
+/// faults scripted for one handle can never fire in a neighbour's.
+#[derive(Clone, Default)]
+pub struct FaultHandle {
+    #[cfg(feature = "fault-injection")]
+    shared: Arc<armed::Shared>,
+}
+
+impl fmt::Debug for FaultHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FaultHandle")
+            .field("armed", &self.is_armed())
+            .finish()
+    }
+}
+
 #[cfg(feature = "fault-injection")]
-pub fn fire(site: &str) -> Result<(), FaultError> {
-    use armed::*;
-    if !ARMED.load(Ordering::Relaxed) {
-        return Ok(());
+impl FaultHandle {
+    /// True while a [`scope`](Self::scope) is armed on this handle.
+    pub fn is_armed(&self) -> bool {
+        self.shared.armed.load(Ordering::Relaxed)
     }
-    let injector = {
-        let slot = injector_slot().lock().unwrap_or_else(|p| p.into_inner());
-        match slot.as_ref() {
-            Some(i) => Arc::clone(i),
-            None => return Ok(()),
+
+    /// Marks a named fault site. Returns `Err` when the armed
+    /// [`FaultPlan`] scripts a failure for this invocation; otherwise
+    /// `Ok(())`. Disarmed (the overwhelmingly common case) this is one
+    /// relaxed atomic load.
+    pub fn fire(&self, site: &str) -> Result<(), FaultError> {
+        if !self.is_armed() {
+            return Ok(());
         }
-    };
-    let invocation = {
-        let mut counters = injector.counters.lock().unwrap_or_else(|p| p.into_inner());
-        let c = counters.entry(site.to_string()).or_insert(0);
-        let inv = *c;
-        *c += 1;
-        inv
-    };
-    let rule = injector.plan.rules.iter().find(|r| r.matches(site));
-    let Some(rule) = rule else { return Ok(()) };
-    let fails = match rule.trigger {
-        Trigger::Always => true,
-        Trigger::Times(n) => invocation < n as u64,
-        Trigger::Nth { skip, times } => {
-            invocation >= skip as u64 && invocation < (skip + times) as u64
+        let injector = {
+            let slot = self
+                .shared
+                .injector
+                .lock()
+                .unwrap_or_else(|p| p.into_inner());
+            match slot.as_ref() {
+                Some(i) => Arc::clone(i),
+                None => return Ok(()),
+            }
+        };
+        let invocation = {
+            let mut counters = injector.counters.lock().unwrap_or_else(|p| p.into_inner());
+            let c = counters.entry(site.to_string()).or_insert(0);
+            let inv = *c;
+            *c += 1;
+            inv
+        };
+        let rule = injector.plan.rules.iter().find(|r| r.matches(site));
+        let Some(rule) = rule else { return Ok(()) };
+        let fails = match rule.trigger {
+            Trigger::Always => true,
+            Trigger::Times(n) => invocation < n as u64,
+            Trigger::Nth { skip, times } => {
+                invocation >= skip as u64 && invocation < (skip + times) as u64
+            }
+            Trigger::Probability(p) => {
+                let h = armed::decision_hash(injector.plan.seed, site, invocation);
+                (h as f64 / u64::MAX as f64) < p
+            }
+        };
+        if !fails {
+            return Ok(());
         }
-        Trigger::Probability(p) => {
-            let h = armed::decision_hash(injector.plan.seed, site, invocation);
-            (h as f64 / u64::MAX as f64) < p
-        }
-    };
-    if !fails {
-        return Ok(());
-    }
-    if rule.delay_ms > 0 {
-        // A slowdown rule: stall the caller, record it, succeed.
-        let delay = std::time::Duration::from_millis(rule.delay_ms);
-        injector
-            .slowed
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(FiredFault {
-                site: site.to_string(),
-                invocation,
-            });
-        std::thread::sleep(delay);
-        return Ok(());
-    }
-    injector
-        .fired
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .push(FiredFault {
+        let hit = FiredFault {
             site: site.to_string(),
             invocation,
-        });
-    Err(FaultError {
-        site: site.to_string(),
-        invocation,
-        transient: rule.transient,
-    })
-}
-
-/// No-op: the `fault-injection` feature is disabled.
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub fn fire(_site: &str) -> Result<(), FaultError> {
-    Ok(())
-}
-
-/// Runs `f` with `plan` armed, returning `f`'s result plus a report of
-/// every fault that fired. Scopes are serialized process-wide (tests on
-/// other threads wait rather than observe each other's faults), and the
-/// plan is disarmed even if `f` panics.
-#[cfg(feature = "fault-injection")]
-pub fn with_faults<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultReport) {
-    use armed::*;
-    let _scope = scope_lock().lock().unwrap_or_else(|p| p.into_inner());
-    let injector = Arc::new(Injector {
-        plan,
-        counters: std::sync::Mutex::new(Default::default()),
-        fired: std::sync::Mutex::new(Vec::new()),
-        slowed: std::sync::Mutex::new(Vec::new()),
-    });
-    *injector_slot().lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&injector));
-    ARMED.store(true, Ordering::SeqCst);
-
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            armed::ARMED.store(false, Ordering::SeqCst);
-            *armed::injector_slot()
+        };
+        if rule.delay_ms > 0 {
+            // A slowdown rule: stall the caller, record it, succeed.
+            injector
+                .slowed
                 .lock()
-                .unwrap_or_else(|p| p.into_inner()) = None;
+                .unwrap_or_else(|p| p.into_inner())
+                .push(hit);
+            std::thread::sleep(std::time::Duration::from_millis(rule.delay_ms));
+            return Ok(());
         }
+        injector
+            .fired
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(hit);
+        Err(FaultError {
+            site: site.to_string(),
+            invocation,
+            transient: rule.transient,
+        })
     }
-    let disarm = Disarm;
 
-    let result = f();
+    /// Runs `f` with `plan` armed on this handle (and every clone of
+    /// it), returning `f`'s result plus a report of every fault that
+    /// fired. The plan is disarmed even if `f` panics.
+    pub fn scope<R>(&self, plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultReport) {
+        let _turn = self.shared.turn.lock().unwrap_or_else(|p| p.into_inner());
+        let injector = Arc::new(armed::Injector {
+            plan,
+            counters: Default::default(),
+            fired: Default::default(),
+            slowed: Default::default(),
+        });
+        *self
+            .shared
+            .injector
+            .lock()
+            .unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&injector));
+        self.shared.armed.store(true, Ordering::SeqCst);
 
-    drop(disarm);
-    let fired = injector
-        .fired
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone();
-    let slowed = injector
-        .slowed
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone();
-    (result, FaultReport { fired, slowed })
+        struct Disarm<'a>(&'a armed::Shared);
+        impl Drop for Disarm<'_> {
+            fn drop(&mut self) {
+                self.0.armed.store(false, Ordering::SeqCst);
+                *self.0.injector.lock().unwrap_or_else(|p| p.into_inner()) = None;
+            }
+        }
+        let disarm = Disarm(&self.shared);
+        let result = f();
+        drop(disarm);
+
+        let take = |m: &std::sync::Mutex<Vec<FiredFault>>| {
+            std::mem::take(&mut *m.lock().unwrap_or_else(|p| p.into_inner()))
+        };
+        let report = FaultReport {
+            fired: take(&injector.fired),
+            slowed: take(&injector.slowed),
+        };
+        (result, report)
+    }
 }
 
-/// Runs `f` unmodified: the `fault-injection` feature is disabled, so no
-/// plan ever arms.
+/// The `fault-injection` feature is disabled: no plan ever arms and
+/// every site is a constant `Ok(())`.
 #[cfg(not(feature = "fault-injection"))]
-pub fn with_faults<R>(_plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultReport) {
-    (f(), FaultReport::default())
-}
+impl FaultHandle {
+    /// Always false.
+    pub fn is_armed(&self) -> bool {
+        false
+    }
 
-/// True while a [`with_faults`] scope is armed on this process.
-#[cfg(feature = "fault-injection")]
-pub fn is_armed() -> bool {
-    armed::ARMED.load(Ordering::Relaxed)
-}
+    /// No-op.
+    #[inline(always)]
+    pub fn fire(&self, _site: &str) -> Result<(), FaultError> {
+        Ok(())
+    }
 
-/// Always false: the `fault-injection` feature is disabled.
-#[cfg(not(feature = "fault-injection"))]
-pub fn is_armed() -> bool {
-    false
+    /// Runs `f` unmodified.
+    pub fn scope<R>(&self, _plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultReport) {
+        (f(), FaultReport::default())
+    }
 }
 
 #[cfg(test)]
@@ -421,29 +441,31 @@ mod tests {
 
     #[test]
     fn disarmed_sites_never_fail() {
-        assert!(!is_armed());
+        let h = FaultHandle::default();
+        assert!(!h.is_armed());
         for _ in 0..100 {
-            assert!(fire("any.site").is_ok());
+            assert!(h.fire("any.site").is_ok());
         }
     }
 
     #[cfg(feature = "fault-injection")]
     #[test]
     fn times_trigger_fails_then_recovers() {
-        let ((), report) = with_faults(
+        let h = FaultHandle::default();
+        let ((), report) = h.scope(
             FaultPlan::new(1).fail_transient("io.read", Trigger::Times(2)),
             || {
                 assert_eq!(
-                    fire("io.read"),
+                    h.fire("io.read"),
                     Err(FaultError {
                         site: "io.read".into(),
                         invocation: 0,
                         transient: true
                     })
                 );
-                assert!(fire("io.read").is_err());
-                assert!(fire("io.read").is_ok());
-                assert!(fire("other.site").is_ok());
+                assert!(h.fire("io.read").is_err());
+                assert!(h.fire("io.read").is_ok());
+                assert!(h.fire("other.site").is_ok());
             },
         );
         assert_eq!(report.count("io.read"), 2);
@@ -453,12 +475,13 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn nth_trigger_skips_then_fails() {
-        let ((), report) = with_faults(
+        let h = FaultHandle::default();
+        let ((), report) = h.scope(
             FaultPlan::new(1).fail("x", Trigger::Nth { skip: 1, times: 1 }),
             || {
-                assert!(fire("x").is_ok());
-                assert!(fire("x").is_err());
-                assert!(fire("x").is_ok());
+                assert!(h.fire("x").is_ok());
+                assert!(h.fire("x").is_err());
+                assert!(h.fire("x").is_ok());
             },
         );
         assert_eq!(
@@ -473,13 +496,14 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn slow_rule_delays_but_succeeds() {
-        let (elapsed, report) = with_faults(
+        let h = FaultHandle::default();
+        let (elapsed, report) = h.scope(
             FaultPlan::new(1).slow("net.fetch", Trigger::Times(1), 20),
             || {
                 let t = std::time::Instant::now();
-                assert!(fire("net.fetch").is_ok());
+                assert!(h.fire("net.fetch").is_ok());
                 let first = t.elapsed();
-                assert!(fire("net.fetch").is_ok());
+                assert!(h.fire("net.fetch").is_ok());
                 first
             },
         );
@@ -491,10 +515,11 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn prefix_wildcard_matches_site_family() {
-        let ((), report) = with_faults(FaultPlan::new(1).fail("bat.*", Trigger::Always), || {
-            assert!(fire("bat.insert").is_err());
-            assert!(fire("bat.join").is_err());
-            assert!(fire("proc.dbnInfer").is_ok());
+        let h = FaultHandle::default();
+        let ((), report) = h.scope(FaultPlan::new(1).fail("bat.*", Trigger::Always), || {
+            assert!(h.fire("bat.insert").is_err());
+            assert!(h.fire("bat.join").is_err());
+            assert!(h.fire("proc.dbnInfer").is_ok());
         });
         assert_eq!(report.fired.len(), 2);
     }
@@ -502,10 +527,11 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn probability_trigger_is_deterministic() {
+        let h = FaultHandle::default();
         let run = || {
-            with_faults(
+            h.scope(
                 FaultPlan::new(42).fail("p.site", Trigger::Probability(0.5)),
-                || (0..64).map(|_| fire("p.site").is_err()).collect::<Vec<_>>(),
+                || (0..64).map(|_| h.fire("p.site").is_err()).collect::<Vec<_>>(),
             )
             .0
         };
@@ -519,14 +545,30 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn disarms_even_when_scope_panics() {
+        let h = FaultHandle::default();
         let caught = std::panic::catch_unwind(|| {
-            with_faults(FaultPlan::new(0).fail("x", Trigger::Always), || {
+            h.scope(FaultPlan::new(0).fail("x", Trigger::Always), || {
                 panic!("scope panics");
             })
         });
         assert!(caught.is_err());
-        assert!(!is_armed());
-        assert!(fire("x").is_ok());
+        assert!(!h.is_armed());
+        assert!(h.fire("x").is_ok());
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_scope_arms_its_own_handle_and_clones_only() {
+        let h = FaultHandle::default();
+        let clone = h.clone();
+        let neighbour = FaultHandle::default();
+        let ((), report) = h.scope(FaultPlan::new(0).fail("x", Trigger::Always), || {
+            assert!(clone.is_armed(), "clones share the injector");
+            assert!(clone.fire("x").is_err());
+            assert!(!neighbour.is_armed());
+            assert!(neighbour.fire("x").is_ok(), "another handle never sees the plan");
+        });
+        assert_eq!(report.count("x"), 1);
     }
 
     #[test]

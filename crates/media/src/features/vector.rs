@@ -91,6 +91,7 @@ pub struct FeatureExtractor<'a> {
     video: VideoSynth<'a>,
     analyzer: AudioAnalyzer,
     cfg: VectorConfig,
+    faults: cobra_faults::FaultHandle,
 }
 
 impl<'a> FeatureExtractor<'a> {
@@ -107,7 +108,15 @@ impl<'a> FeatureExtractor<'a> {
             video: VideoSynth::new(scenario),
             analyzer: AudioAnalyzer::new(cfg.audio.clone())?,
             cfg,
+            faults: cobra_faults::FaultHandle::default(),
         })
+    }
+
+    /// Puts the caller's fault injector behind the
+    /// `media.vector.extract` site.
+    pub fn with_faults(mut self, faults: cobra_faults::FaultHandle) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// Detects replay spans over the clip range via the wipe detector and
@@ -151,9 +160,7 @@ impl<'a> FeatureExtractor<'a> {
         let hi_clip = hi_clip.min(self.scenario.n_clips);
         // Fault site `media.vector.extract`: lets tests fail extraction
         // below the pre-processor, where a real decoder would die.
-        if cobra_faults::is_armed() {
-            cobra_faults::fire("media.vector.extract")?;
-        }
+        self.faults.fire("media.vector.extract")?;
         let cps = clips_per_second();
         let replay = self.replay_flags(lo_clip, hi_clip);
         let mut rows = Vec::with_capacity(hi_clip - lo_clip);
@@ -237,8 +244,11 @@ mod tests {
     #[test]
     fn injected_extract_fault_is_a_typed_error() {
         let sc = RaceScenario::generate(ScenarioConfig::new(RaceProfile::German, 10));
-        let fx = FeatureExtractor::new(&sc).unwrap();
-        let (result, report) = cobra_faults::with_faults(
+        let faults = cobra_faults::FaultHandle::default();
+        let fx = FeatureExtractor::new(&sc)
+            .unwrap()
+            .with_faults(faults.clone());
+        let (result, report) = faults.scope(
             cobra_faults::FaultPlan::new(5)
                 .fail_transient("media.vector.extract", cobra_faults::Trigger::Times(1)),
             || fx.extract(&[], 0, sc.n_clips),

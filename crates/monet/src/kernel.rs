@@ -69,6 +69,9 @@ pub struct Kernel {
     /// Observability: pre-resolved handles over this kernel's metric
     /// registry. Snapshot via `kernel.metrics().registry()`.
     metrics: Arc<KernelMetrics>,
+    /// Fault injector of this kernel (`bat.*`, `proc.*` sites);
+    /// disarmed unless a test arms it through [`Kernel::faults`].
+    faults: cobra_faults::FaultHandle,
 }
 
 impl Kernel {
@@ -81,7 +84,15 @@ impl Kernel {
             index_cache: Lru::new(INDEX_CACHE_CAP),
             sketch_cache: Lru::new(SKETCH_CACHE_CAP),
             metrics: Arc::new(KernelMetrics::default()),
+            faults: cobra_faults::FaultHandle::default(),
         }
+    }
+
+    /// This kernel's fault injector. Whoever builds a system around the
+    /// kernel clones it into the other layers, so one
+    /// `kernel.faults().scope(plan, || …)` scripts the whole instance.
+    pub fn faults(&self) -> &cobra_faults::FaultHandle {
+        &self.faults
     }
 
     /// This kernel's metric handles; snapshot the registry behind them
@@ -284,8 +295,8 @@ impl Kernel {
     pub fn call_proc(&self, proc: &str, args: &[MilValue]) -> Result<MilValue> {
         // Fault site `proc.{name}`: lets tests fail specific extension
         // procedures without touching the module implementation.
-        if cobra_faults::is_armed() {
-            if let Err(fault) = cobra_faults::fire(&format!("proc.{proc}")) {
+        if self.faults.is_armed() {
+            if let Err(fault) = self.faults.fire(&format!("proc.{proc}")) {
                 self.metrics.record_failure(&format!("proc.{proc}"));
                 return Err(fault.into());
             }

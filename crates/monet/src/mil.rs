@@ -1328,8 +1328,8 @@ fn op_ctx<'e>(env: &'e Env<'_>) -> ops::OpCtx<'e> {
 fn eval_method(env: &Env<'_>, recv: &MilValue, name: &str, args: &[MilValue]) -> Result<MilValue> {
     env.guard.tick()?;
     // Fault site `bat.{method}`: only pay the format when a plan is armed.
-    if cobra_faults::is_armed() {
-        if let Err(fault) = cobra_faults::fire(&format!("bat.{name}")) {
+    if env.kernel.faults().is_armed() {
+        if let Err(fault) = env.kernel.faults().fire(&format!("bat.{name}")) {
             env.kernel.metrics().record_failure(&format!("bat.{name}"));
             return Err(fault.into());
         }

@@ -198,6 +198,7 @@ fn main() {
         seed: cli.seed,
         retry: cli.retry,
         cache: cli.cache,
+        ..RouterConfig::default()
     };
     let n_shards = config.shards.len();
     let handle = match start(config) {

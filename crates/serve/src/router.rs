@@ -100,6 +100,8 @@ pub struct RouterConfig {
     pub retry: RetryPolicy,
     /// Enables the router-side result cache.
     pub cache: bool,
+    /// Injector behind the `router.forward` site (disarmed by default).
+    pub faults: cobra_faults::FaultHandle,
 }
 
 impl Default for RouterConfig {
@@ -113,6 +115,7 @@ impl Default for RouterConfig {
                 backoff_ms: 50,
             },
             cache: true,
+            faults: cobra_faults::FaultHandle::default(),
         }
     }
 }
@@ -181,6 +184,7 @@ struct RouterShared {
     /// restarting the router.
     addrs: Mutex<Vec<String>>,
     retry: RetryPolicy,
+    faults: cobra_faults::FaultHandle,
     registry: Arc<Registry>,
     cache: Option<ResultCache>,
     shutting_down: AtomicBool,
@@ -342,6 +346,7 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         ring: Ring::new(config.shards.len() as u32, config.seed),
         addrs: Mutex::new(config.shards.clone()),
         retry: config.retry,
+        faults: config.faults,
         registry: Arc::clone(&registry),
         cache,
         shutting_down: AtomicBool::new(false),
@@ -435,7 +440,7 @@ fn attempt_once(
 ) -> Attempt {
     // The injectable transport failure: the connection is left intact,
     // only this attempt is declared lost.
-    if let Err(e) = cobra_faults::fire("router.forward") {
+    if let Err(e) = shared.faults.fire("router.forward") {
         return Attempt::Retry(format!("injected transport fault: {e}"));
     }
     if let Some(at) = deadline_at {

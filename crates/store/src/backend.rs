@@ -290,6 +290,9 @@ pub struct FileBackend {
     bytes: AtomicU64,
     fsyncs: AtomicU64,
     checkpoints: AtomicU64,
+    /// Injector behind every `store.*` site of this data directory
+    /// (shared with the WAL writers it opens).
+    faults: cobra_faults::FaultHandle,
 }
 
 impl fmt::Debug for FileBackend {
@@ -332,7 +335,14 @@ impl FileBackend {
     /// manifest and WAL, computes the boot epoch, and readies a fresh
     /// WAL file. The recovery state is retrieved once via
     /// [`take_recovery`](StorageBackend::take_recovery).
-    pub fn open(config: &StoreConfig, registry: &Registry) -> StoreResult<FileBackend> {
+    ///
+    /// `faults` is the injector of the system this backend belongs to;
+    /// pass `FaultHandle::default()` for a backend nobody scripts.
+    pub fn open(
+        config: &StoreConfig,
+        registry: &Registry,
+        faults: cobra_faults::FaultHandle,
+    ) -> StoreResult<FileBackend> {
         let dir = &config.data_dir;
         fs::create_dir_all(dir).map_err(|e| StoreError::io("create data dir", dir, e))?;
 
@@ -417,7 +427,8 @@ impl FileBackend {
         // Always start a fresh WAL file: appending after a torn tail
         // would hide new records behind garbage.
         let next_index = wal_indices.last().copied().unwrap_or(0) + 1;
-        let mut writer = WalWriter::open(&wal_path(dir, next_index), next_seq, config.fsync)?;
+        let mut writer = WalWriter::open(&wal_path(dir, next_index), next_seq, config.fsync)?
+            .with_faults(faults.clone());
         let boot = writer.append(&WalOp::Boot { epoch })?;
         writer.flush()?;
         let mut live_wal = wal_indices;
@@ -463,6 +474,7 @@ impl FileBackend {
             bytes: AtomicU64::new(boot.bytes),
             fsyncs: AtomicU64::new(1),
             checkpoints: AtomicU64::new(0),
+            faults,
         })
     }
 
@@ -541,7 +553,8 @@ impl StorageBackend for FileBackend {
         let old_index = self.wal_index.load(Ordering::Relaxed);
         let new_index = old_index + 1;
         let new_writer =
-            WalWriter::open(&wal_path(&self.dir, new_index), cut_seq + 1, self.policy)?;
+            WalWriter::open(&wal_path(&self.dir, new_index), cut_seq + 1, self.policy)?
+                .with_faults(self.faults.clone());
         let _old = std::mem::replace(&mut *wal, new_writer);
         self.wal_index.store(new_index, Ordering::Relaxed);
         drop(wal);
@@ -566,7 +579,7 @@ impl StorageBackend for FileBackend {
             .lock()
             .take()
             .ok_or(StoreError::Protocol("complete_checkpoint without begin"))?;
-        cobra_faults::fire("store.checkpoint.write")?;
+        self.faults.fire("store.checkpoint.write")?;
 
         let ckpt_n = self.ckpt_counter.fetch_add(1, Ordering::Relaxed);
         let mut outcome = CheckpointOutcome {
@@ -622,7 +635,7 @@ impl StorageBackend for FileBackend {
         let bytes = encode_manifest(&manifest);
         // The commit point: crash before this rename keeps the old
         // checkpoint, crash after keeps the new one.
-        write_atomic(&self.dir.join(MANIFEST_NAME), &bytes)?;
+        write_atomic(&self.dir.join(MANIFEST_NAME), &bytes, &self.faults)?;
         outcome.bytes_written += bytes.len() as u64;
 
         *self.baseline.lock() = new_entries.into_iter().collect();
@@ -634,7 +647,7 @@ impl StorageBackend for FileBackend {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.metrics.checkpoints.inc();
 
-        cobra_faults::fire("store.checkpoint.truncate")?;
+        self.faults.fire("store.checkpoint.truncate")?;
         {
             let mut live = self.live_wal.lock();
             for &idx in &cut.retired {

@@ -79,7 +79,12 @@ fn unframe(magic: u32, bytes: &[u8]) -> Result<&[u8], CodecError> {
 
 /// Writes `bytes` to `path` via a temp file + fsync + atomic rename, then
 /// fsyncs the parent directory so the rename itself is durable.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> StoreResult<()> {
+/// `faults` is the owning backend's injector (`store.checkpoint.rename`).
+pub fn write_atomic(
+    path: &Path,
+    bytes: &[u8],
+    faults: &cobra_faults::FaultHandle,
+) -> StoreResult<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = OpenOptions::new()
@@ -93,7 +98,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> StoreResult<()> {
         f.sync_data()
             .map_err(|e| StoreError::io("sync tmp", &tmp, e))?;
     }
-    cobra_faults::fire("store.checkpoint.rename")?;
+    faults.fire("store.checkpoint.rename")?;
     fs::rename(&tmp, path).map_err(|e| StoreError::io("rename tmp", path, e))?;
     if let Some(dir) = path.parent() {
         if let Ok(d) = File::open(dir) {
@@ -462,8 +467,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cobra-snap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("MANIFEST");
-        write_atomic(&path, b"first").unwrap();
-        write_atomic(&path, b"second").unwrap();
+        write_atomic(&path, b"first", &Default::default()).unwrap();
+        write_atomic(&path, b"second", &Default::default()).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
         assert!(!path.with_extension("tmp").exists());
     }

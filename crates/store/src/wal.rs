@@ -377,6 +377,8 @@ pub struct WalWriter {
     /// failed: the tail is in an unknown state, further appends would
     /// sit behind garbage and be lost to recovery.
     poisoned: bool,
+    /// Injector behind the `store.wal.*` sites.
+    faults: cobra_faults::FaultHandle,
 }
 
 /// What a successful append did.
@@ -411,7 +413,15 @@ impl WalWriter {
             policy,
             unsynced: 0,
             poisoned: false,
+            faults: cobra_faults::FaultHandle::default(),
         })
+    }
+
+    /// Puts the owning backend's fault injector behind the
+    /// `store.wal.{append,torn,ack}` sites.
+    pub fn with_faults(mut self, faults: cobra_faults::FaultHandle) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// The sequence number of the last appended record (`next - 1`).
@@ -433,7 +443,7 @@ impl WalWriter {
         if self.poisoned {
             return Err(StoreError::Poisoned);
         }
-        cobra_faults::fire("store.wal.append")?;
+        self.faults.fire("store.wal.append")?;
         let seq = self.next_seq;
         let frame = encode_record(seq, op);
         // A frame the reader would refuse must never be written: recovery
@@ -447,7 +457,7 @@ impl WalWriter {
             });
         }
 
-        if cobra_faults::is_armed() && cobra_faults::fire("store.wal.torn").is_err() {
+        if self.faults.fire("store.wal.torn").is_err() {
             // Crash mid-write: half the frame lands, the writer "dies".
             let half = &frame[..frame.len() / 2];
             let _ = self.file.write_all(half);
@@ -486,7 +496,7 @@ impl WalWriter {
         }
         self.offset += frame.len() as u64;
         self.next_seq += 1;
-        cobra_faults::fire("store.wal.ack")?;
+        self.faults.fire("store.wal.ack")?;
         Ok(Appended {
             seq,
             bytes: frame.len() as u64,

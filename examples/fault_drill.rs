@@ -54,8 +54,8 @@ fn main() {
     let scenario = RaceScenario::generate(ScenarioConfig::new(RaceProfile::German, 45));
 
     let plan = FaultPlan::new(7).fail("extract.full", Trigger::Always);
-    let (report, faults) = cobra_faults::with_faults(plan, || {
-        let vdbms = Vdbms::try_new().expect("boot");
+    let vdbms = Vdbms::try_new().expect("boot");
+    let (report, faults) = vdbms.faults().scope(plan, || {
         vdbms.ingest("german", &scenario).expect("fallback ingest")
     });
     println!("faults fired          -> {}", faults.count("extract.full"));
@@ -72,8 +72,8 @@ fn main() {
 
     // 6. Every extractor down: ingest surfaces a typed error chain.
     let plan = FaultPlan::new(11).fail("extract.*", Trigger::Always);
-    let (err, _) = cobra_faults::with_faults(plan, || {
-        let vdbms = Vdbms::try_new().expect("boot");
+    let vdbms = Vdbms::try_new().expect("boot");
+    let (err, _) = vdbms.faults().scope(plan, || {
         vdbms
             .ingest("german", &scenario)
             .expect_err("no extractor left")

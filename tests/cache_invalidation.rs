@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cobra_faults::{with_faults, FaultPlan, Trigger};
+use cobra_faults::{FaultPlan, Trigger};
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::Vdbms;
 
@@ -177,7 +177,7 @@ fn failed_queries_are_not_cached() {
     let registry = Arc::clone(vdbms.kernel().metrics().registry());
 
     let snap = registry.snapshot();
-    let (result, faults) = with_faults(
+    let (result, faults) = vdbms.faults().scope(
         FaultPlan::new(13).fail("bat.join", Trigger::Times(1)),
         || vdbms.query("v", "RETRIEVE HIGHLIGHTS"),
     );

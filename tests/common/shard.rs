@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
+use cobra_faults::FaultHandle;
 use cobra_obs::Registry;
 use cobra_serve::ring::{Ring, DEFAULT_SEED};
 use cobra_serve::router::{self, RouterConfig, RouterHandle};
@@ -97,6 +98,7 @@ pub struct ShardCluster {
     binary: PathBuf,
     workers: Vec<Option<WorkerProcess>>,
     router: Option<RouterHandle>,
+    faults: FaultHandle,
 }
 
 impl ShardCluster {
@@ -145,6 +147,7 @@ impl ShardCluster {
             .iter()
             .map(|w| w.as_ref().map(|w| w.addr().to_string()).unwrap_or_default())
             .collect();
+        let faults = FaultHandle::default();
         let router = router::start(RouterConfig {
             addr: "127.0.0.1:0".into(),
             shards: addrs,
@@ -154,6 +157,7 @@ impl ShardCluster {
                 backoff_ms: 25,
             },
             cache,
+            faults: faults.clone(),
         })
         .expect("start router");
         ShardCluster {
@@ -162,6 +166,7 @@ impl ShardCluster {
             binary,
             workers: workers.into_iter().collect(),
             router: Some(router),
+            faults,
         }
     }
 
@@ -182,6 +187,11 @@ impl ShardCluster {
 
     fn router_ref(&self) -> &RouterHandle {
         self.router.as_ref().expect("router is running")
+    }
+
+    /// The router's fault injector (`router.forward`).
+    pub fn faults(&self) -> &FaultHandle {
+        &self.faults
     }
 
     /// The router's own metrics registry (forward + cache counters).

@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cobra_faults::{with_faults, FaultPlan, Trigger};
+use cobra_faults::{FaultPlan, Trigger};
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::{CobraError, StoreConfig, Vdbms};
 
@@ -233,7 +233,7 @@ fn wal_fault_matrix_restores_exactly_acknowledged_state() {
                 .store_events("german", &[event("highlight", 10, None)])
                 .expect("acknowledged batch");
             let (result, faults) =
-                with_faults(FaultPlan::new(17).fail(site, Trigger::Always), || {
+                vdbms.faults().scope(FaultPlan::new(17).fail(site, Trigger::Always), || {
                     vdbms
                         .catalog
                         .store_events("german", &[event("fly_out", 40, Some("SCHUMACHER"))])
@@ -286,7 +286,7 @@ fn torn_tail_survives_a_second_crash_cycle() {
             .catalog
             .store_events("german", &[event("highlight", 10, None)])
             .expect("acknowledged before the tear");
-        let (result, faults) = with_faults(
+        let (result, faults) = vdbms.faults().scope(
             FaultPlan::new(17).fail("store.wal.torn", Trigger::Always),
             || {
                 vdbms
@@ -350,7 +350,7 @@ fn checkpoint_fault_matrix_keeps_directory_bootable() {
                 )
                 .expect("events");
             let (result, faults) =
-                with_faults(FaultPlan::new(23).fail(site, Trigger::Always), || {
+                vdbms.faults().scope(FaultPlan::new(23).fail(site, Trigger::Always), || {
                     vdbms.checkpoint()
                 });
             assert_eq!(faults.count(site), 1, "{site} fired");

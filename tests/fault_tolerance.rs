@@ -8,7 +8,7 @@
 
 mod common;
 
-use cobra_faults::{with_faults, FaultPlan, Trigger};
+use cobra_faults::{FaultPlan, Trigger};
 use f1_cobra::{CobraError, Vdbms};
 use f1_media::synth::scenario::RaceScenario;
 
@@ -21,7 +21,7 @@ fn scenario() -> RaceScenario {
 fn primary_extraction_fault_falls_back_to_fast_method() {
     let vdbms = Vdbms::try_new().unwrap();
     let sc = scenario();
-    let (report, faults) = with_faults(
+    let (report, faults) = vdbms.faults().scope(
         FaultPlan::new(7).fail("extract.full", Trigger::Always),
         || vdbms.ingest("german", &sc),
     );
@@ -47,7 +47,7 @@ fn transient_fault_is_retried_without_degrading() {
     let sc = scenario();
     // The "full" profile allows one retry; a single transient fault
     // should be absorbed in place.
-    let (report, faults) = with_faults(
+    let (report, faults) = vdbms.faults().scope(
         FaultPlan::new(3).fail_transient("extract.full", Trigger::Times(1)),
         || vdbms.ingest("german", &sc),
     );
@@ -64,7 +64,7 @@ fn transient_fault_is_retried_without_degrading() {
 fn exhausting_every_method_surfaces_a_typed_error() {
     let vdbms = Vdbms::try_new().unwrap();
     let sc = scenario();
-    let (result, faults) = with_faults(
+    let (result, faults) = vdbms.faults().scope(
         FaultPlan::new(11).fail("extract.*", Trigger::Always),
         || vdbms.ingest("german", &sc),
     );
@@ -101,7 +101,7 @@ fn measured_slowdown_reranks_extraction_methods() {
     // (4x the whole baseline ingest bounds the slowdown ratio well above
     // the quality penalty that protects the primary's rank).
     let delay_ms = (baseline_ms * 4).max(1_000);
-    let (slowed, faults) = with_faults(
+    let (slowed, faults) = vdbms.faults().scope(
         FaultPlan::new(5).slow("extract.full", Trigger::Always, delay_ms),
         || vdbms.ingest("german-slow", &sc),
     );

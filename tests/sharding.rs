@@ -5,16 +5,15 @@
 //! Every test boots a [`ShardCluster`] — genuine `cobra-serve` children
 //! over seeded per-shard data dirs, fronted by an in-process router —
 //! and drives it through the public wire protocol only. The tests
-//! share one process-wide gate: fault injection is process-global and
-//! the clusters spawn real processes, so running them serially keeps
-//! every observation attributable.
+//! share one process-wide gate: the clusters spawn real processes, so
+//! running them serially keeps every observation attributable.
 
 mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use cobra_faults::{with_faults, FaultPlan, Trigger};
+use cobra_faults::{FaultPlan, Trigger};
 use cobra_serve::client::{unwrap_response, Client, ClientError, QueryReply};
 use cobra_serve::ring::{Ring, DEFAULT_SEED};
 use cobra_serve::ErrorKind;
@@ -235,7 +234,7 @@ fn injected_forward_faults_are_retried_then_typed() {
 
     // One transient transport fault: masked by a re-dispatch.
     let snap = registry.snapshot();
-    let (result, report) = with_faults(
+    let (result, report) = cluster.faults().scope(
         FaultPlan::new(7).fail_transient("router.forward", Trigger::Times(1)),
         || raw_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS"),
     );
@@ -248,7 +247,7 @@ fn injected_forward_faults_are_retried_then_typed() {
     // A permanently failing transport: retries exhaust into the typed
     // error instead of hanging or lying.
     let snap = registry.snapshot();
-    let (result, report) = with_faults(
+    let (result, report) = cluster.faults().scope(
         FaultPlan::new(7).fail_transient("router.forward", Trigger::Always),
         || raw_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS"),
     );
