@@ -1,26 +1,28 @@
-//! The query-layer caches: compiled plans and versioned results.
+//! The query-layer caches and the staleness stamp that guards them.
 //!
 //! The paper's conceptual pre-processor is built around one idea — check
-//! whether the metadata a query needs already exists before recomputing
-//! it. These caches apply the same discipline to the query path itself:
+//! whether the metadata a query needs already exists, and is still
+//! current, before recomputing it. This module applies the same
+//! discipline to the query path itself:
 //!
-//! * **Plan cache** — `RETRIEVE EVENTS …`-family queries compile a Moa
-//!   selection to MIL on every call; the compiled program depends only on
-//!   (video, event kind), so it is cached under that key. Budgets (fuel,
-//!   deadline, cancellation) apply at evaluation time, never at compile
-//!   time, so a cached plan is exactly as guarded as a fresh one.
-//! * **Result cache** — whole answers keyed by (video, normalized query
-//!   text) and guarded by a [`VersionVector`]: the (BAT id, BAT version)
-//!   pairs of the video's event layer plus the catalog generation, read
-//!   *before* the query executes. Any event-layer write bumps a BAT
-//!   version (append) or swaps a BAT id (clear + recreate), so a vector
-//!   captured before a write never matches the post-write state — a
-//!   cached read can never return pre-write results. This reuses the
-//!   per-(bat, version) discipline the kernel's `ColumnIndex` cache
-//!   established.
+//! * **[`Stamp`]** — the only staleness currency in the system:
+//!   `(boot epoch, commit seq)`, bumped by writers *after* applying and
+//!   captured by readers *before* executing, so equal stamps prove
+//!   nothing changed in between (DESIGN.md §6f has the full contract).
+//! * **[`PlanCache`]** — `RETRIEVE EVENTS …`-family queries compile a
+//!   Moa selection to MIL on every call; the compiled program depends
+//!   only on (video, event kind), so it is cached under that key.
+//!   Budgets (fuel, deadline, cancellation) apply at evaluation time,
+//!   never at compile time, so a cached plan is exactly as guarded as a
+//!   fresh one.
+//! * **[`ResultCache`]** — whole answers keyed by (video, normalized
+//!   query text), each guarded by the stamps of what it read. The one
+//!   implementation serves both tiers: a `Vdbms` guards an answer with
+//!   its video's stamp, the scatter-gather router with one shard stamp
+//!   per shard the answer read.
 //!
 //! Both caches sit on the shared [`cobra_cache::Lru`] and publish
-//! `cache.*` counters/gauges through the kernel's metrics registry, so
+//! `cache.*` counters/gauges through the owner's metrics registry, so
 //! `stats` and `PROFILE` make hits, misses, evictions and residency
 //! visible.
 
@@ -30,14 +32,29 @@ use std::sync::Arc;
 use cobra_cache::Lru;
 use cobra_obs::{Counter, Gauge, Registry};
 
-use crate::query::RetrievedSegment;
-
 /// Entry bound of the plan cache. Plans are (video, kind)-shaped, so
 /// even a large catalog stays far below this.
 const PLAN_CACHE_CAP: usize = 256;
 
-/// Entry bound of the result cache.
+/// Entry bound of a result cache, local or routed.
 const RESULT_CACHE_CAP: usize = 512;
+
+/// A point in one catalog's commit history.
+///
+/// `epoch` is the storage boot epoch (0 when memory-only, strictly
+/// increasing per recovery when durable) and `seq` the commit sequence
+/// number within it. Commit seqs restart after a crash, so without the
+/// epoch a post-crash process could collide with a pre-crash stamp and
+/// serve stale results; the epoch makes every incarnation's stamps
+/// disjoint. Ordered by `(epoch, seq)`, so the later of two
+/// observations of one catalog is their `max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Stamp {
+    /// Boot epoch of the catalog's storage.
+    pub epoch: u64,
+    /// Commit sequence number within the epoch.
+    pub seq: u64,
+}
 
 /// A compiled event-selection plan: the cost-based planner's chosen Moa
 /// selection rendered to MIL, plus the three column-join programs built
@@ -60,175 +77,168 @@ pub struct CompiledPlan {
     pub chosen_cost: f64,
 }
 
-/// The catalog state a cached result was computed against.
-///
-/// Two equal vectors mean the video's event layer (and raw-layer
-/// registration) are unchanged, so the cached answer is still exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VersionVector {
-    /// Storage boot epoch: 0 when memory-only, strictly increasing per
-    /// recovery when durable. BAT ids and versions restart arbitrarily
-    /// after a crash, so without the epoch a post-crash process could
-    /// collide with a pre-crash vector and serve stale results; the
-    /// epoch makes every incarnation's vectors disjoint.
-    pub epoch: u64,
-    /// Catalog generation (bumped on video (re)registration).
-    pub catalog_gen: u64,
-    /// (BAT id, BAT version) of the kind/start/end/driver event BATs.
-    pub bats: Vec<Option<(u64, u64)>>,
-}
-
-/// A cached query answer plus the state vector it was computed against.
-#[derive(Debug)]
-pub struct CachedResult {
-    /// The answer.
-    pub segments: Vec<RetrievedSegment>,
-    /// Event-layer state at capture time.
-    pub versions: VersionVector,
-}
-
-impl CachedResult {
-    /// Approximate resident size, for the `cache.result.bytes` gauge.
-    fn approx_bytes(&self, key: &(String, String)) -> i64 {
-        let seg_bytes: usize = self
-            .segments
-            .iter()
-            .map(|s| {
-                std::mem::size_of::<RetrievedSegment>()
-                    + s.label.len()
-                    + s.driver.as_deref().map_or(0, str::len)
-            })
-            .sum();
-        (key.0.len() + key.1.len() + seg_bytes + std::mem::size_of::<Self>()) as i64
-    }
-}
-
-/// Plan and result caches with their observability counters.
-pub struct QueryCaches {
-    plan: Lru<(String, String, u64), Arc<CompiledPlan>>,
-    result: Lru<(String, String), Arc<CachedResult>>,
-    /// Cost-model generation. It participates in every plan-cache key,
-    /// so advancing it orphans all cached plans at once — they age out
-    /// of the LRU while every lookup recompiles against fresh
-    /// statistics.
+/// The compiled-plan cache with its observability counters.
+pub struct PlanCache {
+    plans: Lru<(String, String, u64), Arc<CompiledPlan>>,
+    /// Cost-model generation. It participates in every key, so
+    /// advancing it orphans all cached plans at once — they age out of
+    /// the LRU while every lookup recompiles against fresh statistics.
     generation: AtomicU64,
-    plan_hits: Arc<Counter>,
-    plan_misses: Arc<Counter>,
-    plan_evictions: Arc<Counter>,
-    plan_entries: Arc<Gauge>,
-    plan_generation: Arc<Gauge>,
-    result_hits: Arc<Counter>,
-    result_misses: Arc<Counter>,
-    result_evictions: Arc<Counter>,
-    result_invalidated: Arc<Counter>,
-    result_entries: Arc<Gauge>,
-    result_bytes: Arc<Gauge>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    entries: Arc<Gauge>,
+    generation_gauge: Arc<Gauge>,
 }
 
-impl QueryCaches {
-    /// Resolves the `cache.*` series in `registry` (so they appear in
-    /// snapshots as zeros from boot) and creates empty caches.
+impl PlanCache {
+    /// Resolves the `cache.plan*` series in `registry` (so they appear
+    /// in snapshots as zeros from boot) and creates an empty cache.
     pub fn new(registry: &Registry) -> Self {
-        QueryCaches {
-            plan: Lru::new(PLAN_CACHE_CAP),
-            result: Lru::new(RESULT_CACHE_CAP),
+        PlanCache {
+            plans: Lru::new(PLAN_CACHE_CAP),
             generation: AtomicU64::new(0),
-            plan_hits: registry.counter("cache.plan", &[("result", "hit")]),
-            plan_misses: registry.counter("cache.plan", &[("result", "miss")]),
-            plan_evictions: registry.counter("cache.plan", &[("result", "eviction")]),
-            plan_entries: registry.gauge("cache.plan.entries", &[]),
-            plan_generation: registry.gauge("cache.plan.generation", &[]),
-            result_hits: registry.counter("cache.result", &[("result", "hit")]),
-            result_misses: registry.counter("cache.result", &[("result", "miss")]),
-            result_evictions: registry.counter("cache.result", &[("result", "eviction")]),
-            result_invalidated: registry.counter("cache.result", &[("result", "invalidated")]),
-            result_entries: registry.gauge("cache.result.entries", &[]),
-            result_bytes: registry.gauge("cache.result.bytes", &[]),
+            hits: registry.counter("cache.plan", &[("result", "hit")]),
+            misses: registry.counter("cache.plan", &[("result", "miss")]),
+            evictions: registry.counter("cache.plan", &[("result", "eviction")]),
+            entries: registry.gauge("cache.plan.entries", &[]),
+            generation_gauge: registry.gauge("cache.plan.generation", &[]),
         }
     }
 
     /// Current cost-model generation.
-    pub fn plan_generation(&self) -> u64 {
+    pub fn cost_generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
     /// Advances the cost-model generation, orphaning every cached plan
     /// (their keys carry the old generation). Returns the new value.
-    pub fn advance_plan_generation(&self) -> u64 {
+    pub fn advance_cost_generation(&self) -> u64 {
         let next = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        self.plan_generation.set(next as i64);
+        self.generation_gauge.set(next as i64);
         next
     }
 
     /// Cached compiled plan for `(video, kind)` at the current
     /// generation, counting hit/miss.
-    pub fn plan(&self, video: &str, kind: &str) -> Option<Arc<CompiledPlan>> {
-        let key = (video.to_string(), kind.to_string(), self.plan_generation());
-        let found = self.plan.get(&key);
+    pub fn get(&self, video: &str, kind: &str) -> Option<Arc<CompiledPlan>> {
+        let found = self.peek(video, kind);
         match &found {
-            Some(_) => self.plan_hits.inc(),
-            None => self.plan_misses.inc(),
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
         found
     }
 
-    /// Like [`QueryCaches::plan`] but without touching the hit/miss
+    /// Like [`PlanCache::get`] but without touching the hit/miss
     /// counters — for `EXPLAIN`, which must never skew execution stats.
-    pub fn peek_plan(&self, video: &str, kind: &str) -> Option<Arc<CompiledPlan>> {
-        self.plan
-            .get(&(video.to_string(), kind.to_string(), self.plan_generation()))
+    pub fn peek(&self, video: &str, kind: &str) -> Option<Arc<CompiledPlan>> {
+        self.plans
+            .get(&(video.to_string(), kind.to_string(), self.cost_generation()))
     }
 
     /// Stores a freshly compiled plan under the current generation.
-    pub fn store_plan(&self, video: &str, kind: &str, plan: Arc<CompiledPlan>) {
-        if self
-            .plan
-            .insert(
-                (video.to_string(), kind.to_string(), self.plan_generation()),
-                plan,
-            )
-            .is_some()
-        {
-            self.plan_evictions.inc();
+    pub fn store(&self, video: &str, kind: &str, plan: Arc<CompiledPlan>) {
+        let key = (video.to_string(), kind.to_string(), self.cost_generation());
+        if self.plans.insert(key, plan).is_some() {
+            self.evictions.inc();
         }
-        self.plan_entries.set(self.plan.len() as i64);
+        self.entries.set(self.plans.len() as i64);
+    }
+}
+
+/// A cached answer plus the stamps of what it read.
+#[derive(Debug)]
+pub struct CachedResult<V> {
+    /// The answer.
+    pub value: V,
+    /// One stamp per scope the answer read (a video locally, a shard at
+    /// the router), captured before execution. The key determines
+    /// which scopes those are, so the guard carries no scope ids.
+    guard: Vec<Stamp>,
+    /// Approximate resident size, for the `cache.result.bytes` gauge.
+    bytes: i64,
+}
+
+/// Whole answers keyed by (video, normalized query text), served only
+/// while the stamps they were computed against are still current.
+pub struct ResultCache<V> {
+    entries: Lru<(String, String), Arc<CachedResult<V>>>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    invalidated: Arc<Counter>,
+    n_entries: Arc<Gauge>,
+    bytes: Arc<Gauge>,
+}
+
+impl<V> ResultCache<V> {
+    /// Resolves the `cache.result*` series in `registry` (so they
+    /// appear in snapshots as zeros from boot) and creates an empty
+    /// cache.
+    pub fn new(registry: &Registry) -> Self {
+        ResultCache {
+            entries: Lru::new(RESULT_CACHE_CAP),
+            hits: registry.counter("cache.result", &[("result", "hit")]),
+            misses: registry.counter("cache.result", &[("result", "miss")]),
+            evictions: registry.counter("cache.result", &[("result", "eviction")]),
+            invalidated: registry.counter("cache.result", &[("result", "invalidated")]),
+            n_entries: registry.gauge("cache.result.entries", &[]),
+            bytes: registry.gauge("cache.result.bytes", &[]),
+        }
     }
 
-    /// Cached answer for `(video, normalized query)` provided it was
-    /// computed against exactly `current`; a version mismatch drops the
-    /// stale entry (counted as `invalidated`) and reports a miss.
-    pub fn result(
+    /// Cached answer for `(video, normalized query)` provided its guard
+    /// equals `current`. A mismatch drops the stale entry (counted as
+    /// `invalidated`) and reports a miss. `None` means a current stamp
+    /// is unknown: that is a miss too, but the entry stays — it may
+    /// prove current again once the stamp is known.
+    pub fn lookup(
         &self,
         video: &str,
         normalized: &str,
-        current: &VersionVector,
-    ) -> Option<Arc<CachedResult>> {
+        current: Option<&[Stamp]>,
+    ) -> Option<Arc<CachedResult<V>>> {
         let key = (video.to_string(), normalized.to_string());
-        if let Some(cached) = self.result.get(&key) {
-            if &cached.versions == current {
-                self.result_hits.inc();
+        if let Some(cached) = current.and_then(|_| self.entries.get(&key)) {
+            if Some(cached.guard.as_slice()) == current {
+                self.hits.inc();
                 return Some(cached);
             }
-            if let Some(stale) = self.result.remove(&key) {
-                self.result_invalidated.inc();
-                self.result_bytes.add(-stale.approx_bytes(&key));
-                self.result_entries.set(self.result.len() as i64);
+            if let Some(stale) = self.entries.remove(&key) {
+                self.invalidated.inc();
+                self.bytes.add(-stale.bytes);
+                self.n_entries.set(self.entries.len() as i64);
             }
         }
-        self.result_misses.inc();
+        self.misses.inc();
         None
     }
 
-    /// Stores an answer computed against `current` (captured before the
-    /// execution read any event-layer data).
-    pub fn store_result(&self, video: &str, normalized: &str, cached: Arc<CachedResult>) {
+    /// Stores an answer under `guard` — the stamps captured before the
+    /// execution read any data. `value_bytes` approximates the
+    /// answer's resident size.
+    pub fn store(
+        &self,
+        video: &str,
+        normalized: &str,
+        value: V,
+        guard: Vec<Stamp>,
+        value_bytes: usize,
+    ) {
+        let bytes = (video.len() + normalized.len() + value_bytes) as i64;
         let key = (video.to_string(), normalized.to_string());
-        self.result_bytes.add(cached.approx_bytes(&key));
-        if let Some((old_key, old)) = self.result.insert(key, cached) {
-            self.result_evictions.inc();
-            self.result_bytes.add(-old.approx_bytes(&old_key));
+        self.bytes.add(bytes);
+        let cached = Arc::new(CachedResult {
+            value,
+            guard,
+            bytes,
+        });
+        if let Some((_, old)) = self.entries.insert(key, cached) {
+            self.evictions.inc();
+            self.bytes.add(-old.bytes);
         }
-        self.result_entries.set(self.result.len() as i64);
+        self.n_entries.set(self.entries.len() as i64);
     }
 }
 
@@ -236,51 +246,39 @@ impl QueryCaches {
 mod tests {
     use super::*;
 
-    fn vector(generation: u64, version: u64) -> VersionVector {
-        VersionVector {
-            epoch: 0,
-            catalog_gen: generation,
-            bats: vec![Some((1, version)); 4],
-        }
+    fn stamp(epoch: u64, seq: u64) -> Stamp {
+        Stamp { epoch, seq }
     }
 
-    fn segs(n: usize) -> Vec<RetrievedSegment> {
-        (0..n)
-            .map(|i| RetrievedSegment {
-                start: i,
-                end: i + 1,
-                label: "highlight".into(),
-                driver: None,
-            })
-            .collect()
+    fn cache(registry: &Registry) -> ResultCache<Vec<u32>> {
+        ResultCache::new(registry)
     }
 
     #[test]
-    fn result_hits_only_on_matching_versions() {
+    fn result_hits_only_on_a_matching_stamp() {
         let registry = Registry::new();
-        let caches = QueryCaches::new(&registry);
-        let v1 = vector(0, 1);
-        assert!(caches.result("v", "RETRIEVE HIGHLIGHTS", &v1).is_none());
-        caches.store_result(
-            "v",
-            "RETRIEVE HIGHLIGHTS",
-            Arc::new(CachedResult {
-                segments: segs(3),
-                versions: v1.clone(),
-            }),
-        );
+        let results = cache(&registry);
+        let s1 = [stamp(0, 1)];
+        assert!(results
+            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(&s1))
+            .is_none());
+        results.store("v", "RETRIEVE HIGHLIGHTS", vec![1, 2, 3], s1.to_vec(), 12);
         assert_eq!(
-            caches
-                .result("v", "RETRIEVE HIGHLIGHTS", &v1)
-                .map(|r| r.segments.len()),
+            results
+                .lookup("v", "RETRIEVE HIGHLIGHTS", Some(&s1))
+                .map(|r| r.value.len()),
             Some(3)
         );
 
-        // A bumped version (a write happened) invalidates the entry.
-        let v2 = vector(0, 2);
-        assert!(caches.result("v", "RETRIEVE HIGHLIGHTS", &v2).is_none());
-        // And the stale entry is gone even for the original vector.
-        assert!(caches.result("v", "RETRIEVE HIGHLIGHTS", &v1).is_none());
+        // A later seq (a write happened) invalidates the entry.
+        let s2 = [stamp(0, 2)];
+        assert!(results
+            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(&s2))
+            .is_none());
+        // And the stale entry is gone even for the original stamp.
+        assert!(results
+            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(&s1))
+            .is_none());
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cache.result", &[("result", "hit")]), 1);
@@ -292,23 +290,72 @@ mod tests {
     }
 
     #[test]
+    fn different_epoch_same_seq_never_hits() {
+        let registry = Registry::new();
+        let results = cache(&registry);
+        results.store("v", "Q", vec![7], vec![stamp(1, 5)], 4);
+        // A rebooted catalog restarts its seqs; reaching seq 5 again
+        // under epoch 2 proves nothing about the epoch-1 answer.
+        assert!(results.lookup("v", "Q", Some(&[stamp(2, 5)])).is_none());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("cache.result", &[("result", "hit")]), 0);
+        assert_eq!(
+            snap.counter("cache.result", &[("result", "invalidated")]),
+            1
+        );
+    }
+
+    #[test]
+    fn multi_scope_guard_needs_every_stamp_to_match() {
+        let registry = Registry::new();
+        let results = cache(&registry);
+        let guard = vec![stamp(1, 4), stamp(3, 9)];
+        results.store("*", "Q", vec![1], guard.clone(), 4);
+        assert!(results.lookup("*", "Q", Some(&guard)).is_some());
+        // One shard moved: the cross-shard answer is stale.
+        assert!(results
+            .lookup("*", "Q", Some(&[stamp(1, 4), stamp(3, 10)]))
+            .is_none());
+    }
+
+    #[test]
+    fn unknown_current_stamp_misses_but_keeps_the_entry() {
+        let registry = Registry::new();
+        let results = cache(&registry);
+        let s = [stamp(0, 1)];
+        results.store("v", "Q", vec![1], s.to_vec(), 4);
+        assert!(
+            results.lookup("v", "Q", None).is_none(),
+            "unknown is never a hit"
+        );
+        // The stamp becomes known again and still matches: a hit.
+        assert!(results.lookup("v", "Q", Some(&s)).is_some());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("cache.result", &[("result", "miss")]), 1);
+        assert_eq!(
+            snap.counter("cache.result", &[("result", "invalidated")]),
+            0
+        );
+    }
+
+    #[test]
+    fn stamps_order_by_epoch_then_seq() {
+        assert!(stamp(2, 0) > stamp(1, 99));
+        assert!(stamp(1, 3) > stamp(1, 2));
+        assert_eq!(stamp(1, 3).max(stamp(1, 2)), stamp(1, 3));
+    }
+
+    #[test]
     fn byte_and_entry_gauges_track_residency() {
         let registry = Registry::new();
-        let caches = QueryCaches::new(&registry);
-        caches.store_result(
-            "v",
-            "Q1",
-            Arc::new(CachedResult {
-                segments: segs(10),
-                versions: vector(0, 1),
-            }),
-        );
+        let results = cache(&registry);
+        results.store("v", "Q1", (0..10).collect(), vec![stamp(0, 1)], 40);
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("cache.result.entries", &[]), 1);
         assert!(snap.gauge("cache.result.bytes", &[]) > 0);
 
         // Invalidation returns the gauges to zero.
-        assert!(caches.result("v", "Q1", &vector(0, 2)).is_none());
+        assert!(results.lookup("v", "Q1", Some(&[stamp(0, 2)])).is_none());
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("cache.result.entries", &[]), 0);
         assert_eq!(snap.gauge("cache.result.bytes", &[]), 0);
@@ -328,10 +375,10 @@ mod tests {
     #[test]
     fn plan_cache_counts_hits_and_misses() {
         let registry = Registry::new();
-        let caches = QueryCaches::new(&registry);
-        assert!(caches.plan("v", "highlight").is_none());
-        caches.store_plan("v", "highlight", plan_stub(0));
-        assert!(caches.plan("v", "highlight").is_some());
+        let plans = PlanCache::new(&registry);
+        assert!(plans.get("v", "highlight").is_none());
+        plans.store("v", "highlight", plan_stub(0));
+        assert!(plans.get("v", "highlight").is_some());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cache.plan", &[("result", "hit")]), 1);
         assert_eq!(snap.counter("cache.plan", &[("result", "miss")]), 1);
@@ -341,23 +388,23 @@ mod tests {
     #[test]
     fn advancing_the_generation_orphans_cached_plans() {
         let registry = Registry::new();
-        let caches = QueryCaches::new(&registry);
-        caches.store_plan("v", "highlight", plan_stub(0));
-        assert!(caches.plan("v", "highlight").is_some());
+        let plans = PlanCache::new(&registry);
+        plans.store("v", "highlight", plan_stub(0));
+        assert!(plans.get("v", "highlight").is_some());
 
         // New cost-model generation: the old plan is unreachable, the
         // next lookup must recompile.
-        assert_eq!(caches.advance_plan_generation(), 1);
-        assert!(caches.plan("v", "highlight").is_none());
-        assert!(caches.peek_plan("v", "highlight").is_none());
+        assert_eq!(plans.advance_cost_generation(), 1);
+        assert!(plans.get("v", "highlight").is_none());
+        assert!(plans.peek("v", "highlight").is_none());
 
         // A plan stored under the new generation hits again.
-        caches.store_plan("v", "highlight", plan_stub(1));
-        assert_eq!(caches.plan("v", "highlight").map(|p| p.generation), Some(1));
+        plans.store("v", "highlight", plan_stub(1));
+        assert_eq!(plans.get("v", "highlight").map(|p| p.generation), Some(1));
 
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("cache.plan.generation", &[]), 1);
-        // peek_plan never counted: one miss (post-advance), two hits.
+        // peek never counted: one miss (post-advance), two hits.
         assert_eq!(snap.counter("cache.plan", &[("result", "hit")]), 2);
         assert_eq!(snap.counter("cache.plan", &[("result", "miss")]), 1);
     }

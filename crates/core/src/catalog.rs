@@ -12,7 +12,6 @@
 //! * **object layer** — drivers referenced by events and captions.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,6 +21,7 @@ use cobra_store::backend::{NamedBat, SnapshotState, StorageBackend};
 use cobra_store::{CheckpointOutcome, ManifestVideo, MemBackend, Recovery, WalEvent, WalOp};
 use f1_monet::prelude::*;
 
+use crate::cache::Stamp;
 use crate::{CobraError, Result};
 
 /// Raw-layer descriptor of a registered video.
@@ -49,14 +49,18 @@ pub struct EventRecord {
     pub driver: Option<String>,
 }
 
-/// The catalog's change feed: a condvar-backed broadcast of the
-/// [`data_version`](Catalog::data_version) counter. Every acknowledged
-/// mutation publishes the new version; subscribers block in
-/// [`wait_past`](ChangeFeed::wait_past) until the counter moves beyond
-/// what they have already seen (or a timeout elapses). This is the
-/// notification source for `SUBSCRIBE` standing queries — the same
-/// version scalar the result cache keys on, reused as a wakeup signal
-/// instead of a poll loop.
+/// A condvar-backed broadcast of a monotone counter. The catalog's feed
+/// carries its commit seq ([`data_version`](Catalog::data_version)):
+/// every acknowledged mutation publishes the new seq, and subscribers
+/// block in [`wait_past`](ChangeFeed::wait_past) until the counter
+/// moves beyond what they have already seen (or a timeout elapses).
+/// This is the wakeup source for `SUBSCRIBE` standing queries — the
+/// same scalar the stamps are made of, reused as a signal instead of a
+/// poll loop. (The router reuses the type to wake its hub when a
+/// shard's stamp moves; there the counter is just a tick.)
+///
+/// The guarded value is one integer, valid at every step, so a
+/// poisoned lock is recovered rather than propagated.
 #[derive(Default)]
 pub struct ChangeFeed {
     seq: std::sync::Mutex<u64>,
@@ -64,19 +68,19 @@ pub struct ChangeFeed {
 }
 
 impl ChangeFeed {
-    /// Publishes a new data version (monotonic; stale publishes are
-    /// ignored) and wakes every waiter.
-    fn publish(&self, version: u64) {
-        let mut seq = self.seq.lock().expect("change feed lock");
-        if version > *seq {
-            *seq = version;
-            self.cond.notify_all();
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.seq.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The latest published data version.
+    /// Advances the counter by one and wakes every waiter.
+    pub fn bump(&self) {
+        *self.lock() += 1;
+        self.cond.notify_all();
+    }
+
+    /// The latest published value.
     pub fn current(&self) -> u64 {
-        *self.seq.lock().expect("change feed lock")
+        *self.lock()
     }
 
     /// Blocks until the published version exceeds `seen`, returning the
@@ -85,7 +89,7 @@ impl ChangeFeed {
     /// immediately without blocking.
     pub fn wait_past(&self, seen: u64, timeout: Duration) -> Option<u64> {
         let deadline = Instant::now() + timeout;
-        let mut seq = self.seq.lock().expect("change feed lock");
+        let mut seq = self.lock();
         loop {
             if *seq > seen {
                 return Some(*seq);
@@ -94,8 +98,6 @@ impl ChangeFeed {
             if remaining.is_zero() {
                 return None;
             }
-            // A poisoned lock only means a publisher panicked mid-bump;
-            // the counter itself is still valid, so keep waiting on it.
             let (guard, timed_out) = self
                 .cond
                 .wait_timeout(seq, remaining)
@@ -120,15 +122,10 @@ impl ChangeFeed {
 pub struct Catalog {
     kernel: std::sync::Arc<Kernel>,
     videos: RwLock<HashMap<String, VideoInfo>>,
-    /// Bumped on raw-layer changes (video (re)registration), which BAT
-    /// versions can't see. Part of the result-cache version vector.
-    generation: AtomicU64,
-    /// Bumped on *every* catalog mutation (registration, feature store,
-    /// event append/clear), live or replayed. A single monotonic scalar
-    /// summarizing "has anything changed", cheap enough to ship over the
-    /// wire: paired with the boot [`epoch`](Self::epoch) it is the
-    /// per-shard entry of the scatter-gather router's version vectors.
-    data_version: AtomicU64,
+    /// Per video: the commit seq at which its event layer or
+    /// registration last changed (absent = never, seq 0). What a cached
+    /// answer over that video is guarded by.
+    changed: RwLock<HashMap<String, u64>>,
     /// The durability backend ([`MemBackend`] keeps the old pure
     /// main-memory behaviour at zero overhead).
     store: Arc<dyn StorageBackend>,
@@ -138,7 +135,12 @@ pub struct Catalog {
     /// Serializes whole checkpoints (the background checkpointer versus
     /// an explicit `CHECKPOINT`).
     ckpt: Mutex<()>,
-    /// Broadcasts `data_version` bumps to standing-query subscribers.
+    /// Holds and broadcasts the commit seq (`data_version`): bumped on
+    /// *every* catalog mutation (registration, feature store, event
+    /// append/clear), live or replayed, after it is applied. Paired
+    /// with the boot [`epoch`](Self::epoch) it is this catalog's
+    /// [`Stamp`] — the one staleness currency the result caches, the
+    /// standing queries and the router all compare.
     feed: ChangeFeed,
 }
 
@@ -154,8 +156,7 @@ impl Catalog {
         Catalog {
             kernel,
             videos: RwLock::new(HashMap::new()),
-            generation: AtomicU64::new(0),
-            data_version: AtomicU64::new(0),
+            changed: RwLock::new(HashMap::new()),
             store,
             commit: Mutex::new(()),
             ckpt: Mutex::new(()),
@@ -163,17 +164,25 @@ impl Catalog {
         }
     }
 
-    /// The change feed publishing every `data_version` bump.
+    /// The change feed broadcasting every commit seq.
     pub fn change_feed(&self) -> &ChangeFeed {
         &self.feed
     }
 
-    /// Advances the whole-catalog mutation counter and publishes the new
-    /// value on the change feed. Called by every apply path, live or
-    /// replayed.
-    fn bump_data_version(&self) {
-        let version = self.data_version.fetch_add(1, Ordering::Release) + 1;
-        self.feed.publish(version);
+    /// Numbers the mutation just applied: advances the commit seq,
+    /// records it against `answers_of` when the mutation changed what a
+    /// query over that video can answer (its event layer or
+    /// registration), and publishes it on the change feed. Called by
+    /// every apply path, live or replayed, *after* the apply and under
+    /// the commit lock — a reader that captured its stamp before this
+    /// point stored its answer under a stamp that no longer matches.
+    fn commit_seq(&self, answers_of: Option<&str>) {
+        if let Some(video) = answers_of {
+            // The commit lock makes this the only writer of the seq.
+            let seq = self.feed.current() + 1;
+            self.changed.write().insert(video.to_string(), seq);
+        }
+        self.feed.bump();
     }
 
     /// The underlying kernel.
@@ -186,11 +195,31 @@ impl Catalog {
         &self.store
     }
 
-    /// The boot epoch of the storage backend (0 when memory-only). Folded
-    /// into the result-cache version vector so a recovered process can
-    /// never serve cached results from a previous incarnation.
+    /// The boot epoch of the storage backend (0 when memory-only). Part
+    /// of every [`Stamp`], so a recovered process can never serve cached
+    /// results from a previous incarnation.
     pub fn epoch(&self) -> u64 {
         self.store.epoch()
+    }
+
+    /// The catalog's stamp: boot epoch plus latest commit seq. Equal
+    /// stamps across two observations prove nothing was committed in
+    /// between.
+    pub fn stamp(&self) -> Stamp {
+        Stamp {
+            epoch: self.epoch(),
+            seq: self.data_version(),
+        }
+    }
+
+    /// `video`'s stamp: boot epoch plus the commit seq at which its
+    /// event layer or registration last changed. Capture it *before*
+    /// executing a query over the video and guard the answer with it.
+    pub fn video_stamp(&self, video: &str) -> Stamp {
+        Stamp {
+            epoch: self.epoch(),
+            seq: self.changed.read().get(video).copied().unwrap_or(0),
+        }
     }
 
     /// Registers a video's raw-layer descriptor (logged, then applied).
@@ -208,43 +237,15 @@ impl Catalog {
     }
 
     fn apply_register(&self, info: VideoInfo) {
-        self.videos.write().insert(info.name.clone(), info);
-        self.generation.fetch_add(1, Ordering::Release);
-        self.bump_data_version();
+        let name = info.name.clone();
+        self.videos.write().insert(name.clone(), info);
+        self.commit_seq(Some(&name));
     }
 
-    /// Raw-layer change counter (see the `generation` field).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Whole-catalog mutation counter (see the `data_version` field):
-    /// strictly increases on every acknowledged mutation within one boot
-    /// epoch, so `(epoch, data_version)` equality proves the catalog is
-    /// unchanged across observations.
+    /// The commit seq: strictly increases on every acknowledged
+    /// mutation within one boot epoch.
     pub fn data_version(&self) -> u64 {
-        self.data_version.load(Ordering::Acquire)
-    }
-
-    /// The (BAT id, BAT version) pairs of `video`'s event layer, in the
-    /// fixed kind/start/end/driver order; `None` where the BAT does not
-    /// exist. Every event-layer write either bumps a version (append) or
-    /// swaps the BAT identity (clear + recreate), so two equal vectors
-    /// mean the layer is byte-identical — the invariant the versioned
-    /// result cache keys on.
-    pub fn event_versions(&self, video: &str) -> Vec<Option<(u64, u64)>> {
-        ["kind", "start", "end", "driver"]
-            .iter()
-            .map(|suffix| {
-                self.kernel
-                    .bat(&format!("{video}.ev.{suffix}"))
-                    .ok()
-                    .map(|handle| {
-                        let bat = handle.read();
-                        (bat.id(), bat.version())
-                    })
-            })
-            .collect()
+        self.feed.current()
     }
 
     /// Raw-layer info for a video.
@@ -293,7 +294,7 @@ impl Catalog {
             let bat = Bat::from_tail(AtomType::Dbl, matrix.iter().map(|row| Atom::Dbl(row[k])))?;
             self.kernel.set_bat(&Self::feature_bat_name(video, k), bat);
         }
-        self.bump_data_version();
+        self.commit_seq(None);
         Ok(())
     }
 
@@ -311,7 +312,7 @@ impl Catalog {
             )?;
             self.kernel.set_bat(&Self::feature_bat_name(video, k), bat);
         }
-        self.bump_data_version();
+        self.commit_seq(None);
         Ok(())
     }
 
@@ -386,7 +387,7 @@ impl Catalog {
                     .append_void(Atom::Dbl(v))?;
             }
         }
-        self.bump_data_version();
+        self.commit_seq(None);
         Ok(())
     }
 
@@ -470,7 +471,7 @@ impl Catalog {
                 .write()
                 .append_void(Atom::str(e.driver.as_deref().unwrap_or("")))?;
         }
-        self.bump_data_version();
+        self.commit_seq(Some(video));
         Ok(())
     }
 
@@ -491,7 +492,7 @@ impl Catalog {
         for suffix in ["kind", "start", "end", "driver"] {
             let _ = self.kernel.drop_bat(&format!("{video}.ev.{suffix}"));
         }
-        self.bump_data_version();
+        self.commit_seq(Some(video));
     }
 
     /// Loads the event layer, optionally filtered by kind.
@@ -552,8 +553,6 @@ impl Catalog {
                 );
             }
         }
-        self.generation
-            .store(recovery.catalog_gen, Ordering::Release);
         for (name, bat) in recovery.bats {
             self.kernel.set_bat(&name, bat);
         }
@@ -667,7 +666,12 @@ impl Catalog {
             }
         }
         SnapshotState {
-            catalog_gen: self.generation(),
+            // The manifest's byte format predates the commit stamp: the
+            // field keeps being written (now from the commit seq) so old
+            // and new directories stay mutually readable, and is ignored
+            // on load — stamps never cross a boot epoch, so nothing needs
+            // the previous incarnation's counter.
+            catalog_gen: self.data_version(),
             videos,
             bats,
         }
@@ -806,6 +810,53 @@ mod tests {
         let _ = c.events("german", None);
         let _ = c.videos();
         assert_eq!(c.data_version(), quiesced);
+    }
+
+    #[test]
+    fn video_stamp_moves_with_that_videos_events_and_registration_only() {
+        let c = catalog();
+        let info = |name: &str| VideoInfo {
+            name: name.into(),
+            n_clips: 4,
+            n_frames: 10,
+        };
+        let highlight = EventRecord {
+            kind: "highlight".into(),
+            start: 0,
+            end: 2,
+            driver: None,
+        };
+        assert_eq!(c.video_stamp("usa").seq, 0, "never changed");
+        let registered = c.video_stamp("german");
+        assert_eq!(registered, c.stamp(), "registration was the last commit");
+
+        // Another video's registration and events leave it alone.
+        c.register_video(info("usa")).unwrap();
+        c.store_events("usa", std::slice::from_ref(&highlight))
+            .unwrap();
+        assert_eq!(c.video_stamp("german"), registered);
+        assert_eq!(c.video_stamp("usa"), c.stamp());
+
+        // So does its own feature layer: no retrieval reads it.
+        c.store_features("german", &vec![vec![0.5]; 4]).unwrap();
+        c.append_features("german", &[vec![0.5]]).unwrap();
+        assert_eq!(c.video_stamp("german"), registered);
+        assert!(
+            c.stamp() > c.video_stamp("usa"),
+            "the catalog stamp saw them"
+        );
+
+        // Its event layer and its re-registration move it, to the
+        // commit seq of that very write.
+        c.store_events("german", &[highlight]).unwrap();
+        let appended = c.video_stamp("german");
+        assert!(appended > registered);
+        assert_eq!(appended, c.stamp());
+        c.clear_events("german").unwrap();
+        let cleared = c.video_stamp("german");
+        assert!(cleared > appended);
+        c.register_video(info("german")).unwrap();
+        assert!(c.video_stamp("german") > cleared);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod json;
 pub mod query;
 pub mod session;
 
-pub use cache::{CachedResult, CompiledPlan, QueryCaches, VersionVector};
+pub use cache::{CachedResult, CompiledPlan, PlanCache, ResultCache, Stamp};
 pub use catalog::Catalog;
 pub use cobra_store::{CheckpointOutcome, FsyncPolicy, StoreConfig, StoreStats};
 pub use extensions::{CostModel, CostStat, MethodRegistry, RetryPolicy};

@@ -31,7 +31,7 @@ use f1_rules::{
 };
 use f1_text::{scan_broadcast, Vocabulary};
 
-use crate::cache::{CachedResult, CompiledPlan, QueryCaches, VersionVector};
+use crate::cache::{CompiledPlan, PlanCache, ResultCache};
 use crate::catalog::{Catalog, EventRecord, VideoInfo};
 use crate::extensions::{CostModel, DbnModule, MethodProfile, MethodRegistry, NetStore, StoredNet};
 use crate::query::{parse_query, parse_statement, Query, RetrievedSegment, Statement, Target};
@@ -282,9 +282,11 @@ pub struct Vdbms {
     pub catalog: Arc<Catalog>,
     nets: NetStore,
     methods: MethodRegistry,
-    /// Plan and versioned-result caches (§"never recompute what the
-    /// system already knows"), shared by every retrieval entry point.
-    caches: QueryCaches,
+    /// Compiled-plan and stamp-guarded result caches (§"never recompute
+    /// what the system already knows"), shared by every retrieval entry
+    /// point.
+    plans: PlanCache,
+    results: ResultCache<Vec<RetrievedSegment>>,
     /// `mil.evals` reading at the last cost-model refresh; the plan
     /// cache's generation advances once the kernel has observed roughly
     /// twice as many evaluations as when plans were last costed.
@@ -346,7 +348,8 @@ impl Vdbms {
             f1_hmm::HmmBank::new(),
             4,
         )))?;
-        let caches = QueryCaches::new(kernel.metrics().registry());
+        let plans = PlanCache::new(kernel.metrics().registry());
+        let results = ResultCache::new(kernel.metrics().registry());
         let store: Arc<dyn StorageBackend> = match config {
             Some(c) => Arc::new(FileBackend::open(
                 c,
@@ -423,7 +426,8 @@ impl Vdbms {
             kernel,
             nets,
             methods: MethodRegistry::formula1(),
-            caches,
+            plans,
+            results,
             plan_cost_evals: AtomicU64::new(0),
             recovery,
             streams: parking_lot::Mutex::new(HashMap::new()),
@@ -1139,70 +1143,48 @@ impl Vdbms {
         Ok(QueryOutput::Multi(groups))
     }
 
-    /// The result-cache version vector for `video`: the catalog
-    /// generation plus the event layer's (BAT id, version) pairs. Must
-    /// be captured *before* execution reads any event data — a write
-    /// racing the execution then bumps a version past the captured
-    /// vector, so the (possibly torn) answer can never be served after
-    /// the write is acknowledged.
-    fn version_vector(&self, video: &str) -> VersionVector {
-        VersionVector {
-            epoch: self.catalog.epoch(),
-            catalog_gen: self.catalog.generation(),
-            bats: self.catalog.event_versions(video),
-        }
-    }
-
-    /// The current [`VersionVector`] of `video` — the watch set a
-    /// standing (`SUBSCRIBE`) query re-arms on after each evaluation.
-    /// Comparing two vectors for equality is how the serving layer
-    /// decides whether a change-feed bump touched a BAT the query read.
-    pub fn video_version_vector(&self, video: &str) -> VersionVector {
-        self.version_vector(video)
-    }
-
-    /// Evaluates a plain `RETRIEVE` for a standing query and returns
-    /// the answer together with the version vector captured *before*
-    /// execution. A write landing mid-evaluation leaves the returned
-    /// vector stale against the post-write state, so the subscriber's
-    /// next change-feed sweep re-evaluates instead of missing the
-    /// write.
-    pub fn query_watched(
+    /// The one path through the result cache: capture the video's
+    /// stamp, serve a stored answer when the stamp proves the event
+    /// layer unchanged, otherwise `execute` and (on success only) store
+    /// the answer under the pre-execution stamp. The stamp is captured
+    /// *before* execution reads any event data — a write racing the
+    /// execution then commits past the captured stamp, so the (possibly
+    /// torn) answer can never be served after the write is
+    /// acknowledged. Failed queries are never cached.
+    fn through_result_cache(
         &self,
         video: &str,
-        text: &str,
-    ) -> Result<(Vec<RetrievedSegment>, VersionVector)> {
-        let q = parse_query(text)?;
-        let versions = self.version_vector(video);
-        let segments = self.execute_cached(video, &q, &ExecBudget::unlimited())?;
-        Ok((segments, versions))
+        q: &Query,
+        execute: impl FnOnce() -> Result<Vec<RetrievedSegment>>,
+    ) -> Result<Vec<RetrievedSegment>> {
+        let normalized = q.normalized();
+        let stamp = self.catalog.video_stamp(video);
+        let current = std::slice::from_ref(&stamp);
+        if let Some(hit) = self.results.lookup(video, &normalized, Some(current)) {
+            return Ok(hit.value.clone());
+        }
+        let segments = execute()?;
+        let bytes: usize = segments
+            .iter()
+            .map(|s| {
+                std::mem::size_of::<RetrievedSegment>()
+                    + s.label.len()
+                    + s.driver.as_deref().map_or(0, str::len)
+            })
+            .sum();
+        self.results
+            .store(video, &normalized, segments.clone(), vec![stamp], bytes);
+        Ok(segments)
     }
 
-    /// [`execute`](Self::execute) behind the versioned result cache:
-    /// serve a stored answer when the event layer is provably unchanged,
-    /// otherwise execute and (on success only) store the answer under the
-    /// pre-execution version vector. Failed queries are never cached.
+    /// [`execute_traced`](Self::execute_traced) behind the result cache.
     fn execute_cached(
         &self,
         video: &str,
         q: &Query,
         budget: &ExecBudget,
     ) -> Result<Vec<RetrievedSegment>> {
-        let normalized = q.normalized();
-        let versions = self.version_vector(video);
-        if let Some(hit) = self.caches.result(video, &normalized, &versions) {
-            return Ok(hit.segments.clone());
-        }
-        let segments = self.execute_traced(video, q, None, budget)?;
-        self.caches.store_result(
-            video,
-            &normalized,
-            Arc::new(CachedResult {
-                segments: segments.clone(),
-                versions,
-            }),
-        );
-        Ok(segments)
+        self.through_result_cache(video, q, || self.execute_traced(video, q, None, budget))
     }
 
     /// Executes `q` and returns the answer together with the span tree
@@ -1219,33 +1201,25 @@ impl Vdbms {
     /// path — and stores the answer for subsequent statements sharing
     /// the normalized query text, `RETRIEVE` or `PROFILE` alike.
     fn profile_cached(&self, video: &str, q: &Query, budget: &ExecBudget) -> Result<QueryProfile> {
-        let normalized = q.normalized();
         let mut timer = SpanTimer::start("query");
-        timer.meta("target", format!("{:?}", q.target));
-        timer.meta("video", video);
         let probe = Instant::now();
-        let versions = self.version_vector(video);
-        if let Some(hit) = self.caches.result(video, &normalized, &versions) {
+        let mut executed = None;
+        let segments = self.through_result_cache(video, q, || {
+            let profile = self.profile_with(video, q, budget)?;
+            executed = Some(profile.span);
+            Ok(profile.segments)
+        })?;
+        let span = executed.unwrap_or_else(|| {
+            timer.meta("target", format!("{:?}", q.target));
+            timer.meta("video", video);
             timer.child(
                 SpanNode::leaf("cache:result", probe.elapsed().as_nanos() as u64)
                     .with_meta("result", "hit")
-                    .with_meta("rows", hit.segments.len().to_string()),
+                    .with_meta("rows", segments.len().to_string()),
             );
-            return Ok(QueryProfile {
-                segments: hit.segments.clone(),
-                span: timer.finish(),
-            });
-        }
-        let profile = self.profile_with(video, q, budget)?;
-        self.caches.store_result(
-            video,
-            &normalized,
-            Arc::new(CachedResult {
-                segments: profile.segments.clone(),
-                versions,
-            }),
-        );
-        Ok(profile)
+            timer.finish()
+        });
+        Ok(QueryProfile { segments, span })
     }
 
     fn profile_with(&self, video: &str, q: &Query, budget: &ExecBudget) -> Result<QueryProfile> {
@@ -1274,7 +1248,7 @@ impl Vdbms {
         let conceptual = match event_kind(&q.target) {
             Some(kind) => {
                 let choice = self.plan_event_selection(video, kind);
-                let cache = if self.caches.peek_plan(video, kind).is_some() {
+                let cache = if self.plans.peek(video, kind).is_some() {
                     "hit"
                 } else {
                     "miss"
@@ -1282,7 +1256,7 @@ impl Vdbms {
                 let compile_node = SpanNode::new("moa:compile")
                     .with_meta("mil", choice.mil())
                     .with_meta("cache", cache)
-                    .with_meta("generation", self.caches.plan_generation().to_string())
+                    .with_meta("generation", self.plans.cost_generation().to_string())
                     .with_child(
                         SpanNode::new("plan:rule_based")
                             .with_meta("est_cost_ns", format!("{:.0}", choice.baseline_cost))
@@ -1439,7 +1413,7 @@ impl Vdbms {
             sel_mil,
             column_programs,
             threads: choice.threads,
-            generation: self.caches.plan_generation(),
+            generation: self.plans.cost_generation(),
             baseline_cost: choice.baseline_cost,
             chosen_cost: choice.chosen_cost,
         })
@@ -1460,7 +1434,7 @@ impl Vdbms {
                 .compare_exchange(last, evals, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
         {
-            self.caches.advance_plan_generation();
+            self.plans.advance_cost_generation();
         }
     }
 
@@ -1471,7 +1445,7 @@ impl Vdbms {
     pub fn refresh_plan_costs(&self) -> u64 {
         self.plan_cost_evals
             .store(self.kernel.metrics().mil_evals.get(), Ordering::Release);
-        self.caches.advance_plan_generation()
+        self.plans.advance_cost_generation()
     }
 
     /// Answers an event-kind retrieval through all three levels: a Moa
@@ -1506,11 +1480,11 @@ impl Vdbms {
         // execution budget below still applies.
         self.maybe_refresh_plan_costs();
         let t = Instant::now();
-        let (plan, compile_cached) = match self.caches.plan(video, kind) {
+        let (plan, compile_cached) = match self.plans.get(video, kind) {
             Some(plan) => (plan, "hit"),
             None => {
                 let plan = self.compile_event_plan(video, kind);
-                self.caches.store_plan(video, kind, Arc::clone(&plan));
+                self.plans.store(video, kind, Arc::clone(&plan));
                 (plan, "miss")
             }
         };

@@ -531,7 +531,11 @@ mod tests {
         let run = || {
             h.scope(
                 FaultPlan::new(42).fail("p.site", Trigger::Probability(0.5)),
-                || (0..64).map(|_| h.fire("p.site").is_err()).collect::<Vec<_>>(),
+                || {
+                    (0..64)
+                        .map(|_| h.fire("p.site").is_err())
+                        .collect::<Vec<_>>()
+                },
             )
             .0
         };
@@ -566,7 +570,10 @@ mod tests {
             assert!(clone.is_armed(), "clones share the injector");
             assert!(clone.fire("x").is_err());
             assert!(!neighbour.is_armed());
-            assert!(neighbour.fire("x").is_ok(), "another handle never sees the plan");
+            assert!(
+                neighbour.fire("x").is_ok(),
+                "another handle never sees the plan"
+            );
         });
         assert_eq!(report.count("x"), 1);
     }

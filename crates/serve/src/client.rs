@@ -238,7 +238,7 @@ impl Client {
     }
 
     /// The peer's shard-version summary. A worker answers
-    /// `{kind: "version", epoch, catalog_gen, data_version, videos}`;
+    /// `{kind: "version", epoch, data_version, videos}`;
     /// a router answers `{kind: "version", shards: [...]}` with one
     /// such entry per shard.
     pub fn version(&mut self) -> Result<Value, ClientError> {

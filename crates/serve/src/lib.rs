@@ -56,4 +56,4 @@ pub use router::{RouterConfig, RouterHandle};
 pub use scheduler::{SubmitError, WorkerPool};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use spawn::{find_worker_binary, spawn_worker, WorkerProcess};
-pub use stream::{StreamHub, DEFAULT_PUSH_QUEUE_CAP};
+pub use stream::{Hub, Source, DEFAULT_PUSH_QUEUE_CAP};

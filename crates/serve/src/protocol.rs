@@ -19,6 +19,7 @@
 
 use std::io::{Read, Write};
 
+use f1_cobra::Stamp;
 use serde_json::{json, Value};
 
 /// Frames larger than this are a protocol error: the answer to a §5.6
@@ -281,6 +282,22 @@ pub fn err_response(id: u64, kind: ErrorKind, message: impl Into<String>) -> Val
             "kind": (kind.as_str()),
             "message": (message.into()),
         },
+    })
+}
+
+/// The wire form of a [`Stamp`]: the `epoch` and `data_version` fields
+/// the protocol has always carried, as one object.
+pub fn stamp_to_json(stamp: Stamp) -> Value {
+    json!({"epoch": (stamp.epoch as f64), "data_version": (stamp.seq as f64)})
+}
+
+/// Reads the `epoch`/`data_version` pair out of `object` — a `version`
+/// answer, a `subscribed` answer, a stamp push, or the `stamp` a worker
+/// attaches to a routed reply.
+pub fn stamp_from_json(object: &Value) -> Option<Stamp> {
+    Some(Stamp {
+        epoch: object.get("epoch")?.as_u64()?,
+        seq: object.get("data_version")?.as_u64()?,
     })
 }
 

@@ -26,58 +26,56 @@
 //! * **Epochs fence reboots**: workers refuse frames stamped with a
 //!   stale epoch, so a router never acts on the answer of a worker
 //!   incarnation it has not handshook with.
-//! * **The router result cache** holds whole answers guarded by a
-//!   per-shard version vector — one `(shard, epoch, data_version)`
-//!   stamp per shard the answer read. A write on shard A invalidates
-//!   exactly the cached answers that read shard A; answers pinned to
-//!   other shards keep hitting.
-//! * **Standing `subscribe` queries** work through the router too: one
-//!   router-wide notifier thread polls the version stamps of exactly
-//!   the union of shards any subscription reads, and a bump re-issues
-//!   each affected standing query *only to the bumped shard* — a write
-//!   on shard A never costs shard B a query, and only shard-A
-//!   subscribers see a push. A dead shard surfaces as a one-time typed
-//!   `shard_unavailable` frame; the subscription stays armed and
-//!   resumes when the shard's probe answers again (a reboot shows up
-//!   as a fresh epoch, which is just another stamp mismatch).
+//! * **Shard stamps arrive, they are not fetched** (DESIGN.md §6f): one
+//!   long-lived *feed* connection per shard makes the router a bare
+//!   watcher of that worker's stream hub, which pushes the shard's
+//!   `(epoch, data_version)` stamp after every commit; every forwarded
+//!   reply carries the shard's stamp too. `known[shard]` is the later
+//!   of the two while the feed is up, and *unknown* — never
+//!   "unchanged" — while it is down.
+//! * **The router result cache** is the same
+//!   [`ResultCache`](f1_cobra::ResultCache) a worker uses, each answer
+//!   guarded by the stamps its replies carried, one per shard it read.
+//!   It hits only while every guard stamp equals `known[shard]`: a
+//!   write on shard A invalidates exactly the cached answers that read
+//!   shard A, and an answer that read a shard whose feed is down misses
+//!   and is forwarded — a dead shard surfaces as the typed error, never
+//!   as a stale answer.
+//! * **Standing `subscribe` queries** run on the same
+//!   [`Hub`](crate::stream::Hub) as a worker's, with the router as its
+//!   [`Source`]: a scope is a shard and its stamp is `known[shard]`, so
+//!   a write on shard A re-issues standing queries to shard A only.
 //!
 //! Fault site: `router.forward` fires at the top of every forward
 //! attempt, simulating a transport failure without touching the real
 //! connection — `Times(1)` proves one re-dispatch masks a blip,
 //! `Always` proves exhaustion surfaces the typed error.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cobra_cache::Lru;
-use cobra_obs::{Counter, Registry};
-use f1_cobra::RetryPolicy;
+use cobra_obs::Registry;
+use f1_cobra::catalog::ChangeFeed;
+use f1_cobra::{ResultCache, RetryPolicy, Stamp};
 use serde_json::{json, Value};
 
 use crate::client::{unwrap_response, Client, ClientError};
-use crate::protocol::{err_response, ok_response, ErrorKind};
+use crate::protocol::{err_response, ok_response, stamp_from_json, ErrorKind, FrameError};
 use crate::reactor::{self, ConnId, ReactorConfig, ReactorCtl, Service};
 use crate::ring::{Ring, DEFAULT_SEED};
 use crate::scheduler::{SubmitError, WorkerPool};
-use crate::stream::DEFAULT_PUSH_QUEUE_CAP;
+use crate::stream::{
+    answer_groups, empty_answer, recover, Group, Hub, Source, DEFAULT_PUSH_QUEUE_CAP,
+    SWEEP_INTERVAL,
+};
 
-/// Entry bound of the router's result cache.
-const ROUTER_CACHE_CAP: usize = 512;
-
-/// Read timeout for control probes (`version` during handshake and
-/// cache-guard capture). Probes are answered inline on the worker's
-/// reactor, so a probe that takes this long means the worker is gone.
+/// Read timeout for handshakes (`version` on a forwarding connection,
+/// the bare `subscribe` on a feed). Both are answered promptly by a
+/// live worker, so one that takes this long means the worker is gone.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// How often the notifier polls the version stamps of the shards the
-/// standing queries read. Inside one process the change feed is a
-/// condvar; across processes the router only has the wire, so this
-/// interval is the ingest-to-notify latency floor through a router.
-const SHARD_POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Forwarding threads of the router's internal pool. Forwards are
 /// I/O-bound waits on workers, so the pool runs wider than a CPU-bound
@@ -120,63 +118,8 @@ impl Default for RouterConfig {
     }
 }
 
-/// One shard's catalog state at capture time. Equal stamps mean the
-/// shard has neither rebooted (epoch) nor committed any mutation
-/// (data_version) since.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ShardStamp {
-    shard: u32,
-    epoch: u64,
-    data_version: u64,
-}
-
-/// A cached cross- or single-shard answer plus the per-shard stamps it
-/// was computed against.
-struct RouterCached {
-    result: Value,
-    guard: Vec<ShardStamp>,
-}
-
-struct ResultCache {
-    entries: Lru<(String, String), Arc<RouterCached>>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    invalidated: Arc<Counter>,
-}
-
-impl ResultCache {
-    fn new(registry: &Registry) -> Self {
-        ResultCache {
-            entries: Lru::new(ROUTER_CACHE_CAP),
-            hits: registry.counter("cache.result", &[("result", "hit")]),
-            misses: registry.counter("cache.result", &[("result", "miss")]),
-            invalidated: registry.counter("cache.result", &[("result", "invalidated")]),
-        }
-    }
-
-    /// Cached answer for `key` provided it was computed against exactly
-    /// `current`; a stamp mismatch drops the stale entry (counted as
-    /// `invalidated`) and reports a miss.
-    fn lookup(&self, key: &(String, String), current: &[ShardStamp]) -> Option<Value> {
-        if let Some(cached) = self.entries.get(key) {
-            if cached.guard == current {
-                self.hits.inc();
-                return Some(cached.result.clone());
-            }
-            if self.entries.remove(key).is_some() {
-                self.invalidated.inc();
-            }
-        }
-        self.misses.inc();
-        None
-    }
-
-    fn store(&self, key: (String, String), result: Value, guard: Vec<ShardStamp>) {
-        self.entries
-            .insert(key, Arc::new(RouterCached { result, guard }));
-    }
-}
-
+/// Everything the router's threads share — and, as the [`Source`] of
+/// the standing-query hub, where the hub gets shard stamps and answers.
 struct RouterShared {
     ring: Ring,
     /// Current worker addresses, indexed by shard id. Mutable so a
@@ -186,8 +129,196 @@ struct RouterShared {
     retry: RetryPolicy,
     faults: cobra_faults::FaultHandle,
     registry: Arc<Registry>,
-    cache: Option<ResultCache>,
+    cache: Option<ResultCache<Value>>,
     shutting_down: AtomicBool,
+    /// Per shard: the latest stamp seen on its feed or on a forwarded
+    /// reply; `None` while the feed connection is down.
+    known: Mutex<Vec<Option<Stamp>>>,
+    /// Ticks whenever `known` changes; the hub's notifier waits on it.
+    moved: ChangeFeed,
+    /// Idle shard-connection sets. A pooled job (or a hub evaluation)
+    /// checks one out for its whole run, so no two users ever share a
+    /// shard socket (which the stale-id skip in [`attempt_once`]
+    /// depends on).
+    conn_sets: Mutex<Vec<Vec<ShardConn>>>,
+    /// The feed threads, one per shard, once the first request that
+    /// needs a shard has started them.
+    feeds: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl RouterShared {
+    /// Starts the shard feeds on first use. Like the forwarding
+    /// connections, nothing is dialed until a request needs a shard — a
+    /// router that only answers pings owes its workers no connections.
+    fn ensure_feeds(self: &Arc<Self>) {
+        let mut feeds = recover(&self.feeds);
+        if !feeds.is_empty() || self.shutting_down.load(Ordering::SeqCst) {
+            return;
+        }
+        for shard in 0..self.ring.shards() {
+            let shared = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name(format!("cobra-router-feed-{shard}"))
+                .spawn(move || follow_shard(&shared, shard));
+            feeds.extend(spawned);
+        }
+    }
+
+    fn checkout(&self) -> Vec<ShardConn> {
+        recover(&self.conn_sets).pop().unwrap_or_else(|| {
+            (0..self.ring.shards())
+                .map(|shard| ShardConn {
+                    shard,
+                    client: None,
+                    epoch: 0,
+                })
+                .collect()
+        })
+    }
+
+    fn checkin(&self, set: Vec<ShardConn>) {
+        let mut sets = recover(&self.conn_sets);
+        if sets.len() < ROUTER_WORKERS {
+            sets.push(set);
+        }
+    }
+
+    fn addr_of(&self, shard: u32) -> Result<String, String> {
+        recover(&self.addrs)
+            .get(shard as usize)
+            .cloned()
+            .ok_or_else(|| format!("shard {shard} is not on the ring"))
+    }
+
+    /// `shard`'s current stamp, `None` while its feed is down.
+    fn known(&self, shard: u32) -> Option<Stamp> {
+        recover(&self.known).get(shard as usize).copied().flatten()
+    }
+
+    /// The feed (re)connected with `stamp`, or dropped (`None`).
+    /// `router.feeds_up` counts the shards whose stamp is known.
+    fn set_known(&self, shard: u32, stamp: Option<Stamp>) {
+        let up = {
+            let mut known = recover(&self.known);
+            if let Some(slot) = known.get_mut(shard as usize) {
+                *slot = stamp;
+            }
+            known.iter().flatten().count()
+        };
+        self.registry.gauge("router.feeds_up", &[]).set(up as i64);
+        self.moved.bump();
+    }
+
+    /// A stamp frame or a forwarded reply reported `stamp`: keep the
+    /// later one. A reply cannot resurrect a stamp the feed has lost —
+    /// while the feed is down the shard stays unknown.
+    fn observe(&self, shard: u32, stamp: Stamp) {
+        let raised = match recover(&self.known).get_mut(shard as usize) {
+            Some(Some(known)) if stamp > *known => {
+                *known = stamp;
+                true
+            }
+            _ => false,
+        };
+        if raised {
+            self.moved.bump();
+        }
+    }
+}
+
+/// Follows one shard's stamp for the life of the router: connect,
+/// register as a bare watcher of the shard's hub, then apply every
+/// stamp frame it pushes. Any transport trouble marks the shard's stamp
+/// unknown and reconnects under the router's [`RetryPolicy`] backoff;
+/// the fresh handshake's stamp (a new epoch after a reboot) is just
+/// another stamp mismatch to everyone comparing.
+fn follow_shard(shared: &RouterShared, shard: u32) {
+    let down = || shared.shutting_down.load(Ordering::SeqCst);
+    while !down() {
+        if let Ok(mut feed) = open_feed(shared, shard) {
+            // Stamp frames arrive whenever the shard commits; the read
+            // timeout only bounds how long a quiet feed takes to notice
+            // the router shutting down.
+            let _ = feed.set_timeout(Some(SWEEP_INTERVAL));
+            loop {
+                match feed.recv() {
+                    Ok(frame) => {
+                        if let Some(stamp) = frame.get("result").and_then(stamp_from_json) {
+                            shared.observe(shard, stamp);
+                        }
+                    }
+                    Err(ClientError::Transport(FrameError::Io(e)))
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ) && !down() => {}
+                    Err(_) => break,
+                }
+            }
+            shared.set_known(shard, None);
+        }
+        std::thread::sleep(Duration::from_millis(shared.retry.backoff_ms.max(1)));
+    }
+}
+
+/// Opens `shard`'s feed: the `subscribed` answer to the bare `subscribe`
+/// is the handshake and carries the shard's current stamp.
+fn open_feed(shared: &RouterShared, shard: u32) -> Result<Client, String> {
+    let mut feed = Client::connect(shared.addr_of(shard)?).map_err(|e| e.to_string())?;
+    let _ = feed.set_timeout(Some(PROBE_TIMEOUT));
+    let id = feed
+        .send(json!({"cmd": "subscribe", "video": "*"}))
+        .map_err(|e| e.to_string())?;
+    loop {
+        let response = feed.recv().map_err(|e| e.to_string())?;
+        if response.get("id").and_then(Value::as_u64) != Some(id) {
+            continue;
+        }
+        let subscribed = unwrap_response(&response).map_err(|e| e.to_string())?;
+        let stamp = stamp_from_json(&subscribed)
+            .ok_or_else(|| format!("shard {shard} subscribed the feed without a stamp"))?;
+        shared.set_known(shard, Some(stamp));
+        return Ok(feed);
+    }
+}
+
+impl Source for RouterShared {
+    type Scope = u32;
+
+    fn scopes(&self, video: &str) -> Vec<u32> {
+        if video == "*" {
+            (0..self.ring.shards()).collect()
+        } else {
+            vec![self.ring.owner(video)]
+        }
+    }
+
+    fn stamp(&self, shard: &u32) -> Result<Stamp, String> {
+        self.known(*shard)
+            .ok_or_else(|| format!("the stamp feed from shard {shard} is down"))
+    }
+
+    fn eval(&self, shard: &u32, video: &str, text: &str) -> Result<Vec<Group>, String> {
+        let body = json!({"cmd": "query", "video": (video), "text": (text)});
+        let mut conns = self.checkout();
+        let outcome = forward_to(self, &mut conns, *shard, &body, 0, None);
+        self.checkin(conns);
+        match outcome {
+            Ok(reply) => Ok(f1_cobra::json::query_output_from_json(&reply.result)
+                .map_or_else(Vec::new, |output| answer_groups(video, output))),
+            Err((ErrorKind::ShardUnavailable, why)) => Err(why),
+            Err(_) => {
+                // A logical error (video not ingested yet, …): the
+                // subscription arms over the empty answer.
+                self.registry.counter("stream.eval_errors", &[]).inc();
+                Ok(empty_answer(video))
+            }
+        }
+    }
+
+    fn wait(&self, seen: u64, timeout: Duration) -> u64 {
+        self.moved.wait_past(seen, timeout).unwrap_or(seen)
+    }
 }
 
 /// Everything the reactor-facing service and its pooled jobs share.
@@ -195,42 +326,7 @@ struct RouterInner {
     shared: Arc<RouterShared>,
     ctl: ReactorCtl,
     pool: WorkerPool,
-    hub: Arc<RouterHub>,
-    /// Idle shard-connection sets; a pooled job checks one out for its
-    /// whole run, so no two jobs ever share a shard socket (which the
-    /// stale-id skip in [`attempt_once`] depends on).
-    conn_sets: Mutex<Vec<Vec<ShardConn>>>,
-}
-
-impl RouterInner {
-    fn checkout(&self) -> Vec<ShardConn> {
-        if let Some(set) = self
-            .conn_sets
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop()
-        {
-            return set;
-        }
-        fresh_conns(&self.shared.ring)
-    }
-
-    fn checkin(&self, set: Vec<ShardConn>) {
-        let mut sets = self.conn_sets.lock().unwrap_or_else(|p| p.into_inner());
-        if sets.len() < ROUTER_WORKERS {
-            sets.push(set);
-        }
-    }
-}
-
-fn fresh_conns(ring: &Ring) -> Vec<ShardConn> {
-    (0..ring.shards())
-        .map(|shard| ShardConn {
-            shard,
-            client: None,
-            epoch: 0,
-        })
-        .collect()
+    hub: Arc<Hub<RouterShared>>,
 }
 
 /// The reactor-facing half of the router: frames in, closes out.
@@ -260,10 +356,11 @@ impl Service for RouterService {
         }
         let job_inner = Arc::clone(inner);
         let outcome = inner.pool.try_submit(Box::new(move || {
-            let mut conns = job_inner.checkout();
+            job_inner.shared.ensure_feeds();
+            let mut conns = job_inner.shared.checkout();
             let response =
                 handle_request(&job_inner.shared, &mut conns, &job_inner.hub, conn, &frame);
-            job_inner.checkin(conns);
+            job_inner.shared.checkin(conns);
             job_inner.ctl.send(conn, response);
         }));
         if let Err(e) = outcome {
@@ -313,10 +410,10 @@ impl RouterHandle {
 
     /// Re-points `shard` at a new worker address (a restarted worker
     /// binds a fresh port). Jobs notice on their next forward: the
-    /// old connection errors, and the retry reconnects here.
+    /// old connection errors, and the retry reconnects here; the
+    /// shard's feed finds it on its next reconnect attempt.
     pub fn set_shard_addr(&self, shard: u32, addr: impl Into<String>) {
-        let mut addrs = self.shared.addrs.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(slot) = addrs.get_mut(shard as usize) {
+        if let Some(slot) = recover(&self.shared.addrs).get_mut(shard as usize) {
             *slot = addr.into();
         }
     }
@@ -330,7 +427,8 @@ impl RouterHandle {
         self.inner.hub.close();
         self.inner.pool.shutdown();
         self.inner.ctl.stop();
-        if let Some(t) = self.reactor_thread.take() {
+        let feeds = std::mem::take(&mut *recover(&self.shared.feeds));
+        for t in self.reactor_thread.take().into_iter().chain(feeds) {
             let _ = t.join();
         }
     }
@@ -350,19 +448,24 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         registry: Arc::clone(&registry),
         cache,
         shutting_down: AtomicBool::new(false),
+        known: Mutex::new(vec![None; config.shards.len()]),
+        moved: ChangeFeed::default(),
+        conn_sets: Mutex::new(Vec::new()),
+        feeds: Mutex::new(Vec::new()),
     });
     let ctl = ReactorCtl::new()?;
     let pool = WorkerPool::new(ROUTER_WORKERS, ROUTER_QUEUE_CAP, &registry)?;
-    let hub = RouterHub::new(Arc::clone(&shared), ctl.clone());
+    let hub = Hub::new(
+        Arc::clone(&shared),
+        Arc::clone(&registry),
+        ctl.clone(),
+        DEFAULT_PUSH_QUEUE_CAP,
+    );
     let inner = Arc::new(RouterInner {
         shared: Arc::clone(&shared),
         ctl: ctl.clone(),
         pool,
         hub,
-        conn_sets: Mutex::new(Vec::new()),
-    });
-    let service = Arc::new(RouterService {
-        inner: Arc::clone(&inner),
     });
     let reactor_thread = reactor::spawn(
         listener,
@@ -373,7 +476,9 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
             sndbuf: None,
         },
         &registry,
-        service,
+        Arc::new(RouterService {
+            inner: Arc::clone(&inner),
+        }),
     )?;
     Ok(RouterHandle {
         addr,
@@ -384,31 +489,36 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
 }
 
 /// One connection to one shard, plus the epoch handshook at connect
-/// time. Each pooled job (and the notifier) owns its own set, so shard
-/// sockets are never contended.
+/// time. Whoever forwards checks a whole set out, so shard sockets are
+/// never contended.
 struct ShardConn {
     shard: u32,
     client: Option<Client>,
     epoch: u64,
 }
 
+/// A typed failure, as it will appear on the wire.
+type Fail = (ErrorKind, String);
+
+/// A worker's answer to a forwarded frame: the `result` object, plus
+/// the stamp the worker attached to the envelope (read before a query
+/// executed, after a write committed).
+struct Reply {
+    result: Value,
+    stamp: Option<Stamp>,
+}
+
 /// What one forward attempt concluded.
 enum Attempt {
     /// A definitive answer (success or a typed logical error) — stop.
-    Done(Result<Value, (ErrorKind, String)>),
+    Done(Result<Reply, Fail>),
     /// Transport-level trouble — worth another attempt.
     Retry(String),
 }
 
 /// Connects to the shard's current address and handshakes the epoch.
 fn connect_shard(shared: &RouterShared, conn: &mut ShardConn) -> Result<(), String> {
-    let addr = {
-        let addrs = shared.addrs.lock().unwrap_or_else(|p| p.into_inner());
-        addrs
-            .get(conn.shard as usize)
-            .cloned()
-            .ok_or_else(|| format!("shard {} is not on the ring", conn.shard))?
-    };
+    let addr = shared.addr_of(conn.shard)?;
     let client = Client::connect(&addr)
         .map_err(|e| format!("connect to shard {} at {addr}: {e}", conn.shard))?;
     let _ = client.set_timeout(Some(PROBE_TIMEOUT));
@@ -416,17 +526,10 @@ fn connect_shard(shared: &RouterShared, conn: &mut ShardConn) -> Result<(), Stri
     let version = client
         .version()
         .map_err(|e| format!("handshake with shard {} at {addr}: {e}", conn.shard))?;
-    let epoch = version
-        .get("epoch")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| {
-            format!(
-                "shard {} answered a version frame without an epoch",
-                conn.shard
-            )
-        })?;
+    let stamp = stamp_from_json(&version)
+        .ok_or_else(|| format!("shard {} answered a malformed version frame", conn.shard))?;
     conn.client = Some(client);
-    conn.epoch = epoch;
+    conn.epoch = stamp.epoch;
     Ok(())
 }
 
@@ -460,17 +563,14 @@ fn attempt_once(
         return Attempt::Retry(format!("shard {} has no connection", conn.shard));
     };
 
-    let is_probe = body.get("cmd").and_then(Value::as_str) == Some("version");
     let mut frame = body.clone();
     if let Value::Object(map) = &mut frame {
-        if !is_probe {
-            // Stamp the interconnect frame: original request id for
-            // tracing, handshook epoch so a rebooted worker refuses it.
-            map.insert(
-                "shard".into(),
-                json!({"req": (req_id as f64), "epoch": (conn.epoch as f64)}),
-            );
-        }
+        // Stamp the interconnect frame: original request id for
+        // tracing, handshook epoch so a rebooted worker refuses it.
+        map.insert(
+            "shard".into(),
+            json!({"req": (req_id as f64), "epoch": (conn.epoch as f64)}),
+        );
         if let Some(at) = deadline_at {
             // The worker gets what is *left* of the client's deadline —
             // routing and queue time already consumed the rest.
@@ -484,11 +584,8 @@ fn attempt_once(
     // Bound the read so a lapsed deadline surfaces even if the worker
     // stalls; without a deadline, rely on the kernel resetting the
     // connection when the worker process dies (SIGKILL included).
-    let read_timeout = match deadline_at {
-        Some(at) => Some(at.saturating_duration_since(Instant::now()) + Duration::from_millis(500)),
-        None if is_probe => Some(PROBE_TIMEOUT),
-        None => None,
-    };
+    let read_timeout = deadline_at
+        .map(|at| at.saturating_duration_since(Instant::now()) + Duration::from_millis(500));
     let _ = client.set_timeout(read_timeout);
 
     let id = match client.send(frame) {
@@ -510,7 +607,13 @@ fn attempt_once(
             continue; // stale answer from an abandoned attempt
         }
         return match unwrap_response(&response) {
-            Ok(result) => Attempt::Done(Ok(result)),
+            Ok(result) => {
+                let stamp = response.get("stamp").and_then(stamp_from_json);
+                if let Some(stamp) = stamp {
+                    shared.observe(conn.shard, stamp);
+                }
+                Attempt::Done(Ok(Reply { result, stamp }))
+            }
             Err(ClientError::Server {
                 kind: ErrorKind::ShardUnavailable,
                 message,
@@ -531,14 +634,14 @@ fn attempt_once(
 
 /// Forwards `body` to the shard behind `conn`, retrying transport
 /// failures under the router's [`RetryPolicy`]. Returns the worker's
-/// `result` object, or a typed error — never hangs past the deadline.
+/// reply, or a typed error — never hangs past the deadline.
 fn forward(
     shared: &RouterShared,
     conn: &mut ShardConn,
     body: &Value,
     req_id: u64,
     deadline_at: Option<Instant>,
-) -> Result<Value, (ErrorKind, String)> {
+) -> Result<Reply, Fail> {
     let attempts = 1 + shared.retry.max_retries;
     let mut last = String::from("no attempt made");
     for attempt in 0..attempts {
@@ -552,12 +655,12 @@ fn forward(
             }
         }
         match attempt_once(shared, conn, body, req_id, deadline_at) {
-            Attempt::Done(Ok(result)) => {
+            Attempt::Done(Ok(reply)) => {
                 shared
                     .registry
                     .counter("router.forward", &[("result", "ok")])
                     .inc();
-                return Ok(result);
+                return Ok(reply);
             }
             Attempt::Done(Err(e)) => return Err(e),
             Attempt::Retry(why) => last = why,
@@ -584,7 +687,7 @@ fn scatter(
     body: &Value,
     req_id: u64,
     deadline_at: Option<Instant>,
-) -> Vec<Result<Value, (ErrorKind, String)>> {
+) -> Vec<Result<Reply, Fail>> {
     std::thread::scope(|s| {
         let handles: Vec<_> = conns
             .iter_mut()
@@ -604,60 +707,10 @@ fn scatter(
     })
 }
 
-/// Extracts the `(epoch, data_version)` stamp from a `version` answer.
-fn stamp_from_version(shard: u32, version: &Value) -> Result<ShardStamp, (ErrorKind, String)> {
-    let (Some(epoch), Some(data_version)) = (
-        version.get("epoch").and_then(Value::as_u64),
-        version.get("data_version").and_then(Value::as_u64),
-    ) else {
-        return Err((
-            ErrorKind::Internal,
-            format!("shard {shard} answered a malformed version frame"),
-        ));
-    };
-    Ok(ShardStamp {
-        shard,
-        epoch,
-        data_version,
-    })
-}
-
-/// Captures the version stamps of the shards a query is about to read —
-/// *before* execution, so any later write makes the stored guard stale
-/// rather than the served answer.
-fn capture_stamps(
-    shared: &RouterShared,
-    conns: &mut [ShardConn],
-    owner: Option<u32>,
-    req_id: u64,
-) -> Result<Vec<ShardStamp>, (ErrorKind, String)> {
-    let probe = json!({"cmd": "version"});
-    match owner {
-        Some(shard) => {
-            let conn = conns
-                .get_mut(shard as usize)
-                .ok_or_else(|| (ErrorKind::Internal, format!("shard {shard} out of range")))?;
-            let version = forward(shared, conn, &probe, req_id, None)?;
-            Ok(vec![stamp_from_version(shard, &version)?])
-        }
-        None => {
-            let results = scatter(shared, conns, &probe, req_id, None);
-            let mut stamps = Vec::with_capacity(results.len());
-            for (shard, result) in results.into_iter().enumerate() {
-                stamps.push(stamp_from_version(shard as u32, &result?)?);
-            }
-            Ok(stamps)
-        }
-    }
-}
-
 /// Merges per-shard `multi` answers into one, ordered by video name.
-fn merge_multi(
-    results: Vec<Result<Value, (ErrorKind, String)>>,
-) -> Result<Value, (ErrorKind, String)> {
+fn merge_multi(results: &[Value]) -> Result<Value, Fail> {
     let mut groups: Vec<Value> = Vec::new();
     for result in results {
-        let result = result?; // lowest failed shard id decides the error
         let Some(videos) = result.get("videos").and_then(Value::as_array) else {
             return Err((
                 ErrorKind::Internal,
@@ -676,500 +729,39 @@ fn merge_multi(
     Ok(json!({"kind": "multi", "videos": (Value::Array(groups))}))
 }
 
-fn respond(id: u64, outcome: Result<Value, (ErrorKind, String)>) -> Value {
+/// Scatters the argument-less control command `cmd` and keeps only the
+/// `result` objects.
+fn gather(
+    shared: &RouterShared,
+    conns: &mut [ShardConn],
+    cmd: &str,
+    req_id: u64,
+) -> Vec<Result<Value, Fail>> {
+    scatter(shared, conns, &json!({"cmd": (cmd)}), req_id, None)
+        .into_iter()
+        .map(|reply| reply.map(|r| r.result))
+        .collect()
+}
+
+/// [`forward`] over `shard`'s connection of a checked-out set.
+fn forward_to(
+    shared: &RouterShared,
+    conns: &mut [ShardConn],
+    shard: u32,
+    body: &Value,
+    req_id: u64,
+    deadline_at: Option<Instant>,
+) -> Result<Reply, Fail> {
+    match conns.get_mut(shard as usize) {
+        Some(conn) => forward(shared, conn, body, req_id, deadline_at),
+        None => Err((ErrorKind::Internal, format!("shard {shard} out of range"))),
+    }
+}
+
+fn respond(id: u64, outcome: Result<Value, Fail>) -> Value {
     match outcome {
         Ok(result) => ok_response(id, result),
         Err((kind, message)) => err_response(id, kind, message),
-    }
-}
-
-/// One standing `subscribe` query routed through the hub.
-struct RouterStanding {
-    /// Subscribed video, or `"*"` for every catalogued video.
-    video: String,
-    /// The plain `RETRIEVE` statement.
-    text: String,
-    /// Per shard: the stamp the standing query was last evaluated
-    /// against. A mismatch with the live probe means that shard must be
-    /// re-queried; equality means it provably holds the same answer.
-    stamps: HashMap<u32, ShardStamp>,
-    /// Last-delivered answer per concrete video, in wire form.
-    views: HashMap<String, Vec<Value>>,
-    /// Shards this subscriber has already been told are unreachable —
-    /// the outage is reported once, not once per poll cycle.
-    down: HashSet<u32>,
-}
-
-impl RouterStanding {
-    /// The shards this standing query reads.
-    fn watched(&self, ring: &Ring) -> Vec<u32> {
-        if self.video == "*" {
-            (0..ring.shards()).collect()
-        } else {
-            vec![ring.owner(&self.video)]
-        }
-    }
-}
-
-/// Every standing query of one client connection, plus its push
-/// backlog (the reactor decrements `pending` as bytes hit the wire).
-struct RouterConnSubs {
-    pending: Arc<AtomicUsize>,
-    subs: HashMap<u64, RouterStanding>,
-}
-
-/// All standing queries routed through this process, swept by one
-/// notifier thread that polls the union of watched shards — folding
-/// what used to be one notifier thread per client session into a
-/// single poll cycle.
-struct RouterHub {
-    shared: Arc<RouterShared>,
-    ctl: ReactorCtl,
-    cap: usize,
-    inner: Mutex<HashMap<ConnId, RouterConnSubs>>,
-    closed: AtomicBool,
-    notifier: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl RouterHub {
-    fn new(shared: Arc<RouterShared>, ctl: ReactorCtl) -> Arc<RouterHub> {
-        Arc::new(RouterHub {
-            shared,
-            ctl,
-            cap: DEFAULT_PUSH_QUEUE_CAP,
-            inner: Mutex::new(HashMap::new()),
-            closed: AtomicBool::new(false),
-            notifier: Mutex::new(None),
-        })
-    }
-
-    /// Spawns the hub's notifier thread on first use.
-    fn ensure_notifier(self: &Arc<Self>) {
-        let mut slot = self.notifier.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_some() {
-            return;
-        }
-        let hub = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("cobra-router-notify".into())
-            .spawn(move || hub.notify_loop());
-        if let Ok(h) = handle {
-            *slot = Some(h);
-        }
-    }
-
-    /// Forgets the standing queries of one dead connection.
-    fn drop_conn(&self, conn: ConnId) {
-        let removed = self
-            .inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&conn);
-        if let Some(entry) = removed {
-            let n = entry.subs.len();
-            if n > 0 {
-                self.shared
-                    .registry
-                    .gauge("stream.active", &[])
-                    .add(-(n as i64));
-            }
-        }
-    }
-
-    /// Stops the notifier and forgets every standing query. Called
-    /// once at router shutdown.
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        let handle = self
-            .notifier
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-        let mut table = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let n: usize = table.values().map(|e| e.subs.len()).sum();
-        if n > 0 {
-            self.shared
-                .registry
-                .gauge("stream.active", &[])
-                .add(-(n as i64));
-        }
-        table.clear();
-    }
-
-    /// Polls the watched shards' version stamps and sweeps the standing
-    /// queries after every cycle. The notifier owns its own shard
-    /// connections, so it never contends with the pooled jobs'.
-    fn notify_loop(&self) {
-        let mut conns = fresh_conns(&self.shared.ring);
-        loop {
-            std::thread::sleep(SHARD_POLL_INTERVAL);
-            if self.closed.load(Ordering::SeqCst)
-                || self.shared.shutting_down.load(Ordering::SeqCst)
-            {
-                return;
-            }
-            let watched: BTreeSet<u32> = {
-                let table = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-                table
-                    .values()
-                    .flat_map(|e| e.subs.values())
-                    .flat_map(|s| s.watched(&self.shared.ring))
-                    .collect()
-            };
-            if watched.is_empty() {
-                continue;
-            }
-            let mut probes: HashMap<u32, Result<ShardStamp, String>> = HashMap::new();
-            for &shard in &watched {
-                let outcome = match conns.get_mut(shard as usize) {
-                    Some(conn) => forward(&self.shared, conn, &json!({"cmd": "version"}), 0, None)
-                        .map_err(|(_, m)| m)
-                        .and_then(|v| stamp_from_version(shard, &v).map_err(|(_, m)| m)),
-                    None => Err(format!("shard {shard} is not on the ring")),
-                };
-                probes.insert(shard, outcome);
-            }
-            self.sweep(&mut conns, &probes);
-        }
-    }
-
-    /// Reports `shard` unreachable to `sub_id` — once per outage.
-    fn report_down(
-        &self,
-        conn: ConnId,
-        sub_id: u64,
-        standing: &mut RouterStanding,
-        shard: u32,
-        why: &str,
-    ) {
-        if !standing.down.insert(shard) {
-            return;
-        }
-        self.shared.registry.counter("stream.shard_down", &[]).inc();
-        let frame = err_response(
-            sub_id,
-            ErrorKind::ShardUnavailable,
-            format!(
-                "shard {shard} is unreachable under subscription {sub_id} ({why}); \
-                 the subscription stays armed and resumes when the shard returns"
-            ),
-        );
-        self.ctl.send(conn, frame);
-    }
-
-    /// Re-examines every standing query against this cycle's probe
-    /// results: shards whose stamp is unchanged are skipped without a
-    /// query; a bumped shard is re-queried alone, and a changed answer
-    /// is pushed as a delta frame.
-    fn sweep(&self, conns: &mut [ShardConn], probes: &HashMap<u32, Result<ShardStamp, String>>) {
-        let registry = &self.shared.registry;
-        let mut table = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let mut doomed: Vec<ConnId> = Vec::new();
-        'conns: for (&conn, entry) in table.iter_mut() {
-            if self.closed.load(Ordering::SeqCst) {
-                return;
-            }
-            for (&sub_id, standing) in entry.subs.iter_mut() {
-                for shard in standing.watched(&self.shared.ring) {
-                    let Some(probe) = probes.get(&shard) else {
-                        continue;
-                    };
-                    let stamp = match probe {
-                        Err(why) => {
-                            self.report_down(conn, sub_id, standing, shard, why);
-                            continue;
-                        }
-                        Ok(stamp) => stamp,
-                    };
-                    if standing.down.remove(&shard) {
-                        registry.counter("stream.shard_recovered", &[]).inc();
-                    }
-                    if standing.stamps.get(&shard) == Some(stamp) {
-                        registry.counter("stream.skipped", &[]).inc();
-                        continue;
-                    }
-                    let body = json!({
-                        "cmd": "query",
-                        "video": (standing.video.clone()),
-                        "text": (standing.text.clone()),
-                    });
-                    let result = match conns.get_mut(shard as usize) {
-                        Some(conn) => forward(&self.shared, conn, &body, sub_id, None),
-                        None => continue,
-                    };
-                    let groups = match result {
-                        Ok(r) => answer_groups(&standing.video, &r),
-                        Err((ErrorKind::ShardUnavailable, why)) => {
-                            self.report_down(conn, sub_id, standing, shard, &why);
-                            continue;
-                        }
-                        Err(_) => {
-                            // A logical error (video not ingested yet, …)
-                            // evaluates to the empty answer; the
-                            // subscription stays armed.
-                            registry.counter("stream.eval_errors", &[]).inc();
-                            if standing.video == "*" {
-                                Vec::new()
-                            } else {
-                                vec![(standing.video.clone(), Vec::new())]
-                            }
-                        }
-                    };
-                    // The stamp was captured *before* the query, so a write
-                    // racing the evaluation leaves the stored stamp stale
-                    // and the next cycle re-evaluates.
-                    standing.stamps.insert(shard, stamp.clone());
-                    for (video, segments) in groups {
-                        let known = standing.views.contains_key(&video);
-                        let old = standing.views.get(&video).cloned().unwrap_or_default();
-                        let added: Vec<Value> = segments
-                            .iter()
-                            .filter(|s| !old.contains(s))
-                            .cloned()
-                            .collect();
-                        let removed = old.iter().filter(|s| !segments.contains(s)).count();
-                        let total = segments.len();
-                        standing.views.insert(video.clone(), segments);
-                        if added.is_empty() && removed == 0 && known {
-                            registry.counter("stream.unchanged", &[]).inc();
-                            continue;
-                        }
-                        let frame = json!({
-                            "id": (sub_id as f64),
-                            "ok": true,
-                            "push": true,
-                            "result": {
-                                "kind": "delta",
-                                "subscription": (sub_id as f64),
-                                "video": (video),
-                                "shard": (shard as f64),
-                                "added": (Value::Array(added)),
-                                "removed": (removed as f64),
-                                "total": (total as f64),
-                                "data_version": (stamp.data_version as f64),
-                            },
-                        });
-                        let queued = entry.pending.fetch_add(1, Ordering::AcqRel);
-                        if queued >= self.cap {
-                            entry.pending.fetch_sub(1, Ordering::AcqRel);
-                            registry
-                                .counter("stream.slow_consumer_disconnects", &[])
-                                .inc();
-                            self.ctl.send(
-                                conn,
-                                err_response(
-                                    sub_id,
-                                    ErrorKind::SlowConsumer,
-                                    format!(
-                                        "subscriber fell {queued} push frames behind the cap \
-                                         of {}; disconnecting",
-                                        self.cap
-                                    ),
-                                ),
-                            );
-                            self.ctl.close(conn);
-                            doomed.push(conn);
-                            continue 'conns;
-                        }
-                        registry.counter("stream.pushes", &[]).inc();
-                        self.ctl.send_push(conn, frame, Arc::clone(&entry.pending));
-                    }
-                }
-            }
-        }
-        for conn in doomed {
-            if let Some(entry) = table.remove(&conn) {
-                let n = entry.subs.len();
-                if n > 0 {
-                    registry.gauge("stream.active", &[]).add(-(n as i64));
-                }
-            }
-        }
-    }
-}
-
-/// Flattens a worker's query answer into `(video, segments)` groups: a
-/// `segments` answer is one group under the subscribed name, a `multi`
-/// answer is one group per video it carries.
-fn answer_groups(video: &str, result: &Value) -> Vec<(String, Vec<Value>)> {
-    match result.get("kind").and_then(Value::as_str) {
-        Some("segments") => vec![(
-            video.to_string(),
-            result
-                .get("segments")
-                .and_then(Value::as_array)
-                .cloned()
-                .unwrap_or_default(),
-        )],
-        Some("multi") => result
-            .get("videos")
-            .and_then(Value::as_array)
-            .map(|groups| {
-                groups
-                    .iter()
-                    .filter_map(|g| {
-                        let name = g.get("video").and_then(Value::as_str)?;
-                        let segs = g.get("segments").and_then(Value::as_array)?.clone();
-                        Some((name.to_string(), segs))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default(),
-        _ => Vec::new(),
-    }
-}
-
-/// Registers a standing query: captures the watched shards' stamps,
-/// evaluates the initial answer, and arms the hub's notifier. The
-/// subscription id *is* the request id, matching the worker protocol.
-fn handle_subscribe(
-    shared: &RouterShared,
-    conns: &mut [ShardConn],
-    hub: &Arc<RouterHub>,
-    conn_id: ConnId,
-    id: u64,
-    request: &Value,
-) -> Value {
-    let (Some(video), Some(text)) = (
-        request.get("video").and_then(Value::as_str),
-        request.get("text").and_then(Value::as_str),
-    ) else {
-        return err_response(
-            id,
-            ErrorKind::BadRequest,
-            "subscribe needs string fields 'video' and 'text'",
-        );
-    };
-    // Only plain `RETRIEVE` statements can stand, same as on a worker.
-    if let Err(e) = f1_cobra::parse_query(text) {
-        return err_response(id, ErrorKind::Parse, e.to_string());
-    }
-    {
-        let table = hub.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if table
-            .get(&conn_id)
-            .is_some_and(|e| e.subs.contains_key(&id))
-        {
-            return err_response(
-                id,
-                ErrorKind::BadRequest,
-                format!("subscription {id} already exists on this connection"),
-            );
-        }
-    }
-    let owner = (video != "*").then(|| shared.ring.owner(video));
-    // Stamps before evaluation: a write racing the initial answer makes
-    // the stored stamp stale, so the first poll cycle re-evaluates
-    // instead of the write being missed.
-    let stamps = match capture_stamps(shared, conns, owner, id) {
-        Ok(stamps) => stamps,
-        Err(e) => return respond(id, Err(e)),
-    };
-    let body = json!({"cmd": "query", "video": (video), "text": (text)});
-    let result = match owner {
-        Some(shard) => match conns.get_mut(shard as usize) {
-            Some(conn) => forward(shared, conn, &body, id, None),
-            None => Err((ErrorKind::Internal, format!("shard {shard} out of range"))),
-        },
-        None => merge_multi(scatter(shared, conns, &body, id, None)),
-    };
-    let groups = match result {
-        Ok(r) => answer_groups(video, &r),
-        Err((ErrorKind::ShardUnavailable, m)) => {
-            return respond(id, Err((ErrorKind::ShardUnavailable, m)))
-        }
-        Err(_) => {
-            // Not ingested yet (or otherwise unanswerable right now):
-            // the subscription arms over the empty answer and delivers
-            // once data arrives.
-            shared.registry.counter("stream.eval_errors", &[]).inc();
-            if video == "*" {
-                Vec::new()
-            } else {
-                vec![(video.to_string(), Vec::new())]
-            }
-        }
-    };
-    let mut standing = RouterStanding {
-        video: video.to_string(),
-        text: text.to_string(),
-        stamps: stamps.iter().map(|s| (s.shard, s.clone())).collect(),
-        views: HashMap::new(),
-        down: HashSet::new(),
-    };
-    let videos_json: Vec<Value> = groups
-        .iter()
-        .map(|(v, segs)| json!({"video": (v.clone()), "segments": (Value::Array(segs.clone()))}))
-        .collect();
-    for (v, segs) in groups {
-        standing.views.insert(v, segs);
-    }
-    {
-        let mut table = hub.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let entry = table.entry(conn_id).or_insert_with(|| RouterConnSubs {
-            pending: Arc::new(AtomicUsize::new(0)),
-            subs: HashMap::new(),
-        });
-        entry.subs.insert(id, standing);
-    }
-    shared.registry.counter("stream.subscribed", &[]).inc();
-    shared.registry.gauge("stream.active", &[]).add(1);
-    hub.ensure_notifier();
-    let shard_stamps: Vec<Value> = stamps
-        .iter()
-        .map(|s| {
-            json!({
-                "shard": (s.shard as f64),
-                "epoch": (s.epoch as f64),
-                "data_version": (s.data_version as f64),
-            })
-        })
-        .collect();
-    ok_response(
-        id,
-        json!({
-            "kind": "subscribed",
-            "subscription": (id as f64),
-            "videos": (Value::Array(videos_json)),
-            "shards": (Value::Array(shard_stamps)),
-            "data_version": (stamps.iter().map(|s| s.data_version).max().unwrap_or(0) as f64),
-        }),
-    )
-}
-
-/// Retires a standing query.
-fn handle_unsubscribe(hub: &RouterHub, conn_id: ConnId, id: u64, request: &Value) -> Value {
-    let Some(subscription) = request.get("subscription").and_then(Value::as_u64) else {
-        return err_response(
-            id,
-            ErrorKind::BadRequest,
-            "unsubscribe needs an integer 'subscription'",
-        );
-    };
-    let mut table = hub.inner.lock().unwrap_or_else(|p| p.into_inner());
-    let removed = table
-        .get_mut(&conn_id)
-        .is_some_and(|e| e.subs.remove(&subscription).is_some());
-    drop(table);
-    if removed {
-        hub.shared
-            .registry
-            .counter("stream.unsubscribed", &[])
-            .inc();
-        hub.shared.registry.gauge("stream.active", &[]).add(-1);
-        ok_response(
-            id,
-            json!({"kind": "unsubscribed", "subscription": (subscription as f64)}),
-        )
-    } else {
-        err_response(
-            id,
-            ErrorKind::BadRequest,
-            format!("unknown subscription {subscription}"),
-        )
     }
 }
 
@@ -1194,51 +786,56 @@ fn handle_query(shared: &RouterShared, conns: &mut [ShardConn], id: u64, request
     // plain retrievals without per-request limits, and only statements
     // that parse (so the key is the *normalized* text).
     let limited = request.get("deadline_ms").is_some() || request.get("fuel").is_some();
-    let key = if !limited {
-        match f1_cobra::parse_statement(text) {
-            Ok(s @ f1_cobra::Statement::Retrieve(_)) => Some((video.to_string(), s.normalized())),
-            _ => None,
-        }
-    } else {
-        None
+    let normalized = match (!limited).then(|| f1_cobra::parse_statement(text)) {
+        Some(Ok(s @ f1_cobra::Statement::Retrieve(_))) => Some(s.normalized()),
+        _ => None,
     };
-
-    let mut guard: Option<Vec<ShardStamp>> = None;
-    if let (Some(cache), Some(key)) = (shared.cache.as_ref(), key.as_ref()) {
-        let stamps = match capture_stamps(shared, conns, owner, id) {
-            Ok(stamps) => stamps,
-            Err(e) => return respond(id, Err(e)),
-        };
-        if let Some(result) = cache.lookup(key, &stamps) {
-            return ok_response(id, result);
+    let cached = shared.cache.as_ref().zip(normalized);
+    if let Some((cache, normalized)) = &cached {
+        // The shards this answer reads, in the order its guard lists them.
+        let reads = shared.scopes(video);
+        let current: Option<Vec<Stamp>> = reads.iter().map(|&s| shared.known(s)).collect();
+        if let Some(hit) = cache.lookup(video, normalized, current.as_deref()) {
+            return ok_response(id, hit.value.clone());
         }
-        guard = Some(stamps);
     }
 
     let mut body = json!({"cmd": "query", "video": (video), "text": (text)});
     if let (Value::Object(map), Some(fuel)) = (&mut body, request.get("fuel")) {
         map.insert("fuel".into(), fuel.clone());
     }
-    let outcome = match owner {
-        Some(shard) => match conns.get_mut(shard as usize) {
-            Some(conn) => forward(shared, conn, &body, id, deadline_at),
-            None => Err((ErrorKind::Internal, format!("shard {shard} out of range"))),
-        },
-        None => merge_multi(scatter(shared, conns, &body, id, deadline_at)),
+    let replies: Result<Vec<Reply>, Fail> = match owner {
+        Some(shard) => forward_to(shared, conns, shard, &body, id, deadline_at).map(|r| vec![r]),
+        // The lowest failed shard id decides the error.
+        None => scatter(shared, conns, &body, id, deadline_at)
+            .into_iter()
+            .collect(),
     };
-
-    if let (Some(cache), Some(key), Some(guard), Ok(result)) =
-        (shared.cache.as_ref(), key, guard, &outcome)
-    {
-        cache.store(key, result.clone(), guard);
-    }
+    let outcome = replies.and_then(|mut replies| {
+        // The guard is the stamps the replies themselves carried — read
+        // by each shard before it executed — never `known`, which a
+        // concurrent write's ack may already have raised past them.
+        let guard: Option<Vec<Stamp>> = replies.iter().map(|r| r.stamp).collect();
+        let result = match owner {
+            Some(_) => replies.swap_remove(0).result,
+            None => {
+                let results: Vec<Value> = replies.into_iter().map(|r| r.result).collect();
+                merge_multi(&results)?
+            }
+        };
+        if let (Some((cache, normalized)), Some(guard)) = (&cached, guard) {
+            let bytes = result.to_string().len();
+            cache.store(video, normalized, result.clone(), guard, bytes);
+        }
+        Ok(result)
+    });
     respond(id, outcome)
 }
 
 fn handle_request(
     shared: &RouterShared,
     conns: &mut [ShardConn],
-    hub: &Arc<RouterHub>,
+    hub: &Arc<Hub<RouterShared>>,
     conn_id: ConnId,
     request: &Value,
 ) -> Value {
@@ -1251,12 +848,8 @@ fn handle_request(
         "version" => {
             // The aggregated topology view: one entry per shard, in
             // shard order, with the address the router would dial.
-            let results = scatter(shared, conns, &json!({"cmd": "version"}), id, None);
-            let addrs = shared
-                .addrs
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .clone();
+            let results = gather(shared, conns, "version", id);
+            let addrs = recover(&shared.addrs).clone();
             let mut entries = Vec::with_capacity(results.len());
             for (shard, result) in results.into_iter().enumerate() {
                 let addr = addrs.get(shard).cloned().unwrap_or_default();
@@ -1285,7 +878,7 @@ fn handle_request(
             )
         }
         "videos" => {
-            let results = scatter(shared, conns, &json!({"cmd": "videos"}), id, None);
+            let results = gather(shared, conns, "videos", id);
             let mut names: Vec<String> = Vec::new();
             for result in results {
                 match result {
@@ -1310,7 +903,7 @@ fn handle_request(
             // snapshot attached. A dead shard degrades to an error
             // entry rather than failing the whole answer: stats is the
             // command you run *while* a shard is down.
-            let results = scatter(shared, conns, &json!({"cmd": "stats"}), id, None);
+            let results = gather(shared, conns, "stats", id);
             let entries: Vec<Value> = results
                 .into_iter()
                 .enumerate()
@@ -1335,7 +928,7 @@ fn handle_request(
             )
         }
         "checkpoint" => {
-            let results = scatter(shared, conns, &json!({"cmd": "checkpoint"}), id, None);
+            let results = gather(shared, conns, "checkpoint", id);
             let mut entries = Vec::with_capacity(results.len());
             let mut durable = false;
             for (shard, result) in results.into_iter().enumerate() {
@@ -1360,26 +953,24 @@ fn handle_request(
             )
         }
         "query" => handle_query(shared, conns, id, request),
-        "subscribe" => handle_subscribe(shared, conns, hub, conn_id, id, request),
-        "unsubscribe" => handle_unsubscribe(hub, conn_id, id, request),
+        "subscribe" => hub.subscribe(conn_id, id, request),
+        "unsubscribe" => hub.unsubscribe(conn_id, id, request),
         "write_event" => {
             // Forwarded to the owner; the worker enforces its own debug
             // gate. The router cache needs no eager invalidation — the
-            // write bumps the shard's data_version, so every cached
+            // ack carries the shard's post-commit stamp, which raises
+            // `known` before the client sees the ack, so every cached
             // answer that read this shard fails its next guard check.
             let Some(video) = request.get("video").and_then(Value::as_str) else {
                 return err_response(id, ErrorKind::BadRequest, "write_event needs 'video'");
             };
-            let shard = shared.ring.owner(video);
             let mut body = request.clone();
             if let Value::Object(map) = &mut body {
                 map.remove("id");
                 map.remove("shard");
             }
-            match conns.get_mut(shard as usize) {
-                Some(conn) => respond(id, forward(shared, conn, &body, id, None)),
-                None => err_response(id, ErrorKind::Internal, format!("shard {shard} out of range")),
-            }
+            let ack = forward_to(shared, conns, shared.ring.owner(video), &body, id, None);
+            respond(id, ack.map(|r| r.result))
         }
         other => err_response(
             id,

@@ -37,10 +37,10 @@ use f1_cobra::Vdbms;
 use f1_monet::{ExecBudget, MonetError};
 use serde_json::{json, Value};
 
-use crate::protocol::{err_response, ok_response, ErrorKind};
+use crate::protocol::{err_response, ok_response, stamp_to_json, ErrorKind};
 use crate::reactor::{self, ConnId, ReactorConfig, ReactorCtl, Service};
 use crate::scheduler::{SubmitError, WorkerPool};
-use crate::stream::{StreamHub, DEFAULT_PUSH_QUEUE_CAP};
+use crate::stream::{Hub, DEFAULT_PUSH_QUEUE_CAP};
 
 /// How the server is sized and where it listens.
 #[derive(Debug, Clone)]
@@ -116,7 +116,7 @@ struct ServerShared {
     pool: WorkerPool,
     config: ServerConfig,
     ctl: ReactorCtl,
-    hub: Arc<StreamHub>,
+    hub: Arc<Hub<Vdbms>>,
     shutting_down: AtomicBool,
     /// In-flight cancellation tokens per connection; an entry appears
     /// with the connection's first admitted request and dies with it.
@@ -234,7 +234,12 @@ pub fn start(vdbms: Arc<Vdbms>, config: ServerConfig) -> std::io::Result<ServerH
         vdbms.kernel().metrics().registry(),
     )?;
     let ctl = ReactorCtl::new()?;
-    let hub = StreamHub::new(Arc::clone(&vdbms), ctl.clone(), config.push_queue_cap);
+    let hub = Hub::new(
+        Arc::clone(&vdbms),
+        Arc::clone(vdbms.kernel().metrics().registry()),
+        ctl.clone(),
+        config.push_queue_cap,
+    );
     let shared = Arc::new(ServerShared {
         vdbms,
         pool,
@@ -340,17 +345,15 @@ fn handle_request(shared: &Arc<ServerShared>, conn: ConnId, request: &Value) {
             tx.send(ok_response(id, json!({"kind": "pong"})));
         }
         "version" => {
-            // The router's handshake/revalidation probe: who am I
-            // (epoch), has anything changed (data_version), what do I
-            // hold (videos). Cheap enough to run before serving a
-            // cached cross-shard answer.
+            // The router's connection handshake and the operator's
+            // topology probe: who am I (epoch), where is my commit seq
+            // (data_version), what do I hold (videos).
             let catalog = &shared.vdbms.catalog;
             tx.send(ok_response(
                 id,
                 json!({
                     "kind": "version",
                     "epoch": (catalog.epoch() as f64),
-                    "catalog_gen": (catalog.generation() as f64),
                     "data_version": (catalog.data_version() as f64),
                     "videos": (catalog.videos()),
                 }),
@@ -391,40 +394,19 @@ fn handle_request(shared: &Arc<ServerShared>, conn: ConnId, request: &Value) {
                 Err(e) => err_response(id, ErrorKind::Internal, e.to_string()),
             });
         }
-        "subscribe" => {
-            let (Some(video), Some(text)) = (
-                request.get("video").and_then(Value::as_str),
-                request.get("text").and_then(Value::as_str),
-            ) else {
-                tx.send(err_response(
-                    id,
-                    ErrorKind::BadRequest,
-                    "subscribe needs string fields 'video' and 'text'",
-                ));
-                return;
-            };
-            // The initial evaluation is a real query; run it on a
-            // worker and register the standing query in the hub.
-            let (video, text) = (video.to_string(), text.to_string());
+        // The initial evaluation of a subscription is a real query,
+        // and the hub lock is held across sweep evaluations: neither
+        // belongs on the reactor thread.
+        "subscribe" | "unsubscribe" => {
+            let subscribing = cmd == "subscribe";
             let shared2 = Arc::clone(shared);
+            let request = request.clone();
             submit_control(shared, id, &tx, move || {
-                shared2.hub.subscribe(conn, id, &video, &text)
-            });
-        }
-        "unsubscribe" => {
-            let Some(subscription) = request.get("subscription").and_then(Value::as_u64) else {
-                tx.send(err_response(
-                    id,
-                    ErrorKind::BadRequest,
-                    "unsubscribe needs integer field 'subscription'",
-                ));
-                return;
-            };
-            // The hub lock is held across sweep evaluations; don't
-            // wait for it on the reactor thread.
-            let shared2 = Arc::clone(shared);
-            submit_control(shared, id, &tx, move || {
-                shared2.hub.unsubscribe(conn, id, subscription)
+                if subscribing {
+                    shared2.hub.subscribe(conn, id, &request)
+                } else {
+                    shared2.hub.unsubscribe(conn, id, &request)
+                }
             });
         }
         "query" => submit_query(shared, conn, id, request, &tx),
@@ -448,6 +430,18 @@ fn handle_request(shared: &Arc<ServerShared>, conn: ConnId, request: &Value) {
             ));
         }
     }
+}
+
+/// Marks a reply to a routed frame (one carrying the router's `shard`
+/// object) with this catalog's stamp — read *before* executing a read,
+/// *after* committing a write. It rides in the envelope beside
+/// `result`, so the router can peel it off and forward the result
+/// untouched; direct clients (`stamp = None`) never see one.
+fn stamped(mut response: Value, stamp: Option<f1_cobra::Stamp>) -> Value {
+    if let (Value::Object(map), Some(stamp)) = (&mut response, stamp) {
+        map.insert("stamp".into(), stamp_to_json(stamp));
+    }
+    response
 }
 
 /// Debug-only `write_event`: appends one event-layer record to `video`
@@ -475,13 +469,15 @@ fn handle_write_event(shared: &Arc<ServerShared>, id: u64, request: &Value) -> V
             .map(str::to_string),
     };
     match shared.vdbms.catalog.store_events(video, &[record]) {
-        Ok(()) => ok_response(
-            id,
-            json!({
-                "kind": "written",
-                "data_version": (shared.vdbms.catalog.data_version() as f64),
-            }),
-        ),
+        Ok(()) => {
+            let version = shared.vdbms.catalog.data_version();
+            let ack = json!({"kind": "written", "data_version": (version as f64)});
+            let routed = request.get("shard").is_some();
+            stamped(
+                ok_response(id, ack),
+                routed.then(|| shared.vdbms.catalog.stamp()),
+            )
+        }
         Err(e) => err_response(id, crate::protocol::classify(&e), e.to_string()),
     }
 }
@@ -691,7 +687,9 @@ fn submit_query(shared: &Arc<ServerShared>, conn: ConnId, id: u64, request: &Val
         flights.insert(key.clone(), Vec::new());
     }
 
+    let routed = request.get("shard").is_some();
     admit(shared, conn, id, request, tx, flight_key, move |ctx| {
+        let stamp = routed.then(|| ctx.shared.vdbms.catalog.stamp());
         let budget = ctx.budget();
         // `"*"` runs the statement against every catalogued video — the
         // cross-video form the scatter-gather router also speaks, so a
@@ -702,9 +700,9 @@ fn submit_query(shared: &Arc<ServerShared>, conn: ConnId, id: u64, request: &Val
             ctx.shared.vdbms.run_with_budget(&video, &text, &budget)
         };
         match result {
-            Ok(output) => ctx.finish(ok_response(
-                ctx.id,
-                f1_cobra::json::query_output_to_json(&output),
+            Ok(output) => ctx.finish(stamped(
+                ok_response(ctx.id, f1_cobra::json::query_output_to_json(&output)),
+                stamp,
             )),
             Err(e) => ctx.fail(crate::protocol::classify(&e), e.to_string()),
         }

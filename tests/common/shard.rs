@@ -160,6 +160,21 @@ impl ShardCluster {
             faults: faults.clone(),
         })
         .expect("start router");
+        // The router follows each shard's stamp over a feed it opens in
+        // the background when the first request arrives; send one and
+        // wait for all of them, so a test's first reads are cacheable
+        // rather than racing the handshakes.
+        Client::connect(router.addr())
+            .and_then(|mut c| c.videos().map_err(std::io::Error::other))
+            .expect("first request through the router");
+        let deadline = std::time::Instant::now() + CLIENT_TIMEOUT;
+        while router.registry().snapshot().gauge("router.feeds_up", &[]) < i64::from(shards) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "router feeds must connect to freshly started shards"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
         ShardCluster {
             root,
             ring,

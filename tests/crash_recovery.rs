@@ -233,11 +233,13 @@ fn wal_fault_matrix_restores_exactly_acknowledged_state() {
                 .store_events("german", &[event("highlight", 10, None)])
                 .expect("acknowledged batch");
             let (result, faults) =
-                vdbms.faults().scope(FaultPlan::new(17).fail(site, Trigger::Always), || {
-                    vdbms
-                        .catalog
-                        .store_events("german", &[event("fly_out", 40, Some("SCHUMACHER"))])
-                });
+                vdbms
+                    .faults()
+                    .scope(FaultPlan::new(17).fail(site, Trigger::Always), || {
+                        vdbms
+                            .catalog
+                            .store_events("german", &[event("fly_out", 40, Some("SCHUMACHER"))])
+                    });
             assert_eq!(faults.count(site), 1, "{site} fired");
             match result {
                 Err(CobraError::Store(_)) => {}
@@ -349,8 +351,9 @@ fn checkpoint_fault_matrix_keeps_directory_bootable() {
                     &[event("highlight", 10, None), event("excited", 70, None)],
                 )
                 .expect("events");
-            let (result, faults) =
-                vdbms.faults().scope(FaultPlan::new(23).fail(site, Trigger::Always), || {
+            let (result, faults) = vdbms
+                .faults()
+                .scope(FaultPlan::new(23).fail(site, Trigger::Always), || {
                     vdbms.checkpoint()
                 });
             assert_eq!(faults.count(site), 1, "{site} fired");

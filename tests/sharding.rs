@@ -405,3 +405,94 @@ fn topology_commands_report_every_shard() {
         Some(3)
     );
 }
+
+/// Reads one worker's `serve.requests{cmd=…}` counter over the wire.
+fn worker_requests(cluster: &ShardCluster, shard: u32, cmd: &str) -> u64 {
+    let snapshot = cluster.worker_client(shard).stats().expect("worker stats");
+    snapshot
+        .get("counters")
+        .and_then(|c| c.get(&format!("serve.requests{{cmd={cmd}}}")))
+        .and_then(Value::as_u64)
+        .unwrap_or(0)
+}
+
+/// The router learns of shard commits by push, not by asking: a write
+/// made *directly* on a shard (bypassing the router, so no ack passes
+/// through it) shows up in routed reads without a single `version`
+/// probe reaching that shard. And a shard's cached answers die with its
+/// feed: once the shard is killed, the router answers the typed error —
+/// it never falls back to what it had cached.
+#[test]
+fn out_of_band_writes_arrive_by_push_and_a_dead_shard_is_never_served_from_cache() {
+    let _gate = serialize();
+    let videos = fixture_videos();
+    let mut cluster = ShardCluster::start(2, &videos);
+    let registry = cluster.registry();
+    let mut router = cluster.client();
+    let video = "race-0";
+    let owner = cluster.owner(video);
+    let count = |router: &mut Client| -> Result<usize, ClientError> {
+        match router.query(video, "RETRIEVE HIGHLIGHTS")? {
+            QueryReply::Segments(segments) => Ok(segments.len()),
+            other => panic!("expected segments, got {other:?}"),
+        }
+    };
+
+    // Populate the router cache and prove the repeat is served from it.
+    assert_eq!(count(&mut router).expect("first read"), 2);
+    let snap = registry.snapshot();
+    assert_eq!(count(&mut router).expect("cached read"), 2);
+    let d = registry.snapshot().delta(&snap);
+    assert_eq!(d.counter("cache.result", &[("result", "hit")]), 1);
+
+    // Write on the shard itself. The router sees no ack; only the
+    // shard's stamp push can tell it.
+    let probes = worker_requests(&cluster, owner, "version");
+    cluster
+        .worker_client(owner)
+        .write_event(video, "highlight", 300, 310, None)
+        .expect("direct write on the shard");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    while count(&mut router).expect("routed read") != 3 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a direct shard write must reach routed reads within 1 s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(
+        worker_requests(&cluster, owner, "version"),
+        probes,
+        "the router must learn of the write by push, not by probing"
+    );
+
+    // The fresh answer is cached again…
+    let snap = registry.snapshot();
+    assert_eq!(count(&mut router).expect("re-cached read"), 3);
+    let d = registry.snapshot().delta(&snap);
+    assert_eq!(d.counter("cache.result", &[("result", "hit")]), 1);
+
+    // …until its shard dies. The feed drops with the process; from the
+    // moment the router notices, the cached answer is unreachable.
+    cluster.kill(owner);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        match count(&mut router) {
+            // The router has not seen the feed drop yet.
+            Ok(n) => assert_eq!(n, 3),
+            Err(e) => {
+                assert_eq!(e.server_kind(), Some(ErrorKind::ShardUnavailable), "{e}");
+                break;
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a dead shard's cached answer must stop being served"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    for _ in 0..3 {
+        let err = count(&mut router).expect_err("the dead shard stays unavailable");
+        assert_eq!(err.server_kind(), Some(ErrorKind::ShardUnavailable));
+    }
+}
