@@ -391,10 +391,13 @@ impl Catalog {
         Ok(())
     }
 
-    /// True when the feature layer is present — the availability check the
-    /// query pre-processor performs before invoking dynamic extraction.
-    pub fn has_features(&self, video: &str) -> bool {
-        self.kernel.has_bat(&Self::feature_bat_name(video, 0))
+    /// Feature rows committed for `video`, 0 when the layer is absent —
+    /// the availability check of the query pre-processor, and how far a
+    /// streamed ingest has come.
+    pub fn feature_rows(&self, video: &str) -> usize {
+        self.kernel
+            .bat(&Self::feature_bat_name(video, 0))
+            .map_or(0, |bat| bat.read().len())
     }
 
     /// Loads the feature layer back as a clip-major matrix.
@@ -711,9 +714,9 @@ mod tests {
             vec![0.3, 0.7],
             vec![0.4, 0.6],
         ];
-        assert!(!c.has_features("german"));
+        assert_eq!(c.feature_rows("german"), 0);
         c.store_features("german", &matrix).unwrap();
-        assert!(c.has_features("german"));
+        assert_eq!(c.feature_rows("german"), 4);
         // Stored as real kernel BATs with the naming scheme.
         assert!(c.kernel().has_bat("german.f1"));
         assert!(c.kernel().has_bat("german.f2"));

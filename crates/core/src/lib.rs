@@ -13,17 +13,24 @@
 //! * **Query pre-processor** — checks metadata availability, invokes
 //!   feature/semantic extraction dynamically, and chooses extraction
 //!   methods by cost and quality models ([`extensions::MethodRegistry`]);
-//!   when the chosen method fails, ingestion retries and falls back down
-//!   the cost/quality ranking ([`session::Vdbms::ingest`]).
+//!   when the chosen method fails, ingestion — of a whole broadcast or
+//!   of one streamed window — retries and falls back down the
+//!   cost/quality ranking ([`Vdbms::ingest`], [`Vdbms::ingest_chunk`]).
 //! * **Content-based retrieval** — the §5.6 query set over a small
 //!   retrieval language ([`query`]), combining DBN event detection with
-//!   recognized superimposed text ([`session`]).
+//!   recognized superimposed text ([`Vdbms::run`]).
+//!
+//! [`Vdbms`] ([`session`]) is the facade; its ingest, annotate and
+//! retrieve steps live in one private module each.
 
+mod annotate;
 pub mod cache;
 pub mod catalog;
 pub mod extensions;
+mod ingest;
 pub mod json;
 pub mod query;
+mod retrieve;
 pub mod session;
 
 pub use cache::{CachedResult, CompiledPlan, PlanCache, ResultCache, Stamp};

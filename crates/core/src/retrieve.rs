@@ -1,0 +1,668 @@
+//! Retrieval: the §5.6 query set, through all three levels.
+//!
+//! A [`Query`] resolves once to a short list of [`Stage`]s — a source
+//! (`conceptual:select_events`, `conceptual:leader_segments` or
+//! `conceptual:driver_visible`), then `filter:pitlane` and
+//! `filter:driver` where the query asks for them. `EXPLAIN` renders that
+//! list; `RETRIEVE` and `PROFILE` run it, behind the result cache,
+//! through one [`Trace`] that records spans only when profiling.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use cobra_obs::SpanNode;
+use f1_monet::ExecBudget;
+use f1_rules::{
+    AllenRelation, Condition, Engine as RuleEngine, Fact, Interval, IntervalSpec, Rule,
+    TemporalConstraint, Term, Value,
+};
+
+use crate::cache::CompiledPlan;
+use crate::query::{parse_query, parse_statement, Query, RetrievedSegment, Statement, Target};
+use crate::session::Vdbms;
+use crate::{CobraError, Result};
+
+/// A profiled query: the answer plus the span tree of where time went.
+#[derive(Debug, Clone)]
+pub struct QueryProfile {
+    /// The retrieved segments.
+    pub segments: Vec<RetrievedSegment>,
+    /// Measured spans, rooted at the whole query.
+    pub span: SpanNode,
+}
+
+/// One video's contribution to a cross-video answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VideoSegments {
+    /// Catalog name of the video the segments came from.
+    pub video: String,
+    /// The segments retrieved from that video.
+    pub segments: Vec<RetrievedSegment>,
+}
+
+/// What [`Vdbms::run`] produced for a statement.
+#[derive(Debug, Clone)]
+pub enum QueryOutput {
+    /// A plain `RETRIEVE` answer.
+    Segments(Vec<RetrievedSegment>),
+    /// A `PROFILE RETRIEVE` answer with its span tree.
+    Profile(QueryProfile),
+    /// An `EXPLAIN RETRIEVE` plan (not executed, timings zero).
+    Plan(SpanNode),
+    /// A cross-video `RETRIEVE` answer (`video = "*"`): one group per
+    /// catalog video, sorted by name so the answer is deterministic and
+    /// scatter-gather merges from disjoint shards are order-stable.
+    Multi(Vec<VideoSegments>),
+}
+
+/// One step of a retrieval. The first stage of a query is its source;
+/// the filters after it narrow what the source produced.
+enum Stage<'q> {
+    /// Events of one kind, selected through Moa → MIL → kernel.
+    SelectEvents(&'q str),
+    /// Who leads when, from the classification captions.
+    LeaderSegments,
+    /// Where a driver is visibly involved.
+    DriverVisible(&'q str),
+    /// Keep what overlaps a pit stop (the rule extension's join).
+    Pitlane,
+    /// Keep what involves a driver.
+    Driver(&'q str),
+}
+
+impl Stage<'_> {
+    /// The stage's span name in `EXPLAIN` and `PROFILE` trees.
+    fn span_name(&self) -> &'static str {
+        match self {
+            Stage::SelectEvents(_) => "conceptual:select_events",
+            Stage::LeaderSegments => "conceptual:leader_segments",
+            Stage::DriverVisible(_) => "conceptual:driver_visible",
+            Stage::Pitlane => "filter:pitlane",
+            Stage::Driver(_) => "filter:driver",
+        }
+    }
+}
+
+/// Resolves a query to the stages that answer it.
+fn stages(q: &Query) -> Result<Vec<Stage<'_>>> {
+    let driver = q.driver.as_deref();
+    let source = match &q.target {
+        Target::Highlights => Stage::SelectEvents("highlight"),
+        Target::Events(kind) => Stage::SelectEvents(kind),
+        Target::Excited => Stage::SelectEvents("excited"),
+        Target::PitStops => Stage::SelectEvents("caption:pit_stop"),
+        Target::Winner => Stage::SelectEvents("caption:winner"),
+        Target::FinalLap => Stage::SelectEvents("caption:final_lap"),
+        Target::Leader => Stage::LeaderSegments,
+        Target::Segments => match driver {
+            Some(driver) => Stage::DriverVisible(driver),
+            None => {
+                return Err(CobraError::Parse(
+                    "RETRIEVE SEGMENTS requires WITH DRIVER".into(),
+                ))
+            }
+        },
+    };
+    // Every visibility segment already names its driver: filtering
+    // them by that driver again would keep them all.
+    let driver_filter = driver.filter(|_| !matches!(source, Stage::DriverVisible(_)));
+    let mut stages = vec![source];
+    if q.at_pitlane {
+        stages.push(Stage::Pitlane);
+    }
+    stages.extend(driver_filter.map(Stage::Driver));
+    Ok(stages)
+}
+
+/// Records the span tree of one retrieval. A plain `RETRIEVE` runs with
+/// the trace off, and then every method here is a no-op: no clock is
+/// read and no annotation is rendered.
+struct Trace(Option<(SpanNode, Option<Instant>)>);
+
+impl Trace {
+    fn start(name: &str) -> Self {
+        Trace(Some((SpanNode::new(name), Some(Instant::now()))))
+    }
+
+    fn on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Opens a span that records only if `self` does. It joins the tree
+    /// when [`attach`](Self::attach)ed; dropped, it leaves no mark.
+    fn child(&self, name: &str) -> Trace {
+        if self.on() {
+            Trace::start(name)
+        } else {
+            Trace(None)
+        }
+    }
+
+    /// Annotates the span.
+    fn meta(&mut self, key: &str, value: impl FnOnce() -> String) {
+        if let Some((node, _)) = &mut self.0 {
+            node.meta.push((key.to_string(), value()));
+        }
+    }
+
+    /// Stops the span's clock; it can still be annotated and attached to.
+    fn stop(&mut self) {
+        if let Some((node, clock)) = &mut self.0 {
+            if let Some(start) = clock.take() {
+                node.elapsed_ns = start.elapsed().as_nanos() as u64;
+            }
+        }
+    }
+
+    /// Makes `child` the span's next child.
+    fn attach(&mut self, child: SpanNode) {
+        if let Some((node, _)) = &mut self.0 {
+            node.children.push(child);
+        }
+    }
+
+    /// Runs `body` inside a child span.
+    fn span<T>(&mut self, name: &str, body: impl FnOnce(&mut Trace) -> Result<T>) -> Result<T> {
+        let mut child = self.child(name);
+        let out = body(&mut child)?;
+        self.attach(child.finish());
+        Ok(out)
+    }
+
+    /// Stops the clock and returns the finished tree (an unnamed empty
+    /// node when the trace was off).
+    fn finish(mut self) -> SpanNode {
+        self.stop();
+        self.0.map_or_else(|| SpanNode::new(""), |(node, _)| node)
+    }
+}
+
+impl Vdbms {
+    /// Answers a §5.6 retrieval query over an annotated video.
+    pub fn query(&self, video: &str, text: &str) -> Result<Vec<RetrievedSegment>> {
+        let q = parse_query(text)?;
+        self.retrieve(video, &q, &ExecBudget::unlimited(), &mut Trace(None))
+    }
+
+    /// Runs a full statement: `RETRIEVE …` answers, `PROFILE RETRIEVE …`
+    /// answers with a measured span tree, `EXPLAIN RETRIEVE …` returns
+    /// the plan shape without executing.
+    pub fn run(&self, video: &str, text: &str) -> Result<QueryOutput> {
+        self.run_with_budget(video, text, &ExecBudget::unlimited())
+    }
+
+    /// [`run`](Self::run) under an execution budget: the kernel checks
+    /// `budget`'s fuel, deadline and cancellation token at MIL loop
+    /// back-edges, so a request-layer deadline actually interrupts a
+    /// slow query instead of merely being reported late. This is the
+    /// entry point the serving layer uses.
+    pub fn run_with_budget(
+        &self,
+        video: &str,
+        text: &str,
+        budget: &ExecBudget,
+    ) -> Result<QueryOutput> {
+        match parse_statement(text)? {
+            Statement::Retrieve(q) => self
+                .retrieve(video, &q, budget, &mut Trace(None))
+                .map(QueryOutput::Segments),
+            Statement::Profile(q) => {
+                let mut trace = Trace::start("query");
+                let segments = self.retrieve(video, &q, budget, &mut trace)?;
+                Ok(QueryOutput::Profile(QueryProfile {
+                    segments,
+                    span: trace.finish(),
+                }))
+            }
+            Statement::Explain(q) => Ok(QueryOutput::Plan(self.explain(video, &q)?)),
+        }
+    }
+
+    /// Runs a plain `RETRIEVE` against *every* catalog video (the
+    /// `video = "*"` form the scatter-gather router fans out per shard)
+    /// and returns the answers grouped by video, sorted by name. All
+    /// per-video executions share `budget`, so a deadline bounds the
+    /// whole sweep, not each video. `PROFILE`/`EXPLAIN` are per-video
+    /// diagnostics and are rejected here with a parse error.
+    pub fn run_multi_with_budget(&self, text: &str, budget: &ExecBudget) -> Result<QueryOutput> {
+        let q = match parse_statement(text)? {
+            Statement::Retrieve(q) => q,
+            Statement::Profile(_) | Statement::Explain(_) => {
+                return Err(CobraError::Parse(
+                    "PROFILE/EXPLAIN cannot target all videos ('*'); name one video".into(),
+                ))
+            }
+        };
+        let mut groups = Vec::new();
+        for video in self.catalog.videos() {
+            let segments = self.retrieve(&video, &q, budget, &mut Trace(None))?;
+            groups.push(VideoSegments { video, segments });
+        }
+        Ok(QueryOutput::Multi(groups))
+    }
+
+    /// The one retrieval pipeline: answer from the result cache when the
+    /// video's stamp allows, otherwise resolve `q` to its stages and run
+    /// them. With `trace` on, its span becomes the `query` root of where
+    /// time went: on a miss the conceptual source with Moa compilation,
+    /// MIL evaluation and the kernel operators underneath, then the
+    /// filters; on a hit a single `cache:result` leaf (the probe cost
+    /// *is* where the time went).
+    fn retrieve(
+        &self,
+        video: &str,
+        q: &Query,
+        budget: &ExecBudget,
+        trace: &mut Trace,
+    ) -> Result<Vec<RetrievedSegment>> {
+        trace.meta("target", || format!("{:?}", q.target));
+        trace.meta("video", || video.to_string());
+        self.through_result_cache(video, q, trace, |trace| {
+            let mut out = Vec::new();
+            for stage in stages(q)? {
+                out = trace.span(stage.span_name(), |span| {
+                    self.run_stage(video, &stage, out, budget, span)
+                })?;
+            }
+            Ok(out)
+        })
+    }
+
+    /// The one path through the result cache: capture the video's
+    /// stamp, serve a stored answer when the stamp proves the event
+    /// layer unchanged, otherwise `execute` and (on success only) store
+    /// the answer under the pre-execution stamp — for every later
+    /// statement sharing the normalized query text, `RETRIEVE` or
+    /// `PROFILE` alike. The stamp is captured *before* execution reads
+    /// any event data — a write racing the execution then commits past
+    /// the captured stamp, so the (possibly torn) answer can never be
+    /// served after the write is acknowledged. Failed queries are never
+    /// cached.
+    fn through_result_cache(
+        &self,
+        video: &str,
+        q: &Query,
+        trace: &mut Trace,
+        execute: impl FnOnce(&mut Trace) -> Result<Vec<RetrievedSegment>>,
+    ) -> Result<Vec<RetrievedSegment>> {
+        let mut probe = trace.child("cache:result");
+        let normalized = q.normalized();
+        let stamp = self.catalog.video_stamp(video);
+        let current = std::slice::from_ref(&stamp);
+        if let Some(hit) = self.results.lookup(video, &normalized, Some(current)) {
+            probe.meta("result", || "hit".into());
+            probe.meta("rows", || hit.value.len().to_string());
+            trace.attach(probe.finish());
+            return Ok(hit.value.clone());
+        }
+        let segments = execute(trace)?;
+        let bytes: usize = segments
+            .iter()
+            .map(|s| {
+                std::mem::size_of::<RetrievedSegment>()
+                    + s.label.len()
+                    + s.driver.as_deref().map_or(0, str::len)
+            })
+            .sum();
+        self.results
+            .store(video, &normalized, segments.clone(), vec![stamp], bytes);
+        Ok(segments)
+    }
+
+    /// The plan of `q`: the span-tree shape `PROFILE` would produce —
+    /// one node per stage of the list execution runs — with no execution
+    /// and all timings zero. For event-kind targets the `moa:compile`
+    /// node carries the cost-based planner's before/after view — the
+    /// rule-based plan next to the chosen one, each with per-node
+    /// cardinality and cost estimates — plus the plan-cache state at the
+    /// current cost-model generation. Read-only: it never executes,
+    /// stores, or skews cache counters.
+    pub fn explain(&self, video: &str, q: &Query) -> Result<SpanNode> {
+        let mut root = SpanNode::new("query").with_meta("target", format!("{:?}", q.target));
+        for stage in stages(q)? {
+            let node = SpanNode::new(stage.span_name());
+            root = root.with_child(match stage {
+                Stage::SelectEvents(kind) => self.explain_select_events(node, video, kind),
+                _ => node,
+            });
+        }
+        Ok(root)
+    }
+
+    /// Runs one stage over `input`, the output of the stage before it
+    /// (empty for a source).
+    fn run_stage(
+        &self,
+        video: &str,
+        stage: &Stage<'_>,
+        input: Vec<RetrievedSegment>,
+        budget: &ExecBudget,
+        span: &mut Trace,
+    ) -> Result<Vec<RetrievedSegment>> {
+        let out = match stage {
+            Stage::SelectEvents(kind) => return self.select_events(video, kind, budget, span),
+            Stage::LeaderSegments => return self.leader_segments(video),
+            // Pit-lane restriction via the rule extension: join the
+            // target with overlapping pit-stop captions.
+            Stage::Pitlane => self.join_with_pitlane(video, input)?,
+            Stage::DriverVisible(driver) | Stage::Driver(driver) => {
+                let visible = self.driver_visible(video, driver)?;
+                if matches!(stage, Stage::DriverVisible(_)) {
+                    return Ok(visible
+                        .into_iter()
+                        .map(|(start, end)| RetrievedSegment {
+                            start,
+                            end,
+                            label: "segment".into(),
+                            driver: Some(driver.to_string()),
+                        })
+                        .collect());
+                }
+                // Driver restriction: direct attribute when present,
+                // otherwise overlap with the driver's visibility spans
+                // (the combination of Bayesian fusion and text
+                // recognition the paper advertises).
+                let mut out = input;
+                out.retain(|seg| {
+                    seg.driver.as_deref() == Some(*driver)
+                        || (seg.driver.is_none()
+                            && visible.iter().any(|&(s, e)| s < seg.end && seg.start < e))
+                });
+                for seg in &mut out {
+                    seg.driver.get_or_insert_with(|| driver.to_string());
+                }
+                out
+            }
+        };
+        span.meta("kept", || out.len().to_string());
+        Ok(out)
+    }
+
+    /// Plans the event-kind selection with the cost-based planner
+    /// against the kernel's current measured statistics (per-opcode
+    /// ns/row, index hit rate, morsel throughput, tail sketches).
+    fn plan_event_selection(&self, video: &str, kind: &str) -> f1_moa::PlanChoice {
+        let kind_bat = format!("{video}.ev.kind");
+        let expr = f1_moa::MoaExpr::collection(&kind_bat)
+            .select(f1_moa::Predicate::Eq(f1_monet::Atom::str(kind)));
+        let stats = self.kernel.plan_stats(&[kind_bat.as_str()]);
+        let cfg = f1_moa::PlannerConfig {
+            max_threads: std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(8),
+        };
+        f1_moa::plan(expr, &stats, &cfg)
+    }
+
+    /// Compiles the planner's chosen event selection to the three
+    /// column-join MIL programs, carrying the `threadcnt` prefix when
+    /// the planner chose parallelism.
+    fn compile_event_plan(&self, video: &str, kind: &str) -> Arc<CompiledPlan> {
+        let choice = self.plan_event_selection(video, kind);
+        let sel_mil = choice.mil();
+        let prefix = choice.mil_prefix();
+        let column_programs = ["start", "end", "driver"].map(|col| {
+            format!("{prefix}RETURN (({sel_mil}).mirror).join(bat(\"{video}.ev.{col}\"));")
+        });
+        Arc::new(CompiledPlan {
+            sel_mil,
+            column_programs,
+            threads: choice.threads,
+            generation: self.plans.cost_generation(),
+            baseline_cost: choice.baseline_cost,
+            chosen_cost: choice.chosen_cost,
+        })
+    }
+
+    /// Fills in what `EXPLAIN` shows under a `conceptual:select_events`
+    /// node: the planner's view in place of measurements.
+    fn explain_select_events(&self, node: SpanNode, video: &str, kind: &str) -> SpanNode {
+        let choice = self.plan_event_selection(video, kind);
+        let cache = if self.plans.peek(video, kind).is_some() {
+            "hit"
+        } else {
+            "miss"
+        };
+        let plan_node = |name: &str, cost: f64, nodes: &[f1_moa::PlanNode]| {
+            SpanNode::new(name)
+                .with_meta("est_cost_ns", format!("{cost:.0}"))
+                .with_meta("nodes", f1_moa::PlanChoice::render_nodes(nodes))
+        };
+        let compile = SpanNode::new("moa:compile")
+            .with_meta("mil", choice.mil())
+            .with_meta("cache", cache)
+            .with_meta("generation", self.plans.cost_generation().to_string())
+            .with_child(plan_node(
+                "plan:rule_based",
+                choice.baseline_cost,
+                &choice.baseline_nodes,
+            ))
+            .with_child(
+                plan_node("plan:chosen", choice.chosen_cost, &choice.chosen_nodes)
+                    .with_meta("threads", choice.threads.to_string())
+                    .with_meta("rationale", choice.rationale.as_str()),
+            );
+        node.with_meta("kind", kind)
+            .with_child(compile)
+            .with_child(SpanNode::new("mil:eval"))
+            .with_child(SpanNode::new("fetch:results"))
+    }
+
+    /// Advances the cost-model generation once the kernel has observed
+    /// roughly twice as many MIL evaluations as at the previous refresh
+    /// (with a small floor so a barely-warm system doesn't churn).
+    /// Cached plans from the old generation become unreachable and
+    /// every lookup replans against the fresher measurements.
+    fn maybe_refresh_plan_costs(&self) {
+        const PLAN_REFRESH_MIN_EVALS: u64 = 32;
+        let evals = self.kernel.metrics().mil_evals.get();
+        let last = self.plan_cost_evals.load(Ordering::Acquire);
+        if evals >= PLAN_REFRESH_MIN_EVALS.max(last.saturating_mul(2))
+            && self
+                .plan_cost_evals
+                .compare_exchange(last, evals, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        {
+            self.plans.advance_cost_generation();
+        }
+    }
+
+    /// Forces a cost-model refresh (the doubling policy's manual lever,
+    /// used by benchmarks and tests): advances the plan-cache generation
+    /// so every subsequent lookup replans against current statistics.
+    /// Returns the new generation.
+    pub fn refresh_plan_costs(&self) -> u64 {
+        self.plan_cost_evals
+            .store(self.kernel.metrics().mil_evals.get(), Ordering::Release);
+        self.plans.advance_cost_generation()
+    }
+
+    /// Answers an event-kind retrieval through all three levels: a Moa
+    /// selection over the event layer's kind column is compiled to MIL,
+    /// and the MIL program position-joins the matching rows against the
+    /// parallel start/end/driver columns on the kernel's vectorized
+    /// operators. When profiling, `span` receives the per-level tree,
+    /// with kernel operator timings taken from the metrics registry
+    /// delta around the evaluation.
+    fn select_events(
+        &self,
+        video: &str,
+        kind: &str,
+        budget: &ExecBudget,
+        span: &mut Trace,
+    ) -> Result<Vec<RetrievedSegment>> {
+        self.catalog.video(video)?;
+        span.meta("kind", || kind.to_string());
+        if !self.kernel.has_bat(&format!("{video}.ev.kind")) {
+            return Ok(Vec::new());
+        }
+
+        // Conceptual → logical: a Moa selection over the kind column,
+        // through the cost-based planner. The plan depends only on
+        // (video, kind, cost-model generation), so a cached compilation
+        // is reused verbatim until the generation advances; the
+        // execution budget below still applies.
+        self.maybe_refresh_plan_costs();
+        let plan = span.span("moa:compile", |span| {
+            let (plan, cached) = match self.plans.get(video, kind) {
+                Some(plan) => (plan, "hit"),
+                None => {
+                    let plan = self.compile_event_plan(video, kind);
+                    self.plans.store(video, kind, Arc::clone(&plan));
+                    (plan, "miss")
+                }
+            };
+            span.meta("mil", || plan.sel_mil.clone());
+            span.meta("cache", || cached.into());
+            span.meta("generation", || plan.generation.to_string());
+            span.meta("threads", || plan.threads.to_string());
+            Ok(plan)
+        })?;
+
+        // Logical → physical: mirror the matching oids and join them
+        // against each event column.
+        let registry = self.kernel.metrics().registry();
+        let before = span.on().then(|| registry.snapshot());
+        let mut eval = span.child("mil:eval");
+        let mut columns = Vec::new();
+        for program in &plan.column_programs {
+            columns.push(self.kernel.eval_mil_guarded(program, budget)?);
+        }
+        eval.stop();
+        // Estimated (planner) next to measured (wall clock), so PROFILE
+        // exposes how far the cost model is off.
+        eval.meta("plan_est_ns", || format!("{:.0}", plan.chosen_cost));
+        if let Some(before) = before {
+            let delta = registry.snapshot().delta(&before);
+            for (key, h) in delta.histograms_named("mil.op_ns") {
+                if h.count() > 0 {
+                    let name = format!("kernel:{}", key.label("op").unwrap_or("op"));
+                    eval.attach(
+                        SpanNode::leaf(&name, h.sum()).with_meta("calls", h.count().to_string()),
+                    );
+                }
+            }
+        }
+        span.attach(eval.finish());
+
+        // Materialize the answer from the joined columns.
+        span.span("fetch:results", |span| {
+            let label = kind.trim_start_matches("caption:").to_string();
+            let starts = columns[0].as_bat()?;
+            let ends = columns[1].as_bat()?;
+            let drivers = columns[2].as_bat()?;
+            let (starts, ends, drivers) = (starts.read(), ends.read(), drivers.read());
+            let mut out = Vec::with_capacity(starts.len());
+            for i in 0..starts.len() {
+                let driver = drivers.tail_at(i)?.as_str()?.to_string();
+                out.push(RetrievedSegment {
+                    start: starts.tail_at(i)?.as_int()?.max(0) as usize,
+                    end: ends.tail_at(i)?.as_int()?.max(0) as usize,
+                    label: label.clone(),
+                    driver: (!driver.is_empty()).then_some(driver),
+                });
+            }
+            span.meta("rows", || out.len().to_string());
+            Ok(out)
+        })
+    }
+
+    /// Leading spans from classification captions: the shown leader holds
+    /// the lead until the next classification caption.
+    fn leader_segments(&self, video: &str) -> Result<Vec<RetrievedSegment>> {
+        let mut caps = self.catalog.events(video, Some("caption:classification"))?;
+        caps.sort_by_key(|e| e.start);
+        let info = self.catalog.video(video)?;
+        let mut out = Vec::new();
+        for (i, c) in caps.iter().enumerate() {
+            let end = caps.get(i + 1).map(|n| n.start).unwrap_or(info.n_clips);
+            out.push(RetrievedSegment {
+                start: c.start,
+                end,
+                label: "leading".into(),
+                driver: c.driver.clone(),
+            });
+        }
+        Ok(out)
+    }
+
+    /// Spans where a driver is visibly involved: captions naming the
+    /// driver, padded by five seconds on each side.
+    fn driver_visible(&self, video: &str, driver: &str) -> Result<Vec<(usize, usize)>> {
+        let pad = 50usize;
+        Ok(self
+            .catalog
+            .events(video, None)?
+            .into_iter()
+            .filter(|e| e.driver.as_deref() == Some(driver))
+            .map(|e| (e.start.saturating_sub(pad), e.end + pad))
+            .collect())
+    }
+
+    /// The rule-extension join: keep segments overlapping a pit-stop
+    /// caption, carrying over the pit driver.
+    fn join_with_pitlane(
+        &self,
+        video: &str,
+        segments: Vec<RetrievedSegment>,
+    ) -> Result<Vec<RetrievedSegment>> {
+        let mut engine = RuleEngine::new();
+        engine.add_rule(Rule {
+            name: "at_pitlane".into(),
+            conditions: vec![
+                Condition::new("candidate", vec![Term::var("i")]),
+                Condition::new("pit_stop", vec![Term::var("d")]),
+            ],
+            temporal: vec![TemporalConstraint {
+                a: 0,
+                b: 1,
+                relations: vec![
+                    AllenRelation::Overlaps,
+                    AllenRelation::OverlappedBy,
+                    AllenRelation::During,
+                    AllenRelation::Contains,
+                    AllenRelation::Starts,
+                    AllenRelation::StartedBy,
+                    AllenRelation::Finishes,
+                    AllenRelation::FinishedBy,
+                    AllenRelation::Equal,
+                ],
+            }],
+            head: "at_pitlane".into(),
+            head_args: vec![Term::var("i"), Term::var("d")],
+            interval: IntervalSpec::Of(0),
+        })?;
+        let mut facts = Vec::new();
+        for (i, seg) in segments.iter().enumerate() {
+            facts.push(Fact::new(
+                "candidate",
+                vec![Value::Int(i as i64)],
+                Interval::new(seg.start, seg.end),
+            ));
+        }
+        for pit in self.catalog.events(video, Some("caption:pit_stop"))? {
+            facts.push(Fact::new(
+                "pit_stop",
+                vec![Value::str(pit.driver.unwrap_or_default())],
+                Interval::new(pit.start, pit.end),
+            ));
+        }
+        let derived = engine.run(facts)?;
+        let mut out = Vec::new();
+        for f in derived.iter().filter(|f| f.predicate == "at_pitlane") {
+            let Value::Int(i) = &f.args[0] else { continue };
+            let mut seg = segments[*i as usize].clone();
+            if let Value::Str(d) = &f.args[1] {
+                if !d.is_empty() && seg.driver.is_none() {
+                    seg.driver = Some(d.clone());
+                }
+            }
+            if !out.contains(&seg) {
+                out.push(seg);
+            }
+        }
+        out.sort_by_key(|s: &RetrievedSegment| s.start);
+        Ok(out)
+    }
+}

@@ -14,6 +14,8 @@
 //!   (boot epochs make version vectors from different incarnations
 //!   disjoint).
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -171,6 +173,92 @@ fn streamed_feature_appends_survive_reboot() {
             .collect();
         assert_eq!(got, want, "column f{k}");
     }
+}
+
+/// Streams `chunks` into `vdbms`; on every chunk after the first the
+/// second WAL append of the window fails, and the chunk is sent again.
+/// Returns how many chunks needed that.
+fn stream_failing_second_append(
+    vdbms: &Vdbms,
+    scenario: &f1_media::synth::scenario::RaceScenario,
+    chunks: &[f1_media::synth::stream::Chunk],
+) -> usize {
+    let mut retried = 0;
+    for chunk in chunks {
+        let plan = FaultPlan::new(1).fail(
+            "store.wal.append",
+            Trigger::Nth {
+                skip: if chunk.index == 0 { u32::MAX } else { 1 },
+                times: 1,
+            },
+        );
+        let (first, faults) = vdbms
+            .faults()
+            .scope(plan, || vdbms.ingest_chunk("german", scenario, chunk));
+        if faults.count("store.wal.append") == 0 {
+            first.expect("no fault fired");
+            continue;
+        }
+        assert!(
+            matches!(first, Err(CobraError::Store(_))),
+            "chunk {}: {first:?}",
+            chunk.index
+        );
+        vdbms
+            .ingest_chunk("german", scenario, chunk)
+            .expect("the failed chunk can be sent again");
+        retried += 1;
+    }
+    retried
+}
+
+/// A streamed window is two commits, caption events and feature rows.
+/// When the second one fails, the chunk can be sent again: it must land
+/// exactly once — no feature row twice (every later clip's features
+/// would be misaligned), no caption twice — live and after a reboot.
+#[test]
+fn retried_stream_chunk_lands_exactly_once() {
+    let scenario = common::german_scenario(120);
+    let chunks: Vec<_> = scenario.chunks(30).collect();
+    assert_eq!(chunks.len(), 4);
+
+    // The reference: the same stream with no faults (on a second core).
+    let clean_dir = TempDir::new("stream-clean");
+    let clean = boot(clean_dir.path());
+    let dir = TempDir::new("stream-retry");
+    let vdbms = boot(dir.path());
+    let retried = std::thread::scope(|s| {
+        s.spawn(|| {
+            for chunk in &chunks {
+                clean
+                    .ingest_chunk("german", &scenario, chunk)
+                    .expect("unfaulted chunk");
+            }
+        });
+        stream_failing_second_append(&vdbms, &scenario, &chunks)
+    });
+    assert_eq!(
+        retried, 3,
+        "every chunk after the first has captions to commit"
+    );
+
+    let check = |vdbms: &Vdbms, when: &str| {
+        let rows = vdbms.kernel().bat("german.f1").unwrap().read().len();
+        assert_eq!(rows, scenario.n_clips, "{when}: one feature row per clip");
+        assert_eq!(
+            vdbms.catalog.load_features("german", 17).unwrap(),
+            clean.catalog.load_features("german", 17).unwrap(),
+            "{when}: features differ from the unfaulted stream"
+        );
+        assert_eq!(
+            vdbms.catalog.events("german", None).unwrap(),
+            clean.catalog.events("german", None).unwrap(),
+            "{when}: events differ from the unfaulted stream"
+        );
+    };
+    check(&vdbms, "live");
+    drop(vdbms);
+    check(&boot(dir.path()), "recovered");
 }
 
 #[test]

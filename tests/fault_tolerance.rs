@@ -159,3 +159,52 @@ fn unfaulted_ingest_reports_a_clean_primary_run() {
     assert_eq!(report.attempts[0].tries, 1);
     assert_eq!(report.attempts[0].error, None);
 }
+
+/// The streaming path runs the same pre-processor: its opening window
+/// walks the ranking, and what served it is pinned for the stream.
+#[test]
+fn streamed_ingest_falls_back_on_its_first_window_and_pins_the_method() {
+    let vdbms = Vdbms::try_new().unwrap();
+    let sc = scenario();
+    let chunks: Vec<_> = sc.chunks(15).collect();
+    assert_eq!(chunks.len(), 3);
+    let (result, faults) = vdbms.faults().scope(
+        FaultPlan::new(7).fail("extract.full", Trigger::Always),
+        || {
+            chunks
+                .iter()
+                .try_for_each(|c| vdbms.ingest_chunk("german", &sc, c).map(drop))
+        },
+    );
+    result.expect("the stream completes on the fallback method");
+    // Only the opening window tried "full"; later windows went straight
+    // to the pinned "fast".
+    assert_eq!(faults.count("extract.full"), 1);
+    let snap = vdbms.kernel().metrics().registry().snapshot();
+    assert_eq!(snap.counter("ingest.degraded", &[]), 1);
+    assert_eq!(snap.counter("ingest.runs", &[]), 1);
+    assert_eq!(snap.counter("ingest.chunks", &[]), 3);
+    assert_eq!(vdbms.catalog.feature_rows("german"), sc.n_clips);
+}
+
+#[test]
+fn streamed_ingest_retries_a_transient_fault_on_its_first_window() {
+    let vdbms = Vdbms::try_new().unwrap();
+    let sc = scenario();
+    let (result, faults) = vdbms.faults().scope(
+        FaultPlan::new(3).fail_transient("extract.full", Trigger::Times(1)),
+        || {
+            sc.chunks(15)
+                .try_for_each(|c| vdbms.ingest_chunk("german", &sc, &c).map(drop))
+        },
+    );
+    result.expect("the retry absorbs the fault");
+    assert_eq!(faults.count("extract.full"), 1);
+    let snap = vdbms.kernel().metrics().registry().snapshot();
+    assert_eq!(snap.counter("ingest.degraded", &[]), 0, "still on \"full\"");
+    assert_eq!(
+        snap.counter("faults.failures", &[("site", "extract.full")]),
+        1
+    );
+    assert_eq!(vdbms.catalog.feature_rows("german"), sc.n_clips);
+}

@@ -54,6 +54,8 @@ const QUERIES: &[&str] = &[
     "RETRIEVE LEADER",
     "RETRIEVE SEGMENTS WITH DRIVER \"SCHUMACHER\"",
     "RETRIEVE HIGHLIGHTS AT PITLANE WITH DRIVER \"MONTOYA\"",
+    "RETRIEVE SEGMENTS AT PITLANE WITH DRIVER \"SCHUMACHER\"",
+    "RETRIEVE LEADER AT PITLANE",
 ];
 
 fn shapes(vdbms: &Vdbms, prefix: &str) -> String {
@@ -89,6 +91,61 @@ fn profile_shapes_match_golden() {
         include_str!("golden/profile_shapes.txt"),
         "PROFILE span shapes drifted; actual output:\n{got}"
     );
+}
+
+/// `span` without the children only an execution has (`kernel:*` under
+/// `mil:eval`) or only a plan has (`plan:*` under `moa:compile`).
+fn common_shape(span: &cobra_obs::SpanNode) -> cobra_obs::SpanNode {
+    let mut node = cobra_obs::SpanNode::new(&span.name);
+    node.children = span
+        .children
+        .iter()
+        .filter(|c| !c.name.starts_with("kernel:") && !c.name.starts_with("plan:"))
+        .map(common_shape)
+        .collect();
+    node
+}
+
+/// `EXPLAIN` and `PROFILE` walk one stage list, so they cannot disagree
+/// about which stages a statement has — whatever its clauses.
+#[test]
+fn explain_and_profile_agree_on_every_statement_shape() {
+    let vdbms = fixture();
+    let targets = [
+        "SEGMENTS",
+        "HIGHLIGHTS",
+        "EVENTS FLY_OUT",
+        "PITSTOPS",
+        "WINNER",
+        "FINALLAP",
+        "LEADER",
+        "EXCITED",
+    ];
+    for target in targets {
+        for pitlane in ["", " AT PITLANE"] {
+            for driver in ["", " WITH DRIVER \"SCHUMACHER\""] {
+                let q = format!("RETRIEVE {target}{pitlane}{driver}");
+                let explain = vdbms.run("v", &format!("EXPLAIN {q}"));
+                let profile = vdbms.run("v", &format!("PROFILE {q}"));
+                if target == "SEGMENTS" && driver.is_empty() {
+                    let (explain, profile) = (explain.unwrap_err(), profile.unwrap_err());
+                    assert!(matches!(explain, f1_cobra::CobraError::Parse(_)), "{q}");
+                    assert_eq!(explain.to_string(), profile.to_string(), "{q}");
+                    continue;
+                }
+                let (Ok(QueryOutput::Plan(plan)), Ok(QueryOutput::Profile(profile))) =
+                    (explain, profile)
+                else {
+                    panic!("{q}: expected a plan and a profile");
+                };
+                assert_eq!(
+                    common_shape(&plan).shape(),
+                    common_shape(&profile.span).shape(),
+                    "EXPLAIN and PROFILE disagree on {q}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -177,6 +234,21 @@ fn retrieval_still_reads_catalog_truth_through_the_kernel_path() {
     // Driverless events come back with `None`, not an empty string.
     let hl = vdbms.query("v", "RETRIEVE HIGHLIGHTS").unwrap();
     assert_eq!(hl[0].driver, None);
+    // Every clause of a statement narrows its answer, SEGMENTS included:
+    // of the driver's three visibility spans only the two around the
+    // pit stop at clips 20–35 are at the pit lane.
+    let seen = vdbms
+        .query("v", "RETRIEVE SEGMENTS WITH DRIVER \"SCHUMACHER\"")
+        .unwrap();
+    let at_pit = vdbms
+        .query(
+            "v",
+            "RETRIEVE SEGMENTS AT PITLANE WITH DRIVER \"SCHUMACHER\"",
+        )
+        .unwrap();
+    assert_eq!(seen.len(), 3);
+    assert_eq!(at_pit.len(), 2);
+    assert!(at_pit.iter().all(|s| s.start < 35 && 20 < s.end));
     // Unknown kinds are empty answers, unknown videos are errors.
     assert!(vdbms.query("v", "RETRIEVE EVENTS NOPE").unwrap().is_empty());
     assert!(vdbms.query("ghost", "RETRIEVE HIGHLIGHTS").is_err());
