@@ -98,15 +98,16 @@ impl Vdbms {
                 ea_truth.push(scenario.is_excited(clip));
             }
         }
-        let mut thresholds = HashMap::new();
-        thresholds.insert(
-            "HL".to_string(),
-            calibrate_clip_threshold(&hl_trace, &hl_truth),
-        );
-        thresholds.insert(
-            "EA".to_string(),
-            calibrate_clip_threshold(&ea_trace, &ea_truth),
-        );
+        let thresholds = HashMap::from([
+            (
+                "HL".to_string(),
+                calibrate_clip_threshold(&hl_trace, &hl_truth),
+            ),
+            (
+                "EA".to_string(),
+                calibrate_clip_threshold(&ea_trace, &ea_truth),
+            ),
+        ]);
         self.nets.write().insert(
             "av".to_string(),
             StoredNet {
@@ -147,16 +148,11 @@ impl Vdbms {
         let (has_passing, hl_theta, ea_theta) = {
             let nets = self.nets.read();
             let stored = nets.get("av");
+            let theta = |query| stored.and_then(|s| s.thresholds.get(query).copied());
             (
-                stored
-                    .map(|s| s.queries.iter().any(|(n, _)| n == "PS"))
-                    .unwrap_or(false),
-                stored
-                    .and_then(|s| s.thresholds.get("HL").copied())
-                    .unwrap_or(0.5),
-                stored
-                    .and_then(|s| s.thresholds.get("EA").copied())
-                    .unwrap_or(0.5),
+                stored.is_some_and(|s| s.queries.iter().any(|(n, _)| n == "PS")),
+                theta("HL").unwrap_or(0.5),
+                theta("EA").unwrap_or(0.5),
             )
         };
         let hl = self.trace(video, "av", "HL")?;
@@ -183,20 +179,23 @@ impl Vdbms {
             .collect();
         self.catalog.clear_events(video)?;
         self.catalog.store_events(video, &kept)?;
+        let derived = |kind: &str, start, end| EventRecord {
+            kind: kind.to_string(),
+            start,
+            end,
+            driver: None,
+        };
         let mut records = Vec::new();
 
         // Bridge sub-second posterior dips before thresholding (6 s
         // minimum duration as in Table 3).
         let hl_smooth = f1_bayes::metrics::accumulate(&hl, 10);
         let highlights = threshold_segments(&hl_smooth, hl_theta, 60, 30);
-        for seg in &highlights {
-            records.push(EventRecord {
-                kind: "highlight".into(),
-                start: seg.start,
-                end: seg.end,
-                driver: None,
-            });
-        }
+        records.extend(
+            highlights
+                .iter()
+                .map(|h| derived("highlight", h.start, h.end)),
+        );
         // Sub-event classification: every 5 s window for long segments.
         let mut n_sub = 0usize;
         for seg in &highlights {
@@ -225,29 +224,17 @@ impl Vdbms {
                     .copied()
                 {
                     if score > 0.3 {
-                        records.push(EventRecord {
-                            kind: kind.to_string(),
-                            start: s,
-                            end: e,
-                            driver: None,
-                        });
+                        records.push(derived(kind, s, e));
                         n_sub += 1;
                     }
                 }
             }
         }
-        // Excited speech from the EA node.
-        // Excited speech: precision-weighted threshold, 4 s minimum (the
-        // retrieval layer prefers clean answers over exhaustive ones).
+        // Excited speech from the EA node: precision-weighted threshold,
+        // 4 s minimum (the retrieval layer prefers clean answers over
+        // exhaustive ones).
         let excited = threshold_segments(&ea, (ea_theta + 0.15).min(0.9), 40, 20);
-        for seg in &excited {
-            records.push(EventRecord {
-                kind: "excited".into(),
-                start: seg.start,
-                end: seg.end,
-                driver: None,
-            });
-        }
+        records.extend(excited.iter().map(|x| derived("excited", x.start, x.end)));
         self.catalog.store_events(video, &records)?;
         registry
             .histogram("annotate.stage_ns", &[("stage", "segmentation")])
@@ -346,29 +333,20 @@ fn clamp_av_truth(
     scenario: &RaceScenario,
     nodes: &AvNodes,
 ) {
-    let highlight = scenario.highlights().iter().any(|h| h.contains(clip));
-    seq.set(t, nodes.highlight, Obs::Hard(highlight as usize));
-    seq.set(
-        t,
-        nodes.excited,
-        Obs::Hard(scenario.is_excited(clip) as usize),
-    );
     let kind = scenario.event_at(clip).map(|e| e.kind);
-    seq.set(
-        t,
-        nodes.start,
-        Obs::Hard(matches!(kind, Some(EventKind::Start)) as usize),
-    );
-    seq.set(
-        t,
-        nodes.fly_out,
-        Obs::Hard(matches!(kind, Some(EventKind::FlyOut)) as usize),
-    );
-    if let Some(ps) = nodes.passing {
-        seq.set(
-            t,
-            ps,
-            Obs::Hard(matches!(kind, Some(EventKind::Passing)) as usize),
-        );
+    let truth = [
+        (
+            Some(nodes.highlight),
+            scenario.highlights().iter().any(|h| h.contains(clip)),
+        ),
+        (Some(nodes.excited), scenario.is_excited(clip)),
+        (Some(nodes.start), kind == Some(EventKind::Start)),
+        (Some(nodes.fly_out), kind == Some(EventKind::FlyOut)),
+        (nodes.passing, kind == Some(EventKind::Passing)),
+    ];
+    for (node, holds) in truth {
+        if let Some(node) = node {
+            seq.set(t, node, Obs::Hard(holds as usize));
+        }
     }
 }

@@ -8,7 +8,6 @@
 //! transient failures per the method's policy, fall through to the next
 //! method on anything else.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use f1_keyword::{keyword_feature, spot, AcousticModel, Grammar, PhonemeStream, SpotterConfig};
@@ -85,10 +84,11 @@ pub struct ChunkReport {
     pub n_clips: usize,
     /// Captions recognized inside this window.
     pub n_captions: usize,
-    /// Catalog `data_version` once the window's captions committed —
-    /// the value the change feed published for them (its feature rows,
-    /// which no retrieval reads, commit after), so a caller can
-    /// correlate this chunk with subscriber notifications.
+    /// Catalog `data_version` once the window's captions committed (for
+    /// a window without captions, the version it found): the value the
+    /// change feed published for them, so a caller can correlate this
+    /// chunk with subscriber notifications. The window's feature rows,
+    /// which no retrieval reads, commit after it.
     pub data_version: u64,
     /// True for the final window; the stream's session state is
     /// released once it is ingested.
@@ -100,10 +100,10 @@ pub struct ChunkReport {
 ///
 /// Keyword spotting runs once when the stream opens (the phoneme
 /// stream is a broadcast-wide signal), producing a per-clip score
-/// vector indexed absolutely by clip — which is what lets each window
-/// extract `fx.extract(&kw, lo, hi)` without re-reading earlier audio.
-/// The extraction method that served the opening window is pinned, so
-/// a mid-race re-rank cannot mix feature qualities within one video.
+/// vector indexed absolutely by clip, so each window extracts
+/// `fx.extract(&kw, lo, hi)` without re-reading earlier audio. The
+/// extraction method that served the opening window is pinned, so a
+/// mid-race re-rank cannot mix feature qualities within one video.
 pub(crate) struct StreamState {
     kw: Vec<f64>,
     method: String,
@@ -184,11 +184,10 @@ fn rank_rationale(
 
 impl Vdbms {
     /// Ingests a recorded broadcast: the stream of one window covering
-    /// all of it. Registers the raw layer, runs keyword spotting,
-    /// feature extraction and text recognition, and stores the feature
-    /// and caption metadata. The report keeps the pre-processor's whole
-    /// attempt history plus the ranking and its rationale, so a degraded
-    /// or reranked ingest stays visible.
+    /// all of it, replacing whatever feature layer an earlier ingest of
+    /// `name` — finished or not — left behind. The report keeps the
+    /// pre-processor's whole attempt history plus the ranking and its
+    /// rationale, so a degraded or reranked ingest stays visible.
     pub fn ingest(&self, name: &str, scenario: &RaceScenario) -> Result<IngestReport> {
         let whole = Chunk {
             index: 0,
@@ -202,36 +201,43 @@ impl Vdbms {
 
     /// Ingests one arrival-order window of a live broadcast.
     ///
-    /// The first chunk (clip 0) opens the stream: it registers the
-    /// video, runs keyword spotting over the broadcast audio, and walks
-    /// the pre-processor's extraction ranking; the method that serves it
-    /// is pinned for the stream's lifetime. Every chunk recognizes
-    /// captions inside its frame window and extracts features for
-    /// exactly its clip window; both commit through the log-before-apply
-    /// path and bump `data_version` — which the
+    /// A chunk at clip 0 opens the stream, replacing whatever an earlier
+    /// ingest of the name left (so a stream that died with its process
+    /// can be started over): it registers the video, runs keyword
+    /// spotting over the broadcast audio, and walks the pre-processor's
+    /// extraction ranking; the method that serves it stays pinned while
+    /// this process holds the stream. Every chunk recognizes captions
+    /// inside its frame window and extracts features for exactly its
+    /// clip window; both commit through the log-before-apply path and
+    /// bump `data_version`, which the
     /// [`ChangeFeed`](crate::catalog::ChangeFeed) broadcasts to
-    /// subscribers. The final chunk releases the stream's session state.
+    /// subscribers. The final chunk releases the stream's state.
     ///
-    /// Chunks must arrive in order, and the order is the catalog's: a
-    /// chunk must start at the video's committed feature-row count (0
-    /// for an unknown or completely ingested video). An early chunk, or
-    /// a replay of one that landed, fails with
+    /// Later chunks must start at the video's committed feature-row
+    /// count. An early chunk, or a replay of one that landed (the
+    /// opening chunk of a stream still open here included), fails with
     /// [`CobraError::StreamOrder`] and changes nothing. The feature rows
     /// are a window's commit point: they are written last, and of the
-    /// captions before them only those the event layer lacks are stored.
-    /// So a chunk that failed part-way can be sent again — to this
-    /// process or to the one that recovers its data directory — and
-    /// lands exactly once. A caption straddling a window boundary is
-    /// recognized per window, so it may surface as two adjacent events
-    /// where a one-window ingest stores one — the price of not reading
-    /// footage that has not arrived yet.
+    /// captions before them only those the event layer lacks are
+    /// stored. So a chunk that failed part-way can be sent again — to
+    /// this process, or to the one that recovers its data directory and
+    /// spots keywords and ranks the methods afresh — and lands exactly
+    /// once. A caption straddling a window boundary is recognized per
+    /// window, so it may surface as two adjacent events where a
+    /// one-window ingest stores one.
     pub fn ingest_chunk(
         &self,
         name: &str,
         scenario: &RaceScenario,
         chunk: &Chunk,
     ) -> Result<ChunkReport> {
+        let registry = self.kernel.metrics().registry();
+        registry.counter("ingest.chunks", &[]).inc();
+        let t = Instant::now();
         let (report, data_version) = self.ingest_window(name, scenario, chunk)?;
+        registry
+            .histogram("ingest.stage_ns", &[("stage", "chunk")])
+            .record(t.elapsed().as_nanos() as u64);
         Ok(ChunkReport {
             index: chunk.index,
             n_clips: report.n_clips,
@@ -255,33 +261,35 @@ impl Vdbms {
                 .histogram("ingest.stage_ns", &[("stage", stage)])
                 .record(took.as_nanos() as u64);
         };
-        registry.counter("ingest.chunks", &[]).inc();
-        let window = Instant::now();
+        let clips = chunk.clips;
 
-        // One stream per video, locked for the whole window: chunks are
-        // arrival-ordered, so within one video there is nothing to
-        // parallelize, and the lock is what makes the order check and
-        // the appends atomic against a racing duplicate of the chunk.
-        let slot = Arc::clone(self.streams.lock().entry(name.to_string()).or_default());
-        let mut stream = slot.lock();
-        let rows = self.catalog.feature_rows(name);
-        let expected = match self.catalog.video(name) {
-            Ok(info) if rows < info.n_clips => rows,
-            _ => 0,
-        };
-        if chunk.clips.start != expected {
-            return Err(CobraError::StreamOrder {
-                video: name.to_string(),
-                expected,
-                got: chunk.clips.start,
-            });
+        // Held for the whole window: chunks are arrival-ordered, so
+        // there is nothing to parallelize, and the lock makes the order
+        // check and the commits atomic against a racing duplicate.
+        let mut streams = self.streams.lock();
+        if clips.start == 0 && (chunk.is_last || !streams.contains_key(name)) {
+            // A new stream, whatever state an earlier one was left in.
+            streams.remove(name);
+        } else {
+            let rows = self.catalog.feature_rows(name);
+            let expected = match self.catalog.video(name) {
+                Ok(info) if rows < info.n_clips => rows,
+                _ => 0,
+            };
+            if clips.start != expected {
+                return Err(CobraError::StreamOrder {
+                    video: name.to_string(),
+                    expected,
+                    got: clips.start,
+                });
+            }
         }
 
-        // Opening (or, after a reboot, resuming) the stream.
+        // Opening the stream or, after a reboot, picking it up again.
         let mut n_keyword_spots = 0;
         let mut opened_kw = Vec::new();
-        if stream.is_none() {
-            if chunk.clips.start == 0 {
+        if !streams.contains_key(name) {
+            if clips.start == 0 {
                 registry.counter("ingest.runs", &[]).inc();
                 let t = Instant::now();
                 self.catalog.register_video(VideoInfo {
@@ -303,8 +311,8 @@ impl Vdbms {
             opened_kw = keyword_feature(&spots, scenario.n_clips);
             stage("keyword_spotting", t.elapsed());
         }
-        let (kw, pinned) = match stream.as_ref() {
-            Some(state) => (&state.kw[..], Some(state.method.as_str())),
+        let (kw, pinned) = match streams.get(name) {
+            Some(open) => (&open.kw[..], Some(open.method.as_str())),
             None => (&opened_kw[..], None),
         };
 
@@ -333,7 +341,7 @@ impl Vdbms {
             .collect();
         let (reranked, rationale) = rank_rationale(&ranking, cost_model, 0.9);
         let (method, matrix, attempts) =
-            self.extract_ranked(name, scenario, kw, chunk.clips, &ranking)?;
+            self.extract_ranked(name, scenario, kw, clips, &ranking)?;
         let extracting = t.elapsed();
         let degraded = ranking[0].name != method;
         if degraded {
@@ -342,11 +350,13 @@ impl Vdbms {
 
         // Superimposed text: recognize captions, store as events — only
         // those the event layer lacks, so a window sent again after a
-        // failure below does not store its captions twice.
+        // failure below (or a broadcast ingested again) does not store
+        // its captions twice.
         let t = Instant::now();
         let captions = scan_captions(scenario, chunk.frame_lo, chunk.frame_hi);
         if !captions.is_empty() {
-            let stored = self.catalog.events(name, None)?;
+            let mut stored = self.catalog.events(name, None)?;
+            stored.retain(|e| e.start >= clips.start);
             let new: Vec<EventRecord> = captions
                 .iter()
                 .filter(|c| !stored.contains(c))
@@ -362,7 +372,7 @@ impl Vdbms {
         // The window's commit point. A window at clip 0 *is* the layer
         // so far and replaces whatever an earlier ingest left.
         let t = Instant::now();
-        if chunk.clips.start == 0 {
+        if clips.start == 0 {
             self.catalog.store_features(name, &matrix)?;
         } else {
             self.catalog.append_features(name, &matrix)?;
@@ -370,17 +380,16 @@ impl Vdbms {
         stage("feature_extraction", extracting + t.elapsed());
 
         if chunk.is_last {
-            *stream = None;
-        } else if stream.is_none() {
-            *stream = Some(StreamState {
+            streams.remove(name);
+        } else if pinned.is_none() {
+            let open = StreamState {
                 kw: opened_kw,
                 method: method.clone(),
-            });
+            };
+            streams.insert(name.to_string(), open);
         }
-        stage("chunk", window.elapsed());
-
         let report = IngestReport {
-            n_clips: chunk.len(),
+            n_clips: clips.len(),
             n_keyword_spots,
             n_captions: captions.len(),
             extraction_method: method,
@@ -416,51 +425,45 @@ impl Vdbms {
         };
         for profile in ranking {
             let mut tries = 0u32;
-            loop {
+            let outcome = loop {
                 tries += 1;
                 let attempt = Instant::now();
-                match self.extract(&profile.name, scenario, kw, clips) {
+                let e = match self.extract(&profile.name, scenario, kw, clips) {
                     Ok(matrix) => {
                         let ms = attempt.elapsed().as_secs_f64() * 1e3;
                         cost_model.observe(&profile.name, ms / clips.len().max(1) as f64);
-                        attempts.push(MethodAttempt {
-                            method: profile.name.clone(),
-                            tries,
-                            error: None,
-                        });
-                        return Ok((profile.name.clone(), matrix, attempts));
+                        break Ok(matrix);
                     }
-                    Err(e) => {
-                        cost_model.observe_failure(&profile.name);
-                        let site = format!("extract.{}", profile.name);
-                        registry
-                            .counter("faults.failures", &[("site", &site)])
-                            .inc();
-                        let transient = matches!(
-                            &e,
-                            CobraError::Kernel(f1_monet::MonetError::Fault {
-                                transient: true,
-                                ..
-                            }) | CobraError::Media(f1_media::MediaError::Fault {
-                                transient: true,
-                                ..
-                            })
-                        );
-                        if transient && tries <= profile.retry.max_retries {
-                            if profile.retry.backoff_ms > 0 {
-                                std::thread::sleep(Duration::from_millis(profile.retry.backoff_ms));
-                            }
-                            continue;
-                        }
-                        attempts.push(MethodAttempt {
-                            method: profile.name.clone(),
-                            tries,
-                            error: Some(e.to_string()),
-                        });
-                        last_err = e;
-                        break;
-                    }
+                    Err(e) => e,
+                };
+                cost_model.observe_failure(&profile.name);
+                let site = format!("extract.{}", profile.name);
+                registry
+                    .counter("faults.failures", &[("site", &site)])
+                    .inc();
+                let transient = matches!(
+                    &e,
+                    CobraError::Kernel(f1_monet::MonetError::Fault {
+                        transient: true,
+                        ..
+                    }) | CobraError::Media(f1_media::MediaError::Fault {
+                        transient: true,
+                        ..
+                    })
+                );
+                if !transient || tries > profile.retry.max_retries {
+                    break Err(e);
                 }
+                std::thread::sleep(Duration::from_millis(profile.retry.backoff_ms));
+            };
+            attempts.push(MethodAttempt {
+                method: profile.name.clone(),
+                tries,
+                error: outcome.as_ref().err().map(|e| e.to_string()),
+            });
+            match outcome {
+                Ok(matrix) => return Ok((profile.name.clone(), matrix, attempts)),
+                Err(e) => last_err = e,
             }
         }
         Err(CobraError::ExtractionFailed {
@@ -573,6 +576,45 @@ mod tests {
             "only {covered}/{} batch captions covered by the stream",
             batch_events.len()
         );
+    }
+
+    #[test]
+    fn a_one_window_ingest_replaces_an_unfinished_stream() {
+        let scenario = RaceScenario::generate(ScenarioConfig::new(RaceProfile::German, 60));
+        let chunks: Vec<_> = scenario.chunks(20).collect();
+        let vdbms = Vdbms::new();
+        vdbms.ingest_chunk("german", &scenario, &chunks[0]).unwrap();
+        // The stream is open: its opening chunk cannot be sent again …
+        let err = vdbms
+            .ingest_chunk("german", &scenario, &chunks[0])
+            .unwrap_err();
+        assert!(matches!(err, CobraError::StreamOrder { .. }), "{err}");
+        // … but the whole recording can, and it ends the stream.
+        vdbms.ingest("german", &scenario).unwrap();
+        assert_eq!(vdbms.catalog.feature_rows("german"), scenario.n_clips);
+        let err = vdbms
+            .ingest_chunk("german", &scenario, &chunks[1])
+            .unwrap_err();
+        assert!(
+            matches!(err, CobraError::StreamOrder { expected: 0, .. }),
+            "{err}"
+        );
+        // Ingesting it again stores no caption twice.
+        let events = vdbms.catalog.events("german", None).unwrap();
+        vdbms.ingest("german", &scenario).unwrap();
+        assert_eq!(vdbms.catalog.events("german", None).unwrap(), events);
+        // A failed opening window leaves nothing a new stream trips on.
+        let (failed, _) = vdbms.faults().scope(
+            cobra_faults::FaultPlan::new(1)
+                .fail("extract.full", cobra_faults::Trigger::Always)
+                .fail("extract.fast", cobra_faults::Trigger::Always),
+            || vdbms.ingest_chunk("other", &scenario, &chunks[0]),
+        );
+        assert!(matches!(failed, Err(CobraError::ExtractionFailed { .. })));
+        for chunk in &chunks {
+            vdbms.ingest_chunk("other", &scenario, chunk).unwrap();
+        }
+        assert_eq!(vdbms.catalog.feature_rows("other"), scenario.n_clips);
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub enum QueryOutput {
     Multi(Vec<VideoSegments>),
 }
 
-/// One step of a retrieval. The first stage of a query is its source;
-/// the filters after it narrow what the source produced.
+/// One step of a retrieval, next to its span name in [`stages`]: a
+/// source first, then filters that narrow what the source produced.
 enum Stage<'q> {
     /// Events of one kind, selected through Moa → MIL → kernel.
     SelectEvents(&'q str),
@@ -71,87 +71,51 @@ enum Stage<'q> {
     Driver(&'q str),
 }
 
-impl Stage<'_> {
-    /// The stage's span name in `EXPLAIN` and `PROFILE` trees.
-    fn span_name(&self) -> &'static str {
-        match self {
-            Stage::SelectEvents(_) => "conceptual:select_events",
-            Stage::LeaderSegments => "conceptual:leader_segments",
-            Stage::DriverVisible(_) => "conceptual:driver_visible",
-            Stage::Pitlane => "filter:pitlane",
-            Stage::Driver(_) => "filter:driver",
-        }
-    }
-}
-
 /// Resolves a query to the stages that answer it.
-fn stages(q: &Query) -> Result<Vec<Stage<'_>>> {
-    let driver = q.driver.as_deref();
-    let source = match &q.target {
-        Target::Highlights => Stage::SelectEvents("highlight"),
-        Target::Events(kind) => Stage::SelectEvents(kind),
-        Target::Excited => Stage::SelectEvents("excited"),
-        Target::PitStops => Stage::SelectEvents("caption:pit_stop"),
-        Target::Winner => Stage::SelectEvents("caption:winner"),
-        Target::FinalLap => Stage::SelectEvents("caption:final_lap"),
-        Target::Leader => Stage::LeaderSegments,
-        Target::Segments => match driver {
-            Some(driver) => Stage::DriverVisible(driver),
-            None => {
-                return Err(CobraError::Parse(
-                    "RETRIEVE SEGMENTS requires WITH DRIVER".into(),
-                ))
-            }
-        },
-    };
-    // Every visibility segment already names its driver: filtering
-    // them by that driver again would keep them all.
-    let driver_filter = driver.filter(|_| !matches!(source, Stage::DriverVisible(_)));
-    let mut stages = vec![source];
+fn stages(q: &Query) -> Result<Vec<(&'static str, Stage<'_>)>> {
+    let select = |kind| ("conceptual:select_events", Stage::SelectEvents(kind));
+    let mut stages = vec![match (&q.target, q.driver.as_deref()) {
+        (Target::Highlights, _) => select("highlight"),
+        (Target::Events(kind), _) => select(kind),
+        (Target::Excited, _) => select("excited"),
+        (Target::PitStops, _) => select("caption:pit_stop"),
+        (Target::Winner, _) => select("caption:winner"),
+        (Target::FinalLap, _) => select("caption:final_lap"),
+        (Target::Leader, _) => ("conceptual:leader_segments", Stage::LeaderSegments),
+        (Target::Segments, Some(driver)) => {
+            ("conceptual:driver_visible", Stage::DriverVisible(driver))
+        }
+        (Target::Segments, None) => {
+            return Err(CobraError::Parse(
+                "RETRIEVE SEGMENTS requires WITH DRIVER".into(),
+            ))
+        }
+    }];
     if q.at_pitlane {
-        stages.push(Stage::Pitlane);
+        stages.push(("filter:pitlane", Stage::Pitlane));
     }
-    stages.extend(driver_filter.map(Stage::Driver));
+    // Every visibility segment already names its driver: filtering them
+    // by that driver again would keep them all.
+    if let (Some(driver), false) = (q.driver.as_deref(), q.target == Target::Segments) {
+        stages.push(("filter:driver", Stage::Driver(driver)));
+    }
     Ok(stages)
 }
 
 /// Records the span tree of one retrieval. A plain `RETRIEVE` runs with
 /// the trace off, and then every method here is a no-op: no clock is
 /// read and no annotation is rendered.
-struct Trace(Option<(SpanNode, Option<Instant>)>);
+struct Trace(Option<(SpanNode, Instant)>);
 
 impl Trace {
-    fn start(name: &str) -> Self {
-        Trace(Some((SpanNode::new(name), Some(Instant::now()))))
-    }
-
     fn on(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// Opens a span that records only if `self` does. It joins the tree
-    /// when [`attach`](Self::attach)ed; dropped, it leaves no mark.
-    fn child(&self, name: &str) -> Trace {
-        if self.on() {
-            Trace::start(name)
-        } else {
-            Trace(None)
-        }
     }
 
     /// Annotates the span.
     fn meta(&mut self, key: &str, value: impl FnOnce() -> String) {
         if let Some((node, _)) = &mut self.0 {
             node.meta.push((key.to_string(), value()));
-        }
-    }
-
-    /// Stops the span's clock; it can still be annotated and attached to.
-    fn stop(&mut self) {
-        if let Some((node, clock)) = &mut self.0 {
-            if let Some(start) = clock.take() {
-                node.elapsed_ns = start.elapsed().as_nanos() as u64;
-            }
         }
     }
 
@@ -164,7 +128,7 @@ impl Trace {
 
     /// Runs `body` inside a child span.
     fn span<T>(&mut self, name: &str, body: impl FnOnce(&mut Trace) -> Result<T>) -> Result<T> {
-        let mut child = self.child(name);
+        let mut child = Trace(self.on().then(|| (SpanNode::new(name), Instant::now())));
         let out = body(&mut child)?;
         self.attach(child.finish());
         Ok(out)
@@ -172,9 +136,12 @@ impl Trace {
 
     /// Stops the clock and returns the finished tree (an unnamed empty
     /// node when the trace was off).
-    fn finish(mut self) -> SpanNode {
-        self.stop();
-        self.0.map_or_else(|| SpanNode::new(""), |(node, _)| node)
+    fn finish(self) -> SpanNode {
+        let Some((mut node, clock)) = self.0 else {
+            return SpanNode::new("");
+        };
+        node.elapsed_ns = clock.elapsed().as_nanos() as u64;
+        node
     }
 }
 
@@ -208,7 +175,7 @@ impl Vdbms {
                 .retrieve(video, &q, budget, &mut Trace(None))
                 .map(QueryOutput::Segments),
             Statement::Profile(q) => {
-                let mut trace = Trace::start("query");
+                let mut trace = Trace(Some((SpanNode::new("query"), Instant::now())));
                 let segments = self.retrieve(video, &q, budget, &mut trace)?;
                 Ok(QueryOutput::Profile(QueryProfile {
                     segments,
@@ -242,13 +209,22 @@ impl Vdbms {
         Ok(QueryOutput::Multi(groups))
     }
 
-    /// The one retrieval pipeline: answer from the result cache when the
-    /// video's stamp allows, otherwise resolve `q` to its stages and run
-    /// them. With `trace` on, its span becomes the `query` root of where
-    /// time went: on a miss the conceptual source with Moa compilation,
-    /// MIL evaluation and the kernel operators underneath, then the
-    /// filters; on a hit a single `cache:result` leaf (the probe cost
-    /// *is* where the time went).
+    /// The one retrieval pipeline, and the one path through the result
+    /// cache: capture the video's stamp, serve a stored answer when the
+    /// stamp proves the event layer unchanged, otherwise resolve `q` to
+    /// its stages, run them and (on success only) store the answer under
+    /// the pre-execution stamp — for every later statement sharing the
+    /// normalized query text, `RETRIEVE` or `PROFILE` alike. The stamp
+    /// is captured *before* execution reads any event data — a write
+    /// racing the execution then commits past the captured stamp, so the
+    /// (possibly torn) answer can never be served after the write is
+    /// acknowledged. Failed queries are never cached.
+    ///
+    /// With `trace` on, its span becomes the `query` root of where time
+    /// went: on a miss the conceptual source with Moa compilation, MIL
+    /// evaluation and the kernel operators underneath, then the filters;
+    /// on a hit a single `cache:result` leaf (the probe cost *is* where
+    /// the time went).
     fn retrieve(
         &self,
         video: &str,
@@ -258,45 +234,26 @@ impl Vdbms {
     ) -> Result<Vec<RetrievedSegment>> {
         trace.meta("target", || format!("{:?}", q.target));
         trace.meta("video", || video.to_string());
-        self.through_result_cache(video, q, trace, |trace| {
-            let mut out = Vec::new();
-            for stage in stages(q)? {
-                out = trace.span(stage.span_name(), |span| {
-                    self.run_stage(video, &stage, out, budget, span)
-                })?;
-            }
-            Ok(out)
-        })
-    }
-
-    /// The one path through the result cache: capture the video's
-    /// stamp, serve a stored answer when the stamp proves the event
-    /// layer unchanged, otherwise `execute` and (on success only) store
-    /// the answer under the pre-execution stamp — for every later
-    /// statement sharing the normalized query text, `RETRIEVE` or
-    /// `PROFILE` alike. The stamp is captured *before* execution reads
-    /// any event data — a write racing the execution then commits past
-    /// the captured stamp, so the (possibly torn) answer can never be
-    /// served after the write is acknowledged. Failed queries are never
-    /// cached.
-    fn through_result_cache(
-        &self,
-        video: &str,
-        q: &Query,
-        trace: &mut Trace,
-        execute: impl FnOnce(&mut Trace) -> Result<Vec<RetrievedSegment>>,
-    ) -> Result<Vec<RetrievedSegment>> {
-        let mut probe = trace.child("cache:result");
+        let probing = trace.on().then(Instant::now);
         let normalized = q.normalized();
         let stamp = self.catalog.video_stamp(video);
         let current = std::slice::from_ref(&stamp);
         if let Some(hit) = self.results.lookup(video, &normalized, Some(current)) {
-            probe.meta("result", || "hit".into());
-            probe.meta("rows", || hit.value.len().to_string());
-            trace.attach(probe.finish());
+            if let Some(clock) = probing {
+                trace.attach(
+                    SpanNode::leaf("cache:result", clock.elapsed().as_nanos() as u64)
+                        .with_meta("result", "hit")
+                        .with_meta("rows", hit.value.len().to_string()),
+                );
+            }
             return Ok(hit.value.clone());
         }
-        let segments = execute(trace)?;
+        let mut segments = Vec::new();
+        for (name, stage) in stages(q)? {
+            segments = trace.span(name, |span| {
+                self.run_stage(video, &stage, segments, budget, span)
+            })?;
+        }
         let bytes: usize = segments
             .iter()
             .map(|s| {
@@ -320,8 +277,8 @@ impl Vdbms {
     /// stores, or skews cache counters.
     pub fn explain(&self, video: &str, q: &Query) -> Result<SpanNode> {
         let mut root = SpanNode::new("query").with_meta("target", format!("{:?}", q.target));
-        for stage in stages(q)? {
-            let node = SpanNode::new(stage.span_name());
+        for (name, stage) in stages(q)? {
+            let node = SpanNode::new(name);
             root = root.with_child(match stage {
                 Stage::SelectEvents(kind) => self.explain_select_events(node, video, kind),
                 _ => node,
@@ -343,31 +300,22 @@ impl Vdbms {
         let out = match stage {
             Stage::SelectEvents(kind) => return self.select_events(video, kind, budget, span),
             Stage::LeaderSegments => return self.leader_segments(video),
+            Stage::DriverVisible(driver) => return self.driver_visible(video, driver),
             // Pit-lane restriction via the rule extension: join the
             // target with overlapping pit-stop captions.
             Stage::Pitlane => self.join_with_pitlane(video, input)?,
-            Stage::DriverVisible(driver) | Stage::Driver(driver) => {
+            // Driver restriction: direct attribute when present,
+            // otherwise overlap with the driver's visibility segments
+            // (the combination of Bayesian fusion and text recognition
+            // the paper advertises).
+            Stage::Driver(driver) => {
                 let visible = self.driver_visible(video, driver)?;
-                if matches!(stage, Stage::DriverVisible(_)) {
-                    return Ok(visible
-                        .into_iter()
-                        .map(|(start, end)| RetrievedSegment {
-                            start,
-                            end,
-                            label: "segment".into(),
-                            driver: Some(driver.to_string()),
-                        })
-                        .collect());
-                }
-                // Driver restriction: direct attribute when present,
-                // otherwise overlap with the driver's visibility spans
-                // (the combination of Bayesian fusion and text
-                // recognition the paper advertises).
                 let mut out = input;
-                out.retain(|seg| {
-                    seg.driver.as_deref() == Some(*driver)
-                        || (seg.driver.is_none()
-                            && visible.iter().any(|&(s, e)| s < seg.end && seg.start < e))
+                out.retain(|seg| match &seg.driver {
+                    Some(named) => named == driver,
+                    None => visible
+                        .iter()
+                        .any(|v| v.start < seg.end && seg.start < v.end),
                 });
                 for seg in &mut out {
                     seg.driver.get_or_insert_with(|| driver.to_string());
@@ -523,28 +471,28 @@ impl Vdbms {
         // Logical → physical: mirror the matching oids and join them
         // against each event column.
         let registry = self.kernel.metrics().registry();
-        let before = span.on().then(|| registry.snapshot());
-        let mut eval = span.child("mil:eval");
+        let started = span.on().then(|| (registry.snapshot(), Instant::now()));
         let mut columns = Vec::new();
         for program in &plan.column_programs {
             columns.push(self.kernel.eval_mil_guarded(program, budget)?);
         }
-        eval.stop();
-        // Estimated (planner) next to measured (wall clock), so PROFILE
-        // exposes how far the cost model is off.
-        eval.meta("plan_est_ns", || format!("{:.0}", plan.chosen_cost));
-        if let Some(before) = before {
+        if let Some((before, clock)) = started {
+            // Estimated (planner) next to measured (wall clock), so
+            // PROFILE exposes how far the cost model is off; the kernel
+            // operators underneath from the registry delta.
+            let mut eval = SpanNode::leaf("mil:eval", clock.elapsed().as_nanos() as u64)
+                .with_meta("plan_est_ns", format!("{:.0}", plan.chosen_cost));
             let delta = registry.snapshot().delta(&before);
             for (key, h) in delta.histograms_named("mil.op_ns") {
                 if h.count() > 0 {
                     let name = format!("kernel:{}", key.label("op").unwrap_or("op"));
-                    eval.attach(
+                    eval.children.push(
                         SpanNode::leaf(&name, h.sum()).with_meta("calls", h.count().to_string()),
                     );
                 }
             }
+            span.attach(eval);
         }
-        span.attach(eval.finish());
 
         // Materialize the answer from the joined columns.
         span.span("fetch:results", |span| {
@@ -587,16 +535,20 @@ impl Vdbms {
         Ok(out)
     }
 
-    /// Spans where a driver is visibly involved: captions naming the
+    /// Segments where a driver is visibly involved: captions naming the
     /// driver, padded by five seconds on each side.
-    fn driver_visible(&self, video: &str, driver: &str) -> Result<Vec<(usize, usize)>> {
+    fn driver_visible(&self, video: &str, driver: &str) -> Result<Vec<RetrievedSegment>> {
         let pad = 50usize;
-        Ok(self
-            .catalog
-            .events(video, None)?
+        let mut events = self.catalog.events(video, None)?;
+        events.retain(|e| e.driver.as_deref() == Some(driver));
+        Ok(events
             .into_iter()
-            .filter(|e| e.driver.as_deref() == Some(driver))
-            .map(|e| (e.start.saturating_sub(pad), e.end + pad))
+            .map(|e| RetrievedSegment {
+                start: e.start.saturating_sub(pad),
+                end: e.end + pad,
+                label: "segment".into(),
+                driver: e.driver,
+            })
             .collect())
     }
 

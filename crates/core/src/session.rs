@@ -70,11 +70,9 @@ pub struct Vdbms {
     pub(crate) plan_cost_evals: AtomicU64,
     /// What recovery-on-boot replayed; `None` for memory-only boots.
     recovery: Option<RecoveryReport>,
-    /// One slot per video ever streamed, `Some` while its stream is
-    /// open. A window holds its video's slot for its whole duration;
-    /// the map itself is locked only to find the slot, so ingests of
-    /// different videos run side by side.
-    pub(crate) streams: Mutex<HashMap<String, Arc<Mutex<Option<StreamState>>>>>,
+    /// The streams this process has open, by video. A window holds the
+    /// lock for its whole duration.
+    pub(crate) streams: Mutex<HashMap<String, StreamState>>,
     /// Background checkpointer shutdown flag + thread.
     ckpt_stop: Arc<AtomicBool>,
     ckpt_handle: Option<std::thread::JoinHandle<()>>,

@@ -261,6 +261,68 @@ fn retried_stream_chunk_lands_exactly_once() {
     check(&boot(dir.path()), "recovered");
 }
 
+/// A stream whose process dies mid-broadcast is not a dead end: the
+/// process that recovers the data directory can send the next chunk, or
+/// start the stream over at clip 0, or ingest the recording in one go —
+/// and each leaves one feature row per clip and no caption twice.
+#[test]
+fn an_unfinished_stream_survives_its_process() {
+    let scenario = common::german_scenario(60);
+    let chunks: Vec<_> = scenario.chunks(20).collect();
+    assert_eq!(chunks.len(), 3);
+    // Streams the opening chunk, crashes, reboots, and lets `then`
+    // carry on.
+    let crash_then = |label: &str, then: &dyn Fn(&Vdbms)| {
+        let dir = TempDir::new(label);
+        let vdbms = boot(dir.path());
+        vdbms.ingest_chunk("german", &scenario, &chunks[0]).unwrap();
+        drop(vdbms);
+        let vdbms = boot(dir.path());
+        assert_eq!(vdbms.catalog.feature_rows("german"), chunks[0].clips.end);
+        then(&vdbms);
+        let rows = vdbms.kernel().bat("german.f1").unwrap().read().len();
+        assert_eq!(rows, scenario.n_clips, "{label}: one feature row per clip");
+        (
+            vdbms.catalog.load_features("german", 17).unwrap(),
+            vdbms.catalog.events("german", None).unwrap(),
+        )
+    };
+    let stream = |vdbms: &Vdbms, chunks: &[f1_media::synth::stream::Chunk]| {
+        for chunk in chunks {
+            vdbms.ingest_chunk("german", &scenario, chunk).unwrap();
+        }
+    };
+    let (clean, resumed, restarted, replaced) = std::thread::scope(|s| {
+        let clean = s.spawn(|| {
+            let vdbms = Vdbms::new();
+            stream(&vdbms, &chunks);
+            (
+                vdbms.catalog.load_features("german", 17).unwrap(),
+                vdbms.catalog.events("german", None).unwrap(),
+            )
+        });
+        let resumed = s.spawn(|| crash_then("stream-resume", &|v| stream(v, &chunks[1..])));
+        let restarted = s.spawn(|| crash_then("stream-restart", &|v| stream(v, &chunks)));
+        let replaced = crash_then("stream-batch", &|v| {
+            v.ingest("german", &scenario).unwrap();
+        });
+        (
+            clean.join().unwrap(),
+            resumed.join().unwrap(),
+            restarted.join().unwrap(),
+            replaced,
+        )
+    });
+    assert!(!clean.1.is_empty(), "the broadcast shows captions");
+    assert!(resumed == clean, "resumed at the next chunk");
+    assert!(restarted == clean, "started over at clip 0");
+    // The one-window ingest keeps the opening chunk's captions and adds
+    // what they lack — none of them twice.
+    for (i, e) in replaced.1.iter().enumerate() {
+        assert!(!replaced.1[..i].contains(e), "{e:?} stored twice");
+    }
+}
+
 #[test]
 fn checkpoint_then_reboot_replays_nothing() {
     let dir = TempDir::new("ckpt");
