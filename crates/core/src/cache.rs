@@ -9,12 +9,14 @@
 //!   `(boot epoch, commit seq)`, bumped by writers *after* applying and
 //!   captured by readers *before* executing, so equal stamps prove
 //!   nothing changed in between (DESIGN.md §6f has the full contract).
-//! * **[`PlanCache`]** — `RETRIEVE EVENTS …`-family queries compile a
-//!   Moa selection to MIL on every call; the compiled program depends
-//!   only on (video, event kind), so it is cached under that key.
-//!   Budgets (fuel, deadline, cancellation) apply at evaluation time,
-//!   never at compile time, so a cached plan is exactly as guarded as a
-//!   fresh one.
+//! * **[`PlanCache`]** — `RETRIEVE EVENTS …`-family queries plan a Moa
+//!   selection over the event tuple; what the planner chooses depends
+//!   only on (video, event kind) and on whether a driver is named —
+//!   never on *which* driver — so both verdicts are cached under
+//!   (video, kind) and each request binds its own literal. Budgets
+//!   (fuel, deadline, cancellation) apply at evaluation time, never at
+//!   compile time, so a cached plan is exactly as guarded as a fresh
+//!   one.
 //! * **[`ResultCache`]** — whole answers keyed by (video, normalized
 //!   query text), each guarded by the stamps of what it read. The one
 //!   implementation serves both tiers: a `Vdbms` guards an answer with
@@ -31,6 +33,7 @@ use std::sync::Arc;
 
 use cobra_cache::Lru;
 use cobra_obs::{Counter, Gauge, Registry};
+use f1_moa::PlanChoice;
 
 /// Entry bound of the plan cache. Plans are (video, kind)-shaped, so
 /// even a large catalog stays far below this.
@@ -56,25 +59,30 @@ pub struct Stamp {
     pub seq: u64,
 }
 
-/// A compiled event-selection plan: the cost-based planner's chosen Moa
-/// selection rendered to MIL, plus the three column-join programs built
-/// from it and the planning verdict that produced them.
+/// A compiled event-selection plan: the cost-based planner's verdicts
+/// on selecting one kind of event from one video's event tuple.
 #[derive(Debug)]
 pub struct CompiledPlan {
-    /// The selection sub-program (for `PROFILE` metadata).
-    pub sel_mil: String,
-    /// Full programs joining the selection against the start/end/driver
-    /// event columns, in that order. Already carry the planner's
-    /// `threadcnt` prefix when `threads > 1`.
-    pub column_programs: [String; 3],
-    /// Worker count the planner chose (1 = sequential).
-    pub threads: usize,
+    /// Selecting every event of the kind.
+    pub of_kind: PlanChoice,
+    /// Selecting the events of the kind that name one driver. Planned
+    /// with a stand-in name; each request binds its own
+    /// ([`f1_moa::MoaExpr::with_eq_literal`]).
+    pub of_driver: PlanChoice,
     /// Cost-model generation this plan was compiled under.
     pub generation: u64,
-    /// Planner's cost estimate of the fixed-rewrite baseline, ns.
-    pub baseline_cost: f64,
-    /// Planner's cost estimate of the chosen plan, ns.
-    pub chosen_cost: f64,
+}
+
+impl CompiledPlan {
+    /// The verdict a statement runs on: [`of_driver`](Self::of_driver)
+    /// when it names a driver, [`of_kind`](Self::of_kind) otherwise.
+    pub fn selection(&self, names_driver: bool) -> &PlanChoice {
+        if names_driver {
+            &self.of_driver
+        } else {
+            &self.of_kind
+        }
+    }
 }
 
 /// The compiled-plan cache with its observability counters.
@@ -362,13 +370,17 @@ mod tests {
     }
 
     fn plan_stub(generation: u64) -> Arc<CompiledPlan> {
+        let choice = || {
+            f1_moa::plan(
+                f1_moa::MoaExpr::collection("v.ev.kind"),
+                &f1_monet::PlanStats::default(),
+                &f1_moa::PlannerConfig::default(),
+            )
+        };
         Arc::new(CompiledPlan {
-            sel_mil: "sel".into(),
-            column_programs: ["a".into(), "b".into(), "c".into()],
-            threads: 1,
+            of_kind: choice(),
+            of_driver: choice(),
             generation,
-            baseline_cost: 10.0,
-            chosen_cost: 10.0,
         })
     }
 

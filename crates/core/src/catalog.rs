@@ -456,21 +456,15 @@ impl Catalog {
                 self.kernel.set_bat(name, Bat::new(AtomType::Void, ty));
             }
         }
+        let field = |i: usize| self.kernel.bat(&names[i]);
+        let (kinds, starts, ends, drivers) = (field(0)?, field(1)?, field(2)?, field(3)?);
+        // Row by row, field by field, each append under its own lock:
+        // resolving the handles once changes no order a reader can see.
         for e in events {
-            self.kernel
-                .bat(&names[0])?
-                .write()
-                .append_void(Atom::str(&e.kind))?;
-            self.kernel
-                .bat(&names[1])?
-                .write()
-                .append_void(Atom::Int(e.start as i64))?;
-            self.kernel
-                .bat(&names[2])?
-                .write()
-                .append_void(Atom::Int(e.end as i64))?;
-            self.kernel
-                .bat(&names[3])?
+            kinds.write().append_void(Atom::str(&e.kind))?;
+            starts.write().append_void(Atom::Int(e.start as i64))?;
+            ends.write().append_void(Atom::Int(e.end as i64))?;
+            drivers
                 .write()
                 .append_void(Atom::str(e.driver.as_deref().unwrap_or("")))?;
         }
@@ -513,30 +507,32 @@ impl Catalog {
         let starts = starts.read();
         let ends = ends.read();
         let drivers = drivers.read();
+        let kind_column = kinds
+            .tail()
+            .strs()
+            .ok_or_else(|| MonetError::TypeMismatch {
+                expected: "a str kind field".into(),
+                found: kinds.tail().atom_type().name().into(),
+            })?;
+        // A kind filter compares dictionary codes: one lookup resolves
+        // it, and a kind the layer has never stored matches no row.
+        let wanted = match kind.map(|filter| kind_column.code_of(filter)) {
+            Some(None) => return Ok(Vec::new()),
+            Some(code) => code,
+            None => None,
+        };
+        let codes = kind_column.codes();
         let mut out = Vec::new();
-        for i in 0..kinds.len() {
-            let k = kinds.tail_at(i)?.as_str()?.to_string();
-            if let Some(filter) = kind {
-                if k != filter {
-                    continue;
-                }
-            }
+        for i in (0..codes.len()).filter(|&i| wanted.is_none_or(|code| codes[i] == code)) {
             let d = drivers.tail_at(i)?.as_str()?.to_string();
             out.push(EventRecord {
-                kind: k,
+                kind: kind_column.value(i).to_string(),
                 start: starts.tail_at(i)?.as_int()? as usize,
                 end: ends.tail_at(i)?.as_int()? as usize,
                 driver: if d.is_empty() { None } else { Some(d) },
             });
         }
         Ok(out)
-    }
-
-    /// True when the event layer holds any records of `kind`.
-    pub fn has_events(&self, video: &str, kind: &str) -> bool {
-        self.events(video, Some(kind))
-            .map(|v| !v.is_empty())
-            .unwrap_or(false)
     }
 
     /// Installs the state recovery found at boot: the manifest's videos
@@ -770,8 +766,8 @@ mod tests {
         let pits = c.events("german", Some("pit_stop")).unwrap();
         assert_eq!(pits.len(), 1);
         assert_eq!(pits[0].driver.as_deref(), Some("HAKKINEN"));
-        assert!(c.has_events("german", "highlight"));
-        assert!(!c.has_events("german", "fly_out"));
+        // A kind the layer never stored is an empty answer.
+        assert!(c.events("german", Some("fly_out")).unwrap().is_empty());
         c.clear_events("german").unwrap();
         assert!(c.events("german", None).unwrap().is_empty());
     }

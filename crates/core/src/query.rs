@@ -19,7 +19,8 @@
 //! RETRIEVE FINALLAP
 //! ```
 //!
-//! Keywords are case-insensitive; driver names are quoted strings.
+//! Keywords are case-insensitive; driver names are quoted, non-empty
+//! strings.
 //!
 //! Any retrieval query may additionally be prefixed with `PROFILE` (run
 //! it and return a span tree of where time went, per level of the
@@ -248,6 +249,12 @@ pub fn parse_query(text: &str) -> Result<Query> {
                 let name = name
                     .strip_prefix('"')
                     .ok_or_else(|| CobraError::Parse("driver name must be quoted".into()))?;
+                // The event layer stores "names no driver" as the empty
+                // name, so asking for it would match exactly the events
+                // that involve no one.
+                if name.is_empty() {
+                    return Err(CobraError::Parse("driver name must not be empty".into()));
+                }
                 query.driver = Some(name.to_uppercase());
                 pos += 1;
             }
@@ -310,6 +317,7 @@ mod tests {
         assert!(parse_query("RETRIEVE HIGHLIGHTS WITH").is_err());
         assert!(parse_query("RETRIEVE HIGHLIGHTS WITH DRIVER Schumacher").is_err());
         assert!(parse_query(r#"RETRIEVE HIGHLIGHTS WITH DRIVER "unterminated"#).is_err());
+        assert!(parse_query(r#"RETRIEVE HIGHLIGHTS WITH DRIVER """#).is_err());
         assert!(parse_query("RETRIEVE HIGHLIGHTS AT PITSTOP").is_err());
         assert!(parse_query("RETRIEVE HIGHLIGHTS SHINY").is_err());
     }

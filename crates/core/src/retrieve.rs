@@ -6,13 +6,23 @@
 //! `filter:driver` where the query asks for them. `EXPLAIN` renders that
 //! list; `RETRIEVE` and `PROFILE` run it, behind the result cache,
 //! through one [`Trace`] that records spans only when profiling.
+//!
+//! Every predicate over the event layer is the kernel's to evaluate.
+//! `select_events` plans one Moa conjunction over the video's event
+//! tuple — `<v>.ev.kind = K`, and `<v>.ev.driver = D` too when `WITH
+//! DRIVER` follows the source directly — evaluates its MIL once, and
+//! reads `start`/`end`/`driver` at the positions the selection kept.
+//! Where a driver is visible is the selection `<v>.ev.driver = D`
+//! again. `filter:driver` remains only where another stage stands in
+//! between: after `filter:pitlane`, or on a `LEADER` source.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cobra_obs::SpanNode;
-use f1_monet::ExecBudget;
+use f1_moa::{MoaExpr, PlanChoice, Predicate};
+use f1_monet::{Atom, AtomType, Column, ExecBudget, MonetError, PlanStats, StrColumn};
 use f1_rules::{
     AllenRelation, Condition, Engine as RuleEngine, Fact, Interval, IntervalSpec, Rule,
     TemporalConstraint, Term, Value,
@@ -59,8 +69,13 @@ pub enum QueryOutput {
 /// One step of a retrieval, next to its span name in [`stages`]: a
 /// source first, then filters that narrow what the source produced.
 enum Stage<'q> {
-    /// Events of one kind, selected through Moa → MIL → kernel.
-    SelectEvents(&'q str),
+    /// Events of one kind — naming one driver, when the statement asks
+    /// for one and nothing stands in between — selected through Moa →
+    /// MIL → kernel.
+    SelectEvents {
+        kind: &'q str,
+        driver: Option<&'q str>,
+    },
     /// Who leads when, from the classification captions.
     LeaderSegments,
     /// Where a driver is visibly involved.
@@ -73,7 +88,15 @@ enum Stage<'q> {
 
 /// Resolves a query to the stages that answer it.
 fn stages(q: &Query) -> Result<Vec<(&'static str, Stage<'_>)>> {
-    let select = |kind| ("conceptual:select_events", Stage::SelectEvents(kind));
+    // The driver predicate joins the selection's plan unless the
+    // pit-lane join has to see the kind's events first.
+    let driver = q.driver.as_deref().filter(|_| !q.at_pitlane);
+    let select = |kind| {
+        (
+            "conceptual:select_events",
+            Stage::SelectEvents { kind, driver },
+        )
+    };
     let mut stages = vec![match (&q.target, q.driver.as_deref()) {
         (Target::Highlights, _) => select("highlight"),
         (Target::Events(kind), _) => select(kind),
@@ -94,9 +117,15 @@ fn stages(q: &Query) -> Result<Vec<(&'static str, Stage<'_>)>> {
     if q.at_pitlane {
         stages.push(("filter:pitlane", Stage::Pitlane));
     }
-    // Every visibility segment already names its driver: filtering them
-    // by that driver again would keep them all.
-    if let (Some(driver), false) = (q.driver.as_deref(), q.target == Target::Segments) {
+    // Nothing is left of `WITH DRIVER` for a filter when the source
+    // selected by driver itself: the fused selection, or a visibility
+    // source, whose every segment names its driver.
+    let by_driver = match &stages[0].1 {
+        Stage::SelectEvents { driver, .. } => driver.is_some(),
+        Stage::DriverVisible(_) => true,
+        _ => false,
+    };
+    if let (Some(driver), false) = (q.driver.as_deref(), by_driver) {
         stages.push(("filter:driver", Stage::Driver(driver)));
     }
     Ok(stages)
@@ -142,6 +171,82 @@ impl Trace {
         };
         node.elapsed_ns = clock.elapsed().as_nanos() as u64;
         node
+    }
+}
+
+/// Clips on either side of an event naming a driver for which the
+/// driver counts as visible (five seconds).
+const VISIBILITY_PAD: usize = 50;
+
+/// Name of a field BAT of `video`'s event tuple.
+fn event_field(video: &str, field: &str) -> String {
+    format!("{video}.ev.{field}")
+}
+
+/// The selection over `video`'s event tuple that keeps the events of
+/// `kind` — those naming `driver`, when one is given.
+fn event_selection(video: &str, kind: &str, driver: Option<&str>) -> MoaExpr {
+    let eq = |field, value| (event_field(video, field), Predicate::Eq(Atom::str(value)));
+    let mut terms = vec![eq("kind", kind)];
+    terms.extend(driver.map(|name| eq("driver", name)));
+    MoaExpr::conjunction(terms)
+}
+
+/// The MIL of a planned driver selection with `driver` bound as the name
+/// its driver term compares against.
+fn bound_mil(choice: &PlanChoice, video: &str, driver: &str) -> String {
+    let bound = choice
+        .chosen
+        .with_eq_literal(&event_field(video, "driver"), &Atom::str(driver));
+    f1_moa::compile(&bound)
+}
+
+/// True when `[start, end)` overlaps any of `visible`.
+fn overlaps_any(visible: &[RetrievedSegment], start: usize, end: usize) -> bool {
+    visible.iter().any(|v| v.start < end && start < v.end)
+}
+
+fn mistyped(expected: &str, found: AtomType) -> MonetError {
+    MonetError::TypeMismatch {
+        expected: expected.into(),
+        found: found.name().into(),
+    }
+}
+
+/// The clips of an int field of the event tuple.
+fn int_field(field: &Column) -> Result<&[i64]> {
+    Ok(field
+        .ints()
+        .ok_or_else(|| mistyped("an int field", field.atom_type()))?)
+}
+
+/// The answer fields of a video's event tuple, read by position.
+///
+/// A commit appends to the tuple's fields one after another, so a
+/// selection can keep a row some field does not hold yet. Such a row
+/// belongs to a commit still under way: it reads as absent — what a
+/// positional join against the shorter field answers too — and whatever
+/// is answered without it is stored under a stamp that commit outdates.
+struct EventFields<'a> {
+    starts: &'a [i64],
+    ends: &'a [i64],
+    drivers: &'a StrColumn,
+}
+
+impl EventFields<'_> {
+    /// `[start, end)` of the event at `row`, if all of it is there.
+    fn span(&self, row: usize) -> Option<(usize, usize)> {
+        if row >= self.drivers.len() {
+            return None;
+        }
+        let clip = |field: &[i64]| field.get(row).map(|&clip| clip.max(0) as usize);
+        Some((clip(self.starts)?, clip(self.ends)?))
+    }
+
+    /// The driver the event at `row` names, if it names one.
+    fn driver(&self, row: usize) -> Option<String> {
+        let name = self.drivers.value(row);
+        (!name.is_empty()).then(|| name.to_string())
     }
 }
 
@@ -280,7 +385,9 @@ impl Vdbms {
         for (name, stage) in stages(q)? {
             let node = SpanNode::new(name);
             root = root.with_child(match stage {
-                Stage::SelectEvents(kind) => self.explain_select_events(node, video, kind),
+                Stage::SelectEvents { kind, driver } => {
+                    self.explain_select_events(node, video, kind, driver)
+                }
                 _ => node,
             });
         }
@@ -298,9 +405,11 @@ impl Vdbms {
         span: &mut Trace,
     ) -> Result<Vec<RetrievedSegment>> {
         let out = match stage {
-            Stage::SelectEvents(kind) => return self.select_events(video, kind, budget, span),
+            Stage::SelectEvents { kind, driver } => {
+                return self.select_events(video, kind, *driver, budget, span)
+            }
             Stage::LeaderSegments => return self.leader_segments(video),
-            Stage::DriverVisible(driver) => return self.driver_visible(video, driver),
+            Stage::DriverVisible(driver) => return self.driver_visible(video, driver, budget),
             // Pit-lane restriction via the rule extension: join the
             // target with overlapping pit-stop captions.
             Stage::Pitlane => self.join_with_pitlane(video, input)?,
@@ -309,13 +418,11 @@ impl Vdbms {
             // (the combination of Bayesian fusion and text recognition
             // the paper advertises).
             Stage::Driver(driver) => {
-                let visible = self.driver_visible(video, driver)?;
+                let visible = self.driver_visible(video, driver, budget)?;
                 let mut out = input;
                 out.retain(|seg| match &seg.driver {
                     Some(named) => named == driver,
-                    None => visible
-                        .iter()
-                        .any(|v| v.start < seg.end && seg.start < v.end),
+                    None => overlaps_any(&visible, seg.start, seg.end),
                 });
                 for seg in &mut out {
                     seg.driver.get_or_insert_with(|| driver.to_string());
@@ -327,46 +434,54 @@ impl Vdbms {
         Ok(out)
     }
 
-    /// Plans the event-kind selection with the cost-based planner
-    /// against the kernel's current measured statistics (per-opcode
-    /// ns/row, index hit rate, morsel throughput, tail sketches).
-    fn plan_event_selection(&self, video: &str, kind: &str) -> f1_moa::PlanChoice {
-        let kind_bat = format!("{video}.ev.kind");
-        let expr = f1_moa::MoaExpr::collection(&kind_bat)
-            .select(f1_moa::Predicate::Eq(f1_monet::Atom::str(kind)));
-        let stats = self.kernel.plan_stats(&[kind_bat.as_str()]);
+    /// What an event selection is costed against: the kernel's current
+    /// measured statistics (per-opcode ns/row, index hit rate, morsel
+    /// throughput) with the sketches of the two fields a selection can
+    /// constrain.
+    fn event_plan_stats(&self, video: &str) -> PlanStats {
+        let fields = [event_field(video, "kind"), event_field(video, "driver")];
+        self.kernel.plan_stats(&[&fields[0], &fields[1]])
+    }
+
+    /// Plans one selection over the event tuple with the cost-based
+    /// planner.
+    fn plan_event_selection(
+        &self,
+        video: &str,
+        kind: &str,
+        driver: Option<&str>,
+        stats: &PlanStats,
+    ) -> PlanChoice {
         let cfg = f1_moa::PlannerConfig {
             max_threads: std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
                 .min(8),
         };
-        f1_moa::plan(expr, &stats, &cfg)
+        f1_moa::plan(event_selection(video, kind, driver), stats, &cfg)
     }
 
-    /// Compiles the planner's chosen event selection to the three
-    /// column-join MIL programs, carrying the `threadcnt` prefix when
-    /// the planner chose parallelism.
+    /// Plans both selections a statement over `kind` can ask for, from
+    /// one reading of the statistics.
     fn compile_event_plan(&self, video: &str, kind: &str) -> Arc<CompiledPlan> {
-        let choice = self.plan_event_selection(video, kind);
-        let sel_mil = choice.mil();
-        let prefix = choice.mil_prefix();
-        let column_programs = ["start", "end", "driver"].map(|col| {
-            format!("{prefix}RETURN (({sel_mil}).mirror).join(bat(\"{video}.ev.{col}\"));")
-        });
+        let stats = self.event_plan_stats(video);
         Arc::new(CompiledPlan {
-            sel_mil,
-            column_programs,
-            threads: choice.threads,
+            of_kind: self.plan_event_selection(video, kind, None, &stats),
+            of_driver: self.plan_event_selection(video, kind, Some(""), &stats),
             generation: self.plans.cost_generation(),
-            baseline_cost: choice.baseline_cost,
-            chosen_cost: choice.chosen_cost,
         })
     }
 
     /// Fills in what `EXPLAIN` shows under a `conceptual:select_events`
     /// node: the planner's view in place of measurements.
-    fn explain_select_events(&self, node: SpanNode, video: &str, kind: &str) -> SpanNode {
-        let choice = self.plan_event_selection(video, kind);
+    fn explain_select_events(
+        &self,
+        node: SpanNode,
+        video: &str,
+        kind: &str,
+        driver: Option<&str>,
+    ) -> SpanNode {
+        let stats = self.event_plan_stats(video);
+        let choice = self.plan_event_selection(video, kind, driver, &stats);
         let cache = if self.plans.peek(video, kind).is_some() {
             "hit"
         } else {
@@ -375,7 +490,7 @@ impl Vdbms {
         let plan_node = |name: &str, cost: f64, nodes: &[f1_moa::PlanNode]| {
             SpanNode::new(name)
                 .with_meta("est_cost_ns", format!("{cost:.0}"))
-                .with_meta("nodes", f1_moa::PlanChoice::render_nodes(nodes))
+                .with_meta("nodes", PlanChoice::render_nodes(nodes))
         };
         let compile = SpanNode::new("moa:compile")
             .with_meta("mil", choice.mil())
@@ -391,8 +506,11 @@ impl Vdbms {
                     .with_meta("threads", choice.threads.to_string())
                     .with_meta("rationale", choice.rationale.as_str()),
             );
-        node.with_meta("kind", kind)
-            .with_child(compile)
+        let mut node = node.with_meta("kind", kind);
+        if let Some(name) = driver {
+            node = node.with_meta("driver", name);
+        }
+        node.with_child(compile)
             .with_child(SpanNode::new("mil:eval"))
             .with_child(SpanNode::new("fetch:results"))
     }
@@ -427,32 +545,37 @@ impl Vdbms {
     }
 
     /// Answers an event-kind retrieval through all three levels: a Moa
-    /// selection over the event layer's kind column is compiled to MIL,
-    /// and the MIL program position-joins the matching rows against the
-    /// parallel start/end/driver columns on the kernel's vectorized
-    /// operators. When profiling, `span` receives the per-level tree,
-    /// with kernel operator timings taken from the metrics registry
-    /// delta around the evaluation.
+    /// conjunction over the video's event tuple — the kind, and the
+    /// driver when one is named — goes through the cost-based planner,
+    /// its MIL is evaluated once on the kernel's vectorized operators,
+    /// and the answer is read from the `start`/`end`/`driver` fields at
+    /// the positions the selection kept. When profiling, `span` receives
+    /// the per-level tree, with kernel operator timings taken from the
+    /// metrics registry delta around the evaluation.
     fn select_events(
         &self,
         video: &str,
         kind: &str,
+        driver: Option<&str>,
         budget: &ExecBudget,
         span: &mut Trace,
     ) -> Result<Vec<RetrievedSegment>> {
         self.catalog.video(video)?;
         span.meta("kind", || kind.to_string());
-        if !self.kernel.has_bat(&format!("{video}.ev.kind")) {
+        if let Some(name) = driver {
+            span.meta("driver", || name.to_string());
+        }
+        if !self.kernel.has_bat(&event_field(video, "kind")) {
             return Ok(Vec::new());
         }
 
-        // Conceptual → logical: a Moa selection over the kind column,
-        // through the cost-based planner. The plan depends only on
-        // (video, kind, cost-model generation), so a cached compilation
-        // is reused verbatim until the generation advances; the
+        // Conceptual → logical: the planner's verdict depends only on
+        // (video, kind, cost-model generation) and on whether a driver
+        // is named, so a cached one is reused until the generation
+        // advances, with this request's driver bound into it; the
         // execution budget below still applies.
         self.maybe_refresh_plan_costs();
-        let plan = span.span("moa:compile", |span| {
+        let (plan, mil) = span.span("moa:compile", |span| {
             let (plan, cached) = match self.plans.get(video, kind) {
                 Some(plan) => (plan, "hit"),
                 None => {
@@ -461,29 +584,55 @@ impl Vdbms {
                     (plan, "miss")
                 }
             };
-            span.meta("mil", || plan.sel_mil.clone());
+            let choice = plan.selection(driver.is_some());
+            let mil = match driver {
+                Some(name) => bound_mil(choice, video, name),
+                None => choice.mil(),
+            };
+            span.meta("mil", || mil.clone());
             span.meta("cache", || cached.into());
             span.meta("generation", || plan.generation.to_string());
-            span.meta("threads", || plan.threads.to_string());
-            Ok(plan)
+            span.meta("threads", || choice.threads.to_string());
+            Ok((plan, mil))
         })?;
+        let choice = plan.selection(driver.is_some());
 
-        // Logical → physical: mirror the matching oids and join them
-        // against each event column.
-        let registry = self.kernel.metrics().registry();
-        let started = span.on().then(|| (registry.snapshot(), Instant::now()));
-        let mut columns = Vec::new();
-        for program in &plan.column_programs {
-            columns.push(self.kernel.eval_mil_guarded(program, budget)?);
+        // Logical → physical: one evaluation selects the rows. The
+        // paper's overlap rule asks for more only where it can matter:
+        // an event of the kind that names no one still involves the
+        // driver while the driver is visible, so a video that has
+        // unnamed events at all is asked for those of the kind, and
+        // for the driver's visibility once there are any.
+        let program = |mil: &str| format!("{}RETURN {mil};", choice.mil_prefix());
+        let op_times = || {
+            self.kernel
+                .metrics()
+                .registry()
+                .histograms_named("mil.op_ns")
+        };
+        let started = span.on().then(|| (op_times(), Instant::now()));
+        let mut rows = self.selected_rows(&program(&mil), budget)?;
+        let mut unnamed = Vec::new();
+        let mut visible = Vec::new();
+        if let Some(name) = driver {
+            if self.has_unnamed_events(video)? {
+                unnamed = self.selected_rows(&program(&bound_mil(choice, video, "")), budget)?;
+            }
+            if !unnamed.is_empty() {
+                visible = self.driver_visible(video, name, budget)?;
+            }
         }
         if let Some((before, clock)) = started {
             // Estimated (planner) next to measured (wall clock), so
             // PROFILE exposes how far the cost model is off; the kernel
-            // operators underneath from the registry delta.
+            // operators underneath from what their histograms gained.
             let mut eval = SpanNode::leaf("mil:eval", clock.elapsed().as_nanos() as u64)
-                .with_meta("plan_est_ns", format!("{:.0}", plan.chosen_cost));
-            let delta = registry.snapshot().delta(&before);
-            for (key, h) in delta.histograms_named("mil.op_ns") {
+                .with_meta("plan_est_ns", format!("{:.0}", choice.chosen_cost));
+            for (key, after) in op_times() {
+                let h = match before.iter().find(|(k, _)| *k == key) {
+                    Some((_, before)) => after.delta(before),
+                    None => after,
+                };
                 if h.count() > 0 {
                     let name = format!("kernel:{}", key.label("op").unwrap_or("op"));
                     eval.children.push(
@@ -494,25 +643,79 @@ impl Vdbms {
             span.attach(eval);
         }
 
-        // Materialize the answer from the joined columns.
+        // Materialize the answer from the fields of the rows kept.
         span.span("fetch:results", |span| {
-            let label = kind.trim_start_matches("caption:").to_string();
-            let starts = columns[0].as_bat()?;
-            let ends = columns[1].as_bat()?;
-            let drivers = columns[2].as_bat()?;
-            let (starts, ends, drivers) = (starts.read(), ends.read(), drivers.read());
-            let mut out = Vec::with_capacity(starts.len());
-            for i in 0..starts.len() {
-                let driver = drivers.tail_at(i)?.as_str()?.to_string();
-                out.push(RetrievedSegment {
-                    start: starts.tail_at(i)?.as_int()?.max(0) as usize,
-                    end: ends.tail_at(i)?.as_int()?.max(0) as usize,
-                    label: label.clone(),
-                    driver: (!driver.is_empty()).then_some(driver),
-                });
-            }
+            let label = kind.trim_start_matches("caption:");
+            let out = self.read_events(video, |events| {
+                rows.extend(unnamed.into_iter().filter(|&row| {
+                    events
+                        .span(row)
+                        .is_some_and(|(start, end)| overlaps_any(&visible, start, end))
+                }));
+                // Back into event-layer order.
+                rows.sort_unstable();
+                let segment = |&row| {
+                    let (start, end) = events.span(row)?;
+                    Some(RetrievedSegment {
+                        start,
+                        end,
+                        label: label.to_string(),
+                        driver: match driver {
+                            Some(name) => Some(name.to_string()),
+                            None => events.driver(row),
+                        },
+                    })
+                };
+                Ok(rows.iter().filter_map(segment).collect::<Vec<_>>())
+            })?;
             span.meta("rows", || out.len().to_string());
             Ok(out)
+        })
+    }
+
+    /// Evaluates a MIL program that selects over an event tuple and
+    /// returns the rows it kept: the oids in the result's head, which
+    /// number the tuple's rows from 0.
+    fn selected_rows(&self, program: &str, budget: &ExecBudget) -> Result<Vec<usize>> {
+        let kept = self.kernel.eval_mil_guarded(program, budget)?.as_bat()?;
+        let kept = kept.read();
+        let head = kept.head();
+        if let Some((base, len)) = head.void_run() {
+            return Ok((base as usize..base as usize + len).collect());
+        }
+        match head.oids() {
+            Some(oids) => Ok(oids.iter().map(|&oid| oid as usize).collect()),
+            None => Err(mistyped("an oid head", head.atom_type()).into()),
+        }
+    }
+
+    /// True when some event of `video` may name no driver (stored as an
+    /// empty name): the driver field's dictionary says so for free.
+    fn has_unnamed_events(&self, video: &str) -> Result<bool> {
+        let drivers = self.kernel.bat(&event_field(video, "driver"))?;
+        let drivers = drivers.read();
+        Ok(drivers
+            .tail()
+            .strs()
+            .is_some_and(|names| names.code_of("").is_some()))
+    }
+
+    /// Runs `read` over the answer fields of `video`'s event tuple.
+    fn read_events<T>(
+        &self,
+        video: &str,
+        read: impl FnOnce(EventFields<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let field = |name| self.kernel.bat(&event_field(video, name));
+        let (starts, ends, drivers) = (field("start")?, field("end")?, field("driver")?);
+        let (starts, ends, drivers) = (starts.read(), ends.read(), drivers.read());
+        read(EventFields {
+            starts: int_field(starts.tail())?,
+            ends: int_field(ends.tail())?,
+            drivers: drivers
+                .tail()
+                .strs()
+                .ok_or_else(|| mistyped("a str driver field", drivers.tail().atom_type()))?,
         })
     }
 
@@ -535,21 +738,35 @@ impl Vdbms {
         Ok(out)
     }
 
-    /// Segments where a driver is visibly involved: captions naming the
-    /// driver, padded by five seconds on each side.
-    fn driver_visible(&self, video: &str, driver: &str) -> Result<Vec<RetrievedSegment>> {
-        let pad = 50usize;
-        let mut events = self.catalog.events(video, None)?;
-        events.retain(|e| e.driver.as_deref() == Some(driver));
-        Ok(events
-            .into_iter()
-            .map(|e| RetrievedSegment {
-                start: e.start.saturating_sub(pad),
-                end: e.end + pad,
-                label: "segment".into(),
-                driver: e.driver,
-            })
-            .collect())
+    /// Segments where a driver is visibly involved: the events naming
+    /// the driver — the kernel's selection `<v>.ev.driver = D` — padded
+    /// by five seconds on each side.
+    fn driver_visible(
+        &self,
+        video: &str,
+        driver: &str,
+        budget: &ExecBudget,
+    ) -> Result<Vec<RetrievedSegment>> {
+        self.catalog.video(video)?;
+        let names = event_field(video, "driver");
+        if !self.kernel.has_bat(&names) {
+            return Ok(Vec::new());
+        }
+        let naming = MoaExpr::collection(&names).select(Predicate::Eq(Atom::str(driver)));
+        let program = format!("RETURN {};", f1_moa::compile(&naming));
+        let rows = self.selected_rows(&program, budget)?;
+        self.read_events(video, |events| {
+            let visible = |&row| {
+                let (start, end) = events.span(row)?;
+                Some(RetrievedSegment {
+                    start: start.saturating_sub(VISIBILITY_PAD),
+                    end: end + VISIBILITY_PAD,
+                    label: "segment".into(),
+                    driver: Some(driver.to_string()),
+                })
+            };
+            Ok(rows.iter().filter_map(visible).collect())
+        })
     }
 
     /// The rule-extension join: keep segments overlapping a pit-stop

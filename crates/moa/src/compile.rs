@@ -68,6 +68,9 @@ pub fn optimize(expr: MoaExpr) -> MoaExpr {
             left: Box::new(optimize(*left)),
             right: Box::new(optimize(*right)),
         },
+        MoaExpr::Mirror { input } => MoaExpr::Mirror {
+            input: Box::new(optimize(*input)),
+        },
         MoaExpr::Aggregate { input, kind } => MoaExpr::Aggregate {
             input: Box::new(optimize(*input)),
             kind,
@@ -78,6 +81,30 @@ pub fn optimize(expr: MoaExpr) -> MoaExpr {
         },
         leaf => leaf,
     }
+}
+
+/// The fixed rewrite of a conjunction over aligned field collections:
+/// select on the first term's field, then for every further term fetch
+/// its field at the surviving oids — a positional join against a void
+/// head, no index — and select on the fetched values.
+pub(crate) fn fetch_chain(terms: &[(String, Predicate)]) -> MoaExpr {
+    let mut terms = terms.iter();
+    let Some((first, pred)) = terms.next() else {
+        // Without a term there is no field to take the oids from:
+        // planning stays total, evaluation reports the malformed plan.
+        let message = Atom::str("conjunction without terms");
+        return MoaExpr::call("error", vec![MoaExpr::Literal(message)]);
+    };
+    terms
+        .fold(
+            MoaExpr::collection(first).select(pred.clone()),
+            |kept, (field, pred)| {
+                kept.mirror()
+                    .join(MoaExpr::collection(field))
+                    .select(pred.clone())
+            },
+        )
+        .mirror()
 }
 
 /// Compiles a logical expression into a MIL expression string.
@@ -100,6 +127,8 @@ pub fn compile(expr: &MoaExpr) -> String {
         MoaExpr::Semijoin { left, right } => {
             format!("({}).semijoin({})", compile(left), compile(right))
         }
+        MoaExpr::Mirror { input } => format!("({}).mirror", compile(input)),
+        MoaExpr::Conjunction { terms } => compile(&fetch_chain(terms)),
         MoaExpr::Aggregate { input, kind } => {
             let method = match kind {
                 Aggregate::Sum => "sum",

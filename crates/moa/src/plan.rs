@@ -20,6 +20,19 @@
 //! * **`threadcnt` sizing** — morsel-parallel operators are
 //!   order-preserving (per-morsel results concatenate in range order),
 //!   so the thread count never changes bytes, only wall time.
+//! * **Conjunction order** — a [`MoaExpr::Conjunction`] over aligned,
+//!   void-headed field collections may start from any of its terms:
+//!   select on that term's field, then fetch every further term's field
+//!   at the surviving oids and select on it. Each step keeps a subset
+//!   of its input's oids in input order, and the first selection runs
+//!   over dense ascending oids, so every order yields exactly the oids
+//!   at which all terms hold, ascending; the closing `mirror` pairs
+//!   each with itself, which makes the orders byte-identical whatever
+//!   field the last step read. (Semijoining the terms' selections is
+//!   result-identical too but not enumerated: it scans every term's
+//!   field in full, so it can only win by estimation noise, and each
+//!   evaluation would leave a hash index of a temporary in the kernel's
+//!   index cache.)
 //!
 //! Extension calls are opaque (possibly stateful) and are never
 //! reordered, re-associated, or descended into. When nothing is
@@ -29,7 +42,7 @@
 use f1_monet::ops::MIN_PAR_ROWS_PER_THREAD;
 use f1_monet::sketch::{BatSketch, PlanStats};
 
-use crate::compile::{compile, optimize};
+use crate::compile::{compile, fetch_chain, optimize};
 use crate::expr::{MoaExpr, Predicate};
 
 /// Upper bound on scored candidates per query, against pathological
@@ -158,18 +171,6 @@ struct Est {
     nodes: Vec<PlanNode>,
 }
 
-/// The collection whose tail flows to `expr`'s output tail (selection
-/// predicates apply to tail values, so its sketch drives selectivity).
-fn tail_origin(expr: &MoaExpr) -> Option<&str> {
-    match expr {
-        MoaExpr::Collection(name) => Some(name),
-        MoaExpr::Select { input, .. } => tail_origin(input),
-        MoaExpr::Join { right, .. } => tail_origin(right),
-        MoaExpr::Semijoin { left, .. } => tail_origin(left),
-        _ => None,
-    }
-}
-
 /// Estimated keep-fraction of `pred` against `sketch`.
 fn selectivity(pred: &Predicate, sketch: Option<&BatSketch>) -> f64 {
     match (pred, sketch) {
@@ -209,7 +210,7 @@ fn estimate(expr: &MoaExpr, stats: &PlanStats) -> Est {
         },
         MoaExpr::Select { input, pred } => {
             let mut in_est = estimate(input, stats);
-            let sel = selectivity(pred, tail_origin(input).and_then(|n| stats.sketch(n)));
+            let sel = selectivity(pred, input.tail_origin().and_then(|n| stats.sketch(n)));
             let ns = in_est.rows * op_cost(stats, "select");
             let rows = in_est.rows * sel;
             in_est.nodes.push(PlanNode {
@@ -229,9 +230,16 @@ fn estimate(expr: &MoaExpr, stats: &PlanStats) -> Est {
             let mut r = estimate(right, stats);
             // The right side is the build side: an index over its head is
             // reused from the kernel cache at the measured hit rate and
-            // built otherwise.
+            // built otherwise — unless the head is void, which the kernel
+            // probes by position without any index.
+            let positional = matches!(&**right, MoaExpr::Collection(name)
+                if stats.sketch(name).is_some_and(|s| s.head_void));
             let miss_rate = 1.0 - stats.index_hit_rate.unwrap_or(0.0);
-            let build_ns = r.rows * INDEX_BUILD_NS_PER_ROW * miss_rate;
+            let build_ns = if positional {
+                0.0
+            } else {
+                r.rows * INDEX_BUILD_NS_PER_ROW * miss_rate
+            };
             let probe_ns = l.rows * op_cost(stats, "join");
             // FK-style containment assumption: every probe row matches
             // about once against a keyed build side.
@@ -271,6 +279,19 @@ fn estimate(expr: &MoaExpr, stats: &PlanStats) -> Est {
                 nodes,
             }
         }
+        MoaExpr::Mirror { input } => {
+            let mut in_est = estimate(input, stats);
+            let ns = in_est.rows * op_cost(stats, "mirror");
+            in_est.nodes.push(PlanNode {
+                op: "mirror".into(),
+                est_rows: in_est.rows,
+                est_ns: ns,
+            });
+            in_est.cost += ns;
+            in_est
+        }
+        // Costed as what it compiles to: the written-order fetch chain.
+        MoaExpr::Conjunction { terms } => estimate(&fetch_chain(terms), stats),
         MoaExpr::Aggregate { input, kind } => {
             let mut in_est = estimate(input, stats);
             let op = format!("{kind:?}").to_lowercase();
@@ -408,7 +429,7 @@ fn enumerate_inner(expr: &MoaExpr, stats: &PlanStats) -> Vec<MoaExpr> {
                 permutations(preds.len())
             } else {
                 // Too many to permute: identity plus selectivity-sorted.
-                let sketch = tail_origin(base).and_then(|n| stats.sketch(n));
+                let sketch = base.tail_origin().and_then(|n| stats.sketch(n));
                 let mut sorted: Vec<usize> = (0..preds.len()).collect();
                 sorted.sort_by(|&a, &b| {
                     selectivity(preds[a], sketch)
@@ -465,6 +486,20 @@ fn enumerate_inner(expr: &MoaExpr, stats: &PlanStats) -> Vec<MoaExpr> {
             enumerate_inner(right, stats),
             |l, r| l.semijoin(r),
         ),
+        MoaExpr::Mirror { input } => enumerate_inner(input, stats)
+            .into_iter()
+            .map(MoaExpr::mirror)
+            .collect(),
+        // Every order of the terms; the first permutation is the
+        // written order, the expression itself.
+        MoaExpr::Conjunction { terms } if terms.len() <= MAX_PERMUTED_PREDS => {
+            permutations(terms.len())
+                .into_iter()
+                .map(|order| {
+                    MoaExpr::conjunction(order.iter().map(|&i| terms[i].clone()).collect())
+                })
+                .collect()
+        }
         MoaExpr::Aggregate { input, kind } => enumerate_inner(input, stats)
             .into_iter()
             .map(|i| i.aggregate(*kind))
@@ -585,6 +620,7 @@ mod tests {
     fn keyed_sketch(rows: usize, distinct: usize) -> BatSketch {
         BatSketch {
             rows,
+            head_void: false,
             tail_distinct: distinct,
             tail_min: Some(0.0),
             tail_max: Some(rows as f64),
@@ -650,6 +686,121 @@ mod tests {
                 assert!(matches!(**right, MoaExpr::Collection(_)));
             }
             other => panic!("expected join, got {other:?}"),
+        }
+    }
+
+    /// The event tuple of a race-length video: few kinds, many drivers.
+    fn event_tuple_stats(rows: usize, kinds: usize, drivers: usize) -> PlanStats {
+        let field = |distinct| {
+            Arc::new(BatSketch {
+                head_void: true,
+                ..keyed_sketch(rows, distinct)
+            })
+        };
+        let mut stats = PlanStats::default();
+        stats.sketches.insert("ev.kind".into(), field(kinds));
+        stats.sketches.insert("ev.driver".into(), field(drivers));
+        stats
+    }
+
+    fn kind_and_driver() -> MoaExpr {
+        MoaExpr::conjunction(vec![
+            ("ev.kind".into(), Predicate::Eq(Atom::str("highlight"))),
+            ("ev.driver".into(), Predicate::Eq(Atom::str("D17"))),
+        ])
+    }
+
+    #[test]
+    fn conjunction_starts_from_its_most_selective_field() {
+        let stats = event_tuple_stats(18_000, 3, 4_096);
+        let choice = plan(kind_and_driver(), &stats, &PlannerConfig::default());
+        assert!(choice.reordered(), "{}", choice.rationale);
+        assert_eq!(choice.baseline_nodes[0].op, "collection:ev.kind");
+        assert_eq!(choice.chosen_nodes[0].op, "collection:ev.driver");
+        assert!(choice.chosen_cost < choice.baseline_cost);
+        // One scan, then work on the handful of rows it kept: fetching
+        // the other field by position builds no index.
+        assert_eq!(
+            choice.mil(),
+            "(((((bat(\"ev.driver\")).select(\"D17\")).mirror).join(bat(\"ev.kind\"))).select(\"highlight\")).mirror"
+        );
+        let scan = 18_000.0 * default_ns_per_row("select");
+        assert!(choice.chosen_cost < scan * 1.01, "{}", choice.chosen_cost);
+
+        // Many kinds, two drivers: the written order is already best.
+        let stats = event_tuple_stats(18_000, 50, 2);
+        let choice = plan(kind_and_driver(), &stats, &PlannerConfig::default());
+        assert!(!choice.reordered(), "{}", choice.rationale);
+        assert_eq!(choice.chosen_nodes[0].op, "collection:ev.kind");
+        assert_eq!(choice.mil(), compile(&kind_and_driver()));
+    }
+
+    #[test]
+    fn a_single_term_conjunction_has_nothing_to_reorder() {
+        let stats = event_tuple_stats(18_000, 3, 4_096);
+        let one = MoaExpr::conjunction(vec![(
+            "ev.kind".into(),
+            Predicate::Eq(Atom::str("highlight")),
+        )]);
+        let choice = plan(one, &stats, &PlannerConfig::default());
+        assert!(!choice.reordered());
+        assert_eq!(
+            choice.mil(),
+            "((bat(\"ev.kind\")).select(\"highlight\")).mirror"
+        );
+    }
+
+    proptest::proptest! {
+        /// Every order the planner may pick for a conjunction is
+        /// byte-identical to the written one, and keeps exactly the rows
+        /// where all terms hold.
+        #[test]
+        fn every_conjunction_variant_selects_the_same_rows(
+            rows in proptest::collection::vec((0usize..3, 0usize..4, 0i64..6), 0..40),
+            wanted in (0usize..3, 0usize..4, 0i64..6),
+            n_terms in 1usize..4,
+        ) {
+            use f1_monet::prelude::*;
+            use proptest::prelude::*;
+            let word = |i: usize| Atom::str(["a", "b", "", "d"][i]);
+            let kernel = Kernel::new();
+            let column = |ty, values: Vec<Atom>| Bat::from_tail(ty, values).expect("typed column");
+            kernel.set_bat("t.kind", column(AtomType::Str, rows.iter().map(|r| word(r.0)).collect()));
+            kernel.set_bat("t.driver", column(AtomType::Str, rows.iter().map(|r| word(r.1)).collect()));
+            kernel.set_bat("t.start", column(AtomType::Int, rows.iter().map(|r| Atom::Int(r.2)).collect()));
+            let terms = [
+                ("t.kind".to_string(), Predicate::Eq(word(wanted.0))),
+                ("t.driver".to_string(), Predicate::Eq(word(wanted.1))),
+                ("t.start".to_string(), Predicate::Range(Atom::Int(wanted.2), Atom::Int(wanted.2 + 2))),
+            ];
+            let holds = |r: &(usize, usize, i64)| {
+                [r.0 == wanted.0, r.1 == wanted.1, (wanted.2..=wanted.2 + 2).contains(&r.2)][..n_terms]
+                    .iter()
+                    .all(|&term| term)
+            };
+            let expected: Vec<Atom> = rows
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| holds(r))
+                .map(|(i, _)| Atom::Oid(i as u64))
+                .collect();
+
+            let conjunction = MoaExpr::conjunction(terms[..n_terms].to_vec());
+            let variants = enumerate(&conjunction, &kernel.plan_stats(&["t.kind", "t.driver", "t.start"]));
+            // n! orders, the written one first.
+            prop_assert_eq!(variants.len(), [1, 2, 6][n_terms - 1]);
+            prop_assert_eq!(&variants[0], &conjunction);
+            let written = kernel
+                .eval_mil(&format!("RETURN {};", compile(&variants[0])))
+                .expect("the written order evaluates");
+            let kept = written.bat_snapshot().expect("a BAT");
+            prop_assert_eq!(kept.head().to_vec(), expected.clone());
+            prop_assert_eq!(kept.tail().to_vec(), expected);
+            for variant in &variants[1..] {
+                let mil = compile(variant);
+                let got = kernel.eval_mil(&format!("RETURN {mil};")).expect("a variant evaluates");
+                prop_assert_eq!(&got, &written, "{}", mil);
+            }
         }
     }
 

@@ -21,16 +21,41 @@ use std::sync::Arc;
 use crate::error::{MonetError, Result};
 use crate::value::{Atom, AtomType};
 
-/// A dictionary-encoded string column: row storage is a `u32` code into a
-/// shared `Arc<str>` intern pool.
+/// The dictionary of a string column together with its intern map.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
-pub struct StrColumn {
+struct StrPool {
     /// code -> string.
     dict: Vec<Arc<str>>,
+    /// string -> code (always consistent with `dict`).
+    interned: HashMap<Arc<str>, u32>,
+}
+
+impl StrPool {
+    /// The code of `s`, interning it when new.
+    fn intern(pool: &mut Arc<StrPool>, s: Arc<str>) -> u32 {
+        if let Some(&code) = pool.interned.get(s.as_ref()) {
+            return code;
+        }
+        // Copy-on-write: a pool other columns still read is cloned
+        // before it grows, so their codes keep their meaning.
+        let pool = Arc::make_mut(pool);
+        let code = pool.dict.len() as u32;
+        pool.dict.push(Arc::clone(&s));
+        pool.interned.insert(s, code);
+        code
+    }
+}
+
+/// A dictionary-encoded string column: row storage is a `u32` code into
+/// an `Arc<str>` intern pool. The pool is shared, not copied, with every
+/// column gathered from this one, so an operator's output costs its own
+/// rows whatever the dictionary's size; interning a *new* string into a
+/// shared pool copies it first.
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+pub struct StrColumn {
+    pool: Arc<StrPool>,
     /// row -> code.
     codes: Vec<u32>,
-    /// string -> code (intern map; always consistent with `dict`).
-    interned: HashMap<Arc<str>, u32>,
 }
 
 impl StrColumn {
@@ -51,7 +76,7 @@ impl StrColumn {
 
     /// Number of distinct strings in the dictionary.
     pub fn dict_len(&self) -> usize {
-        self.dict.len()
+        self.pool.dict.len()
     }
 
     /// The per-row dictionary codes.
@@ -59,14 +84,15 @@ impl StrColumn {
         &self.codes
     }
 
-    /// The dictionary, indexed by code.
+    /// The dictionary, indexed by code. A gathered column carries its
+    /// source's whole dictionary, so it may hold entries no row uses.
     pub fn dict(&self) -> &[Arc<str>] {
-        &self.dict
+        &self.pool.dict
     }
 
     /// The dictionary code of `s`, if interned.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.interned.get(s).copied()
+        self.pool.interned.get(s).copied()
     }
 
     /// Rebuilds a column from a dictionary and per-row codes (the snapshot
@@ -85,60 +111,42 @@ impl StrColumn {
             interned.entry(Arc::clone(s)).or_insert(i as u32);
         }
         Ok(StrColumn {
-            dict,
+            pool: Arc::new(StrPool { dict, interned }),
             codes,
-            interned,
         })
     }
 
     /// The string at row `i` (panics when out of range; callers bound-check).
     pub fn value(&self, i: usize) -> &Arc<str> {
-        &self.dict[self.codes[i] as usize]
+        &self.pool.dict[self.codes[i] as usize]
     }
 
     /// Interns `s` (if new) and appends its code as a row.
     pub fn push(&mut self, s: Arc<str>) {
-        let code = match self.interned.get(s.as_ref()) {
-            Some(&c) => c,
-            None => {
-                let c = self.dict.len() as u32;
-                self.dict.push(Arc::clone(&s));
-                self.interned.insert(s, c);
-                c
-            }
-        };
+        let code = StrPool::intern(&mut self.pool, s);
         self.codes.push(code);
     }
 
     /// Overwrites row `i` with `s`, interning as needed.
     fn set(&mut self, i: usize, s: Arc<str>) {
-        let code = match self.interned.get(s.as_ref()) {
-            Some(&c) => c,
-            None => {
-                let c = self.dict.len() as u32;
-                self.dict.push(Arc::clone(&s));
-                self.interned.insert(s, c);
-                c
-            }
-        };
-        self.codes[i] = code;
+        self.codes[i] = StrPool::intern(&mut self.pool, s);
     }
 
     /// Rows at the given positions, sharing this column's dictionary.
     pub fn gather(&self, idx: &[u32]) -> StrColumn {
         StrColumn {
-            dict: self.dict.clone(),
+            pool: Arc::clone(&self.pool),
             codes: idx.iter().map(|&i| self.codes[i as usize]).collect(),
-            interned: self.interned.clone(),
         }
     }
 
     /// Ranks of each dictionary code under lexicographic string order, so
     /// rows can be compared by `rank[code]` without touching the strings.
     pub fn dict_ranks(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.dict.len() as u32).collect();
-        order.sort_by(|&a, &b| self.dict[a as usize].cmp(&self.dict[b as usize]));
-        let mut ranks = vec![0u32; self.dict.len()];
+        let dict = self.dict();
+        let mut order: Vec<u32> = (0..dict.len() as u32).collect();
+        order.sort_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
+        let mut ranks = vec![0u32; dict.len()];
         for (rank, &code) in order.iter().enumerate() {
             ranks[code as usize] = rank as u32;
         }
@@ -149,12 +157,13 @@ impl StrColumn {
 impl PartialEq for StrColumn {
     /// Row-wise logical equality; dictionaries may differ in layout.
     fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.dict(), other.dict());
         self.codes.len() == other.codes.len()
             && self
                 .codes
                 .iter()
                 .zip(&other.codes)
-                .all(|(&a, &b)| self.dict[a as usize] == other.dict[b as usize])
+                .all(|(&x, &y)| a[x as usize] == b[y as usize])
     }
 }
 

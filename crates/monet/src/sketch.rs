@@ -26,6 +26,9 @@ const SKETCH_SAMPLE: usize = 4096;
 pub struct BatSketch {
     /// Row count at build time.
     pub rows: usize,
+    /// True when the head is a void run: a join against this BAT probes
+    /// by position and needs no index.
+    pub head_void: bool,
     /// Estimated number of distinct tail values (exact for string tails
     /// — the dictionary length is free — and for columns within the
     /// sample bound; otherwise a smoothed-jackknife scale-up).
@@ -126,6 +129,7 @@ impl BatSketch {
         };
         BatSketch {
             rows,
+            head_void: bat.head().void_run().is_some(),
             tail_distinct,
             tail_min,
             tail_max,
@@ -230,6 +234,7 @@ mod tests {
         .unwrap();
         let s = BatSketch::build(&b);
         assert_eq!(s.rows, 6);
+        assert!(s.head_void && !BatSketch::build(&b.reverse()).head_void);
         assert_eq!(s.tail_distinct, 3);
         assert!((s.eq_selectivity() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.tail_min, None);

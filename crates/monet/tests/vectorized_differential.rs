@@ -249,3 +249,73 @@ proptest! {
         }
     }
 }
+
+/// A word of the shared pool, or — from 8 up — one no generated BAT holds.
+fn word_or_new(i: i64) -> Atom {
+    if i < 8 {
+        word(i)
+    } else {
+        Atom::str(format!("new-{i}"))
+    }
+}
+
+proptest! {
+    /// Outputs over a string column share its dictionary instead of
+    /// copying it. They must still read like the naive, atom-at-a-time
+    /// results — and keep reading so whichever side grows afterwards.
+    #[test]
+    fn shared_dictionary_outputs_match_naive_and_copy_on_write(
+        b in str_bat(),
+        picks in proptest::collection::vec(0usize..48, 0..16),
+        probe in 0i64..8,
+        oids in oid_tail_bat(),
+        extra in proptest::collection::vec(0i64..12, 1..6),
+    ) {
+        let idx: Vec<u32> = picks.into_iter().filter(|&i| i < b.len()).map(|i| i as u32).collect();
+        let gathered = b.gather(&idx);
+        let by_atom = Bat::from_pairs(
+            AtomType::Oid,
+            AtomType::Str,
+            idx.iter().map(|&i| (b.head_at(i as usize).unwrap(), b.tail_at(i as usize).unwrap())),
+        )
+        .expect("typed pairs");
+        prop_assert_eq!(&gathered, &by_atom);
+        let selected = ops::select_eq(&b, &word(probe));
+        prop_assert_eq!(&selected, &naive::select_eq(&b, &word(probe)));
+        // Oids into the void head: the positional fetch of a string field.
+        let fetched = ops::join(&oids, &b);
+        prop_assert_eq!(&fetched, &naive::join(&oids, &b));
+
+        // Shared, not copied; and what the snapshot format writes —
+        // dictionary and codes — rebuilds the same column.
+        let source = b.tail().strs().expect("str tail");
+        for out in [&gathered, &selected, &fetched] {
+            let col = out.tail().strs().expect("str tail");
+            prop_assert!(std::ptr::eq(col.dict().as_ptr(), source.dict().as_ptr()));
+            let rebuilt = StrColumn::from_parts(col.dict().to_vec(), col.codes().to_vec()).unwrap();
+            prop_assert_eq!(&rebuilt, col);
+        }
+
+        // Growing an output leaves the source as it was…
+        let before = b.tail().to_vec();
+        let mut grown_output = gathered.gather(&(0..gathered.len() as u32).collect::<Vec<_>>());
+        for &i in &extra {
+            grown_output.append(Atom::Oid(0), word_or_new(i)).unwrap();
+        }
+        prop_assert_eq!(b.tail().to_vec(), before);
+        prop_assert_eq!(grown_output.tail_at(gathered.len()).unwrap(), word_or_new(extra[0]));
+        // …and growing the source leaves every output as it was.
+        let outputs = [gathered.tail().to_vec(), selected.tail().to_vec(), fetched.tail().to_vec()];
+        let (mut grown, len) = (b, before.len());
+        for &i in &extra {
+            grown.append_void(word_or_new(i)).unwrap();
+        }
+        prop_assert_eq!(gathered.tail().to_vec(), outputs[0].clone());
+        prop_assert_eq!(selected.tail().to_vec(), outputs[1].clone());
+        prop_assert_eq!(fetched.tail().to_vec(), outputs[2].clone());
+        prop_assert_eq!(&grown.tail().to_vec()[..len], &before[..]);
+        for (k, &i) in extra.iter().enumerate() {
+            prop_assert_eq!(grown.tail_at(len + k).unwrap(), word_or_new(i));
+        }
+    }
+}

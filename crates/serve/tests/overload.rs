@@ -212,7 +212,7 @@ fn shutdown_drains_in_flight_queries_under_fault_injection() {
 
     // Kernel faults firing while the server drains: shutdown must still
     // complete and every admitted request must get a typed answer.
-    let plan = FaultPlan::new(7).fail("bat.join", Trigger::Times(2));
+    let plan = FaultPlan::new(7).fail("bat.select", Trigger::Times(2));
     let ((), _report) = vdbms.faults().scope(plan, || {
         let mut expected = Vec::new();
         for _ in 0..3 {

@@ -417,6 +417,22 @@ mod tests {
     }
 
     #[test]
+    fn gathered_str_column_round_trips_with_the_dictionary_it_shares() {
+        // A gathered column carries its source's whole dictionary, the
+        // entries none of its rows use included; the format writes it as
+        // it is, and the bytes of the source are what they always were.
+        let source = &sample_bats()[1];
+        let gathered = source.gather(&[2, 0]);
+        let back = decode_bat(&encode_bat(&gathered)).unwrap();
+        assert_eq!(back, gathered);
+        let s = back.tail().strs().unwrap();
+        assert_eq!(s.dict_len(), 2);
+        assert_eq!(s.codes(), &[0, 0]);
+        assert_eq!(s.code_of("lap"), Some(1));
+        assert_eq!(encode_bat(source), encode_bat(&sample_bats()[1]));
+    }
+
+    #[test]
     fn corrupt_bat_bytes_are_rejected() {
         let bytes = encode_bat(&sample_bats()[0]);
         for i in 0..bytes.len() {

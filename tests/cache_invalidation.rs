@@ -178,11 +178,11 @@ fn failed_queries_are_not_cached() {
 
     let snap = registry.snapshot();
     let (result, faults) = vdbms.faults().scope(
-        FaultPlan::new(13).fail("bat.join", Trigger::Times(1)),
+        FaultPlan::new(13).fail("bat.select", Trigger::Times(1)),
         || vdbms.query("v", "RETRIEVE HIGHLIGHTS"),
     );
-    assert!(result.is_err(), "the injected join fault must surface");
-    assert_eq!(faults.count("bat.join"), 1);
+    assert!(result.is_err(), "the injected select fault must surface");
+    assert_eq!(faults.count("bat.select"), 1);
     let d = registry.snapshot().delta(&snap);
     assert_eq!(d.counter("cache.result", &[("result", "miss")]), 1);
     assert_eq!(d.counter("cache.result", &[("result", "hit")]), 0);

@@ -56,6 +56,8 @@ const QUERIES: &[&str] = &[
     "RETRIEVE HIGHLIGHTS AT PITLANE WITH DRIVER \"MONTOYA\"",
     "RETRIEVE SEGMENTS AT PITLANE WITH DRIVER \"SCHUMACHER\"",
     "RETRIEVE LEADER AT PITLANE",
+    "RETRIEVE HIGHLIGHTS WITH DRIVER \"MONTOYA\"",
+    "RETRIEVE PITSTOPS WITH DRIVER \"MONTOYA\"",
 ];
 
 fn shapes(vdbms: &Vdbms, prefix: &str) -> String {
@@ -151,7 +153,11 @@ fn explain_and_profile_agree_on_every_statement_shape() {
 #[test]
 fn profile_measures_every_level_with_nonzero_timings() {
     let vdbms = fixture();
-    let QueryOutput::Profile(profile) = vdbms.run("v", "PROFILE RETRIEVE HIGHLIGHTS").unwrap()
+    // The statement whose plan uses all three operators: the selection
+    // on one field, mirrored, joined by position against the other.
+    let QueryOutput::Profile(profile) = vdbms
+        .run("v", "PROFILE RETRIEVE HIGHLIGHTS WITH DRIVER \"MONTOYA\"")
+        .unwrap()
     else {
         panic!("PROFILE must return a profile");
     };
@@ -214,12 +220,12 @@ fn query_execution_feeds_the_kernel_metrics() {
         .registry()
         .snapshot()
         .delta(&before);
-    assert!(delta.counter("mil.evals", &[]) >= 3, "one eval per column");
+    assert_eq!(delta.counter("mil.evals", &[]), 1, "one eval per miss");
     assert!(delta.counter("mil.ticks", &[]) > 0);
     let select = delta
         .histogram("mil.op_ns", &[("op", "select")])
         .expect("select ops recorded");
-    assert!(select.count() >= 3 && select.sum() > 0);
+    assert!(select.count() >= 1 && select.sum() > 0);
 }
 
 #[test]

@@ -180,3 +180,126 @@ fn explain_never_executes_or_skews_plan_cache_counters() {
     explain(&vdbms, "RETRIEVE PITSTOPS");
     assert_eq!(counters(&vdbms), before, "EXPLAIN must be read-only");
 }
+
+/// The shape of the benchmark's race-length video: one event per three
+/// clips, kinds cycling, each consecutive triple sharing a driver.
+fn race_length(kinds: usize, drivers: usize) -> Vdbms {
+    const EVENTS: usize = 18_000;
+    let vdbms = Vdbms::try_new().unwrap();
+    vdbms
+        .catalog
+        .register_video(VideoInfo {
+            name: "v".into(),
+            n_clips: EVENTS * 3,
+            n_frames: EVENTS * 3 * 25 / 10,
+        })
+        .expect("register test video");
+    let kind = |k: usize| match k {
+        0 => "highlight".to_string(),
+        1 => "excited".to_string(),
+        2 => "caption:pit_stop".to_string(),
+        k => format!("k{k}"),
+    };
+    let events: Vec<EventRecord> = (0..EVENTS)
+        .map(|i| EventRecord {
+            kind: kind(i % kinds),
+            start: i * 3,
+            end: i * 3 + 2,
+            driver: Some(format!("D{}", (i / 3) % drivers)),
+        })
+        .collect();
+    vdbms.catalog.store_events("v", &events).unwrap();
+    vdbms
+}
+
+/// A cache-missing driver-filtered read is O(answer) plus one scan of
+/// one dictionary-coded column — stated as counts, which repeat
+/// exactly, not as timings.
+#[test]
+fn a_cold_driver_read_is_one_evaluation_over_one_column_scan() {
+    let vdbms = race_length(3, 4_096);
+    let registry = vdbms.kernel().metrics().registry();
+    let before = registry.snapshot();
+    let got = vdbms
+        .query("v", "RETRIEVE HIGHLIGHTS WITH DRIVER \"D17\"")
+        .unwrap();
+    let starts: Vec<usize> = got.iter().map(|s| s.start).collect();
+    assert_eq!(starts, [153, 37_017], "events 51 and 12,339");
+    assert!(got.iter().all(|s| s.driver.as_deref() == Some("D17")));
+    let delta = registry.snapshot().delta(&before);
+    assert_eq!(delta.counter("mil.evals", &[]), 1);
+    let scanned = delta.counter("kernel.morsel_rows", &[]);
+    assert!(
+        (18_000..=20_000).contains(&scanned),
+        "one scan of one 18,000-row column, then the rows it kept: {scanned}"
+    );
+}
+
+/// The plan is chosen per (video, kind), never per driver: a stream of
+/// distinct names compiles each kind once.
+#[test]
+fn distinct_drivers_share_one_plan_per_kind() {
+    let vdbms = race_length(3, 4_096);
+    let read = |drivers: std::ops::Range<usize>| {
+        for d in drivers {
+            for target in ["HIGHLIGHTS", "EXCITED", "PITSTOPS"] {
+                let text = format!("RETRIEVE {target} WITH DRIVER \"D{d}\"");
+                assert!(!vdbms.query("v", &text).unwrap().is_empty(), "{text}");
+            }
+        }
+    };
+    // Enough evaluations first that the doubling refresh policy stays
+    // out of the measured stretch; then start it on a new generation.
+    read(1_000..1_128);
+    vdbms.refresh_plan_costs();
+    let misses = || {
+        let snap = vdbms.kernel().metrics().registry().snapshot();
+        snap.counter("cache.plan", &[("result", "miss")])
+    };
+    let before = misses();
+    read(0..64);
+    assert_eq!(misses() - before, 3, "one compilation per kind");
+}
+
+#[test]
+fn explain_starts_the_conjunction_from_its_most_selective_field() {
+    let first_node = |view: &SpanNode| {
+        let nodes = meta(view, "nodes");
+        nodes.split('[').next().unwrap().to_string()
+    };
+    let cost = |view: &SpanNode| meta(view, "est_cost_ns").parse::<f64>().unwrap();
+
+    // Three kinds, 4,096 drivers: start from the driver's few rows.
+    let vdbms = race_length(3, 4_096);
+    let plan = explain(&vdbms, "RETRIEVE HIGHLIGHTS WITH DRIVER \"D17\"");
+    let rule_based = plan.find("plan:rule_based").expect("rule-based view");
+    let chosen = plan.find("plan:chosen").expect("chosen view");
+    assert_eq!(first_node(rule_based), "collection:v.ev.kind");
+    assert_eq!(first_node(chosen), "collection:v.ev.driver");
+    assert!(cost(chosen) <= cost(rule_based));
+    // The reported MIL is the program that runs, name bound: evaluated
+    // at the kernel's own boundary it keeps the two rows of the answer.
+    let mil = meta(plan.find("moa:compile").unwrap(), "mil");
+    assert!(mil.contains("select(\"D17\")"), "{mil}");
+    let kept = vdbms
+        .kernel()
+        .eval_mil(&format!("RETURN {mil};"))
+        .unwrap()
+        .bat_snapshot()
+        .unwrap();
+    assert_eq!(kept.len(), 2);
+
+    // Fifty kinds, two drivers: the written order, kind first, is best.
+    let vdbms = race_length(50, 2);
+    let plan = explain(&vdbms, "RETRIEVE EVENTS K7 WITH DRIVER \"D1\"");
+    let rule_based = plan.find("plan:rule_based").expect("rule-based view");
+    let chosen = plan.find("plan:chosen").expect("chosen view");
+    assert_eq!(first_node(rule_based), "collection:v.ev.kind");
+    assert_eq!(first_node(chosen), "collection:v.ev.kind");
+    assert!(cost(chosen) <= cost(rule_based));
+    let answer = vdbms
+        .query("v", "RETRIEVE EVENTS K7 WITH DRIVER \"D1\"")
+        .unwrap();
+    let expected = (0..18_000).filter(|i| i % 50 == 7 && (i / 3) % 2 == 1);
+    assert_eq!(answer.len(), expected.count());
+}
