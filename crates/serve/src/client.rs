@@ -7,6 +7,19 @@
 //! [`send`](Client::send)/[`recv`](Client::recv) pair is exposed for
 //! tests (and load generators) that want pipelining or mid-request
 //! disconnects.
+//!
+//! Received bytes collect in the session's
+//! [`FrameDecoder`](crate::protocol::FrameDecoder), so a read that times
+//! out ([`set_timeout`](Client::set_timeout)) in the middle of a frame
+//! loses nothing: the next receive resumes where it stopped. A response
+//! is read by its envelope
+//! ([`read_envelope`](crate::protocol::read_envelope)) with `result`
+//! decoded as the call wants it — [`query`](Client::query) straight into
+//! a [`QueryReply`] (`f1_cobra::json::read_query_output`), the control
+//! commands as a tree they then own, the router's forwards as the raw
+//! slice — while interleaved push frames are buffered for
+//! [`next_push`](Client::next_push) and stale ids are skipped, whichever
+//! way the result is read.
 
 use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -14,9 +27,9 @@ use std::time::Duration;
 
 use cobra_obs::SpanNode;
 use f1_cobra::RetrievedSegment;
-use serde_json::{json, Value};
+use serde_json::{json, ParseError, Reader, Value};
 
-use crate::protocol::{read_frame, write_frame, ErrorKind, FrameError};
+use crate::protocol::{read_envelope, write_frame, Envelope, ErrorKind, FrameDecoder, FrameError};
 
 /// What went wrong client-side.
 #[derive(Debug)]
@@ -117,9 +130,30 @@ fn is_push(frame: &Value) -> bool {
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
+    /// Bytes received and not yet consumed — part of a frame, after a
+    /// read timed out in the middle of it.
+    inbox: FrameDecoder,
     /// Push frames that arrived while waiting for a response; drained
     /// by [`next_push`](Client::next_push) in arrival order.
     pushes: VecDeque<Value>,
+}
+
+/// Blocks until `inbox` holds a complete frame and returns its payload.
+/// A timeout (or any other transport error) leaves what has arrived in
+/// `inbox`; calling again resumes.
+fn recv_payload<'a>(
+    mut stream: &TcpStream,
+    inbox: &'a mut FrameDecoder,
+) -> Result<&'a [u8], FrameError> {
+    while !inbox.frame_ready()? {
+        match inbox.read_from(&mut stream) {
+            Ok(0) => return Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof.into())),
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
+    Ok(inbox.next_payload()?.unwrap_or_default())
 }
 
 impl Client {
@@ -130,12 +164,14 @@ impl Client {
         Ok(Client {
             stream,
             next_id: 0,
+            inbox: FrameDecoder::new(),
             pushes: VecDeque::new(),
         })
     }
 
     /// Bounds how long [`recv`](Self::recv) blocks; `None` blocks
-    /// indefinitely.
+    /// indefinitely. A receive that times out returns the transport
+    /// error and may simply be retried: a partly received frame is kept.
     pub fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.stream.set_read_timeout(timeout)
     }
@@ -153,26 +189,38 @@ impl Client {
 
     /// Receives the next response frame, whatever its id.
     pub fn recv(&mut self) -> Result<Value, ClientError> {
-        Ok(read_frame(&mut self.stream)?)
+        let payload = recv_payload(&self.stream, &mut self.inbox)?;
+        Ok(serde_json::from_slice(payload).map_err(FrameError::Json)?)
+    }
+
+    /// Sends `request` and blocks for its response, returned as its
+    /// envelope with `result` read by `read_result`. Responses are
+    /// matched by id; push frames that interleave (they reuse their
+    /// subscription's id) are buffered for
+    /// [`next_push`](Self::next_push) rather than mistaken for answers,
+    /// and stale answers from abandoned requests are skipped.
+    pub(crate) fn exchange<T>(
+        &mut self,
+        request: Value,
+        mut read_result: impl FnMut(&mut Reader<'_>) -> Result<T, ParseError>,
+    ) -> Result<Envelope<T>, ClientError> {
+        let id = self.send(request)?;
+        loop {
+            let payload = recv_payload(&self.stream, &mut self.inbox)?;
+            let envelope = read_envelope(payload, &mut read_result).map_err(FrameError::Json)?;
+            if envelope.push {
+                let push = serde_json::from_slice(payload).map_err(FrameError::Json)?;
+                self.pushes.push_back(push);
+            } else if envelope.id == Some(id) {
+                return Ok(envelope);
+            }
+        }
     }
 
     /// Sends `request` and blocks for its answer, unwrapping the typed
-    /// error envelope. Responses are matched by id; push frames that
-    /// interleave (they reuse their subscription's id) are buffered for
-    /// [`next_push`](Self::next_push) rather than mistaken for answers.
+    /// error envelope.
     fn call(&mut self, request: Value) -> Result<Value, ClientError> {
-        let id = self.send(request)?;
-        loop {
-            let response = self.recv()?;
-            if is_push(&response) {
-                self.pushes.push_back(response);
-                continue;
-            }
-            if response.get("id").and_then(Value::as_u64) != Some(id) {
-                continue; // stale answer from an abandoned request
-            }
-            return unwrap_response(&response);
-        }
+        unwrap_envelope(self.exchange(request, |r| r.value())?)
     }
 
     /// Round-trip liveness probe.
@@ -199,11 +247,11 @@ impl Client {
 
     /// The server's metrics registry snapshot, as JSON.
     pub fn stats(&mut self) -> Result<Value, ClientError> {
-        let result = self.call(json!({"cmd": "stats"}))?;
-        result
-            .get("snapshot")
-            .cloned()
-            .ok_or_else(|| ClientError::Protocol("missing 'snapshot'".into()))
+        match self.call(json!({"cmd": "stats"}))? {
+            Value::Object(mut result) => result.remove("snapshot"),
+            _ => None,
+        }
+        .ok_or_else(|| ClientError::Protocol("missing 'snapshot'".into()))
     }
 
     /// Forces a storage checkpoint on the server. Returns the server's
@@ -233,8 +281,18 @@ impl Client {
                 map.insert("fuel".into(), Value::Number(fuel as f64));
             }
         }
-        let result = self.call(request)?;
-        decode_reply(&result)
+        let reply = self.exchange(request, f1_cobra::json::read_query_output)?;
+        let output = unwrap_envelope(reply)?
+            .ok_or_else(|| ClientError::Protocol("unexpected query result".into()))?;
+        Ok(match output {
+            f1_cobra::QueryOutput::Segments(segments) => QueryReply::Segments(segments),
+            f1_cobra::QueryOutput::Profile(p) => QueryReply::Profile {
+                segments: p.segments,
+                span: p.span,
+            },
+            f1_cobra::QueryOutput::Plan(span) => QueryReply::Plan(span),
+            f1_cobra::QueryOutput::Multi(groups) => QueryReply::Multi(groups),
+        })
     }
 
     /// The peer's shard-version summary. A worker answers
@@ -306,7 +364,7 @@ impl Client {
                 // Not a push: either a typed error aimed at this
                 // subscriber (surface it) or a stale success response
                 // (skip it).
-                unwrap_response(&f)?;
+                unwrap_response(f)?;
             },
         };
         decode_push(&frame)
@@ -330,27 +388,25 @@ impl Client {
 
 /// Splits the `{ok, result | error}` envelope into `Ok(result)` or a
 /// typed [`ClientError::Server`].
-pub fn unwrap_response(response: &Value) -> Result<Value, ClientError> {
-    match response.get("ok").and_then(Value::as_bool) {
-        Some(true) => response
-            .get("result")
-            .cloned()
+pub(crate) fn unwrap_envelope<T>(envelope: Envelope<T>) -> Result<T, ClientError> {
+    match envelope.ok {
+        Some(true) => envelope
+            .result
             .ok_or_else(|| ClientError::Protocol("ok response without 'result'".into())),
         Some(false) => {
-            let error = response
-                .get("error")
+            let (kind, message) = envelope
+                .error
                 .ok_or_else(|| ClientError::Protocol("error response without 'error'".into()))?;
-            Err(ClientError::Server {
-                kind: ErrorKind::parse(error.get("kind").and_then(Value::as_str).unwrap_or("")),
-                message: error
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-            })
+            Err(ClientError::Server { kind, message })
         }
         None => Err(ClientError::Protocol("response without 'ok'".into())),
     }
+}
+
+/// [`unwrap_envelope`] for a frame received as a tree
+/// ([`Client::recv`]), which it takes apart rather than copies.
+pub fn unwrap_response(response: Value) -> Result<Value, ClientError> {
+    unwrap_envelope(Envelope::from(response))
 }
 
 /// Decodes a push frame into a [`PushFrame`].
@@ -382,18 +438,4 @@ fn decode_push(frame: &Value) -> Result<PushFrame, ClientError> {
             .and_then(Value::as_u64)
             .unwrap_or(0),
     })
-}
-
-fn decode_reply(result: &Value) -> Result<QueryReply, ClientError> {
-    let shape_err = || ClientError::Protocol(format!("unexpected query result: {result}"));
-    match f1_cobra::json::query_output_from_json(result) {
-        Some(f1_cobra::QueryOutput::Segments(segments)) => Ok(QueryReply::Segments(segments)),
-        Some(f1_cobra::QueryOutput::Profile(p)) => Ok(QueryReply::Profile {
-            segments: p.segments,
-            span: p.span,
-        }),
-        Some(f1_cobra::QueryOutput::Plan(span)) => Ok(QueryReply::Plan(span)),
-        Some(f1_cobra::QueryOutput::Multi(groups)) => Ok(QueryReply::Multi(groups)),
-        None => Err(shape_err()),
-    }
 }

@@ -9,6 +9,12 @@
 //! reactor's op queue ([`ReactorCtl`]) and wake the loop through a
 //! self-pipe, so the reactor never blocks on anything but `epoll_wait`.
 //!
+//! The op queue carries *encoded frames*: whoever produces a response
+//! or a push — a pool worker, the stream hub, a service's `on_frame` —
+//! has turned it into bytes and checked the frame cap, while it knew the
+//! request's id. The loop copies and writes; all it encodes itself is
+//! the `bad_request` that answers an undecodable frame.
+//!
 //! Flow control is built in:
 //!
 //! * a connection whose peer stops draining accumulates bytes in its
@@ -236,13 +242,14 @@ pub trait Service: Send + Sync + 'static {
 
 /// One queued instruction for the reactor.
 pub(crate) enum Op {
-    /// Queue a response frame on a connection.
-    Send { conn: ConnId, frame: Value },
-    /// Queue a push frame; `pending` is decremented once the frame's
-    /// bytes have fully reached the socket (or the connection died).
+    /// Queue an encoded response frame on a connection.
+    Send { conn: ConnId, frame: Vec<u8> },
+    /// Queue an encoded push frame; `pending` is decremented once the
+    /// frame's bytes have fully reached the socket (or the connection
+    /// died).
     Push {
         conn: ConnId,
-        frame: Value,
+        frame: Vec<u8>,
         pending: Arc<AtomicUsize>,
     },
     /// Stop reading `conn`, flush what is queued (bounded by
@@ -302,14 +309,15 @@ impl ReactorCtl {
         }
     }
 
-    /// Queues a response frame for `conn`.
-    pub fn send(&self, conn: ConnId, frame: Value) {
+    /// Queues an encoded response frame (length prefix included) for
+    /// `conn`.
+    pub fn send(&self, conn: ConnId, frame: Vec<u8>) {
         self.enqueue(Op::Send { conn, frame });
     }
 
-    /// Queues a push frame; `pending` is released when the bytes are
-    /// on the wire or the connection is torn down.
-    pub fn send_push(&self, conn: ConnId, frame: Value, pending: Arc<AtomicUsize>) {
+    /// Queues an encoded push frame; `pending` is released when the
+    /// bytes are on the wire or the connection is torn down.
+    pub fn send_push(&self, conn: ConnId, frame: Vec<u8>, pending: Arc<AtomicUsize>) {
         self.enqueue(Op::Push {
             conn,
             frame,
@@ -787,56 +795,36 @@ impl Reactor {
                     self.service.on_frame(ConnId(id), frame);
                 }
                 Ok(None) => return true,
-                Err(FrameError::Json(e)) => {
-                    // The frame boundary is known, so the stream
-                    // resyncs; report and keep the session alive.
-                    let err = protocol::err_response(
-                        0,
-                        ErrorKind::BadRequest,
-                        format!("invalid JSON in frame: {e}"),
-                    );
-                    self.enqueue_frame(id, &err, None);
-                }
-                Err(FrameError::Oversized(len)) => {
-                    // Beyond resync: the prefix itself is garbage or
-                    // hostile. Report, flush, close.
-                    let err = protocol::err_response(
-                        0,
-                        ErrorKind::BadRequest,
-                        format!(
-                            "frame of {len} bytes exceeds the {MAX_FRAME_LEN} byte cap",
-                            MAX_FRAME_LEN = protocol::MAX_FRAME_LEN
+                Err(e) => {
+                    // A broken payload ends at a known boundary, so the
+                    // stream resyncs and the session lives on. A broken
+                    // prefix is beyond resync: report, flush, close.
+                    let (why, fatal) = match e {
+                        FrameError::Json(e) => (format!("invalid JSON in frame: {e}"), false),
+                        FrameError::Oversized(len) => (
+                            format!(
+                                "frame of {len} bytes exceeds the {} byte cap",
+                                protocol::MAX_FRAME_LEN
+                            ),
+                            true,
                         ),
-                    );
-                    self.enqueue_frame(id, &err, None);
-                    self.begin_close(id);
-                    return false;
+                        FrameError::Io(_) => unreachable!("decoder does not perform I/O"),
+                    };
+                    // No request id can be read out of either: answer under 0.
+                    let err = protocol::err_response(0, ErrorKind::BadRequest, why);
+                    self.enqueue_frame(id, protocol::encode_reply(&err), None);
+                    if fatal {
+                        self.begin_close(id);
+                        return false;
+                    }
                 }
-                Err(FrameError::Io(_)) => unreachable!("decoder does not perform I/O"),
             }
         }
     }
 
-    /// Serializes and queues one frame on `id`, marking it dirty for
-    /// the end-of-iteration batch flush.
-    fn enqueue_frame(&mut self, id: u64, frame: &Value, pending: Option<Arc<AtomicUsize>>) {
-        let bytes = match protocol::encode_frame(frame) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                // A response larger than the frame cap cannot be
-                // shipped; substitute a typed error so the client's
-                // request does not dangle.
-                let err = protocol::err_response(
-                    0,
-                    ErrorKind::Internal,
-                    "response exceeded the frame size cap",
-                );
-                match protocol::encode_frame(&err) {
-                    Ok(bytes) => bytes,
-                    Err(_) => return,
-                }
-            }
-        };
+    /// Queues one encoded frame on `id`, marking it dirty for the
+    /// end-of-iteration batch flush.
+    fn enqueue_frame(&mut self, id: u64, bytes: Vec<u8>, pending: Option<Arc<AtomicUsize>>) {
         let Some(conn) = self.conns.get_mut(&id) else {
             if let Some(pending) = pending {
                 pending.fetch_sub(1, Ordering::SeqCst);
@@ -857,12 +845,12 @@ impl Reactor {
             }
             for op in ops {
                 match op {
-                    Op::Send { conn, frame } => self.enqueue_frame(conn.0, &frame, None),
+                    Op::Send { conn, frame } => self.enqueue_frame(conn.0, frame, None),
                     Op::Push {
                         conn,
                         frame,
                         pending,
-                    } => self.enqueue_frame(conn.0, &frame, Some(pending)),
+                    } => self.enqueue_frame(conn.0, frame, Some(pending)),
                     Op::Close { conn } => self.begin_close(conn.0),
                     Op::Drain => self.do_drain(),
                     Op::Stop => self.do_stop(),
@@ -1065,7 +1053,7 @@ mod tests {
     #[test]
     fn ctl_queue_round_trips_and_wakes() {
         let ctl = ReactorCtl::new().expect("ctl");
-        ctl.send(ConnId(3), Value::Null);
+        ctl.send(ConnId(3), vec![0, 0, 0, 2, b'{', b'}']);
         ctl.close(ConnId(3));
         let ops = ctl.take_ops();
         assert_eq!(ops.len(), 2);

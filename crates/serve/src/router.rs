@@ -15,10 +15,17 @@
 //! checks a set of shard connections out of a shared pool, so shard
 //! sockets are never contended by two jobs at once.
 //!
-//! * **Single-video queries** are forwarded to the owning shard.
+//! * **Single-video queries** are forwarded to the owning shard, whose
+//!   answer passes through as bytes: the router parses the reply's
+//!   envelope (`id`, `ok`, `stamp`, `error`) and *skips* the `result` —
+//!   which validates it, so a malformed reply is a retried transport
+//!   failure, never relayed — keeping the raw text to frame under the
+//!   client's id and to cache.
 //! * **Cross-video queries** (`video = "*"`) scatter to every shard and
-//!   gather one segment group per video, merged in video-name order —
-//!   the answer is byte-identical no matter which shard replies first.
+//!   gather one segment group per video: the shards' `videos` arrays are
+//!   split into raw groups and joined in video-name order — the answer
+//!   is byte-identical no matter which shard replies first, and to what
+//!   one server holding every video answers.
 //! * **Worker death never hangs a request**: a dead connection is
 //!   retried under the configured [`RetryPolicy`] (queries are
 //!   idempotent reads, so re-dispatch is safe); when retries exhaust,
@@ -34,7 +41,8 @@
 //!   of the two while the feed is up, and *unknown* — never
 //!   "unchanged" — while it is down.
 //! * **The router result cache** is the same
-//!   [`ResultCache`](f1_cobra::ResultCache) a worker uses, each answer
+//!   [`ResultCache`](f1_cobra::ResultCache) a worker uses, holding
+//!   `result` bodies as text (a hit is an envelope around one), each
 //!   guarded by the stamps its replies carried, one per shard it read.
 //!   It hits only while every guard stamp equals `known[shard]`: a
 //!   write on shard A invalidates exactly the cached answers that read
@@ -59,11 +67,15 @@ use std::time::{Duration, Instant};
 
 use cobra_obs::Registry;
 use f1_cobra::catalog::ChangeFeed;
+use f1_cobra::json::{join_groups, read_query_output, split_groups};
 use f1_cobra::{ResultCache, RetryPolicy, Stamp};
-use serde_json::{json, Value};
+use serde_json::{json, Reader, Value};
 
-use crate::client::{unwrap_response, Client, ClientError};
-use crate::protocol::{err_response, ok_response, stamp_from_json, ErrorKind, FrameError};
+use crate::client::{unwrap_envelope, unwrap_response, Client, ClientError};
+use crate::protocol::{
+    encode_reply, err_response, ok_frame, ok_response, or_oversize, stamp_from_json, ErrorKind,
+    FrameError,
+};
 use crate::reactor::{self, ConnId, ReactorConfig, ReactorCtl, Service};
 use crate::ring::{Ring, DEFAULT_SEED};
 use crate::scheduler::{SubmitError, WorkerPool};
@@ -129,7 +141,8 @@ struct RouterShared {
     retry: RetryPolicy,
     faults: cobra_faults::FaultHandle,
     registry: Arc<Registry>,
-    cache: Option<ResultCache<Value>>,
+    /// Cached `result` bodies, as the shards encoded them.
+    cache: Option<ResultCache<String>>,
     shutting_down: AtomicBool,
     /// Per shard: the latest stamp seen on its feed or on a forwarded
     /// reply; `None` while the feed connection is down.
@@ -274,7 +287,7 @@ fn open_feed(shared: &RouterShared, shard: u32) -> Result<Client, String> {
         if response.get("id").and_then(Value::as_u64) != Some(id) {
             continue;
         }
-        let subscribed = unwrap_response(&response).map_err(|e| e.to_string())?;
+        let subscribed = unwrap_response(response).map_err(|e| e.to_string())?;
         let stamp = stamp_from_json(&subscribed)
             .ok_or_else(|| format!("shard {shard} subscribed the feed without a stamp"))?;
         shared.set_known(shard, Some(stamp));
@@ -304,7 +317,9 @@ impl Source for RouterShared {
         let outcome = forward_to(self, &mut conns, *shard, &body, 0, None);
         self.checkin(conns);
         match outcome {
-            Ok(reply) => Ok(f1_cobra::json::query_output_from_json(&reply.result)
+            Ok(reply) => Ok(read_query_output(&mut Reader::new(&reply.result))
+                .ok()
+                .flatten()
                 .map_or_else(Vec::new, |output| answer_groups(video, output))),
             Err((ErrorKind::ShardUnavailable, why)) => Err(why),
             Err(_) => {
@@ -349,19 +364,18 @@ impl Service for RouterService {
         if cmd == "ping" {
             // Cheap liveness answer straight off the reactor; nothing
             // shard-shaped to wait for.
-            inner
-                .ctl
-                .send(conn, ok_response(id, json!({"kind": "pong"})));
+            let pong = ok_response(id, json!({"kind": "pong"}));
+            inner.ctl.send(conn, encode_reply(&pong));
             return;
         }
-        let job_inner = Arc::clone(inner);
+        let job = Arc::clone(inner);
         let outcome = inner.pool.try_submit(Box::new(move || {
-            job_inner.shared.ensure_feeds();
-            let mut conns = job_inner.shared.checkout();
-            let response =
-                handle_request(&job_inner.shared, &mut conns, &job_inner.hub, conn, &frame);
-            job_inner.shared.checkin(conns);
-            job_inner.ctl.send(conn, response);
+            job.shared.ensure_feeds();
+            let mut conns = job.shared.checkout();
+            let response = handle_request(&job.shared, &mut conns, &job.hub, conn, id, &frame)
+                .unwrap_or_else(|fail| refuse(id, fail));
+            job.shared.checkin(conns);
+            job.ctl.send(conn, response);
         }));
         if let Err(e) = outcome {
             let (kind, message) = match e {
@@ -378,7 +392,7 @@ impl Service for RouterService {
                 .registry
                 .counter("serve.rejected", &[("kind", kind.as_str())])
                 .inc();
-            inner.ctl.send(conn, err_response(id, kind, message));
+            inner.ctl.send(conn, refuse(id, (kind, message)));
         }
     }
 
@@ -500,11 +514,12 @@ struct ShardConn {
 /// A typed failure, as it will appear on the wire.
 type Fail = (ErrorKind, String);
 
-/// A worker's answer to a forwarded frame: the `result` object, plus
-/// the stamp the worker attached to the envelope (read before a query
-/// executed, after a write committed).
+/// A worker's answer to a forwarded frame: the `result` as the worker
+/// encoded it (validated, not parsed), plus the stamp the worker
+/// attached to the envelope (read before a query executed, after a
+/// write committed).
 struct Reply {
-    result: Value,
+    result: String,
     stamp: Option<Stamp>,
 }
 
@@ -588,47 +603,37 @@ fn attempt_once(
         .map(|at| at.saturating_duration_since(Instant::now()) + Duration::from_millis(500));
     let _ = client.set_timeout(read_timeout);
 
-    let id = match client.send(frame) {
-        Ok(id) => id,
+    // Only the envelope is parsed; skipping the result validates it, so
+    // a malformed reply fails here, as a transport failure.
+    let envelope = match client.exchange(frame, |r| r.skip().map(str::to_owned)) {
+        Ok(envelope) => envelope,
         Err(e) => {
             conn.client = None;
-            return Attempt::Retry(format!("send to shard {}: {e}", conn.shard));
+            return Attempt::Retry(format!("exchange with shard {}: {e}", conn.shard));
         }
     };
-    loop {
-        let response = match client.recv() {
-            Ok(r) => r,
-            Err(e) => {
-                conn.client = None;
-                return Attempt::Retry(format!("recv from shard {}: {e}", conn.shard));
+    let stamp = envelope.stamp;
+    match unwrap_envelope(envelope) {
+        Ok(result) => {
+            if let Some(stamp) = stamp {
+                shared.observe(conn.shard, stamp);
             }
-        };
-        if response.get("id").and_then(Value::as_u64) != Some(id) {
-            continue; // stale answer from an abandoned attempt
+            Attempt::Done(Ok(Reply { result, stamp }))
         }
-        return match unwrap_response(&response) {
-            Ok(result) => {
-                let stamp = response.get("stamp").and_then(stamp_from_json);
-                if let Some(stamp) = stamp {
-                    shared.observe(conn.shard, stamp);
-                }
-                Attempt::Done(Ok(Reply { result, stamp }))
-            }
-            Err(ClientError::Server {
-                kind: ErrorKind::ShardUnavailable,
-                message,
-            }) => {
-                // The worker rebooted past the epoch we stamped: drop
-                // the connection so the next attempt re-handshakes.
-                conn.client = None;
-                Attempt::Retry(format!("shard {} fenced the epoch: {message}", conn.shard))
-            }
-            Err(ClientError::Server { kind, message }) => Attempt::Done(Err((kind, message))),
-            Err(e) => {
-                conn.client = None;
-                Attempt::Retry(format!("shard {} answered garbage: {e}", conn.shard))
-            }
-        };
+        Err(ClientError::Server {
+            kind: ErrorKind::ShardUnavailable,
+            message,
+        }) => {
+            // The worker rebooted past the epoch we stamped: drop
+            // the connection so the next attempt re-handshakes.
+            conn.client = None;
+            Attempt::Retry(format!("shard {} fenced the epoch: {message}", conn.shard))
+        }
+        Err(ClientError::Server { kind, message }) => Attempt::Done(Err((kind, message))),
+        Err(e) => {
+            conn.client = None;
+            Attempt::Retry(format!("shard {} answered garbage: {e}", conn.shard))
+        }
     }
 }
 
@@ -707,29 +712,25 @@ fn scatter(
     })
 }
 
-/// Merges per-shard `multi` answers into one, ordered by video name.
-fn merge_multi(results: &[Value]) -> Result<Value, Fail> {
-    let mut groups: Vec<Value> = Vec::new();
-    for result in results {
-        let Some(videos) = result.get("videos").and_then(Value::as_array) else {
-            return Err((
-                ErrorKind::Internal,
-                "a shard answered a cross-video query without segment groups".into(),
-            ));
-        };
-        groups.extend(videos.iter().cloned());
+/// Merges per-shard `multi` answers into one, ordered by video name:
+/// every shard's `videos` array is split into its groups' raw texts,
+/// which are joined into one array, parsed no further than each group's
+/// `video` name.
+fn splice_multi(replies: &[Reply]) -> Result<String, Fail> {
+    let mut groups = Vec::new();
+    for reply in replies {
+        groups.extend(split_groups(&reply.result).ok_or((
+            ErrorKind::Internal,
+            "a shard answered a cross-video query without segment groups".to_string(),
+        ))?);
     }
     // Deterministic merge ordering: the gather order is completion
     // order, so impose video-name order before anyone sees the answer.
-    groups.sort_by(|a, b| {
-        let a = a.get("video").and_then(Value::as_str).unwrap_or("");
-        let b = b.get("video").and_then(Value::as_str).unwrap_or("");
-        a.cmp(b)
-    });
-    Ok(json!({"kind": "multi", "videos": (Value::Array(groups))}))
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(join_groups(groups.iter().map(|g| g.1)))
 }
 
-/// Scatters the argument-less control command `cmd` and keeps only the
+/// Scatters the argument-less control command `cmd` and decodes the
 /// `result` objects.
 fn gather(
     shared: &RouterShared,
@@ -739,7 +740,9 @@ fn gather(
 ) -> Vec<Result<Value, Fail>> {
     scatter(shared, conns, &json!({"cmd": (cmd)}), req_id, None)
         .into_iter()
-        .map(|reply| reply.map(|r| r.result))
+        .map(|reply| {
+            serde_json::from_str(&reply?.result).map_err(|e| (ErrorKind::Internal, e.to_string()))
+        })
         .collect()
 }
 
@@ -758,23 +761,29 @@ fn forward_to(
     }
 }
 
-fn respond(id: u64, outcome: Result<Value, Fail>) -> Value {
-    match outcome {
-        Ok(result) => ok_response(id, result),
-        Err((kind, message)) => err_response(id, kind, message),
-    }
+/// The frame that passes a `result` body — a shard's, or the cache's —
+/// on to the client under its request's id.
+fn pass(id: u64, body: &str) -> Vec<u8> {
+    or_oversize(id, ok_frame(id, body.as_bytes(), None))
 }
 
-fn handle_query(shared: &RouterShared, conns: &mut [ShardConn], id: u64, request: &Value) -> Value {
+/// The frame that answers request `id` with a typed failure.
+fn refuse(id: u64, (kind, message): Fail) -> Vec<u8> {
+    encode_reply(&err_response(id, kind, message))
+}
+
+fn handle_query(
+    shared: &RouterShared,
+    conns: &mut [ShardConn],
+    id: u64,
+    request: &Value,
+) -> Result<Vec<u8>, Fail> {
     let (Some(video), Some(text)) = (
         request.get("video").and_then(Value::as_str),
         request.get("text").and_then(Value::as_str),
     ) else {
-        return err_response(
-            id,
-            ErrorKind::BadRequest,
-            "query needs string fields 'video' and 'text'",
-        );
+        let why = "query needs string fields 'video' and 'text'";
+        return Err((ErrorKind::BadRequest, why.into()));
     };
     let deadline_at = request
         .get("deadline_ms")
@@ -796,7 +805,7 @@ fn handle_query(shared: &RouterShared, conns: &mut [ShardConn], id: u64, request
         let reads = shared.scopes(video);
         let current: Option<Vec<Stamp>> = reads.iter().map(|&s| shared.known(s)).collect();
         if let Some(hit) = cache.lookup(video, normalized, current.as_deref()) {
-            return ok_response(id, hit.value.clone());
+            return Ok(pass(id, &hit.value));
         }
     }
 
@@ -804,47 +813,64 @@ fn handle_query(shared: &RouterShared, conns: &mut [ShardConn], id: u64, request
     if let (Value::Object(map), Some(fuel)) = (&mut body, request.get("fuel")) {
         map.insert("fuel".into(), fuel.clone());
     }
-    let replies: Result<Vec<Reply>, Fail> = match owner {
-        Some(shard) => forward_to(shared, conns, shard, &body, id, deadline_at).map(|r| vec![r]),
+    let mut replies: Vec<Reply> = match owner {
+        Some(shard) => vec![forward_to(shared, conns, shard, &body, id, deadline_at)?],
         // The lowest failed shard id decides the error.
         None => scatter(shared, conns, &body, id, deadline_at)
             .into_iter()
-            .collect(),
+            .collect::<Result<_, _>>()?,
     };
-    let outcome = replies.and_then(|mut replies| {
-        // The guard is the stamps the replies themselves carried — read
-        // by each shard before it executed — never `known`, which a
-        // concurrent write's ack may already have raised past them.
-        let guard: Option<Vec<Stamp>> = replies.iter().map(|r| r.stamp).collect();
-        let result = match owner {
-            Some(_) => replies.swap_remove(0).result,
-            None => {
-                let results: Vec<Value> = replies.into_iter().map(|r| r.result).collect();
-                merge_multi(&results)?
-            }
-        };
-        if let (Some((cache, normalized)), Some(guard)) = (&cached, guard) {
-            let bytes = result.to_string().len();
-            cache.store(video, normalized, result.clone(), guard, bytes);
-        }
-        Ok(result)
-    });
-    respond(id, outcome)
+    // The guard is the stamps the replies themselves carried — read by
+    // each shard before it executed — never `known`, which a concurrent
+    // write's ack may already have raised past them.
+    let guard: Option<Vec<Stamp>> = replies.iter().map(|r| r.stamp).collect();
+    let result = match owner {
+        Some(_) => replies.swap_remove(0).result,
+        None => splice_multi(&replies)?,
+    };
+    // A spliced answer can come out over the frame cap its parts were
+    // under; one that cannot be sent is not worth keeping either.
+    let built = ok_frame(id, result.as_bytes(), None);
+    if let (Ok(_), Some((cache, normalized)), Some(guard)) = (&built, &cached, guard) {
+        let bytes = result.len();
+        cache.store(video, normalized, result, guard, bytes);
+    }
+    Ok(or_oversize(id, built))
 }
 
+/// Answers one request with an encoded frame. Queries and write acks
+/// pass the shard's `result` through as bytes; the control commands
+/// aggregate small per-shard trees.
 fn handle_request(
     shared: &RouterShared,
     conns: &mut [ShardConn],
     hub: &Arc<Hub<RouterShared>>,
     conn_id: ConnId,
+    id: u64,
     request: &Value,
-) -> Value {
-    let id = request.get("id").and_then(Value::as_u64).unwrap_or(0);
+) -> Result<Vec<u8>, Fail> {
     let Some(cmd) = request.get("cmd").and_then(Value::as_str) else {
-        return err_response(id, ErrorKind::BadRequest, "missing 'cmd'");
+        return Err((ErrorKind::BadRequest, "missing 'cmd'".into()));
     };
-    match cmd {
-        "ping" => ok_response(id, json!({"kind": "pong"})),
+    let response = match cmd {
+        "query" => return handle_query(shared, conns, id, request),
+        "write_event" => {
+            // Forwarded to the owner; the worker enforces its own debug
+            // gate. The router cache needs no eager invalidation — the
+            // ack carries the shard's post-commit stamp, which raises
+            // `known` before the client sees the ack, so every cached
+            // answer that read this shard fails its next guard check.
+            let Some(video) = request.get("video").and_then(Value::as_str) else {
+                return Err((ErrorKind::BadRequest, "write_event needs 'video'".into()));
+            };
+            let mut body = request.clone();
+            if let Value::Object(map) = &mut body {
+                map.remove("id");
+                map.remove("shard");
+            }
+            let ack = forward_to(shared, conns, shared.ring.owner(video), &body, id, None)?;
+            return Ok(pass(id, &ack.result));
+        }
         "version" => {
             // The aggregated topology view: one entry per shard, in
             // shard order, with the address the router would dial.
@@ -881,17 +907,8 @@ fn handle_request(
             let results = gather(shared, conns, "videos", id);
             let mut names: Vec<String> = Vec::new();
             for result in results {
-                match result {
-                    Ok(v) => {
-                        if let Some(list) = v.get("videos").and_then(Value::as_array) {
-                            names.extend(
-                                list.iter()
-                                    .filter_map(Value::as_str)
-                                    .map(str::to_string),
-                            );
-                        }
-                    }
-                    Err((kind, message)) => return err_response(id, kind, message),
+                if let Some(list) = result?.get("videos").and_then(Value::as_array) {
+                    names.extend(list.iter().filter_map(Value::as_str).map(str::to_string));
                 }
             }
             names.sort();
@@ -932,16 +949,12 @@ fn handle_request(
             let mut entries = Vec::with_capacity(results.len());
             let mut durable = false;
             for (shard, result) in results.into_iter().enumerate() {
-                match result {
-                    Ok(mut v) => {
-                        durable |= v.get("durable").and_then(Value::as_bool).unwrap_or(false);
-                        if let Value::Object(map) = &mut v {
-                            map.insert("shard".into(), Value::Number(shard as f64));
-                        }
-                        entries.push(v);
-                    }
-                    Err((kind, message)) => return err_response(id, kind, message),
+                let mut v = result?;
+                durable |= v.get("durable").and_then(Value::as_bool).unwrap_or(false);
+                if let Value::Object(map) = &mut v {
+                    map.insert("shard".into(), Value::Number(shard as f64));
                 }
+                entries.push(v);
             }
             ok_response(
                 id,
@@ -952,30 +965,12 @@ fn handle_request(
                 }),
             )
         }
-        "query" => handle_query(shared, conns, id, request),
         "subscribe" => hub.subscribe(conn_id, id, request),
         "unsubscribe" => hub.unsubscribe(conn_id, id, request),
-        "write_event" => {
-            // Forwarded to the owner; the worker enforces its own debug
-            // gate. The router cache needs no eager invalidation — the
-            // ack carries the shard's post-commit stamp, which raises
-            // `known` before the client sees the ack, so every cached
-            // answer that read this shard fails its next guard check.
-            let Some(video) = request.get("video").and_then(Value::as_str) else {
-                return err_response(id, ErrorKind::BadRequest, "write_event needs 'video'");
-            };
-            let mut body = request.clone();
-            if let Value::Object(map) = &mut body {
-                map.remove("id");
-                map.remove("shard");
-            }
-            let ack = forward_to(shared, conns, shared.ring.owner(video), &body, id, None);
-            respond(id, ack.map(|r| r.result))
-        }
-        other => err_response(
-            id,
+        other => return Err((
             ErrorKind::BadRequest,
             format!("unknown command '{other}' (the router speaks ping, version, videos, stats, checkpoint, query, subscribe, unsubscribe, write_event)"),
-        ),
-    }
+        )),
+    };
+    Ok(encode_reply(&response))
 }

@@ -10,6 +10,13 @@
 //! queued back to the reactor through [`ReactorCtl`] and flushed to
 //! the socket without ever blocking a worker on a slow client.
 //!
+//! A completion is an encoded frame. The worker that ran a query writes
+//! the answer's `result` body once, straight from its segments
+//! (`f1_cobra::json::write_query_output`), and frames it under the
+//! request's id — and, when the request led a single-flight group, once
+//! more under each follower's id around the same body — so neither the
+//! worker nor the reactor ever builds a tree of the rows.
+//!
 //! Guard rails, all typed on the wire:
 //! * **Admission control** — a full queue answers `overloaded` at once.
 //! * **Deadlines** — `deadline_ms` becomes an [`ExecBudget`] deadline;
@@ -33,11 +40,14 @@ use std::time::{Duration, Instant};
 
 use cobra_faults::CancellationToken;
 use cobra_obs::Registry;
-use f1_cobra::Vdbms;
+use f1_cobra::{Stamp, Vdbms};
 use f1_monet::{ExecBudget, MonetError};
-use serde_json::{json, Value};
+use serde_json::{json, Value, Writer};
 
-use crate::protocol::{err_response, ok_response, stamp_to_json, ErrorKind};
+use crate::protocol::{
+    encode_frame, encode_reply, err_response, ok_frame, ok_response, or_oversize, stamp_to_json,
+    ErrorKind,
+};
 use crate::reactor::{self, ConnId, ReactorConfig, ReactorCtl, Service};
 use crate::scheduler::{SubmitError, WorkerPool};
 use crate::stream::{Hub, DEFAULT_PUSH_QUEUE_CAP};
@@ -94,13 +104,44 @@ impl ConnTx {
         ConnTx { ctl, conn }
     }
 
-    pub(crate) fn send(&self, frame: Value) {
+    /// Encodes and queues a response built as a tree.
+    pub(crate) fn send(&self, response: Value) {
+        self.send_frame(encode_reply(&response));
+    }
+
+    fn send_frame(&self, frame: Vec<u8>) {
         self.ctl.send(self.conn, frame);
     }
 }
 
+/// What a pooled job concluded, before it is framed under a request id:
+/// a single-flight leader's outcome is framed once for itself and once
+/// per follower, around the one encoded body.
+enum Outcome {
+    /// Success: the encoded `result`, and the stamp that marks a reply
+    /// to a routed frame (one carrying the router's `shard` object) —
+    /// this catalog's, read *before* executing the read. It rides in
+    /// the envelope beside `result`, so the router can peel it off and
+    /// forward the result untouched; direct clients never see one.
+    Ok { body: Vec<u8>, stamp: Option<Stamp> },
+    /// A typed failure.
+    Err { kind: ErrorKind, message: String },
+}
+
+impl Outcome {
+    fn frame(&self, id: u64) -> Vec<u8> {
+        let built = match self {
+            Outcome::Ok { body, stamp } => ok_frame(id, body, *stamp),
+            Outcome::Err { kind, message } => {
+                encode_frame(&err_response(id, *kind, message.as_str()))
+            }
+        };
+        or_oversize(id, built)
+    }
+}
+
 /// A request coalesced onto another request's execution: it waits for
-/// the leader's response and receives a copy with its own id.
+/// the leader's outcome and receives it framed under its own id.
 struct FlightWaiter {
     id: u64,
     tx: ConnTx,
@@ -432,12 +473,9 @@ fn handle_request(shared: &Arc<ServerShared>, conn: ConnId, request: &Value) {
     }
 }
 
-/// Marks a reply to a routed frame (one carrying the router's `shard`
-/// object) with this catalog's stamp — read *before* executing a read,
-/// *after* committing a write. It rides in the envelope beside
-/// `result`, so the router can peel it off and forward the result
-/// untouched; direct clients (`stamp = None`) never see one.
-fn stamped(mut response: Value, stamp: Option<f1_cobra::Stamp>) -> Value {
+/// Marks the ack of a routed write with this catalog's stamp, read
+/// *after* the commit (see [`Outcome::Ok`] for the read side).
+fn stamped(mut response: Value, stamp: Option<Stamp>) -> Value {
     if let (Value::Object(map), Some(stamp)) = (&mut response, stamp) {
         map.insert("stamp".into(), stamp_to_json(stamp));
     }
@@ -482,10 +520,10 @@ fn handle_write_event(shared: &Arc<ServerShared>, id: u64, request: &Value) -> V
     }
 }
 
-/// Delivers the leader's `response` to every follower coalesced under
-/// `key`, with each follower's own request id substituted, and retires
-/// the flight so the next identical query starts fresh.
-fn fan_out(shared: &Arc<ServerShared>, key: &str, response: &Value) {
+/// Delivers the leader's `outcome` to every follower coalesced under
+/// `key`, framed under each follower's own request id, and retires the
+/// flight so the next identical query starts fresh.
+fn fan_out(shared: &Arc<ServerShared>, key: &str, outcome: &Outcome) {
     let waiters = {
         let mut flights = shared.flights.lock().expect("flight table");
         flights.remove(key).unwrap_or_default()
@@ -495,11 +533,7 @@ fn fan_out(shared: &Arc<ServerShared>, key: &str, response: &Value) {
         registry
             .histogram("serve.latency_us", &[])
             .record(w.since.elapsed().as_micros() as u64);
-        let mut copy = response.clone();
-        if let Value::Object(map) = &mut copy {
-            map.insert("id".into(), Value::Number(w.id as f64));
-        }
-        w.tx.send(copy);
+        w.tx.send_frame(outcome.frame(w.id));
     }
 }
 
@@ -513,7 +547,7 @@ struct JobCtx {
     deadline_at: Option<Instant>,
     fuel: Option<u64>,
     admitted_at: Instant,
-    /// Set when this job leads a single-flight group; its response is
+    /// Set when this job leads a single-flight group; its outcome is
     /// fanned out to the group's followers.
     flight_key: Option<String>,
     /// True from the moment the worker starts running the job until a
@@ -549,7 +583,7 @@ impl JobCtx {
         None
     }
 
-    fn finish(&self, response: Value) {
+    fn finish(&self, outcome: Outcome) {
         self.running.store(false, Ordering::SeqCst);
         self.inflight.lock().expect("inflight map").remove(&self.id);
         let registry = self.shared.registry();
@@ -557,9 +591,9 @@ impl JobCtx {
             .histogram("serve.latency_us", &[])
             .record(self.admitted_at.elapsed().as_micros() as u64);
         if let Some(key) = &self.flight_key {
-            fan_out(&self.shared, key, &response);
+            fan_out(&self.shared, key, &outcome);
         }
-        self.tx.send(response);
+        self.tx.send_frame(outcome.frame(self.id));
     }
 
     fn fail(&self, kind: ErrorKind, message: impl Into<String>) {
@@ -567,7 +601,10 @@ impl JobCtx {
         registry
             .counter("serve.failed", &[("kind", kind.as_str())])
             .inc();
-        self.finish(err_response(self.id, kind, message));
+        self.finish(Outcome::Err {
+            kind,
+            message: message.into(),
+        });
     }
 }
 
@@ -580,12 +617,11 @@ impl Drop for JobCtx {
             return;
         }
         if let Some(key) = self.flight_key.take() {
-            let response = err_response(
-                self.id,
-                ErrorKind::Internal,
-                "query worker terminated before responding",
-            );
-            fan_out(&self.shared, &key, &response);
+            let outcome = Outcome::Err {
+                kind: ErrorKind::Internal,
+                message: "query worker terminated before responding".into(),
+            };
+            fan_out(&self.shared, &key, &outcome);
         }
     }
 }
@@ -635,12 +671,12 @@ fn admit(
             .registry()
             .counter("serve.rejected", &[("kind", kind.as_str())])
             .inc();
-        let response = err_response(id, kind, message);
+        let outcome = Outcome::Err { kind, message };
         // A rejected leader takes its (raced-in) followers with it.
         if let Some(key) = &rejection_key {
-            fan_out(shared, key, &response);
+            fan_out(shared, key, &outcome);
         }
-        tx.send(response);
+        tx.send_frame(outcome.frame(id));
     }
 }
 
@@ -700,10 +736,11 @@ fn submit_query(shared: &Arc<ServerShared>, conn: ConnId, id: u64, request: &Val
             ctx.shared.vdbms.run_with_budget(&video, &text, &budget)
         };
         match result {
-            Ok(output) => ctx.finish(stamped(
-                ok_response(ctx.id, f1_cobra::json::query_output_to_json(&output)),
-                stamp,
-            )),
+            Ok(output) => {
+                let mut body = Vec::new();
+                f1_cobra::json::write_query_output(&mut Writer::new(&mut body), &output);
+                ctx.finish(Outcome::Ok { body, stamp });
+            }
             Err(e) => ctx.fail(crate::protocol::classify(&e), e.to_string()),
         }
     });
@@ -743,9 +780,11 @@ fn submit_sleep(shared: &Arc<ServerShared>, conn: ConnId, id: u64, request: &Val
                 }
             }
         }
-        ctx.finish(ok_response(
-            ctx.id,
-            json!({"kind": "slept", "ms": (ms as f64)}),
-        ));
+        ctx.finish(Outcome::Ok {
+            body: json!({"kind": "slept", "ms": (ms as f64)})
+                .to_string()
+                .into_bytes(),
+            stamp: None,
+        });
     });
 }

@@ -28,11 +28,12 @@
 //! shards — one long-lived watcher connection per shard instead of a
 //! poll loop.
 //!
-//! Push frames are queued on the reactor alongside ordinary responses,
-//! marked `"push": true` and carrying the subscription id, so the two
-//! interleave on one socket without tearing frames. A subscriber that
-//! falls more than a bounded number of frames behind is disconnected
-//! with a typed `slow_consumer` error rather than buffered for.
+//! Push frames are encoded here, by the notifier thread, and queued on
+//! the reactor alongside ordinary responses, marked `"push": true` and
+//! carrying the subscription id, so the two interleave on one socket
+//! without tearing frames. A subscriber that falls more than a bounded
+//! number of frames behind is disconnected with a typed `slow_consumer`
+//! error rather than buffered for.
 //!
 //! Every hub lock recovers from poisoning: the tables hold plain maps
 //! that are valid at every step, and a panicking evaluation must not
@@ -50,7 +51,7 @@ use f1_cobra::{QueryOutput, RetrievedSegment, Stamp, Vdbms};
 use f1_monet::ExecBudget;
 use serde_json::{json, Value};
 
-use crate::protocol::{err_response, ok_response, ErrorKind};
+use crate::protocol::{encode_reply, err_response, ok_response, ErrorKind};
 use crate::reactor::{ConnId, ReactorCtl};
 
 /// Default bound on push frames queued behind one connection.
@@ -525,14 +526,14 @@ impl<S: Source> Hub<S> {
         self.count("stream.shard_down");
         self.ctl.send(
             conn,
-            err_response(
+            encode_reply(&err_response(
                 sub_id,
                 ErrorKind::ShardUnavailable,
                 format!(
                     "subscription {sub_id} lost sight of its data ({why}); \
                      it stays armed and resumes when the data is reachable again"
                 ),
-            ),
+            )),
         );
     }
 
@@ -554,14 +555,14 @@ impl<S: Source> Hub<S> {
             self.count("stream.slow_consumer_disconnects");
             self.ctl.send(
                 conn,
-                err_response(
+                encode_reply(&err_response(
                     sub_id,
                     ErrorKind::SlowConsumer,
                     format!(
                         "subscriber fell {queued} push frames behind the cap of {}; disconnecting",
                         self.cap
                     ),
-                ),
+                )),
             );
             // The reactor gives the typed error a bounded flush window,
             // then severs the connection.
@@ -569,7 +570,8 @@ impl<S: Source> Hub<S> {
             return false;
         }
         self.count("stream.pushes");
-        self.ctl.send_push(conn, frame, Arc::clone(pending));
+        self.ctl
+            .send_push(conn, encode_reply(&frame), Arc::clone(pending));
         true
     }
 }
@@ -668,6 +670,16 @@ mod tests {
         }
     }
 
+    /// What a queued frame says, length prefix checked.
+    fn decoded(frame: &[u8]) -> Value {
+        assert_eq!(
+            frame[..4],
+            ((frame.len() - 4) as u32).to_be_bytes(),
+            "the prefix counts the payload"
+        );
+        serde_json::from_slice(&frame[4..]).expect("queued frames are JSON")
+    }
+
     impl Rig {
         /// Registers a standing query without spawning the notifier.
         fn subscribe(&self, video: &str, text: Option<&str>) -> Value {
@@ -693,9 +705,11 @@ mod tests {
                 match op {
                     Op::Push { frame, pending, .. } => {
                         pending.fetch_sub(1, Ordering::AcqRel);
+                        let frame = decoded(&frame);
+                        assert_eq!(frame.get("push").and_then(Value::as_bool), Some(true));
                         pushes.push(frame.get("result").cloned().unwrap_or(Value::Null));
                     }
-                    Op::Send { frame, .. } => errors.push(frame),
+                    Op::Send { frame, .. } => errors.push(decoded(&frame)),
                     _ => {}
                 }
             }
@@ -877,7 +891,8 @@ mod tests {
         let Op::Send { conn: CONN, frame } = &ops[1] else {
             panic!("overflow must enqueue the typed error, not a push");
         };
-        assert_eq!(error_kind(frame), Some(ErrorKind::SlowConsumer.as_str()));
+        let frame = decoded(frame);
+        assert_eq!(error_kind(&frame), Some(ErrorKind::SlowConsumer.as_str()));
         assert_eq!(frame.get("id").and_then(Value::as_u64), Some(SUB));
         assert!(
             matches!(ops[2], Op::Close { conn: CONN }),

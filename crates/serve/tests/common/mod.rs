@@ -43,3 +43,37 @@ pub fn fixture_vdbms() -> Arc<Vdbms> {
         .expect("store fixture events");
     Arc::new(vdbms)
 }
+
+/// A raw protocol session — frames out, payload bytes in, nothing
+/// decoded — for tests that compare replies byte for byte, and for
+/// scripted peers that misbehave on purpose.
+pub struct RawSession {
+    pub stream: std::net::TcpStream,
+}
+
+impl RawSession {
+    pub fn connect(addr: std::net::SocketAddr) -> RawSession {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(15)))
+            .expect("arm the no-hang bound");
+        RawSession { stream }
+    }
+
+    /// Sends `request` as it stands: the test picks the id.
+    pub fn send(&mut self, request: &serde_json::Value) {
+        use std::io::Write;
+        let frame = cobra_serve::protocol::encode_frame(request).expect("request encodes");
+        self.stream.write_all(&frame).expect("send");
+    }
+
+    /// The next frame's payload.
+    pub fn recv(&mut self) -> Vec<u8> {
+        use std::io::Read;
+        let mut prefix = [0u8; 4];
+        self.stream.read_exact(&mut prefix).expect("frame prefix");
+        let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
+        self.stream.read_exact(&mut payload).expect("frame payload");
+        payload
+    }
+}

@@ -214,6 +214,11 @@ impl ShardCluster {
         self.router_ref().registry()
     }
 
+    /// Where the router listens.
+    pub fn router_addr(&self) -> std::net::SocketAddr {
+        self.router_ref().addr()
+    }
+
     /// A protocol client connected to the router, with the harness
     /// timeout armed.
     pub fn client(&self) -> Client {
@@ -224,14 +229,17 @@ impl ShardCluster {
         client
     }
 
-    /// A client connected directly to `shard`'s worker.
-    pub fn worker_client(&self, shard: u32) -> Client {
-        let addr = self.workers[shard as usize]
+    /// Where `shard`'s worker listens.
+    pub fn worker_addr(&self, shard: u32) -> &str {
+        self.workers[shard as usize]
             .as_ref()
             .expect("worker is running")
             .addr()
-            .to_string();
-        let client = Client::connect(&addr).expect("connect to worker");
+    }
+
+    /// A client connected directly to `shard`'s worker.
+    pub fn worker_client(&self, shard: u32) -> Client {
+        let client = Client::connect(self.worker_addr(shard)).expect("connect to worker");
         client
             .set_timeout(Some(CLIENT_TIMEOUT))
             .expect("arm client timeout");
@@ -255,6 +263,35 @@ impl ShardCluster {
         self.workers[shard as usize] = Some(worker);
         self.router_ref().set_shard_addr(shard, addr.clone());
         addr
+    }
+}
+
+/// A raw protocol session — frames out, payload bytes in, nothing
+/// decoded and the ids the test's own — for comparing replies byte for
+/// byte.
+pub struct RawSession {
+    stream: std::net::TcpStream,
+}
+
+impl RawSession {
+    pub fn connect(addr: impl std::net::ToSocketAddrs) -> RawSession {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(CLIENT_TIMEOUT))
+            .expect("arm the no-hang bound");
+        RawSession { stream }
+    }
+
+    /// Sends `request` as it stands and returns the next frame's payload.
+    pub fn call(&mut self, request: &serde_json::Value) -> String {
+        use std::io::{Read, Write};
+        let frame = cobra_serve::protocol::encode_frame(request).expect("request encodes");
+        self.stream.write_all(&frame).expect("send");
+        let mut prefix = [0u8; 4];
+        self.stream.read_exact(&mut prefix).expect("frame prefix");
+        let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
+        self.stream.read_exact(&mut payload).expect("frame payload");
+        String::from_utf8(payload).expect("frames are UTF-8")
     }
 }
 

@@ -17,7 +17,7 @@ use cobra_faults::{FaultPlan, Trigger};
 use cobra_serve::client::{unwrap_response, Client, ClientError, QueryReply};
 use cobra_serve::ring::{Ring, DEFAULT_SEED};
 use cobra_serve::ErrorKind;
-use common::shard::{event, seed_video, SeedVideo, ShardCluster};
+use common::shard::{event, seed_video, RawSession, SeedVideo, ShardCluster};
 use serde_json::{json, Value};
 
 static GATE: Mutex<()> = Mutex::new(());
@@ -52,7 +52,7 @@ fn raw_query(client: &mut Client, video: &str, text: &str) -> Result<Value, Clie
         if response.get("id").and_then(Value::as_u64) != Some(id) {
             continue;
         }
-        return unwrap_response(&response);
+        return unwrap_response(response);
     }
 }
 
@@ -134,6 +134,136 @@ fn cross_video_answers_merge_deterministically() {
             "sweep group for {name} must equal the single-video answer"
         );
     }
+}
+
+/// ROADMAP aim 3, literally: whichever path an answer takes — forwarded
+/// by the router, spliced from several shards, served from the router's
+/// cache, re-executed after a write voided it — the reply is, byte for
+/// byte, the frame one server holding every video sends for the same
+/// request. Covers every statement shape this suite sends.
+#[test]
+fn every_path_returns_the_same_bytes_as_a_single_node() {
+    let _gate = serialize();
+    let videos = fixture_videos();
+    let cluster = ShardCluster::start(3, &videos);
+    let registry = cluster.registry();
+
+    // The single node: the same videos in one in-process server.
+    let vdbms = f1_cobra::Vdbms::try_new().expect("vdbms");
+    for video in &videos {
+        vdbms
+            .catalog
+            .register_video(f1_cobra::catalog::VideoInfo {
+                name: video.name.clone(),
+                n_clips: video.n_clips,
+                n_frames: video.n_clips * 25 / 10,
+            })
+            .expect("register");
+        vdbms
+            .catalog
+            .store_events(&video.name, &video.events)
+            .expect("store");
+    }
+    let single = cobra_serve::server::start(
+        Arc::new(vdbms),
+        cobra_serve::server::ServerConfig {
+            debug: true,
+            ..Default::default()
+        },
+    )
+    .expect("single node");
+
+    let mut routed = RawSession::connect(cluster.router_addr());
+    let mut direct = RawSession::connect(single.addr());
+    let mut id = 0u64;
+    let mut both = |mut request: Value| {
+        id += 1;
+        if let Value::Object(map) = &mut request {
+            map.insert("id".into(), Value::Number(id as f64));
+        }
+        (routed.call(&request), direct.call(&request))
+    };
+    let query = |video: &str, text: &str| json!({"cmd": "query", "video": (video), "text": (text)});
+
+    // Plain retrievals the router caches, then shapes it only forwards:
+    // an unknown video, a statement that does not parse.
+    let cacheable = [
+        ("race-0", "RETRIEVE HIGHLIGHTS"),
+        ("race-3", "RETRIEVE HIGHLIGHTS WITH DRIVER \"MONTOYA\""),
+        ("*", "RETRIEVE HIGHLIGHTS"),
+        ("*", "RETRIEVE PITSTOPS"),
+    ];
+    let forwarded = [
+        ("nope", "RETRIEVE HIGHLIGHTS"),
+        ("race-2", "FETCH ME EVERYTHING"),
+    ];
+    for round in ["cold", "from the router cache", "after a write voided it"] {
+        let snap = registry.snapshot();
+        if round == "after a write voided it" {
+            let write = json!({
+                "cmd": "write_event", "video": "race-0", "kind": "highlight",
+                "start": 300, "end": 310, "driver": "É \"quoted\" \\ 😀",
+            });
+            let (via_router, on_single) = both(write);
+            assert!(via_router.contains("\"ok\":true"), "{via_router}");
+            assert!(on_single.contains("\"ok\":true"), "{on_single}");
+        }
+        for (video, text) in cacheable.iter().chain(&forwarded) {
+            let (via_router, on_single) = both(query(video, text));
+            assert_eq!(via_router, on_single, "{round}: {video}: {text}");
+        }
+        // The rounds took the paths they are named after.
+        let d = registry.snapshot().delta(&snap);
+        let (hits, voided) = match round {
+            "cold" => (0, 0),
+            "from the router cache" => (4, 0),
+            // The write moved race-0's shard: every answer that read it
+            // is void — race-0's, both sweeps, and race-3's if it lives
+            // there too.
+            _ if cluster.owner("race-3") == cluster.owner("race-0") => (0, 4),
+            _ => (1, 3),
+        };
+        assert_eq!(
+            d.counter("cache.result", &[("result", "hit")]),
+            hits,
+            "{round}"
+        );
+        assert_eq!(
+            d.counter("cache.result", &[("result", "invalidated")]),
+            voided,
+            "{round}"
+        );
+    }
+    let (sweep, _) = both(query("*", "RETRIEVE HIGHLIGHTS"));
+    assert!(
+        sweep.contains(r#""driver":"É \"quoted\" \\ 😀""#),
+        "{sweep}"
+    );
+
+    // A profile carries timings, which differ from run to run; the rows
+    // and the shape of the span tree may not.
+    let (via_router, on_single) = both(query("race-4", "PROFILE RETRIEVE HIGHLIGHTS"));
+    let profile = |payload: &str| {
+        let frame: Value = serde_json::from_str(payload).expect("a frame");
+        let result = frame.get("result").cloned().expect("result");
+        let span = result.get("span").and_then(cobra_obs::SpanNode::from_json);
+        (
+            result.get("segments").cloned().expect("segments"),
+            span.expect("a span tree").shape(),
+        )
+    };
+    assert_eq!(profile(&via_router), profile(&on_single));
+
+    // A plan quotes the costs its own process measured, so the node to
+    // compare with is the shard that owns the video: the router forwards
+    // its frame as it is.
+    let mut owner = RawSession::connect(cluster.worker_addr(cluster.owner("race-1")));
+    let explain = json!({
+        "id": 77, "cmd": "query", "video": "race-1", "text": "EXPLAIN RETRIEVE HIGHLIGHTS",
+    });
+    assert_eq!(routed.call(&explain), owner.call(&explain));
+
+    single.shutdown();
 }
 
 #[test]
