@@ -6,7 +6,7 @@
 //! of an audio clip. Frame-level values are aggregated per 0.1 s clip into
 //! averages, maxima and dynamic ranges.
 
-use crate::signal::{goertzel_power, FirFilter};
+use crate::signal::{goertzel_coefficient, goertzel_powers, FirFilter};
 use crate::time::{CLIP_SAMPLES, FRAME_SAMPLES, SAMPLE_RATE};
 use crate::window::Window;
 use crate::{MediaError, Result};
@@ -48,13 +48,17 @@ impl ClipStats {
 /// Short-time energy of one frame under an analysis window: the mean of
 /// squared windowed samples.
 pub fn short_time_energy(frame: &[f64], window: Window) -> f64 {
+    windowed_energy(frame, &window.coefficients(frame.len()))
+}
+
+/// [`short_time_energy`] under window coefficients computed beforehand.
+fn windowed_energy(frame: &[f64], coeffs: &[f64]) -> f64 {
     if frame.is_empty() {
         return 0.0;
     }
-    let coeffs = window.coefficients(frame.len());
     frame
         .iter()
-        .zip(&coeffs)
+        .zip(coeffs)
         .map(|(x, w)| {
             let v = x * w;
             v * v
@@ -86,17 +90,33 @@ pub fn pitch_autocorrelation(
     if min_lag >= max_lag {
         return None;
     }
+    // Raw autocorrelation, LANES lags per pass over the buffer: each
+    // lag's sum runs over its own overlap in ascending order, as it would
+    // alone; the independent sums just overlap in the pipeline.
+    const LANES: usize = 4;
     let mut scores = Vec::with_capacity(max_lag - min_lag + 1);
-    let mut best = f64::MIN;
-    for lag in min_lag..=max_lag {
-        let mut r = 0.0;
-        for i in 0..buf.len() - lag {
-            r += buf[i] * buf[i + lag];
+    for first in (min_lag..=max_lag).step_by(LANES) {
+        let lanes = LANES.min(max_lag + 1 - first);
+        // The longest lag of the group has the shortest overlap.
+        let shared = buf.len() - (first + lanes - 1);
+        let mut r = [0.0; LANES];
+        for (&x, lagged) in buf[..shared].iter().zip(buf[first..].windows(lanes)) {
+            for (r, &y) in r.iter_mut().zip(lagged) {
+                *r += x * y;
+            }
         }
+        for (r, lag) in r[..lanes].iter_mut().zip(first..) {
+            for (&x, &y) in buf[shared..].iter().zip(&buf[shared + lag..]) {
+                *r += x * y;
+            }
+        }
+        scores.extend_from_slice(&r[..lanes]);
+    }
+    let mut best = f64::MIN;
+    for (r, lag) in scores.iter_mut().zip(min_lag..) {
         // Normalize for the shrinking overlap.
-        let r = r / (buf.len() - lag) as f64 / (r0 / buf.len() as f64);
-        scores.push(r);
-        best = best.max(r);
+        *r = *r / (buf.len() - lag) as f64 / (r0 / buf.len() as f64);
+        best = best.max(*r);
     }
     if best < voicing_threshold {
         return None;
@@ -127,6 +147,60 @@ fn mel_to_hz(mel: f64) -> f64 {
     700.0 * (10f64.powf(mel / 2595.0) - 1.0)
 }
 
+/// The tables behind [`mfcc`] for one choice of its parameters: the
+/// Goertzel coefficients of the mel-spaced probe frequencies and the
+/// DCT-II cosines.
+struct MelBank {
+    /// One Goertzel coefficient per mel filter.
+    probes: Vec<f64>,
+    /// `n_coeffs` rows of `n_filters` cosines.
+    dct: Vec<f64>,
+}
+
+impl MelBank {
+    fn new(n_coeffs: usize, n_filters: usize, fmax_hz: f64) -> Self {
+        let mel_max = hz_to_mel(fmax_hz);
+        let mel_min = hz_to_mel(60.0);
+        let probes = (0..n_filters)
+            .map(|k| {
+                let mel =
+                    mel_min + (mel_max - mel_min) * (k as f64 + 1.0) / (n_filters as f64 + 1.0);
+                goertzel_coefficient(mel_to_hz(mel), SAMPLE_RATE)
+            })
+            .collect();
+        let dct = (1..=n_coeffs)
+            .flat_map(|c| {
+                (0..n_filters).map(move |k| {
+                    (std::f64::consts::PI * c as f64 * (k as f64 + 0.5) / n_filters as f64).cos()
+                })
+            })
+            .collect();
+        MelBank { probes, dct }
+    }
+
+    /// The `n_coeffs` coefficients (c1…cn, excluding c0) of a non-empty
+    /// frame.
+    fn mfcc(&self, frame: &[f64]) -> Vec<f64> {
+        let n_filters = self.probes.len();
+        let mut energies = goertzel_powers(frame, &self.probes);
+        for e in &mut energies {
+            *e = (*e + 1e-12).ln();
+        }
+        // DCT-II over the log filterbank energies.
+        self.dct
+            .chunks_exact(n_filters)
+            .map(|cosines| {
+                energies
+                    .iter()
+                    .zip(cosines)
+                    .map(|(&e, &cos)| e * cos)
+                    .sum::<f64>()
+                    / n_filters as f64
+            })
+            .collect()
+    }
+}
+
 /// Mel-frequency cepstral coefficients of a frame.
 ///
 /// The mel filterbank energies are probed with Goertzel filters at the
@@ -138,30 +212,7 @@ pub fn mfcc(frame: &[f64], n_coeffs: usize, n_filters: usize, fmax_hz: f64) -> V
     if frame.is_empty() || n_filters == 0 {
         return vec![0.0; n_coeffs];
     }
-    let mel_max = hz_to_mel(fmax_hz);
-    let mel_min = hz_to_mel(60.0);
-    let energies: Vec<f64> = (0..n_filters)
-        .map(|k| {
-            let mel = mel_min + (mel_max - mel_min) * (k as f64 + 1.0) / (n_filters as f64 + 1.0);
-            let hz = mel_to_hz(mel);
-            let p = goertzel_power(frame, hz, SAMPLE_RATE);
-            (p + 1e-12).ln()
-        })
-        .collect();
-    // DCT-II over the log filterbank energies.
-    (1..=n_coeffs)
-        .map(|c| {
-            energies
-                .iter()
-                .enumerate()
-                .map(|(k, &e)| {
-                    e * (std::f64::consts::PI * c as f64 * (k as f64 + 0.5) / n_filters as f64)
-                        .cos()
-                })
-                .sum::<f64>()
-                / n_filters as f64
-        })
-        .collect()
+    MelBank::new(n_coeffs, n_filters, fmax_hz).mfcc(frame)
 }
 
 /// Configuration of the clip-level audio analysis.
@@ -205,12 +256,16 @@ pub struct AudioClipFeatures {
     pub voiced_rate: f64,
 }
 
-/// The clip-level audio analyzer (owns the designed filters).
+/// The clip-level audio analyzer (owns the designed filters and the
+/// per-frame tables: a clip's ten frames share one window and one mel
+/// bank).
 pub struct AudioAnalyzer {
     cfg: AudioConfig,
     low: FirFilter,  // 0–882 Hz
     mid: FirFilter,  // 882–2205 Hz
     wide: FirFilter, // 0–2500 Hz (speech characterization band)
+    window: Vec<f64>,
+    mel: MelBank,
 }
 
 impl AudioAnalyzer {
@@ -223,6 +278,8 @@ impl AudioAnalyzer {
             low: FirFilter::band_pass(0.0, 882.0, cfg.taps, SAMPLE_RATE)?,
             mid: FirFilter::band_pass(882.0, 2205.0, cfg.taps, SAMPLE_RATE)?,
             wide: FirFilter::band_pass(0.0, 2500.0, cfg.taps, SAMPLE_RATE)?,
+            window: cfg.window.coefficients(FRAME_SAMPLES),
+            mel: MelBank::new(3, 16, 2500.0),
             cfg,
         })
     }
@@ -257,11 +314,11 @@ impl AudioAnalyzer {
         for f in 0..n_frames {
             let lo = f * FRAME_SAMPLES;
             let hi = lo + FRAME_SAMPLES;
-            ste_low.push(short_time_energy(&low[lo..hi], self.cfg.window));
-            ste_mid.push(short_time_energy(&mid[lo..hi], self.cfg.window));
-            let coeffs = mfcc(&low[lo..hi], 3, 16, 2500.0);
+            ste_low.push(windowed_energy(&low[lo..hi], &self.window));
+            ste_mid.push(windowed_energy(&mid[lo..hi], &self.window));
+            let coeffs = self.mel.mfcc(&low[lo..hi]);
             mfcc3.push(coeffs.iter().map(|c| c.abs()).sum());
-            let wide_e = short_time_energy(&wide[lo..hi], self.cfg.window);
+            let wide_e = windowed_energy(&wide[lo..hi], &self.window);
             if wide_e < self.cfg.silence_threshold {
                 silent += 1;
             }

@@ -2,5 +2,7 @@
 
 pub mod audio;
 pub mod endpoint;
+#[cfg(test)]
+mod reference;
 pub mod vector;
 pub mod video;

@@ -24,14 +24,17 @@
 
 use crate::features::audio::{AudioAnalyzer, AudioConfig};
 use crate::features::endpoint::EndpointConfig;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::features::video::{
-    dust_score, motion_field, replay_spans_from_wipes, sand_score, semaphore_score, wipe_score,
+    dust_and_sand, motion_between, replay_spans_from_wipes, semaphore_score, wipe_in,
     MOTION_BASELINE,
 };
+use crate::frame::{Frame, LumaPlane};
 use crate::synth::audio::AudioSynth;
 use crate::synth::scenario::RaceScenario;
 use crate::synth::video::VideoSynth;
-use crate::time::{clips_per_second, VIDEO_FPS};
+use crate::time::{clip_of_video_frame, video_frame_of_clip, VIDEO_FPS};
 use crate::Result;
 
 /// Number of features in the paper's vector.
@@ -84,6 +87,59 @@ fn norm_range(x: f64, lo: f64, hi: f64) -> f64 {
     ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
 }
 
+/// A decoded frame and the luma plane the motion and wipe kernels read.
+struct Decoded {
+    idx: usize,
+    frame: Frame,
+    plane: LumaPlane,
+}
+
+/// The decoded frames extraction holds while it walks a clip range.
+///
+/// A clip at frame `f` looks at `f`, `f+1`, `f+3`, `f+4` and `f+7`, and
+/// consecutive clips start 2–3 frames apart, so neighbouring clips share
+/// most of what they look at. The window decodes a frame the first time
+/// it is asked for and keeps it until the clip index has passed it:
+/// every frame is decoded once, and at most eight are alive.
+struct DecodeWindow<'v> {
+    video: &'v VideoSynth<'v>,
+    held: Vec<Decoded>,
+    decoded: u64,
+}
+
+impl<'v> DecodeWindow<'v> {
+    fn new(video: &'v VideoSynth<'v>) -> Self {
+        DecodeWindow {
+            video,
+            held: Vec::new(),
+            decoded: 0,
+        }
+    }
+
+    /// Drops every frame before `idx`.
+    fn release_before(&mut self, idx: usize) {
+        self.held.retain(|d| d.idx >= idx);
+    }
+
+    /// Decodes frame `idx` unless the window holds it.
+    fn load(&mut self, idx: usize) {
+        if self.held.iter().all(|d| d.idx != idx) {
+            let frame = self.video.frame(idx);
+            let plane = LumaPlane::of(&frame);
+            self.held.push(Decoded { idx, frame, plane });
+            self.decoded += 1;
+        }
+    }
+
+    /// A frame [`load`](Self::load) put in the window.
+    fn get(&self, idx: usize) -> &Decoded {
+        self.held
+            .iter()
+            .find(|d| d.idx == idx)
+            .expect("frame is loaded before it is read")
+    }
+}
+
 /// The per-clip feature extractor for one broadcast.
 pub struct FeatureExtractor<'a> {
     scenario: &'a RaceScenario,
@@ -92,6 +148,7 @@ pub struct FeatureExtractor<'a> {
     analyzer: AudioAnalyzer,
     cfg: VectorConfig,
     faults: cobra_faults::FaultHandle,
+    frames_decoded: AtomicU64,
 }
 
 impl<'a> FeatureExtractor<'a> {
@@ -109,6 +166,7 @@ impl<'a> FeatureExtractor<'a> {
             analyzer: AudioAnalyzer::new(cfg.audio.clone())?,
             cfg,
             faults: cobra_faults::FaultHandle::default(),
+            frames_decoded: AtomicU64::new(0),
         })
     }
 
@@ -119,31 +177,10 @@ impl<'a> FeatureExtractor<'a> {
         self
     }
 
-    /// Detects replay spans over the clip range via the wipe detector and
-    /// returns a per-clip flag vector.
-    fn replay_flags(&self, lo_clip: usize, hi_clip: usize) -> Vec<bool> {
-        let cps = clips_per_second();
-        let f_lo = lo_clip * VIDEO_FPS / cps;
-        let f_hi = (hi_clip * VIDEO_FPS / cps).min(self.video.n_frames().saturating_sub(1));
-        let mut wipes = Vec::new();
-        let mut f = f_lo;
-        while f < f_hi {
-            if wipe_score(&self.video.frame(f)) > 0.5 {
-                wipes.push(f);
-            }
-            f += self.cfg.wipe_stride;
-        }
-        let (min_len, max_len) = self.cfg.replay_len_frames;
-        let spans = replay_spans_from_wipes(&wipes, min_len, max_len);
-        let mut flags = vec![false; hi_clip - lo_clip];
-        for (open, close) in spans {
-            let c0 = (open * cps / VIDEO_FPS).max(lo_clip);
-            let c1 = ((close * cps / VIDEO_FPS) + 1).min(hi_clip);
-            for c in c0..c1 {
-                flags[c - lo_clip] = true;
-            }
-        }
-        flags
+    /// Video frames this extractor has decoded, over all its
+    /// [`extract`](Self::extract) calls.
+    pub fn frames_decoded(&self) -> u64 {
+        self.frames_decoded.load(Ordering::Relaxed)
     }
 
     /// Extracts the `[hi_clip - lo_clip] × 17` feature matrix.
@@ -151,6 +188,12 @@ impl<'a> FeatureExtractor<'a> {
     /// `keyword_scores` are the normalized keyword-spotter outputs per
     /// clip of the *whole* broadcast (indexed absolutely); pass an empty
     /// slice to zero the keyword feature.
+    ///
+    /// One pass in clip order through a [`DecodeWindow`]: a frame is
+    /// decoded once, its luma plane is computed once, and its wipe
+    /// evidence is taken when the pass reaches it if it lies on the
+    /// `wipe_stride` grid. The replay feature needs the wipes of the
+    /// whole range, so it is filled in after the pass.
     pub fn extract(
         &self,
         keyword_scores: &[f64],
@@ -161,9 +204,14 @@ impl<'a> FeatureExtractor<'a> {
         // Fault site `media.vector.extract`: lets tests fail extraction
         // below the pre-processor, where a real decoder would die.
         self.faults.fire("media.vector.extract")?;
-        let cps = clips_per_second();
-        let replay = self.replay_flags(lo_clip, hi_clip);
-        let mut rows = Vec::with_capacity(hi_clip - lo_clip);
+        let last = self.video.n_frames().saturating_sub(1);
+        // The wipe scan covers the range's own frames, short of the
+        // broadcast's last one.
+        let wipe_end = video_frame_of_clip(hi_clip).min(last);
+        let mut next_wipe = video_frame_of_clip(lo_clip);
+        let mut wipes = Vec::new();
+        let mut window = DecodeWindow::new(&self.video);
+        let mut rows = Vec::with_capacity(hi_clip.saturating_sub(lo_clip));
         for clip in lo_clip..hi_clip {
             let a = self.analyzer.analyze_clip(&self.audio.clip(clip))?;
             let speech = self.cfg.endpoint.is_speech(&a);
@@ -172,21 +220,27 @@ impl<'a> FeatureExtractor<'a> {
             let gate = if speech { 1.0 } else { 0.0 };
             let (plo, phi) = self.cfg.pitch_range;
 
-            let f_idx = clip * VIDEO_FPS / cps;
-            let last = self.video.n_frames() - 1;
-            let cur = self.video.frame(f_idx);
-            let next = self.video.frame((f_idx + 1).min(last));
-            let far = self.video.frame((f_idx + MOTION_BASELINE).min(last));
-            let field = motion_field(&cur, &far);
+            let f_idx = video_frame_of_clip(clip);
+            window.release_before(f_idx);
+            while next_wipe < video_frame_of_clip(clip + 1).min(wipe_end) {
+                window.load(next_wipe);
+                if wipe_in(&window.get(next_wipe).plane) > 0.5 {
+                    wipes.push(next_wipe);
+                }
+                next_wipe += self.cfg.wipe_stride;
+            }
             // A second motion sample half a clip later makes the passing
             // cue robust to cuts and momentary occlusion.
-            let mid = self
-                .video
-                .frame((f_idx + MOTION_BASELINE / 2 + 1).min(last));
-            let far2 = self
-                .video
-                .frame((f_idx + MOTION_BASELINE / 2 + 1 + MOTION_BASELINE).min(last));
-            let field2 = motion_field(&mid, &far2);
+            let half = MOTION_BASELINE / 2 + 1;
+            let looked_at = [0, 1, MOTION_BASELINE, half, half + MOTION_BASELINE]
+                .map(|ahead| (f_idx + ahead).min(last));
+            for idx in looked_at {
+                window.load(idx);
+            }
+            let [cur, next, far, mid, far2] = looked_at.map(|idx| window.get(idx));
+            let field = motion_between(&cur.plane, &far.plane);
+            let field2 = motion_between(&mid.plane, &far2.plane);
+            let (dust, sand) = dust_and_sand(&cur.frame);
 
             let mut row = vec![0.0; N_FEATURES];
             row[0] = keyword_scores.get(clip).copied().unwrap_or(0.0);
@@ -204,15 +258,30 @@ impl<'a> FeatureExtractor<'a> {
             } else {
                 0.05
             };
-            row[11] = if replay[clip - lo_clip] { 0.9 } else { 0.1 };
-            row[12] = (cur.mean_abs_diff(&next) * self.cfg.color_diff_scale).min(1.0);
-            row[13] = semaphore_score(&cur);
-            row[14] = (dust_score(&cur) * self.cfg.dust_scale).min(1.0);
-            row[15] = (sand_score(&cur) * self.cfg.dust_scale).min(1.0);
+            row[12] = (cur.frame.mean_abs_diff(&next.frame) * self.cfg.color_diff_scale).min(1.0);
+            row[13] = semaphore_score(&cur.frame);
+            row[14] = (dust * self.cfg.dust_scale).min(1.0);
+            row[15] = (sand * self.cfg.dust_scale).min(1.0);
             row[16] = field
                 .object_motion_contrast()
                 .max(field2.object_motion_contrast());
             rows.push(row);
+        }
+        self.frames_decoded
+            .fetch_add(window.decoded, Ordering::Relaxed);
+
+        // f12: a wipe opens a replay, the next one in range closes it.
+        let (min_len, max_len) = self.cfg.replay_len_frames;
+        let mut replay = vec![false; rows.len()];
+        for (open, close) in replay_spans_from_wipes(&wipes, min_len, max_len) {
+            let c0 = clip_of_video_frame(open).max(lo_clip);
+            let c1 = (clip_of_video_frame(close) + 1).min(hi_clip);
+            for c in c0..c1 {
+                replay[c - lo_clip] = true;
+            }
+        }
+        for (row, replay) in rows.iter_mut().zip(replay) {
+            row[11] = if replay { 0.9 } else { 0.1 };
         }
         Ok(rows)
     }
@@ -263,6 +332,95 @@ mod tests {
         assert_eq!(report.count("media.vector.extract"), 1);
         // Disarmed, the same extractor works.
         assert_eq!(fx.extract(&[], 0, sc.n_clips).unwrap().len(), sc.n_clips);
+    }
+
+    /// Digest of the bit patterns of a matrix, row by row.
+    fn digest(rows: &[Vec<f64>]) -> u64 {
+        crate::test_support::fnv1a(rows.iter().flatten().map(|v| v.to_bits()))
+    }
+
+    /// Pins the f1…f17 matrix of one broadcast bit for bit: whole, in
+    /// 50-clip arrival windows, and over a window that starts on an odd
+    /// clip and ends at the last one, for both registered extraction
+    /// methods (`pinned[method][split]`). The digests were recorded at
+    /// the commit before the extractor's kernels were rewritten over
+    /// planes and rows — per-pixel `Frame::get`, five decodes per clip, a
+    /// separate wipe pre-pass. (Windows of 50 clips are too short to
+    /// pair two wipes, so `full` and `fast` agree on them.)
+    fn assert_matrices_pinned(profile: RaceProfile, secs: usize, pinned: [[u64; 3]; 2]) {
+        let sc = RaceScenario::generate(ScenarioConfig::new(profile, secs));
+        let n = sc.n_clips;
+        // `full` and `fast` as `Vdbms::extract` configures them.
+        for (wipe_stride, pinned) in [3, 6].into_iter().zip(pinned) {
+            let cfg = VectorConfig {
+                wipe_stride,
+                ..VectorConfig::default()
+            };
+            let fx = FeatureExtractor::with_config(&sc, cfg).unwrap();
+            let whole = fx.extract(&[], 0, n).unwrap();
+            let windows: Vec<Vec<f64>> = (0..n)
+                .step_by(50)
+                .flat_map(|lo| fx.extract(&[], lo, lo + 50).unwrap())
+                .collect();
+            let tail = fx.extract(&[], n - 175, n).unwrap();
+            assert_eq!(
+                [digest(&whole), digest(&windows), digest(&tail)],
+                pinned,
+                "{profile:?}, wipe stride {wipe_stride}"
+            );
+        }
+    }
+
+    #[test]
+    fn german_matrices_are_bit_identical_to_the_per_pixel_extractor() {
+        assert_matrices_pinned(
+            RaceProfile::German,
+            90,
+            [
+                [0x3c7ebc2483fe5d8c, 0x805ff1b8323b689f, 0x477a2db4d37d1c50],
+                [0xf95c815c31acd3c3, 0x805ff1b8323b689f, 0x477a2db4d37d1c50],
+            ],
+        );
+    }
+
+    #[test]
+    fn belgian_matrices_are_bit_identical_to_the_per_pixel_extractor() {
+        assert_matrices_pinned(
+            RaceProfile::Belgian,
+            60,
+            [
+                [0xe56e7781425ff0d3, 0xc459c3970b5a0d0e, 0xe1c8490c1eabf53c],
+                [0xc5b33f4657dae514, 0xc459c3970b5a0d0e, 0xc1ab807afc24aafe],
+            ],
+        );
+    }
+
+    #[test]
+    fn usa_matrices_are_bit_identical_to_the_per_pixel_extractor() {
+        assert_matrices_pinned(
+            RaceProfile::Usa,
+            70,
+            [
+                [0x61b9765c40a2d78b, 0xfa2a41fdd2afed38, 0x08d2d182c520ea64],
+                [0x72ebe5c420df0048, 0xfa2a41fdd2afed38, 0x08d2d182c520ea64],
+            ],
+        );
+    }
+
+    #[test]
+    fn every_frame_is_decoded_once() {
+        // The benchmark's broadcast: 100 clips in two arrival windows.
+        let sc = RaceScenario::generate(ScenarioConfig::new(RaceProfile::German, 10));
+        let fx = FeatureExtractor::new(&sc).unwrap();
+        fx.extract(&[], 0, 50).unwrap();
+        // Clips 0..50 start at frames 0..=122 and look seven frames
+        // ahead: frames 0..=129 less the one no clip of the window reads.
+        assert_eq!(fx.frames_decoded(), 129);
+        fx.extract(&[], 50, 100).unwrap();
+        // The second window starts over at frame 125 and stops at the
+        // broadcast's last frame, 249. Five decodes per clip and a wipe
+        // pre-pass made this 584.
+        assert_eq!(fx.frames_decoded(), 129 + 125);
     }
 
     #[test]

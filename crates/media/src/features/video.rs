@@ -1,7 +1,7 @@
 //! Visual features (§5.3): shot detection, motion, semaphore, dust/sand,
 //! passing cues and replay/DVE detection.
 
-use crate::frame::{Frame, HEIGHT, WIDTH};
+use crate::frame::{Frame, LumaPlane, HEIGHT, WIDTH};
 
 /// Anything that can hand out broadcast frames by index (implemented by
 /// the synthetic renderer; a decoder would implement it for real tapes).
@@ -129,38 +129,64 @@ pub struct MotionField {
     pub dx: Vec<i32>,
 }
 
-/// Estimates the horizontal motion field on an 8×6 block grid with ±8 px
-/// search, subsampled 4× for speed. Textureless blocks (uniform sky,
-/// plain asphalt) are skipped — their displacement is unobservable and
-/// would only add noise to the histogram.
+/// Block edge of the motion grid, in pixels.
+const BLOCK: usize = 16;
+/// Samples per block row and column: blocks are subsampled 2×.
+const SAMPLES: usize = BLOCK / 2;
+/// Search radius of the block matcher, in pixels.
+const SEARCH: i32 = 16;
+/// Luma variance floor below which a block's displacement is
+/// unobservable.
+const MIN_TEXTURE: f64 = 100.0;
+/// Per-sample SAD above which the best match is rejected.
+const MAX_RESIDUAL: i64 = 6;
+/// SAD charged for a sample whose displaced position is out of frame.
+const OUT_OF_FRAME: i64 = 128;
+
+/// Centre-out scan order `0, 1, -1, 2, -2, …`: on SAD ties (exact
+/// pattern repeats under the search window) the smallest displacement
+/// wins, which is the conservative hypothesis.
+const SEARCH_ORDER: [i32; 2 * SEARCH as usize + 1] = {
+    let mut order = [0; 2 * SEARCH as usize + 1];
+    let mut d = 1;
+    while d <= SEARCH {
+        order[2 * d as usize - 1] = d;
+        order[2 * d as usize] = -d;
+        d += 1;
+    }
+    order
+};
+
+/// Estimates the horizontal motion field on a grid of 16 px blocks with
+/// ±16 px search, subsampled 2× for speed. Textureless blocks (uniform
+/// sky, plain asphalt) are skipped — their displacement is unobservable
+/// and would only add noise to the histogram.
 pub fn motion_field(prev: &Frame, cur: &Frame) -> MotionField {
-    const BLOCK: usize = 16;
-    const SEARCH: i32 = 16;
-    const MIN_TEXTURE: f64 = 100.0; // luma variance floor
-    const MAX_RESIDUAL: i64 = 6; // per-sample SAD for an accepted match
-    let grid_x = WIDTH / BLOCK;
-    let grid_y = HEIGHT / BLOCK;
+    motion_between(&LumaPlane::of(prev), &LumaPlane::of(cur))
+}
+
+/// [`motion_field`] over luma planes computed once per frame.
+pub(crate) fn motion_between(prev: &LumaPlane, cur: &LumaPlane) -> MotionField {
     let mut dx = Vec::new();
-    for gy in 0..grid_y {
-        for gx in 0..grid_x {
-            let x0 = gx * BLOCK;
-            let y0 = gy * BLOCK;
+    for y0 in (0..HEIGHT / BLOCK * BLOCK).step_by(BLOCK) {
+        for x0 in (0..WIDTH / BLOCK * BLOCK).step_by(BLOCK) {
+            // The block's samples: every second pixel of every second row.
+            let mut block = [[0u8; SAMPLES]; SAMPLES];
+            for (r, samples) in block.iter_mut().enumerate() {
+                let row = &cur.row(y0 + 2 * r)[x0..x0 + BLOCK];
+                for (sample, &l) in samples.iter_mut().zip(row.iter().step_by(2)) {
+                    *sample = l;
+                }
+            }
             // Texture check: horizontal displacement is only observable
             // when the block has *horizontal* structure. A block holding
             // nothing but a horizontal band edge matches every shift
             // equally and would report garbage, so measure the variance of
             // per-column means.
-            let cols: Vec<f64> = ((x0..x0 + BLOCK).step_by(2))
-                .map(|x| {
-                    let mut s = 0.0;
-                    let mut n = 0.0;
-                    for y in (y0..y0 + BLOCK).step_by(2) {
-                        s += cur.luma(x, y) as f64;
-                        n += 1.0;
-                    }
-                    s / n
-                })
-                .collect();
+            let cols: [f64; SAMPLES] = std::array::from_fn(|c| {
+                let sum: u32 = block.iter().map(|samples| samples[c] as u32).sum();
+                sum as f64 / SAMPLES as f64
+            });
             let mean = cols.iter().sum::<f64>() / cols.len() as f64;
             let var = cols.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / cols.len() as f64;
             if var < MIN_TEXTURE {
@@ -169,37 +195,33 @@ pub fn motion_field(prev: &Frame, cur: &Frame) -> MotionField {
             let mut best = i64::MAX;
             let mut best_dx = 0i32;
             let mut best_samples = 1i64;
-            // Centre-out scan: on SAD ties (exact pattern repeats under
-            // the search window) the smallest displacement wins, which is
-            // the conservative hypothesis.
-            let order = {
-                let mut v = vec![0i32];
-                for d in 1..=SEARCH {
-                    v.push(d);
-                    v.push(-d);
-                }
-                v
-            };
-            for d in order {
-                let mut sad = 0i64;
-                let mut samples = 0i64;
-                for y in (y0..y0 + BLOCK).step_by(2) {
-                    for x in (x0..x0 + BLOCK).step_by(2) {
-                        let sx = x as i32 + d;
-                        if sx < 0 || sx as usize >= WIDTH {
-                            sad += 128;
-                            continue;
-                        }
-                        let a = cur.luma(x, y) as i64;
-                        let b = prev.luma(sx as usize, y) as i64;
-                        sad += (a - b).abs();
-                        samples += 1;
+            for d in SEARCH_ORDER {
+                // Sample `k` of a block row lands on column `left + 2k` of
+                // `prev`; `inside` are the `k` that land in the frame.
+                let left = x0 as i32 + d;
+                let first_at = |col: i32| ((col - left).max(0) as usize).div_ceil(2).min(SAMPLES);
+                let inside = first_at(0)..first_at(WIDTH as i32);
+                let mut sad = ((SAMPLES - inside.len()) * SAMPLES) as i64 * OUT_OF_FRAME;
+                // Every term is non-negative and only `sad < best` is
+                // accepted, so a displacement is settled as soon as its
+                // partial sum reaches the best so far.
+                for (r, samples) in block.iter().enumerate() {
+                    if sad >= best {
+                        break;
                     }
+                    let first = (left + 2 * inside.start as i32) as usize;
+                    let shifted = prev.row(y0 + 2 * r)[first..].iter().step_by(2);
+                    let row_sad: u32 = samples[inside.clone()]
+                        .iter()
+                        .zip(shifted)
+                        .map(|(&a, &b)| a.abs_diff(b) as u32)
+                        .sum();
+                    sad += row_sad as i64;
                 }
                 if sad < best {
                     best = sad;
                     best_dx = d;
-                    best_samples = samples.max(1);
+                    best_samples = ((inside.len() * SAMPLES) as i64).max(1);
                 }
             }
             // Match-quality gate: blocks straddling an object boundary
@@ -297,13 +319,12 @@ impl MotionField {
 /// red-dense rectangle of the top band (§5.3 detects the start lights by
 /// "filtering the red component … a rectangular shape").
 pub fn semaphore_score(frame: &Frame) -> f64 {
-    let is_red = |[r, g, b]: [u8; 3]| r > 170 && g < 90 && b < 90;
     // Column histogram of red pixels over the top band.
     let band_h = 60.min(frame.height());
     let mut col_red = vec![0usize; frame.width()];
-    for (x, col) in col_red.iter_mut().enumerate() {
-        for y in 0..band_h {
-            if is_red(frame.get(x, y)) {
+    for y in 0..band_h {
+        for (col, px) in col_red.iter_mut().zip(frame.row(y).chunks_exact(3)) {
+            if px[0] > 170 && px[1] < 90 && px[2] < 90 {
                 *col += 1;
             }
         }
@@ -326,21 +347,38 @@ pub fn semaphore_score(frame: &Frame) -> f64 {
     (best as f64 / (70.0 * 18.0)).min(1.0)
 }
 
+/// Fractions of dust-colored (desaturated bright) and of sand-colored
+/// pixels in the track region, from one pass over its rows.
+pub(crate) fn dust_and_sand(frame: &Frame) -> (f64, f64) {
+    // The region is clipped to the frame; an empty one scores zero.
+    let x1 = WIDTH.min(frame.width());
+    let (y0, y1) = (HEIGHT / 4, (HEIGHT / 4 + HEIGHT / 2).min(frame.height()));
+    if x1 == 0 || y0 >= y1 {
+        return (0.0, 0.0);
+    }
+    let (mut dust, mut sand) = (0usize, 0usize);
+    for y in y0..y1 {
+        for px in frame.row(y)[..x1 * 3].chunks_exact(3) {
+            let (r, g, b) = (px[0], px[1], px[2]);
+            let max = r.max(g).max(b) as i32;
+            let min = r.min(g).min(b) as i32;
+            dust += usize::from(max > 140 && max - min < 40 && r >= g && g >= b);
+            sand += usize::from(r > 180 && (140..=210).contains(&g) && b < 160 && r > b);
+        }
+    }
+    let pixels = (x1 * (y1 - y0)) as f64;
+    (dust as f64 / pixels, sand as f64 / pixels)
+}
+
 /// Fraction of sand-colored pixels in the track region.
 pub fn sand_score(frame: &Frame) -> f64 {
-    frame.fraction_matching(0, HEIGHT / 4, WIDTH, HEIGHT / 2, |[r, g, b]| {
-        r > 180 && (140..=210).contains(&g) && b < 160 && r > b
-    })
+    dust_and_sand(frame).1
 }
 
 /// Fraction of dust-colored (desaturated bright) pixels in the track
 /// region.
 pub fn dust_score(frame: &Frame) -> f64 {
-    frame.fraction_matching(0, HEIGHT / 4, WIDTH, HEIGHT / 2, |[r, g, b]| {
-        let max = r.max(g).max(b) as i32;
-        let min = r.min(g).min(b) as i32;
-        max > 140 && max - min < 40 && r >= g && g >= b
-    })
+    dust_and_sand(frame).0
 }
 
 /// Wipe (DVE) evidence in a single frame: DVE generators draw a bright
@@ -348,20 +386,25 @@ pub fn dust_score(frame: &Frame) -> f64 {
 /// scores the best candidate bar (a narrow contiguous band of columns
 /// that are near-white over almost their full height).
 pub fn wipe_score(frame: &Frame) -> f64 {
-    let w = frame.width();
-    let h = frame.height();
-    // Fraction of near-white samples per column.
-    let mut white = vec![0f64; w];
-    let rows: Vec<usize> = (0..h).step_by(4).collect();
-    for (x, wf) in white.iter_mut().enumerate() {
-        let hits = rows.iter().filter(|&&y| frame.luma(x, y) > 245).count();
-        *wf = hits as f64 / rows.len() as f64;
+    wipe_in(&LumaPlane::of(frame))
+}
+
+/// [`wipe_score`] over a luma plane computed once per frame.
+pub(crate) fn wipe_in(plane: &LumaPlane) -> f64 {
+    let (w, h) = plane.frame_size();
+    // Near-white samples per column, over every fourth row.
+    let mut hits = vec![0u32; w];
+    for y in (0..h).step_by(4) {
+        for (n, &l) in hits.iter_mut().zip(plane.row(y)) {
+            *n += u32::from(l > 245);
+        }
     }
+    let rows = h.div_ceil(4);
     // Longest contiguous run of full-height white columns.
     let mut best_run = 0usize;
     let mut run = 0usize;
-    for &wf in &white {
-        if wf > 0.9 {
+    for &n in &hits {
+        if n as f64 / rows as f64 > 0.9 {
             run += 1;
             best_run = best_run.max(run);
         } else {

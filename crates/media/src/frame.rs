@@ -28,10 +28,8 @@ pub struct FrameBuf {
 impl FrameBuf {
     /// A frame filled with one color.
     pub fn filled(width: usize, height: usize, rgb: [u8; 3]) -> Self {
-        let mut data = Vec::with_capacity(width * height * 3);
-        for _ in 0..width * height {
-            data.extend_from_slice(&rgb);
-        }
+        let mut data = vec![0u8; width * height * 3];
+        fill_pixels(&mut data, rgb);
         FrameBuf {
             width,
             height,
@@ -72,12 +70,50 @@ impl FrameBuf {
         self.data[i..i + 3].copy_from_slice(&rgb);
     }
 
+    /// The bytes of pixels `x0..x1` of row `y`, both clipped to the
+    /// frame — every drawing primitive writes through this slice.
+    pub(crate) fn span_mut(&mut self, y: usize, x0: usize, x1: usize) -> &mut [u8] {
+        let range = self.span_range(y, x0, x1);
+        &mut self.data[range]
+    }
+
+    /// [`span_mut`](Self::span_mut), to read.
+    pub(crate) fn span(&self, y: usize, x0: usize, x1: usize) -> &[u8] {
+        &self.data[self.span_range(y, x0, x1)]
+    }
+
+    /// The clipped range [`span_mut`](Self::span_mut) writes, as bytes
+    /// of `data`.
+    fn span_range(&self, y: usize, x0: usize, x1: usize) -> std::ops::Range<usize> {
+        if y >= self.height {
+            return 0..0;
+        }
+        let x1 = x1.min(self.width);
+        let x0 = x0.min(x1);
+        let row = y * self.width;
+        (row + x0) * 3..(row + x1) * 3
+    }
+
+    /// Copies pixels `x0..x1` of row `y0` into the rows below it, up to
+    /// `y1` (all clipped): how a renderer draws what does not change
+    /// from row to row.
+    pub(crate) fn repeat_span(&mut self, y0: usize, y1: usize, x0: usize, x1: usize) {
+        let first = self.span_range(y0, x0, x1);
+        for y in y0 + 1..y1.min(self.height) {
+            let at = self.span_range(y, x0, x1).start;
+            self.data.copy_within(first.clone(), at);
+        }
+    }
+
+    /// [`repeat_span`](Self::repeat_span) over whole rows.
+    pub(crate) fn repeat_row(&mut self, y0: usize, y1: usize) {
+        self.repeat_span(y0, y1, 0, self.width);
+    }
+
     /// Fills the axis-aligned rectangle `[x, x+w) × [y, y+h)` (clipped).
     pub fn fill_rect(&mut self, x: usize, y: usize, w: usize, h: usize, rgb: [u8; 3]) {
         for yy in y..(y + h).min(self.height) {
-            for xx in x..(x + w).min(self.width) {
-                self.set(xx, yy, rgb);
-            }
+            fill_pixels(self.span_mut(yy, x, x + w), rgb);
         }
     }
 
@@ -86,13 +122,10 @@ impl FrameBuf {
     pub fn blend_rect(&mut self, x: usize, y: usize, w: usize, h: usize, rgb: [u8; 3], alpha: u8) {
         let a = alpha as u32;
         for yy in y..(y + h).min(self.height) {
-            for xx in x..(x + w).min(self.width) {
-                let old = self.get(xx, yy);
-                let mut new = [0u8; 3];
-                for c in 0..3 {
-                    new[c] = (((255 - a) * old[c] as u32 + a * rgb[c] as u32) / 255) as u8;
+            for px in self.span_mut(yy, x, x + w).chunks_exact_mut(3) {
+                for (old, &new) in px.iter_mut().zip(&rgb) {
+                    *old = (((255 - a) * *old as u32 + a * new as u32) / 255) as u8;
                 }
-                self.set(xx, yy, new);
             }
         }
     }
@@ -105,6 +138,18 @@ impl FrameBuf {
             data: bytes::Bytes::from(self.data),
         }
     }
+}
+
+/// Writes `rgb` into every pixel of a row-major RGB byte slice.
+fn fill_pixels(bytes: &mut [u8], rgb: [u8; 3]) {
+    for px in bytes.chunks_exact_mut(3) {
+        px.copy_from_slice(&rgb);
+    }
+}
+
+/// Rec. 601 luma approximation of one pixel, in `0..=255`.
+fn luma_of(r: u8, g: u8, b: u8) -> u8 {
+    ((299 * r as u32 + 587 * g as u32 + 114 * b as u32) / 1000) as u8
 }
 
 impl Frame {
@@ -127,10 +172,16 @@ impl Frame {
         [self.data[i], self.data[i + 1], self.data[i + 2]]
     }
 
+    /// Row `y` as row-major RGB bytes, three per pixel — what the pixel
+    /// kernels iterate instead of calling [`Frame::get`] per pixel.
+    pub(crate) fn row(&self, y: usize) -> &[u8] {
+        &self.data[y * self.width * 3..(y + 1) * self.width * 3]
+    }
+
     /// Luma (Rec. 601 approximation) of a pixel, in `0..=255`.
     pub fn luma(&self, x: usize, y: usize) -> u8 {
         let [r, g, b] = self.get(x, y);
-        ((299 * r as u32 + 587 * g as u32 + 114 * b as u32) / 1000) as u8
+        luma_of(r, g, b)
     }
 
     /// Per-channel color histogram with `bins` buckets per channel,
@@ -171,11 +222,17 @@ impl Frame {
     pub fn mean_abs_diff(&self, other: &Frame) -> f64 {
         assert_eq!(self.width, other.width, "frame width mismatch");
         assert_eq!(self.height, other.height, "frame height mismatch");
+        // Summed in 32-bit lanes a block at a time (4096 × 255 fits), so
+        // the byte differences vectorize; the total is the same integer.
+        const BLOCK: usize = 4096;
         let total: u64 = self
             .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| (a as i16 - b as i16).unsigned_abs() as u64)
+            .chunks(BLOCK)
+            .zip(other.data.chunks(BLOCK))
+            .map(|(a, b)| {
+                let block: u32 = a.iter().zip(b).map(|(&a, &b)| a.abs_diff(b) as u32).sum();
+                block as u64
+            })
             .sum();
         total as f64 / (self.data.len() as f64 * 255.0)
     }
@@ -195,16 +252,65 @@ impl Frame {
             return 0.0;
         }
         let mut hits = 0usize;
-        let mut total = 0usize;
         for yy in y..y1 {
-            for xx in x..x1 {
-                total += 1;
-                if pred(self.get(xx, yy)) {
+            for px in self.row(yy)[x * 3..x1 * 3].chunks_exact(3) {
+                if pred([px[0], px[1], px[2]]) {
                     hits += 1;
                 }
             }
         }
-        hits as f64 / total as f64
+        hits as f64 / ((x1 - x) * (y1 - y)) as f64
+    }
+}
+
+/// The Rec. 601 luma [`Frame::luma`] computes, for a frame's *even*
+/// rows: the rows the block matcher (2× subsampled) and the wipe
+/// detector (every fourth row) sample. Built once per decoded frame, so
+/// a pixel's luma is computed once however many kernels and
+/// displacements read it.
+///
+/// The plane is at least as large as the block matcher's
+/// [`WIDTH`]×[`HEIGHT`] grid and reads 0 wherever the frame has no
+/// pixel, which is what [`Frame::luma`] returns out of bounds.
+#[derive(Debug, Clone)]
+pub(crate) struct LumaPlane {
+    frame_width: usize,
+    frame_height: usize,
+    stride: usize,
+    data: Vec<u8>,
+}
+
+impl LumaPlane {
+    /// Computes the plane of a frame.
+    pub(crate) fn of(frame: &Frame) -> Self {
+        let stride = frame.width.max(WIDTH);
+        let rows = frame.height.max(HEIGHT).div_ceil(2);
+        let mut data = vec![0u8; stride * rows];
+        for (y, out) in (0..frame.height)
+            .step_by(2)
+            .zip(data.chunks_exact_mut(stride))
+        {
+            for (l, px) in out.iter_mut().zip(frame.row(y).chunks_exact(3)) {
+                *l = luma_of(px[0], px[1], px[2]);
+            }
+        }
+        LumaPlane {
+            frame_width: frame.width,
+            frame_height: frame.height,
+            stride,
+            data,
+        }
+    }
+
+    /// Width and height of the frame the plane was computed from.
+    pub(crate) fn frame_size(&self) -> (usize, usize) {
+        (self.frame_width, self.frame_height)
+    }
+
+    /// Luma of row `y` (even), at least [`WIDTH`] samples.
+    pub(crate) fn row(&self, y: usize) -> &[u8] {
+        debug_assert!(y.is_multiple_of(2), "the plane holds even rows only");
+        &self.data[y / 2 * self.stride..(y / 2 + 1) * self.stride]
     }
 }
 

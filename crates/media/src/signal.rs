@@ -70,11 +70,15 @@ impl FirFilter {
 
     /// Filters a signal (same length out, zero-padded edges).
     pub fn apply(&self, signal: &[f64]) -> Vec<f64> {
-        let m = self.taps.len();
-        let mid = m / 2;
+        let mid = self.taps.len() / 2;
         let n = signal.len();
         let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
+        // The interior, where the kernel hangs over neither end of the
+        // signal, in whole groups of LANES outputs.
+        const LANES: usize = 4;
+        let start = mid.min(n);
+        let end = start + (n.saturating_sub(mid).max(start) - start) / LANES * LANES;
+        for i in (0..start).chain(end..n) {
             let mut acc = 0.0;
             for (k, &h) in self.taps.iter().enumerate() {
                 let j = i as isize + k as isize - mid as isize;
@@ -82,7 +86,23 @@ impl FirFilter {
                     acc += h * signal[j as usize];
                 }
             }
-            *o = acc;
+            out[i] = acc;
+        }
+        // No bounds to test there, and LANES outputs advance together:
+        // each still sums its taps in ascending order, so it is the same
+        // number; the independent sums just overlap in the pipeline.
+        for (group, i) in out[start..end]
+            .chunks_exact_mut(LANES)
+            .zip((start..).step_by(LANES))
+        {
+            let mut acc = [0.0; LANES];
+            for (k, &h) in self.taps.iter().enumerate() {
+                let first = i + k - mid;
+                for (a, &x) in acc.iter_mut().zip(&signal[first..first + LANES]) {
+                    *a += h * x;
+                }
+            }
+            group.copy_from_slice(&acc);
         }
         out
     }
@@ -93,22 +113,43 @@ impl FirFilter {
     }
 }
 
+/// The Goertzel recurrence coefficient `2 cos(2π f / fs)` of a probe
+/// frequency.
+pub(crate) fn goertzel_coefficient(freq_hz: f64, sample_rate: usize) -> f64 {
+    let w = std::f64::consts::TAU * freq_hz / sample_rate as f64;
+    2.0 * w.cos()
+}
+
+/// Power of `signal` at each probe of `coeffs` (see
+/// [`goertzel_coefficient`]), normalized by the frame length. The
+/// recurrences are independent, so they advance side by side over one
+/// pass of the signal; each is the textbook chain.
+pub(crate) fn goertzel_powers(signal: &[f64], coeffs: &[f64]) -> Vec<f64> {
+    if signal.is_empty() {
+        return vec![0.0; coeffs.len()];
+    }
+    let mut s1 = vec![0.0f64; coeffs.len()];
+    let mut s2 = vec![0.0f64; coeffs.len()];
+    for &x in signal {
+        for ((s1, s2), &coeff) in s1.iter_mut().zip(s2.iter_mut()).zip(coeffs) {
+            let s0 = x + coeff * *s1 - *s2;
+            *s2 = *s1;
+            *s1 = s0;
+        }
+    }
+    let norm = signal.len() as f64 * signal.len() as f64 / 4.0;
+    (s1.iter().zip(&s2).zip(coeffs))
+        .map(|((&s1, &s2), &coeff)| {
+            let power = s1 * s1 + s2 * s2 - coeff * s1 * s2;
+            power / norm
+        })
+        .collect()
+}
+
 /// Power of `signal` at `freq_hz` via the Goertzel algorithm, normalized
 /// by the frame length.
 pub fn goertzel_power(signal: &[f64], freq_hz: f64, sample_rate: usize) -> f64 {
-    if signal.is_empty() {
-        return 0.0;
-    }
-    let w = std::f64::consts::TAU * freq_hz / sample_rate as f64;
-    let coeff = 2.0 * w.cos();
-    let (mut s1, mut s2) = (0.0f64, 0.0f64);
-    for &x in signal {
-        let s0 = x + coeff * s1 - s2;
-        s2 = s1;
-        s1 = s0;
-    }
-    let power = s1 * s1 + s2 * s2 - coeff * s1 * s2;
-    power / (signal.len() as f64 * signal.len() as f64 / 4.0)
+    goertzel_powers(signal, &[goertzel_coefficient(freq_hz, sample_rate)])[0]
 }
 
 /// Generates a pure sine tone (for tests and calibration).

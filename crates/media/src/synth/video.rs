@@ -168,34 +168,59 @@ impl<'a> VideoSynth<'a> {
             30 + (hunit(sseed, 11) * 60.0) as u8,
             30 + (hunit(sseed, 12) * 60.0) as u8,
         ];
-        for x in 0..WIDTH {
-            let sheared = pan + (shear * x as f64 / WIDTH as f64) as isize;
-            let world = (x as isize + sheared).div_euclid(16);
+        // World coordinate of every screen column, under pan and shear.
+        let world: Vec<isize> = (0..WIDTH)
+            .map(|x| x as isize + pan + (shear * x as f64 / WIDTH as f64) as isize)
+            .collect();
+        // The stripes are vertical, so the curb's rows are all alike.
+        for (px, &world) in fb
+            .span_mut(sky_end, 0, WIDTH)
+            .chunks_exact_mut(3)
+            .zip(&world)
+        {
             // Four distinct stripe colors: a two-color pattern aliases
             // under block matching far too often.
-            let color = match hash64(self.seed ^ 0xCCB5 ^ world as u64) & 3 {
+            let color = match hash64(self.seed ^ 0xCCB5 ^ world.div_euclid(16) as u64) & 3 {
                 0 => stripe_a,
                 1 => [225, 225, 225],
                 2 => [40, 60, 160],
                 _ => [210, 190, 60],
             };
-            fb.fill_rect(x, sky_end, 1, curb_end - sky_end, color);
+            px.copy_from_slice(&color);
         }
+        fb.repeat_row(sky_end, curb_end);
         // Asphalt texture: 2-D hashed patches in world coordinates. Every
         // 8×8 patch gets its own shade, so no two stretches of track look
-        // alike to the block matcher (1-D stripe patterns alias).
-        for y in curb_end..track_end {
-            for x in 0..WIDTH {
-                let sheared = pan + (shear * x as f64 / WIDTH as f64) as isize;
-                let world = x as isize + sheared;
+        // alike to the block matcher (1-D stripe patterns alias). The
+        // shade hangs on the patch alone: it is hashed once per run of
+        // columns in a patch, and the rows of a patch band are copies of
+        // its first.
+        let mut y = curb_end;
+        while y < track_end {
+            let cell_y = (y / 8) as u64;
+            let mut run: Option<(u64, Option<[u8; 3]>)> = None;
+            for (px, &world) in fb.span_mut(y, 0, WIDTH).chunks_exact_mut(3).zip(&world) {
                 let cell_x = world.div_euclid(8) as u64;
-                let cell_y = (y / 8) as u64;
-                let h = hash64(self.seed ^ 0x7AC4 ^ cell_x.wrapping_mul(0x0100_0001) ^ cell_y);
-                if h % 5 < 2 {
-                    let shade = 112 + ((h >> 16) % 5) as u8 * 9;
-                    fb.set(x, y, [shade, shade, shade + 8]);
+                let shade = match run {
+                    Some((cell, shade)) if cell == cell_x => shade,
+                    _ => {
+                        let h =
+                            hash64(self.seed ^ 0x7AC4 ^ cell_x.wrapping_mul(0x0100_0001) ^ cell_y);
+                        let shade = (h % 5 < 2).then(|| {
+                            let shade = 112 + ((h >> 16) % 5) as u8 * 9;
+                            [shade, shade, shade + 8]
+                        });
+                        run = Some((cell_x, shade));
+                        shade
+                    }
+                };
+                if let Some(shade) = shade {
+                    px.copy_from_slice(&shade);
                 }
             }
+            let band_end = ((y / 8 + 1) * 8).min(track_end);
+            fb.repeat_row(y, band_end);
+            y = band_end;
         }
 
         // Cars: the camera tracks the leading pack, so cars sit near the
@@ -282,31 +307,30 @@ impl<'a> VideoSynth<'a> {
 }
 
 fn draw_car(fb: &mut FrameBuf, x: isize, y: usize, color: [u8; 3]) {
+    const LENGTH: usize = 56;
+    // Columns of the car left of the picture are not drawn.
+    let hidden = (-x).clamp(0, LENGTH as isize) as usize;
+    let x0 = (x + hidden as isize) as usize;
     // Strongly textured, *aperiodic* livery so block matching locks onto
     // the car rather than the background (and cannot alias onto a
-    // repeated stripe period).
-    for dy in 0..28usize {
-        for dx in 0..56usize {
-            let xx = x + dx as isize;
-            if xx >= 0 {
-                let h = hash64(0xCA2 ^ (dx as u64 / 5).wrapping_mul(0x9E37)) & 3;
-                let c = match h {
-                    0 => [15, 15, 15],
-                    1 => [250, 250, 250],
-                    _ => color,
-                };
-                fb.set(xx as usize, y + dy, c);
-            }
-        }
+    // repeated stripe period). It runs along the car, so every row is
+    // the first.
+    for (px, dx) in fb
+        .span_mut(y, x0, x0 + LENGTH - hidden)
+        .chunks_exact_mut(3)
+        .zip(hidden..)
+    {
+        let c = match hash64(0xCA2 ^ (dx as u64 / 5).wrapping_mul(0x9E37)) & 3 {
+            0 => [15, 15, 15],
+            1 => [250, 250, 250],
+            _ => color,
+        };
+        px.copy_from_slice(&c);
     }
+    fb.repeat_span(y, y + 28, x0, x0 + LENGTH - hidden);
     // Bright canopy flash.
-    for dx in 18..30usize {
-        let xx = x + dx as isize;
-        if xx >= 0 {
-            fb.set(xx as usize, y + 4, [250, 250, 250]);
-            fb.set(xx as usize, y + 5, [250, 250, 250]);
-        }
-    }
+    let (c0, c1) = (18.max(hidden), 30.max(hidden));
+    fb.fill_rect(x0 + c0 - hidden, y + 4, c1 - c0, 2, [250, 250, 250]);
 }
 
 /// Horizontal DVE wipe: left `progress` of the width shows `to`, the rest
@@ -316,9 +340,8 @@ fn wipe(from: &FrameBuf, to: &FrameBuf, progress: f64) -> FrameBuf {
     let mut out = from.clone();
     let edge = (progress.clamp(0.0, 1.0) * WIDTH as f64) as usize;
     for y in 0..HEIGHT {
-        for x in 0..edge {
-            out.set(x, y, to.get(x, y));
-        }
+        out.span_mut(y, 0, edge)
+            .copy_from_slice(to.span(y, 0, edge));
     }
     // The DVE border: a 5-px full-height white bar at the moving edge.
     if edge > 0 && edge < WIDTH {
@@ -344,6 +367,46 @@ mod tests {
         let v = VideoSynth::new(&sc);
         assert_eq!(v.frame(100), v.frame(100));
         assert_ne!(v.frame(100), v.frame(101));
+    }
+
+    /// Pins the rendered bytes. The digests were recorded from the
+    /// renderer that drew pixel by pixel through `FrameBuf::set`, over
+    /// frames reaching every drawing path of each profile: a sweep of
+    /// the broadcast, the start and middle of every event (semaphore,
+    /// passing, fly-out plumes), both wipes and the inside of every
+    /// replay, and every caption.
+    #[test]
+    fn rendered_bytes_are_those_of_the_per_pixel_renderer() {
+        for (profile, secs, pinned) in [
+            (RaceProfile::German, 240, 0xdfe9f696fc0d6c14u64),
+            (RaceProfile::Belgian, 120, 0xa9046ea4470f8e81),
+            (RaceProfile::Usa, 120, 0x64d9e744e74d72cf),
+        ] {
+            let sc = RaceScenario::generate(ScenarioConfig::new(profile, secs));
+            let v = VideoSynth::new(&sc);
+            let frame_of = crate::time::video_frame_of_clip;
+            let mut picks: Vec<usize> = (0..sc.n_frames()).step_by(97).collect();
+            for e in &sc.events {
+                picks.push(frame_of(e.span.start));
+                picks.push(frame_of(e.span.start + e.span.len() / 2));
+            }
+            for r in &sc.replays {
+                picks.push(frame_of(r.span.start) + 3);
+                picks.push(frame_of(r.span.start) + WIPE_FRAMES + 5);
+                picks.push(frame_of(r.span.end) - 3);
+            }
+            for c in &sc.captions {
+                picks.push(c.start_frame + 2);
+            }
+            // Over the bytes of the picked frames, row-major, one frame
+            // alive at a time.
+            let bytes = picks
+                .iter()
+                .map(|&idx| v.frame(idx))
+                .flat_map(|f| (0..f.height()).flat_map(move |y| f.row(y).to_vec()));
+            let h = crate::test_support::fnv1a(bytes.map(u64::from));
+            assert_eq!(h, pinned, "{profile:?}");
+        }
     }
 
     #[test]

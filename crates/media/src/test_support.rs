@@ -9,3 +9,11 @@ pub fn german_broadcast(seconds: usize) -> (RaceScenario, AudioSynth) {
     let audio = AudioSynth::new(&sc);
     (sc, audio)
 }
+
+/// FNV-1a folded over 64-bit words: the digest behind the tests that pin
+/// extracted matrices and rendered frames bit for bit.
+pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

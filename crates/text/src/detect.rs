@@ -74,12 +74,38 @@ pub fn bright_statistics(frame: &Frame, cfg: &DetectConfig) -> (usize, f64) {
     (count, var)
 }
 
+/// The scanned frames of a broadcast, each decoded when it is asked
+/// for. Detection reads one boolean off every frame and looks at one
+/// frame per candidate run again, so whoever implements this never has
+/// to keep a window of decoded frames alive.
+pub trait ScannedFrames {
+    /// Number of scanned frames.
+    fn n_frames(&self) -> usize;
+    /// Decodes scanned frame `idx`.
+    fn frame(&self, idx: usize) -> Frame;
+}
+
+/// Tests hand detection frames they hold in memory; nothing else may.
+#[cfg(test)]
+impl ScannedFrames for Vec<Frame> {
+    fn n_frames(&self) -> usize {
+        self.len()
+    }
+    fn frame(&self, idx: usize) -> Frame {
+        self[idx].clone()
+    }
+}
+
 /// Full §5.4 detection over a scanned frame sequence: returns runs of
 /// frame *indices into `frames`* that pass the shaded-region, duration and
-/// bright-pixel criteria.
-pub fn detect_text_runs(frames: &[Frame], cfg: &DetectConfig) -> Vec<(usize, usize)> {
-    // First pass: shaded-region flags.
-    let flags: Vec<bool> = frames.iter().map(|f| has_shaded_region(f, cfg)).collect();
+/// bright-pixel criteria. Every frame is asked for once; the middle
+/// frame of each run that meets the duration criterion once more.
+pub fn detect_text_runs(frames: &dyn ScannedFrames, cfg: &DetectConfig) -> Vec<(usize, usize)> {
+    // First pass: shaded-region flags, one decoded frame at a time.
+    let n = frames.n_frames();
+    let flags: Vec<bool> = (0..n)
+        .map(|i| has_shaded_region(&frames.frame(i), cfg))
+        .collect();
     // Runs satisfying the duration criterion.
     let mut runs = Vec::new();
     let mut start: Option<usize> = None;
@@ -103,8 +129,8 @@ pub fn detect_text_runs(frames: &[Frame], cfg: &DetectConfig) -> Vec<(usize, usi
     // Second pass: bright pixel count and variance.
     runs.into_iter()
         .filter(|&(s, e)| {
-            let mid = &frames[(s + e) / 2];
-            let (count, var) = bright_statistics(mid, cfg);
+            let mid = frames.frame((s + e) / 2);
+            let (count, var) = bright_statistics(&mid, cfg);
             count >= cfg.min_bright && var >= cfg.min_bright_col_variance
         })
         .collect()

@@ -8,7 +8,7 @@
 use f1_media::features::video::FrameSource;
 use f1_media::frame::Frame;
 
-use crate::detect::{detect_text_runs, DetectConfig};
+use crate::detect::{detect_text_runs, DetectConfig, ScannedFrames};
 use crate::recognize::Vocabulary;
 use crate::refine::{magnify, min_filter, GrayRegion, MAGNIFY};
 use crate::segment;
@@ -105,8 +105,37 @@ pub fn recognize_region(
         .collect()
 }
 
+/// Every `stride`-th frame of `lo..hi`, decoded from `source` on demand.
+struct Sampled<'a> {
+    source: &'a dyn FrameSource,
+    lo: usize,
+    hi: usize,
+    stride: usize,
+}
+
+impl Sampled<'_> {
+    /// Broadcast frame index of scanned frame `idx`.
+    fn broadcast_frame(&self, idx: usize) -> usize {
+        self.lo + idx * self.stride
+    }
+}
+
+impl ScannedFrames for Sampled<'_> {
+    fn n_frames(&self) -> usize {
+        (self.hi - self.lo).div_ceil(self.stride)
+    }
+    fn frame(&self, idx: usize) -> Frame {
+        self.source.frame(self.broadcast_frame(idx))
+    }
+}
+
 /// Runs detection + refinement + recognition over broadcast frames
 /// `lo..hi`, returning the recognized captions in time order.
+///
+/// The scan holds one decoded frame at a time (plus the
+/// `min_filter_span` frames of the run being refined), whatever the
+/// length of `lo..hi`: the detector keeps a flag per sampled frame, not
+/// the frame.
 pub fn scan_broadcast(
     source: &dyn FrameSource,
     lo: usize,
@@ -118,47 +147,56 @@ pub fn scan_broadcast(
     if hi <= lo {
         return Vec::new();
     }
-    let stride = cfg.scan_stride.max(1);
-    let sampled_idx: Vec<usize> = (lo..hi).step_by(stride).collect();
-    let sampled: Vec<Frame> = sampled_idx.iter().map(|&i| source.frame(i)).collect();
-    let runs = detect_text_runs(&sampled, &cfg.detect);
+    let sampled = Sampled {
+        source,
+        lo,
+        hi,
+        stride: cfg.scan_stride.max(1),
+    };
+    detect_text_runs(&sampled, &cfg.detect)
+        .into_iter()
+        .filter_map(|run| recognize_run(&sampled, run, vocab, cfg))
+        .collect()
+}
 
-    let mut out = Vec::new();
-    for (s, e) in runs {
-        let start_frame = sampled_idx[s];
-        let end_frame = sampled_idx[e - 1] + stride;
-        // Refinement on consecutive full-rate frames at the run's middle.
-        let mid = (start_frame + end_frame) / 2;
-        let span = cfg.min_filter_span.max(1);
-        let frames: Vec<Frame> = (mid..mid + span)
-            .map(|i| source.frame(i.min(hi - 1)))
-            .collect();
-        let Some((x0, x1)) = box_columns(&frames[0], &cfg.detect) else {
-            continue;
-        };
-        let full = min_filter(&frames, cfg.detect.band_y, cfg.detect.band_h);
-        // Crop to the box columns.
-        let region = GrayRegion {
-            width: x1 - x0,
-            height: full.height,
-            data: (0..full.height)
-                .flat_map(|y| (x0..x1).map(move |x| (x, y)))
-                .map(|(x, y)| full.get(x, y))
-                .collect(),
-        };
-        let words = recognize_region(&region, vocab, cfg);
-        if words.is_empty() {
-            continue;
-        }
-        let parsed = parse_caption(&words);
-        out.push(TextDetection {
-            start_frame,
-            end_frame,
-            words,
-            parsed,
-        });
+/// Refines and recognizes the caption of a detected run of scanned
+/// frames; `None` when no word is recognized.
+fn recognize_run(
+    sampled: &Sampled,
+    (s, e): (usize, usize),
+    vocab: &Vocabulary,
+    cfg: &PipelineConfig,
+) -> Option<TextDetection> {
+    let start_frame = sampled.broadcast_frame(s);
+    let end_frame = sampled.broadcast_frame(e - 1) + sampled.stride;
+    // Refinement on consecutive full-rate frames at the run's middle.
+    let mid = (start_frame + end_frame) / 2;
+    let span = cfg.min_filter_span.max(1);
+    let frames: Vec<Frame> = (mid..mid + span)
+        .map(|i| sampled.source.frame(i.min(sampled.hi - 1)))
+        .collect();
+    let (x0, x1) = box_columns(&frames[0], &cfg.detect)?;
+    let full = min_filter(&frames, cfg.detect.band_y, cfg.detect.band_h);
+    // Crop to the box columns.
+    let region = GrayRegion {
+        width: x1 - x0,
+        height: full.height,
+        data: (0..full.height)
+            .flat_map(|y| (x0..x1).map(move |x| (x, y)))
+            .map(|(x, y)| full.get(x, y))
+            .collect(),
+    };
+    let words = recognize_region(&region, vocab, cfg);
+    if words.is_empty() {
+        return None;
     }
-    out
+    let parsed = parse_caption(&words);
+    Some(TextDetection {
+        start_frame,
+        end_frame,
+        words,
+        parsed,
+    })
 }
 
 #[cfg(test)]
@@ -216,6 +254,64 @@ mod tests {
                     .any(|c| d.start_frame < c.end_frame && c.start_frame < d.end_frame),
                 "spurious detection {:?}",
                 d.words
+            );
+        }
+    }
+
+    /// A frame source that counts the frames it is asked for.
+    struct Counting<'a> {
+        video: VideoSynth<'a>,
+        asked: std::cell::Cell<usize>,
+    }
+
+    impl FrameSource for Counting<'_> {
+        fn frame(&self, idx: usize) -> Frame {
+            self.asked.set(self.asked.get() + 1);
+            self.video.frame(idx)
+        }
+        fn n_frames(&self) -> usize {
+            self.video.n_frames()
+        }
+    }
+
+    #[test]
+    fn streamed_scan_matches_detection_over_held_frames() {
+        let vocab = Vocabulary::formula1();
+        let cfg = PipelineConfig::default();
+        // Each profile shows its first classification caption in here.
+        let (lo, hi) = (1000, 1300);
+        for profile in [RaceProfile::German, RaceProfile::Belgian, RaceProfile::Usa] {
+            let sc = RaceScenario::generate(ScenarioConfig::new(profile, 70));
+            let source = Counting {
+                video: VideoSynth::new(&sc),
+                asked: std::cell::Cell::new(0),
+            };
+            let streamed = scan_broadcast(&source, lo, hi, &vocab, &cfg);
+            let asked = source.asked.get();
+
+            // The scan as it was: every sampled frame decoded and held,
+            // detection over the slice.
+            let sampled = Sampled {
+                source: &source,
+                lo,
+                hi,
+                stride: cfg.scan_stride,
+            };
+            let held: Vec<Frame> = (0..sampled.n_frames()).map(|i| sampled.frame(i)).collect();
+            let runs = detect_text_runs(&held, &cfg.detect);
+            let expected: Vec<TextDetection> = runs
+                .iter()
+                .filter_map(|&run| recognize_run(&sampled, run, &vocab, &cfg))
+                .collect();
+            assert!(!expected.is_empty(), "{profile:?}: no caption in range");
+            assert_eq!(streamed, expected, "{profile:?}");
+            // One decode per sampled frame, then per run one for the
+            // bright-pixel check and `min_filter_span` for refinement
+            // (every run in range passes the check).
+            assert_eq!(
+                asked,
+                held.len() + runs.len() * (1 + cfg.min_filter_span),
+                "{profile:?}"
             );
         }
     }
