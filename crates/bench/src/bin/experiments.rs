@@ -1,14 +1,18 @@
 //! The experiments binary: regenerates every table and figure of the
-//! paper's evaluation on the synthetic substrate.
+//! paper's evaluation on the synthetic substrate, and runs the two
+//! many-client load tests of the serving layer.
 //!
 //! ```text
 //! experiments [--duration SECONDS] [table1 table2 table3 table4 ablation
 //!              fig9 temporal clustering keywords endpoint shots hmm queries
-//!              monet optimizer obs serve cache wal shard stream]
+//!              serve shard]
 //! ```
 //!
 //! With no experiment names, everything runs. Traces for Fig. 9 are
-//! written to `fig9_traces.json` next to the working directory.
+//! written to `fig9_traces.json` next to the working directory. An
+//! unknown name or an unparsable duration exits with status 2 before
+//! anything runs; `serve` and `shard` check their own bounds and make
+//! the exit status 1 when one is broken.
 
 use std::time::Instant;
 
@@ -16,25 +20,51 @@ use f1_bench::experiments;
 use f1_bench::{prepare_race, RaceData, DEFAULT_DURATION_S};
 use f1_media::synth::scenario::RaceProfile;
 
+/// The paper experiments that need the synthetic German GP.
+const GERMAN: [&str; 12] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "ablation",
+    "fig9",
+    "temporal",
+    "clustering",
+    "keywords",
+    "endpoint",
+    "shots",
+    "queries",
+];
+/// The experiments that need no synthetic broadcast.
+const STANDALONE: [&str; 3] = ["hmm", "serve", "shard"];
+
+fn usage_error(why: &str) -> ! {
+    eprintln!("experiments: {why}");
+    eprintln!(
+        "usage: experiments [--duration SECONDS] [{} {}]",
+        GERMAN.join(" "),
+        STANDALONE.join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut duration = DEFAULT_DURATION_S;
     let mut selected: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--duration" => {
-                duration = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(DEFAULT_DURATION_S);
-                i += 2;
-            }
-            other => {
-                selected.push(other.to_lowercase());
-                i += 1;
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--duration" {
+            duration = match args.next().map(|v| v.parse()) {
+                Some(Ok(seconds)) => seconds,
+                _ => usage_error("--duration needs a whole number of seconds"),
+            };
+            continue;
         }
+        let name = arg.to_lowercase();
+        if !GERMAN.contains(&name.as_str()) && !STANDALONE.contains(&name.as_str()) {
+            usage_error(&format!("unknown experiment '{arg}'"));
+        }
+        selected.push(name);
     }
     let want = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
 
@@ -53,24 +83,9 @@ fn main() {
         );
         race
     };
-    // Kernel-only experiments (monet, hmm) need no synthetic broadcast;
-    // skip the expensive race preparation when only those were requested.
-    let needs_german = [
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "ablation",
-        "fig9",
-        "temporal",
-        "clustering",
-        "keywords",
-        "endpoint",
-        "shots",
-        "queries",
-    ]
-    .iter()
-    .any(|name| want(name));
+    // Skip the expensive race preparation when only experiments that
+    // need no synthetic broadcast were requested.
+    let needs_german = GERMAN.iter().any(|name| want(name));
     let german = needs_german.then(|| prepare(RaceProfile::German));
     let german = |label: &str| -> &RaceData {
         german
@@ -159,65 +174,26 @@ fn main() {
     if want("hmm") {
         println!("{}", experiments::hmm_parallel());
     }
-    if want("monet") {
-        let (table, json) = experiments::monet();
-        println!("{table}");
-        if std::fs::write("BENCH_monet.json", json.to_string()).is_ok() {
-            println!("(benchmarks written to BENCH_monet.json)");
-        }
-    }
-    if want("optimizer") {
-        let (table, json) = experiments::optimizer();
-        println!("{table}");
-        if std::fs::write("BENCH_opt.json", json.to_string()).is_ok() {
-            println!("(optimizer benchmark written to BENCH_opt.json)");
-        }
-    }
-    if want("obs") {
-        let (table, json) = experiments::obs();
-        println!("{table}");
-        if std::fs::write("BENCH_obs.json", json.to_string()).is_ok() {
-            println!("(observability dump written to BENCH_obs.json)");
-        }
-    }
     if want("queries") {
         println!("{}", experiments::queries(german("queries")));
     }
+    let mut broken = Vec::new();
     if want("serve") {
-        let (table, json) = experiments::serve();
+        let (table, bounds) = experiments::serve();
         println!("{table}");
-        if std::fs::write("BENCH_serve.json", json.to_string()).is_ok() {
-            println!("(load test written to BENCH_serve.json)");
-        }
-    }
-    if want("cache") {
-        let (table, json) = experiments::cache();
-        println!("{table}");
-        if std::fs::write("BENCH_cache.json", json.to_string()).is_ok() {
-            println!("(cache benchmark written to BENCH_cache.json)");
-        }
-    }
-    if want("wal") {
-        let (table, json) = experiments::wal();
-        println!("{table}");
-        if std::fs::write("BENCH_wal.json", json.to_string()).is_ok() {
-            println!("(durability benchmark written to BENCH_wal.json)");
-        }
+        broken.extend(bounds);
     }
     if want("shard") {
-        let (table, json) = experiments::shard();
+        let (table, bounds) = experiments::shard();
         println!("{table}");
-        if std::fs::write("BENCH_shard.json", json.to_string()).is_ok() {
-            println!("(sharding benchmark written to BENCH_shard.json)");
-        }
-    }
-    if want("stream") {
-        let (table, json) = experiments::stream();
-        println!("{table}");
-        if std::fs::write("BENCH_stream.json", json.to_string()).is_ok() {
-            println!("(streaming benchmark written to BENCH_stream.json)");
-        }
+        broken.extend(bounds);
     }
 
     eprintln!("\ntotal wall time: {:.1}s", t0.elapsed().as_secs_f64());
+    if !broken.is_empty() {
+        for bound in &broken {
+            eprintln!("bound broken: {bound}");
+        }
+        std::process::exit(1);
+    }
 }

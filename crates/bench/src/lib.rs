@@ -3,7 +3,9 @@
 //! One function per table/figure of the paper's evaluation (§5.5–§5.6),
 //! plus the in-text experiments. The `experiments` binary runs them and
 //! prints paper-style tables; `EXPERIMENTS.md` records paper-reported vs
-//! measured values.
+//! measured values. Beside them sit `serve` and `shard`, the two
+//! many-client load runs of the serving layer, which check their own
+//! bounds; every other timing is the repo benchmark's (`benchmark/`).
 //!
 //! Durations: the real races run ≈ 90 minutes; the harness defaults to
 //! 600 s broadcasts (the same event structure at a tractable scale —

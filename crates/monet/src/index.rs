@@ -1,57 +1,18 @@
 //! Hash indexes over BAT columns.
 //!
 //! Monet builds hash tables on demand to accelerate joins and point
-//! selections. Two flavours live here:
-//!
-//! * [`HashIndex`] — the original atom-keyed index (each distinct [`Atom`]
-//!   maps to the positions holding it). Retained as the naive reference
-//!   the vectorized operators are differentially tested against.
-//! * [`ColumnIndex`] — a typed index keyed by the column's native
-//!   representation (`u64`, `i64`, f64 bit patterns, interned strings,
-//!   bools), built once per `(bat, version)` and cached by the kernel.
+//! selections. [`ColumnIndex`] is a typed index keyed by the column's
+//! native representation (`u64`, `i64`, f64 bit patterns, interned
+//! strings, bools), built once per `(bat, version)` and cached by the
+//! kernel. The atom-keyed `HashIndex` it replaced survives only as part
+//! of the naive reference the vectorized operators are differentially
+//! tested against (`tests/naive/mod.rs`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bat::{Column, ColumnData};
 use crate::value::Atom;
-
-/// A hash index over one BAT column.
-#[derive(Debug, Clone, Default)]
-pub struct HashIndex {
-    buckets: HashMap<Atom, Vec<usize>>,
-}
-
-impl HashIndex {
-    /// Builds an index over every value of `column`.
-    pub fn build(column: &Column) -> Self {
-        let mut buckets: HashMap<Atom, Vec<usize>> = HashMap::with_capacity(column.len());
-        for (pos, atom) in column.iter().enumerate() {
-            buckets.entry(atom).or_default().push(pos);
-        }
-        HashIndex { buckets }
-    }
-
-    /// Positions whose value equals `key` (empty slice when absent).
-    pub fn lookup(&self, key: &Atom) -> &[usize] {
-        self.buckets.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Total number of indexed positions.
-    pub fn entries(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
-    }
-
-    /// True when `key` occurs in the indexed column.
-    pub fn contains(&self, key: &Atom) -> bool {
-        self.buckets.contains_key(key)
-    }
-}
 
 /// Largest magnitude below which `i64 -> f64` conversion is injective, so
 /// an integral double identifies at most one `i64` key.
@@ -237,30 +198,6 @@ mod tests {
     use super::*;
     use crate::bat::Bat;
     use crate::value::AtomType;
-
-    #[test]
-    fn index_finds_all_positions_of_duplicates() {
-        let b = Bat::from_tail(
-            AtomType::Str,
-            ["a", "b", "a", "c", "a"].into_iter().map(Atom::str),
-        )
-        .unwrap();
-        let idx = HashIndex::build(b.tail());
-        assert_eq!(idx.lookup(&Atom::str("a")), &[0, 2, 4]);
-        assert_eq!(idx.lookup(&Atom::str("c")), &[3]);
-        assert!(idx.lookup(&Atom::str("zz")).is_empty());
-        assert_eq!(idx.distinct(), 3);
-        assert_eq!(idx.entries(), 5);
-    }
-
-    #[test]
-    fn index_over_void_column_is_positional() {
-        let b = Bat::from_tail(AtomType::Int, (0..4).map(Atom::Int)).unwrap();
-        let idx = HashIndex::build(b.head());
-        assert_eq!(idx.lookup(&Atom::Oid(2)), &[2]);
-        assert!(idx.contains(&Atom::Oid(0)));
-        assert!(!idx.contains(&Atom::Oid(9)));
-    }
 
     #[test]
     fn typed_index_matches_atom_index_per_type() {

@@ -21,9 +21,9 @@
 //! evaluations stay bounded inside operators, not just between them.
 //! `OpCtx::default()` (one thread, no guard) makes the `*_ctx` variants
 //! behave exactly like the plain ones. The pre-vectorization reference
-//! implementations live on in [`naive`] for differential testing.
-
-pub mod naive;
+//! implementations live on, outside every build of the kernel, in
+//! `tests/naive/mod.rs`, where `tests/vectorized_differential.rs` holds
+//! each operator here to them.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -87,9 +87,9 @@ const MIN_MORSEL_ROWS: usize = 4096;
 const MORSELS_PER_THREAD: usize = 4;
 /// Minimum rows *per requested worker* before a run leaves the calling
 /// thread. Below this the fan-out (thread wake-ups, per-morsel result
-/// merges) costs more than it saves: `BENCH_monet.json` measured
-/// `select_range` over 100k rows at 0.19 ms on one thread vs 0.28 ms on
-/// two, so `threadcnt > 1` must never slow small BATs down.
+/// merges) costs more than it saves: when the floor was set,
+/// `select_range` over 100k rows measured 0.19 ms on one thread vs
+/// 0.28 ms on two, so `threadcnt > 1` must never slow small BATs down.
 pub const MIN_PAR_ROWS_PER_THREAD: usize = 65_536;
 
 /// Runs `f` over morsel ranges of `0..len`, sequentially or on the
@@ -161,7 +161,7 @@ fn concat_positions(chunks: Vec<Vec<u32>>) -> Vec<u32> {
     out
 }
 
-pub(crate) fn out_type(t: AtomType) -> AtomType {
+fn out_type(t: AtomType) -> AtomType {
     // Operators that re-arrange rows lose void density.
     if t == AtomType::Void {
         AtomType::Oid
@@ -1484,9 +1484,9 @@ mod tests {
 
     #[test]
     fn parallel_floor_keeps_small_inputs_sequential() {
-        // BENCH_monet.json showed threadcnt=2 losing to threadcnt=1 at
-        // 100k rows; the per-thread floor pins that regime to the
-        // sequential path while genuinely large runs still fan out.
+        // threadcnt=2 measured slower than threadcnt=1 at 100k rows (see
+        // `MIN_PAR_ROWS_PER_THREAD`); the per-thread floor pins that regime
+        // to the sequential path while genuinely large runs still fan out.
         let metrics = crate::metrics::KernelMetrics::default();
         let small = Bat::from_tail(AtomType::Int, (0..100_000).map(Atom::Int)).unwrap();
         let ctx = OpCtx {

@@ -1,20 +1,66 @@
-//! Naive reference implementations of the relational operators.
+//! Naive reference implementations of the relational operators — the
+//! differential ground truth of `vectorized_differential.rs`.
 //!
 //! These are the pre-vectorization operator bodies, kept verbatim as the
 //! semantic ground truth: they iterate [`Atom`]s one at a time and rebuild
-//! hash indexes on every call. The vectorized operators in [`super`] are
-//! differentially tested against them on random BATs (see
-//! `tests/vectorized_differential.rs`) and benchmarked against them in
-//! `BENCH_monet.json`, so every speedup is measured against this module.
+//! an atom-keyed [`HashIndex`] on every call. The vectorized operators in
+//! `f1_monet::ops` are tested against them on random BATs. They live
+//! under `tests/` (a module directory, not a test target of its own) so
+//! that no build of the kernel ships them; they use only the crate's
+//! public API.
 
 use std::collections::HashMap;
 
-use crate::bat::Bat;
-use crate::error::{MonetError, Result};
-use crate::index::HashIndex;
-use crate::value::{Atom, AtomType};
+use f1_monet::ops::Aggregate;
+use f1_monet::prelude::*;
 
-use super::{out_type, Aggregate};
+/// The original atom-keyed hash index over one BAT column: each distinct
+/// [`Atom`] maps to the positions holding it. The kernel's typed
+/// `ColumnIndex` replaced it.
+#[derive(Debug, Clone, Default)]
+pub struct HashIndex {
+    buckets: HashMap<Atom, Vec<usize>>,
+}
+
+impl HashIndex {
+    /// Builds an index over every value of `column`.
+    pub fn build(column: &Column) -> Self {
+        let mut buckets: HashMap<Atom, Vec<usize>> = HashMap::with_capacity(column.len());
+        for (pos, atom) in column.iter().enumerate() {
+            buckets.entry(atom).or_default().push(pos);
+        }
+        HashIndex { buckets }
+    }
+
+    /// Positions whose value equals `key` (empty slice when absent).
+    pub fn lookup(&self, key: &Atom) -> &[usize] {
+        self.buckets.get(key).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Number of distinct keys.
+    pub fn distinct(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Total number of indexed positions.
+    pub fn entries(&self) -> usize {
+        self.buckets.values().map(Vec::len).sum()
+    }
+
+    /// True when `key` occurs in the indexed column.
+    pub fn contains(&self, key: &Atom) -> bool {
+        self.buckets.contains_key(key)
+    }
+}
+
+/// Operators that re-arrange rows lose void density.
+fn out_type(t: AtomType) -> AtomType {
+    if t == AtomType::Void {
+        AtomType::Oid
+    } else {
+        t
+    }
+}
 
 /// `select(b, v)`: pairs whose tail equals `v`.
 pub fn select_eq(b: &Bat, v: &Atom) -> Bat {
@@ -236,4 +282,28 @@ pub fn grouped_aggregate(values: &Bat, groups: &Bat, kind: Aggregate) -> Result<
         out.append(gid, agg)?;
     }
     Ok(out)
+}
+
+#[test]
+fn index_finds_all_positions_of_duplicates() {
+    let b = Bat::from_tail(
+        AtomType::Str,
+        ["a", "b", "a", "c", "a"].into_iter().map(Atom::str),
+    )
+    .unwrap();
+    let idx = HashIndex::build(b.tail());
+    assert_eq!(idx.lookup(&Atom::str("a")), &[0, 2, 4]);
+    assert_eq!(idx.lookup(&Atom::str("c")), &[3]);
+    assert!(idx.lookup(&Atom::str("zz")).is_empty());
+    assert_eq!(idx.distinct(), 3);
+    assert_eq!(idx.entries(), 5);
+}
+
+#[test]
+fn index_over_void_column_is_positional() {
+    let b = Bat::from_tail(AtomType::Int, (0..4).map(Atom::Int)).unwrap();
+    let idx = HashIndex::build(b.head());
+    assert_eq!(idx.lookup(&Atom::Oid(2)), &[2]);
+    assert!(idx.contains(&Atom::Oid(0)));
+    assert!(!idx.contains(&Atom::Oid(9)));
 }

@@ -1,5 +1,5 @@
 //! Differential tests: the vectorized operators must be *result-identical*
-//! to the naive atom-at-a-time reference implementations in `ops::naive`,
+//! to the naive atom-at-a-time reference implementations in `naive/mod.rs`,
 //! on random BATs covering every column representation — void heads,
 //! materialized oid/int/dbl/str columns, dictionary-encoded strings, and
 //! doubles with the awkward values (NaN, -0.0) whose total-order semantics
@@ -9,7 +9,9 @@
 //! morsel results are concatenated in range order, so row order (and, for
 //! integer aggregations, every value) is independent of the thread count.
 
-use f1_monet::ops::{self, naive, Aggregate, OpCtx};
+mod naive;
+
+use f1_monet::ops::{self, Aggregate, OpCtx};
 use f1_monet::prelude::*;
 use proptest::prelude::*;
 

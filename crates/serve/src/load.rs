@@ -32,8 +32,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use serde_json::{json, Value};
-
 use crate::client::{Client, ClientError, RequestOpts};
 use crate::protocol::ErrorKind;
 
@@ -129,7 +127,9 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    fn percentile(&self, p: f64) -> u64 {
+    /// Exact latency percentile (`p` in `0.0..=1.0`) over the successful
+    /// answers, microseconds; 0 when nothing succeeded.
+    pub fn percentile(&self, p: f64) -> u64 {
         if self.latencies_us.is_empty() {
             return 0;
         }
@@ -140,25 +140,6 @@ impl LoadReport {
     /// Successful requests per second over the run.
     pub fn throughput_rps(&self) -> f64 {
         self.ok as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// The regime object `BENCH_serve.json` stores.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "clients": (self.clients as f64),
-            "total": (self.total as f64),
-            "ok": (self.ok as f64),
-            "overloaded": (self.overloaded as f64),
-            "deadline": (self.deadline as f64),
-            "errors": (self.errors as f64),
-            "elapsed_s": (self.elapsed.as_secs_f64()),
-            "throughput_rps": (self.throughput_rps()),
-            "latency_us": {
-                "p50": (self.percentile(0.50) as f64),
-                "p95": (self.percentile(0.95) as f64),
-                "p99": (self.percentile(0.99) as f64),
-            },
-        })
     }
 }
 
@@ -290,21 +271,34 @@ pub fn rss_bytes() -> u64 {
     pages * 4096
 }
 
+/// One level of a [`connection_sweep`]: the idle population held, what
+/// holding it cost, and how the active core fared meanwhile.
+#[derive(Debug, Clone)]
+pub struct SweepLevel {
+    /// Idle connections held at this level (fewer than asked for when
+    /// the fd limit or the accept backlog cut the ramp short).
+    pub connections: usize,
+    /// Resident set size of the process with the population held.
+    pub rss_total_bytes: u64,
+    /// RSS growth over the pre-sweep baseline, per held connection.
+    pub rss_per_idle_conn_bytes: u64,
+    /// The active core's run at this level.
+    pub active: LoadReport,
+}
+
 /// Ramps a mostly-idle connection population through `levels` while a
 /// small active core (shaped by `active`) keeps querying, and reports
 /// per-level RSS and active-core latency. Idle connections are plain
 /// TCP connects that never send a frame; they are held open across
 /// levels (the ramp only ever grows) and closed when the sweep returns.
-///
-/// The returned object is the `connection_sweep` section of
-/// `BENCH_serve.json`:
-/// `{"levels": [{connections, rss_total_bytes, rss_per_idle_conn_bytes,
-/// active: <regime object>}], "max_connections": N}`.
-pub fn connection_sweep(addr: SocketAddr, levels: &[usize], active: &LoadConfig) -> Value {
+pub fn connection_sweep(
+    addr: SocketAddr,
+    levels: &[usize],
+    active: &LoadConfig,
+) -> Vec<SweepLevel> {
     let baseline = rss_bytes();
     let mut idle: Vec<std::net::TcpStream> = Vec::new();
-    let mut out: Vec<Value> = Vec::new();
-    let mut max_held = 0usize;
+    let mut out = Vec::new();
     for &level in levels {
         while idle.len() < level {
             match std::net::TcpStream::connect(addr) {
@@ -316,21 +310,15 @@ pub fn connection_sweep(addr: SocketAddr, levels: &[usize], active: &LoadConfig)
         // sampling memory.
         std::thread::sleep(Duration::from_millis(200));
         let held = idle.len();
-        max_held = max_held.max(held);
         let rss = rss_bytes();
-        let per_conn = rss.saturating_sub(baseline) / held.max(1) as u64;
-        let report = run(addr, active);
-        out.push(json!({
-            "connections": (held as f64),
-            "rss_total_bytes": (rss as f64),
-            "rss_per_idle_conn_bytes": (per_conn as f64),
-            "active": (report.to_json()),
-        }));
+        out.push(SweepLevel {
+            connections: held,
+            rss_total_bytes: rss,
+            rss_per_idle_conn_bytes: rss.saturating_sub(baseline) / held.max(1) as u64,
+            active: run(addr, active),
+        });
     }
-    json!({
-        "levels": (Value::Array(out)),
-        "max_connections": (max_held as f64),
-    })
+    out
 }
 
 /// Handles `ClientError` classification for callers that use the raw

@@ -142,7 +142,8 @@ fn an_answer_over_the_frame_cap_is_a_prompt_typed_error_under_its_own_id() {
 }
 
 /// A follower coalesced onto an identical query in flight gets the
-/// leader's body — encoded once — under its own id.
+/// leader's body — encoded once — under its own id, and is admitted
+/// with the server full: identical traffic cannot be shed.
 #[test]
 fn a_coalesced_follower_and_its_leader_get_the_same_body_under_their_own_ids() {
     let vdbms = fixture_vdbms();
@@ -150,7 +151,7 @@ fn a_coalesced_follower_and_its_leader_get_the_same_body_under_their_own_ids() {
         Arc::clone(&vdbms),
         ServerConfig {
             workers: 1,
-            queue_cap: 4,
+            queue_cap: 1,
             debug: true,
             ..ServerConfig::default()
         },
@@ -159,9 +160,17 @@ fn a_coalesced_follower_and_its_leader_get_the_same_body_under_their_own_ids() {
     let mut session = RawSession::connect(handle.addr());
 
     // Hold the only worker, so that the leader waits in the queue while
-    // the follower arrives (the reactor handles frames in order, and a
-    // follower takes no queue slot).
+    // the follower arrives (the reactor handles frames in order). The
+    // leader takes the only queue slot: the server is at its admission
+    // limit of 2, and a follower that needed a slot would come back
+    // `overloaded` instead of with the leader's body.
     session.send(&json!({"id": 1, "cmd": "sleep", "ms": 300}));
+    let registry = vdbms.kernel().metrics().registry();
+    let picked_up = Instant::now() + Duration::from_secs(10);
+    while registry.snapshot().gauge("serve.running", &[]) != 1 {
+        assert!(Instant::now() < picked_up, "the worker never ran the sleep");
+        std::thread::yield_now();
+    }
     let query =
         |id: u64| json!({"id": id, "cmd": "query", "video": (VIDEO), "text": "RETRIEVE  pitstops"});
     session.send(&query(20));

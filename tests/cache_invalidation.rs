@@ -74,6 +74,10 @@ fn write_between_identical_queries_invalidates_the_cached_result() {
     let d = registry.snapshot().delta(&snap);
     assert_eq!(d.counter("cache.result", &[("result", "invalidated")]), 1);
     assert_eq!(d.counter("cache.result", &[("result", "hit")]), 0);
+    // Only the answer is void: the re-execution reuses the compiled
+    // plan, which depends on the statement, not on the rows.
+    assert_eq!(d.counter("cache.plan", &[("result", "hit")]), 1);
+    assert_eq!(d.counter("cache.plan", &[("result", "miss")]), 0);
     assert!(
         after.len() > first.len(),
         "the appended highlight must be visible: {} -> {}",

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cobra_faults::{FaultPlan, Trigger};
 use f1_cobra::catalog::{EventRecord, VideoInfo};
-use f1_cobra::{CobraError, StoreConfig, Vdbms};
+use f1_cobra::{CobraError, FsyncPolicy, StoreConfig, Vdbms};
 
 /// A self-deleting scratch data directory.
 struct TempDir(PathBuf);
@@ -337,7 +337,7 @@ fn checkpoint_then_reboot_replays_nothing() {
             .checkpoint()
             .expect("checkpoint")
             .expect("durable backend checkpoints");
-        assert!(outcome.bats_written > 0);
+        assert!(outcome.bats_written > 0 && outcome.bytes_written > 0);
         assert!(outcome.wal_files_retired > 0, "the cut WAL file retires");
     }
 
@@ -605,5 +605,39 @@ fn store_stats_expose_wal_and_checkpoint_counters() {
     assert_eq!(
         stats.pending_records, 0,
         "checkpoint drains the pending count"
+    );
+
+    // The fsync policy decides when the log is synced, never what is
+    // logged: one mutation stream writes identical bytes under `Always`
+    // and `EveryN(32)`, with strictly more syncs under `Always` — and an
+    // in-memory catalog logs nothing at all.
+    let mutate = |vdbms: &Vdbms| {
+        register(vdbms, "german");
+        for i in 0..40 {
+            vdbms
+                .catalog
+                .store_events("german", &[event("highlight", i, None)])
+                .expect("events");
+        }
+        vdbms.store_stats()
+    };
+    let durable = |tag: &str, fsync: FsyncPolicy| {
+        let dir = TempDir::new(tag);
+        let config = StoreConfig {
+            fsync,
+            ..config(dir.path())
+        };
+        mutate(&Vdbms::open(&config).expect("durable boot"))
+    };
+    let memory = mutate(&Vdbms::try_new().expect("in-memory boot"));
+    assert!(!memory.durable);
+    assert_eq!((memory.wal_bytes, memory.wal_fsyncs), (0, 0));
+    let always = durable("always", FsyncPolicy::Always);
+    let batched = durable("batched", FsyncPolicy::EveryN(32));
+    assert!(always.wal_bytes > 0);
+    assert_eq!(always.wal_bytes, batched.wal_bytes);
+    assert!(
+        always.wal_fsyncs > batched.wal_fsyncs && batched.wal_fsyncs > 0,
+        "always {always:?} vs batched {batched:?}"
     );
 }

@@ -226,6 +226,24 @@ fn query_execution_feeds_the_kernel_metrics() {
         .histogram("mil.op_ns", &[("op", "select")])
         .expect("select ops recorded");
     assert!(select.count() >= 1 && select.sum() > 0);
+    let eval = delta.histogram("mil.eval_ns", &[]).expect("eval timed");
+    assert_eq!(eval.count(), 1, "one timing per evaluation");
+
+    // A driver clause adds the mirror and the positional join to the
+    // plan; each operator the interpreter runs feeds its own series.
+    vdbms
+        .query("v", "RETRIEVE HIGHLIGHTS WITH DRIVER \"MONTOYA\"")
+        .unwrap();
+    let delta = vdbms
+        .kernel()
+        .metrics()
+        .registry()
+        .snapshot()
+        .delta(&before);
+    for op in ["mirror", "join"] {
+        let series = delta.histogram("mil.op_ns", &[("op", op)]);
+        assert!(series.is_some_and(|h| h.count() >= 1), "{op} unrecorded");
+    }
 }
 
 #[test]

@@ -235,7 +235,8 @@ fn unsubscribe_stops_the_stream() {
 /// The live-race loop end to end inside one process: a subscriber
 /// armed *before* any data exists watches the answer grow as the
 /// broadcast arrives chunk by chunk through the incremental ingest
-/// path, and the final pushed total equals the batch answer.
+/// path; every chunk is accounted for as one delta or as silence, and
+/// the deltas add up to the direct-query answer.
 #[test]
 fn chunked_ingest_streams_deltas_to_a_live_subscriber() {
     let vdbms = Arc::new(Vdbms::try_new().expect("vdbms boots"));
@@ -259,35 +260,54 @@ fn chunked_ingest_streams_deltas_to_a_live_subscriber() {
         .map_or(0, Vec::len);
     assert_eq!(empty_start, 0, "nothing is ingested yet");
 
+    // Chunk by chunk: a committed chunk that moves the direct-query
+    // answer owes the subscriber exactly one delta, landing on the new
+    // total; one that does not owes silence. A lost delta runs into the
+    // client timeout, a spurious one is counted.
     let scenario = RaceScenario::generate(ScenarioConfig::new(RaceProfile::German, 120));
-    for chunk in scenario.chunks(30) {
+    let mut answer = Vec::new();
+    let mut streamed = Vec::new();
+    let (mut frames, mut moved, mut unchanged) = (0u64, 0u64, 0u64);
+    for chunk in scenario.chunks(10) {
         vdbms
             .ingest_chunk("german", &scenario, &chunk)
             .expect("chunk ingests");
-    }
-    let expected = vdbms
-        .query("german", "RETRIEVE PITSTOPS")
-        .expect("batch answer");
-    assert!(
-        !expected.is_empty(),
-        "a 120s German broadcast must report pit stops"
-    );
-
-    // Drain pushes until the stream has caught up with the final
-    // answer; the client timeout turns a lost delta into a failure.
-    let mut added = 0usize;
-    loop {
-        let push = client.next_push().expect("delta while the race streams in");
-        assert_eq!(push.video, "german");
-        added += push.added.len();
-        if push.total as usize == expected.len() {
-            break;
+        let truth = vdbms
+            .query("german", "RETRIEVE PITSTOPS")
+            .expect("direct answer");
+        if truth == answer {
+            unchanged += 1;
+            continue;
+        }
+        moved += 1;
+        answer = truth;
+        loop {
+            let push = client.next_push().expect("delta while the race streams in");
+            assert_eq!(push.video, "german");
+            assert_eq!(push.removed, 0, "pit stops only accumulate");
+            frames += 1;
+            streamed.extend(push.added);
+            if push.total as usize == answer.len() {
+                break;
+            }
         }
     }
     assert!(
-        added >= expected.len(),
-        "every final segment arrived as a delta"
+        moved > 0 && unchanged > 0,
+        "a 120s German broadcast has chunks with and without pit stops: {moved} / {unchanged}"
     );
+    assert_eq!(
+        frames, moved,
+        "one delta per chunk that moved the answer, none for the other {unchanged}"
+    );
+    assert_eq!(
+        stream_counter(&vdbms, "stream.pushes"),
+        frames,
+        "the hub pushed nothing the subscriber did not read"
+    );
+    // The drained stream is the direct-query answer: no segment was
+    // lost on the way, none sent twice.
+    assert_eq!(streamed, answer);
     handle.shutdown();
 }
 
