@@ -102,6 +102,21 @@ pub fn accumulate(trace: &[f64], window: usize) -> Vec<f64> {
     out
 }
 
+/// The decision level on the grid 0.05, 0.10, … 0.95 that `score` rates
+/// highest (the lowest such level on a tie) — the one grid search behind
+/// every calibrated threshold.
+pub fn best_threshold(score: impl Fn(f64) -> f64) -> f64 {
+    let mut best = (0.5, -1.0);
+    for i in 1..20 {
+        let theta = i as f64 / 20.0;
+        let s = score(theta);
+        if s > best.1 {
+            best = (theta, s);
+        }
+    }
+    best.0
+}
+
 /// Mean absolute first difference of a trace — the quantitative version of
 /// the paper's Fig. 9 observation that DBN outputs are "much smoother"
 /// than BN outputs.
@@ -303,6 +318,15 @@ mod tests {
             .collect();
         let smooth = accumulate(&noisy, 10);
         assert!(roughness(&smooth) < roughness(&noisy) / 4.0);
+    }
+
+    #[test]
+    fn best_threshold_takes_the_lowest_best_grid_level() {
+        // A plateau from 0.30 to 0.50: the first level reaching it wins.
+        let theta = best_threshold(|t| if (0.3..=0.5).contains(&t) { 1.0 } else { 0.0 });
+        assert!((theta - 0.3).abs() < 1e-12);
+        // Nothing scores above the floor: the first grid level.
+        assert!((best_threshold(|_| 0.0) - 0.05).abs() < 1e-12);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use f1_bench::experiments;
-use f1_bench::{prepare_race, RaceData, DEFAULT_DURATION_S};
+use f1_bench::{Races, DEFAULT_DURATION_S};
 use f1_media::synth::scenario::RaceProfile;
 
 /// The paper experiments that need the synthetic German GP.
@@ -72,77 +72,43 @@ fn main() {
     println!("# synthetic broadcasts of {duration} s per race (paper: ~90 min)\n");
 
     let t0 = Instant::now();
-    let prepare = |profile: RaceProfile| -> RaceData {
-        let t = Instant::now();
-        let race = prepare_race(profile, duration);
-        eprintln!(
-            "prepared {} ({} clips) in {:.1}s",
-            profile.name(),
-            race.scenario.n_clips,
-            t.elapsed().as_secs_f64()
-        );
-        race
-    };
-    // Skip the expensive race preparation when only experiments that
-    // need no synthetic broadcast were requested.
-    let needs_german = GERMAN.iter().any(|name| want(name));
-    let german = needs_german.then(|| prepare(RaceProfile::German));
-    let german = |label: &str| -> &RaceData {
-        german
-            .as_ref()
-            .unwrap_or_else(|| panic!("race data prepared for {label}"))
-    };
-    let needs_belgian = want("table2") || want("table4");
-    let belgian = needs_belgian.then(|| prepare(RaceProfile::Belgian));
-    let usa = needs_belgian.then(|| prepare(RaceProfile::Usa));
-
-    let mut t1out = None;
-    if want("table1") || want("table2") || want("fig9") || want("clustering") {
-        let out = experiments::table1(german("table1"));
-        if want("table1") {
-            println!("{}", out.table);
+    // Skip the expensive ingests when only experiments that need no
+    // synthetic broadcast were requested; the Belgian and USA races
+    // when no cross-race table was.
+    let mut profiles = Vec::new();
+    if GERMAN.iter().any(|name| want(name)) {
+        profiles.push(RaceProfile::German);
+        if want("table2") || want("table4") {
+            profiles.extend([RaceProfile::Belgian, RaceProfile::Usa]);
         }
-        t1out = Some(out);
+    }
+    let races = Races::ingest(&profiles, duration);
+
+    // Table 1 trains the audio networks, Table 3 the audio-visual ones;
+    // the experiments that reuse them find them installed.
+    if want("table1") || want("table2") || want("fig9") || want("clustering") {
+        let table = experiments::table1(&races);
+        if want("table1") {
+            println!("{table}");
+        }
     }
     if want("table2") {
-        let t1 = t1out.as_ref().expect("table1 ran");
-        println!(
-            "{}",
-            experiments::table2(
-                &t1.dbn_full,
-                belgian.as_ref().expect("belgian prepared"),
-                usa.as_ref().expect("usa prepared"),
-            )
-        );
+        println!("{}", experiments::table2(&races));
     }
-    let mut t3out = None;
-    if want("table3") || want("table4") || want("ablation") {
-        let out = experiments::table3(german("table3"));
+    if want("table3") || want("table4") || want("ablation") || want("queries") {
+        let table = experiments::table3(&races);
         if want("table3") {
-            println!("{}", out.table);
+            println!("{table}");
         }
-        t3out = Some(out);
     }
     if want("table4") {
-        println!(
-            "{}",
-            experiments::table4(
-                t3out.as_ref().expect("table3 ran"),
-                belgian.as_ref().expect("belgian prepared"),
-                usa.as_ref().expect("usa prepared"),
-            )
-        );
+        println!("{}", experiments::table4(&races));
     }
     if want("ablation") {
-        println!(
-            "{}",
-            experiments::ablation(t3out.as_ref().expect("table3 ran"), german("ablation"))
-        );
+        println!("{}", experiments::ablation(&races));
     }
     if want("fig9") {
-        let t1 = t1out.as_ref().expect("table1 ran");
-        let (table, bn_trace, dbn_trace) =
-            experiments::fig9(&t1.bn_full, &t1.dbn_full, german("fig9"));
+        let (table, bn_trace, dbn_trace) = experiments::fig9(&races);
         println!("{table}");
         let json = serde_json::json!({
             "bn": bn_trace,
@@ -153,29 +119,25 @@ fn main() {
         }
     }
     if want("temporal") {
-        println!("{}", experiments::temporal(german("temporal")));
+        println!("{}", experiments::temporal(&races));
     }
     if want("clustering") {
-        let t1 = t1out.as_ref().expect("table1 ran");
-        println!(
-            "{}",
-            experiments::clustering(&t1.dbn_full, german("clustering"))
-        );
+        println!("{}", experiments::clustering(&races));
     }
     if want("keywords") {
-        println!("{}", experiments::keywords(german("keywords")));
+        println!("{}", experiments::keywords(races.scenario("german")));
     }
     if want("endpoint") {
-        println!("{}", experiments::endpoint(german("endpoint")));
+        println!("{}", experiments::endpoint(races.scenario("german")));
     }
     if want("shots") {
-        println!("{}", experiments::shots(german("shots")));
+        println!("{}", experiments::shots(races.scenario("german")));
     }
     if want("hmm") {
         println!("{}", experiments::hmm_parallel());
     }
     if want("queries") {
-        println!("{}", experiments::queries(german("queries")));
+        println!("{}", experiments::queries(&races));
     }
     let mut broken = Vec::new();
     if want("serve") {

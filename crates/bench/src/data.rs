@@ -1,73 +1,63 @@
-//! Race preparation: scenario, keyword spotting, feature extraction.
+//! The races under evaluation: one shared VDBMS, each race ingested once.
 
-use f1_keyword::{keyword_feature, spot, AcousticModel, Grammar, PhonemeStream, SpotterConfig};
-use f1_media::features::vector::FeatureExtractor;
+use std::time::Instant;
+
+use f1_bayes::metrics::Segment;
+use f1_cobra::Vdbms;
 use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig};
 
 /// Default broadcast duration for experiments, in seconds.
 pub const DEFAULT_DURATION_S: usize = 600;
 
-/// A prepared race: ground truth plus the extracted 17-column evidence
-/// matrix (keyword spotting already folded into f1).
-pub struct RaceData {
-    /// Ground-truth timeline.
-    pub scenario: RaceScenario,
-    /// `features[t][k]` = fₖ₊₁ at clip t.
-    pub features: Vec<Vec<f64>>,
+/// The VDBMS every paper table reads from, and the ground truth of each
+/// race it ingested. The truth is for trainers (of the race trained on)
+/// and scorers; nothing that produces a detection reads it.
+pub struct Races {
+    /// The shared system: races are videos named by their profile
+    /// (`"german"`, `"belgian"`, `"usa"`), networks are installed nets.
+    pub vdbms: Vdbms,
+    scenarios: Vec<(&'static str, RaceScenario)>,
 }
 
-impl RaceData {
-    /// Audio-only view (the first ten columns, f1…f10).
-    pub fn audio_features(&self) -> Vec<Vec<f64>> {
-        self.features.iter().map(|row| row[..10].to_vec()).collect()
+impl Races {
+    /// Ingests a `duration_s` broadcast of each profile: keyword
+    /// spotting, the f1…f17 feature layer, recognized captions.
+    pub fn ingest(profiles: &[RaceProfile], duration_s: usize) -> Races {
+        let vdbms = Vdbms::new();
+        let scenarios = profiles
+            .iter()
+            .map(|&profile| {
+                let t = Instant::now();
+                let scenario = RaceScenario::generate(ScenarioConfig::new(profile, duration_s));
+                vdbms
+                    .ingest(profile.name(), &scenario)
+                    .expect("ingesting a generated broadcast succeeds");
+                eprintln!(
+                    "ingested {} ({} clips) in {:.1}s",
+                    profile.name(),
+                    scenario.n_clips,
+                    t.elapsed().as_secs_f64()
+                );
+                (profile.name(), scenario)
+            })
+            .collect();
+        Races { vdbms, scenarios }
     }
 
-    /// Ground-truth excited-speech spans as metric segments.
-    pub fn excited_truth(&self) -> Vec<f1_bayes::metrics::Segment> {
-        self.scenario
-            .excited
+    /// Ground truth of an ingested race.
+    pub fn scenario(&self, video: &str) -> &RaceScenario {
+        match self.scenarios.iter().find(|(name, _)| *name == video) {
+            Some((_, scenario)) => scenario,
+            None => panic!("race '{video}' was not ingested for this run"),
+        }
+    }
+
+    /// The answer to a retrieval statement, as metric segments.
+    pub fn retrieve(&self, video: &str, statement: &str) -> Vec<Segment> {
+        let answer = self.vdbms.query(video, statement).expect("query runs");
+        answer
             .iter()
-            .map(|s| f1_bayes::metrics::Segment::new(s.start, s.end))
+            .map(|seg| Segment::new(seg.start, seg.end))
             .collect()
     }
-
-    /// Ground-truth highlight spans as metric segments.
-    pub fn highlight_truth(&self) -> Vec<f1_bayes::metrics::Segment> {
-        self.scenario
-            .highlights()
-            .iter()
-            .map(|s| f1_bayes::metrics::Segment::new(s.start, s.end))
-            .collect()
-    }
-
-    /// Ground-truth spans of one event kind.
-    pub fn event_truth(
-        &self,
-        kind: f1_media::synth::scenario::EventKind,
-    ) -> Vec<f1_bayes::metrics::Segment> {
-        self.scenario
-            .events_of(kind)
-            .iter()
-            .map(|s| f1_bayes::metrics::Segment::new(s.start, s.end))
-            .collect()
-    }
-}
-
-/// Prepares a race: generates the scenario, runs keyword spotting with
-/// the TV-news acoustic model, extracts the f1…f17 matrix.
-pub fn prepare_race(profile: RaceProfile, duration_s: usize) -> RaceData {
-    let scenario = RaceScenario::generate(ScenarioConfig::new(profile, duration_s));
-    let stream = PhonemeStream::from_scenario(&scenario);
-    let spots = spot(
-        &stream,
-        &Grammar::formula1(),
-        AcousticModel::TvNews,
-        &SpotterConfig::default(),
-    );
-    let kw = keyword_feature(&spots, scenario.n_clips);
-    let fx = FeatureExtractor::new(&scenario).expect("default extractor config is valid");
-    let features = fx
-        .extract(&kw, 0, scenario.n_clips)
-        .expect("extraction over a generated scenario succeeds");
-    RaceData { scenario, features }
 }

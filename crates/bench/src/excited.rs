@@ -1,14 +1,18 @@
-//! Excited-speech detection: training and evaluation shared by Table 1,
-//! Table 2, Fig. 9, and the temporal/clustering experiments.
+//! Excited-speech detection with the audio networks: the training
+//! regime and the scoring shared by Table 1, Table 2, Fig. 9 and the
+//! temporal/clustering experiments. Training, calibration and inference
+//! themselves are the VDBMS's (`train_net`, `dbnInfer`).
 
-use f1_bayes::bk::Clusters;
-use f1_bayes::em::{train, EmConfig};
-use f1_bayes::engine::Engine;
-use f1_bayes::evidence::{EvidenceSeq, Obs};
-use f1_bayes::metrics::{accumulate, precision_recall_strict, threshold_segments, PrecisionRecall};
-use f1_bayes::paper::{audio_bn, audio_dbn, BnStructure, PaperNet, TemporalVariant};
+use f1_bayes::em::EmConfig;
+use f1_bayes::metrics::{
+    accumulate, precision_recall_strict, threshold_segments, PrecisionRecall, Segment,
+};
+use f1_bayes::paper::{audio_bn, audio_dbn, BnStructure, TemporalVariant};
+use f1_cobra::extensions::StoredNet;
+use f1_cobra::{query_truth, TrainQuery};
+use f1_media::synth::scenario::{RaceScenario, Span};
 
-use crate::data::RaceData;
+use crate::data::Races;
 
 /// The paper's training regime: 300 s of audio evidence, split into
 /// 12 × 25 s segments for DBNs.
@@ -16,74 +20,7 @@ pub const TRAIN_CLIPS: usize = 3000;
 /// DBN training segment length (25 s).
 pub const SEGMENT_CLIPS: usize = 250;
 
-/// Builds clamped training sequences from a race's audio features.
-fn training_sequences(net: &PaperNet, race: &RaceData, split: Option<usize>) -> Vec<EvidenceSeq> {
-    let audio = race.audio_features();
-    let n = TRAIN_CLIPS.min(audio.len());
-    let mut seq = EvidenceSeq::from_matrix(&net.feature_nodes, &audio[..n]);
-    for t in 0..n {
-        seq.set(
-            t,
-            net.query,
-            Obs::Hard(race.scenario.is_excited(t) as usize),
-        );
-    }
-    match split {
-        Some(len) => seq.segments(len),
-        None => vec![seq],
-    }
-}
-
-/// Trains a static BN of the given structure on the race (EM with the
-/// query clamped, mid-level nodes hidden).
-pub fn train_bn(structure: BnStructure, race: &RaceData) -> PaperNet {
-    let mut net = audio_bn(structure).expect("paper structures build");
-    let seqs = training_sequences(&net, race, None);
-    train(
-        &mut net.dbn,
-        &seqs,
-        &EmConfig {
-            max_iters: 8,
-            tol: 1e-3,
-            pseudocount: 0.1,
-        },
-    )
-    .expect("EM on generated evidence succeeds");
-    net
-}
-
-/// Trains a DBN of the given structure/wiring on the race (12 × 25 s
-/// segments, per §5.5).
-pub fn train_dbn(structure: BnStructure, variant: TemporalVariant, race: &RaceData) -> PaperNet {
-    let mut net = audio_dbn(structure, variant).expect("paper structures build");
-    let seqs = training_sequences(&net, race, Some(SEGMENT_CLIPS));
-    train(
-        &mut net.dbn,
-        &seqs,
-        &EmConfig {
-            max_iters: 8,
-            tol: 1e-3,
-            pseudocount: 0.1,
-        },
-    )
-    .expect("EM on generated evidence succeeds");
-    net
-}
-
-/// The query-node trace over the whole race (filtering, optional BK
-/// clusters).
-pub fn infer_trace(net: &PaperNet, race: &RaceData, clusters: Option<&Clusters>) -> Vec<f64> {
-    let audio = race.audio_features();
-    let ev = EvidenceSeq::from_matrix(&net.feature_nodes, &audio);
-    let engine = Engine::new(&net.dbn).expect("paper nets compile");
-    let post = engine
-        .filter(&ev, clusters.map(|c| c.as_slices()))
-        .expect("inference over extracted evidence succeeds");
-    post.trace(net.query, 1).expect("query node is hidden")
-}
-
 /// Post-processing parameters for excited-speech segment extraction.
-#[allow(dead_code)]
 const THETA: f64 = 0.5;
 const MIN_LEN: usize = 30; // 3 s
 const MERGE: usize = 10;
@@ -92,53 +29,84 @@ const OVERLAP_FRAC: f64 = 0.5;
 /// The accumulation window applied to noisy static-BN traces (§5.5).
 pub const BN_ACCUMULATE_WINDOW: usize = 15;
 
-/// Calibrates a BN decision threshold on the training prefix (the paper
-/// accumulates BN outputs "to make a conclusion" without fixing a
-/// threshold; we grid-search the F1-best level on the training data).
-fn calibrate_threshold(smooth: &[f64], race: &RaceData) -> f64 {
-    let n = TRAIN_CLIPS.min(smooth.len());
-    let truth: Vec<f1_bayes::metrics::Segment> = race
-        .excited_truth()
-        .into_iter()
-        .filter(|s| s.start < n)
-        .collect();
-    let mut best = (0.5, -1.0);
-    for i in 1..20 {
-        let theta = i as f64 / 20.0;
-        let segs = threshold_segments(&smooth[..n], theta, MIN_LEN, MERGE);
-        let f1 = precision_recall_strict(&segs, &truth, OVERLAP_FRAC).f1();
-        if f1 > best.1 {
-            best = (theta, f1);
-        }
+/// Excited-speech segments of an `EA` trace at level `theta`: a static
+/// BN's noisy output is accumulated first, per the paper; a DBN's is
+/// thresholded directly.
+fn segments(trace: &[f64], is_static: bool, theta: f64) -> Vec<Segment> {
+    if is_static {
+        let smooth = accumulate(trace, BN_ACCUMULATE_WINDOW);
+        threshold_segments(&smooth, theta, MIN_LEN, MERGE)
+    } else {
+        threshold_segments(trace, theta, MIN_LEN, MERGE)
     }
-    best.0
 }
 
-/// Precision/recall of a *BN* trace (accumulated first, per the paper;
-/// threshold calibrated on the training prefix).
-pub fn bn_precision_recall(trace: &[f64], race: &RaceData) -> PrecisionRecall {
-    let smooth = accumulate(trace, BN_ACCUMULATE_WINDOW);
-    let theta = calibrate_threshold(&smooth, race);
-    let segs = threshold_segments(&smooth, theta, MIN_LEN, MERGE);
-    precision_recall_strict(&segs, &race.excited_truth(), OVERLAP_FRAC)
+/// Trains an audio network on the first 300 s of the German GP (EM with
+/// `EA` clamped, mid-level nodes hidden; a DBN on 12 × 25 s segments)
+/// and installs it as `name`. The paper accumulates BN outputs "to make
+/// a conclusion" without fixing a threshold; the level stored with the
+/// net is the strict-metric F1-best one on that training prefix.
+pub fn train_audio(
+    races: &Races,
+    name: &str,
+    structure: BnStructure,
+    variant: Option<TemporalVariant>,
+) {
+    let scenario = races.scenario("german");
+    let n = TRAIN_CLIPS.min(scenario.n_clips);
+    let (net, spans) = match variant {
+        None => (audio_bn(structure), vec![Span::new(0, n)]),
+        Some(variant) => (
+            audio_dbn(structure, variant),
+            (0..n / SEGMENT_CLIPS)
+                .map(|k| Span::new(k * SEGMENT_CLIPS, (k + 1) * SEGMENT_CLIPS))
+                .collect(),
+        ),
+    };
+    let net = net.expect("paper structures build");
+    let mut truth = query_truth(scenario, "EA");
+    truth.retain(|s| s.start < n);
+    let score = |trace: &[f64], theta: f64| {
+        let segs = segments(&trace[..n], variant.is_none(), theta);
+        precision_recall_strict(&segs, &truth, OVERLAP_FRAC).f1()
+    };
+    let query = TrainQuery::new(scenario, "EA", net.query, Some(&score));
+    let em = EmConfig {
+        max_iters: 8,
+        tol: 1e-3,
+        pseudocount: 0.1,
+    };
+    (races.vdbms)
+        .train_net(name, "german", net, &[query], &spans, &em)
+        .expect("EM on extracted evidence succeeds");
 }
 
-/// Precision/recall of a *DBN* trace (thresholded directly; the decision
-/// level is calibrated on the training prefix like the BN's so the
-/// comparison isolates trace quality).
-pub fn dbn_precision_recall(trace: &[f64], race: &RaceData) -> PrecisionRecall {
-    let theta = calibrate_threshold(trace, race);
-    let segs = threshold_segments(trace, theta, MIN_LEN, MERGE);
-    precision_recall_strict(&segs, &race.excited_truth(), OVERLAP_FRAC)
+/// Strict precision/recall of an `EA` trace against a race's excited
+/// speech, at the level stored with the network that produced it.
+pub fn precision_recall(
+    trace: &[f64],
+    stored: &StoredNet,
+    scenario: &RaceScenario,
+) -> PrecisionRecall {
+    let segs = segments(trace, stored.net.dbn.is_static(), stored.thresholds["EA"]);
+    precision_recall_strict(&segs, &query_truth(scenario, "EA"), OVERLAP_FRAC)
+}
+
+/// [`precision_recall`] of an installed network's `dbnInfer` trace over
+/// a race.
+pub fn evaluate(races: &Races, video: &str, net: &str) -> PrecisionRecall {
+    let stored = races.vdbms.net(net).expect("network was trained");
+    let trace = (races.vdbms.dbn_infer(video, net, "EA")).expect("dbnInfer runs");
+    precision_recall(&trace, &stored, races.scenario(video))
 }
 
 /// Clip-level classification errors of a thresholded trace against the
 /// excited ground truth — the "misclassified sequences" statistic of the
 /// clustering experiment.
-pub fn clip_errors(trace: &[f64], race: &RaceData) -> usize {
+pub fn clip_errors(trace: &[f64], scenario: &RaceScenario) -> usize {
     trace
         .iter()
         .enumerate()
-        .filter(|(t, &p)| (p >= THETA) != race.scenario.is_excited(*t))
+        .filter(|(t, &p)| (p >= THETA) != scenario.is_excited(*t))
         .count()
 }

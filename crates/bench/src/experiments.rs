@@ -4,190 +4,167 @@
 use std::time::Instant;
 
 use f1_bayes::bk::Clusters;
-use f1_bayes::metrics::{accumulate, roughness};
-use f1_bayes::paper::{BnStructure, PaperNet, TemporalVariant};
+use f1_bayes::engine::Engine;
+use f1_bayes::evidence::EvidenceSeq;
+use f1_bayes::metrics::{accumulate, precision_recall, roughness, PrecisionRecall};
+use f1_bayes::paper::{BnStructure, TemporalVariant};
+use f1_cobra::{query_truth, training_windows};
 use f1_media::features::audio::AudioAnalyzer;
 use f1_media::features::endpoint::{energy_entropy, zero_crossing_rate, EndpointConfig};
 use f1_media::features::video::{detect_shots, ShotConfig};
 use f1_media::synth::audio::AudioSynth;
+use f1_media::synth::scenario::{EventKind, RaceScenario, Span, DRIVERS};
 use f1_media::synth::video::VideoSynth;
 use f1_media::time::{clips_per_second, VIDEO_FPS};
 use f1_media::window::Window;
 
-use crate::avnet::{evaluate_av, train_av, AvModel};
-use crate::data::RaceData;
-use crate::excited::{
-    bn_precision_recall, clip_errors, dbn_precision_recall, infer_trace, train_bn, train_dbn,
-    BN_ACCUMULATE_WINDOW,
-};
+use crate::data::Races;
+use crate::excited::{self, clip_errors, evaluate, train_audio, BN_ACCUMULATE_WINDOW};
 use crate::report::{Cell, Table};
 
 fn pr_cells(name: &str, p: f64, r: f64) -> Vec<Cell> {
     vec![Cell::Text(name.into()), Cell::Percent(p), Cell::Percent(r)]
 }
 
-/// Output of the Table 1 experiment: the table plus the trained networks
-/// that later experiments reuse.
-pub struct Table1Out {
-    /// The rendered table.
-    pub table: Table,
-    /// The trained fully-parameterized static BN.
-    pub bn_full: PaperNet,
-    /// The trained fully-parameterized DBN (Fig. 8 wiring).
-    pub dbn_full: PaperNet,
-}
-
 /// **Table 1** — three BN structures vs the fully parameterized DBN for
-/// emphasized-speech detection on the German GP.
-pub fn table1(german: &RaceData) -> Table1Out {
-    let bn_full = train_bn(BnStructure::FullyParameterized, german);
-    let bn_direct = train_bn(BnStructure::DirectEvidence, german);
-    let bn_io = train_bn(BnStructure::InputOutput, german);
-    let dbn_full = train_dbn(
-        BnStructure::FullyParameterized,
-        TemporalVariant::Full,
-        german,
-    );
-
+/// emphasized-speech detection on the German GP. Trains the four
+/// networks and leaves them installed (`bn-full`, `bn-direct`, `bn-io`,
+/// `dbn-full`) for the experiments that reuse them.
+pub fn table1(races: &Races) -> Table {
+    let full = BnStructure::FullyParameterized;
     let mut table = Table::new(
         "Table 1 — Comparison of BNs and DBNs for detection of emphasized speech (German GP)",
         &["Network", "Precision", "Recall"],
     );
-    for (name, net, is_dbn) in [
-        ("Fully parameterized BN (Fig 7a)", &bn_full, false),
+    for (label, net, structure, variant) in [
+        ("Fully parameterized BN (Fig 7a)", "bn-full", full, None),
         (
             "BN with direct evidence influence (Fig 7b)",
-            &bn_direct,
-            false,
+            "bn-direct",
+            BnStructure::DirectEvidence,
+            None,
         ),
-        ("Input/Output BN (Fig 7c)", &bn_io, false),
-        ("Fully parameterized DBN (Fig 8 + 7a)", &dbn_full, true),
+        (
+            "Input/Output BN (Fig 7c)",
+            "bn-io",
+            BnStructure::InputOutput,
+            None,
+        ),
+        (
+            "Fully parameterized DBN (Fig 8 + 7a)",
+            "dbn-full",
+            full,
+            Some(TemporalVariant::Full),
+        ),
     ] {
-        let trace = infer_trace(net, german, None);
-        let pr = if is_dbn {
-            dbn_precision_recall(&trace, german)
-        } else {
-            bn_precision_recall(&trace, german)
-        };
-        table.row(pr_cells(name, pr.precision, pr.recall));
-    }
-    Table1Out {
-        table,
-        bn_full,
-        dbn_full,
-    }
-}
-
-/// **Table 2** — the audio DBN trained on the German GP, evaluated on the
-/// Belgian and USA GPs.
-pub fn table2(dbn_full: &PaperNet, belgian: &RaceData, usa: &RaceData) -> Table {
-    let mut table = Table::new(
-        "Table 2 — Evaluation results for the audio DBN (trained on German GP)",
-        &["Race", "Precision", "Recall"],
-    );
-    for (name, race) in [("Belgian Grand Prix", belgian), ("USA Grand Prix", usa)] {
-        let trace = infer_trace(dbn_full, race, None);
-        let pr = dbn_precision_recall(&trace, race);
-        table.row(pr_cells(name, pr.precision, pr.recall));
+        train_audio(races, net, structure, variant);
+        let pr = evaluate(races, "german", net);
+        table.row(pr_cells(label, pr.precision, pr.recall));
     }
     table
 }
 
-/// Output of Table 3: table plus the trained audio-visual models.
-pub struct Table3Out {
-    /// The rendered table.
-    pub table: Table,
-    /// Audio-visual model *with* the passing sub-network.
-    pub with_passing: AvModel,
-    /// Audio-visual model *without* the passing sub-network.
-    pub without_passing: AvModel,
+/// **Table 2** — the audio DBN trained on the German GP (`dbn-full`, at
+/// the level stored with it), evaluated on the Belgian and USA GPs.
+pub fn table2(races: &Races) -> Table {
+    let dbn = races.vdbms.net("dbn-full").expect("table1 trained it");
+    let level = dbn.thresholds["EA"];
+    let mut table = Table::new(
+        &format!(
+            "Table 2 — Evaluation results for the audio DBN (trained on German GP, level {level:.2})"
+        ),
+        &["Race", "Precision", "Recall"],
+    );
+    for (label, video) in [("Belgian Grand Prix", "belgian"), ("USA Grand Prix", "usa")] {
+        let pr = evaluate(races, video, "dbn-full");
+        table.row(pr_cells(label, pr.precision, pr.recall));
+    }
+    table
+}
+
+/// Precision/recall of a retrieval statement's answer over an annotated
+/// race, against the truth of the query node the statement reads.
+fn retrieval_pr(races: &Races, video: &str, statement: &str, query: &str) -> PrecisionRecall {
+    precision_recall(
+        &races.retrieve(video, statement),
+        &query_truth(races.scenario(video), query),
+    )
+}
+
+/// Annotates `video` with the installed `net` and appends one row per
+/// retrieval statement the network has the query node for.
+fn retrieval_rows(races: &Races, table: &mut Table, video: &str, net: &str, prefix: &str) {
+    races.vdbms.annotate(video, net).expect("annotation runs");
+    let stored = races.vdbms.net(net).expect("network was trained");
+    for (label, statement, query) in [
+        ("Highlights", "RETRIEVE HIGHLIGHTS", "HL"),
+        ("Start", "RETRIEVE EVENTS START", "ST"),
+        ("Fly Out", "RETRIEVE EVENTS FLY_OUT", "FO"),
+        ("Passing", "RETRIEVE EVENTS PASSING", "PS"),
+    ] {
+        if stored.queries.iter().any(|(name, _)| name == query) {
+            let pr = retrieval_pr(races, video, statement, query);
+            table.row(pr_cells(
+                &format!("{prefix}{label}"),
+                pr.precision,
+                pr.recall,
+            ));
+        }
+    }
 }
 
 /// **Table 3** — the audio-visual DBN on the German GP: highlights plus
-/// start / fly-out / passing classification.
-pub fn table3(german: &RaceData) -> Table3Out {
-    let with_passing = train_av(german, true);
-    let without_passing = train_av(german, false);
-    let eval = evaluate_av(&with_passing, german);
+/// start / fly-out / passing classification, read back with `RETRIEVE`.
+/// Trains the network with (`av`) and without (`av-nopass`) the passing
+/// sub-network and leaves both installed.
+pub fn table3(races: &Races) -> Table {
+    let scenario = races.scenario("german");
+    let windows = training_windows(scenario.n_clips);
+    let train = |with_passing| {
+        (races.vdbms)
+            .train_highlight_net("german", scenario, &windows, with_passing)
+            .expect("EM on extracted evidence succeeds");
+        races.vdbms.net("av").expect("just trained")
+    };
+    races.vdbms.install_net("av-nopass", train(false));
+    train(true);
     let mut table = Table::new(
         "Table 3 — The audio-visual DBN (German GP)",
         &["Query", "Precision", "Recall"],
     );
-    table.row(pr_cells(
-        "Highlights",
-        eval.highlights.precision,
-        eval.highlights.recall,
-    ));
-    table.row(pr_cells("Start", eval.start.precision, eval.start.recall));
-    table.row(pr_cells(
-        "Fly Out",
-        eval.fly_out.precision,
-        eval.fly_out.recall,
-    ));
-    if let Some(ps) = eval.passing {
-        table.row(pr_cells("Passing", ps.precision, ps.recall));
-    }
-    Table3Out {
-        table,
-        with_passing,
-        without_passing,
-    }
+    retrieval_rows(races, &mut table, "german", "av", "");
+    table
 }
 
-/// **Table 4** — the audio-visual DBN on the Belgian GP (with the passing
-/// sub-network) and the USA GP (without it; that race has no fly-outs).
-pub fn table4(models: &Table3Out, belgian: &RaceData, usa: &RaceData) -> Table {
+/// **Table 4** — the German-trained audio-visual DBN, at the levels
+/// stored with it, on the Belgian GP (with the passing sub-network) and
+/// the USA GP (without it; that race has no fly-outs, paper footnote 3,
+/// so both metrics of its row are 0).
+pub fn table4(races: &Races) -> Table {
+    let level = |net| races.vdbms.net(net).expect("table3 trained it").thresholds["HL"];
     let mut table = Table::new(
-        "Table 4 — Evaluation results for the audio-visual DBN (Belgian with passing subnet, USA without)",
+        &format!(
+            "Table 4 — Evaluation results for the audio-visual DBN (Belgian with passing subnet, \
+             level {:.2}; USA without, level {:.2})",
+            level("av"),
+            level("av-nopass")
+        ),
         &["Race / Query", "Precision", "Recall"],
     );
-    let be = evaluate_av(&models.with_passing, belgian);
-    table.row(pr_cells(
-        "Belgian: Highlights",
-        be.highlights.precision,
-        be.highlights.recall,
-    ));
-    table.row(pr_cells(
-        "Belgian: Start",
-        be.start.precision,
-        be.start.recall,
-    ));
-    table.row(pr_cells(
-        "Belgian: Fly Out",
-        be.fly_out.precision,
-        be.fly_out.recall,
-    ));
-    if let Some(ps) = be.passing {
-        table.row(pr_cells("Belgian: Passing", ps.precision, ps.recall));
-    }
-    let us = evaluate_av(&models.without_passing, usa);
-    table.row(pr_cells(
-        "USA: Highlights",
-        us.highlights.precision,
-        us.highlights.recall,
-    ));
-    table.row(pr_cells("USA: Start", us.start.precision, us.start.recall));
-    // The USA race has no fly-outs (paper footnote 3): both metrics 0.
-    table.row(pr_cells(
-        "USA: Fly Out",
-        us.fly_out.precision,
-        us.fly_out.recall,
-    ));
+    retrieval_rows(races, &mut table, "belgian", "av", "Belgian: ");
+    retrieval_rows(races, &mut table, "usa", "av-nopass", "USA: ");
     table
 }
 
 /// **Fig. 9** — BN vs DBN inference traces over a 300 s window: the BN
 /// output is noisy and needs accumulation, the DBN output is smooth.
 /// Returns the summary table and the two traces for plotting.
-pub fn fig9(
-    bn_full: &PaperNet,
-    dbn_full: &PaperNet,
-    german: &RaceData,
-) -> (Table, Vec<f64>, Vec<f64>) {
-    let bn_trace: Vec<f64> =
-        infer_trace(bn_full, german, None)[..3000.min(german.features.len())].to_vec();
-    let dbn_trace: Vec<f64> =
-        infer_trace(dbn_full, german, None)[..3000.min(german.features.len())].to_vec();
+pub fn fig9(races: &Races) -> (Table, Vec<f64>, Vec<f64>) {
+    let infer = |net| (races.vdbms.dbn_infer("german", net, "EA")).expect("dbnInfer runs");
+    let mut bn_trace: Vec<f64> = infer("bn-full");
+    let mut dbn_trace = infer("dbn-full");
+    bn_trace.truncate(3000);
+    dbn_trace.truncate(3000);
     let range = |tr: &[f64]| {
         let mx = tr.iter().cloned().fold(f64::MIN, f64::max);
         let mn = tr.iter().cloned().fold(f64::MAX, f64::min);
@@ -223,7 +200,7 @@ pub fn fig9(
 
 /// **§5.5 temporal-dependency experiment** — three inter-slice wirings of
 /// the fully parameterized DBN.
-pub fn temporal(german: &RaceData) -> Table {
+pub fn temporal(races: &Races) -> Table {
     let mut table = Table::new(
         "§5.5 — Influence of temporal dependencies (fully parameterized DBN, German GP)",
         &["Wiring", "Precision", "Recall"],
@@ -239,9 +216,13 @@ pub fn temporal(german: &RaceData) -> Table {
             TemporalVariant::NoQueryFanOut,
         ),
     ] {
-        let net = train_dbn(BnStructure::FullyParameterized, variant, german);
-        let trace = infer_trace(&net, german, None);
-        let pr = dbn_precision_recall(&trace, german);
+        train_audio(
+            races,
+            "dbn-wiring",
+            BnStructure::FullyParameterized,
+            Some(variant),
+        );
+        let pr = evaluate(races, "german", "dbn-wiring");
         table.row(pr_cells(name, pr.precision, pr.recall));
     }
     table
@@ -249,8 +230,10 @@ pub fn temporal(german: &RaceData) -> Table {
 
 /// **§5.5 clustering experiment** — Boyen–Koller projection with all
 /// hidden nodes in one cluster ("exact") vs the query node separated vs
-/// fully factored.
-pub fn clustering(dbn_full: &PaperNet, german: &RaceData) -> Table {
+/// fully factored. `dbnInfer` takes no cluster argument, so this one
+/// experiment filters `dbn-full` itself, over the catalog's audio
+/// columns and at the network's stored level.
+pub fn clustering(races: &Races) -> Table {
     let mut table = Table::new(
         "§5.5 — Boyen-Koller clustering (fully parameterized DBN, German GP)",
         &[
@@ -261,22 +244,36 @@ pub fn clustering(dbn_full: &PaperNet, german: &RaceData) -> Table {
             "Mean |Δp| vs exact",
         ],
     );
-    let exact_trace = infer_trace(dbn_full, german, None);
+    let scenario = races.scenario("german");
+    let stored = races.vdbms.net("dbn-full").expect("table1 trained it");
+    let net = &stored.net;
+    let audio = (races.vdbms.catalog)
+        .load_features("german", net.feature_nodes.len())
+        .expect("the feature layer was ingested");
+    let ev = EvidenceSeq::from_matrix(&net.feature_nodes, &audio);
+    let engine = Engine::new(&net.dbn).expect("paper nets compile");
+    let infer = |clusters: Option<&Clusters>| -> Vec<f64> {
+        let post = engine
+            .filter(&ev, clusters.map(|c| c.as_slices()))
+            .expect("inference over extracted evidence succeeds");
+        post.trace(net.query, 1).expect("query node is hidden")
+    };
+    let exact_trace = infer(None);
     let configs: Vec<(&str, Clusters)> = vec![
-        ("one cluster (exact)", Clusters::single(&dbn_full.dbn)),
+        ("one cluster (exact)", Clusters::single(&net.dbn)),
         (
             "query separated from other hidden nodes",
-            Clusters::separate(&dbn_full.dbn, &["EA"]).expect("EA is hidden"),
+            Clusters::separate(&net.dbn, &["EA"]).expect("EA is hidden"),
         ),
         (
             "fully factored (one node per cluster)",
-            Clusters::singletons(&dbn_full.dbn),
+            Clusters::singletons(&net.dbn),
         ),
     ];
     for (name, clusters) in configs {
-        let trace = infer_trace(dbn_full, german, Some(&clusters));
-        let pr = dbn_precision_recall(&trace, german);
-        let errors = clip_errors(&trace, german);
+        let trace = infer(Some(&clusters));
+        let pr = excited::precision_recall(&trace, &stored, scenario);
+        let errors = clip_errors(&trace, scenario);
         let divergence = trace
             .iter()
             .zip(&exact_trace)
@@ -296,9 +293,9 @@ pub fn clustering(dbn_full: &PaperNet, german: &RaceData) -> Table {
 
 /// **§5.2 keyword-spotting experiment** — clean-speech vs TV-news
 /// acoustic models.
-pub fn keywords(german: &RaceData) -> Table {
+pub fn keywords(scenario: &RaceScenario) -> Table {
     use f1_keyword::{spot, AcousticModel, Grammar, PhonemeStream, SpotterConfig};
-    let stream = PhonemeStream::from_scenario(&german.scenario);
+    let stream = PhonemeStream::from_scenario(scenario);
     let grammar = Grammar::formula1();
     let mut table = Table::new(
         "§5.2 — Keyword spotting: clean-speech vs TV-news acoustic models (German GP)",
@@ -309,7 +306,7 @@ pub fn keywords(german: &RaceData) -> Table {
         ("TV news", AcousticModel::TvNews),
     ] {
         let spots = spot(&stream, &grammar, model, &SpotterConfig::default());
-        let (p, r) = f1_keyword::spotter::evaluate(&spots, &german.scenario.keywords, 2);
+        let (p, r) = f1_keyword::spotter::evaluate(&spots, &scenario.keywords, 2);
         table.row(vec![
             Cell::Text(name.into()),
             Cell::Percent(p),
@@ -324,8 +321,7 @@ pub fn keywords(german: &RaceData) -> Table {
 /// entropy and zero-crossing-rate features the paper found "powerless"
 /// in broadcast noise. Every detector's threshold is tuned on the first
 /// minute, then evaluated on the rest.
-pub fn endpoint(german: &RaceData) -> Table {
-    let scenario = &german.scenario;
+pub fn endpoint(scenario: &RaceScenario) -> Table {
     let audio = AudioSynth::new(scenario);
     let analyzer = AudioAnalyzer::standard();
     let cfg = EndpointConfig::calibrated();
@@ -426,8 +422,7 @@ pub fn endpoint(german: &RaceData) -> Table {
 
 /// **§5.3 shot-detection experiment** — multi-frame histogram differencing
 /// accuracy (the paper reports over 90 %).
-pub fn shots(german: &RaceData) -> Table {
-    let scenario = &german.scenario;
+pub fn shots(scenario: &RaceScenario) -> Table {
     let video = VideoSynth::new(scenario);
     let hi = scenario
         .n_frames()
@@ -561,108 +556,43 @@ pub fn hmm_parallel() -> Table {
 
 /// **§6 ablation** — "the audio DBN was able only to detect 50% of all
 /// interesting segments in the race, while the integrated audio-visual
-/// DBN was able to correct the results and detect about 80%": the same
-/// trained network filtered with audio-only vs full evidence.
-pub fn ablation(models: &Table3Out, german: &RaceData) -> Table {
-    use crate::avnet::{infer_av, infer_av_audio_only};
-    use f1_bayes::metrics::{accumulate, precision_recall, threshold_segments};
-
+/// DBN was able to correct the results and detect about 80%": the
+/// trained `av` network installed twice more — once reading only the
+/// audio columns f1…f10 (the visual leaves stay unobserved, which the
+/// engine marginalizes exactly), once reading all seventeen — both at one
+/// shared decision level so the comparison isolates the evidence.
+pub fn ablation(races: &Races) -> Table {
     let mut table = Table::new(
         "§6 ablation — audio-only vs audio-visual highlight detection (German GP)",
         &["Evidence", "Precision", "Recall"],
     );
-    let truth = german.highlight_truth();
-    for (name, traces) in [
-        (
-            "audio only (f1–f10)",
-            infer_av_audio_only(&models.with_passing, german),
-        ),
-        (
-            "audio-visual (f1–f17)",
-            infer_av(&models.with_passing, german),
-        ),
+    let trained = races.vdbms.net("av").expect("table3 trained it");
+    for (label, name, n_features) in [
+        ("audio only (f1–f10)", "av-audio", 10),
+        ("audio-visual (f1–f17)", "av-shared", 17),
     ] {
-        let smooth = accumulate(&traces.highlight, 10);
-        // Shared decision level so the comparison isolates the evidence.
-        let segs = threshold_segments(&smooth, 0.35, 60, 30);
-        let pr = precision_recall(&segs, &truth);
-        table.row(pr_cells(name, pr.precision, pr.recall));
+        let mut stored = trained.clone();
+        stored.net.feature_nodes.truncate(n_features);
+        stored.thresholds.insert("HL".into(), 0.35);
+        races.vdbms.install_net(name, stored);
+        races
+            .vdbms
+            .annotate("german", name)
+            .expect("annotation runs");
+        let pr = retrieval_pr(races, "german", "RETRIEVE HIGHLIGHTS", "HL");
+        table.row(pr_cells(label, pr.precision, pr.recall));
     }
     table
 }
 
-/// **§5.6 retrieval queries** — the full VDBMS pipeline answering the
-/// paper's query set, each answer checked against ground truth.
-pub fn queries(german: &RaceData) -> Table {
-    use f1_cobra::Vdbms;
-    use f1_media::synth::scenario::{EventKind, Span};
-
-    let scenario = &german.scenario;
-    let vdbms = Vdbms::new();
-    // Reuse the prepared feature matrix instead of re-extracting.
-    vdbms
-        .catalog
-        .register_video(f1_cobra::catalog::VideoInfo {
-            name: "german".into(),
-            n_clips: scenario.n_clips,
-            n_frames: scenario.n_frames(),
-        })
-        .expect("register bench video");
-    vdbms
-        .catalog
-        .store_features("german", &german.features)
-        .expect("catalog accepts the matrix");
-    // Captions still need the text pipeline.
-    let video = VideoSynth::new(scenario);
-    let vocab = f1_text::Vocabulary::formula1();
-    let captions = f1_text::scan_broadcast(
-        &video,
-        0,
-        scenario.n_frames(),
-        &vocab,
-        &f1_text::pipeline::PipelineConfig::default(),
-    );
-    let cps = clips_per_second();
-    let records: Vec<f1_cobra::catalog::EventRecord> = captions
-        .iter()
-        .filter_map(|c| {
-            let parsed = c.parsed.as_ref()?;
-            use f1_media::synth::scenario::CaptionKind as CK;
-            let kind = match parsed.kind {
-                CK::PitStop => "caption:pit_stop",
-                CK::Classification => "caption:classification",
-                CK::FastestLap => "caption:fastest_lap",
-                CK::FinalLap => "caption:final_lap",
-                CK::Winner => "caption:winner",
-            };
-            Some(f1_cobra::catalog::EventRecord {
-                kind: kind.into(),
-                start: c.start_frame * cps / VIDEO_FPS,
-                end: (c.end_frame * cps / VIDEO_FPS).max(c.start_frame * cps / VIDEO_FPS + 1),
-                driver: parsed
-                    .driver
-                    .map(|d| f1_media::synth::scenario::DRIVERS[d].to_string()),
-            })
-        })
-        .collect();
-    vdbms
-        .catalog
-        .store_events("german", &records)
-        .expect("catalog accepts events");
-    let windows: Vec<Span> = crate::avnet::training_windows(scenario.n_clips)
-        .into_iter()
-        .map(|(s, e)| Span::new(s, e))
-        .collect();
-    vdbms
-        .train_highlight_net("german", scenario, &windows, true)
-        .expect("training succeeds");
-    vdbms.annotate("german").expect("annotation succeeds");
-
-    let overlap = |seg: &f1_cobra::RetrievedSegment, spans: &[Span]| -> bool {
-        spans.iter().any(|s| s.start < seg.end && seg.start < s.end)
-    };
-    let winner_driver = scenario.standings_at(scenario.n_clips - 1)[0];
-    let winner_name = f1_media::synth::scenario::DRIVERS[winner_driver];
+/// **§5.6 retrieval queries** — the VDBMS that ingested, trained on and
+/// annotated the German GP answering the paper's query set, each answer
+/// checked against ground truth.
+pub fn queries(races: &Races) -> Table {
+    let scenario = races.scenario("german");
+    let vdbms = &races.vdbms;
+    vdbms.annotate("german", "av").expect("annotation runs");
+    let winner_name = DRIVERS[scenario.standings_at(scenario.n_clips - 1)[0]];
 
     let mut table = Table::new(
         "§5.6 — Retrieval queries over the annotated German GP",
@@ -673,13 +603,14 @@ pub fn queries(german: &RaceData) -> Table {
         // Grounded: results exist (when expected) and at least two thirds
         // of them overlap ground truth (detection is probabilistic; a few
         // false alarms are the paper's reality too).
+        let overlaps = |seg: &&f1_cobra::RetrievedSegment| {
+            truth.iter().any(|s| s.start < seg.end && seg.start < s.end)
+        };
         let grounded = if truth.is_empty() {
             !require_nonempty || !results.is_empty()
-        } else if results.is_empty() {
-            false
         } else {
-            let ok = results.iter().filter(|seg| overlap(seg, &truth)).count();
-            ok * 3 >= results.len() * 2
+            let ok = results.iter().filter(overlaps).count();
+            !results.is_empty() && ok * 3 >= results.len() * 2
         };
         table.row(vec![
             Cell::Text(query),
@@ -687,43 +618,50 @@ pub fn queries(german: &RaceData) -> Table {
             Cell::Text(if grounded { "yes".into() } else { "NO".into() }),
         ]);
     };
+    // A sub-event is grounded against its own kind: the events of that
+    // kind, and the replays that re-show one (a replay of a fly-out
+    // legitimately classifies as a fly-out).
+    let kind_truth = |kind: EventKind| -> Vec<Span> {
+        let events = scenario.events_of(kind);
+        let replays = scenario
+            .replays
+            .iter()
+            .filter(|r| (events.iter()).any(|e| e.start < r.source.end && r.source.start < e.end));
+        events
+            .iter()
+            .copied()
+            .chain(replays.map(|r| r.span))
+            .collect()
+    };
+    let pit_stops_of = |driver: &str| -> Vec<Span> {
+        (scenario.events.iter())
+            .filter(|e| {
+                e.kind == EventKind::PitStop && e.driver.map(|d| DRIVERS[d]) == Some(driver)
+            })
+            .map(|e| e.span)
+            .collect()
+    };
 
-    run(
-        "RETRIEVE HIGHLIGHTS".into(),
-        scenario.highlights().to_vec(),
-        true,
-    );
-    // Sub-event windows live inside detected highlights; replays of an
-    // event legitimately classify as that event, so ground these against
-    // the interesting-segment truth (kind accuracy is Table 3's job).
+    run("RETRIEVE HIGHLIGHTS".into(), scenario.highlights(), true);
     run(
         "RETRIEVE EVENTS FLY_OUT".into(),
-        scenario.highlights().to_vec(),
+        kind_truth(EventKind::FlyOut),
         true,
     );
     run(
         "RETRIEVE EVENTS START".into(),
-        scenario.highlights().to_vec(),
+        kind_truth(EventKind::Start),
         true,
     );
     // Pit stop of a driver who truly pitted.
-    let pit = scenario
-        .events
-        .iter()
+    let pit_driver = (scenario.events.iter())
         .find(|e| e.kind == EventKind::PitStop)
+        .and_then(|e| e.driver)
+        .map(|d| DRIVERS[d])
         .expect("scenario has pit stops");
-    let pit_driver = f1_media::synth::scenario::DRIVERS[pit.driver.unwrap()];
     run(
         format!("RETRIEVE PITSTOPS WITH DRIVER \"{pit_driver}\""),
-        scenario
-            .events
-            .iter()
-            .filter(|e| {
-                e.kind == EventKind::PitStop
-                    && e.driver.map(|d| f1_media::synth::scenario::DRIVERS[d]) == Some(pit_driver)
-            })
-            .map(|e| e.span)
-            .collect(),
+        pit_stops_of(pit_driver),
         true,
     );
     run(

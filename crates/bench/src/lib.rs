@@ -3,7 +3,10 @@
 //! One function per table/figure of the paper's evaluation (§5.5–§5.6),
 //! plus the in-text experiments. The `experiments` binary runs them and
 //! prints paper-style tables; `EXPERIMENTS.md` records paper-reported vs
-//! measured values. Beside them sit `serve` and `shard`, the two
+//! measured values. The tables are clients of one shared VDBMS
+//! ([`Races`]): it ingests the races, trains and installs the networks,
+//! answers `dbnInfer` and `RETRIEVE`; this crate only scores what comes
+//! back. Beside them sit `serve` and `shard`, the two
 //! many-client load runs of the serving layer, which check their own
 //! bounds; every other timing is the repo benchmark's (`benchmark/`).
 //!
@@ -12,11 +15,10 @@
 //! every rate in the scenario generator is per-second, so shortening the
 //! race shortens the quiet stretches proportionally).
 
-pub mod avnet;
 pub mod data;
 pub mod excited;
 pub mod experiments;
 pub mod report;
 
-pub use data::{prepare_race, RaceData, DEFAULT_DURATION_S};
+pub use data::{Races, DEFAULT_DURATION_S};
 pub use report::{Cell, Table};

@@ -1,26 +1,33 @@
 //! Annotation: features in, events out.
 //!
-//! The DBN extension turns the feature layer into the event layer —
-//! train the audio-visual highlight network, run it over a video, and
-//! store what it found — and the rule extension derives user-defined
-//! compound events from events already there (§5.5, §5.6).
+//! The DBN extension turns the feature layer into the event layer, by
+//! one protocol: train a network on labelled spans of a video and fit
+//! its decision levels there ([`Vdbms::train_net`]), filter it over any
+//! video, segment the posteriors and attribute sub-events
+//! ([`derive_events`]), store what was found ([`Vdbms::annotate`]). The
+//! rule extension derives user-defined compound events from events
+//! already there (§5.5, §5.6).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use f1_bayes::em::{train_with_faults, EmConfig};
+use f1_bayes::engine::Engine;
 use f1_bayes::evidence::{EvidenceSeq, Obs};
-use f1_bayes::metrics::threshold_segments;
-use f1_bayes::paper::{audio_visual_dbn, AvNodes};
-use f1_media::features::vector::N_FEATURES;
+use f1_bayes::metrics::{
+    accumulate, best_threshold, clipwise_precision_recall, precision_recall, threshold_segments,
+    Segment,
+};
+use f1_bayes::paper::{audio_visual_dbn, PaperNet};
+use f1_bayes::slice::NodeId;
 use f1_media::synth::scenario::{EventKind, RaceScenario, Span};
 use f1_rules::{Engine as RuleEngine, Fact, Interval, Rule, Value};
 
 use crate::catalog::EventRecord;
 use crate::extensions::StoredNet;
 use crate::session::Vdbms;
-use crate::Result;
+use crate::{CobraError, Result};
 
 /// What annotation derived.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -33,10 +40,202 @@ pub struct AnnotateReport {
     pub n_excited: usize,
 }
 
+/// §5.5's training regime: six sequences of 50 s each, spaced a seventh
+/// of the broadcast apart so they cover the start, some events and quiet
+/// stretches, and clipped to the broadcast.
+pub fn training_windows(n_clips: usize) -> Vec<Span> {
+    let window = 50 * f1_media::time::clips_per_second();
+    (0..6)
+        .map(|k| k * n_clips / 7)
+        .map(|start| Span::new(start, (start + window).min(n_clips)))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// Ground truth of a query node over a whole broadcast, by the node's
+/// name in the paper's networks: highlights, excited announcer, start,
+/// fly-out, passing. The one place a node name meets the scenario — the
+/// EM clamp, the calibration labels and every scorer read it.
+pub fn query_truth(scenario: &RaceScenario, query: &str) -> Vec<Segment> {
+    let spans = match query {
+        "HL" => scenario.highlights(),
+        "EA" => scenario.excited.clone(),
+        "ST" => scenario.events_of(EventKind::Start),
+        "FO" => scenario.events_of(EventKind::FlyOut),
+        "PS" => scenario.events_of(EventKind::Passing),
+        _ => Vec::new(),
+    };
+    spans.iter().map(|s| Segment::new(s.start, s.end)).collect()
+}
+
+/// Rates a decision level (second argument) for a query node's posterior
+/// over the whole training video (first argument); higher is better.
+pub type LevelScore<'a> = &'a dyn Fn(&[f64], f64) -> f64;
+
+/// One query node of a network under training.
+pub struct TrainQuery<'a> {
+    /// The name the node is stored and queried under.
+    pub name: &'a str,
+    /// The node.
+    pub node: NodeId,
+    /// Its truth on the training video; EM runs with the node clamped
+    /// to it (partially supervised, mid-level semantics hidden).
+    pub truth: Vec<Segment>,
+    /// The best-rated level on the grid is stored with the network;
+    /// `None` stores no level.
+    pub score: Option<LevelScore<'a>>,
+}
+
+impl<'a> TrainQuery<'a> {
+    /// The node named `name`, with its [`query_truth`] on the training
+    /// video's scenario.
+    pub fn new(
+        scenario: &RaceScenario,
+        name: &'a str,
+        node: NodeId,
+        score: Option<LevelScore<'a>>,
+    ) -> Self {
+        TrainQuery {
+            name,
+            node,
+            truth: query_truth(scenario, name),
+            score,
+        }
+    }
+}
+
+/// Highlight segments of an `HL` posterior at level `theta`: a 1 s
+/// trailing mean bridges sub-second dips, runs up to 3 s apart merge,
+/// 6 s minimum duration as in Table 3.
+fn highlight_segments(hl: &[f64], theta: f64) -> Vec<Segment> {
+    threshold_segments(&accumulate(hl, 10), theta, 60, 30)
+}
+
+/// The segments that reach into one of `windows`.
+fn within(mut segments: Vec<Segment>, windows: &[Span]) -> Vec<Segment> {
+    segments.retain(|s| windows.iter().any(|w| s.start < w.end && w.start < s.end));
+    segments
+}
+
+/// The event layer a network's posteriors imply: the one segmentation
+/// and attribution every annotated video gets. `traces` are whole-video
+/// posteriors by query name, `thresholds` the levels stored with the
+/// network (0.5 where it stores none).
+///
+/// Highlights are the `HL` segments. Sub-events are the most probable of
+/// `ST` / `FO` / `PS` by peak posterior inside each highlight, when the
+/// peak clears 0.3 — re-evaluated every 5 s in highlights over 15 s
+/// (§5.5). Excited speech is `EA` above a precision-weighted level,
+/// 4 s minimum (retrieval prefers clean answers over exhaustive ones).
+pub fn derive_events(
+    traces: &HashMap<String, Vec<f64>>,
+    thresholds: &HashMap<String, f64>,
+) -> Vec<EventRecord> {
+    let theta = |query| thresholds.get(query).copied().unwrap_or(0.5);
+    let trace = |query| traces.get(query).map_or(&[][..], Vec::as_slice);
+    let derived = |kind: &str, s: &Segment| EventRecord {
+        kind: kind.to_string(),
+        start: s.start,
+        end: s.end,
+        driver: None,
+    };
+    let highlights = highlight_segments(trace("HL"), theta("HL"));
+    let mut records: Vec<EventRecord> =
+        highlights.iter().map(|h| derived("highlight", h)).collect();
+    let candidates = [("start", "ST"), ("fly_out", "FO"), ("passing", "PS")];
+    for seg in &highlights {
+        let windows: Vec<Segment> = if seg.len() > 150 {
+            (seg.start..=seg.end - 50)
+                .step_by(50)
+                .map(|s| Segment::new(s, s + 50))
+                .collect()
+        } else {
+            vec![*seg]
+        };
+        for w in &windows {
+            let best = candidates
+                .iter()
+                .filter_map(|&(kind, query)| {
+                    let tr = traces.get(query)?;
+                    let peak = tr[w.start..w.end].iter().cloned().fold(f64::MIN, f64::max);
+                    Some((kind, peak))
+                })
+                .max_by(|a, b| a.1.total_cmp(&b.1));
+            if let Some((kind, _)) = best.filter(|&(_, peak)| peak > 0.3) {
+                records.push(derived(kind, w));
+            }
+        }
+    }
+    let excited = threshold_segments(trace("EA"), (theta("EA") + 0.15).min(0.9), 40, 20);
+    records.extend(excited.iter().map(|x| derived("excited", x)));
+    records
+}
+
 impl Vdbms {
-    /// Trains the audio-visual highlight DBN on labelled windows of an
-    /// ingested video (EM with the query nodes clamped to ground truth,
-    /// mid-level semantics hidden), and stores it for annotation.
+    /// Trains `net` on labelled `spans` of an ingested video — EM with
+    /// the query nodes clamped to their truth — and fits each scored
+    /// query's decision level once, here: on the trained network
+    /// filtered over the whole training video, as [`annotate`] filters
+    /// any video. Installs the result as `name`.
+    ///
+    /// [`annotate`]: Vdbms::annotate
+    pub fn train_net(
+        &self,
+        name: &str,
+        video: &str,
+        mut net: PaperNet,
+        queries: &[TrainQuery<'_>],
+        spans: &[Span],
+        em: &EmConfig,
+    ) -> Result<()> {
+        let matrix = self.catalog.load_features(video, net.feature_nodes.len())?;
+        let sequences: Vec<EvidenceSeq> = spans
+            .iter()
+            .map(|w| {
+                let hi = w.end.min(matrix.len());
+                let lo = w.start.min(hi);
+                let mut seq = EvidenceSeq::from_matrix(&net.feature_nodes, &matrix[lo..hi]);
+                for (t, clip) in (lo..hi).enumerate() {
+                    for q in queries {
+                        let holds = q.truth.iter().any(|s| s.start <= clip && clip < s.end);
+                        seq.set(t, q.node, Obs::Hard(holds as usize));
+                    }
+                }
+                seq
+            })
+            .collect();
+        train_with_faults(&mut net.dbn, &sequences, em, self.faults())?;
+        let whole = EvidenceSeq::from_matrix(&net.feature_nodes, &matrix);
+        let post = Engine::new(&net.dbn)?.filter(&whole, None)?;
+        let mut thresholds = HashMap::new();
+        for q in queries {
+            if let Some(score) = q.score {
+                let trace = post.trace(q.node, 1)?;
+                let level = best_threshold(|theta| score(&trace, theta));
+                thresholds.insert(q.name.to_string(), level);
+            }
+        }
+        let queries = queries
+            .iter()
+            .map(|q| (q.name.to_string(), q.node))
+            .collect();
+        self.install_net(
+            name,
+            StoredNet {
+                net,
+                queries,
+                thresholds,
+            },
+        );
+        Ok(())
+    }
+
+    /// Trains the audio-visual highlight DBN (§5.5: EM, four iterations)
+    /// on labelled windows of an ingested video and installs it as
+    /// `"av"`. The highlight level is the F1-best one for exactly the
+    /// segments [`derive_events`] will cut, the excited-announcer level
+    /// the clip-level F1-best one — both scored inside the training
+    /// windows only.
     pub fn train_highlight_net(
         &self,
         video: &str,
@@ -45,78 +244,38 @@ impl Vdbms {
         with_passing: bool,
     ) -> Result<()> {
         let (net, nodes) = audio_visual_dbn(with_passing)?;
-        let matrix = self.catalog.load_features(video, N_FEATURES)?;
-        let mut dbn = net.dbn.clone();
-        let sequences: Vec<EvidenceSeq> = windows
-            .iter()
-            .map(|w| {
-                let rows = &matrix[w.start..w.end.min(matrix.len())];
-                let mut seq = EvidenceSeq::from_matrix(&net.feature_nodes, rows);
-                for (t, clip) in (w.start..w.end.min(matrix.len())).enumerate() {
-                    clamp_av_truth(&mut seq, t, clip, scenario, &nodes);
-                }
-                seq
-            })
-            .collect();
-        train_with_faults(
-            &mut dbn,
-            &sequences,
-            &EmConfig {
-                max_iters: 4,
-                tol: 1e-3,
-                pseudocount: 0.2,
-            },
-            self.faults(),
-        )?;
+        let hl_truth = within(query_truth(scenario, "HL"), windows);
+        let hl_score = |trace: &[f64], theta: f64| {
+            precision_recall(
+                &within(highlight_segments(trace, theta), windows),
+                &hl_truth,
+            )
+            .f1()
+        };
+        let ea_score = |trace: &[f64], theta: f64| {
+            let (detected, truth): (Vec<bool>, Vec<bool>) = (0..trace.len())
+                .filter(|&clip| windows.iter().any(|w| w.contains(clip)))
+                .map(|clip| (trace[clip] >= theta, scenario.is_excited(clip)))
+                .unzip();
+            clipwise_precision_recall(&detected, &truth).f1()
+        };
         let mut queries = vec![
-            ("HL".to_string(), nodes.highlight),
-            ("EA".to_string(), nodes.excited),
-            ("ST".to_string(), nodes.start),
-            ("FO".to_string(), nodes.fly_out),
+            TrainQuery::new(scenario, "HL", nodes.highlight, Some(&hl_score)),
+            TrainQuery::new(scenario, "EA", nodes.excited, Some(&ea_score)),
+            TrainQuery::new(scenario, "ST", nodes.start, None),
+            TrainQuery::new(scenario, "FO", nodes.fly_out, None),
         ];
-        if let Some(ps) = nodes.passing {
-            queries.push(("PS".to_string(), ps));
-        }
-        // Calibrate decision thresholds on the training windows: run the
-        // trained net over each window (unclamped) and grid-search the
-        // clip-level F1-best level per query node.
-        let trained = f1_bayes::paper::PaperNet { dbn, ..net };
-        let engine = f1_bayes::engine::Engine::new(&trained.dbn)?;
-        let mut hl_trace = Vec::new();
-        let mut ea_trace = Vec::new();
-        let mut hl_truth = Vec::new();
-        let mut ea_truth = Vec::new();
-        let hl_spans = scenario.highlights();
-        for w in windows {
-            let hi = w.end.min(matrix.len());
-            let seq = EvidenceSeq::from_matrix(&trained.feature_nodes, &matrix[w.start..hi]);
-            let post = engine.filter(&seq, None)?;
-            hl_trace.extend(post.trace(nodes.highlight, 1)?);
-            ea_trace.extend(post.trace(nodes.excited, 1)?);
-            for clip in w.start..hi {
-                hl_truth.push(hl_spans.iter().any(|h| h.contains(clip)));
-                ea_truth.push(scenario.is_excited(clip));
-            }
-        }
-        let thresholds = HashMap::from([
-            (
-                "HL".to_string(),
-                calibrate_clip_threshold(&hl_trace, &hl_truth),
-            ),
-            (
-                "EA".to_string(),
-                calibrate_clip_threshold(&ea_trace, &ea_truth),
-            ),
-        ]);
-        self.nets.write().insert(
-            "av".to_string(),
-            StoredNet {
-                net: trained,
-                queries,
-                thresholds,
-            },
+        queries.extend(
+            nodes
+                .passing
+                .map(|ps| TrainQuery::new(scenario, "PS", ps, None)),
         );
-        Ok(())
+        let em = EmConfig {
+            max_iters: 4,
+            tol: 1e-3,
+            pseudocount: 0.2,
+        };
+        self.train_net("av", video, net, &queries, windows, &em)
     }
 
     /// Installs an externally trained network under a name.
@@ -124,46 +283,39 @@ impl Vdbms {
         self.nets.write().insert(name.to_string(), stored);
     }
 
-    fn trace(&self, video: &str, net: &str, query: &str) -> Result<Vec<f64>> {
+    /// The network installed under `name`, with its stored levels.
+    pub fn net(&self, name: &str) -> Option<StoredNet> {
+        self.nets.read().get(name).cloned()
+    }
+
+    /// The posterior of `query` under the installed `net` over a whole
+    /// video: the kernel's `dbnInfer`, evaluated as MIL.
+    pub fn dbn_infer(&self, video: &str, net: &str, query: &str) -> Result<Vec<f64>> {
         let out = self.kernel.eval_mil(&format!(
             "RETURN dbnInfer(\"{video}\", \"{net}\", \"{query}\");"
         ))?;
         let bat = out.as_bat()?;
         let bat = bat.read();
-        let mut trace = Vec::with_capacity(bat.len());
-        for i in 0..bat.len() {
-            trace.push(bat.tail_at(i)?.as_dbl()?);
-        }
-        Ok(trace)
+        let trace = bat.tail().iter().map(|p| p.as_dbl());
+        Ok(trace.collect::<std::result::Result<_, _>>()?)
     }
 
-    /// Runs DBN annotation: highlight segments (threshold 0.5, minimum
-    /// duration 6 s as in Table 3), sub-event classification per segment
-    /// (most probable candidate, re-evaluated every 5 s for segments over
-    /// 15 s), and excited-speech segments.
-    pub fn annotate(&self, video: &str) -> Result<AnnotateReport> {
+    /// Runs DBN annotation with the network installed as `net`: every
+    /// query node's posterior through `dbnInfer`, then
+    /// [`derive_events`], replacing the video's previously derived
+    /// events.
+    pub fn annotate(&self, video: &str, net: &str) -> Result<AnnotateReport> {
         let registry = Arc::clone(self.kernel.metrics().registry());
         registry.counter("annotate.runs", &[]).inc();
         let t = Instant::now();
-        let (has_passing, hl_theta, ea_theta) = {
-            let nets = self.nets.read();
-            let stored = nets.get("av");
-            let theta = |query| stored.and_then(|s| s.thresholds.get(query).copied());
-            (
-                stored.is_some_and(|s| s.queries.iter().any(|(n, _)| n == "PS")),
-                theta("HL").unwrap_or(0.5),
-                theta("EA").unwrap_or(0.5),
-            )
-        };
-        let hl = self.trace(video, "av", "HL")?;
-        let ea = self.trace(video, "av", "EA")?;
-        let st = self.trace(video, "av", "ST")?;
-        let fo = self.trace(video, "av", "FO")?;
-        let ps = if has_passing {
-            Some(self.trace(video, "av", "PS")?)
-        } else {
-            None
-        };
+        let stored = self.net(net).ok_or_else(|| CobraError::MissingMetadata {
+            video: video.to_string(),
+            what: format!("no trained network '{net}'"),
+        })?;
+        let mut traces = HashMap::new();
+        for (query, _) in &stored.queries {
+            traces.insert(query.clone(), self.dbn_infer(video, net, query)?);
+        }
         registry
             .histogram("annotate.stage_ns", &[("stage", "inference")])
             .record(t.elapsed().as_nanos() as u64);
@@ -179,70 +331,21 @@ impl Vdbms {
             .collect();
         self.catalog.clear_events(video)?;
         self.catalog.store_events(video, &kept)?;
-        let derived = |kind: &str, start, end| EventRecord {
-            kind: kind.to_string(),
-            start,
-            end,
-            driver: None,
-        };
-        let mut records = Vec::new();
-
-        // Bridge sub-second posterior dips before thresholding (6 s
-        // minimum duration as in Table 3).
-        let hl_smooth = f1_bayes::metrics::accumulate(&hl, 10);
-        let highlights = threshold_segments(&hl_smooth, hl_theta, 60, 30);
-        records.extend(
-            highlights
-                .iter()
-                .map(|h| derived("highlight", h.start, h.end)),
-        );
-        // Sub-event classification: every 5 s window for long segments.
-        let mut n_sub = 0usize;
-        for seg in &highlights {
-            let mut windows = Vec::new();
-            if seg.len() > 150 {
-                let mut s = seg.start;
-                while s + 50 <= seg.end {
-                    windows.push((s, s + 50));
-                    s += 50;
-                }
-            } else {
-                windows.push((seg.start, seg.end));
-            }
-            for (s, e) in windows {
-                // Most probable candidate by peak posterior (§5.5).
-                let peak =
-                    |tr: &[f64]| -> f64 { tr[s..e].iter().cloned().fold(f64::MIN, f64::max) };
-                let mut candidates: Vec<(&str, f64)> =
-                    vec![("start", peak(&st)), ("fly_out", peak(&fo))];
-                if let Some(ps) = &ps {
-                    candidates.push(("passing", peak(ps)));
-                }
-                if let Some((kind, score)) = candidates
-                    .iter()
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .copied()
-                {
-                    if score > 0.3 {
-                        records.push(derived(kind, s, e));
-                        n_sub += 1;
-                    }
-                }
-            }
-        }
-        // Excited speech from the EA node: precision-weighted threshold,
-        // 4 s minimum (the retrieval layer prefers clean answers over
-        // exhaustive ones).
-        let excited = threshold_segments(&ea, (ea_theta + 0.15).min(0.9), 40, 20);
-        records.extend(excited.iter().map(|x| derived("excited", x.start, x.end)));
+        let records = derive_events(&traces, &stored.thresholds);
         self.catalog.store_events(video, &records)?;
         registry
             .histogram("annotate.stage_ns", &[("stage", "segmentation")])
             .record(t.elapsed().as_nanos() as u64);
+        let count = |kinds: &[&str]| {
+            records
+                .iter()
+                .filter(|r| kinds.contains(&r.kind.as_str()))
+                .count()
+        };
         Ok(AnnotateReport {
-            n_highlights: highlights.len(),
-            n_sub_events: n_sub,
-            n_excited: excited.len(),
+            n_highlights: count(&["highlight"]),
+            n_sub_events: count(&["start", "fly_out", "passing"]),
+            n_excited: count(&["excited"]),
         })
     }
 
@@ -296,57 +399,31 @@ impl Vdbms {
     }
 }
 
-/// Grid-searches the clip-level F1-best threshold of a posterior trace.
-fn calibrate_clip_threshold(trace: &[f64], truth: &[bool]) -> f64 {
-    let mut best = (0.5, -1.0);
-    for i in 1..20 {
-        let theta = i as f64 / 20.0;
-        let mut tp = 0usize;
-        let mut fp = 0usize;
-        let mut fn_ = 0usize;
-        for (p, &t) in trace.iter().zip(truth) {
-            match (*p >= theta, t) {
-                (true, true) => tp += 1,
-                (true, false) => fp += 1,
-                (false, true) => fn_ += 1,
-                _ => {}
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn training_windows_cover_six_50s_sequences() {
+        let w = training_windows(6000);
+        assert_eq!(w.len(), 6);
+        for span in &w {
+            assert_eq!(span.len(), 500);
+            assert!(span.end <= 6000);
         }
-        let f1 = if tp == 0 {
-            0.0
-        } else {
-            2.0 * tp as f64 / (2.0 * tp as f64 + fp as f64 + fn_ as f64)
-        };
-        if f1 > best.1 {
-            best = (theta, f1);
+        // Ordered, a seventh of the race apart.
+        for pair in w.windows(2) {
+            assert!(pair[0].start < pair[1].start);
+            assert!(pair[0].end <= pair[1].start + 500);
         }
     }
-    best.0
-}
 
-/// Clamps the audio-visual net's query nodes to scenario ground truth at
-/// one slice (partially supervised EM).
-fn clamp_av_truth(
-    seq: &mut EvidenceSeq,
-    t: usize,
-    clip: usize,
-    scenario: &RaceScenario,
-    nodes: &AvNodes,
-) {
-    let kind = scenario.event_at(clip).map(|e| e.kind);
-    let truth = [
-        (
-            Some(nodes.highlight),
-            scenario.highlights().iter().any(|h| h.contains(clip)),
-        ),
-        (Some(nodes.excited), scenario.is_excited(clip)),
-        (Some(nodes.start), kind == Some(EventKind::Start)),
-        (Some(nodes.fly_out), kind == Some(EventKind::FlyOut)),
-        (nodes.passing, kind == Some(EventKind::Passing)),
-    ];
-    for (node, holds) in truth {
-        if let Some(node) = node {
-            seq.set(t, node, Obs::Hard(holds as usize));
+    #[test]
+    fn training_windows_clamp_to_short_races() {
+        let w = training_windows(900);
+        assert!(!w.is_empty());
+        for span in &w {
+            assert!(span.start < span.end && span.end <= 900);
         }
     }
 }

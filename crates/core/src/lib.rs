@@ -33,6 +33,7 @@ pub mod query;
 mod retrieve;
 pub mod session;
 
+pub use annotate::{derive_events, query_truth, training_windows, LevelScore, TrainQuery};
 pub use cache::{CachedResult, CompiledPlan, PlanCache, ResultCache, Stamp};
 pub use catalog::Catalog;
 pub use cobra_store::{CheckpointOutcome, FsyncPolicy, StoreConfig, StoreStats};

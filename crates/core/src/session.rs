@@ -268,7 +268,7 @@ impl Drop for Vdbms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig, Span};
+    use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig};
 
     /// End-to-end harness on a short German-profile race. Shared by the
     /// tests below; kept small so the suite stays fast.
@@ -277,18 +277,6 @@ mod tests {
         let vdbms = Vdbms::new();
         vdbms.ingest("german", &scenario).unwrap();
         (vdbms, scenario)
-    }
-
-    fn training_windows(scenario: &RaceScenario) -> Vec<Span> {
-        // 6 windows of 50 s as in §5.5, clipped to the broadcast.
-        let cps = f1_media::time::clips_per_second();
-        (0..6)
-            .map(|k| {
-                let start = k * 25 * cps;
-                Span::new(start, (start + 50 * cps).min(scenario.n_clips))
-            })
-            .filter(|w| !w.is_empty())
-            .collect()
     }
 
     #[test]
@@ -301,9 +289,14 @@ mod tests {
         assert_eq!(report.extraction_method, "full");
 
         vdbms
-            .train_highlight_net("german", &scenario, &training_windows(&scenario), true)
+            .train_highlight_net(
+                "german",
+                &scenario,
+                &crate::training_windows(scenario.n_clips),
+                true,
+            )
             .unwrap();
-        let ann = vdbms.annotate("german").unwrap();
+        let ann = vdbms.annotate("german", "av").unwrap();
         assert!(ann.n_highlights > 0, "no highlights detected");
         assert!(ann.n_excited > 0, "no excited speech detected");
 
@@ -361,9 +354,14 @@ mod tests {
     fn pitlane_join_uses_the_rule_extension() {
         let (vdbms, scenario) = system();
         vdbms
-            .train_highlight_net("german", &scenario, &training_windows(&scenario), false)
+            .train_highlight_net(
+                "german",
+                &scenario,
+                &crate::training_windows(scenario.n_clips),
+                false,
+            )
             .unwrap();
-        vdbms.annotate("german").unwrap();
+        vdbms.annotate("german", "av").unwrap();
         let all = vdbms.query("german", "RETRIEVE EXCITED").unwrap();
         let at_pit = vdbms
             .query("german", "RETRIEVE EXCITED AT PITLANE")
@@ -397,7 +395,7 @@ mod tests {
     #[test]
     fn annotation_requires_a_trained_net() {
         let (vdbms, _) = system();
-        assert!(vdbms.annotate("german").is_err());
+        assert!(vdbms.annotate("german", "av").is_err());
     }
 
     #[test]

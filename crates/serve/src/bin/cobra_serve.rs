@@ -47,8 +47,7 @@ use std::sync::Arc;
 
 use cobra_serve::server::{start, ServerConfig};
 use f1_cobra::{StoreConfig, Vdbms};
-use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig, Span};
-use f1_media::time::clips_per_second;
+use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig};
 
 struct Cli {
     config: ServerConfig,
@@ -152,17 +151,6 @@ fn parse_args() -> Result<Cli, String> {
     })
 }
 
-/// §5.5-style training windows clipped to the broadcast.
-fn training_windows(scenario: &RaceScenario) -> Vec<Span> {
-    let cps = clips_per_second();
-    (0..6)
-        .map(|k| k * 25 * cps)
-        .take_while(|&start| start < scenario.n_clips)
-        .map(|start| Span::new(start, (start + 50 * cps).min(scenario.n_clips)))
-        .filter(|w| !w.is_empty())
-        .collect()
-}
-
 /// The demo scenario config: the conventional German seed unless
 /// `--seed` overrode it.
 fn demo_config(seconds: usize, seed: Option<u64>) -> ScenarioConfig {
@@ -185,8 +173,9 @@ fn prepare_demo(
         "demo: ingested {} clips ({} captions, {} keyword spots) via '{}'",
         report.n_clips, report.n_captions, report.n_keyword_spots, report.extraction_method
     );
-    vdbms.train_highlight_net("german", &scenario, &training_windows(&scenario), true)?;
-    let ann = vdbms.annotate("german")?;
+    let windows = f1_cobra::training_windows(scenario.n_clips);
+    vdbms.train_highlight_net("german", &scenario, &windows, true)?;
+    let ann = vdbms.annotate("german", "av")?;
     eprintln!(
         "demo: annotated — {} highlights, {} excited-speech segments",
         ann.n_highlights, ann.n_excited

@@ -47,7 +47,7 @@ fn main() {
     vdbms
         .train_highlight_net("german", &scenario, &windows, true)
         .expect("train");
-    vdbms.annotate("german").expect("annotate");
+    vdbms.annotate("german", "av").expect("annotate");
 
     for q in queries {
         match vdbms.query("german", &q) {

@@ -7,7 +7,7 @@
 //! ```
 
 use f1_cobra::Vdbms;
-use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig, Span};
+use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig};
 use f1_media::time::clips_per_second;
 
 fn main() {
@@ -35,23 +35,18 @@ fn main() {
 
     // Train the audio-visual DBN on six 50-second windows (§5.5) and
     // annotate the whole broadcast.
-    let cps = clips_per_second();
-    let windows: Vec<Span> = (0..6)
-        .map(|k| {
-            let start = k * scenario.n_clips / 7;
-            Span::new(start, (start + 50 * cps).min(scenario.n_clips))
-        })
-        .collect();
+    let windows = f1_cobra::training_windows(scenario.n_clips);
     vdbms
         .train_highlight_net("german", &scenario, &windows, true)
         .expect("training succeeds");
-    let ann = vdbms.annotate("german").expect("annotation succeeds");
+    let ann = vdbms.annotate("german", "av").expect("annotation succeeds");
     println!(
         "annotated: {} highlights, {} sub-events, {} excited-speech segments",
         ann.n_highlights, ann.n_sub_events, ann.n_excited
     );
 
     // Retrieval (§5.6).
+    let cps = clips_per_second();
     for query in [
         "RETRIEVE HIGHLIGHTS",
         "RETRIEVE EVENTS FLY_OUT",

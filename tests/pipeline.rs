@@ -3,8 +3,13 @@
 
 mod common;
 
-use cobra_f1::cobra::Vdbms;
-use cobra_f1::media::synth::scenario::{RaceScenario, Span};
+use std::collections::HashMap;
+
+use cobra_f1::bayes::dbn::Dbn;
+use cobra_f1::bayes::metrics::{precision_recall, Segment};
+use cobra_f1::cobra::catalog::{EventRecord, VideoInfo};
+use cobra_f1::cobra::{derive_events, query_truth, training_windows, Vdbms};
+use cobra_f1::media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig, Span};
 
 fn scenario() -> RaceScenario {
     common::german_scenario(150)
@@ -23,7 +28,7 @@ fn pipeline_is_deterministic_end_to_end() {
         vdbms
             .train_highlight_net("race", &sc, &windows(&sc), false)
             .unwrap();
-        let ann = vdbms.annotate("race").unwrap();
+        let ann = vdbms.annotate("race", "av").unwrap();
         let highlights = vdbms.query("race", "RETRIEVE HIGHLIGHTS").unwrap();
         (report, ann, highlights)
     };
@@ -42,7 +47,7 @@ fn retrieval_grounds_in_scenario_truth() {
     vdbms
         .train_highlight_net("race", &sc, &windows(&sc), false)
         .unwrap();
-    vdbms.annotate("race").unwrap();
+    vdbms.annotate("race", "av").unwrap();
 
     // Recognized pit stops name real pit drivers.
     let pits = vdbms.query("race", "RETRIEVE PITSTOPS").unwrap();
@@ -101,7 +106,7 @@ fn user_defined_compound_events_extend_the_event_layer() {
     vdbms
         .train_highlight_net("race", &sc, &windows(&sc), false)
         .unwrap();
-    vdbms.annotate("race").unwrap();
+    vdbms.annotate("race", "av").unwrap();
 
     // "Excited commentary during a highlight" as a user-defined compound
     // event, exactly the §5.6 UI workflow.
@@ -148,4 +153,142 @@ fn user_defined_compound_events_extend_the_event_layer() {
         );
     }
     let _ = Interval::new(0, 1);
+}
+
+/// FNV-1a over the bits of every CPT entry, prior then transition, in
+/// node order.
+fn cpt_digest(dbn: &Dbn) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for node in 0..dbn.slice().len() {
+        for cpt in [dbn.prior_cpt(node), dbn.trans_cpt(node)] {
+            for p in (0..cpt.n_configs()).flat_map(|cfg| cpt.row(cfg)) {
+                for byte in p.to_bits().to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+    }
+    h
+}
+
+/// The events of the derived kinds, as annotation stored them.
+fn derived_layer(vdbms: &Vdbms, video: &str) -> Vec<EventRecord> {
+    let mut events = vdbms.catalog.events(video, None).unwrap();
+    events.retain(|e| !e.kind.starts_with("caption:"));
+    events
+}
+
+/// The paper's tables are `RETRIEVE` answers: for the audio-visual net
+/// without and with the passing sub-network, precision/recall of what the
+/// query language returns equals precision/recall of `derive_events` over
+/// the raw `dbnInfer` traces. Along the way, the generic `train_net` must
+/// leave `train_highlight_net` the CPTs it trained before it existed
+/// (digests taken at the commit before).
+#[test]
+fn retrieved_answers_score_like_the_raw_traces_of_the_pinned_nets() {
+    let sc = common::german_scenario(120);
+    let vdbms = Vdbms::new();
+    vdbms.ingest("race", &sc).unwrap();
+    let pins = [
+        (false, 0xab9e_2551_d6c3_e7ec_u64),
+        (true, 0x5fdd_01cd_d1b2_ce9a),
+    ];
+    for (with_passing, digest) in pins {
+        vdbms
+            .train_highlight_net("race", &sc, &training_windows(sc.n_clips), with_passing)
+            .unwrap();
+        let stored = vdbms.net("av").unwrap();
+        assert_eq!(
+            cpt_digest(&stored.net.dbn),
+            digest,
+            "passing: {with_passing}"
+        );
+        assert_eq!(stored.queries.len(), 4 + with_passing as usize);
+
+        let ann = vdbms.annotate("race", "av").unwrap();
+        assert!(ann.n_highlights > 0 && ann.n_sub_events > 0);
+        let traces: HashMap<String, Vec<f64>> = (stored.queries.iter())
+            .map(|(query, _)| {
+                let trace = vdbms.dbn_infer("race", "av", query).unwrap();
+                (query.clone(), trace)
+            })
+            .collect();
+        let raw = derive_events(&traces, &stored.thresholds);
+        for (statement, kind, query) in [
+            ("RETRIEVE HIGHLIGHTS", "highlight", "HL"),
+            ("RETRIEVE EVENTS START", "start", "ST"),
+            ("RETRIEVE EVENTS FLY_OUT", "fly_out", "FO"),
+            ("RETRIEVE EVENTS PASSING", "passing", "PS"),
+        ] {
+            let retrieved: Vec<Segment> = (vdbms.query("race", statement).unwrap().iter())
+                .map(|seg| Segment::new(seg.start, seg.end))
+                .collect();
+            let from_traces: Vec<Segment> = (raw.iter())
+                .filter(|e| e.kind == kind)
+                .map(|e| Segment::new(e.start, e.end))
+                .collect();
+            assert_eq!(
+                retrieved, from_traces,
+                "{statement}, passing: {with_passing}"
+            );
+            let truth = query_truth(&sc, query);
+            assert_eq!(
+                precision_recall(&retrieved, &truth),
+                precision_recall(&from_traces, &truth),
+                "{statement}, passing: {with_passing}"
+            );
+        }
+        let n_passing = vdbms
+            .query("race", "RETRIEVE EVENTS PASSING")
+            .unwrap()
+            .len();
+        assert_eq!(
+            n_passing > 0,
+            with_passing,
+            "only a net with the node attributes it"
+        );
+    }
+}
+
+/// A decision level is fit where the net is trained and nowhere else:
+/// annotating another video leaves the stored levels bit-identical, and
+/// what it derives there depends on that video's features alone — the
+/// same rows under a name no scenario, hence no ground truth, ever came
+/// with yield the same events.
+#[test]
+fn annotating_another_video_reads_no_truth_and_refits_nothing() {
+    let home = common::german_scenario(90);
+    let away = RaceScenario::generate(ScenarioConfig::new(RaceProfile::Belgian, 60));
+    let vdbms = Vdbms::new();
+    vdbms.ingest("home", &home).unwrap();
+    vdbms
+        .train_highlight_net("home", &home, &training_windows(home.n_clips), true)
+        .unwrap();
+    let levels = |vdbms: &Vdbms| {
+        let mut levels: Vec<(String, u64)> = (vdbms.net("av").unwrap().thresholds.iter())
+            .map(|(query, level)| (query.clone(), level.to_bits()))
+            .collect();
+        levels.sort();
+        levels
+    };
+    let fitted = levels(&vdbms);
+    assert_eq!(fitted.len(), 2, "HL and EA carry a level: {fitted:?}");
+
+    vdbms.ingest("away", &away).unwrap();
+    vdbms.annotate("away", "av").unwrap();
+    assert_eq!(levels(&vdbms), fitted);
+    let seen = derived_layer(&vdbms, "away");
+    assert!(!seen.is_empty(), "the away race yields derived events");
+
+    let rows = vdbms.catalog.load_features("away", 17).unwrap();
+    let info = VideoInfo {
+        name: "blind".into(),
+        n_clips: away.n_clips,
+        n_frames: away.n_frames(),
+    };
+    vdbms.catalog.register_video(info).unwrap();
+    vdbms.catalog.store_features("blind", &rows).unwrap();
+    vdbms.annotate("blind", "av").unwrap();
+    assert_eq!(derived_layer(&vdbms, "blind"), seen);
+    assert_eq!(levels(&vdbms), fitted);
 }
