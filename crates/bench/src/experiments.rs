@@ -896,7 +896,9 @@ pub fn serve() -> (Table, Vec<String>) {
 /// router routes by, spawns genuine `cobra-serve` children, and drives
 /// an all-cold closed-loop mix of cross-video sweeps and single-video
 /// queries through the router (result cache off, so every request
-/// executes). Every sweep must complete loss-free; near-linear 1→4
+/// executes). Every sweep must complete loss-free and ask every shard
+/// exactly once — the router's own `router.forward` counters show a
+/// hidden retry or a shard asked twice on any host; near-linear 1→4
 /// scaling needs cores to scale onto, so that bound applies only where
 /// the host offers at least four. Returns the table and every bound
 /// the run broke; the binary exits non-zero on any.
@@ -917,8 +919,10 @@ pub fn shard() -> (Table, Vec<String>) {
 
     let binary = find_worker_binary().expect("cobra-serve binary next to the experiments binary");
 
-    // One run of the closed-loop mix against a freshly seeded topology.
-    let run_topology = |shards: u32| -> LoadReport {
+    // One run of the closed-loop mix against a freshly seeded topology:
+    // the shard count, the load report, and the router's
+    // `router.forward{result=ok}` and `{result=retried}` counts over it.
+    let run_topology = |shards: u32| -> (u32, LoadReport, u64, u64) {
         let root =
             std::env::temp_dir().join(format!("cobra-bench-shard-{}-{shards}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -1017,13 +1021,16 @@ pub fn shard() -> (Table, Vec<String>) {
             },
         );
 
+        let snapshot = router.registry().snapshot();
+        let forwards = |result| snapshot.counter("router.forward", &[("result", result)]);
+        let (asked, retried) = (forwards("ok"), forwards("retried"));
         router.shutdown();
         drop(workers); // SIGKILL + reap
         let _ = std::fs::remove_dir_all(&root);
-        report
+        (shards, report, asked, retried)
     };
 
-    let reports = SHARD_COUNTS.map(|shards| (shards, run_topology(shards)));
+    let reports = SHARD_COUNTS.map(run_topology);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -1041,7 +1048,7 @@ pub fn shard() -> (Table, Vec<String>) {
         ],
     );
     let mut broken = Vec::new();
-    for (shards, r) in &reports {
+    for (shards, r, asked, retried) in &reports {
         table.row(vec![
             Cell::Num(*shards as f64),
             Cell::Num(r.ok as f64),
@@ -1063,11 +1070,20 @@ pub fn shard() -> (Table, Vec<String>) {
                 r.errors
             ),
         );
+        let sweeps = (CLIENTS * REQUESTS_PER_CLIENT) as u64;
+        require(
+            &mut broken,
+            *asked == sweeps * u64::from(*shards) && *retried == 0,
+            format!(
+                "{shards} shard(s): {asked} forwards answered and {retried} retried over \
+                 {sweeps} sweeps (want every shard asked once per sweep, no retry)"
+            ),
+        );
     }
     // With fewer than four cores there is nothing to scale onto, and a
     // ratio of two wall-clock rates on a shared host proves nothing.
     if cores >= 4 {
-        for ((shards, r), want) in reports.iter().skip(1).zip([1.1, 1.5]) {
+        for ((shards, r, ..), want) in reports.iter().skip(1).zip([1.1, 1.5]) {
             require(
                 &mut broken,
                 speedup(r) >= want,

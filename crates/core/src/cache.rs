@@ -17,11 +17,12 @@
 //!   (fuel, deadline, cancellation) apply at evaluation time, never at
 //!   compile time, so a cached plan is exactly as guarded as a fresh
 //!   one.
-//! * **[`ResultCache`]** — whole answers keyed by (video, normalized
-//!   query text), each guarded by the stamps of what it read. The one
+//! * **[`ResultCache`]** — answers keyed by (video, normalized query
+//!   text), each guarded by the one stamp of what it read. The one
 //!   implementation serves both tiers: a `Vdbms` guards an answer with
-//!   its video's stamp, the scatter-gather router with one shard stamp
-//!   per shard the answer read.
+//!   its video's stamp, the scatter-gather router guards what one shard
+//!   answered — a single-video answer, or that shard's part of a
+//!   cross-video one — with that shard's stamp.
 //!
 //! Both caches sit on the shared [`cobra_cache::Lru`] and publish
 //! `cache.*` counters/gauges through the owner's metrics registry, so
@@ -155,21 +156,21 @@ impl PlanCache {
     }
 }
 
-/// A cached answer plus the stamps of what it read.
+/// A cached answer plus the stamp of what it read.
 #[derive(Debug)]
 pub struct CachedResult<V> {
     /// The answer.
     pub value: V,
-    /// One stamp per scope the answer read (a video locally, a shard at
-    /// the router), captured before execution. The key determines
-    /// which scopes those are, so the guard carries no scope ids.
-    guard: Vec<Stamp>,
+    /// The stamp of the one scope the answer read (a video locally, a
+    /// shard at the router), captured before execution. The key
+    /// determines which scope that is, so the guard carries no scope id.
+    guard: Stamp,
     /// Approximate resident size, for the `cache.result.bytes` gauge.
     bytes: i64,
 }
 
-/// Whole answers keyed by (video, normalized query text), served only
-/// while the stamps they were computed against are still current.
+/// Answers keyed by (video, normalized query text), served only while
+/// the stamp they were computed against is still current.
 pub struct ResultCache<V> {
     entries: Lru<(String, String), Arc<CachedResult<V>>>,
     hits: Arc<Counter>,
@@ -205,11 +206,11 @@ impl<V> ResultCache<V> {
         &self,
         video: &str,
         normalized: &str,
-        current: Option<&[Stamp]>,
+        current: Option<Stamp>,
     ) -> Option<Arc<CachedResult<V>>> {
         let key = (video.to_string(), normalized.to_string());
         if let Some(cached) = current.and_then(|_| self.entries.get(&key)) {
-            if Some(cached.guard.as_slice()) == current {
+            if Some(cached.guard) == current {
                 self.hits.inc();
                 return Some(cached);
             }
@@ -223,17 +224,10 @@ impl<V> ResultCache<V> {
         None
     }
 
-    /// Stores an answer under `guard` — the stamps captured before the
+    /// Stores an answer under `guard` — the stamp captured before the
     /// execution read any data. `value_bytes` approximates the
     /// answer's resident size.
-    pub fn store(
-        &self,
-        video: &str,
-        normalized: &str,
-        value: V,
-        guard: Vec<Stamp>,
-        value_bytes: usize,
-    ) {
+    pub fn store(&self, video: &str, normalized: &str, value: V, guard: Stamp, value_bytes: usize) {
         let bytes = (video.len() + normalized.len() + value_bytes) as i64;
         let key = (video.to_string(), normalized.to_string());
         self.bytes.add(bytes);
@@ -266,26 +260,26 @@ mod tests {
     fn result_hits_only_on_a_matching_stamp() {
         let registry = Registry::new();
         let results = cache(&registry);
-        let s1 = [stamp(0, 1)];
+        let s1 = stamp(0, 1);
         assert!(results
-            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(&s1))
+            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(s1))
             .is_none());
-        results.store("v", "RETRIEVE HIGHLIGHTS", vec![1, 2, 3], s1.to_vec(), 12);
+        results.store("v", "RETRIEVE HIGHLIGHTS", vec![1, 2, 3], s1, 12);
         assert_eq!(
             results
-                .lookup("v", "RETRIEVE HIGHLIGHTS", Some(&s1))
+                .lookup("v", "RETRIEVE HIGHLIGHTS", Some(s1))
                 .map(|r| r.value.len()),
             Some(3)
         );
 
         // A later seq (a write happened) invalidates the entry.
-        let s2 = [stamp(0, 2)];
+        let s2 = stamp(0, 2);
         assert!(results
-            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(&s2))
+            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(s2))
             .is_none());
         // And the stale entry is gone even for the original stamp.
         assert!(results
-            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(&s1))
+            .lookup("v", "RETRIEVE HIGHLIGHTS", Some(s1))
             .is_none());
 
         let snap = registry.snapshot();
@@ -301,10 +295,10 @@ mod tests {
     fn different_epoch_same_seq_never_hits() {
         let registry = Registry::new();
         let results = cache(&registry);
-        results.store("v", "Q", vec![7], vec![stamp(1, 5)], 4);
+        results.store("v", "Q", vec![7], stamp(1, 5), 4);
         // A rebooted catalog restarts its seqs; reaching seq 5 again
         // under epoch 2 proves nothing about the epoch-1 answer.
-        assert!(results.lookup("v", "Q", Some(&[stamp(2, 5)])).is_none());
+        assert!(results.lookup("v", "Q", Some(stamp(2, 5))).is_none());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cache.result", &[("result", "hit")]), 0);
         assert_eq!(
@@ -314,30 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_scope_guard_needs_every_stamp_to_match() {
-        let registry = Registry::new();
-        let results = cache(&registry);
-        let guard = vec![stamp(1, 4), stamp(3, 9)];
-        results.store("*", "Q", vec![1], guard.clone(), 4);
-        assert!(results.lookup("*", "Q", Some(&guard)).is_some());
-        // One shard moved: the cross-shard answer is stale.
-        assert!(results
-            .lookup("*", "Q", Some(&[stamp(1, 4), stamp(3, 10)]))
-            .is_none());
-    }
-
-    #[test]
     fn unknown_current_stamp_misses_but_keeps_the_entry() {
         let registry = Registry::new();
         let results = cache(&registry);
-        let s = [stamp(0, 1)];
-        results.store("v", "Q", vec![1], s.to_vec(), 4);
+        let s = stamp(0, 1);
+        results.store("v", "Q", vec![1], s, 4);
         assert!(
             results.lookup("v", "Q", None).is_none(),
             "unknown is never a hit"
         );
         // The stamp becomes known again and still matches: a hit.
-        assert!(results.lookup("v", "Q", Some(&s)).is_some());
+        assert!(results.lookup("v", "Q", Some(s)).is_some());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cache.result", &[("result", "miss")]), 1);
         assert_eq!(
@@ -357,13 +338,13 @@ mod tests {
     fn byte_and_entry_gauges_track_residency() {
         let registry = Registry::new();
         let results = cache(&registry);
-        results.store("v", "Q1", (0..10).collect(), vec![stamp(0, 1)], 40);
+        results.store("v", "Q1", (0..10).collect(), stamp(0, 1), 40);
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("cache.result.entries", &[]), 1);
         assert!(snap.gauge("cache.result.bytes", &[]) > 0);
 
         // Invalidation returns the gauges to zero.
-        assert!(results.lookup("v", "Q1", Some(&[stamp(0, 2)])).is_none());
+        assert!(results.lookup("v", "Q1", Some(stamp(0, 2))).is_none());
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("cache.result.entries", &[]), 0);
         assert_eq!(snap.gauge("cache.result.bytes", &[]), 0);

@@ -342,8 +342,7 @@ impl Vdbms {
         let probing = trace.on().then(Instant::now);
         let normalized = q.normalized();
         let stamp = self.catalog.video_stamp(video);
-        let current = std::slice::from_ref(&stamp);
-        if let Some(hit) = self.results.lookup(video, &normalized, Some(current)) {
+        if let Some(hit) = self.results.lookup(video, &normalized, Some(stamp)) {
             if let Some(clock) = probing {
                 trace.attach(
                     SpanNode::leaf("cache:result", clock.elapsed().as_nanos() as u64)
@@ -368,7 +367,7 @@ impl Vdbms {
             })
             .sum();
         self.results
-            .store(video, &normalized, segments.clone(), vec![stamp], bytes);
+            .store(video, &normalized, segments.clone(), stamp, bytes);
         Ok(segments)
     }
 

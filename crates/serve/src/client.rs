@@ -193,18 +193,28 @@ impl Client {
         Ok(serde_json::from_slice(payload).map_err(FrameError::Json)?)
     }
 
-    /// Sends `request` and blocks for its response, returned as its
-    /// envelope with `result` read by `read_result`. Responses are
+    /// Sends `request` and blocks for its response:
+    /// [`send`](Self::send), then [`await_reply`](Self::await_reply).
+    pub(crate) fn exchange<T>(
+        &mut self,
+        request: Value,
+        read_result: impl FnMut(&mut Reader<'_>) -> Result<T, ParseError>,
+    ) -> Result<Envelope<T>, ClientError> {
+        let id = self.send(request)?;
+        self.await_reply(id, read_result)
+    }
+
+    /// Blocks for the response to the request sent as `id`, returned as
+    /// its envelope with `result` read by `read_result`. Responses are
     /// matched by id; push frames that interleave (they reuse their
     /// subscription's id) are buffered for
     /// [`next_push`](Self::next_push) rather than mistaken for answers,
     /// and stale answers from abandoned requests are skipped.
-    pub(crate) fn exchange<T>(
+    pub(crate) fn await_reply<T>(
         &mut self,
-        request: Value,
+        id: u64,
         mut read_result: impl FnMut(&mut Reader<'_>) -> Result<T, ParseError>,
     ) -> Result<Envelope<T>, ClientError> {
-        let id = self.send(request)?;
         loop {
             let payload = recv_payload(&self.stream, &mut self.inbox)?;
             let envelope = read_envelope(payload, &mut read_result).map_err(FrameError::Json)?;

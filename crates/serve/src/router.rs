@@ -21,11 +21,12 @@
 //!   which validates it, so a malformed reply is a retried transport
 //!   failure, never relayed — keeping the raw text to frame under the
 //!   client's id and to cache.
-//! * **Cross-video queries** (`video = "*"`) scatter to every shard and
-//!   gather one segment group per video: the shards' `videos` arrays are
-//!   split into raw groups and joined in video-name order — the answer
-//!   is byte-identical no matter which shard replies first, and to what
-//!   one server holding every video answers.
+//! * **Cross-video queries** (`video = "*"`) are answered in *parts*,
+//!   one `result` body per shard, whose `videos` arrays are split into
+//!   raw groups and joined in video-name order — byte-identical to what
+//!   one server holding every video answers. Only shards whose part is
+//!   not cached are asked, on the job's own thread: one is a plain
+//!   forward, several are written to first and then read in shard order.
 //! * **Worker death never hangs a request**: a dead connection is
 //!   retried under the configured [`RetryPolicy`] (queries are
 //!   idempotent reads, so re-dispatch is safe); when retries exhaust,
@@ -41,14 +42,14 @@
 //!   of the two while the feed is up, and *unknown* — never
 //!   "unchanged" — while it is down.
 //! * **The router result cache** is the same
-//!   [`ResultCache`](f1_cobra::ResultCache) a worker uses, holding
-//!   `result` bodies as text (a hit is an envelope around one), each
-//!   guarded by the stamps its replies carried, one per shard it read.
-//!   It hits only while every guard stamp equals `known[shard]`: a
-//!   write on shard A invalidates exactly the cached answers that read
-//!   shard A, and an answer that read a shard whose feed is down misses
-//!   and is forwarded — a dead shard surfaces as the typed error, never
-//!   as a stale answer.
+//!   [`ResultCache`](f1_cobra::ResultCache) a worker uses, holding what
+//!   one shard answered, as text — a single video's `result` body (a hit
+//!   is an envelope around it) or a part (a cached sweep is one splice)
+//!   — guarded by the stamp that reply carried. It hits only while the
+//!   guard equals `known[shard]`: a write on shard A voids exactly what
+//!   read shard A, so the next sweep re-asks shard A alone, and what
+//!   read a shard whose feed is down misses and is forwarded — a dead
+//!   shard surfaces as the typed error, never as a stale answer.
 //! * **Standing `subscribe` queries** run on the same
 //!   [`Hub`](crate::stream::Hub) as a worker's, with the router as its
 //!   [`Source`]: a scope is a shard and its stamp is `known[shard]`, so
@@ -151,7 +152,7 @@ struct RouterShared {
     moved: ChangeFeed,
     /// Idle shard-connection sets. A pooled job (or a hub evaluation)
     /// checks one out for its whole run, so no two users ever share a
-    /// shard socket (which the stale-id skip in [`attempt_once`]
+    /// shard socket (which the stale-id skip in [`recv_attempt`]
     /// depends on).
     conn_sets: Mutex<Vec<Vec<ShardConn>>>,
     /// The feed threads, one per shard, once the first request that
@@ -184,6 +185,7 @@ impl RouterShared {
                     shard,
                     client: None,
                     epoch: 0,
+                    read_timeout: None,
                 })
                 .collect()
         })
@@ -314,15 +316,15 @@ impl Source for RouterShared {
     fn eval(&self, shard: &u32, video: &str, text: &str) -> Result<Vec<Group>, String> {
         let body = json!({"cmd": "query", "video": (video), "text": (text)});
         let mut conns = self.checkout();
-        let outcome = forward_to(self, &mut conns, *shard, &body, 0, None);
+        let outcome = scatter(self, &mut conns, &[*shard], body, 0, None).next();
         self.checkin(conns);
         match outcome {
-            Ok(reply) => Ok(read_query_output(&mut Reader::new(&reply.result))
+            Some(Ok(reply)) => Ok(read_query_output(&mut Reader::new(&reply.result))
                 .ok()
                 .flatten()
                 .map_or_else(Vec::new, |output| answer_groups(video, output))),
-            Err((ErrorKind::ShardUnavailable, why)) => Err(why),
-            Err(_) => {
+            Some(Err((ErrorKind::ShardUnavailable, why))) => Err(why),
+            _ => {
                 // A logical error (video not ingested yet, …): the
                 // subscription arms over the empty answer.
                 self.registry.counter("stream.eval_errors", &[]).inc();
@@ -502,13 +504,15 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
     })
 }
 
-/// One connection to one shard, plus the epoch handshook at connect
-/// time. Whoever forwards checks a whole set out, so shard sockets are
-/// never contended.
+/// One connection to one shard of a checked-out set, plus the epoch
+/// handshook at connect time.
 struct ShardConn {
     shard: u32,
     client: Option<Client>,
     epoch: u64,
+    /// The read timeout last set on `client`'s socket: setting one is a
+    /// system call, made only when the value changes.
+    read_timeout: Option<Duration>,
 }
 
 /// A typed failure, as it will appear on the wire.
@@ -534,10 +538,9 @@ enum Attempt {
 /// Connects to the shard's current address and handshakes the epoch.
 fn connect_shard(shared: &RouterShared, conn: &mut ShardConn) -> Result<(), String> {
     let addr = shared.addr_of(conn.shard)?;
-    let client = Client::connect(&addr)
+    let mut client = Client::connect(&addr)
         .map_err(|e| format!("connect to shard {} at {addr}: {e}", conn.shard))?;
     let _ = client.set_timeout(Some(PROBE_TIMEOUT));
-    let mut client = client;
     let version = client
         .version()
         .map_err(|e| format!("handshake with shard {} at {addr}: {e}", conn.shard))?;
@@ -545,37 +548,35 @@ fn connect_shard(shared: &RouterShared, conn: &mut ShardConn) -> Result<(), Stri
         .ok_or_else(|| format!("shard {} answered a malformed version frame", conn.shard))?;
     conn.client = Some(client);
     conn.epoch = stamp.epoch;
+    conn.read_timeout = Some(PROBE_TIMEOUT);
     Ok(())
 }
 
-/// Runs one forward attempt against the shard's live connection.
-fn attempt_once(
+/// The send half of one forward attempt: fires the fault site, checks
+/// the deadline, (re)connects, and writes `body` stamped for this shard.
+/// Returns the reply's id — or, nothing sent, what the attempt concluded.
+fn send_attempt(
     shared: &RouterShared,
     conn: &mut ShardConn,
     body: &Value,
     req_id: u64,
     deadline_at: Option<Instant>,
-) -> Attempt {
+) -> Result<u64, Attempt> {
     // The injectable transport failure: the connection is left intact,
     // only this attempt is declared lost.
     if let Err(e) = shared.faults.fire("router.forward") {
-        return Attempt::Retry(format!("injected transport fault: {e}"));
+        return Err(Attempt::Retry(format!("injected transport fault: {e}")));
     }
-    if let Some(at) = deadline_at {
-        if Instant::now() >= at {
-            return Attempt::Done(Err((
-                ErrorKind::Deadline,
-                "deadline lapsed while routing".into(),
-            )));
-        }
+    if deadline_at.is_some_and(|at| Instant::now() >= at) {
+        let lapsed = (ErrorKind::Deadline, "deadline lapsed while routing".into());
+        return Err(Attempt::Done(Err(lapsed)));
     }
     if conn.client.is_none() {
-        if let Err(e) = connect_shard(shared, conn) {
-            return Attempt::Retry(e);
-        }
+        connect_shard(shared, conn).map_err(Attempt::Retry)?;
     }
     let Some(client) = conn.client.as_mut() else {
-        return Attempt::Retry(format!("shard {} has no connection", conn.shard));
+        let why = format!("shard {} has no connection", conn.shard);
+        return Err(Attempt::Retry(why));
     };
 
     let mut frame = body.clone();
@@ -596,169 +597,189 @@ fn attempt_once(
             map.insert("deadline_ms".into(), Value::Number(remaining as f64));
         }
     }
+    client.send(frame).map_err(|e| {
+        conn.client = None;
+        Attempt::Retry(format!("send to shard {}: {e}", conn.shard))
+    })
+}
+
+/// The receive half: blocks for the reply to the frame sent as `sent`,
+/// skipping whatever an abandoned earlier request left on the
+/// connection.
+fn recv_attempt(
+    shared: &RouterShared,
+    conn: &mut ShardConn,
+    sent: u64,
+    deadline_at: Option<Instant>,
+) -> Attempt {
+    let Some(client) = conn.client.as_mut() else {
+        return Attempt::Retry(format!("shard {} has no connection", conn.shard));
+    };
     // Bound the read so a lapsed deadline surfaces even if the worker
-    // stalls; without a deadline, rely on the kernel resetting the
-    // connection when the worker process dies (SIGKILL included).
-    let read_timeout = deadline_at
-        .map(|at| at.saturating_duration_since(Instant::now()) + Duration::from_millis(500));
-    let _ = client.set_timeout(read_timeout);
+    // stalls: every read of a request, over all its shards and retries,
+    // ends by the one instant `deadline_at + 500 ms`. Without a
+    // deadline, rely on the kernel resetting the connection when the
+    // worker process dies (SIGKILL included).
+    let read_timeout = deadline_at.map(|at| {
+        (at + Duration::from_millis(500))
+            .saturating_duration_since(Instant::now())
+            .max(Duration::from_millis(1))
+    });
+    if read_timeout != conn.read_timeout && client.set_timeout(read_timeout).is_ok() {
+        conn.read_timeout = read_timeout;
+    }
 
     // Only the envelope is parsed; skipping the result validates it, so
     // a malformed reply fails here, as a transport failure.
-    let envelope = match client.exchange(frame, |r| r.skip().map(str::to_owned)) {
-        Ok(envelope) => envelope,
-        Err(e) => {
-            conn.client = None;
-            return Attempt::Retry(format!("exchange with shard {}: {e}", conn.shard));
-        }
-    };
-    let stamp = envelope.stamp;
-    match unwrap_envelope(envelope) {
-        Ok(result) => {
+    let answered = client
+        .await_reply(sent, |r| r.skip().map(str::to_owned))
+        .and_then(|envelope| Ok((envelope.stamp, unwrap_envelope(envelope)?)));
+    let why = match answered {
+        Ok((stamp, result)) => {
             if let Some(stamp) = stamp {
                 shared.observe(conn.shard, stamp);
             }
-            Attempt::Done(Ok(Reply { result, stamp }))
+            return Attempt::Done(Ok(Reply { result, stamp }));
         }
+        // The worker rebooted past the epoch we stamped.
         Err(ClientError::Server {
             kind: ErrorKind::ShardUnavailable,
             message,
-        }) => {
-            // The worker rebooted past the epoch we stamped: drop
-            // the connection so the next attempt re-handshakes.
-            conn.client = None;
-            Attempt::Retry(format!("shard {} fenced the epoch: {message}", conn.shard))
-        }
-        Err(ClientError::Server { kind, message }) => Attempt::Done(Err((kind, message))),
-        Err(e) => {
-            conn.client = None;
-            Attempt::Retry(format!("shard {} answered garbage: {e}", conn.shard))
-        }
-    }
+        }) => format!("shard {} fenced the epoch: {message}", conn.shard),
+        Err(ClientError::Server { kind, message }) => return Attempt::Done(Err((kind, message))),
+        Err(e) => format!("exchange with shard {}: {e}", conn.shard),
+    };
+    // A fence, a dead socket or garbage: drop the connection, so the
+    // next attempt re-handshakes.
+    conn.client = None;
+    Attempt::Retry(why)
 }
 
 /// Forwards `body` to the shard behind `conn`, retrying transport
-/// failures under the router's [`RetryPolicy`]. Returns the worker's
-/// reply, or a typed error — never hangs past the deadline.
+/// failures under the router's [`RetryPolicy`]; `sent` is a first
+/// attempt whose send half a [`scatter`] already ran, and counts against
+/// the same `1 + max_retries`. Returns the worker's reply, or a typed
+/// error — never hangs past the deadline.
 fn forward(
     shared: &RouterShared,
     conn: &mut ShardConn,
     body: &Value,
     req_id: u64,
     deadline_at: Option<Instant>,
+    mut sent: Option<Result<u64, Attempt>>,
 ) -> Result<Reply, Fail> {
+    let forwards = |result| {
+        shared
+            .registry
+            .counter("router.forward", &[("result", result)])
+    };
     let attempts = 1 + shared.retry.max_retries;
     let mut last = String::from("no attempt made");
     for attempt in 0..attempts {
         if attempt > 0 {
-            shared
-                .registry
-                .counter("router.forward", &[("result", "retried")])
-                .inc();
+            forwards("retried").inc();
             if shared.retry.backoff_ms > 0 {
                 std::thread::sleep(Duration::from_millis(shared.retry.backoff_ms));
             }
         }
-        match attempt_once(shared, conn, body, req_id, deadline_at) {
+        let sent = sent
+            .take()
+            .unwrap_or_else(|| send_attempt(shared, conn, body, req_id, deadline_at));
+        let concluded = match sent {
+            Ok(id) => recv_attempt(shared, conn, id, deadline_at),
+            Err(concluded) => concluded,
+        };
+        match concluded {
             Attempt::Done(Ok(reply)) => {
-                shared
-                    .registry
-                    .counter("router.forward", &[("result", "ok")])
-                    .inc();
+                forwards("ok").inc();
                 return Ok(reply);
             }
             Attempt::Done(Err(e)) => return Err(e),
             Attempt::Retry(why) => last = why,
         }
     }
-    shared
-        .registry
-        .counter("router.forward", &[("result", "failed")])
-        .inc();
-    Err((
-        ErrorKind::ShardUnavailable,
-        format!(
-            "shard {} unavailable after {attempts} attempts: {last}",
-            conn.shard
-        ),
-    ))
+    forwards("failed").inc();
+    let shard = conn.shard;
+    let why = format!("shard {shard} unavailable after {attempts} attempts: {last}");
+    Err((ErrorKind::ShardUnavailable, why))
 }
 
-/// Forwards `body` to every shard concurrently; results come back in
-/// shard order regardless of completion order.
-fn scatter(
-    shared: &RouterShared,
-    conns: &mut [ShardConn],
-    body: &Value,
+/// Forwards `body` to the shards in `asks`, on the calling thread, and
+/// yields their replies in shard order. One shard is a plain
+/// [`forward`]. Several have their frames written before any reply is
+/// read, so they work at the same time; a shard whose first attempt is
+/// lost spends the rest of its retry budget in an ordinary `forward`.
+/// Replies are read as the iterator is driven: a strict caller stops at
+/// the first failure (the lowest failed shard id decides its error)
+/// without retrying any later shard, and the replies it leaves unread
+/// are skipped by id by the connections' next user.
+fn scatter<'a>(
+    shared: &'a RouterShared,
+    conns: &'a mut [ShardConn],
+    asks: &[u32],
+    body: Value,
     req_id: u64,
     deadline_at: Option<Instant>,
-) -> Vec<Result<Reply, Fail>> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = conns
-            .iter_mut()
-            .map(|conn| {
-                let body = body.clone();
-                s.spawn(move || forward(shared, conn, &body, req_id, deadline_at))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err((ErrorKind::Internal, "scatter thread panicked".into()))
-                })
-            })
-            .collect()
-    })
+) -> impl Iterator<Item = Result<Reply, Fail>> + 'a {
+    let pipelined = asks.len() > 1;
+    let sent: Vec<_> = conns
+        .iter_mut()
+        .filter(|conn| asks.contains(&conn.shard))
+        .map(|conn| {
+            let first = pipelined.then(|| send_attempt(shared, conn, &body, req_id, deadline_at));
+            (conn, first)
+        })
+        .collect();
+    sent.into_iter()
+        .map(move |(conn, first)| forward(shared, conn, &body, req_id, deadline_at, first))
 }
 
-/// Merges per-shard `multi` answers into one, ordered by video name:
-/// every shard's `videos` array is split into its groups' raw texts,
-/// which are joined into one array, parsed no further than each group's
-/// `video` name.
-fn splice_multi(replies: &[Reply]) -> Result<String, Fail> {
+/// Merges the shards' parts of a `multi` answer into one, ordered by
+/// video name: every part's `videos` array is split into its groups'
+/// raw texts, which are joined into one array, parsed no further than
+/// each group's `video` name.
+fn splice_multi(parts: &[&str]) -> Result<String, Fail> {
     let mut groups = Vec::new();
-    for reply in replies {
-        groups.extend(split_groups(&reply.result).ok_or((
+    for part in parts {
+        groups.extend(split_groups(part).ok_or((
             ErrorKind::Internal,
             "a shard answered a cross-video query without segment groups".to_string(),
         ))?);
     }
-    // Deterministic merge ordering: the gather order is completion
-    // order, so impose video-name order before anyone sees the answer.
+    // Parts come in shard order; the answer is in video-name order.
     groups.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(join_groups(groups.iter().map(|g| g.1)))
 }
 
-/// Scatters the argument-less control command `cmd` and decodes the
-/// `result` objects.
-fn gather(
-    shared: &RouterShared,
-    conns: &mut [ShardConn],
+/// Scatters the argument-less control command `cmd` to every shard and
+/// decodes the `result` objects, lazily and in shard order like [`scatter`].
+fn gather<'a>(
+    shared: &'a RouterShared,
+    conns: &'a mut [ShardConn],
     cmd: &str,
     req_id: u64,
-) -> Vec<Result<Value, Fail>> {
-    scatter(shared, conns, &json!({"cmd": (cmd)}), req_id, None)
-        .into_iter()
-        .map(|reply| {
-            serde_json::from_str(&reply?.result).map_err(|e| (ErrorKind::Internal, e.to_string()))
-        })
-        .collect()
+) -> impl Iterator<Item = Result<Value, Fail>> + 'a {
+    let every = shared.scopes("*");
+    scatter(shared, conns, &every, json!({"cmd": (cmd)}), req_id, None).map(|reply| {
+        serde_json::from_str(&reply?.result).map_err(|e| (ErrorKind::Internal, e.to_string()))
+    })
 }
 
-/// [`forward`] over `shard`'s connection of a checked-out set.
-fn forward_to(
-    shared: &RouterShared,
-    conns: &mut [ShardConn],
-    shard: u32,
-    body: &Value,
-    req_id: u64,
-    deadline_at: Option<Instant>,
-) -> Result<Reply, Fail> {
-    match conns.get_mut(shard as usize) {
-        Some(conn) => forward(shared, conn, body, req_id, deadline_at),
-        None => Err((ErrorKind::Internal, format!("shard {shard} out of range"))),
+/// A [`scatter`] ran short of replies: a shard id outside the set.
+fn no_reply() -> Fail {
+    (ErrorKind::Internal, "a shard's reply is missing".into())
+}
+
+/// One shard's entry in an aggregated answer, under its shard id: what it
+/// answered, or — where a dead shard degrades to an entry — its typed error.
+fn shard_entry(shard: usize, answered: Result<Value, Fail>) -> Value {
+    let mut entry = answered.unwrap_or_else(
+        |(kind, message)| json!({"error": {"kind": (kind.as_str()), "message": (message)}}),
+    );
+    if let Value::Object(map) = &mut entry {
+        map.insert("shard".into(), Value::Number(shard as f64));
     }
+    entry
 }
 
 /// The frame that passes a `result` body — a shard's, or the cache's —
@@ -789,8 +810,6 @@ fn handle_query(
         .get("deadline_ms")
         .and_then(Value::as_u64)
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let owner = (video != "*").then(|| shared.ring.owner(video));
-
     // Cache eligibility mirrors the worker's single-flight rule: only
     // plain retrievals without per-request limits, and only statements
     // that parse (so the key is the *normalized* text).
@@ -800,42 +819,50 @@ fn handle_query(
         _ => None,
     };
     let cached = shared.cache.as_ref().zip(normalized);
-    if let Some((cache, normalized)) = &cached {
-        // The shards this answer reads, in the order its guard lists them.
-        let reads = shared.scopes(video);
-        let current: Option<Vec<Stamp>> = reads.iter().map(|&s| shared.known(s)).collect();
-        if let Some(hit) = cache.lookup(video, normalized, current.as_deref()) {
-            return Ok(pass(id, &hit.value));
+    // What each shard this answer reads has to say is one cache entry,
+    // keyed by the shard beside the statement and guarded by that
+    // shard's stamp: a single video's answer, or a part of a sweep.
+    let key = |normalized: &str, shard: u32| format!("{shard} {normalized}");
+    let (mut parts, mut asks) = (Vec::new(), Vec::new());
+    for shard in shared.scopes(video) {
+        let hit = cached
+            .as_ref()
+            .and_then(|(cache, text)| cache.lookup(video, &key(text, shard), shared.known(shard)));
+        if hit.is_none() {
+            asks.push(shard);
         }
+        parts.push(hit);
     }
 
     let mut body = json!({"cmd": "query", "video": (video), "text": (text)});
     if let (Value::Object(map), Some(fuel)) = (&mut body, request.get("fuel")) {
         map.insert("fuel".into(), fuel.clone());
     }
-    let mut replies: Vec<Reply> = match owner {
-        Some(shard) => vec![forward_to(shared, conns, shard, &body, id, deadline_at)?],
-        // The lowest failed shard id decides the error.
-        None => scatter(shared, conns, &body, id, deadline_at)
-            .into_iter()
-            .collect::<Result<_, _>>()?,
-    };
-    // The guard is the stamps the replies themselves carried — read by
-    // each shard before it executed — never `known`, which a concurrent
-    // write's ack may already have raised past them.
-    let guard: Option<Vec<Stamp>> = replies.iter().map(|r| r.stamp).collect();
-    let result = match owner {
-        Some(_) => replies.swap_remove(0).result,
-        None => splice_multi(&replies)?,
-    };
-    // A spliced answer can come out over the frame cap its parts were
-    // under; one that cannot be sent is not worth keeping either.
-    let built = ok_frame(id, result.as_bytes(), None);
-    if let (Ok(_), Some((cache, normalized)), Some(guard)) = (&built, &cached, guard) {
-        let bytes = result.len();
-        cache.store(video, normalized, result, guard, bytes);
+    // Queries are strict: the lowest failed shard id decides the error.
+    let replies: Vec<Reply> =
+        scatter(shared, conns, &asks, body, id, deadline_at).collect::<Result<_, _>>()?;
+    let mut fresh = replies.iter().map(|reply| reply.result.as_str());
+    let mut texts = Vec::with_capacity(parts.len());
+    for part in &parts {
+        let held = part.as_ref().map(|hit| hit.value.as_str());
+        texts.push(held.or_else(|| fresh.next()).ok_or_else(no_reply)?);
     }
-    Ok(or_oversize(id, built))
+    let frame = match texts.as_slice() {
+        [answer] if video != "*" => pass(id, answer),
+        texts => pass(id, &splice_multi(texts)?),
+    };
+    if let Some((cache, normalized)) = &cached {
+        for (&shard, reply) in asks.iter().zip(replies) {
+            // The guard is the stamp the reply itself carried — read by
+            // the shard before it executed — never `known`, which a
+            // concurrent write's ack may already have raised past it.
+            if let Some(stamp) = reply.stamp {
+                let bytes = reply.result.len();
+                cache.store(video, &key(normalized, shard), reply.result, stamp, bytes);
+            }
+        }
+    }
+    Ok(frame)
 }
 
 /// Answers one request with an encoded frame. Queries and write acks
@@ -852,7 +879,7 @@ fn handle_request(
     let Some(cmd) = request.get("cmd").and_then(Value::as_str) else {
         return Err((ErrorKind::BadRequest, "missing 'cmd'".into()));
     };
-    let response = match cmd {
+    let result = match cmd {
         "query" => return handle_query(shared, conns, id, request),
         "write_event" => {
             // Forwarded to the owner; the worker enforces its own debug
@@ -868,109 +895,82 @@ fn handle_request(
                 map.remove("id");
                 map.remove("shard");
             }
-            let ack = forward_to(shared, conns, shared.ring.owner(video), &body, id, None)?;
-            return Ok(pass(id, &ack.result));
+            let mut acks = scatter(shared, conns, &[shared.ring.owner(video)], body, id, None);
+            return Ok(pass(id, &acks.next().ok_or_else(no_reply)??.result));
         }
         "version" => {
             // The aggregated topology view: one entry per shard, in
             // shard order, with the address the router would dial.
-            let results = gather(shared, conns, "version", id);
             let addrs = recover(&shared.addrs).clone();
-            let mut entries = Vec::with_capacity(results.len());
-            for (shard, result) in results.into_iter().enumerate() {
-                let addr = addrs.get(shard).cloned().unwrap_or_default();
-                match result {
-                    Ok(mut version) => {
-                        if let Value::Object(map) = &mut version {
-                            map.insert("shard".into(), Value::Number(shard as f64));
-                            map.insert("addr".into(), Value::String(addr));
-                        }
-                        entries.push(version);
-                    }
-                    Err((kind, message)) => entries.push(json!({
-                        "shard": (shard as f64),
-                        "addr": (addr),
-                        "error": {"kind": (kind.as_str()), "message": (message)},
-                    })),
+            let mut entries = Vec::with_capacity(addrs.len());
+            for (shard, (result, addr)) in gather(shared, conns, "version", id)
+                .zip(addrs)
+                .enumerate()
+            {
+                let mut entry = shard_entry(shard, result);
+                if let Value::Object(map) = &mut entry {
+                    map.insert("addr".into(), Value::String(addr));
                 }
+                entries.push(entry);
             }
-            ok_response(
-                id,
-                json!({
-                    "kind": "version",
-                    "seed": (shared.ring.seed() as f64),
-                    "shards": (Value::Array(entries)),
-                }),
-            )
+            json!({
+                "kind": "version",
+                "seed": (shared.ring.seed() as f64),
+                "shards": (Value::Array(entries)),
+            })
         }
         "videos" => {
-            let results = gather(shared, conns, "videos", id);
             let mut names: Vec<String> = Vec::new();
-            for result in results {
+            for result in gather(shared, conns, "videos", id) {
                 if let Some(list) = result?.get("videos").and_then(Value::as_array) {
                     names.extend(list.iter().filter_map(Value::as_str).map(str::to_string));
                 }
             }
             names.sort();
             names.dedup();
-            ok_response(id, json!({"kind": "videos", "videos": (names)}))
+            json!({"kind": "videos", "videos": (names)})
         }
         "stats" => {
             // The router's own snapshot, with every reachable shard's
             // snapshot attached. A dead shard degrades to an error
             // entry rather than failing the whole answer: stats is the
             // command you run *while* a shard is down.
-            let results = gather(shared, conns, "stats", id);
-            let entries: Vec<Value> = results
-                .into_iter()
+            let entries: Vec<Value> = gather(shared, conns, "stats", id)
                 .enumerate()
-                .map(|(shard, result)| match result {
-                    Ok(v) => json!({
-                        "shard": (shard as f64),
-                        "snapshot": (v.get("snapshot").cloned().unwrap_or(Value::Null)),
-                    }),
-                    Err((kind, message)) => json!({
-                        "shard": (shard as f64),
-                        "error": {"kind": (kind.as_str()), "message": (message)},
-                    }),
+                .map(|(shard, result)| {
+                    let snapshot = |v: Value| v.get("snapshot").cloned().unwrap_or(Value::Null);
+                    shard_entry(shard, result.map(|v| json!({"snapshot": (snapshot(v))})))
                 })
                 .collect();
-            ok_response(
-                id,
-                json!({
-                    "kind": "stats",
-                    "snapshot": (shared.registry.snapshot().to_json()),
-                    "shards": (Value::Array(entries)),
-                }),
-            )
+            json!({
+                "kind": "stats",
+                "snapshot": (shared.registry.snapshot().to_json()),
+                "shards": (Value::Array(entries)),
+            })
         }
         "checkpoint" => {
-            let results = gather(shared, conns, "checkpoint", id);
-            let mut entries = Vec::with_capacity(results.len());
+            let mut entries = Vec::new();
             let mut durable = false;
-            for (shard, result) in results.into_iter().enumerate() {
-                let mut v = result?;
+            for (shard, result) in gather(shared, conns, "checkpoint", id).enumerate() {
+                let v = result?;
                 durable |= v.get("durable").and_then(Value::as_bool).unwrap_or(false);
-                if let Value::Object(map) = &mut v {
-                    map.insert("shard".into(), Value::Number(shard as f64));
-                }
-                entries.push(v);
+                entries.push(shard_entry(shard, Ok(v)));
             }
-            ok_response(
-                id,
-                json!({
-                    "kind": "checkpoint",
-                    "durable": (durable),
-                    "shards": (Value::Array(entries)),
-                }),
-            )
+            json!({
+                "kind": "checkpoint",
+                "durable": (durable),
+                "shards": (Value::Array(entries)),
+            })
         }
-        "subscribe" => hub.subscribe(conn_id, id, request),
-        "unsubscribe" => hub.unsubscribe(conn_id, id, request),
+        "subscribe" => return Ok(encode_reply(&hub.subscribe(conn_id, id, request))),
+        "unsubscribe" => return Ok(encode_reply(&hub.unsubscribe(conn_id, id, request))),
         other => return Err((
             ErrorKind::BadRequest,
             format!("unknown command '{other}' (the router speaks ping, version, videos, stats, checkpoint, query, subscribe, unsubscribe, write_event)"),
         )),
     };
-    Ok(encode_reply(&response))
+    Ok(encode_reply(&ok_response(id, result)))
 }
+
+#[cfg(test)]
+mod tests;

@@ -136,21 +136,10 @@ fn cross_video_answers_merge_deterministically() {
     }
 }
 
-/// ROADMAP aim 3, literally: whichever path an answer takes — forwarded
-/// by the router, spliced from several shards, served from the router's
-/// cache, re-executed after a write voided it — the reply is, byte for
-/// byte, the frame one server holding every video sends for the same
-/// request. Covers every statement shape this suite sends.
-#[test]
-fn every_path_returns_the_same_bytes_as_a_single_node() {
-    let _gate = serialize();
-    let videos = fixture_videos();
-    let cluster = ShardCluster::start(3, &videos);
-    let registry = cluster.registry();
-
-    // The single node: the same videos in one in-process server.
+/// The single node: `videos` in one in-process server.
+fn single_node(videos: &[SeedVideo]) -> cobra_serve::server::ServerHandle {
     let vdbms = f1_cobra::Vdbms::try_new().expect("vdbms");
-    for video in &videos {
+    for video in videos {
         vdbms
             .catalog
             .register_video(f1_cobra::catalog::VideoInfo {
@@ -164,14 +153,29 @@ fn every_path_returns_the_same_bytes_as_a_single_node() {
             .store_events(&video.name, &video.events)
             .expect("store");
     }
-    let single = cobra_serve::server::start(
+    cobra_serve::server::start(
         Arc::new(vdbms),
         cobra_serve::server::ServerConfig {
             debug: true,
             ..Default::default()
         },
     )
-    .expect("single node");
+    .expect("single node")
+}
+
+/// ROADMAP aim 3, literally: whichever path an answer takes — forwarded
+/// by the router, spliced from several shards, served from the router's
+/// cache, re-executed after a write voided it — the reply is, byte for
+/// byte, the frame one server holding every video sends for the same
+/// request. Covers every statement shape this suite sends.
+#[test]
+fn every_path_returns_the_same_bytes_as_a_single_node() {
+    let _gate = serialize();
+    let videos = fixture_videos();
+    let cluster = ShardCluster::start(3, &videos);
+    let registry = cluster.registry();
+
+    let single = single_node(&videos);
 
     let mut routed = RawSession::connect(cluster.router_addr());
     let mut direct = RawSession::connect(single.addr());
@@ -212,16 +216,19 @@ fn every_path_returns_the_same_bytes_as_a_single_node() {
             let (via_router, on_single) = both(query(video, text));
             assert_eq!(via_router, on_single, "{round}: {video}: {text}");
         }
-        // The rounds took the paths they are named after.
+        // The rounds took the paths they are named after. The cache
+        // counts what one shard answered: a sweep is a part per shard.
         let d = registry.snapshot().delta(&snap);
         let (hits, voided) = match round {
             "cold" => (0, 0),
-            "from the router cache" => (4, 0),
-            // The write moved race-0's shard: every answer that read it
-            // is void — race-0's, both sweeps, and race-3's if it lives
-            // there too.
-            _ if cluster.owner("race-3") == cluster.owner("race-0") => (0, 4),
-            _ => (1, 3),
+            // Two single-video answers, two sweeps of three parts.
+            "from the router cache" => (2 + 2 * 3, 0),
+            // The write moved race-0's shard: what read it is void —
+            // race-0's answer, that shard's part of both sweeps, and
+            // race-3's answer if it lives there too. The sweeps' other
+            // two parts still hit.
+            _ if cluster.owner("race-3") == cluster.owner("race-0") => (2 * 2, 4),
+            _ => (1 + 2 * 2, 3),
         };
         assert_eq!(
             d.counter("cache.result", &[("result", "hit")]),
@@ -392,33 +399,34 @@ fn injected_forward_faults_are_retried_then_typed() {
     raw_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS").expect("recovery after faults");
 }
 
-#[test]
-fn cross_shard_writes_invalidate_only_dependent_cached_answers() {
-    let _gate = serialize();
-    // Two videos on provably different shards of a 2-shard ring.
+/// Two videos on provably different shards of a 2-shard ring: the
+/// first on shard 0 with two highlights, the second on shard 1 with one.
+fn one_video_per_shard() -> Vec<SeedVideo> {
     let ring = Ring::new(2, DEFAULT_SEED);
-    let names: Vec<String> = (0..32).map(|i| format!("race-{i}")).collect();
-    let video_a = names
-        .iter()
-        .find(|n| ring.owner(n) == 0)
-        .expect("a shard-0 video")
-        .clone();
-    let video_b = names
-        .iter()
-        .find(|n| ring.owner(n) == 1)
-        .expect("a shard-1 video")
-        .clone();
-    let videos = vec![
+    let on = |shard: u32| {
+        (0..32)
+            .map(|i| format!("race-{i}"))
+            .find(|name| ring.owner(name) == shard)
+            .expect("a video on the shard")
+    };
+    vec![
         seed_video(
-            &video_a,
+            &on(0),
             400,
             vec![
                 event("highlight", 10, 30, None),
                 event("highlight", 100, 120, None),
             ],
         ),
-        seed_video(&video_b, 400, vec![event("highlight", 50, 70, None)]),
-    ];
+        seed_video(&on(1), 400, vec![event("highlight", 50, 70, None)]),
+    ]
+}
+
+#[test]
+fn cross_shard_writes_invalidate_only_dependent_cached_answers() {
+    let _gate = serialize();
+    let videos = one_video_per_shard();
+    let (video_a, video_b) = (videos[0].name.clone(), videos[1].name.clone());
     let cluster = ShardCluster::start(2, &videos);
     let registry = cluster.registry();
     let mut router = cluster.client();
@@ -440,7 +448,8 @@ fn cross_shard_writes_invalidate_only_dependent_cached_answers() {
         }
     };
 
-    // Populate, then prove all three answers hit.
+    // Populate, then prove all three answers hit: the two videos' and
+    // the sweep's part from each shard.
     assert_eq!(count(&mut router, &video_a), 2);
     assert_eq!(count(&mut router, &video_b), 1);
     assert_eq!(sweep_count(&mut router, &video_a), 2);
@@ -449,7 +458,7 @@ fn cross_shard_writes_invalidate_only_dependent_cached_answers() {
     count(&mut router, &video_b);
     sweep_count(&mut router, &video_a);
     let d = registry.snapshot().delta(&snap);
-    assert_eq!(d.counter("cache.result", &[("result", "hit")]), 3);
+    assert_eq!(d.counter("cache.result", &[("result", "hit")]), 4);
     assert_eq!(d.counter("cache.result", &[("result", "invalidated")]), 0);
 
     // Write through the router onto video A's shard.
@@ -464,20 +473,103 @@ fn cross_shard_writes_invalidate_only_dependent_cached_answers() {
     assert_eq!(d.counter("cache.result", &[("result", "hit")]), 1);
     assert_eq!(d.counter("cache.result", &[("result", "invalidated")]), 0);
 
-    // Video A's answer and the cross-shard sweep both read shard 0:
+    // Video A's answer and the sweep's shard-0 part read shard 0:
     // exactly those two are invalidated, and both see the new event.
+    // The sweep's shard-1 part is still a hit.
     let snap = registry.snapshot();
     assert_eq!(count(&mut router, &video_a), 3);
     assert_eq!(sweep_count(&mut router, &video_a), 3);
     let d = registry.snapshot().delta(&snap);
     assert_eq!(d.counter("cache.result", &[("result", "invalidated")]), 2);
-    assert_eq!(d.counter("cache.result", &[("result", "hit")]), 0);
+    assert_eq!(d.counter("cache.result", &[("result", "hit")]), 1);
 
     // And the re-executed answers are themselves cached again.
     let snap = registry.snapshot();
     assert_eq!(count(&mut router, &video_a), 3);
     let d = registry.snapshot().delta(&snap);
     assert_eq!(d.counter("cache.result", &[("result", "hit")]), 1);
+}
+
+/// The shard is the unit of a cached sweep: a write on shard 0 sends the
+/// next sweep to shard 0 alone, shard 1's part coming from the cache —
+/// and a part is never served once its shard's stamp is unknown.
+#[test]
+fn a_write_on_one_shard_reasks_only_that_shard_for_a_sweep() {
+    let _gate = serialize();
+    let videos = one_video_per_shard();
+    let mut cluster = ShardCluster::start(2, &videos);
+    let registry = cluster.registry();
+    let single = single_node(&videos);
+    let mut routed = RawSession::connect(cluster.router_addr());
+    let mut direct = RawSession::connect(single.addr());
+    let sweep = json!({"id": 9, "cmd": "query", "video": "*", "text": "RETRIEVE HIGHLIGHTS"});
+    assert_eq!(routed.call(&sweep), direct.call(&sweep), "cold");
+
+    let write = json!({
+        "id": 10, "cmd": "write_event", "video": (videos[0].name.as_str()),
+        "kind": "highlight", "start": 300, "end": 310,
+    });
+    assert!(routed.call(&write).contains("\"ok\":true"));
+    assert!(direct.call(&write).contains("\"ok\":true"));
+
+    let asked = |cluster: &ShardCluster| [0, 1].map(|s| worker_requests(cluster, s, "query"));
+    let (before, snap) = (asked(&cluster), registry.snapshot());
+    assert_eq!(routed.call(&sweep), direct.call(&sweep), "after the write");
+    let (after, d) = (asked(&cluster), registry.snapshot().delta(&snap));
+    assert_eq!(after[0] - before[0], 1, "the written shard is asked again");
+    assert_eq!(after[1] - before[1], 0, "the other shard's part is cached");
+    assert_eq!(d.counter("router.forward", &[("result", "ok")]), 1);
+    assert_eq!(d.counter("cache.result", &[("result", "invalidated")]), 1);
+    assert_eq!(d.counter("cache.result", &[("result", "hit")]), 1);
+
+    // A write made on shard 1 itself voids that shard's part when its
+    // stamp arrives by the feed; shard 0 is not asked again.
+    for addr in [
+        cluster.worker_addr(1).to_string(),
+        single.addr().to_string(),
+    ] {
+        Client::connect(addr)
+            .expect("connect")
+            .write_event(&videos[1].name, "highlight", 320, 330, None)
+            .expect("direct write");
+    }
+    let want = direct.call(&sweep);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    while routed.call(&sweep) != want {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a direct shard write must reach routed sweeps within 1 s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(worker_requests(&cluster, 0, "query"), after[0]);
+
+    // Shard 1 dies: its feed drops, its stamp is unknown, its part
+    // misses — the sweep is the typed error from the moment the router
+    // notices, never an answer spliced from what shard 1 said before.
+    cluster.kill(1);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let unavailable = loop {
+        let reply = routed.call(&sweep);
+        if reply.contains("\"ok\":false") {
+            break reply;
+        }
+        // The router has not seen the feed drop yet.
+        assert_eq!(reply, direct.call(&sweep));
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a dead shard's cached part must stop being served"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    assert!(unavailable.contains("shard_unavailable"), "{unavailable}");
+    for _ in 0..3 {
+        assert!(routed.call(&sweep).contains("shard_unavailable"));
+    }
+    // Rebooted under a new epoch, it is asked again: same bytes.
+    cluster.restart(1);
+    assert_eq!(routed.call(&sweep), want, "after the reboot");
+    single.shutdown();
 }
 
 #[test]
