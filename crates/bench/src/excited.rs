@@ -1,7 +1,7 @@
 //! Excited-speech detection with the audio networks: the training
 //! regime and the scoring shared by Table 1, Table 2, Fig. 9 and the
 //! temporal/clustering experiments. Training, calibration and inference
-//! themselves are the VDBMS's (`train_net`, `dbnInfer`).
+//! themselves are the VDBMS's (`train_net`, `infer`).
 
 use f1_bayes::em::EmConfig;
 use f1_bayes::metrics::{
@@ -92,12 +92,12 @@ pub fn precision_recall(
     precision_recall_strict(&segs, &query_truth(scenario, "EA"), OVERLAP_FRAC)
 }
 
-/// [`precision_recall`] of an installed network's `dbnInfer` trace over
-/// a race.
+/// [`precision_recall`] of an installed network's inferred `EA` trace
+/// over a race.
 pub fn evaluate(races: &Races, video: &str, net: &str) -> PrecisionRecall {
     let stored = races.vdbms.net(net).expect("network was trained");
-    let trace = (races.vdbms.dbn_infer(video, net, "EA")).expect("dbnInfer runs");
-    precision_recall(&trace, &stored, races.scenario(video))
+    let traces = races.vdbms.infer(video, net).expect("inference runs");
+    precision_recall(&traces["EA"], &stored, races.scenario(video))
 }
 
 /// Clip-level classification errors of a thresholded trace against the

@@ -160,7 +160,7 @@ pub fn table4(races: &Races) -> Table {
 /// output is noisy and needs accumulation, the DBN output is smooth.
 /// Returns the summary table and the two traces for plotting.
 pub fn fig9(races: &Races) -> (Table, Vec<f64>, Vec<f64>) {
-    let infer = |net| (races.vdbms.dbn_infer("german", net, "EA")).expect("dbnInfer runs");
+    let infer = |net| (races.vdbms.infer("german", net)).expect("inference runs")["EA"].clone();
     let mut bn_trace: Vec<f64> = infer("bn-full");
     let mut dbn_trace = infer("dbn-full");
     bn_trace.truncate(3000);
@@ -230,7 +230,7 @@ pub fn temporal(races: &Races) -> Table {
 
 /// **§5.5 clustering experiment** — Boyen–Koller projection with all
 /// hidden nodes in one cluster ("exact") vs the query node separated vs
-/// fully factored. `dbnInfer` takes no cluster argument, so this one
+/// fully factored. `Vdbms::infer` takes no cluster argument, so this one
 /// experiment filters `dbn-full` itself, over the catalog's audio
 /// columns and at the network's stored level.
 pub fn clustering(races: &Races) -> Table {

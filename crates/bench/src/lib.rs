@@ -5,7 +5,7 @@
 //! prints paper-style tables; `EXPERIMENTS.md` records paper-reported vs
 //! measured values. The tables are clients of one shared VDBMS
 //! ([`Races`]): it ingests the races, trains and installs the networks,
-//! answers `dbnInfer` and `RETRIEVE`; this crate only scores what comes
+//! answers `infer` and `RETRIEVE`; this crate only scores what comes
 //! back. Beside them sit `serve` and `shard`, the two
 //! many-client load runs of the serving layer, which check their own
 //! bounds; every other timing is the repo benchmark's (`benchmark/`).

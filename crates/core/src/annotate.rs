@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use f1_bayes::em::{train_with_faults, EmConfig};
-use f1_bayes::engine::Engine;
 use f1_bayes::evidence::{EvidenceSeq, Obs};
 use f1_bayes::metrics::{
     accumulate, best_threshold, clipwise_precision_recall, precision_recall, threshold_segments,
@@ -25,7 +24,7 @@ use f1_media::synth::scenario::{EventKind, RaceScenario, Span};
 use f1_rules::{Engine as RuleEngine, Fact, Interval, Rule, Value};
 
 use crate::catalog::EventRecord;
-use crate::extensions::StoredNet;
+use crate::extensions::{posterior, StoredNet};
 use crate::session::Vdbms;
 use crate::{CobraError, Result};
 
@@ -205,8 +204,7 @@ impl Vdbms {
             })
             .collect();
         train_with_faults(&mut net.dbn, &sequences, em, self.faults())?;
-        let whole = EvidenceSeq::from_matrix(&net.feature_nodes, &matrix);
-        let post = Engine::new(&net.dbn)?.filter(&whole, None)?;
+        let post = posterior(&self.kernel, video, &net)?;
         let mut thresholds = HashMap::new();
         for q in queries {
             if let Some(score) = q.score {
@@ -288,51 +286,37 @@ impl Vdbms {
         self.nets.read().get(name).cloned()
     }
 
-    /// The posterior of `query` under the installed `net` over a whole
-    /// video: the kernel's `dbnInfer`, evaluated as MIL.
-    pub fn dbn_infer(&self, video: &str, net: &str, query: &str) -> Result<Vec<f64>> {
-        let out = self.kernel.eval_mil(&format!(
-            "RETURN dbnInfer(\"{video}\", \"{net}\", \"{query}\");"
-        ))?;
-        let bat = out.as_bat()?;
-        let bat = bat.read();
-        let trace = bat.tail().iter().map(|p| p.as_dbl());
-        Ok(trace.collect::<std::result::Result<_, _>>()?)
+    /// Every stored query's posterior under the installed `net` over
+    /// the committed rows of a video, by query name: one [`posterior`]
+    /// pass, the same one the kernel's `dbnInfer` picks a trace from.
+    pub fn infer(&self, video: &str, net: &str) -> Result<HashMap<String, Vec<f64>>> {
+        self.trained(video, net)?.infer(&self.kernel, video)
     }
 
-    /// Runs DBN annotation with the network installed as `net`: every
-    /// query node's posterior through `dbnInfer`, then
-    /// [`derive_events`], replacing the video's previously derived
-    /// events.
+    fn trained(&self, video: &str, net: &str) -> Result<StoredNet> {
+        self.net(net).ok_or_else(|| CobraError::MissingMetadata {
+            video: video.to_string(),
+            what: format!("no trained network '{net}'"),
+        })
+    }
+
+    /// Runs DBN annotation with the network installed as `net`: one
+    /// filter pass for every query node's posterior, [`derive_events`],
+    /// and one event-layer commit that replaces the video's previously
+    /// derived events and keeps the rest (caption metadata).
     pub fn annotate(&self, video: &str, net: &str) -> Result<AnnotateReport> {
         let registry = Arc::clone(self.kernel.metrics().registry());
         registry.counter("annotate.runs", &[]).inc();
         let t = Instant::now();
-        let stored = self.net(net).ok_or_else(|| CobraError::MissingMetadata {
-            video: video.to_string(),
-            what: format!("no trained network '{net}'"),
-        })?;
-        let mut traces = HashMap::new();
-        for (query, _) in &stored.queries {
-            traces.insert(query.clone(), self.dbn_infer(video, net, query)?);
-        }
+        let stored = self.trained(video, net)?;
+        let traces = stored.infer(&self.kernel, video)?;
         registry
             .histogram("annotate.stage_ns", &[("stage", "inference")])
             .record(t.elapsed().as_nanos() as u64);
         let t = Instant::now();
-
-        // Replace previously derived events, keeping caption metadata.
         const DERIVED: [&str; 5] = ["highlight", "start", "fly_out", "passing", "excited"];
-        let kept: Vec<EventRecord> = self
-            .catalog
-            .events(video, None)?
-            .into_iter()
-            .filter(|e| !DERIVED.contains(&e.kind.as_str()))
-            .collect();
-        self.catalog.clear_events(video)?;
-        self.catalog.store_events(video, &kept)?;
         let records = derive_events(&traces, &stored.thresholds);
-        self.catalog.store_events(video, &records)?;
+        self.catalog.replace_events(video, &DERIVED, &records)?;
         registry
             .histogram("annotate.stage_ns", &[("stage", "segmentation")])
             .record(t.elapsed().as_nanos() as u64);

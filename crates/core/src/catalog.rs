@@ -49,6 +49,28 @@ pub struct EventRecord {
     pub driver: Option<String>,
 }
 
+impl From<&EventRecord> for WalEvent {
+    fn from(e: &EventRecord) -> Self {
+        WalEvent {
+            kind: e.kind.clone(),
+            start: e.start as u64,
+            end: e.end as u64,
+            driver: e.driver.clone(),
+        }
+    }
+}
+
+impl From<WalEvent> for EventRecord {
+    fn from(e: WalEvent) -> Self {
+        EventRecord {
+            kind: e.kind,
+            start: e.start as usize,
+            end: e.end as usize,
+            driver: e.driver,
+        }
+    }
+}
+
 /// A condvar-backed broadcast of a monotone counter. The catalog's feed
 /// carries its commit seq ([`data_version`](Catalog::data_version)):
 /// every acknowledged mutation publishes the new seq, and subscribers
@@ -137,7 +159,7 @@ pub struct Catalog {
     ckpt: Mutex<()>,
     /// Holds and broadcasts the commit seq (`data_version`): bumped on
     /// *every* catalog mutation (registration, feature store, event
-    /// append/clear), live or replayed, after it is applied. Paired
+    /// append/replace), live or replayed, after it is applied. Paired
     /// with the boot [`epoch`](Self::epoch) it is this catalog's
     /// [`Stamp`] — the one staleness currency the result caches, the
     /// standing queries and the router all compare.
@@ -224,22 +246,16 @@ impl Catalog {
 
     /// Registers a video's raw-layer descriptor (logged, then applied).
     pub fn register_video(&self, info: VideoInfo) -> Result<()> {
+        let op = WalOp::RegisterVideo {
+            name: info.name,
+            n_clips: info.n_clips as u64,
+            n_frames: info.n_frames as u64,
+        };
         let _commit = self.commit.lock();
         if self.store.is_durable() {
-            self.store.log(&WalOp::RegisterVideo {
-                name: info.name.clone(),
-                n_clips: info.n_clips as u64,
-                n_frames: info.n_frames as u64,
-            })?;
+            self.store.log(&op)?;
         }
-        self.apply_register(info);
-        Ok(())
-    }
-
-    fn apply_register(&self, info: VideoInfo) {
-        let name = info.name.clone();
-        self.videos.write().insert(name.clone(), info);
-        self.commit_seq(Some(&name));
+        self.apply_op(op)
     }
 
     /// The commit seq: strictly increases on every acknowledged
@@ -264,24 +280,27 @@ impl Catalog {
         names
     }
 
-    fn feature_bat_name(video: &str, feature: usize) -> String {
-        format!("{video}.f{}", feature + 1)
+    /// The common width of `rows` (0 for none), or the typed error a
+    /// ragged `what` ("matrix", "chunk") is.
+    fn feature_width_of(video: &str, rows: &[Vec<f64>], what: &str) -> Result<usize> {
+        let n_features = rows.first().map_or(0, Vec::len);
+        match rows.iter().position(|row| row.len() != n_features) {
+            None => Ok(n_features),
+            Some(t) => Err(CobraError::MissingMetadata {
+                video: video.to_string(),
+                what: format!(
+                    "ragged feature {what}: row {t} has {} features, expected {n_features}",
+                    rows[t].len()
+                ),
+            }),
+        }
     }
 
     /// Stores the feature layer: `matrix[t][k]` is feature k at clip t.
     /// Validated first, then logged, then applied.
     pub fn store_features(&self, video: &str, matrix: &[Vec<f64>]) -> Result<()> {
         self.video(video)?;
-        let n_features = matrix.first().map(Vec::len).unwrap_or(0);
-        if let Some(t) = matrix.iter().position(|row| row.len() != n_features) {
-            return Err(CobraError::MissingMetadata {
-                video: video.to_string(),
-                what: format!(
-                    "ragged feature matrix: clip {t} has {} features, expected {n_features}",
-                    matrix[t].len()
-                ),
-            });
-        }
+        let n_features = Self::feature_width_of(video, matrix, "matrix")?;
         let _commit = self.commit.lock();
         if self.store.is_durable() {
             self.store.log(&WalOp::StoreFeatures {
@@ -290,27 +309,20 @@ impl Catalog {
                 values: matrix.iter().flatten().copied().collect(),
             })?;
         }
-        for k in 0..n_features {
-            let bat = Bat::from_tail(AtomType::Dbl, matrix.iter().map(|row| Atom::Dbl(row[k])))?;
-            self.kernel.set_bat(&Self::feature_bat_name(video, k), bat);
-        }
-        self.commit_seq(None);
-        Ok(())
+        self.apply_feature_layer(video, n_features, matrix.iter().map(Vec::as_slice))
     }
 
-    /// Replay-side twin of [`store_features`](Self::store_features): the
-    /// WAL keeps the matrix row-major (`values[t * n_features + k]`).
-    fn apply_features_flat(&self, video: &str, n_features: usize, values: &[f64]) -> Result<()> {
+    /// Binds a fresh feature layer, one column per feature. Shared by
+    /// the live store and WAL replay.
+    fn apply_feature_layer<'r>(
+        &self,
+        video: &str,
+        n_features: usize,
+        rows: impl Iterator<Item = &'r [f64]> + Clone,
+    ) -> Result<()> {
         for k in 0..n_features {
-            let bat = Bat::from_tail(
-                AtomType::Dbl,
-                values
-                    .iter()
-                    .skip(k)
-                    .step_by(n_features)
-                    .map(|&v| Atom::Dbl(v)),
-            )?;
-            self.kernel.set_bat(&Self::feature_bat_name(video, k), bat);
+            let bat = Bat::from_tail(AtomType::Dbl, rows.clone().map(|row| Atom::Dbl(row[k])))?;
+            self.kernel.set_bat(&feature_bat_name(video, k), bat);
         }
         self.commit_seq(None);
         Ok(())
@@ -324,16 +336,7 @@ impl Catalog {
     /// mid-stream replays to exactly the acknowledged prefix.
     pub fn append_features(&self, video: &str, rows: &[Vec<f64>]) -> Result<()> {
         self.video(video)?;
-        let n_features = rows.first().map(Vec::len).unwrap_or(0);
-        if let Some(t) = rows.iter().position(|row| row.len() != n_features) {
-            return Err(CobraError::MissingMetadata {
-                video: video.to_string(),
-                what: format!(
-                    "ragged feature chunk: row {t} has {} features, expected {n_features}",
-                    rows[t].len()
-                ),
-            });
-        }
+        let n_features = Self::feature_width_of(video, rows, "chunk")?;
         let existing = self.feature_width(video);
         if existing > 0 && n_features != existing {
             return Err(CobraError::MissingMetadata {
@@ -358,7 +361,7 @@ impl Catalog {
     /// the layer is absent).
     fn feature_width(&self, video: &str) -> usize {
         let mut k = 0;
-        while self.kernel.has_bat(&Self::feature_bat_name(video, k)) {
+        while self.kernel.has_bat(&feature_bat_name(video, k)) {
             k += 1;
         }
         k
@@ -372,23 +375,24 @@ impl Catalog {
         n_features: usize,
         rows: impl Iterator<Item = &'r [f64]>,
     ) -> Result<()> {
-        for k in 0..n_features {
-            let name = Self::feature_bat_name(video, k);
-            if !self.kernel.has_bat(&name) {
-                self.kernel
-                    .set_bat(&name, Bat::new(AtomType::Void, AtomType::Dbl));
-            }
-        }
+        let columns: Vec<_> = (0..n_features)
+            .map(|k| feature_bat_name(video, k))
+            .map(|name| self.bat_or_empty(&name, AtomType::Dbl))
+            .collect();
         for row in rows {
-            for (k, &v) in row.iter().enumerate() {
-                self.kernel
-                    .bat(&Self::feature_bat_name(video, k))?
-                    .write()
-                    .append_void(Atom::Dbl(v))?;
+            for (column, &v) in columns.iter().zip(row) {
+                column.write().append_void(Atom::Dbl(v))?;
             }
         }
         self.commit_seq(None);
         Ok(())
+    }
+
+    /// The BAT bound to `name`, bound to an empty `[void,ty]` one first
+    /// when there is none.
+    fn bat_or_empty(&self, name: &str, ty: AtomType) -> f1_monet::kernel::BatHandle {
+        let empty = || self.kernel.set_bat(name, Bat::new(AtomType::Void, ty));
+        self.kernel.bat(name).unwrap_or_else(|_| empty())
     }
 
     /// Feature rows committed for `video`, 0 when the layer is absent —
@@ -396,29 +400,14 @@ impl Catalog {
     /// streamed ingest has come.
     pub fn feature_rows(&self, video: &str) -> usize {
         self.kernel
-            .bat(&Self::feature_bat_name(video, 0))
+            .bat(&feature_bat_name(video, 0))
             .map_or(0, |bat| bat.read().len())
     }
 
-    /// Loads the feature layer back as a clip-major matrix.
+    /// [`load_feature_rows`] of a registered video.
     pub fn load_features(&self, video: &str, n_features: usize) -> Result<Vec<Vec<f64>>> {
-        let info = self.video(video)?;
-        let mut matrix = vec![vec![0.0; n_features]; info.n_clips];
-        for k in 0..n_features {
-            let name = Self::feature_bat_name(video, k);
-            let handle = self
-                .kernel
-                .bat(&name)
-                .map_err(|_| CobraError::MissingMetadata {
-                    video: video.to_string(),
-                    what: format!("feature column {}", k + 1),
-                })?;
-            let bat = handle.read();
-            for (t, row) in matrix.iter_mut().enumerate() {
-                row[k] = bat.tail_at(t)?.as_dbl()?;
-            }
-        }
-        Ok(matrix)
+        self.video(video)?;
+        load_feature_rows(&self.kernel, video, n_features)
     }
 
     /// Appends event-layer records (creating the BATs on first use).
@@ -429,67 +418,71 @@ impl Catalog {
         if self.store.is_durable() {
             self.store.log(&WalOp::StoreEvents {
                 video: video.to_string(),
-                events: events
-                    .iter()
-                    .map(|e| WalEvent {
-                        kind: e.kind.clone(),
-                        start: e.start as u64,
-                        end: e.end as u64,
-                        driver: e.driver.clone(),
-                    })
-                    .collect(),
+                events: events.iter().map(WalEvent::from).collect(),
             })?;
         }
         self.apply_events(video, events)
     }
 
     fn apply_events(&self, video: &str, events: &[EventRecord]) -> Result<()> {
-        let names = [
-            format!("{video}.ev.kind"),
-            format!("{video}.ev.start"),
-            format!("{video}.ev.end"),
-            format!("{video}.ev.driver"),
-        ];
-        let types = [AtomType::Str, AtomType::Int, AtomType::Int, AtomType::Str];
-        for (name, ty) in names.iter().zip(types) {
-            if !self.kernel.has_bat(name) {
-                self.kernel.set_bat(name, Bat::new(AtomType::Void, ty));
-            }
-        }
-        let field = |i: usize| self.kernel.bat(&names[i]);
-        let (kinds, starts, ends, drivers) = (field(0)?, field(1)?, field(2)?, field(3)?);
+        let columns =
+            EVENT_FIELDS.map(|(field, ty)| self.bat_or_empty(&format!("{video}.ev.{field}"), ty));
         // Row by row, field by field, each append under its own lock:
         // resolving the handles once changes no order a reader can see.
         for e in events {
-            kinds.write().append_void(Atom::str(&e.kind))?;
-            starts.write().append_void(Atom::Int(e.start as i64))?;
-            ends.write().append_void(Atom::Int(e.end as i64))?;
-            drivers
-                .write()
-                .append_void(Atom::str(e.driver.as_deref().unwrap_or("")))?;
+            for (column, atom) in columns.iter().zip(event_atoms(e)) {
+                column.write().append_void(atom)?;
+            }
         }
         self.commit_seq(Some(video));
         Ok(())
     }
 
-    /// Removes all stored events of a video (e.g. before re-annotation).
-    /// Logged, then applied.
-    pub fn clear_events(&self, video: &str) -> Result<()> {
+    /// One event-layer transaction, a re-annotation's: the rows of
+    /// `drop_kinds` go, the others stay in order, `rows` follow them.
+    /// One WAL record and one commit seq: a failed append or a crash
+    /// leaves the layer as it was. Logged, then applied.
+    pub fn replace_events(
+        &self,
+        video: &str,
+        drop_kinds: &[&str],
+        rows: &[EventRecord],
+    ) -> Result<()> {
+        self.video(video)?;
+        let op = WalOp::ReplaceEvents {
+            video: video.to_string(),
+            drop_kinds: drop_kinds.iter().map(|k| k.to_string()).collect(),
+            events: rows.iter().map(WalEvent::from).collect(),
+        };
         let _commit = self.commit.lock();
         if self.store.is_durable() {
-            self.store.log(&WalOp::ClearEvents {
-                video: video.to_string(),
-            })?;
+            self.store.log(&op)?;
         }
-        self.apply_clear_events(video);
-        Ok(())
+        self.apply_op(op)
     }
 
-    fn apply_clear_events(&self, video: &str) {
-        for suffix in ["kind", "start", "end", "driver"] {
-            let _ = self.kernel.drop_bat(&format!("{video}.ev.{suffix}"));
+    /// Under the commit lock, so the rows kept are the rows committed.
+    /// The four columns are built aside, then rebound by name.
+    fn apply_replace_events(
+        &self,
+        video: &str,
+        drop_kinds: &[String],
+        rows: Vec<EventRecord>,
+    ) -> Result<()> {
+        let mut layer = self.events(video, None)?;
+        layer.retain(|e| !drop_kinds.contains(&e.kind));
+        layer.extend(rows);
+        let mut columns = EVENT_FIELDS.map(|(_, ty)| Bat::new(AtomType::Void, ty));
+        for e in &layer {
+            for (column, atom) in columns.iter_mut().zip(event_atoms(e)) {
+                column.append_void(atom)?;
+            }
+        }
+        for ((field, _), column) in EVENT_FIELDS.into_iter().zip(columns) {
+            self.kernel.set_bat(&format!("{video}.ev.{field}"), column);
         }
         self.commit_seq(Some(video));
+        Ok(())
     }
 
     /// Loads the event layer, optionally filtered by kind.
@@ -499,14 +492,11 @@ impl Catalog {
         if !self.kernel.has_bat(&name) {
             return Ok(Vec::new());
         }
-        let kinds = self.kernel.bat(&name)?;
-        let starts = self.kernel.bat(&format!("{video}.ev.start"))?;
-        let ends = self.kernel.bat(&format!("{video}.ev.end"))?;
-        let drivers = self.kernel.bat(&format!("{video}.ev.driver"))?;
-        let kinds = kinds.read();
-        let starts = starts.read();
-        let ends = ends.read();
-        let drivers = drivers.read();
+        let [kinds, starts, ends, drivers] =
+            EVENT_FIELDS.map(|(field, _)| self.kernel.bat(&format!("{video}.ev.{field}")));
+        let (kinds, starts, ends, drivers) = (kinds?, starts?, ends?, drivers?);
+        let (kinds, starts, ends, drivers) =
+            (kinds.read(), starts.read(), ends.read(), drivers.read());
         let kind_column = kinds
             .tail()
             .strs()
@@ -570,32 +560,41 @@ impl Catalog {
                 n_clips,
                 n_frames,
             } => {
-                self.apply_register(VideoInfo {
-                    name,
+                let info = VideoInfo {
+                    name: name.clone(),
                     n_clips: n_clips as usize,
                     n_frames: n_frames as usize,
-                });
+                };
+                self.videos.write().insert(name.clone(), info);
+                self.commit_seq(Some(&name));
                 Ok(())
             }
             WalOp::StoreFeatures {
                 video,
                 n_features,
                 values,
-            } => self.apply_features_flat(&video, n_features as usize, &values),
+            } => {
+                let n_features = n_features as usize;
+                self.apply_feature_layer(&video, n_features, values.chunks_exact(n_features.max(1)))
+            }
             WalOp::StoreEvents { video, events } => {
-                let records: Vec<EventRecord> = events
-                    .into_iter()
-                    .map(|e| EventRecord {
-                        kind: e.kind,
-                        start: e.start as usize,
-                        end: e.end as usize,
-                        driver: e.driver,
-                    })
-                    .collect();
+                let records: Vec<EventRecord> = events.into_iter().map(Into::into).collect();
                 self.apply_events(&video, &records)
             }
+            WalOp::ReplaceEvents {
+                video,
+                drop_kinds,
+                events,
+            } => {
+                let rows = events.into_iter().map(Into::into).collect();
+                self.apply_replace_events(&video, &drop_kinds, rows)
+            }
+            // Written before `ReplaceEvents` existed, only replayed now.
             WalOp::ClearEvents { video } => {
-                self.apply_clear_events(&video);
+                for (field, _) in EVENT_FIELDS {
+                    let _ = self.kernel.drop_bat(&format!("{video}.ev.{field}"));
+                }
+                self.commit_seq(Some(&video));
                 Ok(())
             }
             WalOp::AppendFeatures {
@@ -675,6 +674,55 @@ impl Catalog {
             bats,
         }
     }
+}
+
+/// The event layer's four parallel columns, `{video}.ev.<field>`.
+const EVENT_FIELDS: [(&str, AtomType); 4] = [
+    ("kind", AtomType::Str),
+    ("start", AtomType::Int),
+    ("end", AtomType::Int),
+    ("driver", AtomType::Str),
+];
+
+/// One row's values, in [`EVENT_FIELDS`] order (no driver is `""`).
+fn event_atoms(e: &EventRecord) -> [Atom; 4] {
+    [
+        Atom::str(&e.kind),
+        Atom::Int(e.start as i64),
+        Atom::Int(e.end as i64),
+        Atom::str(e.driver.as_deref().unwrap_or("")),
+    ]
+}
+
+fn feature_bat_name(video: &str, feature: usize) -> String {
+    format!("{video}.f{}", feature + 1)
+}
+
+/// The first `n_features` feature columns of `video` as a clip-major
+/// matrix (`matrix[t][k]`), copied off the typed column slices and sized
+/// by the rows committed, not the clips registered. The one reader of the
+/// layer: training, every filter pass, and `dbnInfer` on a bare kernel.
+pub fn load_feature_rows(kernel: &Kernel, video: &str, n_features: usize) -> Result<Vec<Vec<f64>>> {
+    let mut matrix = Vec::new();
+    for k in 0..n_features {
+        let missing = || CobraError::MissingMetadata {
+            video: video.to_string(),
+            what: format!("feature column {}", k + 1),
+        };
+        let handle = kernel.bat(&feature_bat_name(video, k));
+        let handle = handle.map_err(|_| missing())?;
+        let bat = handle.read();
+        let column = bat.tail().dbls().ok_or_else(missing)?;
+        if k == 0 {
+            matrix = vec![vec![0.0; n_features]; column.len()];
+        }
+        // A window being appended has reached the first column first.
+        matrix.truncate(column.len());
+        for (row, &v) in matrix.iter_mut().zip(column) {
+            row[k] = v;
+        }
+    }
+    Ok(matrix)
 }
 
 #[cfg(test)]
@@ -768,7 +816,24 @@ mod tests {
         assert_eq!(pits[0].driver.as_deref(), Some("HAKKINEN"));
         // A kind the layer never stored is an empty answer.
         assert!(c.events("german", Some("fly_out")).unwrap().is_empty());
-        c.clear_events("german").unwrap();
+        // A replace drops the kinds it names, keeps the others in order
+        // and appends its rows after them.
+        let excited = EventRecord {
+            kind: "excited".into(),
+            start: 20,
+            end: 60,
+            driver: None,
+        };
+        c.replace_events(
+            "german",
+            &["highlight", "excited"],
+            std::slice::from_ref(&excited),
+        )
+        .unwrap();
+        let layer = c.events("german", None).unwrap();
+        assert_eq!(layer, [pits[0].clone(), excited]);
+        c.replace_events("german", &["pit_stop", "excited"], &[])
+            .unwrap();
         assert!(c.events("german", None).unwrap().is_empty());
     }
 
@@ -799,11 +864,8 @@ mod tests {
         .unwrap();
         let v3 = c.data_version();
         assert!(v3 > v2, "event append must advance the data version");
-        c.clear_events("german").unwrap();
-        assert!(
-            c.data_version() > v3,
-            "event clear must advance the data version"
-        );
+        c.replace_events("german", &["highlight"], &[]).unwrap();
+        assert_eq!(c.data_version(), v3 + 1, "an event replace is one commit");
         // Reads leave it alone.
         let quiesced = c.data_version();
         let _ = c.events("german", None);
@@ -851,7 +913,7 @@ mod tests {
         let appended = c.video_stamp("german");
         assert!(appended > registered);
         assert_eq!(appended, c.stamp());
-        c.clear_events("german").unwrap();
+        c.replace_events("german", &["highlight"], &[]).unwrap();
         let cleared = c.video_stamp("german");
         assert!(cleared > appended);
         c.register_video(info("german")).unwrap();
@@ -956,6 +1018,36 @@ mod tests {
         c.append_features("german", &[vec![0.5]]).unwrap();
         let got = waiter.join().unwrap();
         assert_eq!(got, Some(c.data_version()));
+    }
+
+    /// `ClearEvents` is no longer written, but a data directory from
+    /// before `replace_events` holds such records: they still replay.
+    #[test]
+    fn a_log_holding_an_old_clear_events_record_recovers() {
+        let dir = std::env::temp_dir().join(format!("cobra-oldclear-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = cobra_store::StoreConfig::new(&dir);
+        let row = |start| EventRecord {
+            kind: "highlight".into(),
+            start,
+            end: start + 10,
+            driver: None,
+        };
+        {
+            let old = crate::Vdbms::open(&config).unwrap();
+            let info = catalog().video("german").unwrap();
+            old.catalog.register_video(info).unwrap();
+            old.catalog.store_events("german", &[row(0)]).unwrap();
+            let clear = WalOp::ClearEvents {
+                video: "german".into(),
+            };
+            old.catalog.store().log(&clear).unwrap();
+            old.catalog.store_events("german", &[row(50)]).unwrap();
+        }
+        let recovered = crate::Vdbms::open(&config).unwrap();
+        assert_eq!(recovered.catalog.events("german", None).unwrap(), [row(50)]);
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -17,12 +17,14 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use f1_bayes::engine::Engine;
+use f1_bayes::engine::{Engine, Posteriors};
 use f1_bayes::evidence::EvidenceSeq;
 use f1_bayes::paper::PaperNet;
 use f1_bayes::slice::NodeId;
 use f1_monet::prelude::*;
 use f1_monet::MilValue;
+
+use crate::catalog::load_feature_rows;
 
 /// A stored, trained network with its query nodes.
 #[derive(Clone)]
@@ -34,6 +36,27 @@ pub struct StoredNet {
     /// Decision thresholds calibrated on the training windows, per query
     /// node name (annotation falls back to 0.5 when absent).
     pub thresholds: HashMap<String, f64>,
+}
+
+/// The posterior of every node of `net` over the committed feature rows
+/// of `video`: one read through the one loader, one engine compile, one
+/// Boyen–Koller filter pass. Whatever filters a whole video — training's
+/// calibration, annotation, the paper tables, `dbnInfer` — reads off it.
+pub fn posterior(kernel: &Kernel, video: &str, net: &PaperNet) -> crate::Result<Posteriors> {
+    let rows = load_feature_rows(kernel, video, net.feature_nodes.len())?;
+    let evidence = EvidenceSeq::from_matrix(&net.feature_nodes, &rows);
+    Ok(Engine::new(&net.dbn)?.filter(&evidence, None)?)
+}
+
+impl StoredNet {
+    /// Every query's trace (probability of state 1 per clip) over
+    /// `video`, by query name, off one [`posterior`].
+    pub fn infer(&self, kernel: &Kernel, video: &str) -> crate::Result<HashMap<String, Vec<f64>>> {
+        let post = posterior(kernel, video, &self.net)?;
+        (self.queries.iter())
+            .map(|(query, node)| Ok((query.clone(), post.trace(*node, 1)?)))
+            .collect()
+    }
 }
 
 /// Shared store of trained networks.
@@ -85,23 +108,14 @@ impl MelModule for DbnModule {
                 Ok(MilValue::new_bat(out))
             }
             "dbnInfer" => {
-                // dbnInfer(video, netName, queryNode) -> [void,dbl] trace
-                let video = args
-                    .first()
-                    .ok_or_else(|| module_err("dbnInfer(video, net, query)"))?
-                    .as_atom()
-                    .map_err(module_err)?;
-                let net_name = args
-                    .get(1)
-                    .ok_or_else(|| module_err("dbnInfer(video, net, query)"))?
-                    .as_atom()
-                    .map_err(module_err)?;
-                let query = args
-                    .get(2)
-                    .ok_or_else(|| module_err("dbnInfer(video, net, query)"))?
-                    .as_atom()
-                    .map_err(module_err)?;
-                let video = video.as_str()?.to_string();
+                // dbnInfer(video, netName, queryNode) -> [void,dbl] trace:
+                // one query's pick off the network's `posterior`.
+                let arg = |i: usize| {
+                    let value = args.get(i);
+                    let value = value.ok_or_else(|| module_err("dbnInfer(video, net, query)"))?;
+                    value.as_atom().map_err(module_err)
+                };
+                let (video, net_name, query) = (arg(0)?, arg(1)?, arg(2)?);
                 let nets = self.nets.read();
                 let stored = nets
                     .get(net_name.as_str()?)
@@ -112,35 +126,9 @@ impl MelModule for DbnModule {
                     .find(|(n, _)| n == query.as_str().unwrap_or(""))
                     .map(|(_, id)| *id)
                     .ok_or_else(|| module_err(format!("no query node '{query}'")))?;
-
-                // Load the evidence columns straight from catalog BATs.
-                let n_features = stored.net.feature_nodes.len();
-                let mut columns: Vec<Vec<f64>> = Vec::with_capacity(n_features);
-                for k in 0..n_features {
-                    let bat = kernel.bat(&format!("{video}.f{}", k + 1))?;
-                    let bat = bat.read();
-                    let col: std::result::Result<Vec<f64>, MonetError> =
-                        bat.tail().iter().map(|a| a.as_dbl()).collect();
-                    columns.push(col?);
-                }
-                let n_clips = columns.first().map(Vec::len).unwrap_or(0);
-                let mut matrix = vec![vec![0.0; n_features]; n_clips];
-                for (k, col) in columns.iter().enumerate() {
-                    for (t, &v) in col.iter().enumerate() {
-                        matrix[t][k] = v;
-                    }
-                }
-                let ev = EvidenceSeq::from_matrix(&stored.net.feature_nodes, &matrix);
-                let engine = Engine::new(&stored.net.dbn).map_err(module_err)?;
-                let post = engine.filter(&ev, None).map_err(module_err)?;
+                let post = posterior(kernel, video.as_str()?, &stored.net).map_err(module_err)?;
                 let trace = post.trace(query_id, 1).map_err(module_err)?;
-                let mut out = Bat::new(AtomType::Void, AtomType::Dbl);
-                for p in trace {
-                    out.append_void(Atom::Dbl(p))?;
-                }
-                // Cache the trace in the catalog, as the paper's dynamic
-                // extraction would.
-                kernel.set_bat(&format!("{video}.trace.{}", query.as_str()?), out.clone());
+                let out = Bat::from_tail(AtomType::Dbl, trace.into_iter().map(Atom::Dbl))?;
                 Ok(MilValue::new_bat(out))
             }
             other => Err(MonetError::NotFound(format!("dbn.{other}"))),
@@ -385,9 +373,9 @@ impl MethodRegistry {
     }
 
     /// The default table of the Formula 1 system: two feature-extraction
-    /// configurations and two inference algorithms. The full extractor
-    /// is worth one retry on a transient failure before ingestion
-    /// degrades to the fast profile; everything else fails over at once.
+    /// configurations. The full extractor is worth one retry on a
+    /// transient failure before ingestion degrades to the fast profile,
+    /// which fails over at once.
     pub fn formula1() -> Self {
         let mut r = MethodRegistry::new();
         r.add(
@@ -408,24 +396,6 @@ impl MethodRegistry {
                 name: "fast".into(),
                 cost_per_clip: 4.0,
                 quality: 0.8,
-                retry: RetryPolicy::default(),
-            },
-        );
-        r.add(
-            "inference",
-            MethodProfile {
-                name: "exact".into(),
-                cost_per_clip: 2.0,
-                quality: 0.95,
-                retry: RetryPolicy::default(),
-            },
-        );
-        r.add(
-            "inference",
-            MethodProfile {
-                name: "boyen-koller".into(),
-                cost_per_clip: 0.8,
-                quality: 0.85,
                 retry: RetryPolicy::default(),
             },
         );
@@ -475,13 +445,6 @@ impl MethodRegistry {
         });
         out
     }
-
-    /// Estimated cost of running `task` over `n_clips`, in the declared
-    /// (abstract) cost units of the chosen method.
-    pub fn estimate(&self, task: &str, min_quality: f64, n_clips: usize) -> Option<f64> {
-        self.choose(task, min_quality)
-            .map(|m| m.cost_per_clip * n_clips as f64)
-    }
 }
 
 #[cfg(test)]
@@ -499,10 +462,6 @@ mod tests {
         // Impossible requirement: fall back to the best available.
         assert_eq!(r.choose("feature_extraction", 0.99).unwrap().name, "full");
         assert_eq!(r.choose("nonexistent", 0.5), None);
-        assert_eq!(
-            r.estimate("inference", 0.9, 100),
-            Some(200.0) // exact at 2.0/clip
-        );
     }
 
     #[test]
@@ -526,8 +485,9 @@ mod tests {
         // The head of the ranking always agrees with `choose`.
         for min_q in [0.7, 0.9, 0.99] {
             assert_eq!(
-                r.ranked("inference", min_q).first().map(|m| m.name.clone()),
-                r.choose("inference", min_q).map(|m| m.name.clone()),
+                (r.ranked("feature_extraction", min_q).first()).map(|m| m.name.clone()),
+                r.choose("feature_extraction", min_q)
+                    .map(|m| m.name.clone()),
             );
         }
         assert!(r.ranked("nonexistent", 0.5).is_empty());
@@ -644,8 +604,8 @@ mod tests {
         let p0 = bat.tail_at(0).unwrap().as_dbl().unwrap();
         let p1 = bat.tail_at(1).unwrap().as_dbl().unwrap();
         assert!(p1 > p0 + 0.2, "excited clip {p1} vs quiet {p0}");
-        // The trace was cached in the catalog.
-        assert!(kernel.has_bat("german.trace.EA"));
+        // The procedure returns its trace and binds nothing.
+        assert!(!kernel.bat_names().iter().any(|name| name.contains("trace")));
         // dbnList exposes the store.
         let names = kernel.eval_mil("RETURN dbnList();").unwrap();
         assert_eq!(names.as_bat().unwrap().read().len(), 1);

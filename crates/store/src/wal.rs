@@ -95,7 +95,9 @@ pub enum WalOp {
         /// The appended rows, in order.
         events: Vec<WalEvent>,
     },
-    /// The event layer of a video was dropped.
+    /// The event layer of a video was dropped. No longer written (a
+    /// re-annotation is one [`ReplaceEvents`](WalOp::ReplaceEvents));
+    /// still decoded and replayed so logs from before that recover.
     ClearEvents {
         /// The video.
         video: String,
@@ -111,6 +113,16 @@ pub enum WalOp {
         /// Row-major appended values (`n_new_clips * n_features`).
         values: Vec<f64>,
     },
+    /// One event-layer transaction: the rows of `drop_kinds` go, the
+    /// other rows stay in order, `events` are appended after them.
+    ReplaceEvents {
+        /// The video.
+        video: String,
+        /// The kinds whose rows are dropped.
+        drop_kinds: Vec<String>,
+        /// The appended rows, in order.
+        events: Vec<WalEvent>,
+    },
 }
 
 const TAG_BOOT: u8 = 1;
@@ -119,6 +131,47 @@ const TAG_FEATURES: u8 = 3;
 const TAG_EVENTS: u8 = 4;
 const TAG_CLEAR: u8 = 5;
 const TAG_APPEND_FEATURES: u8 = 6;
+const TAG_REPLACE_EVENTS: u8 = 7;
+
+fn encode_events(e: &mut Enc, events: &[WalEvent]) {
+    e.u32(events.len() as u32);
+    for ev in events {
+        e.str(&ev.kind);
+        e.u64(ev.start);
+        e.u64(ev.end);
+        match &ev.driver {
+            Some(d) => {
+                e.u8(1);
+                e.str(d);
+            }
+            None => e.u8(0),
+        }
+    }
+}
+
+fn decode_events(d: &mut Dec<'_>) -> Result<Vec<WalEvent>, CodecError> {
+    let n = d.count(17, "event rows")?;
+    let mut events = Vec::with_capacity(n);
+    for _ in 0..n {
+        let kind = d.str("event kind")?;
+        let start = d.u64("event start")?;
+        let end = d.u64("event end")?;
+        let driver = match d.u8("driver flag")? {
+            0 => None,
+            1 => Some(d.str("event driver")?),
+            other => {
+                return Err(CodecError::new(format!("driver flag {other}")));
+            }
+        };
+        events.push(WalEvent {
+            kind,
+            start,
+            end,
+            driver,
+        });
+    }
+    Ok(events)
+}
 
 impl WalOp {
     /// Encodes the op body (tag included) into `e`.
@@ -154,19 +207,7 @@ impl WalOp {
             WalOp::StoreEvents { video, events } => {
                 e.u8(TAG_EVENTS);
                 e.str(video);
-                e.u32(events.len() as u32);
-                for ev in events {
-                    e.str(&ev.kind);
-                    e.u64(ev.start);
-                    e.u64(ev.end);
-                    match &ev.driver {
-                        Some(d) => {
-                            e.u8(1);
-                            e.str(d);
-                        }
-                        None => e.u8(0),
-                    }
-                }
+                encode_events(e, events);
             }
             WalOp::ClearEvents { video } => {
                 e.u8(TAG_CLEAR);
@@ -184,6 +225,19 @@ impl WalOp {
                 for v in values {
                     e.f64(*v);
                 }
+            }
+            WalOp::ReplaceEvents {
+                video,
+                drop_kinds,
+                events,
+            } => {
+                e.u8(TAG_REPLACE_EVENTS);
+                e.str(video);
+                e.u32(drop_kinds.len() as u32);
+                for kind in drop_kinds {
+                    e.str(kind);
+                }
+                encode_events(e, events);
             }
         }
     }
@@ -218,30 +272,10 @@ impl WalOp {
                     values,
                 })
             }
-            TAG_EVENTS => {
-                let video = d.str("video name")?;
-                let n = d.count(17, "event rows")?;
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let kind = d.str("event kind")?;
-                    let start = d.u64("event start")?;
-                    let end = d.u64("event end")?;
-                    let driver = match d.u8("driver flag")? {
-                        0 => None,
-                        1 => Some(d.str("event driver")?),
-                        other => {
-                            return Err(CodecError::new(format!("driver flag {other}")));
-                        }
-                    };
-                    events.push(WalEvent {
-                        kind,
-                        start,
-                        end,
-                        driver,
-                    });
-                }
-                Ok(WalOp::StoreEvents { video, events })
-            }
+            TAG_EVENTS => Ok(WalOp::StoreEvents {
+                video: d.str("video name")?,
+                events: decode_events(d)?,
+            }),
             TAG_CLEAR => Ok(WalOp::ClearEvents {
                 video: d.str("video name")?,
             }),
@@ -262,6 +296,19 @@ impl WalOp {
                     video,
                     n_features,
                     values,
+                })
+            }
+            TAG_REPLACE_EVENTS => {
+                let video = d.str("video name")?;
+                let n = d.count(4, "dropped kinds")?;
+                let mut drop_kinds = Vec::with_capacity(n);
+                for _ in 0..n {
+                    drop_kinds.push(d.str("dropped kind")?);
+                }
+                Ok(WalOp::ReplaceEvents {
+                    video,
+                    drop_kinds,
+                    events: decode_events(d)?,
                 })
             }
             other => Err(CodecError::new(format!("unknown op tag {other}"))),
@@ -565,6 +612,16 @@ mod tests {
                 n_features: 2,
                 values: vec![0.5, 0.75],
             },
+            WalOp::ReplaceEvents {
+                video: "german".into(),
+                drop_kinds: vec!["highlight".into(), "excited".into()],
+                events: vec![WalEvent {
+                    kind: "highlight".into(),
+                    start: 12,
+                    end: 90,
+                    driver: None,
+                }],
+            },
         ]
     }
 
@@ -577,10 +634,10 @@ mod tests {
         }
         let scan = read_wal_file(&path).unwrap();
         assert!(!scan.torn);
-        assert_eq!(scan.records.len(), 6);
+        assert_eq!(scan.records.len(), 7);
         assert_eq!(
             scan.records.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5, 6]
+            vec![1, 2, 3, 4, 5, 6, 7]
         );
         let decoded: Vec<WalOp> = scan.records.into_iter().map(|(_, op)| op).collect();
         // NaN != NaN under PartialEq for f64; compare via bit patterns.
@@ -595,7 +652,9 @@ mod tests {
         }
         assert_eq!(decoded[0], sample_ops()[0]);
         assert_eq!(decoded[3], sample_ops()[3]);
+        assert_eq!(decoded[4], sample_ops()[4]);
         assert_eq!(decoded[5], sample_ops()[5]);
+        assert_eq!(decoded[6], sample_ops()[6]);
     }
 
     #[test]
@@ -609,7 +668,7 @@ mod tests {
         for cut in [full.len() - 1, full.len() - 7, full.len() / 2, 3, 0] {
             std::fs::write(&path, &full[..cut]).unwrap();
             let scan = read_wal_file(&path).unwrap();
-            assert!(scan.records.len() <= 5);
+            assert!(scan.records.len() < sample_ops().len());
             for (i, (seq, _)) in scan.records.iter().enumerate() {
                 assert_eq!(*seq, i as u64 + 1, "prefix property violated");
             }
@@ -629,7 +688,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let scan = read_wal_file(&path).unwrap();
         assert!(scan.torn);
-        assert!(scan.records.len() < 5);
+        assert!(scan.records.len() < sample_ops().len());
     }
 
     #[test]

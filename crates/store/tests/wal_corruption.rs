@@ -37,13 +37,27 @@ impl Drop for ScratchWal {
 /// values (NaNs and all), so byte-exactness is part of the property.
 fn arb_op() -> impl Strategy<Value = WalOp> {
     (
-        0u8..5,
+        0u8..6,
         1u64..1_000,
         collection::vec(proptest::char::range('a', 'z'), 1..9),
         collection::vec(0u64..u64::MAX, 0..6),
     )
         .prop_map(|(kind, n, name_chars, bits)| {
             let name: String = name_chars.into_iter().collect();
+            let events = |name: &String| -> Vec<WalEvent> {
+                bits.iter()
+                    .map(|&b| WalEvent {
+                        kind: if b % 2 == 0 {
+                            "highlight".to_string()
+                        } else {
+                            format!("caption:{name}")
+                        },
+                        start: b % 500,
+                        end: b % 500 + 10,
+                        driver: (b % 3 == 0).then(|| name.clone()),
+                    })
+                    .collect()
+            };
             match kind {
                 0 => WalOp::Boot { epoch: n },
                 1 => WalOp::RegisterVideo {
@@ -62,20 +76,15 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
                         .collect(),
                 },
                 3 => WalOp::StoreEvents {
-                    video: name.clone(),
-                    events: bits
-                        .iter()
-                        .map(|&b| WalEvent {
-                            kind: if b % 2 == 0 {
-                                "highlight".to_string()
-                            } else {
-                                format!("caption:{name}")
-                            },
-                            start: b % 500,
-                            end: b % 500 + 10,
-                            driver: (b % 3 == 0).then(|| name.clone()),
-                        })
+                    events: events(&name),
+                    video: name,
+                },
+                4 => WalOp::ReplaceEvents {
+                    drop_kinds: (bits.iter())
+                        .map(|&b| if b % 2 == 0 { "highlight" } else { "excited" }.to_string())
                         .collect(),
+                    events: events(&name),
+                    video: name,
                 },
                 _ => WalOp::ClearEvents { video: name },
             }

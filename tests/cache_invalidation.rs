@@ -14,6 +14,7 @@ use std::sync::Arc;
 use cobra_faults::{FaultPlan, Trigger};
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::Vdbms;
+use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig};
 
 fn event(kind: &str, start: usize, end: usize, driver: Option<&str>) -> EventRecord {
     EventRecord {
@@ -90,6 +91,39 @@ fn write_between_identical_queries_invalidates_the_cached_result() {
     assert_eq!(vdbms.query("v", "RETRIEVE HIGHLIGHTS").unwrap(), after);
     let d = registry.snapshot().delta(&snap);
     assert_eq!(d.counter("cache.result", &[("result", "hit")]), 1);
+}
+
+/// A re-annotation is one commit: the commit seq advances by exactly
+/// one, the video's stamp lands on it, a cached answer is voided once —
+/// and an answer over the caption rows, which a re-annotation keeps, is
+/// the same before and after.
+#[test]
+fn a_reannotation_is_one_commit_that_keeps_the_caption_answers() {
+    let scenario = RaceScenario::generate(ScenarioConfig::new(RaceProfile::German, 120));
+    let vdbms = Vdbms::try_new().unwrap();
+    vdbms.ingest("german", &scenario).unwrap();
+    let windows = f1_cobra::training_windows(scenario.n_clips);
+    vdbms
+        .train_highlight_net("german", &scenario, &windows, true)
+        .unwrap();
+    let registry = Arc::clone(vdbms.kernel().metrics().registry());
+    for round in 0..2 {
+        let pits = vdbms.query("german", "RETRIEVE PITSTOPS").unwrap();
+        assert!(!pits.is_empty(), "the broadcast captions a pit stop");
+        let before = vdbms.catalog.data_version();
+        vdbms.annotate("german", "av").unwrap();
+        assert_eq!(vdbms.catalog.data_version(), before + 1, "round {round}");
+        assert_eq!(vdbms.catalog.video_stamp("german").seq, before + 1);
+
+        let snap = registry.snapshot();
+        assert_eq!(vdbms.query("german", "RETRIEVE PITSTOPS").unwrap(), pits);
+        let d = registry.snapshot().delta(&snap);
+        assert_eq!(d.counter("cache.result", &[("result", "invalidated")]), 1);
+        assert!(!vdbms
+            .query("german", "RETRIEVE HIGHLIGHTS")
+            .unwrap()
+            .is_empty());
+    }
 }
 
 /// Threaded writer vs cached readers (the concurrency.rs harness shape

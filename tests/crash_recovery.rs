@@ -86,8 +86,7 @@ fn event(kind: &str, start: usize, driver: Option<&str>) -> EventRecord {
 #[test]
 fn acknowledged_mutations_survive_reboot() {
     let dir = TempDir::new("plain");
-    // One row per registered clip (`load_features` reads `n_clips` rows);
-    // row 1 carries a NaN to prove bit-exact f64 round-tripping.
+    // One row per registered clip; row 1 carries a NaN to prove bit-exact f64 round-tripping.
     let mut features: Vec<Vec<f64>> = (0..120)
         .map(|t| vec![t as f64 * 0.25, -(t as f64)])
         .collect();
@@ -422,6 +421,64 @@ fn wal_fault_matrix_restores_exactly_acknowledged_state() {
     }
 }
 
+/// A re-annotation is one WAL record: when its append fails, the event
+/// layer — recognized captions included — is what it was before the
+/// call, live and after a reboot; when it lands, the reboot replays it
+/// to the live rows. (As three records — clear, re-store the kept rows,
+/// store the derived ones — failing the second or third left the video
+/// with no events, or no derived events, for good.)
+#[test]
+fn a_failed_annotate_commit_leaves_the_event_layer_as_it_was() {
+    let scenario = common::german_scenario(90);
+    let dir = TempDir::new("annotate");
+    let mut vdbms = boot(dir.path());
+    vdbms.ingest("german", &scenario).expect("ingest");
+    vdbms
+        .train_highlight_net(
+            "german",
+            &scenario,
+            &f1_cobra::training_windows(scenario.n_clips),
+            true,
+        )
+        .expect("train");
+    let net = vdbms.net("av").expect("just trained");
+    let layer = |vdbms: &Vdbms| vdbms.catalog.events("german", None).expect("events");
+    let captions = layer(&vdbms);
+    assert!(!captions.is_empty(), "ingest recognized captions");
+    vdbms.annotate("german", "av").expect("annotate");
+    let annotated = layer(&vdbms);
+    assert_eq!(annotated[..captions.len()], captions[..]);
+    assert!(
+        annotated.len() > captions.len(),
+        "annotation derived events"
+    );
+
+    let mut failed = 0;
+    for skip in 0..3 {
+        let before = layer(&vdbms);
+        let plan = FaultPlan::new(5).fail("store.wal.append", Trigger::Nth { skip, times: 1 });
+        let (result, faults) = vdbms
+            .faults()
+            .scope(plan, || vdbms.annotate("german", "av"));
+        if faults.count("store.wal.append") == 0 {
+            result.expect("no fault fired");
+        } else {
+            assert!(
+                matches!(result, Err(CobraError::Store(_))),
+                "skip {skip}: {result:?}"
+            );
+            failed += 1;
+        }
+        assert_eq!(layer(&vdbms), before, "skip {skip}: live");
+        drop(vdbms);
+        vdbms = boot(dir.path());
+        assert_eq!(layer(&vdbms), before, "skip {skip}: recovered");
+        vdbms.install_net("av", net.clone());
+    }
+    assert_eq!(failed, 1, "one append per annotate: only skip 0 meets it");
+    assert_eq!(layer(&vdbms), annotated);
+}
+
 /// A torn tail must not poison *later* incarnations: recovery truncates
 /// the tear away, so a second crash after post-tear ingests still
 /// replays every acknowledged record and keeps epochs strictly
@@ -558,14 +615,14 @@ fn epochs_keep_pre_crash_version_vectors_disjoint() {
     let post = vdbms.query("german", "RETRIEVE HIGHLIGHTS").expect("query");
     assert_eq!(post.len(), 1);
     // …and keeps tracking mutations made after recovery.
-    vdbms.catalog.clear_events("german").expect("clear");
     vdbms
         .catalog
-        .store_events(
+        .replace_events(
             "german",
+            &["highlight"],
             &[event("highlight", 20, None), event("highlight", 50, None)],
         )
-        .expect("events");
+        .expect("replace");
     let fresh = vdbms.query("german", "RETRIEVE HIGHLIGHTS").expect("query");
     assert_eq!(fresh.len(), 2, "post-recovery cache invalidates on write");
 
@@ -577,7 +634,7 @@ fn epochs_keep_pre_crash_version_vectors_disjoint() {
         "epochs are strictly increasing"
     );
     let survived = vdbms.query("german", "RETRIEVE HIGHLIGHTS").expect("query");
-    assert_eq!(survived.len(), 2, "clear + re-store replays in order");
+    assert_eq!(survived.len(), 2, "the replace replays whole");
 }
 
 #[test]

@@ -85,7 +85,13 @@ fn mil_program_runs_dbn_inference_over_catalog_features() {
         )
         .unwrap();
     assert_eq!(out, MilValue::Atom(Atom::Int(1)));
-    // The cached trace landed in the catalog and Moa can aggregate it.
+    // The procedure binds nothing; a caller that wants the trace in the
+    // catalog binds what it returns, and Moa can aggregate it.
+    assert_eq!(kernel.bat_names().len(), 10);
+    let trace = kernel
+        .eval_mil(r#"RETURN dbnInfer("race", "audio", "EA");"#)
+        .unwrap();
+    kernel.set_bat("race.trace.EA", trace.as_bat().unwrap().read().clone());
     let expr = MoaExpr::collection("race.trace.EA")
         .select(Predicate::Range(Atom::Dbl(0.0), Atom::Dbl(1.0)))
         .aggregate(Aggregate::Count);
@@ -116,10 +122,9 @@ fn parallel_mil_block_coordinates_both_modules() {
                 VAR who := hmmClassify(bat("obs"), 2);
                 VAR trace := dbnInfer("race", "audio", "EA");
             }
-            RETURN who;
+            RETURN who + str(trace.count);
             "#,
         )
         .unwrap();
-    assert_eq!(out, MilValue::Atom(Atom::str("Low")));
-    assert!(kernel.has_bat("race.trace.EA"));
+    assert_eq!(out, MilValue::Atom(Atom::str("Low1")));
 }

@@ -3,12 +3,12 @@
 
 mod common;
 
-use std::collections::HashMap;
-
 use cobra_f1::bayes::dbn::Dbn;
 use cobra_f1::bayes::metrics::{precision_recall, Segment};
+use cobra_f1::bayes::paper::audio_visual_dbn;
 use cobra_f1::cobra::catalog::{EventRecord, VideoInfo};
-use cobra_f1::cobra::{derive_events, query_truth, training_windows, Vdbms};
+use cobra_f1::cobra::extensions::StoredNet;
+use cobra_f1::cobra::{derive_events, query_truth, training_windows, CobraError, Vdbms};
 use cobra_f1::media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig, Span};
 
 fn scenario() -> RaceScenario {
@@ -181,7 +181,7 @@ fn derived_layer(vdbms: &Vdbms, video: &str) -> Vec<EventRecord> {
 /// The paper's tables are `RETRIEVE` answers: for the audio-visual net
 /// without and with the passing sub-network, precision/recall of what the
 /// query language returns equals precision/recall of `derive_events` over
-/// the raw `dbnInfer` traces. Along the way, the generic `train_net` must
+/// the raw `infer` traces. Along the way, the generic `train_net` must
 /// leave `train_highlight_net` the CPTs it trained before it existed
 /// (digests taken at the commit before).
 #[test]
@@ -207,12 +207,8 @@ fn retrieved_answers_score_like_the_raw_traces_of_the_pinned_nets() {
 
         let ann = vdbms.annotate("race", "av").unwrap();
         assert!(ann.n_highlights > 0 && ann.n_sub_events > 0);
-        let traces: HashMap<String, Vec<f64>> = (stored.queries.iter())
-            .map(|(query, _)| {
-                let trace = vdbms.dbn_infer("race", "av", query).unwrap();
-                (query.clone(), trace)
-            })
-            .collect();
+        let traces = vdbms.infer("race", "av").unwrap();
+        assert_eq!(traces.len(), stored.queries.len());
         let raw = derive_events(&traces, &stored.thresholds);
         for (statement, kind, query) in [
             ("RETRIEVE HIGHLIGHTS", "highlight", "HL"),
@@ -291,4 +287,48 @@ fn annotating_another_video_reads_no_truth_and_refits_nothing() {
     vdbms.annotate("blind", "av").unwrap();
     assert_eq!(derived_layer(&vdbms, "blind"), seen);
     assert_eq!(levels(&vdbms), fitted);
+}
+
+/// Inference reads the rows a stream has committed, not the clips the
+/// broadcast was registered with: halfway through a live race the traces
+/// are half a race long. A feature column that is not there at all is
+/// still the typed missing-metadata error.
+#[test]
+fn inference_over_a_half_streamed_video_covers_the_committed_rows() {
+    let sc = common::german_scenario(40);
+    let vdbms = Vdbms::new();
+    let chunks: Vec<_> = sc.chunks(10).collect();
+    for chunk in &chunks[..chunks.len() / 2] {
+        vdbms.ingest_chunk("race", &sc, chunk).unwrap();
+    }
+    let committed = vdbms.catalog.feature_rows("race");
+    assert_eq!(committed, sc.n_clips / 2);
+    assert_eq!(vdbms.catalog.video("race").unwrap().n_clips, sc.n_clips);
+
+    let (net, nodes) = audio_visual_dbn(false).unwrap();
+    let stored = StoredNet {
+        net,
+        queries: vec![("HL".into(), nodes.highlight), ("EA".into(), nodes.excited)],
+        thresholds: Default::default(),
+    };
+    vdbms.install_net("untrained", stored);
+    let traces = vdbms.infer("race", "untrained").unwrap();
+    assert_eq!(traces.len(), 2);
+    assert!(traces.values().all(|trace| trace.len() == committed));
+    assert_eq!(
+        vdbms.catalog.load_features("race", 17).unwrap().len(),
+        committed
+    );
+    vdbms.annotate("race", "untrained").unwrap();
+
+    vdbms.kernel().drop_bat("race.f17").unwrap();
+    for result in [
+        vdbms.infer("race", "untrained").map(drop),
+        vdbms.annotate("race", "untrained").map(drop),
+    ] {
+        assert!(
+            matches!(&result, Err(CobraError::MissingMetadata { what, .. }) if what == "feature column 17"),
+            "got {result:?}"
+        );
+    }
 }

@@ -311,6 +311,66 @@ fn chunked_ingest_streams_deltas_to_a_live_subscriber() {
     handle.shutdown();
 }
 
+/// Annotation in front of a standing query: the first annotation of a
+/// video owes a `RETRIEVE HIGHLIGHTS` subscriber one delta carrying
+/// every highlight, a re-annotation that derives the same rows owes
+/// silence — the hub re-evaluates once and finds the answer unchanged —
+/// and no delta ever passes through an emptied layer (`removed` stays 0,
+/// no total falls short of the answer).
+#[test]
+fn a_reannotation_is_at_most_one_delta_and_never_an_empty_answer() {
+    let scenario = RaceScenario::generate(ScenarioConfig::new(RaceProfile::German, 90));
+    let vdbms = Arc::new(Vdbms::try_new().expect("vdbms boots"));
+    vdbms.ingest("german", &scenario).expect("ingest");
+    let windows = f1_cobra::training_windows(scenario.n_clips);
+    vdbms
+        .train_highlight_net("german", &scenario, &windows, true)
+        .expect("train");
+    let handle = start(Arc::clone(&vdbms), ServerConfig::default()).expect("server starts");
+    let mut client = cobra_serve::Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(10)))
+        .expect("arm timeout");
+    client
+        .subscribe("german", "RETRIEVE HIGHLIGHTS")
+        .expect("subscribe");
+
+    vdbms.annotate("german", "av").expect("annotate");
+    let highlights = vdbms
+        .query("german", "RETRIEVE HIGHLIGHTS")
+        .expect("direct answer");
+    assert!(!highlights.is_empty());
+    let push = client.next_push().expect("the first annotation's delta");
+    assert_eq!(push.added, highlights, "one delta, the whole answer");
+    assert_eq!((push.removed, push.total as usize), (0, highlights.len()));
+
+    for _ in 0..3 {
+        let unchanged = stream_counter(&vdbms, "stream.unchanged");
+        vdbms.annotate("german", "av").expect("re-annotate");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while stream_counter(&vdbms, "stream.unchanged") == unchanged {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the hub must re-evaluate after the re-annotation"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    assert_eq!(
+        stream_counter(&vdbms, "stream.pushes"),
+        1,
+        "a re-annotation deriving the same rows pushes nothing"
+    );
+    client
+        .set_timeout(Some(Duration::from_millis(200)))
+        .expect("shorten timeout");
+    assert!(
+        matches!(client.next_push(), Err(ClientError::Transport(_))),
+        "no push frame may be in flight"
+    );
+    handle.shutdown();
+}
+
 /// Six videos spread across three shards, same layout as the sharding
 /// suite.
 fn cluster_videos() -> Vec<SeedVideo> {
