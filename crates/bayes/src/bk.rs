@@ -2,8 +2,9 @@
 //!
 //! Boyen & Koller (UAI'98, the paper's [21]) approximate the belief state
 //! of a DBN by a product of marginals over disjoint *clusters* of nodes.
-//! The projection itself is implemented in [`crate::engine::Engine::project`];
-//! this module provides the partitions the paper experiments with:
+//! The projection itself is the last part of the engine's forward step
+//! ([`crate::engine::Engine::filter`] with clusters); this module provides
+//! the partitions the paper experiments with:
 //!
 //! * **one cluster containing every hidden node** — no information is lost;
 //!   this is the configuration the paper calls *"exact" inference and

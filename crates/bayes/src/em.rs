@@ -20,7 +20,7 @@
 use crate::cpt::CptCounts;
 use crate::dbn::Dbn;
 use crate::engine::Engine;
-use crate::evidence::{EvidenceSeq, Obs};
+use crate::evidence::EvidenceSeq;
 use crate::{BayesError, Result};
 use cobra_faults::FaultHandle;
 
@@ -98,11 +98,9 @@ pub fn train_with_faults(
             .map(|id| dbn.trans_cpt(id).zero_counts())
             .collect();
         let mut total_ll = 0.0;
-        {
-            let engine = Engine::new(dbn)?;
-            for seq in sequences.iter().filter(|s| !s.is_empty()) {
-                total_ll += accumulate(dbn, &engine, seq, &mut prior_counts, &mut trans_counts)?;
-            }
+        let engine = Engine::new(dbn)?;
+        for seq in sequences.iter().filter(|s| !s.is_empty()) {
+            total_ll += accumulate(dbn, &engine, seq, &mut prior_counts, &mut trans_counts)?;
         }
         if !total_ll.is_finite() {
             // A NaN/-inf log-likelihood means the parameters (or the
@@ -170,9 +168,11 @@ pub fn train_converged(
 }
 
 /// Accumulates one sequence's expected counts; returns its log-likelihood.
+/// CPT rows come off the engine's compiled tables, under each slice's
+/// hard values.
 fn accumulate(
     dbn: &Dbn,
-    engine: &Engine<'_>,
+    engine: &Engine,
     seq: &EvidenceSeq,
     prior_counts: &mut [CptCounts],
     trans_counts: &mut [CptCounts],
@@ -181,46 +181,45 @@ fn accumulate(
     let tlen = seq.len();
     let n = smo.n_states;
     let is_static = dbn.is_static();
-    let hidden = engine.hidden().to_vec();
-    let observed = dbn.slice().observed_ids();
-    let core: std::collections::HashSet<usize> = dbn.slice().core_observed().into_iter().collect();
+    let hidden = engine.hidden();
+    let mut slice = engine.slice();
+    let mut q = Vec::new();
 
     for t in 0..tlen {
-        let hard = engine.hard_map(seq, t)?;
+        engine.load(seq, t, &mut slice)?;
         let gamma = smo.gamma.belief(t);
 
         // Hidden-node prior counts: slice 0, or every slice when static.
         if t == 0 || is_static {
-            for &h in &hidden {
+            for (h, &id) in hidden.iter().enumerate() {
                 for (state, &w) in gamma.iter().enumerate() {
                     if w == 0.0 {
                         continue;
                     }
-                    let cfg = engine.parent_config(h, state, None, &hard, false)?;
-                    prior_counts[h].add(cfg, engine.state_value(state, h), w);
+                    let cfg = engine.prior_row(h, state, &slice);
+                    prior_counts[id].add(cfg, engine.value(h, state), w);
                 }
             }
         }
 
         // Observed-node counts (prior CPT; evidence CPTs are tied).
-        for &e in &observed {
-            let card = dbn.slice().nodes()[e].card;
-            let cpt = dbn.prior_cpt(e);
-            let obs = seq.get(t, e);
-            if obs.is_none() && !core.contains(&e) {
+        for (k, e) in engine.observed().enumerate() {
+            let (cpt, obs) = (dbn.prior_cpt(e), seq.get(t, e));
+            let (card, hard) = (cpt.card(), engine.hard_value(k, &slice));
+            if obs.is_none() && hard.is_none() {
                 continue; // missing leaf observation: no information
             }
             for (state, &w) in gamma.iter().enumerate() {
                 if w == 0.0 {
                     continue;
                 }
-                let cfg = engine.parent_config(e, state, None, &hard, false)?;
-                if let Some(&v) = hard.get(&e) {
+                let cfg = engine.evidence_row(k, state, &slice);
+                if let Some(v) = hard {
                     prior_counts[e].add(cfg, v, w);
                 } else if let Some(obs) = obs {
                     // Posterior over the evidence node's own state.
-                    let mut q: Vec<f64> =
-                        (0..card).map(|s| cpt.prob(cfg, s) * lik(obs, s)).collect();
+                    q.clear();
+                    q.extend((0..card).map(|s| cpt.prob(cfg, s) * obs.likelihood(s, card)));
                     let qs: f64 = q.iter().sum();
                     if qs > 0.0 {
                         for x in &mut q {
@@ -238,17 +237,17 @@ fn accumulate(
     // Hidden-node transition counts from pairwise posteriors.
     if !is_static {
         for t in 0..tlen.saturating_sub(1) {
-            let hard_next = engine.hard_map(seq, t + 1)?;
+            engine.load(seq, t + 1, &mut slice)?;
             let xi = &smo.xi[t];
-            for &h in &hidden {
+            for (h, &id) in hidden.iter().enumerate() {
                 for prev in 0..n {
                     for cur in 0..n {
                         let w = xi[prev * n + cur];
                         if w == 0.0 {
                             continue;
                         }
-                        let cfg = engine.parent_config(h, cur, Some(prev), &hard_next, true)?;
-                        trans_counts[h].add(cfg, engine.state_value(cur, h), w);
+                        let cfg = engine.trans_row(h, prev, cur, &slice);
+                        trans_counts[id].add(cfg, engine.value(h, cur), w);
                     }
                 }
             }
@@ -256,19 +255,6 @@ fn accumulate(
     }
 
     Ok(smo.gamma.loglik)
-}
-
-fn lik(obs: &Obs, state: usize) -> f64 {
-    match obs {
-        Obs::Hard(s) => {
-            if *s == state {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        Obs::Soft(l) => l.get(state).copied().unwrap_or(0.0),
-    }
 }
 
 #[cfg(test)]

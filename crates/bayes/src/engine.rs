@@ -1,50 +1,131 @@
 //! The joint-state inference engine.
 //!
-//! The engine compiles a [`Dbn`] into a compact representation over the
-//! joint state of its *hidden* nodes (the paper's networks have 1–6 hidden
-//! binary nodes, so at most 64 joint states) and provides:
-//!
-//! * **filtering** — forward message passing with per-step normalization,
-//!   optionally interleaved with the Boyen–Koller cluster projection
-//!   ([`Engine::filter`]),
-//! * **smoothing** — forward-backward posteriors and pairwise slice
-//!   posteriors, the E-step quantities for EM ([`Engine::smooth`]),
-//! * **log-likelihood** of an evidence sequence.
+//! [`Engine::new`] compiles a [`Dbn`] once into dense tables over the
+//! joint state of its *hidden* nodes (1–6 binary nodes in the paper, so
+//! at most 64 joint states), which it enumerates exactly; evidence nodes
+//! are summed out analytically. One forward step reads the tables —
+//! transition, observation, normalize, then the optional Boyen–Koller
+//! projection — and serves [`Engine::filter`], its resumable online form
+//! ([`Engine::stepper`], which allocates nothing per step) and the
+//! forward-backward smoothing behind EM's E-step ([`Engine::smooth`]).
 //!
 //! Evidence enters per slice: soft likelihood vectors on evidence leaves,
 //! hard clamps on hidden nodes (used for partially supervised training).
-//! Observed nodes that *condition* other nodes (evidence-as-parent, the
-//! paper's Fig. 7b structure) are hardened to their most likely state —
-//! their value then selects CPT rows, which makes the transition model
-//! time-varying but keeps inference exact.
+//! A slice is validated once and becomes one likelihood vector per
+//! evidence node, so a joint state's observation factor is one product
+//! through precomputed indices. Observed nodes that *condition* other
+//! nodes (evidence-as-parent, the paper's Fig. 7b structure) are hardened
+//! to their most likely state: their value adds a fixed offset to the CPT
+//! rows they select and picks one of the transition matrices, each built
+//! on first use (a time-invariant net has exactly one). Inference stays
+//! exact.
 
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
+use crate::cpt::Cpt;
 use crate::dbn::Dbn;
 use crate::evidence::EvidenceSeq;
 use crate::slice::NodeId;
 use crate::{BayesError, Result};
 
-/// Compiled inference engine for one [`Dbn`].
-pub struct Engine<'a> {
-    dbn: &'a Dbn,
+/// How a joint state encodes the hidden nodes' values (first hidden node
+/// least significant).
+#[derive(Debug, Clone)]
+struct Layout {
     hidden: Vec<NodeId>,
-    hpos: HashMap<NodeId, usize>,
     cards: Vec<usize>,
     strides: Vec<usize>,
-    n_states: usize,
-    core_observed: Vec<NodeId>,
-    /// Whether any hidden node has a core-observed intra parent — if not,
-    /// the transition matrix is time-invariant and cached.
-    time_varying: bool,
+    /// Number of joint states.
+    n: usize,
+}
+
+impl Layout {
+    fn value(&self, h: usize, state: usize) -> usize {
+        (state / self.strides[h]) % self.cards[h]
+    }
+
+    /// `Σ value(h, state) · stride` over `(h, stride)` digits, per joint
+    /// state: a table of CPT-row parts, factor entries or cluster cells.
+    fn table<'a>(&'a self, digits: &'a [(usize, usize)]) -> impl Iterator<Item = usize> + 'a {
+        (0..self.n).map(move |s| digits.iter().map(|&(h, st)| self.value(h, s) * st).sum())
+    }
+
+    /// Marginal distribution of hidden `node` under a joint `belief`.
+    fn marginal(&self, belief: &[f64], node: NodeId) -> Result<Vec<f64>> {
+        let h = self.hidden.iter().position(|&n| n == node);
+        let h = h.ok_or(BayesError::UnknownNode(node))?;
+        let mut out = vec![0.0; self.cards[h]];
+        for (state, w) in belief.iter().enumerate() {
+            out[self.value(h, state)] += w;
+        }
+        Ok(out)
+    }
+}
+
+/// One node's evidence term over the joint states, kept at `lik[at..]`
+/// of a [`Slice`]. An observed node's entry `r` is its expected
+/// likelihood in CPT row `r` plus the slice's hard offset, where `r` is
+/// what its hidden parents select; a clamp on a hidden node (no CPT) has
+/// one entry per value. `rows` lists the entries joint states reach.
+#[derive(Debug, Clone)]
+struct Factor {
+    node: NodeId,
+    card: usize,
+    at: usize,
+    rows: Vec<usize>,
+    cpt: Option<Cpt>,
+    /// Slot in [`Slice`]'s hard values of an observed node that
+    /// conditions others.
+    core: Option<usize>,
+}
+
+/// One slice's evidence as compiled by [`Engine::load`], reused across
+/// slices so that stepping allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Slice {
+    /// Hardened value of each core-observed node.
+    hard: Vec<usize>,
+    /// Per node: the CPT-row offset its observed parents' hard values
+    /// select (the same in the prior and the transition CPT); last, the
+    /// index of the transition matrix they select.
+    offset: Vec<usize>,
+    /// Likelihood entries of every factor.
+    lik: Vec<f64>,
+    /// Factors with evidence at this slice, in multiplication order.
+    active: Vec<usize>,
+}
+
+/// Compiled inference engine for one [`Dbn`]; owns its tables.
+#[derive(Debug, Clone)]
+pub struct Engine {
+    layout: Layout,
+    /// `value[h * n + state]`: hidden node `h`'s value in `state`.
+    value: Vec<usize>,
+    /// Core-observed nodes (observed intra parents) and their cards.
+    core: Vec<(NodeId, usize)>,
+    /// Per node: `(core slot, CPT stride)` of each observed intra parent;
+    /// last, the `(core slot, radix)` digits of the transition matrix's
+    /// index.
+    hard_parents: Vec<Vec<(usize, usize)>>,
+    /// `[h * n + state]`: the row of hidden node `h`'s CPTs that its
+    /// hidden intra parents select.
+    intra_row: Vec<usize>,
+    /// `[h * n + prev]`: the transition-row part its temporal parents
+    /// select.
+    temporal_row: Vec<usize>,
+    prior: Vec<Cpt>,
+    trans: Vec<Cpt>,
+    /// Observed nodes in id order, then hidden nodes in engine order.
+    factors: Vec<Factor>,
+    /// `[k * n + state]`: factor `k`'s entry for `state`.
+    entry: Vec<usize>,
+    matrices: Vec<OnceLock<Vec<f64>>>,
 }
 
 /// Per-slice joint posteriors over the hidden nodes.
 #[derive(Debug, Clone)]
 pub struct Posteriors {
-    hidden: Vec<NodeId>,
-    cards: Vec<usize>,
-    strides: Vec<usize>,
+    layout: Layout,
     /// Log-likelihood of the evidence under the model.
     pub loglik: f64,
     beliefs: Vec<Vec<f64>>,
@@ -63,17 +144,7 @@ impl Posteriors {
 
     /// Marginal distribution of a hidden node at slice `t`.
     pub fn marginal(&self, t: usize, node: NodeId) -> Result<Vec<f64>> {
-        let h = self
-            .hidden
-            .iter()
-            .position(|&n| n == node)
-            .ok_or(BayesError::UnknownNode(node))?;
-        let card = self.cards[h];
-        let mut out = vec![0.0; card];
-        for (state, w) in self.beliefs[t].iter().enumerate() {
-            out[(state / self.strides[h]) % card] += w;
-        }
-        Ok(out)
+        self.layout.marginal(&self.beliefs[t], node)
     }
 
     /// `P(node = state)` for every slice — the query-node trace plotted in
@@ -90,128 +161,98 @@ impl Posteriors {
     }
 }
 
-/// Resumable Boyen–Koller filter: the forward pass of
-/// [`Engine::filter`] exposed one slice at a time, so the DBN can run
-/// *online* as evidence windows arrive (live ingest) instead of
-/// requiring the whole sequence up front.
-///
-/// Created by [`Engine::stepper`]. Each [`step`](BkState::step) call
-/// consumes one evidence slice and returns the (projected) joint
-/// belief after absorbing it; the state carries the running alpha
-/// vector, slice count, accumulated log-likelihood, and the cached
-/// transition matrix across calls. Feeding the same slices through
-/// `step` produces bit-identical beliefs to one batch `filter` call —
-/// batch filtering is implemented *on top of* this type.
-pub struct BkState<'e, 'a> {
-    engine: &'e Engine<'a>,
-    clusters: Option<Vec<Vec<NodeId>>>,
+/// The running state of one forward pass.
+#[derive(Debug, Clone)]
+struct Forward {
+    slice: Slice,
     alpha: Vec<f64>,
+    next: Vec<f64>,
+    obs: Vec<f64>,
+    projection: Option<Projection>,
     steps: usize,
     loglik: f64,
-    cached_trans: Option<Vec<f64>>,
 }
 
-impl<'e, 'a> BkState<'e, 'a> {
-    /// Absorbs evidence slice `t` of `ev` and returns the belief after
-    /// the step. The first call runs the prior update; every later call
-    /// runs transition → observation → normalize → project. Callers
-    /// stream windows by passing each window's slices in arrival order
-    /// (the `t` index addresses *within* `ev`; the filter's own clock
-    /// is [`slices`](BkState::slices)).
-    pub fn step(&mut self, ev: &EvidenceSeq, t: usize) -> Result<Vec<f64>> {
-        let engine = self.engine;
-        let hard = engine.hard_values(ev, t)?;
-        let mut next = if self.steps == 0 {
-            engine.prior_vec(&hard)?
-        } else {
-            let trans = if engine.time_varying {
-                self.trans_matrix(&hard)?
-            } else {
-                match &self.cached_trans {
-                    Some(m) => m.clone(),
-                    None => {
-                        let m = self.trans_matrix(&hard)?;
-                        self.cached_trans = Some(m.clone());
-                        m
-                    }
-                }
-            };
-            let n = engine.n_states;
-            let mut next = vec![0.0; n];
-            for prev in 0..n {
-                let w = self.alpha[prev];
-                if w == 0.0 {
-                    continue;
-                }
-                let row = &trans[prev * n..(prev + 1) * n];
-                for cur in 0..n {
-                    next[cur] += w * row[cur];
-                }
+/// A Boyen–Koller cluster partition compiled against the joint states:
+/// `index[c * n + state]` is the cell of `marg` that cluster `c`'s
+/// marginal gives `state`.
+#[derive(Debug, Clone)]
+struct Projection {
+    index: Vec<usize>,
+    marg: Vec<f64>,
+}
+
+impl Projection {
+    /// Replaces `belief` by the normalized product of its cluster marginals.
+    fn apply(&mut self, belief: &mut [f64]) -> Result<()> {
+        let n = belief.len();
+        self.marg.fill(0.0);
+        for index in self.index.chunks(n) {
+            for (&i, w) in index.iter().zip(belief.iter()) {
+                self.marg[i] += w;
             }
-            next
-        };
-        let obs = engine.obs_factor(ev, t, &hard)?;
-        for (x, o) in next.iter_mut().zip(&obs) {
-            *x *= o;
         }
-        let scale = Engine::normalize(&mut next)?.ln();
-        // Match `filter`'s operation order exactly: at t=0 the
-        // projection runs *after* the loglik accumulation either way,
-        // but later steps normalize before projecting.
-        if let Some(c) = &self.clusters {
-            engine.project(&mut next, c)?;
+        for (state, w) in belief.iter_mut().enumerate() {
+            let mut p = 1.0;
+            for index in self.index.chunks(n) {
+                p *= self.marg[index[state]];
+            }
+            *w = p;
         }
-        self.loglik += scale;
-        self.alpha = next.clone();
-        self.steps += 1;
-        Ok(next)
+        normalize(belief).map(drop)
     }
+}
 
-    fn trans_matrix(&self, hard: &HashMap<NodeId, usize>) -> Result<Vec<f64>> {
-        self.engine.trans_matrix(hard)
+fn normalize(v: &mut [f64]) -> Result<f64> {
+    let s: f64 = v.iter().sum();
+    if s.is_nan() || s <= 0.0 {
+        return Err(BayesError::Numerical(
+            "message vanished (impossible evidence)".into(),
+        ));
     }
+    for x in v.iter_mut() {
+        *x /= s;
+    }
+    Ok(s)
+}
 
-    /// Feeds every slice of `ev` in order. Returns the number of slices
-    /// absorbed (convenience for chunked ingest).
-    pub fn run(&mut self, ev: &EvidenceSeq) -> Result<usize> {
-        for t in 0..ev.len() {
-            self.step(ev, t)?;
-        }
-        Ok(ev.len())
+/// Resumable Boyen–Koller filter: the forward pass of [`Engine::filter`]
+/// one slice at a time, so the DBN can run *online* as evidence windows
+/// arrive (live ingest). Created by [`Engine::stepper`], it owns its
+/// engine, running belief, slice count and log-likelihood. It drives the
+/// same forward step as `filter`, so the same slices give bit-identical
+/// beliefs.
+pub struct BkState {
+    engine: Engine,
+    forward: Forward,
+}
+
+impl BkState {
+    /// Absorbs evidence slice `t` of `ev` (a window of slices in arrival
+    /// order; `t ≥ ev.len()` is a [`BayesError::SliceOutOfRange`]) and
+    /// returns the belief after the step. A step allocates nothing, except
+    /// to fill a transition matrix on its first use.
+    pub fn step(&mut self, ev: &EvidenceSeq, t: usize) -> Result<&[f64]> {
+        self.engine.step(&mut self.forward, ev, t)?;
+        Ok(&self.forward.alpha)
     }
 
     /// Number of slices absorbed so far.
     pub fn slices(&self) -> usize {
-        self.steps
+        self.forward.steps
     }
 
     /// Accumulated log-likelihood of everything absorbed so far.
     pub fn loglik(&self) -> f64 {
-        self.loglik
-    }
-
-    /// Current joint belief (empty before the first step).
-    pub fn belief(&self) -> &[f64] {
-        &self.alpha
+        self.forward.loglik
     }
 
     /// Marginal of a hidden node under the current belief.
     pub fn marginal(&self, node: NodeId) -> Result<Vec<f64>> {
-        if self.steps == 0 {
+        if self.forward.steps == 0 {
             return Err(BayesError::EmptySequence);
         }
-        let engine = self.engine;
-        let h = engine
-            .hidden
-            .iter()
-            .position(|&n| n == node)
-            .ok_or(BayesError::UnknownNode(node))?;
-        let card = engine.cards[h];
-        let mut out = vec![0.0; card];
-        for (state, w) in self.alpha.iter().enumerate() {
-            out[(state / engine.strides[h]) % card] += w;
-        }
-        Ok(out)
+        self.engine.layout.marginal(&self.forward.alpha, node)
     }
 }
 
@@ -226,459 +267,429 @@ pub struct Smoothed {
     pub n_states: usize,
 }
 
-impl<'a> Engine<'a> {
+impl Engine {
     /// Compiles an engine for `dbn`.
-    pub fn new(dbn: &'a Dbn) -> Result<Self> {
-        dbn.slice().validate()?;
-        let hidden = dbn.slice().hidden_ids();
-        let cards: Vec<usize> = hidden
-            .iter()
-            .map(|&id| dbn.slice().nodes()[id].card)
-            .collect();
-        let mut strides = Vec::with_capacity(cards.len());
-        let mut acc = 1usize;
-        for &c in &cards {
-            strides.push(acc);
-            acc *= c;
-        }
-        let hpos: HashMap<NodeId, usize> =
-            hidden.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        let core_observed = dbn.slice().core_observed();
-        let core_set: std::collections::HashSet<NodeId> = core_observed.iter().copied().collect();
-        let time_varying = hidden.iter().any(|&id| {
-            dbn.slice().nodes()[id]
-                .intra_parents
-                .iter()
-                .any(|p| core_set.contains(p))
-        });
-        Ok(Engine {
-            dbn,
+    pub fn new(dbn: &Dbn) -> Result<Self> {
+        let net = dbn.slice();
+        net.validate()?;
+        let nodes = net.nodes();
+        let (hidden, core) = (net.hidden_ids(), net.core_observed());
+        // `(slot in ids, stride)` of each of `parents` found in `ids`, the
+        // strides running on from `stride` through every parent's card.
+        let digits = |parents: &[NodeId], mut stride: usize, ids: &[NodeId]| {
+            let mut out = Vec::new();
+            for &p in parents {
+                if let Some(slot) = ids.iter().position(|&id| id == p) {
+                    out.push((slot, stride));
+                }
+                stride *= nodes[p].card;
+            }
+            out
+        };
+        let cards: Vec<usize> = hidden.iter().map(|&id| nodes[id].card).collect();
+        let strides = digits(&hidden, 1, &hidden).iter().map(|d| d.1).collect();
+        let n: usize = cards.iter().product();
+        let layout = Layout {
             hidden,
-            hpos,
             cards,
             strides,
-            n_states: acc,
-            core_observed,
-            time_varying,
-        })
-    }
+            n,
+        };
+        let hidden = &layout.hidden;
 
-    /// Number of joint hidden states.
-    pub fn n_states(&self) -> usize {
-        self.n_states
+        let (mut value, mut intra_row, mut temporal_row) = (Vec::new(), Vec::new(), Vec::new());
+        for (h, &id) in hidden.iter().enumerate() {
+            value.extend(layout.table(&[(h, 1)]));
+            let intra = &nodes[id].intra_parents;
+            intra_row.extend(layout.table(&digits(intra, 1, hidden)));
+            // Temporal digits follow the intra ones in the transition CPT.
+            let first = intra.iter().map(|&p| nodes[p].card).product();
+            temporal_row.extend(layout.table(&digits(&dbn.temporal_parents(id), first, hidden)));
+        }
+        let mut hard_parents: Vec<_> = (nodes.iter())
+            .map(|node| digits(&node.intra_parents, 1, &core))
+            .collect();
+        // One more digit list: the transition matrix's index, over the core
+        // nodes that condition a hidden node.
+        let keys: Vec<NodeId> = (core.iter().copied())
+            .filter(|&c| hidden.iter().any(|&h| nodes[h].intra_parents.contains(&c)))
+            .collect();
+        hard_parents.push(digits(&keys, 1, &core));
+
+        // Observed nodes' expected likelihoods, then hidden nodes' clamps.
+        let (mut factors, mut entry, mut at) = (Vec::new(), Vec::new(), 0);
+        for &id in net.observed_ids().iter().chain(hidden) {
+            let node = &nodes[id];
+            let (cpt, parents) = if node.observed {
+                (Some(dbn.prior_cpt(id).clone()), &node.intra_parents[..])
+            } else {
+                (None, &[id][..])
+            };
+            entry.extend(layout.table(&digits(parents, 1, hidden)));
+            let mut rows = entry[entry.len() - layout.n..].to_vec();
+            rows.sort_unstable();
+            rows.dedup();
+            let (card, core) = (node.card, core.iter().position(|&c| c == id));
+            let width = rows[rows.len() - 1] + 1;
+            factors.push(Factor {
+                node: id,
+                card,
+                at,
+                rows,
+                cpt,
+                core,
+            });
+            at += width;
+        }
+
+        Ok(Engine {
+            matrices: (0..keys.iter().map(|&c| nodes[c].card).product())
+                .map(|_| OnceLock::new())
+                .collect(),
+            hard_parents,
+            core: core.iter().map(|&id| (id, nodes[id].card)).collect(),
+            prior: hidden.iter().map(|&id| dbn.prior_cpt(id).clone()).collect(),
+            trans: hidden.iter().map(|&id| dbn.trans_cpt(id).clone()).collect(),
+            layout,
+            value,
+            intra_row,
+            temporal_row,
+            factors,
+            entry,
+        })
     }
 
     /// Hidden node ids in engine order.
     pub fn hidden(&self) -> &[NodeId] {
-        &self.hidden
+        &self.layout.hidden
     }
 
-    fn value_of(&self, state: usize, node: NodeId) -> usize {
-        let h = self.hpos[&node];
-        (state / self.strides[h]) % self.cards[h]
+    /// Value of hidden node `h` (engine order) in joint state `state`.
+    pub(crate) fn value(&self, h: usize, state: usize) -> usize {
+        self.value[h * self.layout.n + state]
     }
 
-    /// Hard values of core-observed nodes at slice `t`.
-    fn hard_values(&self, ev: &EvidenceSeq, t: usize) -> Result<HashMap<NodeId, usize>> {
-        let mut out = HashMap::new();
-        for &id in &self.core_observed {
-            let card = self.dbn.slice().nodes()[id].card;
+    /// Prior-CPT row of hidden node `h` in `state` under slice `s`.
+    pub(crate) fn prior_row(&self, h: usize, state: usize, s: &Slice) -> usize {
+        self.intra_row[h * self.layout.n + state] + s.offset[self.layout.hidden[h]]
+    }
+
+    /// Transition-CPT row of hidden node `h` from `prev` into `cur` under
+    /// slice `s` (the slice of `cur`).
+    pub(crate) fn trans_row(&self, h: usize, prev: usize, cur: usize, s: &Slice) -> usize {
+        self.prior_row(h, cur, s) + self.temporal_row[h * self.layout.n + prev]
+    }
+
+    /// Observed nodes in id order; the position `k` addresses
+    /// [`evidence_row`](Self::evidence_row) and [`hard_value`](Self::hard_value).
+    pub(crate) fn observed(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.factors
+            .iter()
+            .take_while(|f| f.cpt.is_some())
+            .map(|f| f.node)
+    }
+
+    /// CPT row of the `k`-th observed node in `state` under slice `s`.
+    pub(crate) fn evidence_row(&self, k: usize, state: usize, s: &Slice) -> usize {
+        self.entry[k * self.layout.n + state] + s.offset[self.factors[k].node]
+    }
+
+    /// Hardened value of the `k`-th observed node under slice `s`, when it
+    /// conditions another node.
+    pub(crate) fn hard_value(&self, k: usize, s: &Slice) -> Option<usize> {
+        self.factors[k].core.map(|c| s.hard[c])
+    }
+
+    /// Fresh per-slice buffers for [`load`](Self::load).
+    pub(crate) fn slice(&self) -> Slice {
+        Slice {
+            hard: vec![0; self.core.len()],
+            offset: vec![0; self.hard_parents.len()],
+            lik: vec![
+                0.0;
+                (self.factors.last()).map_or(0, |f| f.at + f.rows[f.rows.len() - 1] + 1)
+            ],
+            active: Vec::with_capacity(self.factors.len()),
+        }
+    }
+
+    /// Validates slice `t` of `ev` once and compiles it into `s`: the hard
+    /// values and the offsets they select, then each present factor's
+    /// likelihood entries.
+    pub(crate) fn load(&self, ev: &EvidenceSeq, t: usize, s: &mut Slice) -> Result<()> {
+        if t >= ev.len() {
+            return Err(BayesError::SliceOutOfRange { t, len: ev.len() });
+        }
+        for (c, &(id, card)) in self.core.iter().enumerate() {
             let obs = ev
                 .get(t, id)
                 .ok_or(BayesError::MissingHardEvidence { node: id, t })?;
             obs.validate(id, card)?;
-            out.insert(id, obs.argmax(card));
+            s.hard[c] = obs.argmax(card);
         }
-        Ok(out)
+        for (offset, parents) in s.offset.iter_mut().zip(&self.hard_parents) {
+            *offset = parents.iter().map(|&(c, stride)| s.hard[c] * stride).sum();
+        }
+        s.active.clear();
+        for (k, f) in self.factors.iter().enumerate() {
+            let Some(obs) = ev.get(t, f.node) else {
+                continue; // an unobserved leaf sums to 1
+            };
+            let (offset, lik) = (s.offset[f.node], &mut s.lik[f.at..]);
+            match (&f.cpt, f.core) {
+                (Some(cpt), Some(c)) => {
+                    // Hardened: its value selects one cell per row.
+                    let (v, l) = (s.hard[c], obs.likelihood(s.hard[c], f.card));
+                    for &row in &f.rows {
+                        lik[row] = cpt.prob(offset + row, v) * l;
+                    }
+                }
+                (Some(cpt), None) => {
+                    obs.validate(f.node, f.card)?;
+                    for &row in &f.rows {
+                        let mut sum = 0.0;
+                        for v in 0..f.card {
+                            sum += cpt.prob(offset + row, v) * obs.likelihood(v, f.card);
+                        }
+                        lik[row] = sum;
+                    }
+                }
+                (None, _) => {
+                    obs.validate(f.node, f.card)?;
+                    for &v in &f.rows {
+                        lik[v] = obs.likelihood(v, f.card);
+                    }
+                }
+            }
+            s.active.push(k);
+        }
+        Ok(())
     }
 
-    /// Assembles a parent configuration for `node`'s CPT: intra parents
-    /// read from the current joint state (`cur`) or the hard map; temporal
-    /// parents read from the previous joint state (`prev`).
-    fn config(
-        &self,
-        node: NodeId,
-        cur: usize,
-        prev: Option<usize>,
-        hard: &HashMap<NodeId, usize>,
-        with_temporal: bool,
-    ) -> Result<usize> {
-        let def = &self.dbn.slice().nodes()[node];
-        let mut vals: Vec<usize> = Vec::with_capacity(def.intra_parents.len() + 2);
-        for &p in &def.intra_parents {
-            if let Some(&v) = hard.get(&p) {
-                vals.push(v);
-            } else if self.hpos.contains_key(&p) {
-                vals.push(self.value_of(cur, p));
-            } else {
-                // Observed parent without evidence would have been caught
-                // in hard_values; hidden parents are always in hpos.
-                return Err(BayesError::MissingHardEvidence { node: p, t: 0 });
-            }
-        }
-        if with_temporal {
-            let prev = prev.expect("temporal config requires previous state");
-            for from in self.dbn.temporal_parents(node) {
-                vals.push(self.value_of(prev, from));
-            }
-        }
-        let cpt = if with_temporal {
-            self.dbn.trans_cpt(node)
-        } else {
-            self.dbn.prior_cpt(node)
-        };
-        Ok(cpt.config_of(&vals))
-    }
-
-    /// Observation factor over hidden states for slice `t`: the product of
-    /// every observed node's expected likelihood and of soft/hard clamps
-    /// on hidden nodes.
-    fn obs_factor(
-        &self,
-        ev: &EvidenceSeq,
-        t: usize,
-        hard: &HashMap<NodeId, usize>,
-    ) -> Result<Vec<f64>> {
-        let slice = self.dbn.slice();
-        let mut out = vec![1.0; self.n_states];
+    /// Observation factor per joint state: the product of the slice's
+    /// present factors, in factor order.
+    fn observe(&self, s: &Slice, out: &mut [f64]) {
         for (state, o) in out.iter_mut().enumerate() {
             let mut f = 1.0;
-            // Observed nodes.
-            for &e in &slice.observed_ids() {
-                let card = slice.nodes()[e].card;
-                let cpt = self.dbn.prior_cpt(e);
-                let cfg = self.config(e, state, None, hard, false)?;
-                match (hard.get(&e), ev.get(t, e)) {
-                    (Some(&v), obs) => {
-                        // Core observed: hardened value selects one CPT cell.
-                        let lik = obs.map(|o| o.likelihood(v, card)).unwrap_or(1.0);
-                        f *= cpt.prob(cfg, v) * lik;
-                    }
-                    (None, Some(obs)) => {
-                        obs.validate(e, card)?;
-                        let mut s = 0.0;
-                        for v in 0..card {
-                            s += cpt.prob(cfg, v) * obs.likelihood(v, card);
-                        }
-                        f *= s;
-                    }
-                    (None, None) => {} // unobserved leaf sums to 1
-                }
-            }
-            // Clamps / soft evidence on hidden nodes.
-            for &h in &self.hidden {
-                if let Some(obs) = ev.get(t, h) {
-                    let card = slice.nodes()[h].card;
-                    obs.validate(h, card)?;
-                    f *= obs.likelihood(self.value_of(state, h), card);
-                }
+            for &k in &s.active {
+                f *= s.lik[self.factors[k].at + self.entry[k * self.layout.n + state]];
             }
             *o = f;
         }
-        Ok(out)
     }
 
     /// Prior joint vector at slice 0.
-    fn prior_vec(&self, hard: &HashMap<NodeId, usize>) -> Result<Vec<f64>> {
-        let mut out = vec![1.0; self.n_states];
+    fn prior(&self, s: &Slice, out: &mut [f64]) {
         for (state, o) in out.iter_mut().enumerate() {
             let mut p = 1.0;
-            for &h in &self.hidden {
-                let cfg = self.config(h, state, None, hard, false)?;
-                p *= self.dbn.prior_cpt(h).prob(cfg, self.value_of(state, h));
+            for (h, cpt) in self.prior.iter().enumerate() {
+                p *= cpt.prob(self.prior_row(h, state, s), self.value(h, state));
             }
             *o = p;
         }
-        Ok(out)
     }
 
-    /// Transition matrix for slice `t` (t ≥ 1), row-major
-    /// `m[prev * n_states + cur]`.
-    fn trans_matrix(&self, hard: &HashMap<NodeId, usize>) -> Result<Vec<f64>> {
-        let n = self.n_states;
-        let mut m = vec![1.0; n * n];
-        for prev in 0..n {
-            for cur in 0..n {
-                let mut p = 1.0;
-                for &h in &self.hidden {
-                    let cfg = self.config(h, cur, Some(prev), hard, true)?;
-                    p *= self.dbn.trans_cpt(h).prob(cfg, self.value_of(cur, h));
+    /// Transition matrix selected by slice `s`, row-major
+    /// `m[prev * n + cur]`; built on its first use.
+    fn matrix(&self, s: &Slice) -> &[f64] {
+        self.matrices[s.offset[self.hard_parents.len() - 1]].get_or_init(|| {
+            let n = self.layout.n;
+            let mut m = vec![1.0; n * n];
+            for prev in 0..n {
+                for cur in 0..n {
+                    let mut p = 1.0;
+                    for (h, cpt) in self.trans.iter().enumerate() {
+                        p *= cpt.prob(self.trans_row(h, prev, cur, s), self.value(h, cur));
+                    }
+                    m[prev * n + cur] = p;
                 }
-                m[prev * n + cur] = p;
             }
-        }
-        Ok(m)
+            m
+        })
     }
 
-    fn normalize(v: &mut [f64]) -> Result<f64> {
-        let s: f64 = v.iter().sum();
-        if s.is_nan() || s <= 0.0 {
-            return Err(BayesError::Numerical(
-                "message vanished (impossible evidence)".into(),
-            ));
-        }
-        for x in v.iter_mut() {
-            *x /= s;
-        }
-        Ok(s)
-    }
-
-    /// Boyen–Koller projection: replaces a joint belief by the product of
-    /// its marginals over `clusters` (a partition of the hidden nodes).
-    pub fn project(&self, belief: &mut [f64], clusters: &[Vec<NodeId>]) -> Result<()> {
-        self.validate_clusters(clusters)?;
-        if clusters.len() <= 1 {
-            return Ok(()); // single cluster: projection is the identity
-        }
-        let mut cluster_margs: Vec<(Vec<NodeId>, Vec<f64>)> = Vec::with_capacity(clusters.len());
-        for cluster in clusters {
-            let size: usize = cluster.iter().map(|&n| self.cards[self.hpos[&n]]).product();
-            let mut marg = vec![0.0; size];
-            for (state, w) in belief.iter().enumerate() {
-                let mut idx = 0;
-                let mut stride = 1;
-                for &n in cluster {
-                    idx += self.value_of(state, n) * stride;
-                    stride *= self.cards[self.hpos[&n]];
+    /// The one forward step: absorbs slice `t` of `ev` into `fwd`.
+    fn step(&self, fwd: &mut Forward, ev: &EvidenceSeq, t: usize) -> Result<()> {
+        self.load(ev, t, &mut fwd.slice)?;
+        if fwd.steps == 0 {
+            self.prior(&fwd.slice, &mut fwd.next);
+        } else {
+            let trans = self.matrix(&fwd.slice);
+            fwd.next.fill(0.0);
+            for (&w, row) in fwd.alpha.iter().zip(trans.chunks(self.layout.n)) {
+                if w == 0.0 {
+                    continue;
                 }
-                marg[idx] += w;
-            }
-            cluster_margs.push((cluster.clone(), marg));
-        }
-        for (state, w) in belief.iter_mut().enumerate() {
-            let mut p = 1.0;
-            for (cluster, marg) in &cluster_margs {
-                let mut idx = 0;
-                let mut stride = 1;
-                for &n in cluster {
-                    idx += self.value_of(state, n) * stride;
-                    stride *= self.cards[self.hpos[&n]];
+                for (x, r) in fwd.next.iter_mut().zip(row) {
+                    *x += w * r;
                 }
-                p *= marg[idx];
             }
-            *w = p;
         }
-        Self::normalize(belief)?;
+        self.observe(&fwd.slice, &mut fwd.obs);
+        for (x, o) in fwd.next.iter_mut().zip(&fwd.obs) {
+            *x *= o;
+        }
+        let scale = normalize(&mut fwd.next)?.ln();
+        if let Some(p) = &mut fwd.projection {
+            p.apply(&mut fwd.next)?;
+        }
+        fwd.loglik += scale;
+        std::mem::swap(&mut fwd.alpha, &mut fwd.next);
+        fwd.steps += 1;
         Ok(())
     }
 
-    fn validate_clusters(&self, clusters: &[Vec<NodeId>]) -> Result<()> {
-        let mut seen = std::collections::HashSet::new();
+    /// Validates a cluster partition and compiles it; `None` when the
+    /// projection is the identity (at most one cluster).
+    fn projection(&self, clusters: &[Vec<NodeId>]) -> Result<Option<Projection>> {
+        let (layout, bad) = (&self.layout, |m: String| Err(BayesError::BadClusters(m)));
+        let mut seen = vec![false; layout.hidden.len()];
+        let (mut index, mut cells) = (Vec::new(), 0);
         for cluster in clusters {
-            for &n in cluster {
-                if !self.hpos.contains_key(&n) {
-                    return Err(BayesError::BadClusters(format!(
-                        "node {n} is not a hidden node"
-                    )));
+            let mut digits = Vec::new();
+            let mut size = 1;
+            for &node in cluster {
+                let Some(h) = layout.hidden.iter().position(|&id| id == node) else {
+                    return bad(format!("node {node} is not a hidden node"));
+                };
+                if std::mem::replace(&mut seen[h], true) {
+                    return bad(format!("node {node} appears twice"));
                 }
-                if !seen.insert(n) {
-                    return Err(BayesError::BadClusters(format!("node {n} appears twice")));
-                }
+                digits.push((h, size));
+                size *= layout.cards[h];
             }
+            index.extend(layout.table(&digits).map(|i| cells + i));
+            cells += size;
         }
-        if seen.len() != self.hidden.len() {
-            return Err(BayesError::BadClusters(format!(
-                "{} of {} hidden nodes covered",
-                seen.len(),
-                self.hidden.len()
-            )));
+        let covered = seen.iter().filter(|&&s| s).count();
+        if covered != seen.len() {
+            return bad(format!("{covered} of {} hidden nodes covered", seen.len()));
         }
-        Ok(())
+        let marg = vec![0.0; cells];
+        Ok((clusters.len() > 1).then_some(Projection { index, marg }))
     }
 
-    /// Starts a resumable Boyen–Koller filter over this engine. With
+    /// A forward pass before its first slice.
+    fn forward(&self, clusters: Option<&[Vec<NodeId>]>) -> Result<Forward> {
+        let n = self.layout.n;
+        Ok(Forward {
+            slice: self.slice(),
+            alpha: vec![0.0; n],
+            next: vec![0.0; n],
+            obs: vec![0.0; n],
+            projection: clusters.map(|c| self.projection(c)).transpose()?.flatten(),
+            steps: 0,
+            loglik: 0.0,
+        })
+    }
+
+    /// Starts a resumable Boyen–Koller filter that owns this engine. With
     /// `clusters = None` (or one cluster) each step is exact; otherwise
     /// the BK projection is applied after every step. The returned
     /// [`BkState`] absorbs evidence one slice at a time — the online
-    /// form of [`Engine::filter`], which is built on top of it.
-    pub fn stepper(&self, clusters: Option<&[Vec<NodeId>]>) -> Result<BkState<'_, 'a>> {
-        if let Some(c) = clusters {
-            self.validate_clusters(c)?;
-        }
+    /// form of [`Engine::filter`].
+    pub fn stepper(self, clusters: Option<&[Vec<NodeId>]>) -> Result<BkState> {
         Ok(BkState {
+            forward: self.forward(clusters)?,
             engine: self,
-            clusters: clusters.map(|c| c.to_vec()),
-            alpha: Vec::new(),
-            steps: 0,
-            loglik: 0.0,
-            cached_trans: None,
         })
     }
 
     /// Forward filtering. With `clusters = None` (or one cluster) this is
     /// exact; otherwise the Boyen–Koller projection is applied after every
     /// step — the paper's "modified Boyen-Koller algorithm for approximate
-    /// inference". Implemented by driving [`Engine::stepper`] over every
-    /// slice, so batch and online filtering cannot drift apart.
+    /// inference". Beside one set of per-pass buffers, it allocates only
+    /// the beliefs it returns.
     pub fn filter(&self, ev: &EvidenceSeq, clusters: Option<&[Vec<NodeId>]>) -> Result<Posteriors> {
         if ev.is_empty() {
             return Err(BayesError::EmptySequence);
         }
-        let mut state = self.stepper(clusters)?;
+        let mut fwd = self.forward(clusters)?;
         let mut beliefs = Vec::with_capacity(ev.len());
         for t in 0..ev.len() {
-            beliefs.push(state.step(ev, t)?);
+            self.step(&mut fwd, ev, t)?;
+            beliefs.push(fwd.alpha.clone());
         }
+        let (layout, loglik) = (self.layout.clone(), fwd.loglik);
         Ok(Posteriors {
-            hidden: self.hidden.clone(),
-            cards: self.cards.clone(),
-            strides: self.strides.clone(),
-            loglik: state.loglik(),
+            layout,
+            loglik,
             beliefs,
         })
     }
 
     /// Exact forward-backward smoothing, returning per-slice posteriors
-    /// γ_t and pairwise posteriors ξ_t (the EM E-step quantities).
+    /// γ_t and pairwise posteriors ξ_t (the EM E-step quantities). The
+    /// forward pass is [`filter`](Self::filter)'s step; per slice it
+    /// records the alpha, the observation factor and the transition
+    /// matrix the backward pass reads.
     pub fn smooth(&self, ev: &EvidenceSeq) -> Result<Smoothed> {
         if ev.is_empty() {
             return Err(BayesError::EmptySequence);
         }
-        let tlen = ev.len();
-        let n = self.n_states;
-        // Forward pass, keeping scaled alphas, per-step observation
-        // factors and transition matrices.
-        let mut alphas: Vec<Vec<f64>> = Vec::with_capacity(tlen);
-        let mut obs_factors: Vec<Vec<f64>> = Vec::with_capacity(tlen);
-        let mut transes: Vec<Vec<f64>> = Vec::with_capacity(tlen.saturating_sub(1));
-        let mut cached_trans: Option<Vec<f64>> = None;
-        let mut loglik = 0.0;
-
-        let hard0 = self.hard_values(ev, 0)?;
-        let mut alpha = self.prior_vec(&hard0)?;
-        let obs0 = self.obs_factor(ev, 0, &hard0)?;
-        for (x, o) in alpha.iter_mut().zip(&obs0) {
-            *x *= o;
-        }
-        loglik += Self::normalize(&mut alpha)?.ln();
-        alphas.push(alpha.clone());
-        obs_factors.push(obs0);
-
-        for t in 1..tlen {
-            let hard = self.hard_values(ev, t)?;
-            let trans = if self.time_varying {
-                self.trans_matrix(&hard)?
-            } else {
-                match &cached_trans {
-                    Some(m) => m.clone(),
-                    None => {
-                        let m = self.trans_matrix(&hard)?;
-                        cached_trans = Some(m.clone());
-                        m
-                    }
-                }
-            };
-            let obs = self.obs_factor(ev, t, &hard)?;
-            let mut next = vec![0.0; n];
-            for prev in 0..n {
-                let w = alpha[prev];
-                if w == 0.0 {
-                    continue;
-                }
-                let row = &trans[prev * n..(prev + 1) * n];
-                for cur in 0..n {
-                    next[cur] += w * row[cur];
-                }
+        let (tlen, n) = (ev.len(), self.layout.n);
+        let mut fwd = self.forward(None)?;
+        let (mut alphas, mut obs_factors, mut transes) = (Vec::new(), Vec::new(), Vec::new());
+        for t in 0..tlen {
+            self.step(&mut fwd, ev, t)?;
+            alphas.push(fwd.alpha.clone());
+            obs_factors.push(fwd.obs.clone());
+            if t > 0 {
+                transes.push(self.matrix(&fwd.slice));
             }
-            for (x, o) in next.iter_mut().zip(&obs) {
-                *x *= o;
-            }
-            loglik += Self::normalize(&mut next)?.ln();
-            alpha = next;
-            alphas.push(alpha.clone());
-            obs_factors.push(obs);
-            transes.push(trans);
         }
 
         // Backward pass.
         let mut betas: Vec<Vec<f64>> = vec![vec![1.0; n]; tlen];
         for t in (0..tlen - 1).rev() {
-            let trans = &transes[t];
-            let obs = &obs_factors[t + 1];
-            let bnext = betas[t + 1].clone();
+            let (obs, bnext) = (&obs_factors[t + 1], &betas[t + 1]);
             let mut b = vec![0.0; n];
-            for prev in 0..n {
-                let row = &trans[prev * n..(prev + 1) * n];
+            for (bp, row) in b.iter_mut().zip(transes[t].chunks(n)) {
                 let mut s = 0.0;
                 for cur in 0..n {
                     s += row[cur] * obs[cur] * bnext[cur];
                 }
-                b[prev] = s;
+                *bp = s;
             }
-            Self::normalize(&mut b)?;
+            normalize(&mut b)?;
             betas[t] = b;
         }
 
         // Gammas and xis.
         let mut beliefs = Vec::with_capacity(tlen);
-        for t in 0..tlen {
-            let mut g: Vec<f64> = alphas[t]
-                .iter()
-                .zip(&betas[t])
-                .map(|(a, b)| a * b)
-                .collect();
-            Self::normalize(&mut g)?;
+        for (alpha, beta) in alphas.iter().zip(&betas) {
+            let mut g: Vec<f64> = alpha.iter().zip(beta).map(|(a, b)| a * b).collect();
+            normalize(&mut g)?;
             beliefs.push(g);
         }
-        let mut xi = Vec::with_capacity(tlen.saturating_sub(1));
-        for t in 0..tlen.saturating_sub(1) {
-            let trans = &transes[t];
-            let obs = &obs_factors[t + 1];
+        let mut xi = Vec::with_capacity(tlen - 1);
+        for t in 0..tlen - 1 {
+            let (obs, beta) = (&obs_factors[t + 1], &betas[t + 1]);
             let mut x = vec![0.0; n * n];
-            for prev in 0..n {
+            for (prev, row) in transes[t].chunks(n).enumerate() {
                 let a = alphas[t][prev];
                 if a == 0.0 {
                     continue;
                 }
-                let row = &trans[prev * n..(prev + 1) * n];
                 for cur in 0..n {
-                    x[prev * n + cur] = a * row[cur] * obs[cur] * betas[t + 1][cur];
+                    x[prev * n + cur] = a * row[cur] * obs[cur] * beta[cur];
                 }
             }
-            Self::normalize(&mut x)?;
+            normalize(&mut x)?;
             xi.push(x);
         }
 
+        let (layout, loglik) = (self.layout.clone(), fwd.loglik);
+        let gamma = Posteriors {
+            layout,
+            loglik,
+            beliefs,
+        };
         Ok(Smoothed {
-            gamma: Posteriors {
-                hidden: self.hidden.clone(),
-                cards: self.cards.clone(),
-                strides: self.strides.clone(),
-                loglik,
-                beliefs,
-            },
+            gamma,
             xi,
             n_states: n,
         })
-    }
-
-    /// Log-likelihood of an evidence sequence under the model.
-    pub fn loglik(&self, ev: &EvidenceSeq) -> Result<f64> {
-        Ok(self.filter(ev, None)?.loglik)
-    }
-
-    /// Joint-state value of `node` in engine state `state` (exposed for
-    /// EM and tests).
-    pub fn state_value(&self, state: usize, node: NodeId) -> usize {
-        self.value_of(state, node)
-    }
-
-    /// Parent configuration helper exposed for EM (same semantics as the
-    /// engine's internal CPT indexing).
-    pub fn parent_config(
-        &self,
-        node: NodeId,
-        cur: usize,
-        prev: Option<usize>,
-        hard: &HashMap<NodeId, usize>,
-        with_temporal: bool,
-    ) -> Result<usize> {
-        self.config(node, cur, prev, hard, with_temporal)
-    }
-
-    /// Hard values of core-observed nodes (exposed for EM).
-    pub fn hard_map(&self, ev: &EvidenceSeq, t: usize) -> Result<HashMap<NodeId, usize>> {
-        self.hard_values(ev, t)
     }
 }
 
@@ -855,6 +866,22 @@ mod tests {
     }
 
     #[test]
+    fn step_rejects_a_slice_past_the_window() {
+        // No evidence-as-parent node, so nothing else would notice the
+        // missing slice: the step must refuse it and keep its clock.
+        let e = Engine::new(&mini_dbn()).unwrap();
+        let mut state = e.stepper(None).unwrap();
+        let window = EvidenceSeq::new(1);
+        assert_eq!(
+            state.step(&window, 1).unwrap_err(),
+            BayesError::SliceOutOfRange { t: 1, len: 1 }
+        );
+        assert_eq!(state.slices(), 0);
+        state.step(&window, 0).unwrap();
+        assert_eq!(state.slices(), 1);
+    }
+
+    #[test]
     fn empty_sequence_is_rejected() {
         let d = mini_dbn();
         let e = Engine::new(&d).unwrap();
@@ -909,10 +936,10 @@ mod tests {
         let e = Engine::new(&d).unwrap();
         let ev = EvidenceSeq::new(1);
         let post = e.filter(&ev, None).unwrap();
-        let mut belief = post.belief(0).to_vec();
         let ma = post.marginal(0, a).unwrap();
         let mb = post.marginal(0, b).unwrap();
-        e.project(&mut belief, &[vec![a], vec![b]]).unwrap();
+        let projected = e.filter(&ev, Some(&[vec![a], vec![b]])).unwrap();
+        let belief = projected.belief(0);
         // After projection: belief(a_v, b_v) = ma[a_v] * mb[b_v].
         // Engine encoding: state = a_v * 1 + b_v * 2.
         for (av, &mav) in ma.iter().enumerate() {

@@ -85,6 +85,13 @@ pub enum BayesError {
     },
     /// An empty sequence was passed where at least one slice is required.
     EmptySequence,
+    /// A slice index past the end of its evidence sequence.
+    SliceOutOfRange {
+        /// The requested slice.
+        t: usize,
+        /// The sequence's length.
+        len: usize,
+    },
     /// A cluster partition does not cover the hidden nodes exactly once.
     BadClusters(String),
     /// Numerical failure (all-zero message, impossible evidence).
@@ -129,6 +136,12 @@ impl std::fmt::Display for BayesError {
                 "evidence for node {node} has length {found}, expected {expected}"
             ),
             BayesError::EmptySequence => write!(f, "empty evidence sequence"),
+            BayesError::SliceOutOfRange { t, len } => {
+                write!(
+                    f,
+                    "slice {t} is out of range for a sequence of {len} slices"
+                )
+            }
             BayesError::BadClusters(msg) => write!(f, "bad cluster partition: {msg}"),
             BayesError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
             BayesError::EmDiverged { iteration, message } => {

@@ -5,6 +5,7 @@ use f1_bayes::dbn::Dbn;
 use f1_bayes::engine::Engine;
 use f1_bayes::evidence::{EvidenceSeq, Obs};
 use f1_bayes::exact;
+use f1_bayes::paper::{audio_dbn, BnStructure, TemporalVariant};
 use f1_bayes::slice::SliceNet;
 use proptest::prelude::*;
 
@@ -100,33 +101,39 @@ proptest! {
         p0 in prob(), stay0 in prob(), stay1 in prob(),
         e0 in prob(), e1 in prob(),
         soft in proptest::collection::vec(prob(), 1..12),
+        cues in proptest::collection::vec(proptest::collection::vec(prob(), 10), 1..12),
         clustered in 0u8..2,
     ) {
         // Differential: the resumable step API, fed evidence ONE SLICE
         // AT A TIME (each step sees only a 1-slice window, exactly like
         // a live ingest chunk), must produce beliefs identical to batch
-        // filtering over the whole sequence.
+        // filtering over the whole sequence. Two nets: the HMM, and the
+        // Fig. 7b evidence-as-parent DBN, whose ten cues are hardened
+        // from each window and select its transition matrix.
         let d = hmm_dbn(p0, stay0, stay1, e0, e1);
         let mut ev = EvidenceSeq::new(soft.len());
         for (t, &p) in soft.iter().enumerate() {
             ev.set_prob(t, 1, p);
         }
-        let eng = Engine::new(&d).unwrap();
-        let clusters: Option<Vec<Vec<usize>>> = (clustered == 1).then(|| vec![vec![0]]);
-        let batch = eng.filter(&ev, clusters.as_deref()).unwrap();
-        let mut state = eng.stepper(clusters.as_deref()).unwrap();
-        for t in 0..soft.len() {
-            let slice = ev.window(t, t + 1);
-            let belief = state.step(&slice, 0).unwrap();
-            prop_assert_eq!(belief.as_slice(), batch.belief(t),
-                "belief diverged at t={}", t);
-            let m = state.marginal(0).unwrap();
-            let bm = batch.marginal(t, 0).unwrap();
-            prop_assert_eq!(m, bm, "marginal diverged at t={}", t);
+        let fig7b = audio_dbn(BnStructure::DirectEvidence, TemporalVariant::Full).unwrap();
+        let fig7b_ev = EvidenceSeq::from_matrix(&fig7b.feature_nodes, &cues);
+        for (d, ev, query) in [(&d, &ev, 0), (&fig7b.dbn, &fig7b_ev, fig7b.query)] {
+            let eng = Engine::new(d).unwrap();
+            let clusters: Option<Vec<Vec<usize>>> = (clustered == 1).then(|| vec![vec![query]]);
+            let batch = eng.filter(ev, clusters.as_deref()).unwrap();
+            let mut state = eng.stepper(clusters.as_deref()).unwrap();
+            for t in 0..ev.len() {
+                let slice = ev.window(t, t + 1);
+                let belief = state.step(&slice, 0).unwrap();
+                prop_assert_eq!(belief, batch.belief(t), "belief diverged at t={}", t);
+                let m = state.marginal(query).unwrap();
+                let bm = batch.marginal(t, query).unwrap();
+                prop_assert_eq!(m, bm, "marginal diverged at t={}", t);
+            }
+            prop_assert_eq!(state.slices(), batch.len());
+            prop_assert!((state.loglik() - batch.loglik).abs() < 1e-12,
+                "loglik diverged: step={} batch={}", state.loglik(), batch.loglik);
         }
-        prop_assert_eq!(state.slices(), batch.len());
-        prop_assert!((state.loglik() - batch.loglik).abs() < 1e-12,
-            "loglik diverged: step={} batch={}", state.loglik(), batch.loglik);
     }
 
     #[test]
@@ -160,7 +167,7 @@ proptest! {
         let mut state = eng.stepper(Some(&clusters)).unwrap();
         for t in 0..obs.len() {
             let belief = state.step(&ev.window(t, t + 1), 0).unwrap();
-            prop_assert_eq!(belief.as_slice(), batch.belief(t),
+            prop_assert_eq!(belief, batch.belief(t),
                 "projected belief diverged at t={}", t);
         }
         prop_assert!((state.loglik() - batch.loglik).abs() < 1e-12);
@@ -210,8 +217,8 @@ proptest! {
         let post = eng.filter(&ev, None).unwrap();
         let ma = post.marginal(0, a).unwrap();
         let mb = post.marginal(0, b).unwrap();
-        let mut belief = post.belief(0).to_vec();
-        eng.project(&mut belief, &[vec![a], vec![b]]).unwrap();
+        let projected = eng.filter(&ev, Some(&[vec![a], vec![b]])).unwrap();
+        let belief = projected.belief(0);
         // Recompute marginals from the projected belief.
         let pa1 = belief[1] + belief[3];
         let pb1 = belief[2] + belief[3];
