@@ -476,7 +476,10 @@ impl Vdbms {
     /// indexed absolutely by clip, so one broadcast-wide vector serves
     /// every window. The fault site `extract.{method}` lets tests knock
     /// out a specific method. The video frames a successful run decoded
-    /// are added to the `ingest.frames_decoded` counter.
+    /// are added to the `ingest.frames_decoded` counter, and its time in
+    /// each part of extraction (`decode`, `audio_features`,
+    /// `video_features`) to `ingest.stage_ns{stage=…}`, beside the whole
+    /// that `ingest_window` records as `feature_extraction`.
     fn extract(
         &self,
         method: &str,
@@ -504,11 +507,15 @@ impl Vdbms {
         .with_faults(self.faults().clone());
         let matrix = fx.extract(kw, clips.start, clips.end)?;
         // What "each frame is decoded once" comes to, as a count.
-        self.kernel
-            .metrics()
-            .registry()
+        let registry = self.kernel.metrics().registry();
+        registry
             .counter("ingest.frames_decoded", &[])
             .add(fx.frames_decoded());
+        for (stage, ns) in fx.stage_ns() {
+            registry
+                .histogram("ingest.stage_ns", &[("stage", stage)])
+                .record(ns);
+        }
         Ok(matrix)
     }
 }
@@ -594,16 +601,20 @@ mod tests {
         for chunk in scenario.chunks(5) {
             vdbms.ingest_chunk("german", &scenario, &chunk).unwrap();
         }
-        let decoded = vdbms
-            .kernel
-            .metrics()
-            .registry()
-            .snapshot()
-            .counter("ingest.frames_decoded", &[]);
+        let snap = vdbms.kernel.metrics().registry().snapshot();
         // 250 frames, the windows overlapping by the four the first one
         // looks ahead into the second; 584 with five decodes per clip
         // and a separate wipe pass.
-        assert_eq!(decoded, 254);
+        assert_eq!(snap.counter("ingest.frames_decoded", &[]), 254);
+        // Extraction's sub-stages are each measured, and are parts of
+        // the whole.
+        let total_ns = |stage: &str| {
+            snap.histogram("ingest.stage_ns", &[("stage", stage)])
+                .map_or(0, |h| h.sum())
+        };
+        let parts = ["decode", "audio_features", "video_features"].map(total_ns);
+        assert!(parts.iter().all(|&ns| ns > 0), "{parts:?}");
+        assert!(parts.iter().sum::<u64>() <= total_ns("feature_extraction"));
     }
 
     #[test]

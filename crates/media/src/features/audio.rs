@@ -90,27 +90,28 @@ pub fn pitch_autocorrelation(
     if min_lag >= max_lag {
         return None;
     }
-    // Raw autocorrelation, LANES lags per pass over the buffer: each
-    // lag's sum runs over its own overlap in ascending order, as it would
-    // alone; the independent sums just overlap in the pipeline.
-    const LANES: usize = 4;
-    let mut scores = Vec::with_capacity(max_lag - min_lag + 1);
-    for first in (min_lag..=max_lag).step_by(LANES) {
-        let lanes = LANES.min(max_lag + 1 - first);
-        // The longest lag of the group has the shortest overlap.
-        let shared = buf.len() - (first + lanes - 1);
-        let mut r = [0.0; LANES];
-        for (&x, lagged) in buf[..shared].iter().zip(buf[first..].windows(lanes)) {
-            for (r, &y) in r.iter_mut().zip(lagged) {
-                *r += x * y;
+    // Raw autocorrelation, LANES lags per pass over the buffer. The last
+    // group ends at `max_lag`, so it may recompute lags of the one before
+    // (or below `min_lag`), to the same numbers; a range too short for
+    // one group goes a lag at a time.
+    const LANES: usize = 16;
+    let mut scores = vec![0.0; max_lag - min_lag + 1];
+    if max_lag + 1 < LANES {
+        for (r, lag) in scores.iter_mut().zip(min_lag..) {
+            [*r] = autocorrelations::<1>(buf, lag);
+        }
+    } else {
+        for group in (min_lag..=max_lag).step_by(LANES) {
+            let first = group.min(max_lag + 1 - LANES);
+            for (r, lag) in autocorrelations::<LANES>(buf, first)
+                .into_iter()
+                .zip(first..)
+            {
+                if lag >= min_lag {
+                    scores[lag - min_lag] = r;
+                }
             }
         }
-        for (r, lag) in r[..lanes].iter_mut().zip(first..) {
-            for (&x, &y) in buf[shared..].iter().zip(&buf[shared + lag..]) {
-                *r += x * y;
-            }
-        }
-        scores.extend_from_slice(&r[..lanes]);
     }
     let mut best = f64::MIN;
     for (r, lag) in scores.iter_mut().zip(min_lag..) {
@@ -136,6 +137,28 @@ pub fn pitch_autocorrelation(
     }
     let lag = lag?;
     Some(SAMPLE_RATE as f64 / lag as f64)
+}
+
+/// The raw autocorrelation of `buf` at lags `first..first + N`, the last
+/// of which must be below `buf.len()`. The N lags advance together over
+/// one pass of the buffer, so their independent sums overlap in the
+/// pipeline; each still runs over its own overlap in ascending order, as
+/// it would alone.
+fn autocorrelations<const N: usize>(buf: &[f64], first: usize) -> [f64; N] {
+    // The longest lag has the shortest overlap.
+    let shared = buf.len() - (first + N - 1);
+    let mut r = [0.0; N];
+    for (&x, lagged) in buf[..shared].iter().zip(buf[first..].windows(N)) {
+        for (r, &y) in r.iter_mut().zip(lagged) {
+            *r += x * y;
+        }
+    }
+    for (r, lag) in r.iter_mut().zip(first..) {
+        for (&x, &y) in buf[shared..].iter().zip(&buf[shared + lag..]) {
+            *r += x * y;
+        }
+    }
+    r
 }
 
 /// Mel scale conversion.
@@ -324,8 +347,9 @@ impl AudioAnalyzer {
             }
         }
 
-        // Pitch over 2-frame (20 ms) windows of the low band, stepping one
-        // frame: lags down to ≈ 90 Hz fit in 440 samples.
+        // Pitch over 2-frame (20 ms) windows of the low band, stepping two
+        // frames — five windows per clip, none overlapping: lags down to
+        // ≈ 90 Hz fit in 440 samples.
         let mut pitches = Vec::new();
         let mut voiced = 0usize;
         let mut windows = 0usize;

@@ -25,6 +25,7 @@
 use crate::features::audio::{AudioAnalyzer, AudioConfig};
 use crate::features::endpoint::EndpointConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use crate::features::video::{
     dust_and_sand, motion_between, replay_spans_from_wipes, semaphore_score, wipe_in,
@@ -87,6 +88,22 @@ fn norm_range(x: f64, lo: f64, hi: f64) -> f64 {
     ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
 }
 
+/// The stages [`FeatureExtractor::stage_ns`] splits extraction into:
+/// rendering frames, planes and audio clips; the audio analysis; the
+/// wipe, motion and colour cues.
+const STAGES: [&str; 3] = ["decode", "audio_features", "video_features"];
+const DECODE: usize = 0;
+const AUDIO_FEATURES: usize = 1;
+const VIDEO_FEATURES: usize = 2;
+
+/// Runs `f`, adding the nanoseconds it took to `ns`.
+fn timed<T>(ns: &mut u64, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *ns += t.elapsed().as_nanos() as u64;
+    out
+}
+
 /// A decoded frame and the luma plane the motion and wipe kernels read.
 struct Decoded {
     idx: usize,
@@ -105,6 +122,8 @@ struct DecodeWindow<'v> {
     video: &'v VideoSynth<'v>,
     held: Vec<Decoded>,
     decoded: u64,
+    /// Nanoseconds spent rendering frames and computing their planes.
+    decode_ns: u64,
 }
 
 impl<'v> DecodeWindow<'v> {
@@ -113,6 +132,7 @@ impl<'v> DecodeWindow<'v> {
             video,
             held: Vec::new(),
             decoded: 0,
+            decode_ns: 0,
         }
     }
 
@@ -124,8 +144,11 @@ impl<'v> DecodeWindow<'v> {
     /// Decodes frame `idx` unless the window holds it.
     fn load(&mut self, idx: usize) {
         if self.held.iter().all(|d| d.idx != idx) {
-            let frame = self.video.frame(idx);
-            let plane = LumaPlane::of(&frame);
+            let (frame, plane) = timed(&mut self.decode_ns, || {
+                let frame = self.video.frame(idx);
+                let plane = LumaPlane::of(&frame);
+                (frame, plane)
+            });
             self.held.push(Decoded { idx, frame, plane });
             self.decoded += 1;
         }
@@ -149,6 +172,7 @@ pub struct FeatureExtractor<'a> {
     cfg: VectorConfig,
     faults: cobra_faults::FaultHandle,
     frames_decoded: AtomicU64,
+    stage_ns: [AtomicU64; 3],
 }
 
 impl<'a> FeatureExtractor<'a> {
@@ -167,6 +191,7 @@ impl<'a> FeatureExtractor<'a> {
             cfg,
             faults: cobra_faults::FaultHandle::default(),
             frames_decoded: AtomicU64::new(0),
+            stage_ns: Default::default(),
         })
     }
 
@@ -181,6 +206,14 @@ impl<'a> FeatureExtractor<'a> {
     /// [`extract`](Self::extract) calls.
     pub fn frames_decoded(&self) -> u64 {
         self.frames_decoded.load(Ordering::Relaxed)
+    }
+
+    /// Nanoseconds this extractor has spent per stage, over all its
+    /// [`extract`](Self::extract) calls: `decode` (video frames, their
+    /// luma planes, audio clips), `audio_features` (the clip analysis)
+    /// and `video_features` (wipe, motion and colour cues).
+    pub fn stage_ns(&self) -> [(&'static str, u64); 3] {
+        std::array::from_fn(|i| (STAGES[i], self.stage_ns[i].load(Ordering::Relaxed)))
     }
 
     /// Extracts the `[hi_clip - lo_clip] × 17` feature matrix.
@@ -211,9 +244,13 @@ impl<'a> FeatureExtractor<'a> {
         let mut next_wipe = video_frame_of_clip(lo_clip);
         let mut wipes = Vec::new();
         let mut window = DecodeWindow::new(&self.video);
+        let mut ns = [0u64; 3];
         let mut rows = Vec::with_capacity(hi_clip.saturating_sub(lo_clip));
         for clip in lo_clip..hi_clip {
-            let a = self.analyzer.analyze_clip(&self.audio.clip(clip))?;
+            let samples = timed(&mut ns[DECODE], || self.audio.clip(clip));
+            let a = timed(&mut ns[AUDIO_FEATURES], || {
+                self.analyzer.analyze_clip(&samples)
+            })?;
             let speech = self.cfg.endpoint.is_speech(&a);
             // §5.2: the emphasized-speech features are "only performed on
             // speech segments obtained by the speech endpoint detection".
@@ -224,7 +261,8 @@ impl<'a> FeatureExtractor<'a> {
             window.release_before(f_idx);
             while next_wipe < video_frame_of_clip(clip + 1).min(wipe_end) {
                 window.load(next_wipe);
-                if wipe_in(&window.get(next_wipe).plane) > 0.5 {
+                let plane = &window.get(next_wipe).plane;
+                if timed(&mut ns[VIDEO_FEATURES], || wipe_in(plane)) > 0.5 {
                     wipes.push(next_wipe);
                 }
                 next_wipe += self.cfg.wipe_stride;
@@ -238,9 +276,19 @@ impl<'a> FeatureExtractor<'a> {
                 window.load(idx);
             }
             let [cur, next, far, mid, far2] = looked_at.map(|idx| window.get(idx));
-            let field = motion_between(&cur.plane, &far.plane);
-            let field2 = motion_between(&mid.plane, &far2.plane);
-            let (dust, sand) = dust_and_sand(&cur.frame);
+            let (motion, color_diff, semaphore, (dust, sand)) =
+                timed(&mut ns[VIDEO_FEATURES], || {
+                    let field = motion_between(&cur.plane, &far.plane);
+                    let field2 = motion_between(&mid.plane, &far2.plane);
+                    (
+                        field
+                            .object_motion_contrast()
+                            .max(field2.object_motion_contrast()),
+                        cur.frame.mean_abs_diff(&next.frame),
+                        semaphore_score(&cur.frame),
+                        dust_and_sand(&cur.frame),
+                    )
+                });
 
             let mut row = vec![0.0; N_FEATURES];
             row[0] = keyword_scores.get(clip).copied().unwrap_or(0.0);
@@ -258,17 +306,19 @@ impl<'a> FeatureExtractor<'a> {
             } else {
                 0.05
             };
-            row[12] = (cur.frame.mean_abs_diff(&next.frame) * self.cfg.color_diff_scale).min(1.0);
-            row[13] = semaphore_score(&cur.frame);
+            row[12] = (color_diff * self.cfg.color_diff_scale).min(1.0);
+            row[13] = semaphore;
             row[14] = (dust * self.cfg.dust_scale).min(1.0);
             row[15] = (sand * self.cfg.dust_scale).min(1.0);
-            row[16] = field
-                .object_motion_contrast()
-                .max(field2.object_motion_contrast());
+            row[16] = motion;
             rows.push(row);
         }
         self.frames_decoded
             .fetch_add(window.decoded, Ordering::Relaxed);
+        ns[DECODE] += window.decode_ns;
+        for (total, ns) in self.stage_ns.iter().zip(ns) {
+            total.fetch_add(ns, Ordering::Relaxed);
+        }
 
         // f12: a wipe opens a replay, the next one in range closes it.
         let (min_len, max_len) = self.cfg.replay_len_frames;

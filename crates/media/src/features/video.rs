@@ -360,6 +360,11 @@ pub(crate) fn dust_and_sand(frame: &Frame) -> (f64, f64) {
     for y in y0..y1 {
         for px in frame.row(y)[..x1 * 3].chunks_exact(3) {
             let (r, g, b) = (px[0], px[1], px[2]);
+            // Both colours have red above 140 (dust's maximum is its red,
+            // sand's red is above 180): one compare settles most pixels.
+            if r <= 140 {
+                continue;
+            }
             let max = r.max(g).max(b) as i32;
             let min = r.min(g).min(b) as i32;
             dust += usize::from(max > 140 && max - min < 40 && r >= g && g >= b);

@@ -14,7 +14,7 @@ pub const HEIGHT: usize = 288;
 pub struct Frame {
     width: usize,
     height: usize,
-    data: bytes::Bytes,
+    data: Vec<u8>,
 }
 
 /// A mutable frame under construction.
@@ -28,8 +28,26 @@ pub struct FrameBuf {
 impl FrameBuf {
     /// A frame filled with one color.
     pub fn filled(width: usize, height: usize, rgb: [u8; 3]) -> Self {
-        let mut data = vec![0u8; width * height * 3];
-        fill_pixels(&mut data, rgb);
+        FrameBuf::banded(width, &[(height, rgb)])
+    }
+
+    /// A frame of full-width horizontal bands, top to bottom, each
+    /// `rows` rows of one color. Every byte is written once: a band is
+    /// one pixel, then copies of its own filled prefix, doubling.
+    pub(crate) fn banded(width: usize, bands: &[(usize, [u8; 3])]) -> Self {
+        let height = bands.iter().map(|&(rows, _)| rows).sum();
+        let mut data = Vec::with_capacity(width * height * 3);
+        for &(rows, rgb) in bands {
+            let start = data.len();
+            let end = start + width * rows * 3;
+            if end > start {
+                data.extend_from_slice(&rgb);
+            }
+            while data.len() < end {
+                let filled = data.len() - start;
+                data.extend_from_within(start..start + filled.min(end - data.len()));
+            }
+        }
         FrameBuf {
             width,
             height,
@@ -110,10 +128,12 @@ impl FrameBuf {
         self.repeat_span(y0, y1, 0, self.width);
     }
 
-    /// Fills the axis-aligned rectangle `[x, x+w) × [y, y+h)` (clipped).
+    /// Fills the axis-aligned rectangle `[x, x+w) × [y, y+h)` (clipped):
+    /// its first row, then copies of it.
     pub fn fill_rect(&mut self, x: usize, y: usize, w: usize, h: usize, rgb: [u8; 3]) {
-        for yy in y..(y + h).min(self.height) {
-            fill_pixels(self.span_mut(yy, x, x + w), rgb);
+        if h > 0 {
+            fill_pixels(self.span_mut(y, x, x + w), rgb);
+            self.repeat_span(y, y + h, x, x + w);
         }
     }
 
@@ -130,26 +150,53 @@ impl FrameBuf {
         }
     }
 
-    /// Freezes the buffer into an immutable, cheaply clonable [`Frame`].
+    /// Freezes the buffer into an immutable [`Frame`], which takes it
+    /// over: nothing is copied.
     pub fn freeze(self) -> Frame {
         Frame {
             width: self.width,
             height: self.height,
-            data: bytes::Bytes::from(self.data),
+            data: self.data,
         }
     }
 }
 
-/// Writes `rgb` into every pixel of a row-major RGB byte slice.
+/// Writes `rgb` into every pixel of a row-major RGB byte slice: the
+/// first pixel, then copies of the filled prefix, doubling.
 fn fill_pixels(bytes: &mut [u8], rgb: [u8; 3]) {
-    for px in bytes.chunks_exact_mut(3) {
-        px.copy_from_slice(&rgb);
+    debug_assert!(bytes.len().is_multiple_of(3), "whole pixels only");
+    let Some(first) = bytes.get_mut(..3) else {
+        return;
+    };
+    first.copy_from_slice(&rgb);
+    let mut filled = 3;
+    while filled < bytes.len() {
+        let n = filled.min(bytes.len() - filled);
+        bytes.copy_within(..n, filled);
+        filled += n;
     }
 }
 
-/// Rec. 601 luma approximation of one pixel, in `0..=255`.
+/// `299·v`, `587·v` and `114·v` for every byte `v`: the Rec. 601
+/// weights [`luma_of`] applies, looked up rather than multiplied, which
+/// halves the cost of a [`LumaPlane`].
+static LUMA_WEIGHTS: [[u32; 256]; 3] = {
+    let mut table = [[0; 256]; 3];
+    let mut v = 0;
+    while v < 256 {
+        table[0][v] = 299 * v as u32;
+        table[1][v] = 587 * v as u32;
+        table[2][v] = 114 * v as u32;
+        v += 1;
+    }
+    table
+};
+
+/// Rec. 601 luma approximation of one pixel, `(299·r + 587·g + 114·b) /
+/// 1000`, in `0..=255`.
 fn luma_of(r: u8, g: u8, b: u8) -> u8 {
-    ((299 * r as u32 + 587 * g as u32 + 114 * b as u32) / 1000) as u8
+    let [wr, wg, wb] = &LUMA_WEIGHTS;
+    ((wr[r as usize] + wg[g as usize] + wb[b as usize]) / 1000) as u8
 }
 
 impl Frame {
@@ -339,6 +386,111 @@ mod tests {
         let f = fb.freeze();
         assert_eq!(f.get(9, 9), [255, 0, 0]);
         assert_eq!(f.get(7, 7), [0, 0, 0]);
+    }
+
+    /// A `width`×`height` frame drawn through [`FrameBuf::set`] alone:
+    /// horizontal bands, top to bottom, from a black frame.
+    fn oracle_banded(width: usize, height: usize, bands: &[(usize, [u8; 3])]) -> FrameBuf {
+        let mut fb = FrameBuf {
+            width,
+            height,
+            data: vec![0; width * height * 3],
+        };
+        let mut y0 = 0;
+        for &(rows, rgb) in bands {
+            oracle_fill_rect(&mut fb, 0, y0, width, rows, rgb);
+            y0 += rows;
+        }
+        fb
+    }
+
+    /// [`FrameBuf::fill_rect`], one [`FrameBuf::set`] per pixel.
+    fn oracle_fill_rect(fb: &mut FrameBuf, x: usize, y: usize, w: usize, h: usize, rgb: [u8; 3]) {
+        for yy in y..y + h {
+            for xx in x..x + w {
+                fb.set(xx, yy, rgb);
+            }
+        }
+    }
+
+    /// [`FrameBuf::repeat_span`], one [`FrameBuf::set`] per pixel.
+    fn oracle_repeat_span(fb: &mut FrameBuf, y0: usize, y1: usize, x0: usize, x1: usize) {
+        for y in y0 + 1..y1.min(fb.height) {
+            for x in x0..x1 {
+                let rgb = fb.get(x, y0);
+                fb.set(x, y, rgb);
+            }
+        }
+    }
+
+    #[test]
+    fn fill_primitives_write_what_per_pixel_sets_write() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn rgb(rng: &mut StdRng) -> [u8; 3] {
+            [rng.gen(), rng.gen(), rng.gen()]
+        }
+        let mut rng = StdRng::seed_from_u64(0xF111);
+        for trial in 0..400 {
+            let width = match trial % 8 {
+                0..=4 => [0, 1, 2, 3, 5][trial % 8],
+                _ => rng.gen_range(0..40),
+            };
+            let height = rng.gen_range(0..12);
+            let color = rgb(&mut rng);
+            let mut fb = FrameBuf::filled(width, height, color);
+            let mut oracle = oracle_banded(width, height, &[(height, color)]);
+            assert_eq!(fb.data, oracle.data, "filled {width}×{height}");
+            // Bands, some of them empty, covering the frame.
+            let mut bands = Vec::new();
+            let mut rows = 0;
+            while rows < height || rng.gen_bool(0.2) {
+                let band = rng.gen_range(0..=height - rows);
+                bands.push((band, rgb(&mut rng)));
+                rows += band;
+            }
+            let banded = FrameBuf::banded(width, &bands);
+            let banded_oracle = oracle_banded(width, rows, &bands);
+            assert_eq!(banded.height, rows);
+            assert_eq!(banded.data, banded_oracle.data, "{width} wide, {bands:?}");
+            // Speckle, so that copies of rows show.
+            for _ in 0..width * height / 2 {
+                let (x, y, c) = (
+                    rng.gen_range(0..width),
+                    rng.gen_range(0..height),
+                    rgb(&mut rng),
+                );
+                fb.set(x, y, c);
+                oracle.set(x, y, c);
+            }
+            // Rectangles and repeats anywhere, of any size: inside, across
+            // every edge, past the frame, and empty.
+            for _ in 0..12 {
+                let x = rng.gen_range(0..width + 4);
+                let y = rng.gen_range(0..height + 4);
+                let w = rng.gen_range(0..width + 5);
+                let h = rng.gen_range(0..height + 5);
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let c = rgb(&mut rng);
+                        fb.fill_rect(x, y, w, h, c);
+                        oracle_fill_rect(&mut oracle, x, y, w, h, c);
+                    }
+                    1 => {
+                        fb.repeat_span(y, y + h, x, x + w);
+                        oracle_repeat_span(&mut oracle, y, y + h, x, x + w);
+                    }
+                    _ => {
+                        fb.repeat_row(y, y + h);
+                        oracle_repeat_span(&mut oracle, y, y + h, 0, width);
+                    }
+                }
+                assert_eq!(
+                    fb.data, oracle.data,
+                    "{width}×{height}, at ({x}, {y}) {w}×{h}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -74,10 +74,16 @@ impl FirFilter {
         let n = signal.len();
         let mut out = vec![0.0; n];
         // The interior, where the kernel hangs over neither end of the
-        // signal, in whole groups of LANES outputs.
-        const LANES: usize = 4;
+        // signal, in groups of LANES outputs: enough independent sums to
+        // keep the adder busy rather than waiting on each other.
+        const LANES: usize = 16;
         let start = mid.min(n);
-        let end = start + (n.saturating_sub(mid).max(start) - start) / LANES * LANES;
+        let interior_end = n.saturating_sub(mid).max(start);
+        let end = if interior_end - start >= LANES {
+            interior_end
+        } else {
+            start
+        };
         for i in (0..start).chain(end..n) {
             let mut acc = 0.0;
             for (k, &h) in self.taps.iter().enumerate() {
@@ -90,11 +96,11 @@ impl FirFilter {
         }
         // No bounds to test there, and LANES outputs advance together:
         // each still sums its taps in ascending order, so it is the same
-        // number; the independent sums just overlap in the pipeline.
-        for (group, i) in out[start..end]
-            .chunks_exact_mut(LANES)
-            .zip((start..).step_by(LANES))
-        {
+        // number; the independent sums just overlap in the pipeline. The
+        // last group ends at the interior's end, so it may recompute
+        // outputs of the one before, to the same numbers.
+        for group in (start..end).step_by(LANES) {
+            let i = group.min(end - LANES);
             let mut acc = [0.0; LANES];
             for (k, &h) in self.taps.iter().enumerate() {
                 let first = i + k - mid;
@@ -102,7 +108,7 @@ impl FirFilter {
                     *a += h * x;
                 }
             }
-            group.copy_from_slice(&acc);
+            out[i..i + LANES].copy_from_slice(&acc);
         }
         out
     }

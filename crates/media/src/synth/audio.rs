@@ -64,6 +64,10 @@ fn hash64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Samples from one grandstand swell window to the next (45 s).
+const SWELL_PERIOD: usize = 45 * SAMPLE_RATE;
+const _: () = assert!(SWELL_PERIOD.is_multiple_of(CLIP_SAMPLES));
+
 fn noise(seed: u64, n: u64) -> f64 {
     // Uniform in [-1, 1).
     (hash64(seed ^ n) >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
@@ -185,7 +189,53 @@ impl AudioSynth {
         self.n_samples
     }
 
-    fn sample(&self, n: usize) -> f64 {
+    /// Renders samples `start..start + len`, a clip's share at a time:
+    /// whether an event is on, the crowd swell, and the engine passes that
+    /// reach into the clip are looked up once per clip, the syllables
+    /// under way are followed from sample to sample, and each sample is
+    /// [`sample`](Self::sample).
+    fn render(&self, start: usize, len: usize) -> Vec<f64> {
+        let end = start + len;
+        let mut out = Vec::with_capacity(len);
+        let mut lo = start;
+        // Syllables starting at or before the sample being rendered.
+        let mut begun = self.starts.partition_point(|&s| s <= start);
+        while lo < end {
+            let clip = lo / CLIP_SAMPLES;
+            let hi = ((clip + 1) * CLIP_SAMPLES).min(end);
+            let busy = self.event_clips.iter().any(|&(s, e)| clip >= s && clip < e);
+            // A swell window is a whole number of clips.
+            let wave = lo / SWELL_PERIOD;
+            let wave_on = hash64(self.noise_seed ^ 0xC0DD ^ wave as u64).is_multiple_of(3);
+            // Passes are in time order and disjoint, so those overlapping
+            // the clip are a run of them.
+            let first = self
+                .passes
+                .partition_point(|p| p.start_sample + p.len <= lo);
+            let last = self.passes.partition_point(|p| p.start_sample < hi);
+            let passes = &self.passes[first..last];
+            for n in lo..hi {
+                while self.starts.get(begun).is_some_and(|&s| s <= n) {
+                    begun += 1;
+                }
+                out.push(self.sample(n, busy, wave_on, passes, &self.syllables[..begun]));
+            }
+            lo = hi;
+        }
+        out
+    }
+
+    /// Sample `n`, given whether an event is on in its clip (`busy`),
+    /// whether its crowd swell window is on, the engine passes that reach
+    /// into its clip, and the syllables begun by it.
+    fn sample(
+        &self,
+        n: usize,
+        busy: bool,
+        wave_on: bool,
+        passes: &[EnginePass],
+        begun: &[Syllable],
+    ) -> f64 {
         let t = n as f64 / SAMPLE_RATE as f64;
         let mut x = 0.0;
 
@@ -201,13 +251,9 @@ impl AudioSynth {
         // come and go on their own (hash-scheduled ~8 s waves every ~45 s).
         // Broadband noise like this is what defeats zero-crossing-rate and
         // entropy speech detectors while the band-limited STE survives.
-        let clip = n / CLIP_SAMPLES;
-        let busy = self.event_clips.iter().any(|&(s, e)| clip >= s && clip < e);
         let mut crowd_amp: f64 = if busy { 0.12 } else { 0.02 };
-        let wave = n / (45 * SAMPLE_RATE);
-        let wave_on = hash64(self.noise_seed ^ 0xC0DD ^ wave as u64).is_multiple_of(3);
         if wave_on {
-            let off = (n % (45 * SAMPLE_RATE)) as f64 / (8 * SAMPLE_RATE) as f64;
+            let off = (n % SWELL_PERIOD) as f64 / (8 * SAMPLE_RATE) as f64;
             if off < 1.0 {
                 crowd_amp = crowd_amp.max(0.15 * (std::f64::consts::PI * off).sin());
             }
@@ -218,7 +264,7 @@ impl AudioSynth {
         // the speech band. The rumble is *machine-steady* — constant pitch
         // and energy — which is exactly what separates it from syllabic
         // speech for the dynamic-range features.
-        for p in &self.passes {
+        for p in passes {
             if n >= p.start_sample && n < p.start_sample + p.len {
                 let off = (n - p.start_sample) as f64 / p.len as f64;
                 let env = (std::f64::consts::PI * off).sin(); // swell in/out
@@ -228,9 +274,8 @@ impl AudioSynth {
             }
         }
 
-        // Commentary: the latest syllable that could still cover n.
-        let idx = self.starts.partition_point(|&s| s <= n);
-        for sy in self.syllables[..idx].iter().rev().take(2) {
+        // Commentary: the latest syllables that could still cover n.
+        for sy in begun.iter().rev().take(2) {
             let off = n - sy.start_sample;
             if off >= sy.len {
                 continue;
@@ -250,15 +295,12 @@ impl AudioSynth {
 
     /// Renders one 0.1 s clip (2 200 samples).
     pub fn clip(&self, clip_idx: usize) -> Vec<f64> {
-        let start = clip_idx * CLIP_SAMPLES;
-        (start..start + CLIP_SAMPLES)
-            .map(|n| self.sample(n))
-            .collect()
+        self.render(clip_idx * CLIP_SAMPLES, CLIP_SAMPLES)
     }
 
     /// Renders an arbitrary sample range (for cross-clip analyses).
     pub fn range(&self, start: usize, len: usize) -> Vec<f64> {
-        (start..start + len).map(|n| self.sample(n)).collect()
+        self.render(start, len)
     }
 }
 
@@ -283,9 +325,12 @@ mod tests {
         let c2 = a.clip(42);
         assert_eq!(c1.len(), CLIP_SAMPLES);
         assert_eq!(c1, c2);
-        // range() agrees with clip().
+        // range() agrees with clip(), also across clip boundaries.
         let r = a.range(42 * CLIP_SAMPLES, CLIP_SAMPLES);
         assert_eq!(c1, r);
+        let clips: Vec<f64> = (42..46).flat_map(|c| a.clip(c)).collect();
+        let r = a.range(42 * CLIP_SAMPLES + 700, 3 * CLIP_SAMPLES);
+        assert_eq!(r, clips[700..700 + 3 * CLIP_SAMPLES]);
     }
 
     #[test]

@@ -151,9 +151,14 @@ impl<'a> VideoSynth<'a> {
         let curb_end = sky_end + 12;
         let track_end = TRACK_END - 24 + (hunit(sseed, 14) * 48.0) as usize;
 
-        let mut fb = FrameBuf::filled(WIDTH, HEIGHT, track);
-        fb.fill_rect(0, 0, WIDTH, sky_end, sky);
-        fb.fill_rect(0, track_end, WIDTH, HEIGHT - track_end, grass);
+        let mut fb = FrameBuf::banded(
+            WIDTH,
+            &[
+                (sky_end, sky),
+                (track_end - sky_end, track),
+                (HEIGHT - track_end, grass),
+            ],
+        );
 
         // Moving curb stripes (red/white) below the sky: texture that
         // makes camera pan visible to the motion estimator.
