@@ -1,6 +1,6 @@
 //! Bounded, sharded-lock LRU cache shared across Cobra subsystems.
 //!
-//! One policy, three users: the kernel's per-(bat, version) `ColumnIndex`
+//! One policy, three users: the kernel's per-(bat, version) tail-sketch
 //! cache, the conceptual→MIL plan cache, and the versioned query result
 //! cache. Keys hash to a shard; each shard is an independent mutex-guarded
 //! map, so concurrent lookups on different shards never contend. Recency is

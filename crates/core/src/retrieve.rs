@@ -281,6 +281,21 @@ fn bound_mil(choice: &PlanChoice, video: &str, driver: &str) -> String {
     f1_moa::compile(&bound)
 }
 
+/// How `calls` selections found their rows, one word each — `built`
+/// (a value index built for it), `hit` (a cached one), `scan` (a morsel
+/// scan) — from what the value-index counters gained meanwhile.
+fn selection_uses(calls: u64, hits: u64, built: u64) -> String {
+    let built = built.min(calls);
+    let hits = hits.min(calls - built);
+    let scans = calls - built - hits;
+    let uses = [("built", built), ("hit", hits), ("scan", scans)];
+    let words: Vec<&str> = uses
+        .iter()
+        .flat_map(|&(word, n)| std::iter::repeat_n(word, n as usize))
+        .collect();
+    words.join(",")
+}
+
 /// True when `[start, end)` overlaps any of `visible`.
 fn overlaps_any(visible: &[RetrievedSegment], start: usize, end: usize) -> bool {
     visible.iter().any(|v| v.start < end && start < v.end)
@@ -661,7 +676,13 @@ impl Vdbms {
                 .registry()
                 .histograms_named("mil.op_ns")
         };
-        let started = span.on().then(|| (op_times(), Instant::now()));
+        let index_uses = || {
+            let metrics = self.kernel.metrics();
+            (metrics.index_hits.get(), metrics.index_misses.get())
+        };
+        let started = span
+            .on()
+            .then(|| (op_times(), index_uses(), Instant::now()));
         let mut rows = self.selected_rows(layer, &program(&mil), budget)?;
         let mut unnamed = Vec::new();
         let mut visible = Vec::new();
@@ -674,10 +695,12 @@ impl Vdbms {
                 visible = self.driver_visible(video, Some(layer), name, budget)?;
             }
         }
-        if let Some((before, clock)) = started {
+        if let Some((before, (hits, built), clock)) = started {
             // Estimated (planner) next to measured (wall clock), so
             // PROFILE exposes how far the cost model is off; the kernel
-            // operators underneath from what their histograms gained.
+            // operators underneath from what their histograms gained,
+            // and how each selection found its rows from what the
+            // value-index counters gained.
             let mut eval = SpanNode::leaf("mil:eval", clock.elapsed().as_nanos() as u64)
                 .with_meta("plan_est_ns", format!("{:.0}", choice.chosen_cost));
             for (key, after) in op_times() {
@@ -686,10 +709,15 @@ impl Vdbms {
                     None => after,
                 };
                 if h.count() > 0 {
-                    let name = format!("kernel:{}", key.label("op").unwrap_or("op"));
-                    eval.children.push(
-                        SpanNode::leaf(&name, h.sum()).with_meta("calls", h.count().to_string()),
-                    );
+                    let op = key.label("op").unwrap_or("op");
+                    let mut node = SpanNode::leaf(&format!("kernel:{op}"), h.sum())
+                        .with_meta("calls", h.count().to_string());
+                    if op == "select" {
+                        let (now_hits, now_built) = index_uses();
+                        let uses = selection_uses(h.count(), now_hits - hits, now_built - built);
+                        node = node.with_meta("index", uses);
+                    }
+                    eval.children.push(node);
                 }
             }
             span.attach(eval);

@@ -1,15 +1,35 @@
-//! Hash indexes over BAT columns.
+//! Value indexes over BAT columns.
 //!
-//! Monet builds hash tables on demand to accelerate joins and point
-//! selections. [`ColumnIndex`] is a typed index keyed by the column's
-//! native representation (`u64`, `i64`, f64 bit patterns, interned
-//! strings, bools), built once per `(bat, version)` and cached by the
-//! kernel. The atom-keyed `HashIndex` it replaced survives only as part
-//! of the naive reference the vectorized operators are differentially
-//! tested against (`tests/naive/mod.rs`).
+//! Monet builds indexes on demand to accelerate joins and point
+//! selections. [`ColumnIndex`] is keyed by the column's native
+//! representation: `oid`, `int` and `dbl` values (the latter by IEEE-754
+//! bit pattern) hash to the positions holding them, and a `bit` column
+//! splits into its two position lists. A dictionary-coded `str` column
+//! is indexed *by code*, with no hashing: one offsets array over the
+//! dictionary and one positions array over the rows, 4 B per row plus
+//! 4 B per dictionary entry, filled by a counting pass and a placing
+//! pass. A string key resolves to its code through the indexed column's
+//! own dictionary, so a key the dictionary lacks matches no row.
+//!
+//! Two users:
+//!
+//! * **Equality selections on catalog columns.** In MIL,
+//!   `bat(name).select(v)` — a bound event-layer column of
+//!   [`Kernel::eval_mil_bound`](crate::kernel::Kernel::eval_mil_bound) or
+//!   a name looked up in the catalog — gathers the positions the index
+//!   lists for `v` instead of scanning. The kernel keeps one index per
+//!   catalog name, valid for exactly the (BAT id, version) it was built
+//!   at, built by the first selection of that version and released when
+//!   the name is rebound, dropped or grown in place. Selections on
+//!   temporaries and range selections scan.
+//! * **Joins** build one over the build side's head for the call and
+//!   drop it (a void head is probed by position, with no index).
+//!
+//! The atom-keyed `HashIndex` this replaced survives only as part of the
+//! naive reference the vectorized operators are differentially tested
+//! against (`tests/naive/mod.rs`).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::bat::{Column, ColumnData};
 use crate::value::Atom;
@@ -18,11 +38,12 @@ use crate::value::Atom;
 /// an integral double identifies at most one `i64` key.
 const EXACT_F64_INT: f64 = 9_007_199_254_740_992.0; // 2^53
 
-/// A typed hash index over one materialized BAT column.
+/// A typed value index over one materialized BAT column.
 ///
-/// Keys use the column's native representation; `Dbl` keys are IEEE-754
-/// bit patterns, which coincides exactly with [`Atom`] equality
+/// Numeric keys use the column's native representation; `Dbl` keys are
+/// IEEE-754 bit patterns, which coincides exactly with [`Atom`] equality
 /// (`total_cmp`): NaNs with equal payloads match, `0.0` and `-0.0` don't.
+/// Every position list is ascending.
 #[derive(Debug, Clone)]
 pub enum ColumnIndex {
     /// Index over an `oid` column.
@@ -32,8 +53,14 @@ pub enum ColumnIndex {
     /// Index keyed by f64 bit patterns — built over a `dbl` column, or as
     /// a widened view over an `int` column for mixed-numeric joins.
     F64(HashMap<u64, Vec<u32>>),
-    /// Index over a `str` column (keys share the column's intern pool).
-    Str(HashMap<Arc<str>, Vec<u32>>),
+    /// Index over a dictionary-coded `str` column, by code: the rows
+    /// holding code `c` are `positions[offsets[c]..offsets[c + 1]]`.
+    Str {
+        /// Start of each code's rows in `positions`, plus the row count.
+        offsets: Vec<u32>,
+        /// Row positions grouped by code.
+        positions: Vec<u32>,
+    },
     /// Index over a `bit` column: positions of `false` and `true`.
     Bit([Vec<u32>; 2]),
 }
@@ -68,17 +95,27 @@ impl ColumnIndex {
                 ColumnIndex::F64(m)
             }
             ColumnData::Str(s) => {
-                // Group positions per dictionary code first, then key the
-                // buckets by the interned string.
-                let mut per_code: HashMap<u32, Vec<u32>> = HashMap::with_capacity(s.dict_len());
-                for (i, &c) in s.codes().iter().enumerate() {
-                    per_code.entry(c).or_default().push(i as u32);
+                // Count each code's rows in its slot, then turn the counts
+                // into running totals: each slot holds its bucket's end.
+                // Placing rows from the last one back moves every end
+                // down to its bucket's start and leaves buckets ascending.
+                let codes = s.codes();
+                let mut offsets = vec![0u32; s.dict_len() + 1];
+                for &c in codes {
+                    offsets[c as usize] += 1;
                 }
-                let mut m: HashMap<Arc<str>, Vec<u32>> = HashMap::with_capacity(per_code.len());
-                for (c, positions) in per_code {
-                    m.insert(Arc::clone(&s.dict()[c as usize]), positions);
+                let mut total = 0;
+                for slot in &mut offsets {
+                    total += *slot;
+                    *slot = total;
                 }
-                ColumnIndex::Str(m)
+                let mut positions = vec![0u32; codes.len()];
+                for (i, &c) in codes.iter().enumerate().rev() {
+                    let slot = &mut offsets[c as usize];
+                    *slot -= 1;
+                    positions[*slot as usize] = i as u32;
+                }
+                ColumnIndex::Str { offsets, positions }
             }
             ColumnData::Bit(v) => {
                 let mut buckets = [Vec::new(), Vec::new()];
@@ -132,10 +169,16 @@ impl ColumnIndex {
         }
     }
 
-    /// Positions holding `key` in a string index.
-    pub fn lookup_str(&self, key: &str) -> &[u32] {
+    /// Positions holding dictionary code `code` in a string index.
+    pub fn lookup_code(&self, code: u32) -> &[u32] {
+        let code = code as usize;
         match self {
-            ColumnIndex::Str(m) => m.get(key).map(Vec::as_slice).unwrap_or(NO_POSITIONS),
+            ColumnIndex::Str { offsets, positions } => match offsets.get(code..code + 2) {
+                Some(&[start, end]) => positions
+                    .get(start as usize..end as usize)
+                    .unwrap_or(NO_POSITIONS),
+                _ => NO_POSITIONS,
+            },
             _ => NO_POSITIONS,
         }
     }
@@ -148,13 +191,14 @@ impl ColumnIndex {
         }
     }
 
-    /// Positions whose value equals `key` under full [`Atom`] equality.
+    /// Positions of `column` — the column this index was built over —
+    /// whose value equals `key` under full [`Atom`] equality.
     ///
     /// Returns `None` when this index cannot answer the probe exactly —
-    /// currently only a double probing an `i64` index beyond ±2^53, where
-    /// several int keys widen to the same double; callers fall back to a
-    /// widened index (see [`ColumnIndex::build_widened`]).
-    pub fn lookup_atom(&self, key: &Atom) -> Option<&[u32]> {
+    /// only a double probing an `i64` index beyond ±2^53, where several
+    /// int keys widen to the same double; callers scan instead, or probe
+    /// a widened index (see [`ColumnIndex::build_widened`]).
+    pub fn positions(&self, column: &Column, key: &Atom) -> Option<&[u32]> {
         Some(match (self, key) {
             (ColumnIndex::U64(_), Atom::Oid(o)) => self.lookup_u64(*o),
             (ColumnIndex::I64(_), Atom::Int(i)) => self.lookup_i64(*i),
@@ -174,22 +218,18 @@ impl ColumnIndex {
             }
             (ColumnIndex::F64(_), Atom::Dbl(d)) => self.lookup_f64_bits(d.to_bits()),
             (ColumnIndex::F64(_), Atom::Int(i)) => self.lookup_f64_bits((*i as f64).to_bits()),
-            (ColumnIndex::Str(_), Atom::Str(s)) => self.lookup_str(s),
+            // The column's dictionary names the code; a string it never
+            // interned is on no row.
+            (ColumnIndex::Str { .. }, Atom::Str(s)) => {
+                match column.strs().and_then(|dict| dict.code_of(s)) {
+                    Some(code) => self.lookup_code(code),
+                    None => NO_POSITIONS,
+                }
+            }
             (ColumnIndex::Bit(_), Atom::Bit(b)) => self.lookup_bit(*b),
             // Cross-type atom equality is always false.
             _ => NO_POSITIONS,
         })
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct(&self) -> usize {
-        match self {
-            ColumnIndex::U64(m) => m.len(),
-            ColumnIndex::I64(m) => m.len(),
-            ColumnIndex::F64(m) => m.len(),
-            ColumnIndex::Str(m) => m.len(),
-            ColumnIndex::Bit(b) => b.iter().filter(|v| !v.is_empty()).count(),
-        }
     }
 }
 
@@ -205,18 +245,40 @@ mod tests {
         let idx = ColumnIndex::build(ints.tail()).unwrap();
         assert_eq!(idx.lookup_i64(3), &[0, 2]);
         assert_eq!(idx.lookup_i64(9), NO_POSITIONS);
-        assert_eq!(idx.distinct(), 3);
 
         let strs =
             Bat::from_tail(AtomType::Str, ["x", "y", "x"].into_iter().map(Atom::str)).unwrap();
         let sidx = ColumnIndex::build(strs.tail()).unwrap();
-        assert_eq!(sidx.lookup_str("x"), &[0, 2]);
-        assert_eq!(sidx.lookup_str("nope"), NO_POSITIONS);
+        assert_eq!(
+            sidx.positions(strs.tail(), &Atom::str("x")).unwrap(),
+            &[0, 2]
+        );
+        assert_eq!(
+            sidx.positions(strs.tail(), &Atom::str("nope")).unwrap(),
+            NO_POSITIONS
+        );
 
         let bits = Bat::from_tail(AtomType::Bit, [true, false, true].map(Atom::Bit)).unwrap();
         let bidx = ColumnIndex::build(bits.tail()).unwrap();
         assert_eq!(bidx.lookup_bit(true), &[0, 2]);
         assert_eq!(bidx.lookup_bit(false), &[1]);
+    }
+
+    #[test]
+    fn str_index_is_two_arrays_by_code() {
+        // Codes: a=0, b=1, c=2; the gathered column keeps "c" unused.
+        let full =
+            Bat::from_tail(AtomType::Str, ["a", "b", "c"].into_iter().map(Atom::str)).unwrap();
+        let col = full.gather(&[1, 0, 1, 1, 0]);
+        let idx = ColumnIndex::build(col.tail()).unwrap();
+        let ColumnIndex::Str { offsets, positions } = &idx else {
+            panic!("str column indexed as {idx:?}");
+        };
+        assert_eq!(offsets, &[0, 2, 5, 5]);
+        assert_eq!(positions, &[1, 4, 0, 2, 3]);
+        assert_eq!(idx.lookup_code(1), &[0, 2, 3]);
+        assert_eq!(idx.lookup_code(2), NO_POSITIONS);
+        assert_eq!(idx.lookup_code(3), NO_POSITIONS);
     }
 
     #[test]
@@ -228,24 +290,29 @@ mod tests {
     #[test]
     fn atom_lookup_honours_total_order_equality() {
         let d = Bat::from_tail(AtomType::Dbl, [0.0, -0.0, f64::NAN, 2.0].map(Atom::Dbl)).unwrap();
-        let idx = ColumnIndex::build(d.tail()).unwrap();
-        assert_eq!(idx.lookup_atom(&Atom::Dbl(0.0)).unwrap(), &[0]);
-        assert_eq!(idx.lookup_atom(&Atom::Dbl(-0.0)).unwrap(), &[1]);
-        assert_eq!(idx.lookup_atom(&Atom::Dbl(f64::NAN)).unwrap(), &[2]);
+        let col = d.tail();
+        let idx = ColumnIndex::build(col).unwrap();
+        assert_eq!(idx.positions(col, &Atom::Dbl(0.0)).unwrap(), &[0]);
+        assert_eq!(idx.positions(col, &Atom::Dbl(-0.0)).unwrap(), &[1]);
+        assert_eq!(idx.positions(col, &Atom::Dbl(f64::NAN)).unwrap(), &[2]);
         // Mixed numeric equality: Int(2) == Dbl(2.0).
-        assert_eq!(idx.lookup_atom(&Atom::Int(2)).unwrap(), &[3]);
+        assert_eq!(idx.positions(col, &Atom::Int(2)).unwrap(), &[3]);
         // Cross-type equality is false.
-        assert_eq!(idx.lookup_atom(&Atom::str("2")).unwrap(), NO_POSITIONS);
+        assert_eq!(idx.positions(col, &Atom::str("2")).unwrap(), NO_POSITIONS);
     }
 
     #[test]
     fn int_index_answers_small_double_probes() {
         let b = Bat::from_tail(AtomType::Int, [4, 7].map(Atom::Int)).unwrap();
-        let idx = ColumnIndex::build(b.tail()).unwrap();
-        assert_eq!(idx.lookup_atom(&Atom::Dbl(4.0)).unwrap(), &[0]);
-        assert_eq!(idx.lookup_atom(&Atom::Dbl(4.5)).unwrap(), NO_POSITIONS);
-        assert_eq!(idx.lookup_atom(&Atom::Dbl(-0.0)).unwrap(), NO_POSITIONS);
-        assert_eq!(idx.lookup_atom(&Atom::Dbl(f64::NAN)).unwrap(), NO_POSITIONS);
+        let col = b.tail();
+        let idx = ColumnIndex::build(col).unwrap();
+        assert_eq!(idx.positions(col, &Atom::Dbl(4.0)).unwrap(), &[0]);
+        assert_eq!(idx.positions(col, &Atom::Dbl(4.5)).unwrap(), NO_POSITIONS);
+        assert_eq!(idx.positions(col, &Atom::Dbl(-0.0)).unwrap(), NO_POSITIONS);
+        assert_eq!(
+            idx.positions(col, &Atom::Dbl(f64::NAN)).unwrap(),
+            NO_POSITIONS
+        );
     }
 
     #[test]
@@ -253,11 +320,12 @@ mod tests {
         // Both ints widen to the same double.
         let big = 9_007_199_254_740_992i64; // 2^53
         let b = Bat::from_tail(AtomType::Int, [big, big + 1].map(Atom::Int)).unwrap();
-        let idx = ColumnIndex::build(b.tail()).unwrap();
+        let col = b.tail();
+        let idx = ColumnIndex::build(col).unwrap();
         // The natural i64 index cannot answer this probe exactly.
-        assert!(idx.lookup_atom(&Atom::Dbl(big as f64)).is_none());
-        let widened = ColumnIndex::build_widened(b.tail()).unwrap();
-        let hits = widened.lookup_atom(&Atom::Dbl(big as f64)).unwrap();
+        assert!(idx.positions(col, &Atom::Dbl(big as f64)).is_none());
+        let widened = ColumnIndex::build_widened(col).unwrap();
+        let hits = widened.positions(col, &Atom::Dbl(big as f64)).unwrap();
         assert_eq!(hits, &[0, 1]);
     }
 }

@@ -19,11 +19,9 @@ use crate::guard::ExecBudget;
 use crate::index::ColumnIndex;
 use crate::metrics::KernelMetrics;
 use crate::mil::{self, MilValue};
+use crate::ops::{self, OpCtx};
 use crate::sketch::{BatSketch, PlanStats};
-
-/// Entry bound for the head-index cache; the least-recently-used entry is
-/// evicted when a new BAT's index would exceed it.
-const INDEX_CACHE_CAP: usize = 128;
+use crate::value::Atom;
 
 /// Entry bound for the tail-sketch cache. Sketches are a few dozen bytes
 /// each, so the cap exists only to bound id churn.
@@ -58,13 +56,12 @@ pub struct Kernel {
     modules: RwLock<HashMap<String, Arc<dyn MelModule>>>,
     /// proc name -> module name, for bare-name resolution from MIL.
     procs: RwLock<HashMap<String, String>>,
-    /// Head-column indexes keyed by BAT identity, tagged with the BAT
-    /// version they were built at. A mutated BAT bumps its version, so a
-    /// stale entry is detected (and rebuilt) on the next lookup. Bounded
-    /// by [`INDEX_CACHE_CAP`] with per-entry LRU eviction.
-    index_cache: Lru<u64, (u64, Arc<ColumnIndex>)>,
-    /// Tail-column cardinality sketches for the plan coster, keyed and
-    /// invalidated exactly like the head-index cache.
+    /// Tail value indexes of catalog BATs, one per catalog name
+    /// ([`value_index`](Self::value_index)); lock order: `bats` first.
+    index_cache: RwLock<HashMap<String, NamedIndex>>,
+    /// Tail-column cardinality sketches for the plan coster, keyed by
+    /// BAT identity and tagged with the version they were built at: a
+    /// mutated BAT bumps its version, so a stale entry rebuilds on lookup.
     sketch_cache: Lru<u64, (u64, Arc<BatSketch>)>,
     /// Observability: pre-resolved handles over this kernel's metric
     /// registry. Snapshot via `kernel.metrics().registry()`.
@@ -74,6 +71,14 @@ pub struct Kernel {
     faults: cobra_faults::FaultHandle,
 }
 
+/// The value index cached for one catalog name: valid for exactly the
+/// BAT (by id) and the version it was built over.
+struct NamedIndex {
+    bat: u64,
+    version: u64,
+    index: Arc<ColumnIndex>,
+}
+
 impl Kernel {
     /// Creates an empty kernel.
     pub fn new() -> Self {
@@ -81,7 +86,7 @@ impl Kernel {
             bats: RwLock::new(HashMap::new()),
             modules: RwLock::new(HashMap::new()),
             procs: RwLock::new(HashMap::new()),
-            index_cache: Lru::new(INDEX_CACHE_CAP),
+            index_cache: RwLock::new(HashMap::new()),
             sketch_cache: Lru::new(SKETCH_CACHE_CAP),
             metrics: Arc::new(KernelMetrics::default()),
             faults: cobra_faults::FaultHandle::default(),
@@ -101,36 +106,99 @@ impl Kernel {
         &self.metrics
     }
 
-    /// A hash index over `bat`'s head column, cached per (BAT id, version).
-    ///
-    /// Returns `None` for void heads (positional lookup beats any index)
-    /// and empty BATs. Join-heavy MIL programs probing the same catalog BAT
-    /// repeatedly pay the build cost once per mutation instead of once per
-    /// operator call.
-    pub fn head_index(&self, bat: &Bat) -> Option<Arc<ColumnIndex>> {
-        bat.head().data()?;
-        let key = bat.id();
-        if let Some((version, idx)) = self.index_cache.get(&key) {
-            if version == bat.version() {
-                self.metrics.index_hits.inc();
-                return Some(idx);
+    /// MIL's `b.select(v)` over the BAT `handle` holds: when the program
+    /// read it by the catalog name `catalog`, the rows its value index
+    /// lists for `v` (counted as a cache hit or a build); otherwise, or
+    /// when the index cannot answer `v` exactly, a morsel scan.
+    pub(crate) fn select_eq(
+        &self,
+        catalog: Option<&str>,
+        handle: &BatHandle,
+        v: &Atom,
+        ctx: &OpCtx<'_>,
+    ) -> Result<Bat> {
+        let bat = handle.read();
+        if let Some(name) = catalog {
+            if let Some((index, hit)) = self.value_index(name, handle, &bat, ctx)? {
+                if let Some(out) = ops::select_eq_indexed(&bat, v, &index, ctx)? {
+                    let used = if hit {
+                        &self.metrics.index_hits
+                    } else {
+                        &self.metrics.index_misses
+                    };
+                    used.inc();
+                    return Ok(out);
+                }
             }
         }
-        self.metrics.index_misses.inc();
-        let built = Arc::new(ColumnIndex::build(bat.head())?);
-        if self
-            .index_cache
-            .insert(key, (bat.version(), Arc::clone(&built)))
-            .is_some()
-        {
-            self.metrics.index_evictions.inc();
-        }
-        Some(built)
+        ops::select_eq_ctx(&bat, v, ctx)
     }
 
-    /// Number of live entries in the head-index cache (for tests/metrics).
+    /// The value index over the tail of `bat`, which a MIL evaluation
+    /// read by the catalog name `name` as `handle`, and whether the cache
+    /// held it; `None` for a void tail, which selects positionally.
+    ///
+    /// The cache keeps one index per name, valid for exactly one (BAT
+    /// id, version), so it never serves a stale row: a commit, a rebind
+    /// or an in-place append makes the next probe rebuild. A build is
+    /// charged to `ctx` like the scan it replaces, and kept only while
+    /// `name` still binds `handle`: a reader of a superseded layer
+    /// builds, uses and drops its own.
+    fn value_index(
+        &self,
+        name: &str,
+        handle: &BatHandle,
+        bat: &Bat,
+        ctx: &OpCtx<'_>,
+    ) -> Result<Option<(Arc<ColumnIndex>, bool)>> {
+        if let Some(entry) = self.index_cache.read().get(name) {
+            if (entry.bat, entry.version) == (bat.id(), bat.version()) {
+                return Ok(Some((Arc::clone(&entry.index), true)));
+            }
+        }
+        let Some(index) = ops::index_tail(bat, ctx)? else {
+            return Ok(None);
+        };
+        let index = Arc::new(index);
+        // Under the name map's read lock, which every rebind holds for
+        // writing while it releases, no rebind slips between the check
+        // and the insert.
+        let bats = self.bats.read();
+        if bats
+            .get(name)
+            .is_some_and(|bound| Arc::ptr_eq(bound, handle))
+        {
+            let entry = NamedIndex {
+                bat: bat.id(),
+                version: bat.version(),
+                index: Arc::clone(&index),
+            };
+            if self
+                .index_cache
+                .write()
+                .insert(name.to_string(), entry)
+                .is_some()
+            {
+                self.metrics.index_evictions.inc();
+            }
+        }
+        Ok(Some((index, false)))
+    }
+
+    /// Releases the cached value indexes of `names`, whose bindings are
+    /// changing. Caller holds the name map for writing.
+    fn release_indexes<'n>(&self, names: impl IntoIterator<Item = &'n str>) {
+        let mut cache = self.index_cache.write();
+        for name in names {
+            if cache.remove(name).is_some() {
+                self.metrics.index_evictions.inc();
+            }
+        }
+    }
+
+    /// Number of catalog names holding a cached value index.
     pub fn cached_indexes(&self) -> usize {
-        self.index_cache.len()
+        self.index_cache.read().len()
     }
 
     /// The tail sketch of `bat`, cached per (BAT id, version) — stale
@@ -152,7 +220,7 @@ impl Kernel {
 
     /// Assembles the measured statistics a planning pass runs against:
     /// per-opcode ns/row from the `mil.op_ns`/`mil.op_rows` histograms,
-    /// index-cache hit rate, sequential vs parallel morsel throughput,
+    /// sequential vs parallel morsel throughput,
     /// and tail sketches for each named catalog collection (unknown
     /// names are simply absent, so planning stays total).
     pub fn plan_stats(&self, collections: &[&str]) -> PlanStats {
@@ -173,13 +241,6 @@ impl Kernel {
                     .op_ns_per_row
                     .insert(op.to_string(), h.sum() as f64 / rows as f64);
             }
-        }
-        let (hits, misses) = (
-            self.metrics.index_hits.get(),
-            self.metrics.index_misses.get(),
-        );
-        if hits + misses > 0 {
-            stats.index_hit_rate = Some(hits as f64 / (hits + misses) as f64);
         }
         let (seq_ns, seq_rows) = (
             self.metrics.morsel_seq_ns.get(),
@@ -218,9 +279,9 @@ impl Kernel {
     /// Registers or replaces `bat` under `name`.
     pub fn set_bat(&self, name: &str, bat: Bat) -> BatHandle {
         let handle = Arc::new(RwLock::new(bat));
-        self.bats
-            .write()
-            .insert(name.to_string(), Arc::clone(&handle));
+        let mut bats = self.bats.write();
+        self.release_indexes([name]);
+        bats.insert(name.to_string(), Arc::clone(&handle));
         handle
     }
 
@@ -233,7 +294,9 @@ impl Kernel {
             .into_iter()
             .map(|(name, bat)| (name.into(), Arc::new(RwLock::new(bat))))
             .collect();
-        self.bats.write().extend(group);
+        let mut bats = self.bats.write();
+        self.release_indexes(group.iter().map(|(name, _)| name.as_str()));
+        bats.extend(group);
     }
 
     /// Changes a group of BATs where they lie, under one write acquisition
@@ -255,7 +318,9 @@ impl Kernel {
         for handle in map.get_disjoint_mut(names) {
             group.push(Arc::get_mut(handle?)?.get_mut());
         }
-        Some(update(group.try_into().ok()?))
+        let group = group.try_into().ok()?;
+        self.release_indexes(names);
+        Some(update(group))
     }
 
     /// Fetches a catalog BAT by name.
@@ -277,9 +342,9 @@ impl Kernel {
 
     /// Removes a catalog BAT, returning it.
     pub fn drop_bat(&self, name: &str) -> Result<BatHandle> {
-        self.bats
-            .write()
-            .remove(name)
+        let mut bats = self.bats.write();
+        self.release_indexes([name]);
+        bats.remove(name)
             .ok_or_else(|| MonetError::NotFound(format!("BAT '{name}'")))
     }
 
@@ -401,7 +466,7 @@ impl Default for Kernel {
 mod tests {
     use super::*;
     use crate::bat::ColumnData;
-    use crate::value::{Atom, AtomType};
+    use crate::value::AtomType;
 
     struct EchoModule;
 
@@ -531,54 +596,83 @@ mod tests {
         assert_eq!(k.bat("shared").unwrap().read().len(), 4);
     }
 
-    #[test]
-    fn head_index_is_cached_per_version() {
-        let k = Kernel::new();
-        let mut b = Bat::new(AtomType::Int, AtomType::Int);
-        b.append(Atom::Int(7), Atom::Int(1)).unwrap();
-        let first = k.head_index(&b).unwrap();
-        let again = k.head_index(&b).unwrap();
-        // Same version: the cached Arc is handed back, not a rebuild.
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(k.cached_indexes(), 1);
+    /// Selections by catalog name against one kernel, counting how each
+    /// found its rows: (cache hits, builds).
+    fn index_uses(k: &Kernel) -> (u64, u64) {
+        (k.metrics.index_hits.get(), k.metrics.index_misses.get())
+    }
 
-        // Mutation bumps the version; the stale entry is rebuilt in place.
-        b.append(Atom::Int(9), Atom::Int(2)).unwrap();
-        let rebuilt = k.head_index(&b).unwrap();
-        assert!(!Arc::ptr_eq(&first, &rebuilt));
-        assert_eq!(rebuilt.lookup_i64(9), &[1]);
-        assert_eq!(k.cached_indexes(), 1);
+    fn ints(values: &[i64]) -> Bat {
+        Bat::from_tail_data(ColumnData::Int(values.to_vec()))
     }
 
     #[test]
-    fn head_index_evicts_per_entry_not_wholesale() {
+    fn value_index_is_cached_per_name_and_version() {
         let k = Kernel::new();
-        let bats: Vec<Bat> = (0..INDEX_CACHE_CAP as i64 + 16)
-            .map(|i| {
-                let mut b = Bat::new(AtomType::Int, AtomType::Int);
-                b.append(Atom::Int(i), Atom::Int(i)).unwrap();
-                b
-            })
-            .collect();
-        for b in &bats {
-            k.head_index(b).unwrap();
-        }
-        // Overflow displaces old entries one at a time instead of clearing
-        // the whole cache, so residency stays at (roughly) the cap.
-        assert!(k.cached_indexes() <= k.index_cache.capacity());
-        assert!(k.cached_indexes() > INDEX_CACHE_CAP / 2);
-        assert!(k.metrics.index_evictions.get() > 0);
-        // The most recent BAT is still resident: probing it again is a hit.
-        let hits_before = k.metrics.index_hits.get();
-        k.head_index(bats.last().unwrap()).unwrap();
-        assert_eq!(k.metrics.index_hits.get(), hits_before + 1);
-    }
+        k.set_bat("x", ints(&[7, 1, 7]));
+        let select = r#"RETURN bat("x").select(7).count;"#;
+        assert_eq!(k.eval_mil(select).unwrap(), MilValue::Atom(Atom::Int(2)));
+        assert_eq!(index_uses(&k), (0, 1));
+        assert_eq!(k.eval_mil(select).unwrap(), MilValue::Atom(Atom::Int(2)));
+        assert_eq!(index_uses(&k), (1, 1));
+        assert_eq!(k.cached_indexes(), 1);
 
-    #[test]
-    fn head_index_skips_void_heads() {
-        let k = Kernel::new();
-        let b = Bat::from_tail(AtomType::Int, (0..3).map(Atom::Int)).unwrap();
-        assert!(k.head_index(&b).is_none());
+        // Growing the BAT in place releases its index; the next
+        // selection rebuilds and sees the new row.
+        k.update_unshared(["x"], |[x]| x.extend_ints([7]))
+            .unwrap()
+            .unwrap();
         assert_eq!(k.cached_indexes(), 0);
+        assert_eq!(k.eval_mil(select).unwrap(), MilValue::Atom(Atom::Int(3)));
+        assert_eq!(index_uses(&k), (1, 2));
+    }
+
+    #[test]
+    fn rebinding_a_name_releases_its_index() {
+        let k = Kernel::new();
+        let select = r#"RETURN bat("x").select(1).count;"#;
+        k.set_bat("x", ints(&[1]));
+        k.eval_mil(select).unwrap();
+        k.set_bats([("x", ints(&[1, 1]))]);
+        assert_eq!(k.cached_indexes(), 0);
+        assert_eq!(k.eval_mil(select).unwrap(), MilValue::Atom(Atom::Int(2)));
+        k.set_bat("x", ints(&[2]));
+        assert_eq!(k.cached_indexes(), 0);
+        k.eval_mil(select).unwrap();
+        k.drop_bat("x").unwrap();
+        assert_eq!(k.cached_indexes(), 0);
+        assert_eq!(k.metrics.index_evictions.get(), 3);
+    }
+
+    #[test]
+    fn a_superseded_binding_builds_without_caching() {
+        let k = Kernel::new();
+        k.set_bat("x", ints(&[5, 5]));
+        let old = k.bat("x").unwrap();
+        k.set_bat("x", ints(&[5]));
+        let select = r#"RETURN bat("x").select(5).count;"#;
+        let bound = k
+            .eval_mil_bound(select, &ExecBudget::unlimited(), &[("x", &old)])
+            .unwrap();
+        assert_eq!(bound, MilValue::Atom(Atom::Int(2)));
+        assert_eq!((index_uses(&k), k.cached_indexes()), ((0, 1), 0));
+        // The current binding's index is the one kept.
+        assert_eq!(k.eval_mil(select).unwrap(), MilValue::Atom(Atom::Int(1)));
+        assert_eq!(k.cached_indexes(), 1);
+    }
+
+    #[test]
+    fn temporaries_void_tails_and_ranges_scan() {
+        let k = Kernel::new();
+        k.set_bat("x", ints(&[3, 4, 3]));
+        k.set_bat("oids", ints(&[3, 4, 3]).reverse());
+        for program in [
+            r#"RETURN (bat("x").mirror).select(0).count;"#,
+            r#"RETURN bat("x").select(3, 4).count;"#,
+            r#"RETURN bat("oids").select(bat("oids").max).count;"#,
+        ] {
+            k.eval_mil(program).unwrap();
+        }
+        assert_eq!((index_uses(&k), k.cached_indexes()), ((0, 0), 0));
     }
 }

@@ -17,11 +17,15 @@ use cobra_obs::{Counter, Gauge, Histogram, Registry};
 #[derive(Debug)]
 pub struct KernelMetrics {
     registry: Arc<Registry>,
-    /// Head-index cache probes that found a current index.
+    /// Equality selections on catalog BATs answered from a cached value
+    /// index (`kernel.index_cache{result=hit}`).
     pub index_hits: Arc<Counter>,
-    /// Head-index cache probes that had to (re)build.
+    /// Equality selections on catalog BATs answered from a value index
+    /// built for them (`kernel.index_cache{result=miss}`).
     pub index_misses: Arc<Counter>,
-    /// Head-index cache entries displaced by LRU eviction.
+    /// Cached value indexes released: their name was rebound, dropped or
+    /// grown in place, or a rebuild replaced them
+    /// (`kernel.index_cache{result=eviction}`).
     pub index_evictions: Arc<Counter>,
     /// Extension-procedure dispatches.
     pub proc_calls: Arc<Counter>,
@@ -41,7 +45,7 @@ pub struct KernelMetrics {
     pub morsel_runs_par: Arc<Counter>,
     /// Morsels dispatched by parallel operator runs.
     pub morsels: Arc<Counter>,
-    /// Rows covered by morsel-driven operator runs.
+    /// Rows covered by morsel-driven operator runs and value-index builds.
     pub morsel_rows: Arc<Counter>,
     /// Wall nanoseconds spent in sequential operator runs.
     pub morsel_seq_ns: Arc<Counter>,

@@ -170,6 +170,26 @@ struct SpannedTok {
     line: usize,
 }
 
+/// The token of a one-character punctuation mark.
+fn punctuation(c: char) -> Option<Tok> {
+    Some(match c {
+        '(' => Tok::LParen,
+        ')' => Tok::RParen,
+        '{' => Tok::LBrace,
+        '}' => Tok::RBrace,
+        '[' => Tok::LBracket,
+        ']' => Tok::RBracket,
+        ',' => Tok::Comma,
+        ';' => Tok::Semi,
+        '.' => Tok::Dot,
+        '+' => Tok::Plus,
+        '-' => Tok::Minus,
+        '*' => Tok::Star,
+        '/' => Tok::Slash,
+        _ => return None,
+    })
+}
+
 fn lex(src: &str) -> Result<Vec<SpannedTok>> {
     let mut toks = Vec::new();
     let bytes: Vec<char> = src.chars().collect();
@@ -189,69 +209,6 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>> {
                     i += 1;
                 }
             }
-            '(' => {
-                toks.push(SpannedTok {
-                    tok: Tok::LParen,
-                    line,
-                });
-                i += 1;
-            }
-            ')' => {
-                toks.push(SpannedTok {
-                    tok: Tok::RParen,
-                    line,
-                });
-                i += 1;
-            }
-            '{' => {
-                toks.push(SpannedTok {
-                    tok: Tok::LBrace,
-                    line,
-                });
-                i += 1;
-            }
-            '}' => {
-                toks.push(SpannedTok {
-                    tok: Tok::RBrace,
-                    line,
-                });
-                i += 1;
-            }
-            '[' => {
-                toks.push(SpannedTok {
-                    tok: Tok::LBracket,
-                    line,
-                });
-                i += 1;
-            }
-            ']' => {
-                toks.push(SpannedTok {
-                    tok: Tok::RBracket,
-                    line,
-                });
-                i += 1;
-            }
-            ',' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Comma,
-                    line,
-                });
-                i += 1;
-            }
-            ';' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Semi,
-                    line,
-                });
-                i += 1;
-            }
-            '.' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Dot,
-                    line,
-                });
-                i += 1;
-            }
             ':' => {
                 if i + 1 < n && bytes[i + 1] == '=' {
                     toks.push(SpannedTok {
@@ -266,34 +223,6 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>> {
                     });
                     i += 1;
                 }
-            }
-            '+' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Plus,
-                    line,
-                });
-                i += 1;
-            }
-            '-' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Minus,
-                    line,
-                });
-                i += 1;
-            }
-            '*' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Star,
-                    line,
-                });
-                i += 1;
-            }
-            '/' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Slash,
-                    line,
-                });
-                i += 1;
             }
             '<' => {
                 if i + 1 < n && bytes[i + 1] == '=' {
@@ -433,12 +362,18 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>> {
                     line,
                 });
             }
-            other => {
-                return Err(MonetError::Parse {
-                    line,
-                    message: format!("unexpected character '{other}'"),
-                })
-            }
+            other => match punctuation(other) {
+                Some(tok) => {
+                    toks.push(SpannedTok { tok, line });
+                    i += 1;
+                }
+                None => {
+                    return Err(MonetError::Parse {
+                        line,
+                        message: format!("unexpected character '{other}'"),
+                    })
+                }
+            },
         }
     }
     Ok(toks)
@@ -1074,12 +1009,24 @@ fn eval_expr(env: &mut Env<'_>, expr: &Expr) -> Result<MilValue> {
         }
         Expr::Call { name, args } => eval_call(env, name, args),
         Expr::Method { recv, name, args } => {
-            let recv = eval_expr(env, recv)?;
+            // A receiver read by catalog name, `bat(n).method(…)`, keeps
+            // its name: a selection on it probes the kernel's value index.
+            let (recv, catalog) = match &**recv {
+                Expr::Call {
+                    name: call,
+                    args: by,
+                } if call == "bat" && by.len() == 1 => {
+                    let name = eval_expr(env, &by[0])?.as_atom()?;
+                    (MilValue::Bat(catalog_bat(env, name.as_str()?)?), Some(name))
+                }
+                recv => (eval_expr(env, recv)?, None),
+            };
             let mut argv = Vec::with_capacity(args.len());
             for a in args {
                 argv.push(eval_expr(env, a)?);
             }
-            eval_method(env, &recv, name, &argv)
+            let catalog = catalog.as_ref().map(Atom::as_str).transpose()?;
+            eval_method(env, &recv, catalog, name, &argv)
         }
     }
 }
@@ -1158,11 +1105,7 @@ fn eval_call(env: &mut Env<'_>, name: &str, args: &[Expr]) -> Result<MilValue> {
                 .first()
                 .ok_or_else(|| MonetError::Eval("bat(name)".into()))?
                 .as_atom()?;
-            let name = name.as_str()?;
-            match env.bound.iter().find(|(bound, _)| *bound == name) {
-                Some((_, handle)) => Ok(MilValue::Bat(Arc::clone(handle))),
-                None => Ok(MilValue::Bat(env.kernel.bat(name)?)),
-            }
+            Ok(MilValue::Bat(catalog_bat(env, name.as_str()?)?))
         }
         "register" => {
             let bname = argv
@@ -1315,6 +1258,15 @@ fn eval_call(env: &mut Env<'_>, name: &str, args: &[Expr]) -> Result<MilValue> {
     }
 }
 
+/// The BAT `bat(name)` reads: the handle bound to `name`, else the
+/// catalog's.
+fn catalog_bat(env: &Env<'_>, name: &str) -> Result<BatHandle> {
+    match env.bound.iter().find(|(bound, _)| *bound == name) {
+        Some((_, handle)) => Ok(Arc::clone(handle)),
+        None => env.kernel.bat(name),
+    }
+}
+
 /// The operator context for the current MIL evaluation: `threadcnt(n)`
 /// workers and the program's execution guard, so vectorized operators
 /// morselize across threads and honour the budget inside long scans.
@@ -1326,7 +1278,15 @@ fn op_ctx<'e>(env: &'e Env<'_>) -> ops::OpCtx<'e> {
     }
 }
 
-fn eval_method(env: &Env<'_>, recv: &MilValue, name: &str, args: &[MilValue]) -> Result<MilValue> {
+/// Runs BAT method `name` on `recv`, which the program read by the
+/// catalog name `catalog` when it has one.
+fn eval_method(
+    env: &Env<'_>,
+    recv: &MilValue,
+    catalog: Option<&str>,
+    name: &str,
+    args: &[MilValue],
+) -> Result<MilValue> {
     env.guard.tick()?;
     // Fault site `bat.{method}`: only pay the format when a plan is armed.
     if env.kernel.faults().is_armed() {
@@ -1343,7 +1303,7 @@ fn eval_method(env: &Env<'_>, recv: &MilValue, name: &str, args: &[MilValue]) ->
         .ok()
         .map_or(0, |handle| handle.read().len() as u64);
     let start = std::time::Instant::now();
-    let out = eval_method_op(env, recv, name, args);
+    let out = eval_method_op(env, recv, catalog, name, args);
     env.kernel
         .metrics()
         .record_op_sized(name, start.elapsed().as_nanos() as u64, rows);
@@ -1355,6 +1315,7 @@ fn eval_method(env: &Env<'_>, recv: &MilValue, name: &str, args: &[MilValue]) ->
 fn eval_method_op(
     env: &Env<'_>,
     recv: &MilValue,
+    catalog: Option<&str>,
     name: &str,
     args: &[MilValue],
 ) -> Result<MilValue> {
@@ -1426,11 +1387,11 @@ fn eval_method_op(
             }
         }
         "select" => match args.len() {
-            1 => Ok(MilValue::new_bat(ops::select_eq_ctx(
-                &handle.read(),
-                &args[0].as_atom()?,
-                &op_ctx(env),
-            )?)),
+            1 => {
+                let v = args[0].as_atom()?;
+                let out = env.kernel.select_eq(catalog, &handle, &v, &op_ctx(env))?;
+                Ok(MilValue::new_bat(out))
+            }
             2 => Ok(MilValue::new_bat(ops::select_range_ctx(
                 &handle.read(),
                 &args[0].as_atom()?,
@@ -1456,14 +1417,7 @@ fn eval_method_op(
                 .as_bat()?;
             let l = handle.read();
             let r = other.read();
-            // Reuse (or build) the kernel's cached index over r's head.
-            let idx = env.kernel.head_index(&r);
-            Ok(MilValue::new_bat(ops::join_ctx(
-                &l,
-                &r,
-                idx.as_deref(),
-                &op_ctx(env),
-            )?))
+            Ok(MilValue::new_bat(ops::join_ctx(&l, &r, &op_ctx(env))?))
         }
         "semijoin" => {
             let other = args
@@ -1472,8 +1426,7 @@ fn eval_method_op(
                 .as_bat()?;
             let l = handle.read();
             let r = other.read();
-            let idx = env.kernel.head_index(&r);
-            let out = ops::semijoin_ctx(&l, &r, idx.as_deref(), &op_ctx(env))?;
+            let out = ops::semijoin_ctx(&l, &r, &op_ctx(env))?;
             drop((l, r));
             Ok(MilValue::new_bat(out))
         }
@@ -1484,8 +1437,7 @@ fn eval_method_op(
                 .as_bat()?;
             let l = handle.read();
             let r = other.read();
-            let idx = env.kernel.head_index(&r);
-            let out = ops::antijoin_ctx(&l, &r, idx.as_deref(), &op_ctx(env))?;
+            let out = ops::antijoin_ctx(&l, &r, &op_ctx(env))?;
             drop((l, r));
             Ok(MilValue::new_bat(out))
         }

@@ -10,9 +10,11 @@
 //! column type once per call, then runs tight loops over typed slices
 //! ([`crate::bat::ColumnData`]), producing selection vectors of row
 //! positions that a single [`Bat::gather`] turns into the output. Range
-//! selection over a `Void` column is O(1) seqbase arithmetic, joins probe a
-//! typed [`ColumnIndex`] (reusing the kernel's cached one when offered),
-//! and grouped aggregation runs in a single pass over typed accumulators.
+//! selection over a `Void` column is O(1) seqbase arithmetic, an equality
+//! selection handed a value index over its column gathers the index's
+//! positions instead of scanning (`select_eq_indexed`), joins probe a
+//! typed [`ColumnIndex`] built for the call, and grouped aggregation runs
+//! in a single pass over typed accumulators.
 //!
 //! Every operator keeps its historical atom-at-a-time signature; the
 //! `*_ctx` variants additionally take an [`OpCtx`] that morselizes the
@@ -102,13 +104,8 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let parts = if ctx.threads <= 1 || len < ctx.threads * MIN_PAR_ROWS_PER_THREAD {
-        1
-    } else {
-        (ctx.threads * MORSELS_PER_THREAD).min(len.div_ceil(MIN_MORSEL_ROWS).max(1))
-    };
-    let ranges = parallel::morsels(len, parts);
-    if parts <= 1 || ranges.len() <= 1 {
+    let ranges = morsel_ranges(ctx, len);
+    if ranges.len() <= 1 {
         let n_morsels = ranges.len() as u64;
         let start = std::time::Instant::now();
         let mut out = Vec::with_capacity(ranges.len());
@@ -150,6 +147,18 @@ where
         m.morsel_par_rows.add(len as u64);
     }
     out
+}
+
+/// The morsels a run over `0..len` cuts: one on the calling thread, or
+/// up to [`MORSELS_PER_THREAD`] per worker once every requested worker
+/// gets [`MIN_PAR_ROWS_PER_THREAD`] rows.
+fn morsel_ranges(ctx: &OpCtx<'_>, len: usize) -> Vec<Range<usize>> {
+    let parts = if ctx.threads <= 1 || len < ctx.threads * MIN_PAR_ROWS_PER_THREAD {
+        1
+    } else {
+        (ctx.threads * MORSELS_PER_THREAD).min(len.div_ceil(MIN_MORSEL_ROWS).max(1))
+    };
+    parallel::morsels(len, parts)
 }
 
 fn concat_positions(chunks: Vec<Vec<u32>>) -> Vec<u32> {
@@ -423,6 +432,40 @@ pub fn select_eq_ctx(b: &Bat, v: &Atom, ctx: &OpCtx<'_>) -> Result<Bat> {
     Ok(b.gather(&concat_positions(chunks)))
 }
 
+/// Builds the value index an equality selection over `b`'s tail probes
+/// (`None` for a void tail), charged to `ctx` like the scan it replaces:
+/// one tick per morsel that scan would cut, its rows counted in
+/// `kernel.morsel_rows`.
+pub(crate) fn index_tail(b: &Bat, ctx: &OpCtx<'_>) -> Result<Option<ColumnIndex>> {
+    if b.tail().data().is_none() {
+        return Ok(None);
+    }
+    for _ in morsel_ranges(ctx, b.len()) {
+        ctx.tick()?;
+    }
+    if let Some(m) = ctx.metrics {
+        m.morsel_rows.add(b.len() as u64);
+    }
+    Ok(ColumnIndex::build(b.tail()))
+}
+
+/// [`select_eq`] answered from `index`, a value index over `b`'s tail:
+/// one tick, then the positions the index lists for `v` are gathered,
+/// with no row scanned. `None` when the index cannot answer `v` exactly
+/// (see [`ColumnIndex::positions`]); the caller scans instead.
+pub(crate) fn select_eq_indexed(
+    b: &Bat,
+    v: &Atom,
+    index: &ColumnIndex,
+    ctx: &OpCtx<'_>,
+) -> Result<Option<Bat>> {
+    let Some(rows) = index.positions(b.tail(), v) else {
+        return Ok(None);
+    };
+    ctx.tick()?;
+    Ok(Some(b.gather(rows)))
+}
+
 /// `select(b, lo, hi)`: pairs whose tail lies in the inclusive range.
 pub fn select_range(b: &Bat, lo: &Atom, hi: &Atom) -> Bat {
     b.gather(&range_positions(b.tail(), lo, hi, 0..b.len()))
@@ -459,44 +502,15 @@ fn joinable(probe: AtomType, build: AtomType) -> bool {
     (oid(probe) && oid(build)) || (num(probe) && num(build)) || probe == build
 }
 
-/// The index a probe will run against: none (void build side answers
-/// positionally), a borrowed cached index, or one built for this call.
-enum PlanIdx<'a> {
-    Positional,
-    Borrowed(&'a ColumnIndex),
-    Owned(ColumnIndex),
-}
-
-impl PlanIdx<'_> {
-    fn get(&self) -> Option<&ColumnIndex> {
-        match self {
-            PlanIdx::Positional => None,
-            PlanIdx::Borrowed(i) => Some(i),
-            PlanIdx::Owned(i) => Some(i),
-        }
-    }
-}
-
-/// Picks the index for probing `build` with values of `probe`. A cached
-/// index is reused except for dbl-probes-int joins, which need the widened
-/// f64 view (several ints above 2^53 collapse onto one double).
-fn plan_index<'a>(probe: &Column, build: &Column, cached: Option<&'a ColumnIndex>) -> PlanIdx<'a> {
-    if build.void_run().is_some() {
-        return PlanIdx::Positional;
-    }
-    let widen = probe.atom_type() == AtomType::Dbl && build.atom_type() == AtomType::Int;
-    if widen {
-        match ColumnIndex::build_widened(build) {
-            Some(i) => PlanIdx::Owned(i),
-            None => PlanIdx::Positional,
-        }
-    } else if let Some(c) = cached {
-        PlanIdx::Borrowed(c)
+/// Builds the index for probing `build` with values of `probe`: none
+/// for a void build side, which answers positionally, and the widened
+/// f64 view for dbl-probes-int joins (several ints above 2^53 collapse
+/// onto one double).
+fn plan_index(probe: &Column, build: &Column) -> Option<ColumnIndex> {
+    if probe.atom_type() == AtomType::Dbl && build.atom_type() == AtomType::Int {
+        ColumnIndex::build_widened(build)
     } else {
-        match ColumnIndex::build(build) {
-            Some(i) => PlanIdx::Owned(i),
-            None => PlanIdx::Positional,
-        }
+        ColumnIndex::build(build)
     }
 }
 
@@ -570,9 +584,17 @@ fn probe_loop(
             }
         }
         (Some(ix), _, Some(ColumnData::Str(s))) => {
-            // Bridge dictionaries: resolve each probe-side dict entry in
-            // the build index once, then walk the codes.
-            let per_code: Vec<&[u32]> = s.dict().iter().map(|d| ix.lookup_str(d)).collect();
+            // Bridge dictionaries: resolve each probe-side dict entry to
+            // the build side's code once, then walk the codes.
+            let build_dict = build.strs();
+            let per_code: Vec<&[u32]> = s
+                .dict()
+                .iter()
+                .map(|d| match build_dict.and_then(|b| b.code_of(d)) {
+                    Some(code) => ix.lookup_code(code),
+                    None => &[],
+                })
+                .collect();
             for i in range {
                 emit(i, per_code[s.codes()[i] as usize]);
             }
@@ -614,19 +636,18 @@ pub fn join(l: &Bat, r: &Bat) -> Bat {
     if !joinable(l.tail().atom_type(), r.head().atom_type()) {
         return empty_out(l.head().atom_type(), r.tail().atom_type());
     }
-    let plan = plan_index(l.tail(), r.head(), None);
-    let (lpos, rpos) = join_core(l, r, plan.get(), 0..l.len());
+    let plan = plan_index(l.tail(), r.head());
+    let (lpos, rpos) = join_core(l, r, plan.as_ref(), 0..l.len());
     Bat::from_columns_unchecked(l.head().gather(&lpos), r.tail().gather(&rpos))
 }
 
-/// [`join`] with morsel-driven parallelism, budget checks, and an optional
-/// kernel-cached index over `r.head`.
-pub fn join_ctx(l: &Bat, r: &Bat, cached: Option<&ColumnIndex>, ctx: &OpCtx<'_>) -> Result<Bat> {
+/// [`join`] with morsel-driven parallelism and budget checks.
+pub fn join_ctx(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
     if !joinable(l.tail().atom_type(), r.head().atom_type()) {
         return Ok(empty_out(l.head().atom_type(), r.tail().atom_type()));
     }
-    let plan = plan_index(l.tail(), r.head(), cached);
-    let idx = plan.get();
+    let plan = plan_index(l.tail(), r.head());
+    let idx = plan.as_ref();
     let chunks = run_morsels(ctx, l.len(), |range| join_core(l, r, idx, range))?;
     let matches: usize = chunks.iter().map(|(lp, _)| lp.len()).sum();
     let mut lpos = Vec::with_capacity(matches);
@@ -665,17 +686,17 @@ fn membership(l: &Bat, r: &Bat, keep_matches: bool) -> Bat {
             l.gather(&(0..l.len() as u32).collect::<Vec<_>>())
         };
     }
-    let plan = plan_index(l.head(), r.head(), None);
-    l.gather(&membership_core(l, r, plan.get(), keep_matches, 0..l.len()))
+    let plan = plan_index(l.head(), r.head());
+    l.gather(&membership_core(
+        l,
+        r,
+        plan.as_ref(),
+        keep_matches,
+        0..l.len(),
+    ))
 }
 
-fn membership_ctx(
-    l: &Bat,
-    r: &Bat,
-    cached: Option<&ColumnIndex>,
-    keep_matches: bool,
-    ctx: &OpCtx<'_>,
-) -> Result<Bat> {
+fn membership_ctx(l: &Bat, r: &Bat, keep_matches: bool, ctx: &OpCtx<'_>) -> Result<Bat> {
     if !joinable(l.head().atom_type(), r.head().atom_type()) {
         return Ok(if keep_matches {
             empty_out(l.head().atom_type(), l.tail().atom_type())
@@ -683,8 +704,8 @@ fn membership_ctx(
             l.gather(&(0..l.len() as u32).collect::<Vec<_>>())
         });
     }
-    let plan = plan_index(l.head(), r.head(), cached);
-    let idx = plan.get();
+    let plan = plan_index(l.head(), r.head());
+    let idx = plan.as_ref();
     let chunks = run_morsels(ctx, l.len(), |range| {
         membership_core(l, r, idx, keep_matches, range)
     })?;
@@ -696,15 +717,9 @@ pub fn semijoin(l: &Bat, r: &Bat) -> Bat {
     membership(l, r, true)
 }
 
-/// [`semijoin`] with morsel-driven parallelism, budget checks, and an
-/// optional kernel-cached index over `r.head`.
-pub fn semijoin_ctx(
-    l: &Bat,
-    r: &Bat,
-    cached: Option<&ColumnIndex>,
-    ctx: &OpCtx<'_>,
-) -> Result<Bat> {
-    membership_ctx(l, r, cached, true, ctx)
+/// [`semijoin`] with morsel-driven parallelism and budget checks.
+pub fn semijoin_ctx(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
+    membership_ctx(l, r, true, ctx)
 }
 
 /// `diff(l, r)`: pairs of `l` whose head does **not** occur among `r`'s heads.
@@ -712,15 +727,9 @@ pub fn antijoin(l: &Bat, r: &Bat) -> Bat {
     membership(l, r, false)
 }
 
-/// [`antijoin`] with morsel-driven parallelism, budget checks, and an
-/// optional kernel-cached index over `r.head`.
-pub fn antijoin_ctx(
-    l: &Bat,
-    r: &Bat,
-    cached: Option<&ColumnIndex>,
-    ctx: &OpCtx<'_>,
-) -> Result<Bat> {
-    membership_ctx(l, r, cached, false, ctx)
+/// [`antijoin`] with morsel-driven parallelism and budget checks.
+pub fn antijoin_ctx(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
+    membership_ctx(l, r, false, ctx)
 }
 
 // ---------------------------------------------------------------------------
@@ -1113,8 +1122,8 @@ pub fn grouped_aggregate_ctx(
         return Err(non_numeric(values.tail_at(0)?));
     }
 
-    let plan = plan_index(values.head(), groups.head(), None);
-    let idx = plan.get();
+    let plan = plan_index(values.head(), groups.head());
+    let idx = plan.as_ref();
 
     let chunks = run_morsels(ctx, values.len(), |range| -> Result<MorselAgg> {
         let mut agg = MorselAgg {
@@ -1457,14 +1466,14 @@ mod tests {
                 select_range_ctx(&b, &Atom::Int(10), &Atom::Int(20), &ctx).unwrap(),
                 select_range(&b, &Atom::Int(10), &Atom::Int(20))
             );
-            assert_eq!(join_ctx(&b, &keys, None, &ctx).unwrap(), join(&b, &keys));
+            assert_eq!(join_ctx(&b, &keys, &ctx).unwrap(), join(&b, &keys));
             let rev = b.reverse();
             assert_eq!(
-                semijoin_ctx(&rev, &keys, None, &ctx).unwrap(),
+                semijoin_ctx(&rev, &keys, &ctx).unwrap(),
                 semijoin(&rev, &keys)
             );
             assert_eq!(
-                antijoin_ctx(&rev, &keys, None, &ctx).unwrap(),
+                antijoin_ctx(&rev, &keys, &ctx).unwrap(),
                 antijoin(&rev, &keys)
             );
         }
@@ -1508,16 +1517,43 @@ mod tests {
     }
 
     #[test]
-    fn cached_index_gives_same_join_results() {
-        let l = Bat::from_tail(AtomType::Int, (0..100).map(|v| Atom::Int(v % 7))).unwrap();
-        let r = Bat::from_pairs(
-            AtomType::Int,
-            AtomType::Str,
-            (0..7).map(|v| (Atom::Int(v), Atom::str(format!("g{v}")))),
-        )
-        .unwrap();
-        let idx = ColumnIndex::build(r.head()).unwrap();
+    fn indexed_select_gathers_what_the_scan_keeps() {
+        let b = named_points().reverse(); // int head, str tail
+        let idx = ColumnIndex::build(b.tail()).unwrap();
         let ctx = OpCtx::default();
-        assert_eq!(join_ctx(&l, &r, Some(&idx), &ctx).unwrap(), join(&l, &r));
+        for v in [
+            Atom::str("schumacher"),
+            Atom::str("villeneuve"),
+            Atom::Int(8),
+        ] {
+            let indexed = select_eq_indexed(&b, &v, &idx, &ctx).unwrap().unwrap();
+            assert_eq!(indexed, select_eq(&b, &v));
+        }
+    }
+
+    #[test]
+    fn index_build_is_charged_like_the_scan_it_replaces() {
+        let metrics = crate::metrics::KernelMetrics::default();
+        let b = Bat::from_tail(AtomType::Int, (0..1_000).map(Atom::Int)).unwrap();
+        let spent = crate::guard::ExecBudget::unlimited().with_fuel(0).start();
+        let ctx = OpCtx {
+            threads: 1,
+            guard: Some(&spent),
+            metrics: Some(&metrics),
+        };
+        let err = index_tail(&b, &ctx).unwrap_err();
+        assert!(matches!(err, MonetError::BudgetExhausted { .. }));
+        let fuelled = crate::guard::ExecBudget::unlimited().with_fuel(2).start();
+        let ctx = OpCtx {
+            guard: Some(&fuelled),
+            ..ctx
+        };
+        let idx = index_tail(&b, &ctx).unwrap().unwrap();
+        assert_eq!(metrics.morsel_rows.get(), 1_000);
+        // The probe is one more tick; the budget is then spent.
+        assert!(select_eq_indexed(&b, &Atom::Int(7), &idx, &ctx)
+            .unwrap()
+            .is_some());
+        assert_eq!(fuelled.fuel_remaining(), Some(0));
     }
 }

@@ -185,7 +185,10 @@ pub struct PlanStats {
     /// Measured nanoseconds per input row per MIL opcode
     /// (`mil.op_ns{op}.sum / mil.op_rows{op}.sum`); absent = unmeasured.
     pub op_ns_per_row: HashMap<String, f64>,
-    /// Head-index cache hit rate in `[0, 1]`; `None` before any probe.
+    /// Share of joins whose build-side index is reused, in `[0, 1]`;
+    /// `None` prices every build. The kernel builds a join's index for
+    /// the call, so [`Kernel::plan_stats`](crate::Kernel::plan_stats)
+    /// leaves it unset.
     pub index_hit_rate: Option<f64>,
     /// Measured ns/row of sequential operator runs; `None` when unmeasured.
     pub seq_ns_per_row: Option<f64>,

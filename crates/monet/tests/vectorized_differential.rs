@@ -210,9 +210,9 @@ proptest! {
                 ops::select_range_ctx(&l, &Atom::Int(-10), &Atom::Int(probe), &ctx).unwrap(),
                 ops::select_range(&l, &Atom::Int(-10), &Atom::Int(probe))
             );
-            prop_assert_eq!(ops::join_ctx(&l, &r, None, &ctx).unwrap(), ops::join(&l, &r));
-            prop_assert_eq!(ops::semijoin_ctx(&l, &r, None, &ctx).unwrap(), ops::semijoin(&l, &r));
-            prop_assert_eq!(ops::antijoin_ctx(&l, &r, None, &ctx).unwrap(), ops::antijoin(&l, &r));
+            prop_assert_eq!(ops::join_ctx(&l, &r, &ctx).unwrap(), ops::join(&l, &r));
+            prop_assert_eq!(ops::semijoin_ctx(&l, &r, &ctx).unwrap(), ops::semijoin(&l, &r));
+            prop_assert_eq!(ops::antijoin_ctx(&l, &r, &ctx).unwrap(), ops::antijoin(&l, &r));
         }
     }
 
@@ -238,16 +238,6 @@ proptest! {
                 ops::grouped_aggregate_ctx(&values, &groups, Aggregate::Count, &ctx).unwrap(),
                 ops::grouped_aggregate(&values, &groups, Aggregate::Count).unwrap()
             );
-        }
-    }
-
-    #[test]
-    fn cached_index_never_changes_join_results(l in keyed_int_bat(), r in keyed_int_bat()) {
-        let ctx = OpCtx::default();
-        if let Some(idx) = ColumnIndex::build(r.head()) {
-            prop_assert_eq!(ops::join_ctx(&l, &r, Some(&idx), &ctx).unwrap(), ops::join(&l, &r));
-            prop_assert_eq!(ops::semijoin_ctx(&l, &r, Some(&idx), &ctx).unwrap(), ops::semijoin(&l, &r));
-            prop_assert_eq!(ops::antijoin_ctx(&l, &r, Some(&idx), &ctx).unwrap(), ops::antijoin(&l, &r));
         }
     }
 }

@@ -183,7 +183,9 @@ fn derived(round: usize) -> Vec<EventRecord> {
 /// `RETRIEVE`, `SEGMENTS` and `"*"` statements. No read may fail, and
 /// every answer must be what some committed layer answers — recomputed
 /// afterwards, layer by layer, on a fresh instance — which rules out
-/// both torn columns and the empty middle of a re-annotation.
+/// both torn columns and the empty middle of a re-annotation. The
+/// readers' selections answer from the kernel's value indexes, which
+/// the commits keep releasing, so the race covers the index path.
 #[test]
 fn readers_see_a_committed_event_layer_or_nothing() {
     const APPENDS: usize = 200;
@@ -199,6 +201,8 @@ fn readers_see_a_committed_event_layer_or_nothing() {
     // Every layer `v` is committed at, in commit order: each writer
     // commits and records under this lock.
     let committed = Arc::new(Mutex::new(vec![vdbms.catalog.events("v", None).unwrap()]));
+    let index_hits = || vdbms.kernel().metrics().index_hits.get();
+    let hits_before = index_hits();
     let writing = Arc::new(AtomicBool::new(true));
     let start = Arc::new(Barrier::new(2 + READERS));
 
@@ -251,6 +255,7 @@ fn readers_see_a_committed_event_layer_or_nothing() {
         .into_iter()
         .flat_map(|r| r.join().expect("reader panicked"))
         .collect();
+    assert!(index_hits() > hits_before, "no read probed a cached index");
 
     // What each committed layer answers, on an instance nothing races.
     let layers = committed.lock().unwrap();
@@ -273,4 +278,31 @@ fn readers_see_a_committed_event_layer_or_nothing() {
             STRESS[*q]
         );
     }
+}
+
+/// An append to a layer no reader holds grows it in place, keeping the
+/// driver column's identity; the value index the read before cached must
+/// not answer for the grown column.
+#[test]
+fn an_indexed_read_after_an_in_place_append_sees_the_new_row() {
+    let vdbms = fixture();
+    let read = || {
+        vdbms
+            .query("v", "RETRIEVE SEGMENTS WITH DRIVER \"SCHUMACHER\"")
+            .unwrap()
+    };
+    let column = || vdbms.kernel().bat("v.ev.driver").unwrap().read().id();
+    let before = read();
+    let (id, cached) = (column(), vdbms.kernel().cached_indexes());
+    assert!(cached > 0, "the read cached the driver column's index");
+
+    let fly_out = ev("fly_out", 150, 160, Some("SCHUMACHER"));
+    vdbms.catalog.store_events("v", &[fly_out]).unwrap();
+    assert_eq!(column(), id, "the append grew the column in place");
+
+    let rebuilt = vdbms.kernel().metrics().index_misses.get();
+    let after = read();
+    assert_eq!(vdbms.kernel().metrics().index_misses.get(), rebuilt + 1);
+    assert_eq!(after.len(), before.len() + 1);
+    assert!(after.iter().any(|s| (s.start..s.end).contains(&155)));
 }

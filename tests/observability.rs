@@ -181,6 +181,43 @@ fn profile_measures_every_level_with_nonzero_timings() {
     assert!(span.find("moa:compile").is_some());
 }
 
+/// `PROFILE` says how each selection found its rows: from a value index
+/// built for it, from the cached one, or by a scan (of a temporary).
+#[test]
+fn profile_says_how_each_selection_ran() {
+    let vdbms = fixture();
+    let selections = |q: &str| {
+        let QueryOutput::Profile(profile) = vdbms.run("v", &format!("PROFILE {q}")).unwrap() else {
+            panic!("PROFILE must return a profile");
+        };
+        let node = profile.span.find("kernel:select").expect("a selection ran");
+        let meta = |key: &str| {
+            let value = node
+                .meta
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone());
+            value.unwrap_or_else(|| panic!("kernel:select missing '{key}'"))
+        };
+        let uses: Vec<String> = meta("index").split(',').map(str::to_string).collect();
+        assert_eq!(uses.len().to_string(), meta("calls"), "{q}");
+        uses
+    };
+    // Kind-only reads select on the kind column: the first builds its
+    // index, the next probes it.
+    assert_eq!(selections("RETRIEVE HIGHLIGHTS"), ["built"]);
+    assert_eq!(selections("RETRIEVE EXCITED"), ["hit"]);
+    // A driver read selects on a catalog column, then on what it fetched
+    // — twice, as the driver's and the unnamed events' evaluations.
+    let uses = selections("RETRIEVE PITSTOPS WITH DRIVER \"MONTOYA\"");
+    let count = |word: &str| uses.iter().filter(|u| *u == word).count();
+    assert_eq!(
+        (count("built") + count("hit"), count("scan")),
+        (2, 2),
+        "{uses:?}"
+    );
+}
+
 #[test]
 fn explain_does_not_execute_and_carries_no_timings() {
     let vdbms = Vdbms::try_new().unwrap();

@@ -212,27 +212,66 @@ fn race_length(kinds: usize, drivers: usize) -> Vdbms {
     vdbms
 }
 
-/// A cache-missing driver-filtered read is O(answer) plus one scan of
-/// one dictionary-coded column — stated as counts, which repeat
-/// exactly, not as timings.
+/// Cache-missing driver-filtered reads are O(answer), stated as counts,
+/// which repeat exactly, not as timings. The first read of a layer
+/// builds the driver column's value index in one pass over its 18,000
+/// rows; every later read of that layer probes the index and scans no
+/// row of the column, only the rows the probe kept; an append makes one
+/// rebuild. Each read is one MIL evaluation.
 #[test]
-fn a_cold_driver_read_is_one_evaluation_over_one_column_scan() {
+fn cold_driver_reads_are_one_evaluation_over_one_value_index() {
     let vdbms = race_length(3, 4_096);
     let registry = vdbms.kernel().metrics().registry();
-    let before = registry.snapshot();
-    let got = vdbms
-        .query("v", "RETRIEVE HIGHLIGHTS WITH DRIVER \"D17\"")
-        .unwrap();
+    // The rows naming `D{d}`: the fetch of the kind field at the rows
+    // the probe kept, and the selection on what it fetched, walk each
+    // of them once.
+    let naming = |d: usize| (0..18_000).filter(|i| (i / 3) % 4_096 == d).count() as u64;
+    let read = |d: usize| {
+        let name = format!("D{d}");
+        let before = registry.snapshot();
+        let got = vdbms
+            .query("v", &format!("RETRIEVE HIGHLIGHTS WITH DRIVER \"{name}\""))
+            .unwrap();
+        assert!(got
+            .iter()
+            .all(|s| s.driver.as_deref() == Some(name.as_str())));
+        let delta = registry.snapshot().delta(&before);
+        assert_eq!(delta.counter("mil.evals", &[]), 1, "{name}");
+        let uses = |result| delta.counter("kernel.index_cache", &[("result", result)]);
+        let scanned = delta.counter("kernel.morsel_rows", &[]);
+        (got, (uses("miss"), uses("hit")), scanned)
+    };
+
+    let (got, uses, scanned) = read(17);
     let starts: Vec<usize> = got.iter().map(|s| s.start).collect();
     assert_eq!(starts, [153, 37_017], "events 51 and 12,339");
-    assert!(got.iter().all(|s| s.driver.as_deref() == Some("D17")));
-    let delta = registry.snapshot().delta(&before);
-    assert_eq!(delta.counter("mil.evals", &[]), 1);
-    let scanned = delta.counter("kernel.morsel_rows", &[]);
-    assert!(
-        (18_000..=20_000).contains(&scanned),
-        "one scan of one 18,000-row column, then the rows it kept: {scanned}"
+    assert_eq!(uses, (1, 0), "the first read builds the index");
+    assert_eq!(
+        scanned,
+        18_000 + 2 * naming(17),
+        "one build pass, then six rows"
     );
+
+    for d in [18, 2_000, 4_095] {
+        let (_, uses, scanned) = read(d);
+        assert_eq!(uses, (0, 1), "D{d} probes the cached index");
+        assert_eq!(scanned, 2 * naming(d), "D{d} scans no row of the column");
+    }
+
+    // An append grows the unshared layer in place: one rebuild, which
+    // sees the new row, then probes again.
+    let appended = EventRecord {
+        kind: "highlight".into(),
+        start: 100,
+        end: 101,
+        driver: Some("D5".into()),
+    };
+    vdbms.catalog.store_events("v", &[appended]).unwrap();
+    let (got, uses, _) = read(5);
+    assert_eq!(uses, (1, 0), "the append makes one rebuild");
+    assert_eq!(got.last().map(|s| s.start), Some(100));
+    let (_, uses, _) = read(6);
+    assert_eq!(uses, (0, 1));
 }
 
 /// The plan is chosen per (video, kind), never per driver: a stream of
