@@ -21,12 +21,11 @@
 //! line on stdin, then shuts down its sessions and asks every spawned
 //! worker to drain.
 
-use std::io::BufRead;
 use std::path::PathBuf;
 
 use cobra_serve::ring::{Ring, DEFAULT_SEED};
 use cobra_serve::router::{start, RouterConfig};
-use cobra_serve::spawn::{find_worker_binary, spawn_worker, WorkerProcess};
+use cobra_serve::spawn::{await_quit, find_worker_binary, spawn_worker, WorkerProcess};
 use f1_cobra::RetryPolicy;
 
 struct Cli {
@@ -212,22 +211,10 @@ fn main() {
     // The readiness line scripts wait for; stdout, flushed by newline.
     println!("router listening on {} ({n_shards} shards)", handle.addr());
 
-    for line in std::io::stdin().lock().lines() {
-        match line {
-            Ok(cmd) if matches!(cmd.trim(), "quit" | "shutdown") => {
-                eprintln!("cobra-router: shutting down router and workers");
-                handle.shutdown();
-                for w in spawned {
-                    w.quit();
-                }
-                return;
-            }
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    // Stdin closed without a quit command: serve until killed.
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+    await_quit();
+    eprintln!("cobra-router: shutting down router and workers");
+    handle.shutdown();
+    for w in spawned {
+        w.quit();
     }
 }

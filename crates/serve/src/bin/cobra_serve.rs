@@ -41,7 +41,6 @@
 //! The process serves until it receives a `quit` line on stdin (CI and
 //! scripts use this for a graceful, draining shutdown) or is killed.
 
-use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -317,20 +316,7 @@ fn main() {
         }
     }
 
-    for line in std::io::stdin().lock().lines() {
-        match line {
-            Ok(cmd) if matches!(cmd.trim(), "quit" | "shutdown") => {
-                eprintln!("cobra-serve: draining and shutting down");
-                handle.shutdown();
-                return;
-            }
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    // Stdin closed without a quit command (e.g. launched with
-    // stdin < /dev/null): serve until the process is killed.
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
-    }
+    cobra_serve::spawn::await_quit();
+    eprintln!("cobra-serve: draining and shutting down");
+    handle.shutdown();
 }

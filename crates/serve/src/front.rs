@@ -1,0 +1,224 @@
+//! The front door: what the query server and the router do alike.
+//!
+//! Both speak one protocol, so the listener, the [`reactor`](crate::reactor)
+//! and its [`ReactorCtl`], the bounded [`WorkerPool`], the standing-query
+//! [`Hub`] and the one [`Service`] live here once. Per frame the front
+//! end reads `id` and `cmd`, counts `serve.requests{cmd}`, answers `ping`,
+//! a missing `cmd` and an unknown command on the reactor, and runs
+//! `subscribe`/`unsubscribe` through the hub on the pool; every other
+//! command is resolved in the door's table ([`Door::command`]) and run by
+//! the door ([`Door::run`]). [`Front::submit`] is the one place a full or
+//! closing pool becomes a typed `overloaded` or `shutting_down` answer,
+//! and [`Running::shutdown`] the one shutdown order.
+
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+use cobra_obs::Registry;
+use serde_json::{json, Value};
+
+use crate::protocol::{encode_reply, err_response, ok_response, ErrorKind};
+use crate::reactor::{self, ConnId, ReactorConfig, ReactorCtl, Service};
+use crate::scheduler::{Job, SubmitError, WorkerPool};
+use crate::server::ServerConfig;
+use crate::stream::{Hub, Source};
+
+/// A typed failure, as it will appear on the wire.
+pub(crate) type Fail = (ErrorKind, String);
+
+/// What a door — the server, the router — adds to the front end: its
+/// command table, and its part of a connection's close and of shutdown.
+pub(crate) trait Door: Send + Sync + Sized + 'static {
+    /// Where the door's standing queries get stamps and answers.
+    type Source: Source;
+    /// What a command name resolves to in the door's table.
+    type Command;
+
+    /// The table: what `cmd` resolves to, `None` when the door does not
+    /// speak it.
+    fn command(&self, cmd: &str) -> Option<Self::Command>;
+
+    /// Runs a resolved command for request `id` on `conn`. Called on the
+    /// reactor thread: anything that can block goes to the pool.
+    fn run(front: &Arc<Front<Self>>, conn: ConnId, id: u64, command: Self::Command, request: Value);
+
+    /// Runs on the pool before a `subscribe` evaluates.
+    fn subscribing(&self) {}
+
+    /// `conn` is gone; its standing queries are dropped after this.
+    fn closed(&self, _conn: ConnId) {}
+
+    /// The door's last step of shutdown, once the reactor is joined.
+    fn stopped(&self);
+}
+
+/// Everything a door's requests share.
+pub(crate) struct Front<D: Door> {
+    pub(crate) door: D,
+    pub(crate) ctl: ReactorCtl,
+    pub(crate) pool: WorkerPool,
+    pub(crate) hub: Arc<Hub<D::Source>>,
+    registry: Arc<Registry>,
+}
+
+/// A started front end. Dropping it without calling
+/// [`shutdown`](Self::shutdown) leaves it running detached.
+pub(crate) struct Running<D: Door> {
+    pub(crate) addr: SocketAddr,
+    pub(crate) front: Arc<Front<D>>,
+    reactor: JoinHandle<()>,
+}
+
+impl<D: Door> Front<D> {
+    /// Serves `door` as `config` sizes it (a router is sized like a
+    /// server, without debug commands): the hub reads `source`, the
+    /// reactor thread is called `name`, every series goes to `registry`.
+    pub(crate) fn start(
+        door: D,
+        source: Arc<D::Source>,
+        registry: &Arc<Registry>,
+        name: &str,
+        config: &ServerConfig,
+    ) -> std::io::Result<Running<D>> {
+        let listener = TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
+        let pool = WorkerPool::new(config.workers, config.queue_cap, registry)?;
+        let ctl = ReactorCtl::new()?;
+        let cap = config.push_queue_cap;
+        let hub = Hub::new(source, Arc::clone(registry), ctl.clone(), cap);
+        let front = Arc::new(Front {
+            door,
+            ctl,
+            pool,
+            hub,
+            registry: Arc::clone(registry),
+        });
+        let reactor = ReactorConfig {
+            name: name.into(),
+            idle_timeout: config.idle_timeout,
+            sndbuf: config.sndbuf,
+        };
+        let service = Arc::new(Arc::clone(&front));
+        let reactor = reactor::spawn(listener, &front.ctl, reactor, registry, service)?;
+        Ok(Running {
+            addr,
+            front,
+            reactor,
+        })
+    }
+
+    /// Queues a response built as a tree on `conn`.
+    pub(crate) fn reply(&self, conn: ConnId, response: &Value) {
+        self.ctl.send(conn, encode_reply(response));
+    }
+
+    /// Admits `job` to the pool. A refusal is counted in
+    /// `serve.rejected{kind}` and returned as the typed failure that
+    /// answers the request.
+    pub(crate) fn submit(&self, job: Job) -> Result<(), Fail> {
+        self.pool.try_submit(job).map_err(|e| {
+            let (kind, message) = match e {
+                SubmitError::Overloaded { queue_cap } => (
+                    ErrorKind::Overloaded,
+                    format!("queue full ({queue_cap} waiting); retry with backoff"),
+                ),
+                SubmitError::ShuttingDown => {
+                    (ErrorKind::ShuttingDown, "service is shutting down".into())
+                }
+            };
+            self.registry
+                .counter("serve.rejected", &[("kind", kind.as_str())])
+                .inc();
+            (kind, message)
+        })
+    }
+
+    /// Runs `job` on the pool and queues the frame it returns on `conn`;
+    /// a refused job answers request `id` with its typed failure.
+    pub(crate) fn pooled(
+        self: &Arc<Self>,
+        conn: ConnId,
+        id: u64,
+        job: impl FnOnce(&Arc<Self>) -> Vec<u8> + Send + 'static,
+    ) {
+        let front = Arc::clone(self);
+        let submitted = self.submit(Box::new(move || {
+            let frame = job(&front);
+            front.ctl.send(conn, frame);
+        }));
+        if let Err((kind, message)) = submitted {
+            self.reply(conn, &err_response(id, kind, message));
+        }
+    }
+}
+
+impl<D: Door> Service for Arc<Front<D>> {
+    fn on_frame(&self, conn: ConnId, request: Value) {
+        let id = request.get("id").and_then(Value::as_u64).unwrap_or(0);
+        let Some(cmd) = request.get("cmd").and_then(Value::as_str) else {
+            let missing = err_response(id, ErrorKind::BadRequest, "missing 'cmd'");
+            return self.reply(conn, &missing);
+        };
+        self.registry
+            .counter("serve.requests", &[("cmd", cmd)])
+            .inc();
+        match cmd {
+            "ping" => self.reply(conn, &ok_response(id, json!({"kind": "pong"}))),
+            // A subscription's initial evaluation is a real query, and the
+            // hub lock is held across sweep evaluations: pool work.
+            "subscribe" => self.pooled(conn, id, move |front| {
+                front.door.subscribing();
+                encode_reply(&front.hub.subscribe(conn, id, &request))
+            }),
+            "unsubscribe" => self.pooled(conn, id, move |front| {
+                encode_reply(&front.hub.unsubscribe(conn, id, &request))
+            }),
+            _ => match self.door.command(cmd) {
+                Some(command) => D::run(self, conn, id, command, request),
+                None => {
+                    let why = format!("unknown command '{cmd}'");
+                    self.reply(conn, &err_response(id, ErrorKind::BadRequest, why));
+                }
+            },
+        }
+    }
+
+    fn on_close(&self, conn: ConnId) {
+        self.door.closed(conn);
+        self.hub.drop_conn(conn);
+    }
+}
+
+impl<D: Door> Running<D> {
+    /// Graceful shutdown: the listener closes, admitted jobs run to their
+    /// answers while later ones are refused, the hub closes, the reactor
+    /// flushes, stops and is joined, and then the door does its part.
+    pub(crate) fn shutdown(self) {
+        let front = &self.front;
+        // The listener closes first, so no connection sneaks in mid-drain:
+        // connects are refused from here on.
+        front.ctl.drain();
+        // Admitted jobs run to their answers, which flow through the
+        // still-live reactor; later submissions are refused.
+        front.pool.shutdown();
+        front.hub.close();
+        // Flush and close every connection; then the loop exits.
+        front.ctl.stop();
+        let _ = self.reactor.join();
+        front.door.stopped();
+    }
+}
+
+/// Whether a `query` may be answered from another request's work — a
+/// single-flight leader's on the server, a cached part on the router —
+/// and if so its parsed statement, whose normalized text is the key. A
+/// request carrying its own `deadline_ms` or `fuel` runs alone, so that
+/// no one's limit is silently widened; a statement that does not parse
+/// takes the normal path and fails there.
+pub(crate) fn shareable(request: &Value, text: &str) -> Option<f1_cobra::Statement> {
+    if request.get("deadline_ms").is_some() || request.get("fuel").is_some() {
+        return None;
+    }
+    f1_cobra::parse_statement(text).ok()
+}

@@ -38,6 +38,7 @@
 //! [`ExecBudget`]: f1_monet::ExecBudget
 
 pub mod client;
+mod front;
 pub mod load;
 pub mod protocol;
 pub mod reactor;

@@ -13,9 +13,11 @@
 //! ```
 //!
 //! Commands: `query`, `stats` (registry snapshot), `videos`, `ping`,
-//! and — only when the server runs with `debug` — `sleep`, a budgeted
-//! busy-wait the overload and deadline tests use as a deterministic
-//! slow query.
+//! `version` (epoch, data version, videos), `checkpoint`, `subscribe` /
+//! `unsubscribe` (standing queries, [`crate::stream`]), and — only when
+//! the server runs with `debug` — `sleep`, a budgeted busy-wait the
+//! overload and deadline tests use as a deterministic slow query, and
+//! `write_event`, a one-record event append.
 //!
 //! **Frames are bytes, built once.** Whoever produces a frame encodes it
 //! ([`frame`] and what is built on it: [`encode_frame`] for a [`Value`],

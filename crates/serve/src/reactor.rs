@@ -224,9 +224,9 @@ pub struct ConnId(pub(crate) u64);
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 
-/// What the reactor asks of the layer above it. Both the query server
-/// and the router implement this; everything socket-shaped lives below
-/// the trait.
+/// What the reactor asks of the layer above it — the one front end
+/// ([`crate::front`]) both the query server and the router share;
+/// everything socket-shaped lives below the trait.
 pub trait Service: Send + Sync + 'static {
     /// A complete, well-formed frame arrived on `conn`. Runs on the
     /// reactor thread — anything CPU-bound must be handed to a worker

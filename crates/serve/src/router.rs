@@ -8,12 +8,10 @@
 //! protocol, stamped with a `shard` object carrying the original
 //! request id and the shard epoch the router handshook with.
 //!
-//! The client-facing side rides the same readiness reactor as
-//! `cobra-serve` ([`crate::reactor`]): one event-loop thread owns every
-//! client socket, and forwarding runs on a small internal worker pool
-//! whose completions are queued back to the reactor. Each pooled job
-//! checks a set of shard connections out of a shared pool, so shard
-//! sockets are never contended by two jobs at once.
+//! The client-facing side is the same [front end](crate::front) as
+//! `cobra-serve`'s; the router's command table runs every command on
+//! the pool, each job over a set of shard connections checked out of a
+//! shared pool, so shard sockets are never contended by two jobs at once.
 //!
 //! * **Single-video queries** are forwarded to the owning shard, whose
 //!   answer passes through as bytes: the router parses the reply's
@@ -62,7 +60,7 @@
 //! connection — `Times(1)` proves one re-dispatch masks a blip,
 //! `Always` proves exhaustion surfaces the typed error.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -75,17 +73,15 @@ use f1_cobra::{ResultCache, RetryPolicy, Stamp};
 use serde_json::{json, ParseError, Reader, Value, Writer};
 
 use crate::client::{unwrap_envelope, unwrap_response, Client, ClientError};
+use crate::front::{shareable, Door, Fail, Front, Running};
 use crate::protocol::{
     encode_reply, err_response, ok_frame, ok_response, or_oversize, stamp_from_json, ErrorKind,
     FrameError,
 };
-use crate::reactor::{self, ConnId, ReactorConfig, ReactorCtl, Service};
+use crate::reactor::ConnId;
 use crate::ring::{Ring, DEFAULT_SEED};
-use crate::scheduler::{SubmitError, WorkerPool};
-use crate::stream::{
-    answer_groups, empty_answer, recover, Group, Hub, Source, DEFAULT_PUSH_QUEUE_CAP,
-    SWEEP_INTERVAL,
-};
+use crate::server::ServerConfig;
+use crate::stream::{answer_groups, empty_answer, recover, Group, Source, SWEEP_INTERVAL};
 
 /// Read timeout for handshakes (`version` on a forwarding connection,
 /// the bare `subscribe` on a feed). Both are answered promptly by a
@@ -169,7 +165,7 @@ impl RouterShared {
     /// router that only answers pings owes its workers no connections.
     fn ensure_feeds(self: &Arc<Self>) {
         let mut feeds = recover(&self.feeds);
-        if !feeds.is_empty() || self.shutting_down.load(Ordering::SeqCst) {
+        if !feeds.is_empty() {
             return;
         }
         for shard in 0..self.ring.shards() {
@@ -341,84 +337,66 @@ impl Source for RouterShared {
     }
 }
 
-/// Everything the reactor-facing service and its pooled jobs share.
-struct RouterInner {
-    shared: Arc<RouterShared>,
-    ctl: ReactorCtl,
-    pool: WorkerPool,
-    hub: Arc<Hub<RouterShared>>,
-}
+/// A router command: answers one request over a checked-out set of
+/// shard connections.
+type Routed = fn(&RouterShared, &mut [ShardConn], u64, &Value) -> Answer;
 
-/// The reactor-facing half of the router: frames in, closes out.
-struct RouterService {
-    inner: Arc<RouterInner>,
-}
+/// The frame that answers a request, or the typed failure it ends in.
+type Answer = Result<Vec<u8>, Fail>;
 
-impl Service for RouterService {
-    fn on_frame(&self, conn: ConnId, frame: Value) {
-        let inner = &self.inner;
-        let id = frame.get("id").and_then(Value::as_u64).unwrap_or(0);
-        let cmd = frame.get("cmd").and_then(Value::as_str).unwrap_or("");
-        if !cmd.is_empty() {
-            inner
-                .shared
-                .registry
-                .counter("serve.requests", &[("cmd", cmd)])
-                .inc();
-        }
-        if cmd == "ping" {
-            // Cheap liveness answer straight off the reactor; nothing
-            // shard-shaped to wait for.
-            let pong = ok_response(id, json!({"kind": "pong"}));
-            inner.ctl.send(conn, encode_reply(&pong));
-            return;
-        }
-        let job = Arc::clone(inner);
-        let outcome = inner.pool.try_submit(Box::new(move || {
-            job.shared.ensure_feeds();
-            let mut conns = job.shared.checkout();
-            let response = handle_request(&job.shared, &mut conns, &job.hub, conn, id, &frame)
-                .unwrap_or_else(|fail| refuse(id, fail));
-            job.shared.checkin(conns);
-            job.ctl.send(conn, response);
-        }));
-        if let Err(e) = outcome {
-            let (kind, message) = match e {
-                SubmitError::Overloaded { queue_cap } => (
-                    ErrorKind::Overloaded,
-                    format!("router queue full ({queue_cap} waiting); retry with backoff"),
-                ),
-                SubmitError::ShuttingDown => {
-                    (ErrorKind::ShuttingDown, "router is shutting down".into())
-                }
-            };
-            inner
-                .shared
-                .registry
-                .counter("serve.rejected", &[("kind", kind.as_str())])
-                .inc();
-            inner.ctl.send(conn, refuse(id, (kind, message)));
-        }
+impl Door for Arc<RouterShared> {
+    type Source = RouterShared;
+    type Command = Routed;
+
+    fn command(&self, cmd: &str) -> Option<Routed> {
+        Some(match cmd {
+            "query" => handle_query,
+            "write_event" => write_event,
+            "version" => version,
+            "videos" => videos,
+            "stats" => stats,
+            "checkpoint" => checkpoint,
+            _ => return None,
+        })
     }
 
-    fn on_close(&self, conn: ConnId) {
-        self.inner.hub.drop_conn(conn);
+    /// Every router command waits on shards, so all of them run on the
+    /// pool, each job over a connection set of its own.
+    fn run(front: &Arc<Front<Self>>, conn: ConnId, id: u64, routed: Routed, request: Value) {
+        front.pooled(conn, id, move |front| {
+            let shared = &front.door;
+            shared.ensure_feeds();
+            let mut conns = shared.checkout();
+            let frame = routed(shared, &mut conns, id, &request);
+            shared.checkin(conns);
+            frame.unwrap_or_else(|fail| refuse(id, fail))
+        });
+    }
+
+    fn subscribing(&self) {
+        self.ensure_feeds();
+    }
+
+    fn stopped(&self) {
+        self.shutting_down.store(true, Ordering::SeqCst);
+        let feeds = std::mem::take(&mut *recover(&self.feeds));
+        for feed in feeds {
+            let _ = feed.join();
+        }
     }
 }
 
 /// A running router. Dropping the handle without calling
 /// [`shutdown`](Self::shutdown) leaves it running detached.
 pub struct RouterHandle {
-    addr: SocketAddr,
     shared: Arc<RouterShared>,
-    inner: Arc<RouterInner>,
-    reactor_thread: Option<JoinHandle<()>>,
+    running: Running<Arc<RouterShared>>,
 }
 
 impl RouterHandle {
     /// The bound address (with the real port when the config said 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.running.addr
     }
 
     /// The router's own metrics registry (`router.forward`,
@@ -437,74 +415,39 @@ impl RouterHandle {
         }
     }
 
-    /// Stops accepting, drains in-flight forwards, flushes and closes
-    /// every client connection, joins the reactor. Workers are
-    /// external processes and are not touched.
-    pub fn shutdown(mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.inner.ctl.drain();
-        self.inner.hub.close();
-        self.inner.pool.shutdown();
-        self.inner.ctl.stop();
-        let feeds = std::mem::take(&mut *recover(&self.shared.feeds));
-        for t in self.reactor_thread.take().into_iter().chain(feeds) {
-            let _ = t.join();
-        }
+    /// Graceful shutdown in the front end's order, then the shard feeds
+    /// stop and are joined. Workers are external processes and are not
+    /// touched.
+    pub fn shutdown(self) {
+        self.running.shutdown();
     }
 }
 
 /// Starts the router over the configured worker addresses.
 pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
     let registry = Arc::new(Registry::new());
-    let cache = config.cache.then(|| ResultCache::new(&registry));
     let shared = Arc::new(RouterShared {
         ring: Ring::new(config.shards.len() as u32, config.seed),
         addrs: Mutex::new(config.shards.clone()),
         retry: config.retry,
         faults: config.faults,
+        cache: config.cache.then(|| ResultCache::new(&registry)),
         registry: Arc::clone(&registry),
-        cache,
         shutting_down: AtomicBool::new(false),
         known: Mutex::new(vec![None; config.shards.len()]),
         moved: ChangeFeed::default(),
         conn_sets: Mutex::new(Vec::new()),
         feeds: Mutex::new(Vec::new()),
     });
-    let ctl = ReactorCtl::new()?;
-    let pool = WorkerPool::new(ROUTER_WORKERS, ROUTER_QUEUE_CAP, &registry)?;
-    let hub = Hub::new(
-        Arc::clone(&shared),
-        Arc::clone(&registry),
-        ctl.clone(),
-        DEFAULT_PUSH_QUEUE_CAP,
-    );
-    let inner = Arc::new(RouterInner {
-        shared: Arc::clone(&shared),
-        ctl: ctl.clone(),
-        pool,
-        hub,
-    });
-    let reactor_thread = reactor::spawn(
-        listener,
-        &ctl,
-        ReactorConfig {
-            name: "cobra-router-reactor".into(),
-            idle_timeout: None,
-            sndbuf: None,
-        },
-        &registry,
-        Arc::new(RouterService {
-            inner: Arc::clone(&inner),
-        }),
-    )?;
-    Ok(RouterHandle {
-        addr,
-        shared,
-        inner,
-        reactor_thread: Some(reactor_thread),
-    })
+    let sizing = ServerConfig {
+        addr: config.addr,
+        workers: ROUTER_WORKERS,
+        queue_cap: ROUTER_QUEUE_CAP,
+        ..ServerConfig::default()
+    };
+    let (door, source) = (Arc::clone(&shared), Arc::clone(&shared));
+    let running = Front::start(door, source, &registry, "cobra-router-reactor", &sizing)?;
+    Ok(RouterHandle { shared, running })
 }
 
 /// One connection to one shard of a checked-out set, plus the epoch
@@ -517,9 +460,6 @@ struct ShardConn {
     /// system call, made only when the value changes.
     read_timeout: Option<Duration>,
 }
-
-/// A typed failure, as it will appear on the wire.
-type Fail = (ErrorKind, String);
 
 /// A worker's answer to a forwarded frame: the `result` as the forward
 /// read it, plus the stamp the worker attached to the envelope (read
@@ -744,7 +684,7 @@ fn scatter<'a, T: 'a>(
 /// The frame of a cross-video answer merged from the shards' parts,
 /// ordered by video name: one sort and one join over the groups each
 /// part located when it was read — no part is read again.
-fn splice(id: u64, parts: &[&Part]) -> Result<Vec<u8>, Fail> {
+fn splice(id: u64, parts: &[&Part]) -> Answer {
     let mut groups = Vec::new();
     for part in parts {
         groups.extend(part.groups().ok_or((
@@ -803,7 +743,7 @@ fn handle_query(
     conns: &mut [ShardConn],
     id: u64,
     request: &Value,
-) -> Result<Vec<u8>, Fail> {
+) -> Answer {
     let (Some(video), Some(text)) = (
         request.get("video").and_then(Value::as_str),
         request.get("text").and_then(Value::as_str),
@@ -815,12 +755,10 @@ fn handle_query(
         .get("deadline_ms")
         .and_then(Value::as_u64)
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    // Cache eligibility mirrors the worker's single-flight rule: only
-    // plain retrievals without per-request limits, and only statements
-    // that parse (so the key is the *normalized* text).
-    let limited = request.get("deadline_ms").is_some() || request.get("fuel").is_some();
-    let normalized = match (!limited).then(|| f1_cobra::parse_statement(text)) {
-        Some(Ok(s @ f1_cobra::Statement::Retrieve(_))) => Some(s.normalized()),
+    // What may be cached is what a worker may coalesce (`shareable`),
+    // and only plain retrievals.
+    let normalized = match shareable(request, text) {
+        Some(s @ f1_cobra::Statement::Retrieve(_)) => Some(s.normalized()),
         _ => None,
     };
     let cached = shared.cache.as_ref().zip(normalized);
@@ -870,113 +808,103 @@ fn handle_query(
     Ok(frame)
 }
 
-/// Answers one request with an encoded frame. Queries and write acks
-/// pass the shard's `result` through as bytes; the control commands
-/// aggregate small per-shard trees.
-fn handle_request(
-    shared: &RouterShared,
-    conns: &mut [ShardConn],
-    hub: &Arc<Hub<RouterShared>>,
-    conn_id: ConnId,
-    id: u64,
-    request: &Value,
-) -> Result<Vec<u8>, Fail> {
-    let Some(cmd) = request.get("cmd").and_then(Value::as_str) else {
-        return Err((ErrorKind::BadRequest, "missing 'cmd'".into()));
+/// `write_event`, forwarded to the owner, whose ack passes through as
+/// bytes; the worker enforces its own debug gate. The router cache needs
+/// no eager invalidation — the ack carries the shard's post-commit stamp,
+/// which raises `known` before the client sees the ack, so every cached
+/// answer that read this shard fails its next guard check.
+fn write_event(shared: &RouterShared, conns: &mut [ShardConn], id: u64, request: &Value) -> Answer {
+    let Some(video) = request.get("video").and_then(Value::as_str) else {
+        return Err((ErrorKind::BadRequest, "write_event needs 'video'".into()));
     };
-    let result = match cmd {
-        "query" => return handle_query(shared, conns, id, request),
-        "write_event" => {
-            // Forwarded to the owner; the worker enforces its own debug
-            // gate. The router cache needs no eager invalidation — the
-            // ack carries the shard's post-commit stamp, which raises
-            // `known` before the client sees the ack, so every cached
-            // answer that read this shard fails its next guard check.
-            let Some(video) = request.get("video").and_then(Value::as_str) else {
-                return Err((ErrorKind::BadRequest, "write_event needs 'video'".into()));
-            };
-            let mut body = request.clone();
-            if let Value::Object(map) = &mut body {
-                map.remove("id");
-                map.remove("shard");
-            }
-            let owner = [shared.ring.owner(video)];
-            let mut acks = scatter(shared, conns, &owner, body, id, None, Part::read);
-            let ack = acks.next().ok_or_else(no_reply)??.result;
-            return Ok(pass(id, |w| w.raw(ack.text().as_bytes())));
-        }
-        "version" => {
-            // The aggregated topology view: one entry per shard, in
-            // shard order, with the address the router would dial.
-            let addrs = recover(&shared.addrs).clone();
-            let mut entries = Vec::with_capacity(addrs.len());
-            for (shard, (result, addr)) in gather(shared, conns, "version", id)
-                .zip(addrs)
-                .enumerate()
-            {
-                let mut entry = shard_entry(shard, result);
-                if let Value::Object(map) = &mut entry {
-                    map.insert("addr".into(), Value::String(addr));
-                }
-                entries.push(entry);
-            }
-            json!({
-                "kind": "version",
-                "seed": (shared.ring.seed() as f64),
-                "shards": (Value::Array(entries)),
-            })
-        }
-        "videos" => {
-            let mut names: Vec<String> = Vec::new();
-            for result in gather(shared, conns, "videos", id) {
-                if let Some(list) = result?.get("videos").and_then(Value::as_array) {
-                    names.extend(list.iter().filter_map(Value::as_str).map(str::to_string));
-                }
-            }
-            names.sort();
-            names.dedup();
-            json!({"kind": "videos", "videos": (names)})
-        }
-        "stats" => {
-            // The router's own snapshot, with every reachable shard's
-            // snapshot attached. A dead shard degrades to an error
-            // entry rather than failing the whole answer: stats is the
-            // command you run *while* a shard is down.
-            let entries: Vec<Value> = gather(shared, conns, "stats", id)
-                .enumerate()
-                .map(|(shard, result)| {
-                    let snapshot = |v: Value| v.get("snapshot").cloned().unwrap_or(Value::Null);
-                    shard_entry(shard, result.map(|v| json!({"snapshot": (snapshot(v))})))
-                })
-                .collect();
-            json!({
-                "kind": "stats",
-                "snapshot": (shared.registry.snapshot().to_json()),
-                "shards": (Value::Array(entries)),
-            })
-        }
-        "checkpoint" => {
-            let mut entries = Vec::new();
-            let mut durable = false;
-            for (shard, result) in gather(shared, conns, "checkpoint", id).enumerate() {
-                let v = result?;
-                durable |= v.get("durable").and_then(Value::as_bool).unwrap_or(false);
-                entries.push(shard_entry(shard, Ok(v)));
-            }
-            json!({
-                "kind": "checkpoint",
-                "durable": (durable),
-                "shards": (Value::Array(entries)),
-            })
-        }
-        "subscribe" => return Ok(encode_reply(&hub.subscribe(conn_id, id, request))),
-        "unsubscribe" => return Ok(encode_reply(&hub.unsubscribe(conn_id, id, request))),
-        other => return Err((
-            ErrorKind::BadRequest,
-            format!("unknown command '{other}' (the router speaks ping, version, videos, stats, checkpoint, query, subscribe, unsubscribe, write_event)"),
-        )),
-    };
+    let mut body = request.clone();
+    if let Value::Object(map) = &mut body {
+        map.remove("id");
+        map.remove("shard");
+    }
+    let owner = [shared.ring.owner(video)];
+    let mut acks = scatter(shared, conns, &owner, body, id, None, Part::read);
+    let ack = acks.next().ok_or_else(no_reply)??.result;
+    Ok(pass(id, |w| w.raw(ack.text().as_bytes())))
+}
+
+/// The answer to request `id` aggregated from small per-shard trees.
+fn aggregated(id: u64, result: Value) -> Answer {
     Ok(encode_reply(&ok_response(id, result)))
+}
+
+/// `version`: the topology view — one entry per shard, in shard order,
+/// with the address the router would dial.
+fn version(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -> Answer {
+    let addrs = recover(&shared.addrs).clone();
+    let mut entries = Vec::with_capacity(addrs.len());
+    for (shard, (result, addr)) in gather(shared, conns, "version", id).zip(addrs).enumerate() {
+        let mut entry = shard_entry(shard, result);
+        if let Value::Object(map) = &mut entry {
+            map.insert("addr".into(), Value::String(addr));
+        }
+        entries.push(entry);
+    }
+    aggregated(
+        id,
+        json!({
+            "kind": "version",
+            "seed": (shared.ring.seed() as f64),
+            "shards": (Value::Array(entries)),
+        }),
+    )
+}
+
+fn videos(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -> Answer {
+    let mut names: Vec<String> = Vec::new();
+    for result in gather(shared, conns, "videos", id) {
+        if let Some(list) = result?.get("videos").and_then(Value::as_array) {
+            names.extend(list.iter().filter_map(Value::as_str).map(str::to_string));
+        }
+    }
+    names.sort();
+    names.dedup();
+    aggregated(id, json!({"kind": "videos", "videos": (names)}))
+}
+
+/// `stats`: the router's own snapshot, with every reachable shard's
+/// snapshot attached. A dead shard degrades to an error entry rather
+/// than failing the whole answer: stats is the command you run *while*
+/// a shard is down.
+fn stats(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -> Answer {
+    let entries: Vec<Value> = gather(shared, conns, "stats", id)
+        .enumerate()
+        .map(|(shard, result)| {
+            let snapshot = |v: Value| v.get("snapshot").cloned().unwrap_or(Value::Null);
+            shard_entry(shard, result.map(|v| json!({"snapshot": (snapshot(v))})))
+        })
+        .collect();
+    aggregated(
+        id,
+        json!({
+            "kind": "stats",
+            "snapshot": (shared.registry.snapshot().to_json()),
+            "shards": (Value::Array(entries)),
+        }),
+    )
+}
+
+fn checkpoint(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -> Answer {
+    let mut entries = Vec::new();
+    let mut durable = false;
+    for (shard, result) in gather(shared, conns, "checkpoint", id).enumerate() {
+        let v = result?;
+        durable |= v.get("durable").and_then(Value::as_bool).unwrap_or(false);
+        entries.push(shard_entry(shard, Ok(v)));
+    }
+    aggregated(
+        id,
+        json!({
+            "kind": "checkpoint",
+            "durable": (durable),
+            "shards": (Value::Array(entries)),
+        }),
+    )
 }
 
 #[cfg(test)]

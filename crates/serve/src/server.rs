@@ -1,14 +1,10 @@
-//! The TCP query service.
+//! The TCP query service: the [front end](crate::front) over one
+//! in-process [`Vdbms`], and the commands only a server has.
 //!
-//! A single reactor thread ([`crate::reactor`]) owns every client
-//! socket: it accepts, decodes length-prefixed frames incrementally,
-//! and batches response flushes. Cheap control commands (`ping`,
-//! `version`, `stats`, `videos`) are answered inline on the reactor;
-//! everything that touches the engine — queries, checkpoints,
-//! subscriptions, debug writes — runs on the shared bounded
-//! [`WorkerPool`](crate::scheduler::WorkerPool), whose completions are
-//! queued back to the reactor through [`ReactorCtl`] and flushed to
-//! the socket without ever blocking a worker on a slow client.
+//! Its command table answers `version`, `stats` and `videos` inline on
+//! the reactor; queries, checkpoints and debug writes take engine locks
+//! and run on the pool, whose completions are queued back to the reactor
+//! and flushed without ever blocking a worker on a slow client.
 //!
 //! A completion is an encoded frame. A query's worker takes the answer
 //! from the result cache as its entries (`Vdbms::answer`) and writes the
@@ -20,25 +16,23 @@
 //! answer is framed again under each follower's id, from the same
 //! entries: no thread ever builds a tree of the rows.
 //!
-//! Guard rails, all typed on the wire:
-//! * **Admission control** — a full queue answers `overloaded` at once.
+//! Guard rails, all typed on the wire (admission control and graceful
+//! shutdown are the front end's):
 //! * **Deadlines** — `deadline_ms` becomes an [`ExecBudget`] deadline;
 //!   the kernel interrupts the query mid-MIL and the client gets
 //!   `deadline`. Time spent waiting in the queue counts.
 //! * **Disconnect cancellation** — when a client's socket closes, every
 //!   query it still has in flight is cancelled through its budget token.
+//! * **Epoch fence** — a routed frame addressed to another incarnation
+//!   of this catalog is refused with `shard_unavailable`.
 //! * **Backpressure** — a connection whose peer stops draining is not
 //!   read from past a buffer high-water mark; subscribers that fall too
 //!   far behind are disconnected with `slow_consumer`.
-//! * **Graceful shutdown** — the listener closes first, admitted
-//!   queries drain, new ones are refused with `shutting_down`, then
-//!   every connection is flushed and the reactor joins.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cobra_faults::CancellationToken;
@@ -48,13 +42,13 @@ use f1_cobra::{Answered, Stamp, Vdbms};
 use f1_monet::{ExecBudget, MonetError};
 use serde_json::{json, Value};
 
+use crate::front::{self, shareable, Door, Running};
 use crate::protocol::{
     encode_frame, encode_reply, err_response, ok_frame, ok_response, or_oversize, stamp_to_json,
     ErrorKind,
 };
-use crate::reactor::{self, ConnId, ReactorConfig, ReactorCtl, Service};
-use crate::scheduler::{SubmitError, WorkerPool};
-use crate::stream::{Hub, DEFAULT_PUSH_QUEUE_CAP};
+use crate::reactor::ConnId;
+use crate::stream::DEFAULT_PUSH_QUEUE_CAP;
 
 /// How the server is sized and where it listens.
 #[derive(Debug, Clone)]
@@ -95,29 +89,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Response path of one connection: completions from any thread are
-/// queued on the reactor, which owns the socket and flushes in batches.
-#[derive(Clone)]
-pub(crate) struct ConnTx {
-    ctl: ReactorCtl,
-    conn: ConnId,
-}
-
-impl ConnTx {
-    pub(crate) fn new(ctl: ReactorCtl, conn: ConnId) -> ConnTx {
-        ConnTx { ctl, conn }
-    }
-
-    /// Encodes and queues a response built as a tree.
-    pub(crate) fn send(&self, response: Value) {
-        self.send_frame(encode_reply(&response));
-    }
-
-    fn send_frame(&self, frame: Vec<u8>) {
-        self.ctl.send(self.conn, frame);
-    }
-}
-
 /// What a pooled job concluded, before it is framed under a request id:
 /// a single-flight leader's outcome is framed once for itself and once
 /// per follower, from the same cache entries.
@@ -151,7 +122,7 @@ impl Outcome {
 /// the leader's outcome and receives it framed under its own id.
 struct FlightWaiter {
     id: u64,
-    tx: ConnTx,
+    conn: ConnId,
     since: Instant,
 }
 
@@ -159,13 +130,11 @@ struct FlightWaiter {
 /// cancelling the token interrupts the running query via its budget.
 type Inflight = Arc<Mutex<HashMap<u64, CancellationToken>>>;
 
-struct ServerShared {
+/// The server's door: its catalog, and what its requests share.
+pub(crate) struct Server {
     vdbms: Arc<Vdbms>,
-    pool: WorkerPool,
-    config: ServerConfig,
-    ctl: ReactorCtl,
-    hub: Arc<Hub<Vdbms>>,
-    shutting_down: AtomicBool,
+    /// Whether the debug commands (`sleep`, `write_event`) exist.
+    debug: bool,
     /// In-flight cancellation tokens per connection; an entry appears
     /// with the connection's first admitted request and dies with it.
     conns: Mutex<HashMap<ConnId, Inflight>>,
@@ -177,13 +146,14 @@ struct ServerShared {
     flights: Mutex<HashMap<String, Vec<FlightWaiter>>>,
 }
 
-impl ServerShared {
+type Front = front::Front<Server>;
+
+/// A server command, run on the reactor thread.
+type Handler = fn(&Arc<Front>, ConnId, u64, Value);
+
+impl Server {
     fn registry(&self) -> &Arc<Registry> {
         self.vdbms.kernel().metrics().registry()
-    }
-
-    fn tx(&self, conn: ConnId) -> ConnTx {
-        ConnTx::new(self.ctl.clone(), conn)
     }
 
     fn inflight_for(&self, conn: ConnId) -> Inflight {
@@ -192,25 +162,50 @@ impl ServerShared {
     }
 }
 
-/// The reactor-facing half of the server: frames in, closes out.
-struct ServerService {
-    shared: Arc<ServerShared>,
-}
+impl Door for Server {
+    type Source = Vdbms;
+    type Command = Handler;
 
-impl Service for ServerService {
-    fn on_frame(&self, conn: ConnId, frame: Value) {
-        handle_request(&self.shared, conn, &frame);
+    fn command(&self, cmd: &str) -> Option<Handler> {
+        Some(match cmd {
+            "version" => version,
+            "stats" => stats,
+            "videos" => videos,
+            "checkpoint" => checkpoint,
+            "query" => submit_query,
+            "sleep" if self.debug => submit_sleep,
+            "write_event" if self.debug => write_event,
+            _ => return None,
+        })
     }
 
-    fn on_close(&self, conn: ConnId) {
-        // Client gone (or evicted): interrupt whatever it still has
-        // running and retire its standing queries.
-        let inflight = self.shared.conns.lock().expect("conn table").remove(&conn);
+    fn run(front: &Arc<Front>, conn: ConnId, id: u64, handler: Handler, request: Value) {
+        // The epoch fence: a routed frame carries the epoch the router
+        // handshook with. After a reboot its view is stale, so refuse with
+        // the typed shard error and it re-handshakes.
+        if let Some(expected) = request
+            .get("shard")
+            .and_then(|s| s.get("epoch"))
+            .and_then(Value::as_u64)
+        {
+            let actual = front.door.vdbms.catalog.epoch();
+            if expected != actual {
+                let registry = front.door.registry();
+                registry.counter("serve.shard_epoch_mismatch", &[]).inc();
+                let why = format!("shard epoch is {actual}, frame addressed epoch {expected}");
+                return front.reply(conn, &err_response(id, ErrorKind::ShardUnavailable, why));
+            }
+        }
+        handler(front, conn, id, request);
+    }
+
+    fn closed(&self, conn: ConnId) {
+        // Client gone (or evicted): interrupt what it still has running.
+        let inflight = self.conns.lock().expect("conn table").remove(&conn);
         if let Some(inflight) = inflight {
             let orphaned = std::mem::take(&mut *inflight.lock().expect("inflight map"));
             if !orphaned.is_empty() {
-                self.shared
-                    .registry()
+                self.registry()
                     .counter("serve.cancelled_disconnect", &[])
                     .add(orphaned.len() as u64);
                 for token in orphaned.into_values() {
@@ -218,337 +213,179 @@ impl Service for ServerService {
                 }
             }
         }
-        self.shared.hub.drop_conn(conn);
-    }
-}
-
-/// A running server. Dropping the handle without calling
-/// [`shutdown`](Self::shutdown) leaves the server running detached.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<ServerShared>,
-    reactor_thread: Option<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (with the real port when the config said 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
-    /// The configured admission limit (`workers + queue_cap`).
-    pub fn admission_limit(&self) -> usize {
-        self.shared.pool.admission_limit()
-    }
-
-    /// Graceful shutdown: close the listener, refuse new queries,
-    /// drain admitted ones, flush every connection, join the reactor.
-    pub fn shutdown(mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Closing the listener first means no connection sneaks in
-        // mid-drain; connects are refused from here on.
-        self.shared.ctl.drain();
-        // Admitted jobs run to completion; their responses flow through
-        // the still-live reactor.
-        self.shared.pool.shutdown();
-        self.shared.hub.close();
-        // Flush-and-close every connection, then the loop exits.
-        self.shared.ctl.stop();
-        if let Some(t) = self.reactor_thread.take() {
-            let _ = t.join();
-        }
+    fn stopped(&self) {
         // Every admitted mutation has drained: force buffered WAL records
         // to disk and leave a fresh checkpoint, so the next boot replays
         // nothing. Failure is non-fatal — the WAL already holds
         // everything acknowledged under `FsyncPolicy::Always`.
         if let Err(e) = self
-            .shared
             .vdbms
             .flush()
-            .and_then(|()| self.shared.vdbms.checkpoint().map(|_| ()))
+            .and_then(|()| self.vdbms.checkpoint().map(|_| ()))
         {
             eprintln!("cobra-serve: checkpoint on drain failed: {e}");
         }
     }
 }
 
+/// A running server. Dropping the handle without calling
+/// [`shutdown`](Self::shutdown) leaves the server running detached.
+pub struct ServerHandle(Running<Server>);
+
+impl ServerHandle {
+    /// The bound address (with the real port when the config said 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.0.addr
+    }
+
+    /// The configured admission limit (`workers + queue_cap`).
+    pub fn admission_limit(&self) -> usize {
+        self.0.front.pool.admission_limit()
+    }
+
+    /// Graceful shutdown in the front end's order (admitted queries
+    /// drain, new ones are refused with `shutting_down`), then a flush
+    /// and a checkpoint.
+    pub fn shutdown(self) {
+        self.0.shutdown();
+    }
+}
+
 /// Binds and starts serving `vdbms` per `config`.
 pub fn start(vdbms: Arc<Vdbms>, config: ServerConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let pool = WorkerPool::new(
-        config.workers,
-        config.queue_cap,
-        vdbms.kernel().metrics().registry(),
-    )?;
-    let ctl = ReactorCtl::new()?;
-    let hub = Hub::new(
-        Arc::clone(&vdbms),
-        Arc::clone(vdbms.kernel().metrics().registry()),
-        ctl.clone(),
-        config.push_queue_cap,
-    );
-    let shared = Arc::new(ServerShared {
-        vdbms,
-        pool,
-        ctl: ctl.clone(),
-        hub,
-        config,
-        shutting_down: AtomicBool::new(false),
-        conns: Mutex::new(HashMap::new()),
-        flights: Mutex::new(HashMap::new()),
-    });
+    let registry = Arc::clone(vdbms.kernel().metrics().registry());
     // Pre-resolve so `stats` shows the series from boot.
-    shared.registry().counter("cache.coalesced", &[]);
-    let service = Arc::new(ServerService {
-        shared: Arc::clone(&shared),
-    });
-    let reactor_thread = reactor::spawn(
-        listener,
-        &ctl,
-        ReactorConfig {
-            name: "cobra-serve-reactor".into(),
-            idle_timeout: shared.config.idle_timeout,
-            sndbuf: shared.config.sndbuf,
-        },
-        shared.registry(),
-        service,
-    )?;
-    Ok(ServerHandle {
-        addr,
-        shared,
-        reactor_thread: Some(reactor_thread),
-    })
-}
-
-/// Hands a control command (checkpoint, subscribe, …) to the pool and
-/// wires its response back to the connection; a full queue answers the
-/// usual typed rejection. These commands skip the query admission
-/// bookkeeping (no deadline, no cancellation token) but still must not
-/// run on the reactor thread — they take engine locks.
-fn submit_control(
-    shared: &Arc<ServerShared>,
-    id: u64,
-    tx: &ConnTx,
-    run: impl FnOnce() -> Value + Send + 'static,
-) {
-    let reply = tx.clone();
-    let outcome = shared.pool.try_submit(Box::new(move || {
-        reply.send(run());
-    }));
-    if let Err(e) = outcome {
-        let (kind, message) = rejection(e);
-        shared
-            .registry()
-            .counter("serve.rejected", &[("kind", kind.as_str())])
-            .inc();
-        tx.send(err_response(id, kind, message));
-    }
-}
-
-fn rejection(e: SubmitError) -> (ErrorKind, String) {
-    match e {
-        SubmitError::Overloaded { queue_cap } => (
-            ErrorKind::Overloaded,
-            format!("worker queue full ({queue_cap} waiting); retry with backoff"),
-        ),
-        SubmitError::ShuttingDown => (ErrorKind::ShuttingDown, "server is shutting down".into()),
-    }
-}
-
-/// Dispatches one decoded frame. Runs on the reactor thread: anything
-/// that can block hands off to the worker pool.
-fn handle_request(shared: &Arc<ServerShared>, conn: ConnId, request: &Value) {
-    let tx = shared.tx(conn);
-    let id = request.get("id").and_then(Value::as_u64).unwrap_or(0);
-    let Some(cmd) = request.get("cmd").and_then(Value::as_str) else {
-        tx.send(err_response(id, ErrorKind::BadRequest, "missing 'cmd'"));
-        return;
+    registry.counter("cache.coalesced", &[]);
+    let server = Server {
+        vdbms: Arc::clone(&vdbms),
+        debug: config.debug,
+        conns: Mutex::default(),
+        flights: Mutex::default(),
     };
-    let registry = shared.registry();
-    registry.counter("serve.requests", &[("cmd", cmd)]).inc();
-    // A router forwarding on behalf of a client stamps the shard epoch
-    // it handshook with. If this process has rebooted since (a new
-    // epoch), the router's view — ring state, cached vectors, possibly
-    // the data dir itself — is stale: refuse with the typed shard error
-    // so it re-handshakes instead of acting on a dead incarnation.
-    if let Some(expected) = request
-        .get("shard")
-        .and_then(|s| s.get("epoch"))
-        .and_then(Value::as_u64)
-    {
-        let actual = shared.vdbms.catalog.epoch();
-        if expected != actual {
-            registry.counter("serve.shard_epoch_mismatch", &[]).inc();
-            tx.send(err_response(
-                id,
-                ErrorKind::ShardUnavailable,
-                format!("shard epoch is {actual}, frame addressed epoch {expected}"),
-            ));
-            return;
-        }
-    }
-    match cmd {
-        "ping" => {
-            tx.send(ok_response(id, json!({"kind": "pong"})));
-        }
-        "version" => {
-            // The router's connection handshake and the operator's
-            // topology probe: who am I (epoch), where is my commit seq
-            // (data_version), what do I hold (videos).
-            let catalog = &shared.vdbms.catalog;
-            tx.send(ok_response(
+    Front::start(server, vdbms, &registry, "cobra-serve-reactor", &config).map(ServerHandle)
+}
+
+/// The router's connection handshake and the operator's topology probe:
+/// who am I (epoch), where is my commit seq (data_version), what do I
+/// hold (videos).
+fn version(front: &Arc<Front>, conn: ConnId, id: u64, _: Value) {
+    let catalog = &front.door.vdbms.catalog;
+    let version = json!({
+        "kind": "version",
+        "epoch": (catalog.epoch() as f64),
+        "data_version": (catalog.data_version() as f64),
+        "videos": (catalog.videos()),
+    });
+    front.reply(conn, &ok_response(id, version));
+}
+
+fn stats(front: &Arc<Front>, conn: ConnId, id: u64, _: Value) {
+    let snapshot = front.door.registry().snapshot().to_json();
+    front.reply(
+        conn,
+        &ok_response(id, json!({"kind": "stats", "snapshot": (snapshot)})),
+    );
+}
+
+fn videos(front: &Arc<Front>, conn: ConnId, id: u64, _: Value) {
+    let names = front.door.vdbms.catalog.videos();
+    front.reply(
+        conn,
+        &ok_response(id, json!({"kind": "videos", "videos": (names)})),
+    );
+}
+
+/// A checkpoint clones dirty BATs under the commit lock — pool work,
+/// never the reactor's.
+fn checkpoint(front: &Arc<Front>, conn: ConnId, id: u64, _: Value) {
+    front.pooled(conn, id, move |front| {
+        encode_reply(&match front.door.vdbms.checkpoint() {
+            Ok(Some(outcome)) => ok_response(
                 id,
                 json!({
-                    "kind": "version",
-                    "epoch": (catalog.epoch() as f64),
-                    "data_version": (catalog.data_version() as f64),
-                    "videos": (catalog.videos()),
+                    "kind": "checkpoint",
+                    "durable": true,
+                    "bats_written": (outcome.bats_written as f64),
+                    "bats_skipped": (outcome.bats_skipped as f64),
+                    "bytes_written": (outcome.bytes_written as f64),
+                    "wal_files_retired": (outcome.wal_files_retired as f64),
+                    "wal_seq": (outcome.wal_seq as f64),
                 }),
-            ));
-        }
-        "stats" => {
-            let snapshot = registry.snapshot().to_json();
-            tx.send(ok_response(
-                id,
-                json!({"kind": "stats", "snapshot": (snapshot)}),
-            ));
-        }
-        "videos" => {
-            let names = shared.vdbms.catalog.videos();
-            tx.send(ok_response(
-                id,
-                json!({"kind": "videos", "videos": (names)}),
-            ));
-        }
-        "checkpoint" => {
-            // A checkpoint clones dirty BATs under the commit lock —
-            // worker-pool territory, never the reactor's.
-            let shared2 = Arc::clone(shared);
-            submit_control(shared, id, &tx, move || match shared2.vdbms.checkpoint() {
-                Ok(Some(outcome)) => ok_response(
-                    id,
-                    json!({
-                        "kind": "checkpoint",
-                        "durable": true,
-                        "bats_written": (outcome.bats_written as f64),
-                        "bats_skipped": (outcome.bats_skipped as f64),
-                        "bytes_written": (outcome.bytes_written as f64),
-                        "wal_files_retired": (outcome.wal_files_retired as f64),
-                        "wal_seq": (outcome.wal_seq as f64),
-                    }),
-                ),
-                Ok(None) => ok_response(id, json!({"kind": "checkpoint", "durable": false})),
-                Err(e) => err_response(id, ErrorKind::Internal, e.to_string()),
-            });
-        }
-        // The initial evaluation of a subscription is a real query,
-        // and the hub lock is held across sweep evaluations: neither
-        // belongs on the reactor thread.
-        "subscribe" | "unsubscribe" => {
-            let subscribing = cmd == "subscribe";
-            let shared2 = Arc::clone(shared);
-            let request = request.clone();
-            submit_control(shared, id, &tx, move || {
-                if subscribing {
-                    shared2.hub.subscribe(conn, id, &request)
-                } else {
-                    shared2.hub.unsubscribe(conn, id, &request)
+            ),
+            Ok(None) => ok_response(id, json!({"kind": "checkpoint", "durable": false})),
+            Err(e) => err_response(id, ErrorKind::Internal, e.to_string()),
+        })
+    });
+}
+
+/// Debug-only event append over the wire: appends one event-layer record
+/// to `video` and answers with the catalog's post-write data version —
+/// the sharding tests mutate one shard of a live cluster with it and
+/// prove the router's cross-shard cache invalidation. The catalog
+/// serializes mutations on its commit lock: pool work.
+fn write_event(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
+    front.pooled(conn, id, move |front| {
+        let catalog = &front.door.vdbms.catalog;
+        let (Some(video), Some(kind), Some(start), Some(end)) = (
+            request.get("video").and_then(Value::as_str),
+            request.get("kind").and_then(Value::as_str),
+            request.get("start").and_then(Value::as_u64),
+            request.get("end").and_then(Value::as_u64),
+        ) else {
+            let why = "write_event needs 'video', 'kind', 'start', 'end'";
+            return encode_reply(&err_response(id, ErrorKind::BadRequest, why));
+        };
+        let record = f1_cobra::catalog::EventRecord {
+            kind: kind.to_string(),
+            start: start as usize,
+            end: end as usize,
+            driver: request
+                .get("driver")
+                .and_then(Value::as_str)
+                .map(str::to_string),
+        };
+        encode_reply(&match catalog.store_events(video, &[record]) {
+            Ok(()) => {
+                let version = catalog.data_version();
+                let ack = json!({"kind": "written", "data_version": (version as f64)});
+                let mut response = ok_response(id, ack);
+                // The ack of a routed write carries this catalog's stamp,
+                // read *after* the commit (see `Outcome::Answered` for the
+                // read side).
+                if let (Value::Object(map), Some(_)) = (&mut response, request.get("shard")) {
+                    map.insert("stamp".into(), stamp_to_json(catalog.stamp()));
                 }
-            });
-        }
-        "query" => submit_query(shared, conn, id, request, &tx),
-        "sleep" if shared.config.debug => submit_sleep(shared, conn, id, request, &tx),
-        "write_event" if shared.config.debug => {
-            // Debug-only event append over the wire: the sharding tests
-            // mutate one shard of a live cluster with it and prove the
-            // router's cross-shard cache invalidation. The catalog
-            // serializes mutations on its commit lock — pool work.
-            let shared2 = Arc::clone(shared);
-            let request = request.clone();
-            submit_control(shared, id, &tx, move || {
-                handle_write_event(&shared2, id, &request)
-            });
-        }
-        other => {
-            tx.send(err_response(
-                id,
-                ErrorKind::BadRequest,
-                format!("unknown command '{other}'"),
-            ));
-        }
-    }
-}
-
-/// Marks the ack of a routed write with this catalog's stamp, read
-/// *after* the commit (see [`Outcome::Ok`] for the read side).
-fn stamped(mut response: Value, stamp: Option<Stamp>) -> Value {
-    if let (Value::Object(map), Some(stamp)) = (&mut response, stamp) {
-        map.insert("stamp".into(), stamp_to_json(stamp));
-    }
-    response
-}
-
-/// Debug-only `write_event`: appends one event-layer record to `video`
-/// and answers with the catalog's post-write data version.
-fn handle_write_event(shared: &Arc<ServerShared>, id: u64, request: &Value) -> Value {
-    let (Some(video), Some(kind), Some(start), Some(end)) = (
-        request.get("video").and_then(Value::as_str),
-        request.get("kind").and_then(Value::as_str),
-        request.get("start").and_then(Value::as_u64),
-        request.get("end").and_then(Value::as_u64),
-    ) else {
-        return err_response(
-            id,
-            ErrorKind::BadRequest,
-            "write_event needs 'video', 'kind', 'start', 'end'",
-        );
-    };
-    let record = f1_cobra::catalog::EventRecord {
-        kind: kind.to_string(),
-        start: start as usize,
-        end: end as usize,
-        driver: request
-            .get("driver")
-            .and_then(Value::as_str)
-            .map(str::to_string),
-    };
-    match shared.vdbms.catalog.store_events(video, &[record]) {
-        Ok(()) => {
-            let version = shared.vdbms.catalog.data_version();
-            let ack = json!({"kind": "written", "data_version": (version as f64)});
-            let routed = request.get("shard").is_some();
-            stamped(
-                ok_response(id, ack),
-                routed.then(|| shared.vdbms.catalog.stamp()),
-            )
-        }
-        Err(e) => err_response(id, crate::protocol::classify(&e), e.to_string()),
-    }
+                response
+            }
+            Err(e) => err_response(id, crate::protocol::classify(&e), e.to_string()),
+        })
+    });
 }
 
 /// Delivers the leader's `outcome` to every follower coalesced under
 /// `key`, framed under each follower's own request id, and retires the
 /// flight so the next identical query starts fresh.
-fn fan_out(shared: &Arc<ServerShared>, key: &str, outcome: &Outcome) {
+fn fan_out(front: &Front, key: &str, outcome: &Outcome) {
     let waiters = {
-        let mut flights = shared.flights.lock().expect("flight table");
+        let mut flights = front.door.flights.lock().expect("flight table");
         flights.remove(key).unwrap_or_default()
     };
-    let registry = shared.registry();
+    let registry = front.door.registry();
     for w in waiters {
         registry
             .histogram("serve.latency_us", &[])
             .record(w.since.elapsed().as_micros() as u64);
-        w.tx.send_frame(outcome.frame(w.id));
+        front.ctl.send(w.conn, outcome.frame(w.id));
     }
 }
 
 /// Everything a pooled job needs to report its outcome.
 struct JobCtx {
-    shared: Arc<ServerShared>,
+    front: Arc<Front>,
     id: u64,
-    tx: ConnTx,
+    conn: ConnId,
     inflight: Inflight,
     token: CancellationToken,
     deadline_at: Option<Instant>,
@@ -593,18 +430,18 @@ impl JobCtx {
     fn finish(&self, outcome: Outcome) {
         self.running.store(false, Ordering::SeqCst);
         self.inflight.lock().expect("inflight map").remove(&self.id);
-        let registry = self.shared.registry();
+        let registry = self.front.door.registry();
         registry
             .histogram("serve.latency_us", &[])
             .record(self.admitted_at.elapsed().as_micros() as u64);
         if let Some(key) = &self.flight_key {
-            fan_out(&self.shared, key, &outcome);
+            fan_out(&self.front, key, &outcome);
         }
-        self.tx.send_frame(outcome.frame(self.id));
+        self.front.ctl.send(self.conn, outcome.frame(self.id));
     }
 
     fn fail(&self, kind: ErrorKind, message: impl Into<String>) {
-        let registry = self.shared.registry();
+        let registry = self.front.door.registry();
         registry
             .counter("serve.failed", &[("kind", kind.as_str())])
             .inc();
@@ -628,30 +465,31 @@ impl Drop for JobCtx {
                 kind: ErrorKind::Internal,
                 message: "query worker terminated before responding".into(),
             };
-            fan_out(&self.shared, &key, &outcome);
+            fan_out(&self.front, &key, &outcome);
         }
     }
 }
 
+/// Admits a query-shaped job: a cancellation token for disconnects, the
+/// request's deadline and fuel, and its single-flight group.
 fn admit(
-    shared: &Arc<ServerShared>,
+    front: &Arc<Front>,
     conn: ConnId,
     id: u64,
     request: &Value,
-    tx: &ConnTx,
     flight_key: Option<String>,
     run: impl FnOnce(&JobCtx) + Send + 'static,
 ) {
-    let inflight = shared.inflight_for(conn);
+    let inflight = front.door.inflight_for(conn);
     let token = CancellationToken::new();
     let mut map = inflight.lock().expect("inflight map");
     map.insert(id, token.clone());
     drop(map);
     let rejection_key = flight_key.clone();
     let ctx = JobCtx {
-        shared: Arc::clone(shared),
+        front: Arc::clone(front),
         id,
-        tx: tx.clone(),
+        conn,
         inflight: Arc::clone(&inflight),
         token,
         deadline_at: request
@@ -663,7 +501,7 @@ fn admit(
         flight_key,
         running: AtomicBool::new(false),
     };
-    let outcome = shared.pool.try_submit(Box::new(move || {
+    let submitted = front.submit(Box::new(move || {
         ctx.running.store(true, Ordering::SeqCst);
         if let Some(kind) = ctx.expired() {
             ctx.fail(kind, "request expired before execution");
@@ -671,73 +509,54 @@ fn admit(
         }
         run(&ctx);
     }));
-    if let Err(e) = outcome {
+    if let Err((kind, message)) = submitted {
         inflight.lock().expect("inflight map").remove(&id);
-        let (kind, message) = rejection(e);
-        shared
-            .registry()
-            .counter("serve.rejected", &[("kind", kind.as_str())])
-            .inc();
         let outcome = Outcome::Err { kind, message };
         // A rejected leader takes its (raced-in) followers with it.
         if let Some(key) = &rejection_key {
-            fan_out(shared, key, &outcome);
+            fan_out(front, key, &outcome);
         }
-        tx.send_frame(outcome.frame(id));
+        front.ctl.send(conn, outcome.frame(id));
     }
 }
 
-fn submit_query(shared: &Arc<ServerShared>, conn: ConnId, id: u64, request: &Value, tx: &ConnTx) {
+fn submit_query(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
     let (Some(video), Some(text)) = (
         request.get("video").and_then(Value::as_str),
         request.get("text").and_then(Value::as_str),
     ) else {
-        tx.send(err_response(
-            id,
-            ErrorKind::BadRequest,
-            "query needs string fields 'video' and 'text'",
-        ));
-        return;
+        let why = "query needs string fields 'video' and 'text'";
+        return front.reply(conn, &err_response(id, ErrorKind::BadRequest, why));
     };
     let (video, text) = (video.to_string(), text.to_string());
 
     // Single-flight: identical statements already in flight share one
-    // worker execution. Only requests without a per-request deadline or
-    // fuel budget are eligible (coalesced requests share the leader's
-    // unlimited budget, so nobody's constraint is silently widened), and
-    // only parseable statements coalesce — parse errors take the normal
-    // path and fail in the worker as before.
-    let eligible = request.get("deadline_ms").is_none() && request.get("fuel").is_none();
-    let flight_key = if eligible {
-        f1_cobra::parse_statement(&text)
-            .ok()
-            .map(|s| format!("{video}\u{1}{}", s.normalized()))
-    } else {
-        None
-    };
+    // worker execution, when `shareable` allows.
+    let flight_key = shareable(&request, &text).map(|s| format!("{video}\u{1}{}", s.normalized()));
     if let Some(key) = &flight_key {
-        let mut flights = shared.flights.lock().expect("flight table");
+        let mut flights = front.door.flights.lock().expect("flight table");
         if let Some(waiters) = flights.get_mut(key) {
             waiters.push(FlightWaiter {
                 id,
-                tx: tx.clone(),
+                conn,
                 since: Instant::now(),
             });
             drop(flights);
-            shared.registry().counter("cache.coalesced", &[]).inc();
+            front.door.registry().counter("cache.coalesced", &[]).inc();
             return;
         }
         flights.insert(key.clone(), Vec::new());
     }
 
     let routed = request.get("shard").is_some();
-    admit(shared, conn, id, request, tx, flight_key, move |ctx| {
-        let stamp = routed.then(|| ctx.shared.vdbms.catalog.stamp());
+    admit(front, conn, id, &request, flight_key, move |ctx| {
+        let vdbms = &ctx.front.door.vdbms;
+        let stamp = routed.then(|| vdbms.catalog.stamp());
         let budget = ctx.budget();
         // `"*"` runs the statement against every catalogued video — the
         // cross-video form the scatter-gather router also speaks, so a
         // single worker answers it identically to a one-shard cluster.
-        match ctx.shared.vdbms.answer(&video, &text, &budget) {
+        match vdbms.answer(&video, &text, &budget) {
             Ok(answer) => ctx.finish(Outcome::Answered(answer, stamp)),
             Err(e) => ctx.fail(crate::protocol::classify(&e), e.to_string()),
         }
@@ -748,16 +567,12 @@ fn submit_query(shared: &Arc<ServerShared>, conn: ConnId, id: u64, request: &Val
 /// milliseconds while ticking an [`ExecBudget`] guard, so deadline,
 /// cancellation and overload behavior can be tested without hunting
 /// for a genuinely slow retrieval.
-fn submit_sleep(shared: &Arc<ServerShared>, conn: ConnId, id: u64, request: &Value, tx: &ConnTx) {
+fn submit_sleep(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
     let Some(ms) = request.get("ms").and_then(Value::as_u64) else {
-        tx.send(err_response(
-            id,
-            ErrorKind::BadRequest,
-            "sleep needs integer field 'ms'",
-        ));
-        return;
+        let why = "sleep needs integer field 'ms'";
+        return front.reply(conn, &err_response(id, ErrorKind::BadRequest, why));
     };
-    admit(shared, conn, id, request, tx, None, move |ctx| {
+    admit(front, conn, id, &request, None, move |ctx| {
         let budget = ctx.budget();
         let guard = budget.start();
         let end = Instant::now() + Duration::from_millis(ms);

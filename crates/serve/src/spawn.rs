@@ -127,3 +127,16 @@ pub fn spawn_worker(binary: &Path, args: &[String]) -> Result<WorkerProcess, Str
         .map_err(|e| format!("stdout drain thread: {e}"))?;
     Ok(WorkerProcess { child, stdin, addr })
 }
+
+/// The daemon side of [`WorkerProcess::quit`]: blocks until `quit` or
+/// `shutdown` arrives on stdin. Stdin closing without either (a daemon
+/// started with `< /dev/null`) blocks for good: the process then serves
+/// until it is killed.
+pub fn await_quit() {
+    let mut lines = std::io::stdin().lock().lines().map_while(Result::ok);
+    if !lines.any(|line| matches!(line.trim(), "quit" | "shutdown")) {
+        loop {
+            std::thread::park();
+        }
+    }
+}
