@@ -217,11 +217,12 @@ fn normalize(v: &mut [f64]) -> Result<f64> {
 }
 
 /// Resumable Boyen–Koller filter: the forward pass of [`Engine::filter`]
-/// one slice at a time, so the DBN can run *online* as evidence windows
-/// arrive (live ingest). Created by [`Engine::stepper`], it owns its
-/// engine, running belief, slice count and log-likelihood. It drives the
-/// same forward step as `filter`, so the same slices give bit-identical
-/// beliefs.
+/// one slice at a time, over evidence windows as they arrive, keeping
+/// only the running belief. Annotation steps it, through a whole video in
+/// one window or a stream chunk by chunk. Created by [`Engine::stepper`],
+/// it owns its engine, running belief, slice count and log-likelihood. It
+/// drives the same forward step as `filter`, so the same slices give
+/// bit-identical beliefs however they are windowed.
 pub struct BkState {
     engine: Engine,
     forward: Forward,
@@ -586,8 +587,8 @@ impl Engine {
     /// Starts a resumable Boyen–Koller filter that owns this engine. With
     /// `clusters = None` (or one cluster) each step is exact; otherwise
     /// the BK projection is applied after every step. The returned
-    /// [`BkState`] absorbs evidence one slice at a time — the online
-    /// form of [`Engine::filter`].
+    /// [`BkState`] absorbs evidence one slice at a time — the form of
+    /// [`Engine::filter`] that inference over a video's feature rows runs.
     pub fn stepper(self, clusters: Option<&[Vec<NodeId>]>) -> Result<BkState> {
         Ok(BkState {
             forward: self.forward(clusters)?,

@@ -46,9 +46,106 @@ impl Segment {
     }
 }
 
-/// Thresholds a probability trace into segments: clips with `p >= theta`
-/// are positive; runs separated by gaps of at most `merge_gap` clips are
-/// merged; runs shorter than `min_len` clips are dropped.
+/// A trailing moving average over the last `window` values. The running
+/// sum is carried from push to push, never recomputed from the window:
+/// its rounding depends on the whole history.
+#[derive(Debug, Clone)]
+struct TrailingMean {
+    recent: Vec<f64>,
+    sum: f64,
+    seen: usize,
+}
+
+impl TrailingMean {
+    fn new(window: usize) -> Self {
+        assert!(window > 0, "window must be positive");
+        TrailingMean {
+            recent: vec![0.0; window],
+            sum: 0.0,
+            seen: 0,
+        }
+    }
+
+    fn push(&mut self, p: f64) -> f64 {
+        let window = self.recent.len();
+        let oldest = std::mem::replace(&mut self.recent[self.seen % window], p);
+        self.sum += p;
+        if self.seen >= window {
+            self.sum -= oldest;
+        }
+        self.seen += 1;
+        self.sum / self.seen.min(window) as f64
+    }
+}
+
+/// The one thresholding rule, fed one clip at a time: clips with
+/// `p >= level` are positive; runs separated by gaps of at most
+/// `merge_gap` clips are merged; runs shorter than `min_len` clips are
+/// dropped. With a window, each `p` is first replaced by its trailing
+/// mean over that many clips ([`accumulate`]); without one it is used as
+/// is (a window of 1 would still round).
+///
+/// A segment is final once no later clip can merge into it, so
+/// [`push`](Self::push) returns it at the push of clip `end + merge_gap`
+/// (when that clip is negative) and never retracts it.
+#[derive(Debug, Clone)]
+pub struct Segmenter {
+    level: f64,
+    min_len: usize,
+    merge_gap: usize,
+    mean: Option<TrailingMean>,
+    clips: usize,
+    open: Option<Segment>,
+}
+
+impl Segmenter {
+    /// A segmenter before its first clip (panics on a window of 0).
+    pub fn new(level: f64, min_len: usize, merge_gap: usize, window: Option<usize>) -> Self {
+        Segmenter {
+            level,
+            min_len,
+            merge_gap,
+            mean: window.map(TrailingMean::new),
+            clips: 0,
+            open: None,
+        }
+    }
+
+    /// Absorbs the next clip's `p`; returns the segment this clip made
+    /// final, if any.
+    pub fn push(&mut self, p: f64) -> Option<Segment> {
+        let p = self.mean.as_mut().map_or(p, |mean| mean.push(p));
+        let clip = self.clips;
+        self.clips += 1;
+        if p >= self.level {
+            let start = self.open.map_or(clip, |s| s.start);
+            self.open = Some(Segment::new(start, clip + 1));
+        } else if self.open.is_some_and(|s| clip >= s.end + self.merge_gap) {
+            return self.finish();
+        }
+        None
+    }
+
+    /// The earliest clip a segment not yet returned can start at.
+    pub fn open_start(&self) -> usize {
+        self.open.map_or(self.clips, |s| s.start)
+    }
+
+    /// Closes the open tail: the segment still open, if long enough.
+    pub fn finish(&mut self) -> Option<Segment> {
+        self.open.take().filter(|s| s.len() >= self.min_len)
+    }
+
+    /// Every segment of a whole trace.
+    pub fn segments(mut self, trace: &[f64]) -> Vec<Segment> {
+        let mut segments: Vec<Segment> = trace.iter().filter_map(|&p| self.push(p)).collect();
+        segments.extend(self.finish());
+        segments
+    }
+}
+
+/// Thresholds a probability trace into segments by the [`Segmenter`]
+/// rule, without smoothing.
 ///
 /// The paper's audio-visual configuration is `theta = 0.5`, `min_len = 60`
 /// (6 s of 0.1 s clips).
@@ -58,48 +155,14 @@ pub fn threshold_segments(
     min_len: usize,
     merge_gap: usize,
 ) -> Vec<Segment> {
-    let mut raw: Vec<Segment> = Vec::new();
-    let mut start: Option<usize> = None;
-    for (i, &p) in trace.iter().enumerate() {
-        if p >= theta {
-            if start.is_none() {
-                start = Some(i);
-            }
-        } else if let Some(s) = start.take() {
-            raw.push(Segment::new(s, i));
-        }
-    }
-    if let Some(s) = start {
-        raw.push(Segment::new(s, trace.len()));
-    }
-    // Merge across small gaps.
-    let mut merged: Vec<Segment> = Vec::new();
-    for seg in raw {
-        match merged.last_mut() {
-            Some(last) if seg.start <= last.end + merge_gap => {
-                last.end = last.end.max(seg.end);
-            }
-            _ => merged.push(seg),
-        }
-    }
-    merged.into_iter().filter(|s| s.len() >= min_len).collect()
+    Segmenter::new(theta, min_len, merge_gap, None).segments(trace)
 }
 
 /// The accumulation the paper applies to noisy static-BN outputs before
 /// thresholding: a trailing moving average over `window` clips.
 pub fn accumulate(trace: &[f64], window: usize) -> Vec<f64> {
-    assert!(window > 0, "window must be positive");
-    let mut out = Vec::with_capacity(trace.len());
-    let mut sum = 0.0;
-    for i in 0..trace.len() {
-        sum += trace[i];
-        if i >= window {
-            sum -= trace[i - window];
-        }
-        let n = (i + 1).min(window);
-        out.push(sum / n as f64);
-    }
-    out
+    let mut mean = TrailingMean::new(window);
+    trace.iter().map(|&p| mean.push(p)).collect()
 }
 
 /// The decision level on the grid 0.05, 0.10, … 0.95 that `score` rates

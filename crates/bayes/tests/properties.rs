@@ -121,6 +121,9 @@ proptest! {
             let eng = Engine::new(d).unwrap();
             let clusters: Option<Vec<Vec<usize>>> = (clustered == 1).then(|| vec![vec![query]]);
             let batch = eng.filter(ev, clusters.as_deref()).unwrap();
+            // A stepper fed the whole sequence as one window, the
+            // way a batch annotation pushes every committed row at once.
+            let mut whole = Engine::new(d).unwrap().stepper(clusters.as_deref()).unwrap();
             let mut state = eng.stepper(clusters.as_deref()).unwrap();
             for t in 0..ev.len() {
                 let slice = ev.window(t, t + 1);
@@ -129,6 +132,8 @@ proptest! {
                 let m = state.marginal(query).unwrap();
                 let bm = batch.marginal(t, query).unwrap();
                 prop_assert_eq!(m, bm, "marginal diverged at t={}", t);
+                let belief = whole.step(ev, t).unwrap();
+                prop_assert_eq!(belief, batch.belief(t), "whole-window belief at t={}", t);
             }
             prop_assert_eq!(state.slices(), batch.len());
             prop_assert!((state.loglik() - batch.loglik).abs() < 1e-12,

@@ -4,9 +4,7 @@
 //! themselves are the VDBMS's (`train_net`, `infer`).
 
 use f1_bayes::em::EmConfig;
-use f1_bayes::metrics::{
-    accumulate, precision_recall_strict, threshold_segments, PrecisionRecall, Segment,
-};
+use f1_bayes::metrics::{precision_recall_strict, PrecisionRecall, Segment, Segmenter};
 use f1_bayes::paper::{audio_bn, audio_dbn, BnStructure, TemporalVariant};
 use f1_cobra::extensions::StoredNet;
 use f1_cobra::{query_truth, TrainQuery};
@@ -33,12 +31,8 @@ pub const BN_ACCUMULATE_WINDOW: usize = 15;
 /// BN's noisy output is accumulated first, per the paper; a DBN's is
 /// thresholded directly.
 fn segments(trace: &[f64], is_static: bool, theta: f64) -> Vec<Segment> {
-    if is_static {
-        let smooth = accumulate(trace, BN_ACCUMULATE_WINDOW);
-        threshold_segments(&smooth, theta, MIN_LEN, MERGE)
-    } else {
-        threshold_segments(trace, theta, MIN_LEN, MERGE)
-    }
+    let window = is_static.then_some(BN_ACCUMULATE_WINDOW);
+    Segmenter::new(theta, MIN_LEN, MERGE, window).segments(trace)
 }
 
 /// Trains an audio network on the first 300 s of the German GP (EM with

@@ -3,28 +3,29 @@
 //! The DBN extension turns the feature layer into the event layer, by
 //! one protocol: train a network on labelled spans of a video and fit
 //! its decision levels there ([`Vdbms::train_net`]), filter it over any
-//! video, segment the posteriors and attribute sub-events
-//! ([`derive_events`]), store what was found ([`Vdbms::annotate`]). The
-//! rule extension derives user-defined compound events from events
+//! video, segment the posteriors and attribute sub-events as the rows
+//! arrive ([`Annotator`]), store what was found ([`Vdbms::annotate`]).
+//! The rule extension derives user-defined compound events from events
 //! already there (§5.5, §5.6).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
 use f1_bayes::em::{train_with_faults, EmConfig};
+use f1_bayes::engine::{BkState, Engine};
 use f1_bayes::evidence::{EvidenceSeq, Obs};
 use f1_bayes::metrics::{
-    accumulate, best_threshold, clipwise_precision_recall, precision_recall, threshold_segments,
-    Segment,
+    best_threshold, clipwise_precision_recall, precision_recall, Segment, Segmenter,
 };
 use f1_bayes::paper::{audio_visual_dbn, PaperNet};
 use f1_bayes::slice::NodeId;
+use f1_bayes::BayesError;
 use f1_media::synth::scenario::{EventKind, RaceScenario, Span};
 use f1_rules::{Engine as RuleEngine, Fact, Interval, Rule, Value};
 
-use crate::catalog::EventRecord;
-use crate::extensions::{posterior, StoredNet};
+use crate::catalog::{load_feature_rows, EventRecord};
+use crate::extensions::{query_traces, step_rows, StoredNet};
 use crate::session::Vdbms;
 use crate::{CobraError, Result};
 
@@ -103,71 +104,147 @@ impl<'a> TrainQuery<'a> {
     }
 }
 
-/// Highlight segments of an `HL` posterior at level `theta`: a 1 s
-/// trailing mean bridges sub-second dips, runs up to 3 s apart merge,
-/// 6 s minimum duration as in Table 3.
-fn highlight_segments(hl: &[f64], theta: f64) -> Vec<Segment> {
-    threshold_segments(&accumulate(hl, 10), theta, 60, 30)
-}
-
 /// The segments that reach into one of `windows`.
 fn within(mut segments: Vec<Segment>, windows: &[Span]) -> Vec<Segment> {
     segments.retain(|s| windows.iter().any(|w| s.start < w.end && w.start < s.end));
     segments
 }
 
-/// The event layer a network's posteriors imply: the one segmentation
-/// and attribution every annotated video gets. `traces` are whole-video
-/// posteriors by query name, `thresholds` the levels stored with the
-/// network (0.5 where it stores none).
-///
-/// Highlights are the `HL` segments. Sub-events are the most probable of
-/// `ST` / `FO` / `PS` by peak posterior inside each highlight, when the
-/// peak clears 0.3 — re-evaluated every 5 s in highlights over 15 s
-/// (§5.5). Excited speech is `EA` above a precision-weighted level,
-/// 4 s minimum (retrieval prefers clean answers over exhaustive ones).
-pub fn derive_events(
-    traces: &HashMap<String, Vec<f64>>,
-    thresholds: &HashMap<String, f64>,
-) -> Vec<EventRecord> {
-    let theta = |query| thresholds.get(query).copied().unwrap_or(0.5);
-    let trace = |query| traces.get(query).map_or(&[][..], Vec::as_slice);
-    let derived = |kind: &str, s: &Segment| EventRecord {
+/// The query nodes annotation reads, in [`Annotator`] slot order.
+const QUERIES: [&str; 5] = ["HL", "EA", "ST", "FO", "PS"];
+/// The sub-event kinds of the `ST` / `FO` / `PS` slots.
+const SUB_EVENTS: [&str; 3] = ["start", "fly_out", "passing"];
+
+fn derived(kind: &str, s: Segment) -> EventRecord {
+    EventRecord {
         kind: kind.to_string(),
         start: s.start,
         end: s.end,
         driver: None,
-    };
-    let highlights = highlight_segments(trace("HL"), theta("HL"));
-    let mut records: Vec<EventRecord> =
-        highlights.iter().map(|h| derived("highlight", h)).collect();
-    let candidates = [("start", "ST"), ("fly_out", "FO"), ("passing", "PS")];
-    for seg in &highlights {
+    }
+}
+
+/// The event layer a network's posteriors imply, derived as feature rows
+/// arrive: the one segmentation and attribution every annotated video
+/// gets, whether its rows come in one push or a chunk at a time. Owns its
+/// filter, segmenters and recent posteriors; borrows nothing.
+///
+/// - Highlights are the `HL` segments: a 1 s trailing mean, runs up to
+///   3 s apart merged, 6 s minimum.
+/// - A highlight longer than 150 clips (15 s) is split into 50-clip (5 s)
+///   windows from its start; a tail shorter than 5 s after the last full
+///   window is never examined. A shorter highlight is one window. Each
+///   window is attributed to the most probable of `ST` / `FO` / `PS` by
+///   peak posterior over the window, when the peak exceeds 0.3; of
+///   candidates tied at the peak the last in that order wins (§5.5).
+/// - Excited speech is `EA` at the stored level + 0.15 (at most 0.9),
+///   4 s minimum, 2 s merge gap: retrieval prefers clean answers over
+///   exhaustive ones.
+///
+/// Levels are the ones stored with the network, 0.5 where it stores none.
+/// A query the network lacks yields no events of its kind.
+pub struct Annotator {
+    state: BkState,
+    features: Vec<NodeId>,
+    /// The node of each [`QUERIES`] slot; its posterior reads NaN, which
+    /// no level admits, where the net lacks the query.
+    nodes: [Option<NodeId>; 5],
+    highlights: Segmenter,
+    excited: Segmenter,
+    /// `ST` / `FO` / `PS` posteriors from clip `first` on: since the
+    /// earliest clip an open highlight can start at.
+    recent: VecDeque<[f64; 3]>,
+    first: usize,
+    /// Nanoseconds spent so far stepping the filter (`[0]`) and feeding
+    /// the segmenters (`[1]`): `annotate.stage_ns`' two stages.
+    pub(crate) stage_ns: [u64; 2],
+}
+
+impl Annotator {
+    /// The `HL` cut at level `theta`: a 1 s trailing mean bridges
+    /// sub-second dips, runs up to 3 s apart merge, 6 s minimum duration
+    /// as in Table 3.
+    pub(crate) fn highlights(theta: f64) -> Segmenter {
+        Segmenter::new(theta, 60, 30, Some(10))
+    }
+
+    /// An annotator for `stored` before its first row.
+    pub fn new(stored: &StoredNet) -> Result<Self> {
+        let theta = |query| stored.thresholds.get(query).copied().unwrap_or(0.5);
+        let node = |query: &str| stored.queries.iter().find(|(q, _)| q == query);
+        Ok(Annotator {
+            state: Engine::new(&stored.net.dbn)?.stepper(None)?,
+            features: stored.net.feature_nodes.clone(),
+            nodes: QUERIES.map(|query| node(query).map(|&(_, n)| n)),
+            highlights: Annotator::highlights(theta("HL")),
+            excited: Segmenter::new((theta("EA") + 0.15).min(0.9), 40, 20, None),
+            recent: VecDeque::new(),
+            first: 0,
+            stage_ns: [0; 2],
+        })
+    }
+
+    /// Absorbs the next feature rows of the video, in order, and returns
+    /// the events whose segment closed in them: each kind in start order.
+    pub fn push(&mut self, rows: &[Vec<f64>]) -> Result<Vec<EventRecord>> {
+        let t = Instant::now();
+        let mut clips: Vec<[f64; 5]> = Vec::with_capacity(rows.len());
+        step_rows(&mut self.state, &self.features, &self.nodes, rows, |p| {
+            clips.push(std::array::from_fn(|slot| p[slot]))
+        })?;
+        self.stage_ns[0] += t.elapsed().as_nanos() as u64;
+        let (t, mut events) = (Instant::now(), Vec::new());
+        for &[hl, ea, st, fo, ps] in &clips {
+            self.recent.push_back([st, fo, ps]);
+            if let Some(seg) = self.highlights.push(hl) {
+                self.attribute(seg, &mut events);
+            }
+            events.extend(self.excited.push(ea).map(|s| derived("excited", s)));
+            let keep = self.highlights.open_start();
+            self.recent.drain(..keep - self.first);
+            self.first = keep;
+        }
+        self.stage_ns[1] += t.elapsed().as_nanos() as u64;
+        Ok(events)
+    }
+
+    /// Closes the open tails: the last events of the video. Errs with
+    /// [`BayesError::EmptySequence`] when no row was pushed, so that
+    /// nothing is committed for a video without features.
+    pub fn finish(mut self) -> Result<Vec<EventRecord>> {
+        if self.state.slices() == 0 {
+            return Err(BayesError::EmptySequence.into());
+        }
+        let mut events = Vec::new();
+        if let Some(seg) = self.highlights.finish() {
+            self.attribute(seg, &mut events);
+        }
+        events.extend(self.excited.finish().map(|s| derived("excited", s)));
+        Ok(events)
+    }
+
+    /// The highlight `seg` and its sub-events.
+    fn attribute(&self, seg: Segment, events: &mut Vec<EventRecord>) {
+        events.push(derived("highlight", seg));
         let windows: Vec<Segment> = if seg.len() > 150 {
             (seg.start..=seg.end - 50)
                 .step_by(50)
                 .map(|s| Segment::new(s, s + 50))
                 .collect()
         } else {
-            vec![*seg]
+            vec![seg]
         };
-        for w in &windows {
-            let best = candidates
-                .iter()
-                .filter_map(|&(kind, query)| {
-                    let tr = traces.get(query)?;
-                    let peak = tr[w.start..w.end].iter().cloned().fold(f64::MIN, f64::max);
-                    Some((kind, peak))
-                })
+        for w in windows {
+            let clips = self.recent.range(w.start - self.first..w.end - self.first);
+            let best = (0..3)
+                .filter(|&k| self.nodes[2 + k].is_some())
+                .map(|k| (k, clips.clone().map(|c| c[k]).fold(f64::MIN, f64::max)))
                 .max_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some((kind, _)) = best.filter(|&(_, peak)| peak > 0.3) {
-                records.push(derived(kind, w));
+            if let Some((k, _)) = best.filter(|&(_, peak)| peak > 0.3) {
+                events.push(derived(SUB_EVENTS[k], w));
             }
         }
     }
-    let excited = threshold_segments(trace("EA"), (theta("EA") + 0.15).min(0.9), 40, 20);
-    records.extend(excited.iter().map(|x| derived("excited", x)));
-    records
 }
 
 impl Vdbms {
@@ -204,15 +281,15 @@ impl Vdbms {
             })
             .collect();
         train_with_faults(&mut net.dbn, &sequences, em, self.faults())?;
-        let post = posterior(&self.kernel, video, &net)?;
-        let mut thresholds = HashMap::new();
-        for q in queries {
-            if let Some(score) = q.score {
-                let trace = post.trace(q.node, 1)?;
-                let level = best_threshold(|theta| score(&trace, theta));
-                thresholds.insert(q.name.to_string(), level);
-            }
-        }
+        let scored: Vec<_> = queries.iter().filter_map(|q| Some((q, q.score?))).collect();
+        let nodes: Vec<NodeId> = scored.iter().map(|(q, _)| q.node).collect();
+        let traces = query_traces(&self.kernel, video, &net, &nodes)?;
+        let thresholds = (scored.iter().zip(&traces))
+            .map(|((q, score), trace)| {
+                let level = best_threshold(|theta| score(trace, theta));
+                (q.name.to_string(), level)
+            })
+            .collect();
         let queries = queries
             .iter()
             .map(|q| (q.name.to_string(), q.node))
@@ -231,8 +308,8 @@ impl Vdbms {
     /// Trains the audio-visual highlight DBN (§5.5: EM, four iterations)
     /// on labelled windows of an ingested video and installs it as
     /// `"av"`. The highlight level is the F1-best one for exactly the
-    /// segments [`derive_events`] will cut, the excited-announcer level
-    /// the clip-level F1-best one — both scored inside the training
+    /// segments `Annotator::highlights` will cut, the excited-announcer
+    /// level the clip-level F1-best one — both scored inside the training
     /// windows only.
     pub fn train_highlight_net(
         &self,
@@ -244,11 +321,8 @@ impl Vdbms {
         let (net, nodes) = audio_visual_dbn(with_passing)?;
         let hl_truth = within(query_truth(scenario, "HL"), windows);
         let hl_score = |trace: &[f64], theta: f64| {
-            precision_recall(
-                &within(highlight_segments(trace, theta), windows),
-                &hl_truth,
-            )
-            .f1()
+            let cut = Annotator::highlights(theta).segments(trace);
+            precision_recall(&within(cut, windows), &hl_truth).f1()
         };
         let ea_score = |trace: &[f64], theta: f64| {
             let (detected, truth): (Vec<bool>, Vec<bool>) = (0..trace.len())
@@ -287,10 +361,15 @@ impl Vdbms {
     }
 
     /// Every stored query's posterior under the installed `net` over
-    /// the committed rows of a video, by query name: one [`posterior`]
-    /// pass, the same one the kernel's `dbnInfer` picks a trace from.
+    /// the committed rows of a video, by query name: one
+    /// `query_traces` pass, as the kernel's `dbnInfer` takes one
+    /// query's.
     pub fn infer(&self, video: &str, net: &str) -> Result<HashMap<String, Vec<f64>>> {
-        self.trained(video, net)?.infer(&self.kernel, video)
+        let stored = self.trained(video, net)?;
+        let nodes: Vec<NodeId> = stored.queries.iter().map(|&(_, node)| node).collect();
+        let traces = query_traces(&self.kernel, video, &stored.net, &nodes)?;
+        let names = stored.queries.into_iter().map(|(query, _)| query);
+        Ok(names.zip(traces).collect())
     }
 
     fn trained(&self, video: &str, net: &str) -> Result<StoredNet> {
@@ -300,26 +379,33 @@ impl Vdbms {
         })
     }
 
-    /// Runs DBN annotation with the network installed as `net`: one
-    /// filter pass for every query node's posterior, [`derive_events`],
+    /// Runs DBN annotation with the network installed as `net`: every
+    /// committed feature row in one [`Annotator`] push, its `finish`,
     /// and one event-layer commit that replaces the video's previously
-    /// derived events and keeps the rest (caption metadata).
+    /// derived events and keeps the rest (caption metadata). The rows
+    /// are committed highlights first, then sub-events, then excited
+    /// speech, each in start order.
     pub fn annotate(&self, video: &str, net: &str) -> Result<AnnotateReport> {
         let registry = Arc::clone(self.kernel.metrics().registry());
         registry.counter("annotate.runs", &[]).inc();
         let t = Instant::now();
         let stored = self.trained(video, net)?;
-        let traces = stored.infer(&self.kernel, video)?;
-        registry
-            .histogram("annotate.stage_ns", &[("stage", "inference")])
-            .record(t.elapsed().as_nanos() as u64);
+        let rows = load_feature_rows(&self.kernel, video, stored.net.feature_nodes.len())?;
+        let mut annotator = Annotator::new(&stored)?;
+        let load_ns = t.elapsed().as_nanos() as u64;
+        let mut records = annotator.push(&rows)?;
+        let [inference, segmentation] = annotator.stage_ns;
         let t = Instant::now();
+        records.extend(annotator.finish()?);
+        records.sort_by_key(|r| (r.kind != "highlight") as u8 + (r.kind == "excited") as u8);
         const DERIVED: [&str; 5] = ["highlight", "start", "fly_out", "passing", "excited"];
-        let records = derive_events(&traces, &stored.thresholds);
         self.catalog.replace_events(video, &DERIVED, &records)?;
-        registry
-            .histogram("annotate.stage_ns", &[("stage", "segmentation")])
-            .record(t.elapsed().as_nanos() as u64);
+        let stage = |stage, ns| {
+            let labels = [("stage", stage)];
+            registry.histogram("annotate.stage_ns", &labels).record(ns);
+        };
+        stage("inference", load_ns + inference);
+        stage("segmentation", segmentation + t.elapsed().as_nanos() as u64);
         let count = |kinds: &[&str]| {
             records
                 .iter()

@@ -17,10 +17,11 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use f1_bayes::engine::{Engine, Posteriors};
+use f1_bayes::engine::{BkState, Engine};
 use f1_bayes::evidence::EvidenceSeq;
 use f1_bayes::paper::PaperNet;
 use f1_bayes::slice::NodeId;
+use f1_bayes::BayesError;
 use f1_monet::prelude::*;
 use f1_monet::MilValue;
 
@@ -38,25 +39,54 @@ pub struct StoredNet {
     pub thresholds: HashMap<String, f64>,
 }
 
-/// The posterior of every node of `net` over the committed feature rows
-/// of `video`: one read through the one loader, one engine compile, one
-/// Boyen–Koller filter pass. Whatever filters a whole video — training's
-/// calibration, annotation, the paper tables, `dbnInfer` — reads off it.
-pub fn posterior(kernel: &Kernel, video: &str, net: &PaperNet) -> crate::Result<Posteriors> {
-    let rows = load_feature_rows(kernel, video, net.feature_nodes.len())?;
-    let evidence = EvidenceSeq::from_matrix(&net.feature_nodes, &rows);
-    Ok(Engine::new(&net.dbn)?.filter(&evidence, None)?)
+/// The one loop from feature rows to query marginals: steps `state`, a
+/// Boyen–Koller filter ([`Engine::stepper`]) over a net whose evidence
+/// nodes are `features`, through `rows` (the next clips' feature rows, in
+/// order) and hands `each` every clip's `P(node = 1)` of each of `nodes`,
+/// NaN for `None`. Whole-video inference ([`query_traces`]) and the
+/// [`Annotator`](crate::Annotator) step through it.
+pub(crate) fn step_rows(
+    state: &mut BkState,
+    features: &[NodeId],
+    nodes: &[Option<NodeId>],
+    rows: &[Vec<f64>],
+    mut each: impl FnMut(&[f64]),
+) -> crate::Result<()> {
+    let evidence = EvidenceSeq::from_matrix(features, rows);
+    let mut marginals = vec![f64::NAN; nodes.len()];
+    for t in 0..rows.len() {
+        state.step(&evidence, t)?;
+        for (p, node) in marginals.iter_mut().zip(nodes) {
+            if let Some(node) = *node {
+                *p = state.marginal(node)?[1];
+            }
+        }
+        each(&marginals);
+    }
+    Ok(())
 }
 
-impl StoredNet {
-    /// Every query's trace (probability of state 1 per clip) over
-    /// `video`, by query name, off one [`posterior`].
-    pub fn infer(&self, kernel: &Kernel, video: &str) -> crate::Result<HashMap<String, Vec<f64>>> {
-        let post = posterior(kernel, video, &self.net)?;
-        (self.queries.iter())
-            .map(|(query, node)| Ok((query.clone(), post.trace(*node, 1)?)))
-            .collect()
+/// The trace (`P(node = 1)` per clip) of each of `nodes` under `net` over
+/// the committed feature rows of `video`: one read through the one
+/// loader, one [`step_rows`] pass. Training's calibration,
+/// `Vdbms::infer` and `dbnInfer` read their traces off it.
+pub(crate) fn query_traces(
+    kernel: &Kernel,
+    video: &str,
+    net: &PaperNet,
+    nodes: &[NodeId],
+) -> crate::Result<Vec<Vec<f64>>> {
+    let rows = load_feature_rows(kernel, video, net.feature_nodes.len())?;
+    if rows.is_empty() {
+        return Err(BayesError::EmptySequence.into());
     }
+    let mut state = Engine::new(&net.dbn)?.stepper(None)?;
+    let nodes: Vec<_> = nodes.iter().copied().map(Some).collect();
+    let mut traces = vec![Vec::with_capacity(rows.len()); nodes.len()];
+    step_rows(&mut state, &net.feature_nodes, &nodes, &rows, |p| {
+        (traces.iter_mut().zip(p)).for_each(|(t, &p)| t.push(p))
+    })?;
+    Ok(traces)
 }
 
 /// Shared store of trained networks.
@@ -109,7 +139,7 @@ impl MelModule for DbnModule {
             }
             "dbnInfer" => {
                 // dbnInfer(video, netName, queryNode) -> [void,dbl] trace:
-                // one query's pick off the network's `posterior`.
+                // one query's `query_traces`.
                 let arg = |i: usize| {
                     let value = args.get(i);
                     let value = value.ok_or_else(|| module_err("dbnInfer(video, net, query)"))?;
@@ -126,9 +156,9 @@ impl MelModule for DbnModule {
                     .find(|(n, _)| n == query.as_str().unwrap_or(""))
                     .map(|(_, id)| *id)
                     .ok_or_else(|| module_err(format!("no query node '{query}'")))?;
-                let post = posterior(kernel, video.as_str()?, &stored.net).map_err(module_err)?;
-                let trace = post.trace(query_id, 1).map_err(module_err)?;
-                let out = Bat::from_tail(AtomType::Dbl, trace.into_iter().map(Atom::Dbl))?;
+                let traces = query_traces(kernel, video.as_str()?, &stored.net, &[query_id]);
+                let trace = traces.map_err(module_err)?.into_iter().flatten();
+                let out = Bat::from_tail(AtomType::Dbl, trace.map(Atom::Dbl))?;
                 Ok(MilValue::new_bat(out))
             }
             other => Err(MonetError::NotFound(format!("dbn.{other}"))),

@@ -1,11 +1,14 @@
 //! Observability surface: `EXPLAIN`/`PROFILE` span trees (golden-file
 //! shapes across every retrieval target) and the metrics the query path
-//! records while answering.
+//! records while answering, and annotation while deriving events.
 //!
-//! The fixture stores events straight into the catalog — no media
-//! pipeline — so these tests stay fast and the span shapes deterministic.
+//! The fixture stores events (and, to annotate, feature rows) straight
+//! into the catalog — no media pipeline — so these tests stay fast and
+//! the span shapes deterministic.
 
+use f1_bayes::paper::audio_visual_dbn;
 use f1_cobra::catalog::{EventRecord, VideoInfo};
+use f1_cobra::extensions::StoredNet;
 use f1_cobra::{QueryOutput, Vdbms};
 
 /// A catalog-only fixture with one event of every retrievable kind.
@@ -280,6 +283,40 @@ fn query_execution_feeds_the_kernel_metrics() {
     for op in ["mirror", "join"] {
         let series = delta.histogram("mil.op_ns", &[("op", op)]);
         assert!(series.is_some_and(|h| h.count() >= 1), "{op} unrecorded");
+    }
+
+    // Annotation feeds the same registry: one run, each of its two
+    // stages (stepping the filter; segmenting plus the commit) once.
+    let rows: Vec<Vec<f64>> = (0..200)
+        .map(|t| {
+            (0..17)
+                .map(|k| ((t * 7 + k * 3) % 10) as f64 / 10.0)
+                .collect()
+        })
+        .collect();
+    vdbms.catalog.store_features("v", &rows).unwrap();
+    let (net, nodes) = audio_visual_dbn(false).unwrap();
+    let queries = vec![("HL".into(), nodes.highlight), ("EA".into(), nodes.excited)];
+    let thresholds = Default::default();
+    vdbms.install_net(
+        "av",
+        StoredNet {
+            net,
+            queries,
+            thresholds,
+        },
+    );
+    let before = vdbms.kernel().metrics().registry().snapshot();
+    vdbms.annotate("v", "av").unwrap();
+    let registry = vdbms.kernel().metrics().registry();
+    let delta = registry.snapshot().delta(&before);
+    assert_eq!(delta.counter("annotate.runs", &[]), 1);
+    for stage in ["inference", "segmentation"] {
+        let series = delta.histogram("annotate.stage_ns", &[("stage", stage)]);
+        assert!(
+            series.is_some_and(|h| h.count() == 1 && h.sum() > 0),
+            "{stage}"
+        );
     }
 }
 

@@ -2,14 +2,17 @@
 //! retrieve pipeline and its determinism.
 
 mod common;
+mod oracle;
 
 use cobra_f1::bayes::dbn::Dbn;
 use cobra_f1::bayes::metrics::{precision_recall, Segment};
 use cobra_f1::bayes::paper::audio_visual_dbn;
+use cobra_f1::bayes::BayesError;
 use cobra_f1::cobra::catalog::{EventRecord, VideoInfo};
 use cobra_f1::cobra::extensions::StoredNet;
-use cobra_f1::cobra::{derive_events, query_truth, training_windows, CobraError, Vdbms};
+use cobra_f1::cobra::{query_truth, training_windows, CobraError, Vdbms};
 use cobra_f1::media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig, Span};
+use cobra_f1::monet::{AtomType, Bat};
 
 fn scenario() -> RaceScenario {
     common::german_scenario(150)
@@ -180,8 +183,9 @@ fn derived_layer(vdbms: &Vdbms, video: &str) -> Vec<EventRecord> {
 
 /// The paper's tables are `RETRIEVE` answers: for the audio-visual net
 /// without and with the passing sub-network, precision/recall of what the
-/// query language returns equals precision/recall of `derive_events` over
-/// the raw `infer` traces. Along the way, the generic `train_net` must
+/// query language returns equals precision/recall of the whole-video
+/// `derive_events` (the oracle the annotator replaced) over the raw
+/// `infer` traces. Along the way, the generic `train_net` must
 /// leave `train_highlight_net` the CPTs it trained before it existed
 /// (digests taken at the commit before).
 #[test]
@@ -209,7 +213,7 @@ fn retrieved_answers_score_like_the_raw_traces_of_the_pinned_nets() {
         assert!(ann.n_highlights > 0 && ann.n_sub_events > 0);
         let traces = vdbms.infer("race", "av").unwrap();
         assert_eq!(traces.len(), stored.queries.len());
-        let raw = derive_events(&traces, &stored.thresholds);
+        let raw = oracle::derive_events(&traces, &stored.thresholds);
         for (statement, kind, query) in [
             ("RETRIEVE HIGHLIGHTS", "highlight", "HL"),
             ("RETRIEVE EVENTS START", "start", "ST"),
@@ -291,7 +295,9 @@ fn annotating_another_video_reads_no_truth_and_refits_nothing() {
 
 /// Inference reads the rows a stream has committed, not the clips the
 /// broadcast was registered with: halfway through a live race the traces
-/// are half a race long. A feature column that is not there at all is
+/// are half a race long. Feature columns holding no rows are the typed
+/// empty-sequence error, and annotation then commits nothing: the derived
+/// layer stays as it was. A feature column that is not there at all is
 /// still the typed missing-metadata error.
 #[test]
 fn inference_over_a_half_streamed_video_covers_the_committed_rows() {
@@ -320,6 +326,29 @@ fn inference_over_a_half_streamed_video_covers_the_committed_rows() {
         committed
     );
     vdbms.annotate("race", "untrained").unwrap();
+
+    let derived = EventRecord {
+        kind: "highlight".into(),
+        start: 0,
+        end: 60,
+        driver: None,
+    };
+    vdbms.catalog.store_events("race", &[derived]).unwrap();
+    let layer = derived_layer(&vdbms, "race");
+    for k in 1..=17 {
+        let empty = Bat::from_tail(AtomType::Dbl, std::iter::empty()).unwrap();
+        vdbms.kernel().set_bat(&format!("race.f{k}"), empty);
+    }
+    for result in [
+        vdbms.infer("race", "untrained").map(drop),
+        vdbms.annotate("race", "untrained").map(drop),
+    ] {
+        assert!(
+            matches!(&result, Err(CobraError::Bayes(BayesError::EmptySequence))),
+            "got {result:?}"
+        );
+    }
+    assert_eq!(derived_layer(&vdbms, "race"), layer);
 
     vdbms.kernel().drop_bat("race.f17").unwrap();
     for result in [
