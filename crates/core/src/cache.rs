@@ -13,7 +13,8 @@
 //!   selection over the event tuple; what the planner chooses depends
 //!   only on (video, event kind) and on whether a driver is named —
 //!   never on *which* driver — so both verdicts are cached under
-//!   (video, kind) and each request binds its own literal. Budgets
+//!   (video, kind), each with its program parsed once, and each request
+//!   binds its driver's name as the program's parameter. Budgets
 //!   (fuel, deadline, cancellation) apply at evaluation time, never at
 //!   compile time, so a cached plan is exactly as guarded as a fresh
 //!   one.
@@ -37,6 +38,7 @@ use std::sync::Arc;
 use cobra_cache::Lru;
 use cobra_obs::{Counter, Gauge, Registry};
 use f1_moa::PlanChoice;
+use f1_monet::Prepared;
 
 /// Entry bound of the plan cache. Plans are (video, kind)-shaped, so
 /// even a large catalog stays far below this.
@@ -62,16 +64,25 @@ pub struct Stamp {
     pub seq: u64,
 }
 
+/// A planner verdict with the program it runs as, parsed once.
+#[derive(Debug)]
+pub struct PreparedPlan {
+    /// The verdict, rendered as text only for `EXPLAIN` and `PROFILE`.
+    pub choice: PlanChoice,
+    /// The verdict's program ([`PlanChoice::prepare`]).
+    pub program: Prepared,
+}
+
 /// A compiled event-selection plan: the cost-based planner's verdicts
 /// on selecting one kind of event from one video's event tuple.
 #[derive(Debug)]
 pub struct CompiledPlan {
     /// Selecting every event of the kind.
-    pub of_kind: PlanChoice,
-    /// Selecting the events of the kind that name one driver. Planned
-    /// with a stand-in name; each request binds its own
-    /// ([`f1_moa::MoaExpr::with_eq_literal`]).
-    pub of_driver: PlanChoice,
+    pub of_kind: PreparedPlan,
+    /// Selecting the events of the kind that name one driver: its
+    /// program compares the driver field with parameter `$0`, which
+    /// each request binds to its driver's name.
+    pub of_driver: PreparedPlan,
     /// Cost-model generation this plan was compiled under.
     pub generation: u64,
 }
@@ -79,7 +90,7 @@ pub struct CompiledPlan {
 impl CompiledPlan {
     /// The verdict a statement runs on: [`of_driver`](Self::of_driver)
     /// when it names a driver, [`of_kind`](Self::of_kind) otherwise.
-    pub fn selection(&self, names_driver: bool) -> &PlanChoice {
+    pub fn selection(&self, names_driver: bool) -> &PreparedPlan {
         if names_driver {
             &self.of_driver
         } else {
@@ -361,16 +372,19 @@ mod tests {
     }
 
     fn plan_stub(generation: u64) -> Arc<CompiledPlan> {
-        let choice = || {
-            f1_moa::plan(
+        let kernel = f1_monet::Kernel::new();
+        let prepared = || {
+            let choice = f1_moa::plan(
                 f1_moa::MoaExpr::collection("v.ev.kind"),
                 &f1_monet::PlanStats::default(),
                 &f1_moa::PlannerConfig::default(),
-            )
+            );
+            let program = choice.prepare(&kernel).unwrap();
+            PreparedPlan { choice, program }
         };
         Arc::new(CompiledPlan {
-            of_kind: choice(),
-            of_driver: choice(),
+            of_kind: prepared(),
+            of_driver: prepared(),
             generation,
         })
     }

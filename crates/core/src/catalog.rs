@@ -695,7 +695,7 @@ pub(crate) struct EventLayer {
 
 impl EventLayer {
     /// What a MIL evaluation over this layer reads its four
-    /// `{video}.ev.*` names as ([`Kernel::eval_mil_bound`]).
+    /// `{video}.ev.*` names as ([`Kernel::eval_prepared`]).
     pub(crate) fn bindings(&self) -> [(&str, &BatHandle); 4] {
         std::array::from_fn(|i| (self.names[i].as_str(), &self.columns[i]))
     }

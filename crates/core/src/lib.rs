@@ -34,7 +34,7 @@ mod retrieve;
 pub mod session;
 
 pub use annotate::{query_truth, training_windows, Annotator, LevelScore, TrainQuery};
-pub use cache::{CachedResult, CompiledPlan, PlanCache, ResultCache, Stamp};
+pub use cache::{CachedResult, CompiledPlan, PlanCache, PreparedPlan, ResultCache, Stamp};
 pub use catalog::Catalog;
 pub use cobra_store::{CheckpointOutcome, FsyncPolicy, StoreConfig, StoreStats};
 pub use extensions::{CostModel, CostStat, MethodRegistry, RetryPolicy};

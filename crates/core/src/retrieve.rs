@@ -9,14 +9,17 @@
 //!
 //! Every predicate over the event layer is the kernel's to evaluate.
 //! `select_events` plans one Moa conjunction over the video's event
-//! tuple — `<v>.ev.kind = K`, and `<v>.ev.driver = D` too when `WITH
-//! DRIVER` follows the source directly — evaluates its MIL once, and
-//! reads `start`/`end`/`driver` at the positions the selection kept.
-//! Where a driver is visible is the selection `<v>.ev.driver = D`
-//! again. `filter:driver` remains only where another stage stands in
-//! between: after `filter:pitlane`, or on a `LEADER` source. Every stage
-//! of one retrieval reads the one event layer it captured together with
-//! its stamp, every MIL evaluation included.
+//! tuple — `<v>.ev.kind = K`, and `<v>.ev.driver = $0` too when `WITH
+//! DRIVER` follows the source directly — whose program the plan cache
+//! holds parsed; it evaluates that program once, the driver's name
+//! bound as `$0`, and reads `start`/`end`/`driver` at the positions the
+//! selection kept. A name is data on this path, never MIL text: text is
+//! rendered only for `EXPLAIN` and `PROFILE`. Where a driver is visible
+//! is the selection `<v>.ev.driver = D` again. `filter:driver` remains
+//! only where another stage stands in between: after `filter:pitlane`,
+//! or on a `LEADER` source. Every stage of one retrieval reads the one
+//! event layer it captured together with its stamp, every MIL
+//! evaluation included.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -24,13 +27,13 @@ use std::time::Instant;
 
 use cobra_obs::SpanNode;
 use f1_moa::{MoaExpr, PlanChoice, Predicate};
-use f1_monet::{Atom, AtomType, ExecBudget, MonetError, PlanStats};
+use f1_monet::{Atom, AtomType, ExecBudget, MonetError, PlanStats, Prepared};
 use f1_rules::{
     AllenRelation, Condition, Engine as RuleEngine, Fact, Interval, IntervalSpec, Rule,
     TemporalConstraint, Term, Value,
 };
 
-use crate::cache::{CachedResult, CompiledPlan};
+use crate::cache::{CachedResult, CompiledPlan, PreparedPlan};
 use crate::catalog::EventLayer;
 use crate::query::{parse_query, parse_statement, Query, RetrievedSegment, Statement, Target};
 use crate::session::Vdbms;
@@ -264,22 +267,20 @@ fn event_field(video: &str, field: &str) -> String {
 }
 
 /// The selection over `video`'s event tuple that keeps the events of
-/// `kind` — those naming `driver`, when one is given.
-fn event_selection(video: &str, kind: &str, driver: Option<&str>) -> MoaExpr {
-    let eq = |field, value| (event_field(video, field), Predicate::Eq(Atom::str(value)));
-    let mut terms = vec![eq("kind", kind)];
-    terms.extend(driver.map(|name| eq("driver", name)));
+/// `kind` — those naming the driver bound as `$0`, when `names_driver`.
+fn event_selection(video: &str, kind: &str, names_driver: bool) -> MoaExpr {
+    let mut terms = vec![(event_field(video, "kind"), Predicate::Eq(Atom::str(kind)))];
+    if names_driver {
+        terms.push((event_field(video, "driver"), Predicate::EqParam(0)));
+    }
     MoaExpr::conjunction(terms)
 }
 
-/// The MIL of a planned driver selection with `driver` bound as the name
-/// its driver term compares against.
-fn bound_mil(choice: &PlanChoice, video: &str, driver: &str) -> String {
-    let bound = choice
-        .chosen
-        .with_eq_literal(&event_field(video, "driver"), &Atom::str(driver));
-    f1_moa::compile(&bound)
-}
+/// The rows of an event field holding one value, `$0` naming the
+/// field's BAT and `$1` the value: parsed once per system
+/// ([`Vdbms::naming`]). It reads the field by its catalog name, so the
+/// selection probes the field's value index.
+pub(crate) const NAMING_MIL: &str = "RETURN bat($0).select($1);";
 
 /// How `calls` selections found their rows, one word each — `built`
 /// (a value index built for it), `hit` (a cached one), `scan` (a morsel
@@ -515,7 +516,7 @@ impl Vdbms {
         &self,
         video: &str,
         kind: &str,
-        driver: Option<&str>,
+        names_driver: bool,
         stats: &PlanStats,
     ) -> PlanChoice {
         let cfg = f1_moa::PlannerConfig {
@@ -523,18 +524,23 @@ impl Vdbms {
                 .map_or(1, |n| n.get())
                 .min(8),
         };
-        f1_moa::plan(event_selection(video, kind, driver), stats, &cfg)
+        f1_moa::plan(event_selection(video, kind, names_driver), stats, &cfg)
     }
 
     /// Plans both selections a statement over `kind` can ask for, from
-    /// one reading of the statistics.
-    fn compile_event_plan(&self, video: &str, kind: &str) -> Arc<CompiledPlan> {
+    /// one reading of the statistics, and prepares their programs.
+    fn compile_event_plan(&self, video: &str, kind: &str) -> Result<Arc<CompiledPlan>> {
         let stats = self.event_plan_stats(video);
-        Arc::new(CompiledPlan {
-            of_kind: self.plan_event_selection(video, kind, None, &stats),
-            of_driver: self.plan_event_selection(video, kind, Some(""), &stats),
+        let prepared = |names_driver| -> Result<PreparedPlan> {
+            let choice = self.plan_event_selection(video, kind, names_driver, &stats);
+            let program = choice.prepare(&self.kernel)?;
+            Ok(PreparedPlan { choice, program })
+        };
+        Ok(Arc::new(CompiledPlan {
+            of_kind: prepared(false)?,
+            of_driver: prepared(true)?,
             generation: self.plans.cost_generation(),
-        })
+        }))
     }
 
     /// Fills in what `EXPLAIN` shows under a `conceptual:select_events`
@@ -547,7 +553,7 @@ impl Vdbms {
         driver: Option<&str>,
     ) -> SpanNode {
         let stats = self.event_plan_stats(video);
-        let choice = self.plan_event_selection(video, kind, driver, &stats);
+        let choice = self.plan_event_selection(video, kind, driver.is_some(), &stats);
         let cache = if self.plans.peek(video, kind).is_some() {
             "hit"
         } else {
@@ -559,7 +565,7 @@ impl Vdbms {
                 .with_meta("nodes", PlanChoice::render_nodes(nodes))
         };
         let compile = SpanNode::new("moa:compile")
-            .with_meta("mil", choice.mil())
+            .with_meta("mil", choice.mil_bound(driver.map(Atom::str).as_slice()))
             .with_meta("cache", cache)
             .with_meta("generation", self.plans.cost_generation().to_string())
             .with_child(plan_node(
@@ -637,31 +643,29 @@ impl Vdbms {
 
         // Conceptual → logical: the planner's verdict depends only on
         // (video, kind, cost-model generation) and on whether a driver
-        // is named, so a cached one is reused until the generation
-        // advances, with this request's driver bound into it; the
-        // execution budget below still applies.
+        // is named, so a cached one — its program parsed — is reused
+        // until the generation advances, this request's driver bound as
+        // its parameter; the execution budget below still applies.
         self.maybe_refresh_plan_costs();
-        let (plan, mil) = span.span("moa:compile", |span| {
+        let param = driver.map(Atom::str);
+        let params = param.as_slice();
+        let plan = span.span("moa:compile", |span| {
             let (plan, cached) = match self.plans.get(video, kind) {
                 Some(plan) => (plan, "hit"),
                 None => {
-                    let plan = self.compile_event_plan(video, kind);
+                    let plan = self.compile_event_plan(video, kind)?;
                     self.plans.store(video, kind, Arc::clone(&plan));
                     (plan, "miss")
                 }
             };
-            let choice = plan.selection(driver.is_some());
-            let mil = match driver {
-                Some(name) => bound_mil(choice, video, name),
-                None => choice.mil(),
-            };
-            span.meta("mil", || mil.clone());
+            let choice = &plan.selection(driver.is_some()).choice;
+            span.meta("mil", || choice.mil_bound(params));
             span.meta("cache", || cached.into());
             span.meta("generation", || plan.generation.to_string());
             span.meta("threads", || choice.threads.to_string());
-            Ok((plan, mil))
+            Ok(plan)
         })?;
-        let choice = plan.selection(driver.is_some());
+        let PreparedPlan { choice, program } = plan.selection(driver.is_some());
 
         // Logical → physical: one evaluation selects the rows. The
         // paper's overlap rule asks for more only where it can matter:
@@ -669,7 +673,6 @@ impl Vdbms {
         // driver while the driver is visible, so a video that has
         // unnamed events at all is asked for those of the kind, and
         // for the driver's visibility once there are any.
-        let program = |mil: &str| format!("{}RETURN {mil};", choice.mil_prefix());
         let op_times = || {
             self.kernel
                 .metrics()
@@ -683,13 +686,12 @@ impl Vdbms {
         let started = span
             .on()
             .then(|| (op_times(), index_uses(), Instant::now()));
-        let mut rows = self.selected_rows(layer, &program(&mil), budget)?;
+        let mut rows = self.selected_rows(layer, program, params, budget)?;
         let mut unnamed = Vec::new();
         let mut visible = Vec::new();
         if let Some(name) = driver {
             if layer.read(|events| Ok(events.drivers.code_of("").is_some()))? {
-                let mil = bound_mil(choice, video, "");
-                unnamed = self.selected_rows(layer, &program(&mil), budget)?;
+                unnamed = self.selected_rows(layer, program, &[Atom::str("")], budget)?;
             }
             if !unnamed.is_empty() {
                 visible = self.driver_visible(video, Some(layer), name, budget)?;
@@ -754,18 +756,19 @@ impl Vdbms {
         })
     }
 
-    /// Evaluates a MIL program that selects over `layer` and returns the
-    /// rows it kept: the oids in the result's head, which number the
-    /// layer's rows from 0.
+    /// Evaluates a prepared program that selects over `layer`, with
+    /// `params` bound, and returns the rows it kept: the oids in the
+    /// result's head, which number the layer's rows from 0.
     fn selected_rows(
         &self,
         layer: &EventLayer,
-        program: &str,
+        program: &Prepared,
+        params: &[Atom],
         budget: &ExecBudget,
     ) -> Result<Vec<usize>> {
         let kept = self
             .kernel
-            .eval_mil_bound(program, budget, &layer.bindings())?
+            .eval_prepared(program, params, budget, &layer.bindings())?
             .as_bat()?;
         let kept = kept.read();
         let head = kept.head();
@@ -814,10 +817,8 @@ impl Vdbms {
         let Some(layer) = layer else {
             return Ok(Vec::new());
         };
-        let names = event_field(video, "driver");
-        let naming = MoaExpr::collection(&names).select(Predicate::Eq(Atom::str(driver)));
-        let program = format!("RETURN {};", f1_moa::compile(&naming));
-        let rows = self.selected_rows(layer, &program, budget)?;
+        let params = [Atom::str(event_field(video, "driver")), Atom::str(driver)];
+        let rows = self.selected_rows(layer, &self.naming, &params, budget)?;
         layer.read(|events| {
             let visible = |&row| {
                 let (start, end) = events.span(row)?;

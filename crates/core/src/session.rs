@@ -19,7 +19,7 @@ use cobra_store::backend::StorageBackend;
 use cobra_store::{CheckpointOutcome, FileBackend, MemBackend, StoreConfig, StoreStats};
 use parking_lot::{Mutex, RwLock};
 
-use f1_monet::Kernel;
+use f1_monet::{Kernel, Prepared};
 
 use crate::cache::{PlanCache, ResultCache};
 use crate::catalog::Catalog;
@@ -63,6 +63,9 @@ pub struct Vdbms {
     /// point.
     pub(crate) plans: PlanCache,
     pub(crate) results: ResultCache<Answer>,
+    /// The selection of an event field's rows holding one value, parsed
+    /// once ([`crate::retrieve::NAMING_MIL`]).
+    pub(crate) naming: Prepared,
     /// `mil.evals` reading at the last cost-model refresh; the plan
     /// cache's generation advances once the kernel has observed roughly
     /// twice as many evaluations as when plans were last costed.
@@ -127,6 +130,7 @@ impl Vdbms {
         )))?;
         let plans = PlanCache::new(kernel.metrics().registry());
         let results = ResultCache::new(kernel.metrics().registry());
+        let naming = kernel.prepare(crate::retrieve::NAMING_MIL)?;
         let store: Arc<dyn StorageBackend> = match config {
             Some(c) => Arc::new(FileBackend::open(
                 c,
@@ -205,6 +209,7 @@ impl Vdbms {
             methods: MethodRegistry::formula1(),
             plans,
             results,
+            naming,
             plan_cost_evals: AtomicU64::new(0),
             recovery,
             streams: Mutex::new(HashMap::new()),

@@ -107,8 +107,17 @@ pub(crate) fn fetch_chain(terms: &[(String, Predicate)]) -> MoaExpr {
         .mirror()
 }
 
-/// Compiles a logical expression into a MIL expression string.
+/// Compiles a logical expression into a MIL expression string. An
+/// equality on parameter `k` compiles to a selection on `$k`.
 pub fn compile(expr: &MoaExpr) -> String {
+    compile_bound(expr, &[])
+}
+
+/// Like [`compile`], with parameter `k` spelled as the literal
+/// `params[k]` (one beyond `params` stays `$k`): the runnable text of
+/// one binding, for display.
+pub(crate) fn compile_bound(expr: &MoaExpr, params: &[Atom]) -> String {
+    let compile = |expr| compile_bound(expr, params);
     match expr {
         MoaExpr::Collection(name) => format!("bat(\"{name}\")"),
         MoaExpr::Literal(atom) => literal(atom),
@@ -116,6 +125,10 @@ pub fn compile(expr: &MoaExpr) -> String {
             let inner = compile(input);
             match pred {
                 Predicate::Eq(a) => format!("({inner}).select({})", literal(a)),
+                Predicate::EqParam(k) => match params.get(*k) {
+                    Some(a) => format!("({inner}).select({})", literal(a)),
+                    None => format!("({inner}).select(${k})"),
+                },
                 Predicate::Range(lo, hi) => {
                     format!("({inner}).select({}, {})", literal(lo), literal(hi))
                 }
@@ -285,6 +298,22 @@ mod tests {
                 MonetError::BudgetExhausted { .. }
             ))
         ));
+    }
+
+    #[test]
+    fn a_parameter_compiles_to_its_slot_or_its_binding() {
+        let e = MoaExpr::conjunction(vec![
+            ("k".into(), Predicate::Eq(Atom::str("highlight"))),
+            ("d".into(), Predicate::EqParam(0)),
+        ]);
+        let slot =
+            "(((((bat(\"k\")).select(\"highlight\")).mirror).join(bat(\"d\"))).select($0)).mirror";
+        assert_eq!(compile(&e), slot);
+        assert_eq!(compile_bound(&e, &[]), slot);
+        assert_eq!(
+            compile_bound(&e, &[Atom::str("a\"b")]),
+            slot.replace("$0", "\"a\\\"b\"")
+        );
     }
 
     #[test]

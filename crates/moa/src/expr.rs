@@ -7,6 +7,9 @@ use f1_monet::Atom;
 pub enum Predicate {
     /// Tail equals the atom.
     Eq(Atom),
+    /// Tail equals parameter `k` of the evaluation: the slot a prepared
+    /// program reads as `$k`, bound to an atom each time it runs.
+    EqParam(usize),
     /// Tail within the inclusive range.
     Range(Atom, Atom),
 }
@@ -172,51 +175,6 @@ impl MoaExpr {
         }
     }
 
-    /// The same plan with every equality selection on `collection`'s
-    /// values comparing against `atom` instead. This is how a plan
-    /// chosen for one literal serves the next: the coster estimates an
-    /// equality by the column's distinct count, never by the literal,
-    /// so the choice does not depend on it.
-    pub fn with_eq_literal(&self, collection: &str, atom: &Atom) -> MoaExpr {
-        let mut bound = self.clone();
-        bound.rebind_eq(collection, atom);
-        bound
-    }
-
-    fn rebind_eq(&mut self, collection: &str, atom: &Atom) {
-        let rebind = |pred: &mut Predicate| {
-            if let Predicate::Eq(literal) = pred {
-                *literal = atom.clone();
-            }
-        };
-        match self {
-            MoaExpr::Collection(_) | MoaExpr::Literal(_) => {}
-            MoaExpr::Select { input, pred } => {
-                if input.tail_origin() == Some(collection) {
-                    rebind(pred);
-                }
-                input.rebind_eq(collection, atom);
-            }
-            MoaExpr::Mirror { input } | MoaExpr::Aggregate { input, .. } => {
-                input.rebind_eq(collection, atom);
-            }
-            MoaExpr::Join { left, right } | MoaExpr::Semijoin { left, right } => {
-                left.rebind_eq(collection, atom);
-                right.rebind_eq(collection, atom);
-            }
-            MoaExpr::Conjunction { terms } => {
-                for (_, pred) in terms.iter_mut().filter(|(field, _)| field == collection) {
-                    rebind(pred);
-                }
-            }
-            MoaExpr::ExtensionCall { args, .. } => {
-                for arg in args {
-                    arg.rebind_eq(collection, atom);
-                }
-            }
-        }
-    }
-
     fn walk<'a>(&'a self, f: &mut impl FnMut(&'a MoaExpr)) {
         f(self);
         match self {
@@ -257,36 +215,16 @@ mod tests {
     }
 
     #[test]
-    fn rebinding_a_literal_touches_only_that_collections_equalities() {
-        let on_driver = |d: &str| {
-            MoaExpr::collection("ev.driver")
-                .select(Predicate::Eq(Atom::str(d)))
-                .mirror()
-                .join(MoaExpr::collection("ev.kind"))
-                .select(Predicate::Eq(Atom::str("highlight")))
-        };
-        assert_eq!(
-            on_driver("A").with_eq_literal("ev.driver", &Atom::str("B")),
-            on_driver("B")
-        );
-        let conj = |d: &str| {
-            MoaExpr::conjunction(vec![
-                ("ev.kind".into(), Predicate::Eq(Atom::str("highlight"))),
-                (
-                    "ev.start".into(),
-                    Predicate::Range(Atom::Int(0), Atom::Int(9)),
-                ),
-                ("ev.driver".into(), Predicate::Eq(Atom::str(d))),
-            ])
-        };
-        assert_eq!(
-            conj("A").with_eq_literal("ev.driver", &Atom::str("B")),
-            conj("B")
-        );
-        assert_eq!(
-            conj("A").collections(),
-            vec!["ev.kind", "ev.start", "ev.driver"]
-        );
+    fn a_conjunction_references_every_field() {
+        let conj = MoaExpr::conjunction(vec![
+            ("ev.kind".into(), Predicate::Eq(Atom::str("highlight"))),
+            (
+                "ev.start".into(),
+                Predicate::Range(Atom::Int(0), Atom::Int(9)),
+            ),
+            ("ev.driver".into(), Predicate::EqParam(0)),
+        ]);
+        assert_eq!(conj.collections(), vec!["ev.kind", "ev.start", "ev.driver"]);
     }
 
     #[test]

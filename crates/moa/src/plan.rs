@@ -41,8 +41,9 @@
 
 use f1_monet::ops::MIN_PAR_ROWS_PER_THREAD;
 use f1_monet::sketch::{BatSketch, PlanStats};
+use f1_monet::{Atom, Kernel, Prepared};
 
-use crate::compile::{compile, fetch_chain, optimize};
+use crate::compile::{compile, compile_bound, fetch_chain, optimize};
 use crate::expr::{MoaExpr, Predicate};
 
 /// Upper bound on scored candidates per query, against pathological
@@ -129,9 +130,24 @@ pub struct PlanChoice {
 }
 
 impl PlanChoice {
-    /// The chosen plan rendered to a MIL expression.
+    /// The chosen plan rendered to a MIL expression; an equality on
+    /// parameter `k` selects on `$k`.
     pub fn mil(&self) -> String {
         compile(&self.chosen)
+    }
+
+    /// [`mil`](Self::mil) with parameter `k` spelled as the literal
+    /// `params[k]`: the runnable text `EXPLAIN` and `PROFILE` show.
+    pub fn mil_bound(&self, params: &[Atom]) -> String {
+        compile_bound(&self.chosen, params)
+    }
+
+    /// The chosen plan lowered once to the program it runs as — the
+    /// [`mil_prefix`](Self::mil_prefix), then `RETURN` of
+    /// [`mil`](Self::mil) — and parsed by `kernel`, for any number of
+    /// evaluations ([`Kernel::eval_prepared`]) binding its parameters.
+    pub fn prepare(&self, kernel: &Kernel) -> f1_monet::Result<Prepared> {
+        kernel.prepare(&format!("{}RETURN {};", self.mil_prefix(), self.mil()))
     }
 
     /// The `threadcnt` statement prefixing every emitted program, empty
@@ -174,8 +190,8 @@ struct Est {
 /// Estimated keep-fraction of `pred` against `sketch`.
 fn selectivity(pred: &Predicate, sketch: Option<&BatSketch>) -> f64 {
     match (pred, sketch) {
-        (Predicate::Eq(_), Some(s)) => s.eq_selectivity(),
-        (Predicate::Eq(_), None) => DEFAULT_EQ_SEL,
+        (Predicate::Eq(_) | Predicate::EqParam(_), Some(s)) => s.eq_selectivity(),
+        (Predicate::Eq(_) | Predicate::EqParam(_), None) => DEFAULT_EQ_SEL,
         (Predicate::Range(lo, hi), Some(s)) => s.range_selectivity(lo, hi),
         (Predicate::Range(_, _), None) => DEFAULT_RANGE_SEL,
     }
@@ -733,6 +749,20 @@ mod tests {
         assert!(!choice.reordered(), "{}", choice.rationale);
         assert_eq!(choice.chosen_nodes[0].op, "collection:ev.kind");
         assert_eq!(choice.mil(), compile(&kind_and_driver()));
+    }
+
+    #[test]
+    fn a_parameter_slot_plans_as_any_literal_does() {
+        let stats = event_tuple_stats(18_000, 3, 4_096);
+        let slot = MoaExpr::conjunction(vec![
+            ("ev.kind".into(), Predicate::Eq(Atom::str("highlight"))),
+            ("ev.driver".into(), Predicate::EqParam(0)),
+        ]);
+        let literal = plan(kind_and_driver(), &stats, &PlannerConfig::default());
+        let prepared = plan(slot, &stats, &PlannerConfig::default());
+        assert_eq!(prepared.chosen_cost, literal.chosen_cost);
+        assert_eq!(prepared.mil_bound(&[Atom::str("D17")]), literal.mil());
+        assert!(prepared.mil().contains(".select($0)"), "{}", prepared.mil());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::error::{MonetError, Result};
 use crate::guard::ExecBudget;
 use crate::index::ColumnIndex;
 use crate::metrics::KernelMetrics;
-use crate::mil::{self, MilValue};
+use crate::mil::{self, MilValue, Prepared};
 use crate::ops::{self, OpCtx};
 use crate::sketch::{BatSketch, PlanStats};
 use crate::value::Atom;
@@ -419,6 +419,35 @@ impl Kernel {
         out
     }
 
+    /// Lexes and parses a MIL program once, for any number of
+    /// [`eval_prepared`](Self::eval_prepared) calls: its `$k` are
+    /// parameters, bound at each evaluation. Counted as `mil.parses`.
+    pub fn prepare(&self, source: &str) -> Result<Prepared> {
+        self.metrics.mil_parses.inc();
+        Prepared::parse(source)
+    }
+
+    /// Evaluates a prepared program against this kernel with `$k` read
+    /// as `params[k]`, returning the value of its final `RETURN` (or
+    /// [`MilValue::Nil`]); an unbound `$k` is an eval error. Bounded by
+    /// `budget`: a program that exceeds its step fuel, wall-clock
+    /// deadline, or is cancelled stops with
+    /// [`MonetError::BudgetExhausted`], [`MonetError::Deadline`], or
+    /// [`MonetError::Interrupted`]. `bat(name)` reads each name of
+    /// `bound` as the BAT given with it instead of looking it up: a
+    /// program over a group its caller fetched together
+    /// ([`bats`](Self::bats)) reads that group whatever is rebound
+    /// meanwhile.
+    pub fn eval_prepared(
+        &self,
+        program: &Prepared,
+        params: &[Atom],
+        budget: &ExecBudget,
+        bound: &[(&str, &BatHandle)],
+    ) -> Result<MilValue> {
+        self.evaluate(|| mil::eval_program(self, program, params, budget, bound))
+    }
+
     /// Parses and evaluates a MIL program against this kernel, returning
     /// the value of its final `RETURN` (or [`MilValue::Nil`]).
     ///
@@ -427,28 +456,33 @@ impl Kernel {
         self.eval_mil_guarded(source, &ExecBudget::unlimited())
     }
 
-    /// Like [`Kernel::eval_mil`], but bounded by `budget`: when the
-    /// program exceeds its step fuel, wall-clock deadline, or is
-    /// cancelled, evaluation stops with [`MonetError::BudgetExhausted`],
-    /// [`MonetError::Deadline`], or [`MonetError::Interrupted`].
+    /// Like [`Kernel::eval_mil`], but bounded by `budget` as
+    /// [`eval_prepared`](Self::eval_prepared) is.
     pub fn eval_mil_guarded(&self, source: &str, budget: &ExecBudget) -> Result<MilValue> {
         self.eval_mil_bound(source, budget, &[])
     }
 
-    /// Like [`Kernel::eval_mil_guarded`], but `bat(name)` reads each name
-    /// of `bound` as the BAT given with it instead of looking it up: a
-    /// program over a group its caller fetched together
-    /// ([`bats`](Self::bats)) reads that group whatever is rebound
-    /// meanwhile.
+    /// [`prepare`](Self::prepare) and one
+    /// [`eval_prepared`](Self::eval_prepared) without parameters, timed
+    /// as one evaluation.
     pub fn eval_mil_bound(
         &self,
         source: &str,
         budget: &ExecBudget,
         bound: &[(&str, &BatHandle)],
     ) -> Result<MilValue> {
+        self.evaluate(|| {
+            let program = self.prepare(source)?;
+            mil::eval_program(self, &program, &[], budget, bound)
+        })
+    }
+
+    /// Runs one evaluation, counted as `mil.evals` and timed into
+    /// `mil.eval_ns`.
+    fn evaluate(&self, run: impl FnOnce() -> Result<MilValue>) -> Result<MilValue> {
         self.metrics.mil_evals.inc();
         let start = std::time::Instant::now();
-        let out = mil::eval_program(self, source, budget, bound);
+        let out = run();
         self.metrics
             .mil_eval_ns
             .record(start.elapsed().as_nanos() as u64);

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::index::ColumnIndex;
     pub use crate::kernel::{Kernel, MelModule};
     pub use crate::metrics::KernelMetrics;
-    pub use crate::mil::MilValue;
+    pub use crate::mil::{MilValue, Prepared};
     pub use crate::ops::OpCtx;
     pub use crate::value::{Atom, AtomType};
 }
@@ -67,7 +67,7 @@ pub use guard::{CancellationToken, ExecBudget, ExecGuard};
 pub use index::ColumnIndex;
 pub use kernel::{Kernel, MelModule};
 pub use metrics::KernelMetrics;
-pub use mil::MilValue;
+pub use mil::{MilValue, Prepared};
 pub use ops::OpCtx;
 pub use sketch::{BatSketch, PlanStats};
 pub use value::{Atom, AtomType};

@@ -4,14 +4,22 @@
 //! Hot paths (index-cache probes, morsel dispatch) must not pay a
 //! registry lookup per event, so the kernel resolves its core series
 //! once at construction into this struct; recording is then a single
-//! relaxed atomic add. Series with a genuine label dimension (per-opcode
-//! timings, per-procedure timings, per-site failure counts) go through
-//! the registry on demand — those events are orders of magnitude rarer
-//! than the per-row work they measure.
+//! relaxed atomic add. The per-opcode pair `mil.op_ns{op}` /
+//! `mil.op_rows{op}`, recorded on every BAT method a program calls, is
+//! resolved once per method of the interpreter's fixed table, on its
+//! first call. Other series with a genuine label dimension (per-procedure
+//! timings, per-site failure counts, a method outside the table) go
+//! through the registry on demand — those events are orders of magnitude
+//! rarer than the per-row work they measure.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cobra_obs::{Counter, Gauge, Histogram, Registry};
+
+use crate::mil::BAT_METHODS;
+
+/// The `mil.op_ns{op}` / `mil.op_rows{op}` pair of one opcode.
+type OpSeries = (Arc<Histogram>, Arc<Histogram>);
 
 /// Pre-resolved metric handles for one [`crate::kernel::Kernel`].
 #[derive(Debug)]
@@ -29,6 +37,9 @@ pub struct KernelMetrics {
     pub index_evictions: Arc<Counter>,
     /// Extension-procedure dispatches.
     pub proc_calls: Arc<Counter>,
+    /// MIL programs lexed and parsed (`mil.parses`, by
+    /// [`Kernel::prepare`](crate::kernel::Kernel::prepare) only).
+    pub mil_parses: Arc<Counter>,
     /// MIL programs evaluated.
     pub mil_evals: Arc<Counter>,
     /// Wall time of whole MIL evaluations, nanoseconds.
@@ -61,6 +72,9 @@ pub struct KernelMetrics {
     pub sketch_misses: Arc<Counter>,
     /// Thread count most recently requested from an operator context.
     pub threads: Arc<Gauge>,
+    /// The opcode series of each of [`BAT_METHODS`], resolved on first
+    /// record.
+    ops: [OnceLock<OpSeries>; BAT_METHODS.len()],
 }
 
 impl KernelMetrics {
@@ -71,6 +85,7 @@ impl KernelMetrics {
             index_misses: registry.counter("kernel.index_cache", &[("result", "miss")]),
             index_evictions: registry.counter("kernel.index_cache", &[("result", "eviction")]),
             proc_calls: registry.counter("kernel.proc_calls", &[]),
+            mil_parses: registry.counter("mil.parses", &[]),
             mil_evals: registry.counter("mil.evals", &[]),
             mil_eval_ns: registry.histogram("mil.eval_ns", &[]),
             mil_ticks: registry.counter("mil.ticks", &[]),
@@ -87,6 +102,7 @@ impl KernelMetrics {
             sketch_hits: registry.counter("kernel.sketch_cache", &[("result", "hit")]),
             sketch_misses: registry.counter("kernel.sketch_cache", &[("result", "miss")]),
             threads: registry.gauge("kernel.threads", &[]),
+            ops: std::array::from_fn(|_| OnceLock::new()),
             registry,
         }
     }
@@ -96,21 +112,25 @@ impl KernelMetrics {
         &self.registry
     }
 
-    /// Records one MIL BAT-method invocation (`mil.op_ns{op=...}`).
-    pub fn record_op(&self, op: &str, ns: u64) {
-        self.registry
-            .histogram("mil.op_ns", &[("op", op)])
-            .record(ns);
-    }
-
     /// Records one MIL BAT-method invocation together with the receiver's
-    /// row count, so `op_ns.sum() / op_rows.sum()` yields a measured
+    /// row count (`mil.op_ns{op=...}`, `mil.op_rows{op=...}`), so
+    /// `op_ns.sum() / op_rows.sum()` yields a measured
     /// nanoseconds-per-row figure per opcode for the plan coster.
     pub fn record_op_sized(&self, op: &str, ns: u64, rows: u64) {
-        self.record_op(op, ns);
-        self.registry
-            .histogram("mil.op_rows", &[("op", op)])
-            .record(rows);
+        let resolve = || {
+            (
+                self.registry.histogram("mil.op_ns", &[("op", op)]),
+                self.registry.histogram("mil.op_rows", &[("op", op)]),
+            )
+        };
+        let record = |(time, size): &OpSeries| {
+            time.record(ns);
+            size.record(rows);
+        };
+        match BAT_METHODS.iter().position(|&method| method == op) {
+            Some(i) => record(self.ops[i].get_or_init(resolve)),
+            None => record(&resolve()),
+        }
     }
 
     /// Records one extension-procedure call (`kernel.proc_ns{proc=...}`).
@@ -144,7 +164,7 @@ mod tests {
         let m = KernelMetrics::default();
         m.index_hits.inc();
         m.index_misses.add(2);
-        m.record_op("join", 1500);
+        m.record_op_sized("join", 1500, 10);
         m.record_failure("bat.join");
         let snap = m.registry().snapshot();
         assert_eq!(snap.counter("kernel.index_cache", &[("result", "hit")]), 1);
@@ -153,5 +173,23 @@ mod tests {
         let op = snap.histogram("mil.op_ns", &[("op", "join")]).unwrap();
         assert_eq!(op.count(), 1);
         assert_eq!(op.sum(), 1500);
+    }
+
+    #[test]
+    fn table_and_registry_opcodes_record_the_same_series() {
+        let m = KernelMetrics::default();
+        for op in ["select", "frobnicate"] {
+            m.record_op_sized(op, 100, 7);
+            m.record_op_sized(op, 50, 3);
+        }
+        let snap = m.registry().snapshot();
+        for op in ["select", "frobnicate"] {
+            let ns = snap.histogram("mil.op_ns", &[("op", op)]).unwrap();
+            let rows = snap.histogram("mil.op_rows", &[("op", op)]).unwrap();
+            assert_eq!((ns.count(), ns.sum()), (2, 150), "{op}");
+            assert_eq!((rows.count(), rows.sum()), (2, 10), "{op}");
+        }
+        // Nothing is registered before its first record.
+        assert!(snap.histogram("mil.op_ns", &[("op", "join")]).is_none());
     }
 }

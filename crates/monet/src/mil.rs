@@ -14,7 +14,11 @@
 //!   parallel evaluation of six HMM servers,
 //! * `WHILE (cond) { … }` loops, `IF (cond) { … } ELSE { … }`
 //!   conditionals and `true`/`false` literals,
-//! * `RETURN expr;` and `#`-comments.
+//! * `RETURN expr;` and `#`-comments,
+//! * `$k` parameters: [`Kernel::prepare`] parses a program once, and
+//!   [`Kernel::eval_prepared`] evaluates it with `$k` read as the `k`-th
+//!   atom it is given, so a value a caller supplies is data, never
+//!   program text.
 //!
 //! Because `WHILE` and recursive `PROC`s make nontermination expressible,
 //! evaluation can be bounded by an [`ExecBudget`](crate::guard::ExecBudget)
@@ -47,6 +51,10 @@ use crate::kernel::{BatHandle, Kernel};
 use crate::ops::{self, Aggregate};
 use crate::parallel;
 use crate::value::{Atom, AtomType};
+
+mod parse;
+
+use parse::{BinOp, Expr, ProcDef, Stmt};
 
 /// Maximum nesting of user-`PROC` calls: recursion beyond this fails
 /// with an eval error instead of overflowing the interpreter stack.
@@ -131,672 +139,19 @@ impl PartialEq for MilValue {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lexer
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    Dbl(f64),
-    Str(String),
-    LParen,
-    RParen,
-    LBrace,
-    RBrace,
-    LBracket,
-    RBracket,
-    Comma,
-    Semi,
-    Colon,
-    Dot,
-    Assign, // :=
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Lt,
-    Gt,
-    Le,
-    Ge,
-    EqEq,
-    Ne,
+/// A parsed MIL program ([`Kernel::prepare`]): evaluated any number of
+/// times, with any parameters, and lexed and parsed only once.
+#[derive(Debug)]
+pub struct Prepared {
+    procs: HashMap<String, ProcDef>,
+    stmts: Vec<Stmt>,
 }
 
-#[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
-    line: usize,
-}
-
-/// The token of a one-character punctuation mark.
-fn punctuation(c: char) -> Option<Tok> {
-    Some(match c {
-        '(' => Tok::LParen,
-        ')' => Tok::RParen,
-        '{' => Tok::LBrace,
-        '}' => Tok::RBrace,
-        '[' => Tok::LBracket,
-        ']' => Tok::RBracket,
-        ',' => Tok::Comma,
-        ';' => Tok::Semi,
-        '.' => Tok::Dot,
-        '+' => Tok::Plus,
-        '-' => Tok::Minus,
-        '*' => Tok::Star,
-        '/' => Tok::Slash,
-        _ => return None,
-    })
-}
-
-fn lex(src: &str) -> Result<Vec<SpannedTok>> {
-    let mut toks = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
-    let mut i = 0;
-    let mut line = 1;
-    let n = bytes.len();
-    while i < n {
-        let c = bytes[i];
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-            }
-            c if c.is_whitespace() => i += 1,
-            '#' => {
-                while i < n && bytes[i] != '\n' {
-                    i += 1;
-                }
-            }
-            ':' => {
-                if i + 1 < n && bytes[i + 1] == '=' {
-                    toks.push(SpannedTok {
-                        tok: Tok::Assign,
-                        line,
-                    });
-                    i += 2;
-                } else {
-                    toks.push(SpannedTok {
-                        tok: Tok::Colon,
-                        line,
-                    });
-                    i += 1;
-                }
-            }
-            '<' => {
-                if i + 1 < n && bytes[i + 1] == '=' {
-                    toks.push(SpannedTok { tok: Tok::Le, line });
-                    i += 2;
-                } else {
-                    toks.push(SpannedTok { tok: Tok::Lt, line });
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < n && bytes[i + 1] == '=' {
-                    toks.push(SpannedTok { tok: Tok::Ge, line });
-                    i += 2;
-                } else {
-                    toks.push(SpannedTok { tok: Tok::Gt, line });
-                    i += 1;
-                }
-            }
-            '=' => {
-                if i + 1 < n && bytes[i + 1] == '=' {
-                    toks.push(SpannedTok {
-                        tok: Tok::EqEq,
-                        line,
-                    });
-                    i += 2;
-                } else {
-                    return Err(MonetError::Parse {
-                        line,
-                        message: "single '=' (use ':=' or '==')".into(),
-                    });
-                }
-            }
-            '!' => {
-                if i + 1 < n && bytes[i + 1] == '=' {
-                    toks.push(SpannedTok { tok: Tok::Ne, line });
-                    i += 2;
-                } else {
-                    return Err(MonetError::Parse {
-                        line,
-                        message: "lone '!'".into(),
-                    });
-                }
-            }
-            '"' => {
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    if i >= n {
-                        return Err(MonetError::Parse {
-                            line,
-                            message: "unterminated string".into(),
-                        });
-                    }
-                    match bytes[i] {
-                        '"' => {
-                            i += 1;
-                            break;
-                        }
-                        '\\' => {
-                            i += 1;
-                            if i >= n {
-                                return Err(MonetError::Parse {
-                                    line,
-                                    message: "dangling escape".into(),
-                                });
-                            }
-                            s.push(match bytes[i] {
-                                'n' => '\n',
-                                't' => '\t',
-                                other => other,
-                            });
-                            i += 1;
-                        }
-                        c => {
-                            if c == '\n' {
-                                line += 1;
-                            }
-                            s.push(c);
-                            i += 1;
-                        }
-                    }
-                }
-                toks.push(SpannedTok {
-                    tok: Tok::Str(s),
-                    line,
-                });
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < n && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let mut is_float = false;
-                if i < n && bytes[i] == '.' && i + 1 < n && bytes[i + 1].is_ascii_digit() {
-                    is_float = true;
-                    i += 1;
-                    while i < n && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                if i < n && (bytes[i] == 'e' || bytes[i] == 'E') {
-                    let mut j = i + 1;
-                    if j < n && (bytes[j] == '+' || bytes[j] == '-') {
-                        j += 1;
-                    }
-                    if j < n && bytes[j].is_ascii_digit() {
-                        is_float = true;
-                        i = j;
-                        while i < n && bytes[i].is_ascii_digit() {
-                            i += 1;
-                        }
-                    }
-                }
-                let text: String = bytes[start..i].iter().collect();
-                let tok = if is_float {
-                    Tok::Dbl(text.parse().map_err(|_| MonetError::Parse {
-                        line,
-                        message: format!("bad float literal '{text}'"),
-                    })?)
-                } else {
-                    Tok::Int(text.parse().map_err(|_| MonetError::Parse {
-                        line,
-                        message: format!("bad int literal '{text}'"),
-                    })?)
-                };
-                toks.push(SpannedTok { tok, line });
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < n && (bytes[i].is_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                toks.push(SpannedTok {
-                    tok: Tok::Ident(text),
-                    line,
-                });
-            }
-            other => match punctuation(other) {
-                Some(tok) => {
-                    toks.push(SpannedTok { tok, line });
-                    i += 1;
-                }
-                None => {
-                    return Err(MonetError::Parse {
-                        line,
-                        message: format!("unexpected character '{other}'"),
-                    })
-                }
-            },
-        }
-    }
-    Ok(toks)
-}
-
-// ---------------------------------------------------------------------------
-// AST + parser
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Lt,
-    Gt,
-    Le,
-    Ge,
-    Eq,
-    Ne,
-}
-
-#[derive(Debug, Clone)]
-enum Expr {
-    Int(i64),
-    Dbl(f64),
-    Str(String),
-    Ident(String),
-    Bit(bool),
-    Call {
-        name: String,
-        args: Vec<Expr>,
-    },
-    Method {
-        recv: Box<Expr>,
-        name: String,
-        args: Vec<Expr>,
-    },
-    Binary {
-        op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
-    },
-    Neg(Box<Expr>),
-}
-
-#[derive(Debug, Clone)]
-enum Stmt {
-    Var {
-        name: String,
-        expr: Expr,
-    },
-    Assign {
-        name: String,
-        expr: Expr,
-    },
-    Expr(Expr),
-    Return(Expr),
-    Parallel(Vec<Stmt>),
-    While {
-        cond: Expr,
-        body: Vec<Stmt>,
-    },
-    If {
-        cond: Expr,
-        then_body: Vec<Stmt>,
-        else_body: Vec<Stmt>,
-    },
-}
-
-/// A user-defined MIL procedure.
-#[derive(Debug, Clone)]
-struct ProcDef {
-    params: Vec<String>,
-    body: Vec<Stmt>,
-}
-
-struct Parser {
-    toks: Vec<SpannedTok>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
-    }
-
-    fn line(&self) -> usize {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|t| t.line)
-            .unwrap_or(0)
-    }
-
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
-        self.pos += 1;
-        t
-    }
-
-    fn expect(&mut self, tok: &Tok, what: &str) -> Result<()> {
-        if self.peek() == Some(tok) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {what}, found {:?}", self.peek())))
-        }
-    }
-
-    fn err(&self, message: String) -> MonetError {
-        MonetError::Parse {
-            line: self.line(),
-            message,
-        }
-    }
-
-    fn ident(&mut self, what: &str) -> Result<String> {
-        match self.bump() {
-            Some(Tok::Ident(s)) => Ok(s),
-            other => Err(self.err(format!("expected {what}, found {other:?}"))),
-        }
-    }
-
-    /// Keyword check, case-insensitive (the paper mixes `PROC`/`VAR` with
-    /// lowercase identifiers).
-    fn is_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case(kw))
-    }
-
-    fn parse_program(&mut self) -> Result<(HashMap<String, ProcDef>, Vec<Stmt>)> {
-        let mut procs = HashMap::new();
-        let mut stmts = Vec::new();
-        while self.peek().is_some() {
-            if self.is_kw("PROC") {
-                self.bump();
-                let name = self.ident("procedure name")?;
-                let def = self.parse_proc_tail()?;
-                procs.insert(name, def);
-            } else {
-                stmts.push(self.parse_stmt()?);
-            }
-        }
-        Ok((procs, stmts))
-    }
-
-    fn parse_proc_tail(&mut self) -> Result<ProcDef> {
-        self.expect(&Tok::LParen, "'('")?;
-        let mut params = Vec::new();
-        if self.peek() != Some(&Tok::RParen) {
-            loop {
-                // Parameter: [type] name, where type may be `BAT[t1,t2]` or
-                // an atom type. The last identifier before ',' or ')' is the
-                // parameter name; preceding type tokens are skipped.
-                let mut last_ident: Option<String> = None;
-                loop {
-                    match self.peek() {
-                        Some(Tok::Ident(_)) => {
-                            last_ident = Some(self.ident("parameter")?);
-                        }
-                        Some(Tok::LBracket) => {
-                            // skip [t1,t2]
-                            self.bump();
-                            while self.peek() != Some(&Tok::RBracket) {
-                                if self.bump().is_none() {
-                                    return Err(self.err("unterminated '['".into()));
-                                }
-                            }
-                            self.bump();
-                        }
-                        Some(Tok::Comma) | Some(Tok::RParen) => break,
-                        other => {
-                            return Err(self.err(format!("unexpected token in params: {other:?}")))
-                        }
-                    }
-                }
-                params.push(last_ident.ok_or_else(|| self.err("missing parameter name".into()))?);
-                if self.peek() == Some(&Tok::Comma) {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-        }
-        self.expect(&Tok::RParen, "')'")?;
-        // Optional ': returntype'
-        if self.peek() == Some(&Tok::Colon) {
-            self.bump();
-            self.ident("return type")?;
-        }
-        self.expect(&Tok::Assign, "':='")?;
-        let body = self.parse_block("procedure body")?;
-        Ok(ProcDef { params, body })
-    }
-
-    /// Parses `{ stmt* }` with an optional trailing `;`.
-    fn parse_block(&mut self, what: &str) -> Result<Vec<Stmt>> {
-        self.expect(&Tok::LBrace, "'{'")?;
-        let mut body = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
-            if self.peek().is_none() {
-                return Err(self.err(format!("unterminated {what}")));
-            }
-            body.push(self.parse_stmt()?);
-        }
-        self.bump();
-        if self.peek() == Some(&Tok::Semi) {
-            self.bump();
-        }
-        Ok(body)
-    }
-
-    fn parse_stmt(&mut self) -> Result<Stmt> {
-        if self.is_kw("WHILE") {
-            self.bump();
-            self.expect(&Tok::LParen, "'('")?;
-            let cond = self.parse_expr()?;
-            self.expect(&Tok::RParen, "')'")?;
-            let body = self.parse_block("WHILE body")?;
-            return Ok(Stmt::While { cond, body });
-        }
-        if self.is_kw("IF") {
-            self.bump();
-            self.expect(&Tok::LParen, "'('")?;
-            let cond = self.parse_expr()?;
-            self.expect(&Tok::RParen, "')'")?;
-            let then_body = self.parse_block("IF body")?;
-            let else_body = if self.is_kw("ELSE") {
-                self.bump();
-                if self.is_kw("IF") {
-                    // `ELSE IF (…) { … }` chains as a nested conditional.
-                    vec![self.parse_stmt()?]
-                } else {
-                    self.parse_block("ELSE body")?
-                }
-            } else {
-                Vec::new()
-            };
-            return Ok(Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            });
-        }
-        if self.is_kw("VAR") {
-            self.bump();
-            let name = self.ident("variable name")?;
-            self.expect(&Tok::Assign, "':='")?;
-            let expr = self.parse_expr()?;
-            self.expect(&Tok::Semi, "';'")?;
-            return Ok(Stmt::Var { name, expr });
-        }
-        if self.is_kw("RETURN") {
-            self.bump();
-            let expr = self.parse_expr()?;
-            self.expect(&Tok::Semi, "';'")?;
-            return Ok(Stmt::Return(expr));
-        }
-        if self.is_kw("PARALLEL") {
-            self.bump();
-            let body = self.parse_block("PARALLEL block")?;
-            return Ok(Stmt::Parallel(body));
-        }
-        // Assignment `x := expr;` vs expression statement.
-        if let Some(Tok::Ident(name)) = self.peek().cloned() {
-            if self.toks.get(self.pos + 1).map(|t| &t.tok) == Some(&Tok::Assign) {
-                self.bump();
-                self.bump();
-                let expr = self.parse_expr()?;
-                self.expect(&Tok::Semi, "';'")?;
-                return Ok(Stmt::Assign { name, expr });
-            }
-        }
-        let expr = self.parse_expr()?;
-        self.expect(&Tok::Semi, "';'")?;
-        Ok(Stmt::Expr(expr))
-    }
-
-    fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_cmp()
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_add()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Lt) => BinOp::Lt,
-                Some(Tok::Gt) => BinOp::Gt,
-                Some(Tok::Le) => BinOp::Le,
-                Some(Tok::Ge) => BinOp::Ge,
-                Some(Tok::EqEq) => BinOp::Eq,
-                Some(Tok::Ne) => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_add()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_add(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_mul()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_mul(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Slash) => BinOp::Div,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr> {
-        if self.peek() == Some(&Tok::Minus) {
-            self.bump();
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Neg(Box::new(inner)));
-        }
-        self.parse_postfix()
-    }
-
-    fn parse_postfix(&mut self) -> Result<Expr> {
-        let mut expr = self.parse_primary()?;
-        while self.peek() == Some(&Tok::Dot) {
-            self.bump();
-            let name = self.ident("method name")?;
-            let args = if self.peek() == Some(&Tok::LParen) {
-                self.parse_args()?
-            } else {
-                Vec::new()
-            };
-            expr = Expr::Method {
-                recv: Box::new(expr),
-                name,
-                args,
-            };
-        }
-        Ok(expr)
-    }
-
-    fn parse_args(&mut self) -> Result<Vec<Expr>> {
-        self.expect(&Tok::LParen, "'('")?;
-        let mut args = Vec::new();
-        if self.peek() != Some(&Tok::RParen) {
-            loop {
-                args.push(self.parse_expr()?);
-                if self.peek() == Some(&Tok::Comma) {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-        }
-        self.expect(&Tok::RParen, "')'")?;
-        Ok(args)
-    }
-
-    fn parse_primary(&mut self) -> Result<Expr> {
-        match self.peek().cloned() {
-            Some(Tok::Int(v)) => {
-                self.bump();
-                Ok(Expr::Int(v))
-            }
-            Some(Tok::Dbl(v)) => {
-                self.bump();
-                Ok(Expr::Dbl(v))
-            }
-            Some(Tok::Str(s)) => {
-                self.bump();
-                Ok(Expr::Str(s))
-            }
-            Some(Tok::LParen) => {
-                self.bump();
-                let e = self.parse_expr()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(e)
-            }
-            Some(Tok::Ident(name)) => {
-                self.bump();
-                if name.eq_ignore_ascii_case("true") {
-                    Ok(Expr::Bit(true))
-                } else if name.eq_ignore_ascii_case("false") {
-                    Ok(Expr::Bit(false))
-                } else if self.peek() == Some(&Tok::LParen) {
-                    let args = self.parse_args()?;
-                    Ok(Expr::Call { name, args })
-                } else {
-                    Ok(Expr::Ident(name))
-                }
-            }
-            other => Err(self.err(format!("unexpected token {other:?}"))),
-        }
+impl Prepared {
+    /// Lexes and parses `source`.
+    pub(crate) fn parse(source: &str) -> Result<Prepared> {
+        let (procs, stmts) = parse::parse(source)?;
+        Ok(Prepared { procs, stmts })
     }
 }
 
@@ -809,8 +164,10 @@ struct Env<'k> {
     kernel: &'k Kernel,
     /// Names `bat(name)` reads as the handle given with them.
     bound: &'k [(&'k str, &'k BatHandle)],
+    /// What `$k` reads.
+    params: &'k [Atom],
     vars: HashMap<String, MilValue>,
-    procs: Arc<HashMap<String, ProcDef>>,
+    procs: &'k HashMap<String, ProcDef>,
     threads: Arc<AtomicUsize>,
     /// Shared across PARALLEL threads and procedure frames so the budget
     /// bounds the whole program.
@@ -833,30 +190,30 @@ enum Flow {
     Return(MilValue),
 }
 
-/// Parses and evaluates a MIL program under `budget`, returning the value
-/// of the first executed top-level `RETURN` (or [`MilValue::Nil`]); a
-/// tripped limit is [`MonetError::BudgetExhausted`], [`MonetError::Deadline`]
-/// or [`MonetError::Interrupted`]. `bat(name)` reads a name of `bound` as
-/// the handle given with it, any other through the kernel's name map.
+/// Evaluates `program` under `budget` with `$k` read as `params[k]`,
+/// returning the value of the first executed top-level `RETURN` (or
+/// [`MilValue::Nil`]); a tripped limit is [`MonetError::BudgetExhausted`],
+/// [`MonetError::Deadline`] or [`MonetError::Interrupted`]. `bat(name)`
+/// reads a name of `bound` as the handle given with it, any other
+/// through the kernel's name map.
 pub(crate) fn eval_program(
     kernel: &Kernel,
-    source: &str,
+    program: &Prepared,
+    params: &[Atom],
     budget: &ExecBudget,
     bound: &[(&str, &BatHandle)],
 ) -> Result<MilValue> {
-    let toks = lex(source)?;
-    let mut parser = Parser { toks, pos: 0 };
-    let (procs, stmts) = parser.parse_program()?;
     let mut env = Env {
         kernel,
         bound,
+        params,
         vars: HashMap::new(),
-        procs: Arc::new(procs),
+        procs: &program.procs,
         threads: Arc::new(AtomicUsize::new(1)),
         guard: Arc::new(budget.start()),
         depth: 0,
     };
-    let out = exec_stmts(&mut env, &stmts);
+    let out = exec_stmts(&mut env, &program.stmts);
     let metrics = kernel.metrics();
     metrics.mil_ticks.add(env.guard.ticks());
     metrics.mil_fuel_used.add(env.guard.fuel_used());
@@ -993,11 +350,12 @@ fn eval_expr(env: &mut Env<'_>, expr: &Expr) -> Result<MilValue> {
         Expr::Dbl(v) => Ok(MilValue::Atom(Atom::Dbl(*v))),
         Expr::Str(s) => Ok(MilValue::Atom(Atom::str(s))),
         Expr::Bit(b) => Ok(MilValue::Atom(Atom::Bit(*b))),
+        Expr::Param(k) => param(env, *k).map(MilValue::Atom),
         Expr::Ident(name) => env.lookup(name),
         Expr::Neg(inner) => {
             let v = eval_expr(env, inner)?.as_atom()?;
             match v {
-                Atom::Int(i) => Ok(MilValue::Atom(Atom::Int(-i))),
+                Atom::Int(i) => Ok(MilValue::Atom(Atom::Int(i.wrapping_neg()))),
                 Atom::Dbl(d) => Ok(MilValue::Atom(Atom::Dbl(-d))),
                 other => Err(MonetError::Eval(format!("cannot negate {other}"))),
             }
@@ -1031,6 +389,16 @@ fn eval_expr(env: &mut Env<'_>, expr: &Expr) -> Result<MilValue> {
     }
 }
 
+/// The atom `$k` reads.
+fn param(env: &Env<'_>, k: usize) -> Result<Atom> {
+    env.params.get(k).cloned().ok_or_else(|| {
+        MonetError::Eval(format!(
+            "unbound parameter ${k} ({} given)",
+            env.params.len()
+        ))
+    })
+}
+
 fn eval_binop(op: &BinOp, l: &Atom, r: &Atom) -> Result<Atom> {
     use BinOp::*;
     match op {
@@ -1058,7 +426,7 @@ fn eval_binop(op: &BinOp, l: &Atom, r: &Atom) -> Result<Atom> {
                 if *b == 0 {
                     return Err(MonetError::Eval("integer division by zero".into()));
                 }
-                Atom::Int(a / b)
+                Atom::Int(a.wrapping_div(*b))
             }
             _ => unreachable!(),
         });
@@ -1084,6 +452,13 @@ fn eval_call(env: &mut Env<'_>, name: &str, args: &[Expr]) -> Result<MilValue> {
             match e {
                 Expr::Ident(n) => AtomType::parse(n),
                 Expr::Str(s) => AtomType::parse(s),
+                // A parameter names a type the way its string would.
+                Expr::Param(k) => match param(env, *k)? {
+                    Atom::Str(s) => AtomType::parse(&s),
+                    other => Err(MonetError::Eval(format!(
+                        "new() expects type names, found {other}"
+                    ))),
+                },
                 other => Err(MonetError::Eval(format!(
                     "new() expects type names, found {other:?}"
                 ))),
@@ -1223,7 +598,8 @@ fn eval_call(env: &mut Env<'_>, name: &str, args: &[Expr]) -> Result<MilValue> {
         }
         _ => {
             // User-defined PROC?
-            if let Some(def) = env.procs.get(name).cloned() {
+            let procs = env.procs;
+            if let Some(def) = procs.get(name) {
                 env.guard.tick()?;
                 if def.params.len() != argv.len() {
                     return Err(MonetError::Eval(format!(
@@ -1240,8 +616,9 @@ fn eval_call(env: &mut Env<'_>, name: &str, args: &[Expr]) -> Result<MilValue> {
                 let mut callee = Env {
                     kernel: env.kernel,
                     bound: env.bound,
+                    params: env.params,
                     vars: def.params.iter().cloned().zip(argv).collect(),
-                    procs: Arc::clone(&env.procs),
+                    procs: env.procs,
                     threads: Arc::clone(&env.threads),
                     guard: Arc::clone(&env.guard),
                     depth: env.depth + 1,
@@ -1277,6 +654,30 @@ fn op_ctx<'e>(env: &'e Env<'_>) -> ops::OpCtx<'e> {
         metrics: Some(env.kernel.metrics().as_ref()),
     }
 }
+
+/// The BAT methods [`eval_method_op`] dispatches, in its order: the
+/// opcodes whose metric series the kernel resolves once.
+pub(crate) const BAT_METHODS: [&str; 19] = [
+    "insert",
+    "replace",
+    "reverse",
+    "mirror",
+    "mark",
+    "count",
+    "max",
+    "min",
+    "sum",
+    "avg",
+    "find",
+    "select",
+    "slice",
+    "join",
+    "semijoin",
+    "diff",
+    "unique",
+    "histogram",
+    "sort",
+];
 
 /// Runs BAT method `name` on `recv`, which the program read by the
 /// catalog name `catalog` when it has one.
@@ -1889,6 +1290,67 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, MonetError::BudgetExhausted { fuel: 500 });
+    }
+
+    #[test]
+    fn the_method_table_lists_every_dispatched_method() {
+        let k = kernel();
+        for method in BAT_METHODS {
+            let program = format!("VAR b := new(void, int); RETURN b.{method};");
+            if let Err(MonetError::Eval(message)) = k.eval_mil(&program) {
+                assert!(!message.contains("unknown BAT method"), "{message}");
+            }
+        }
+    }
+
+    #[test]
+    fn parameters_are_bound_at_evaluation() {
+        let k = kernel();
+        let program = k
+            .prepare(r#"VAR b := new(void, str); b.insert($0); RETURN b.select($1).count + $2;"#)
+            .unwrap();
+        let params = |name: &str| [Atom::str("a\"$0"), Atom::str(name), Atom::Int(10)];
+        let run = |name: &str| {
+            k.eval_prepared(&program, &params(name), &ExecBudget::unlimited(), &[])
+                .unwrap()
+        };
+        assert_eq!(run("a\"$0"), MilValue::Atom(Atom::Int(11)));
+        assert_eq!(run("b"), MilValue::Atom(Atom::Int(10)));
+        // A missing parameter is a typed eval error, not a panic.
+        let err = k
+            .eval_prepared(&program, &params("a")[..2], &ExecBudget::unlimited(), &[])
+            .unwrap_err();
+        assert!(matches!(err, MonetError::Eval(m) if m.contains("$2")));
+        for bad in [
+            "RETURN $;",
+            "RETURN $x;",
+            "RETURN $99999999999999999999999;",
+        ] {
+            assert!(
+                matches!(k.prepare(bad), Err(MonetError::Parse { .. })),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_and_overflowing_arithmetic_are_errors() {
+        let k = kernel();
+        let deep = format!("RETURN {}1{};", "(".repeat(5_000), ")".repeat(5_000));
+        assert!(matches!(k.eval_mil(&deep), Err(MonetError::Parse { .. })));
+        let negs = format!("RETURN {}1;", "-".repeat(5_000));
+        assert!(matches!(k.eval_mil(&negs), Err(MonetError::Parse { .. })));
+        let blocks = format!("{}{}", "IF (true) {".repeat(5_000), "}".repeat(5_000));
+        assert!(matches!(k.eval_mil(&blocks), Err(MonetError::Parse { .. })));
+        let min = "(-9223372036854775807 - 1)";
+        assert_eq!(
+            k.eval_mil(&format!("RETURN {min} / -1;")).unwrap(),
+            MilValue::Atom(Atom::Int(i64::MIN))
+        );
+        assert_eq!(
+            k.eval_mil(&format!("RETURN -{min};")).unwrap(),
+            MilValue::Atom(Atom::Int(i64::MIN))
+        );
     }
 
     #[test]

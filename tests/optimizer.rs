@@ -342,3 +342,91 @@ fn explain_starts_the_conjunction_from_its_most_selective_field() {
     let expected = (0..18_000).filter(|i| i % 50 == 7 && (i / 3) % 2 == 1);
     assert_eq!(answer.len(), expected.count());
 }
+
+/// Every driver's cold read answers what its statement's `EXPLAIN` MIL
+/// selects at the kernel's own boundary: the program the plan cache
+/// holds parsed, run with the name bound as its parameter, agrees row
+/// for row with the text rendered with the name spelled in. A name that
+/// looks like MIL is data: it selects nothing and runs nothing.
+#[test]
+fn every_driver_reads_what_its_explained_mil_selects() {
+    let vdbms = race_length(3, 4_096);
+    let hostile = [
+        "$0",
+        "\\",
+        "D1\\",
+        "); unregister(v.ev.kind); (",
+        "D17 $0 \\n Ωmega 漢字",
+    ];
+    let names = (0..4_096)
+        .map(|d| format!("D{d}"))
+        .chain(hostile.map(String::from));
+    for name in names {
+        let statement = format!("RETRIEVE HIGHLIGHTS WITH DRIVER \"{name}\"");
+        let read: Vec<usize> = vdbms
+            .query("v", &statement)
+            .unwrap()
+            .iter()
+            .map(|s| s.start)
+            .collect();
+        let plan = explain(&vdbms, &statement);
+        let mil = meta(plan.find("moa:compile").unwrap(), "mil");
+        let kept = vdbms
+            .kernel()
+            .eval_mil(&format!("RETURN {mil};"))
+            .unwrap()
+            .bat_snapshot()
+            .unwrap();
+        // Event `i` of the fixture starts at clip `3 i`.
+        let explained: Vec<usize> = kept
+            .head()
+            .to_vec()
+            .iter()
+            .map(|oid| match oid {
+                f1_monet::Atom::Oid(i) => *i as usize * 3,
+                other => panic!("{name}: head {other}"),
+            })
+            .collect();
+        assert_eq!(read, explained, "{name}: {mil}");
+        assert_eq!(read.is_empty(), hostile.contains(&name.as_str()), "{name}");
+    }
+    assert!(vdbms.kernel().has_bat("v.ev.kind"));
+}
+
+/// A cold read parses nothing: once each kind's plan is cached, 1,000
+/// reads with distinct drivers are 1,000 evaluations of the programs
+/// parsed with the plans, and not one more parse.
+#[test]
+fn cold_driver_reads_evaluate_prepared_programs_without_parsing() {
+    let vdbms = race_length(3, 4_096);
+    let targets = ["HIGHLIGHTS", "EXCITED", "PITSTOPS"];
+    let read = |d: usize| {
+        let text = format!("RETRIEVE {} WITH DRIVER \"D{d}\"", targets[d % 3]);
+        assert!(!vdbms.query("v", &text).unwrap().is_empty(), "{text}");
+    };
+    // Enough evaluations first that the doubling refresh policy stays
+    // out of the measured stretch; then the first read of each kind on
+    // a new generation compiles and parses its plan.
+    let counters = || {
+        let snap = vdbms.kernel().metrics().registry().snapshot();
+        (
+            snap.counter("mil.parses", &[]),
+            snap.counter("mil.evals", &[]),
+        )
+    };
+    (0..1_100).for_each(read);
+    vdbms.refresh_plan_costs();
+    let (parses, _) = counters();
+    (1_100..1_103).for_each(read);
+    let (parses_after, _) = counters();
+    assert_eq!(
+        parses_after - parses,
+        6,
+        "each plan parses its two programs"
+    );
+    let (parses, evals) = counters();
+    (2_000..3_000).for_each(read);
+    let (parses_after, evals_after) = counters();
+    assert_eq!(parses_after - parses, 0, "no read parses");
+    assert_eq!(evals_after - evals, 1_000, "one evaluation per read");
+}
