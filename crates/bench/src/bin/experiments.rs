@@ -1,18 +1,10 @@
 //! The experiments binary: regenerates every table and figure of the
-//! paper's evaluation on the synthetic substrate, and runs the two
-//! many-client load tests of the serving layer.
-//!
-//! ```text
-//! experiments [--duration SECONDS] [table1 table2 table3 table4 ablation
-//!              fig9 temporal clustering keywords endpoint shots hmm queries
-//!              serve shard]
-//! ```
+//! paper's evaluation on the synthetic substrate.
 //!
 //! With no experiment names, everything runs. Traces for Fig. 9 are
 //! written to `fig9_traces.json` next to the working directory. An
-//! unknown name or an unparsable duration exits with status 2 before
-//! anything runs; `serve` and `shard` check their own bounds and make
-//! the exit status 1 when one is broken.
+//! unknown name or an unparsable duration prints the usage line and
+//! exits with status 2 before anything runs.
 
 use std::time::Instant;
 
@@ -36,7 +28,7 @@ const GERMAN: [&str; 12] = [
     "queries",
 ];
 /// The experiments that need no synthetic broadcast.
-const STANDALONE: [&str; 3] = ["hmm", "serve", "shard"];
+const STANDALONE: [&str; 1] = ["hmm"];
 
 fn usage_error(why: &str) -> ! {
     eprintln!("experiments: {why}");
@@ -139,23 +131,6 @@ fn main() {
     if want("queries") {
         println!("{}", experiments::queries(&races));
     }
-    let mut broken = Vec::new();
-    if want("serve") {
-        let (table, bounds) = experiments::serve();
-        println!("{table}");
-        broken.extend(bounds);
-    }
-    if want("shard") {
-        let (table, bounds) = experiments::shard();
-        println!("{table}");
-        broken.extend(bounds);
-    }
 
     eprintln!("\ntotal wall time: {:.1}s", t0.elapsed().as_secs_f64());
-    if !broken.is_empty() {
-        for bound in &broken {
-            eprintln!("bound broken: {bound}");
-        }
-        std::process::exit(1);
-    }
 }

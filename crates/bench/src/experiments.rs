@@ -1,5 +1,4 @@
-//! The experiment functions, one per table/figure of the paper, and the
-//! two load runs of the serving layer.
+//! The experiment functions, one per table/figure of the paper.
 
 use std::time::Instant;
 
@@ -682,417 +681,4 @@ pub fn queries(races: &Races) -> Table {
         false,
     );
     table
-}
-
-/// Records `what` as a broken bound unless `ok` holds.
-fn require(broken: &mut Vec<String>, ok: bool, what: String) {
-    if !ok {
-        broken.push(what);
-    }
-}
-
-/// **Serving layer** — the cobra-serve load test: a closed-loop client
-/// fleet against a live TCP server over a catalog-only video (no media
-/// pipeline, so the run isolates protocol + scheduling + query path),
-/// in two regimes. *At the admission limit* every request must succeed;
-/// at *twice* the limit the excess must surface as typed `overloaded`
-/// rejections — never hangs, errors or worker panics. A third section
-/// sweeps the *connection* axis: a mostly-idle population ramped to
-/// 4096 held connections while an 8-client active core keeps querying,
-/// reporting per-level RSS — near-flat per-idle-connection memory is
-/// the reactor's claim (a thread-per-connection server pays two stacks
-/// per connection and falls over well before 4096). Returns the table
-/// and every bound the run broke; the binary exits non-zero on any.
-pub fn serve() -> (Table, Vec<String>) {
-    use cobra_serve::load::{connection_sweep, run as run_load, LoadConfig, LoadReport};
-    use cobra_serve::server::{start, ServerConfig};
-    use f1_cobra::catalog::{EventRecord, VideoInfo};
-    use f1_cobra::Vdbms;
-    use std::sync::Arc;
-
-    const CLIPS: usize = 600;
-    const WORKERS: usize = 8;
-    const QUEUE_CAP: usize = 32;
-    const REQUESTS_PER_CLIENT: usize = 50;
-    const IDLE_CONNECTIONS: usize = 4096;
-    /// Unique RSS an idle connection may cost: well under a thread
-    /// stack, a few pages of reactor bookkeeping at most.
-    const IDLE_CONN_RSS_BYTES: u64 = 32 * 1024;
-
-    let vdbms = Arc::new(Vdbms::new());
-    vdbms
-        .catalog
-        .register_video(VideoInfo {
-            name: "bench".into(),
-            n_clips: CLIPS,
-            n_frames: CLIPS * VIDEO_FPS / clips_per_second(),
-        })
-        .expect("register bench video");
-    let events: Vec<EventRecord> = (0..CLIPS / 3)
-        .map(|i| EventRecord {
-            kind: match i % 3 {
-                0 => "highlight",
-                1 => "excited",
-                _ => "caption:pit_stop",
-            }
-            .into(),
-            start: i * 3,
-            end: i * 3 + 2,
-            driver: (i % 4 == 0).then(|| "SCHUMACHER".to_string()),
-        })
-        .collect();
-    vdbms
-        .catalog
-        .store_events("bench", &events)
-        .expect("catalog accepts events");
-
-    let handle = start(
-        Arc::clone(&vdbms),
-        ServerConfig {
-            workers: WORKERS,
-            queue_cap: QUEUE_CAP,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server starts");
-    let admission_limit = handle.admission_limit();
-
-    let regime = |clients: usize| LoadConfig {
-        clients,
-        requests_per_client: REQUESTS_PER_CLIENT,
-        video: "bench".into(),
-        queries: vec![
-            "RETRIEVE HIGHLIGHTS".to_string(),
-            "RETRIEVE EXCITED".to_string(),
-            "RETRIEVE PITSTOPS".to_string(),
-            "PROFILE RETRIEVE HIGHLIGHTS".to_string(),
-        ],
-        deadline_ms: None,
-        // All-cold traffic: each request carries a distinct driver
-        // variant, so the result cache and single-flight coalescing
-        // stay out of the picture and both regimes keep measuring the
-        // scheduler + admission control.
-        distinct: 50_000,
-        zipf: None,
-        seed: 0,
-        arrival_rps: None,
-    };
-
-    // Regime A: 32 concurrent clients, below the admission limit —
-    // closed-loop, so in-flight requests never exceed the client count
-    // and nothing may be rejected.
-    let at_limit = run_load(handle.addr(), &regime(32));
-    // Regime B: twice the admission limit — the excess must be shed as
-    // typed `overloaded` rejections, all other answers staying intact.
-    let over_limit = run_load(handle.addr(), &regime(2 * admission_limit));
-
-    // Connection sweep: ramp a mostly-idle population to 4096 held
-    // connections while a small active core keeps the query path warm.
-    // The fd ceiling covers 4096 idle + active + server-side fds.
-    let _ = cobra_serve::raise_nofile_limit(16_384);
-    let mut active = regime(8);
-    active.requests_per_client = 25;
-    let sweep = connection_sweep(handle.addr(), &[64, 512, IDLE_CONNECTIONS], &active);
-    handle.shutdown();
-
-    let mut table = Table::new(
-        &format!(
-            "Serving — closed-loop load vs cobra-serve \
-             ({WORKERS} workers, queue {QUEUE_CAP}, admission limit {admission_limit})"
-        ),
-        &[
-            "regime", "clients", "ok", "overload", "deadline", "errors", "rps", "p50 us", "p95 us",
-            "p99 us",
-        ],
-    );
-    let mut row = |name: String, r: &LoadReport| {
-        table.row(vec![
-            Cell::Text(name),
-            Cell::Num(r.clients as f64),
-            Cell::Num(r.ok as f64),
-            Cell::Num(r.overloaded as f64),
-            Cell::Num(r.deadline as f64),
-            Cell::Num(r.errors as f64),
-            Cell::Num(r.throughput_rps()),
-            Cell::Num(r.percentile(0.50) as f64),
-            Cell::Num(r.percentile(0.95) as f64),
-            Cell::Num(r.percentile(0.99) as f64),
-        ]);
-    };
-    row("at limit".into(), &at_limit);
-    row("2x limit".into(), &over_limit);
-    for level in &sweep {
-        row(
-            format!(
-                "{} idle ({:.1} KB/conn)",
-                level.connections,
-                level.rss_per_idle_conn_bytes as f64 / 1024.0
-            ),
-            &level.active,
-        );
-    }
-
-    let mut broken = Vec::new();
-    require(
-        &mut broken,
-        admission_limit == WORKERS + QUEUE_CAP,
-        format!("admission limit {admission_limit} is not workers {WORKERS} + queue {QUEUE_CAP}"),
-    );
-    for (name, r) in [("at limit", &at_limit), ("2x limit", &over_limit)] {
-        require(
-            &mut broken,
-            r.errors == 0 && r.ok > 0,
-            format!(
-                "{name}: {} errors, {} ok (want 0 errors, > 0 ok)",
-                r.errors, r.ok
-            ),
-        );
-    }
-    require(
-        &mut broken,
-        at_limit.overloaded == 0,
-        format!(
-            "at limit: {} requests shed below the admission limit",
-            at_limit.overloaded
-        ),
-    );
-    require(
-        &mut broken,
-        over_limit.overloaded > 0,
-        "2x limit: no typed `overloaded` rejection at twice the admission limit".into(),
-    );
-    for level in &sweep {
-        require(
-            &mut broken,
-            level.rss_total_bytes > 0 && level.active.errors == 0 && level.active.ok > 0,
-            format!(
-                "{} idle: active core saw {} errors, {} ok (RSS {} B)",
-                level.connections, level.active.errors, level.active.ok, level.rss_total_bytes
-            ),
-        );
-    }
-    let (held, per_conn) = sweep
-        .last()
-        .map_or((0, 0), |l| (l.connections, l.rss_per_idle_conn_bytes));
-    require(
-        &mut broken,
-        held >= IDLE_CONNECTIONS,
-        format!("connection sweep held {held} idle connections, not {IDLE_CONNECTIONS}"),
-    );
-    require(
-        &mut broken,
-        per_conn < IDLE_CONN_RSS_BYTES,
-        format!(
-            "an idle connection costs {per_conn} B of RSS at {held} held \
-             (bound {IDLE_CONN_RSS_BYTES})"
-        ),
-    );
-    (table, broken)
-}
-
-/// **Sharded serving** — throughput of the scatter-gather router as the
-/// same catalog is split across 1, 2 and 4 kernel worker *processes*.
-/// Each topology seeds per-shard durable data dirs with the ring the
-/// router routes by, spawns genuine `cobra-serve` children, and drives
-/// an all-cold closed-loop mix of cross-video sweeps and single-video
-/// queries through the router (result cache off, so every request
-/// executes). Every sweep must complete loss-free and ask every shard
-/// exactly once — the router's own `router.forward` counters show a
-/// hidden retry or a shard asked twice on any host; near-linear 1→4
-/// scaling needs cores to scale onto, so that bound applies only where
-/// the host offers at least four. Returns the table and every bound
-/// the run broke; the binary exits non-zero on any.
-pub fn shard() -> (Table, Vec<String>) {
-    use cobra_serve::load::{run as run_load, LoadConfig, LoadReport};
-    use cobra_serve::ring::{Ring, DEFAULT_SEED};
-    use cobra_serve::router::{start as start_router, RouterConfig};
-    use cobra_serve::spawn::{find_worker_binary, spawn_worker, WorkerProcess};
-    use f1_cobra::catalog::{EventRecord, VideoInfo};
-    use f1_cobra::{FsyncPolicy, RetryPolicy, StoreConfig, Vdbms};
-
-    const VIDEOS: usize = 8;
-    const CLIPS: usize = 1200;
-    const CLIENTS: usize = 8;
-    const REQUESTS_PER_CLIENT: usize = 60;
-    const WORKERS_PER_SHARD: usize = 2;
-    const SHARD_COUNTS: [u32; 3] = [1, 2, 4];
-
-    let binary = find_worker_binary().expect("cobra-serve binary next to the experiments binary");
-
-    // One run of the closed-loop mix against a freshly seeded topology:
-    // the shard count, the load report, and the router's
-    // `router.forward{result=ok}` and `{result=retried}` counts over it.
-    let run_topology = |shards: u32| -> (u32, LoadReport, u64, u64) {
-        let root =
-            std::env::temp_dir().join(format!("cobra-bench-shard-{}-{shards}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let ring = Ring::new(shards, DEFAULT_SEED);
-
-        // Seed each shard's slice durably (fsync off: seeding is not
-        // the measurement), exactly as the router will partition it.
-        for shard in 0..shards {
-            let config = StoreConfig {
-                fsync: FsyncPolicy::Never,
-                ..StoreConfig::new(root.join(format!("shard-{shard}")))
-            };
-            let vdbms = Vdbms::open(&config).expect("seed shard data dir");
-            for v in 0..VIDEOS {
-                let name = format!("race-{v}");
-                if ring.owner(&name) != shard {
-                    continue;
-                }
-                vdbms
-                    .catalog
-                    .register_video(VideoInfo {
-                        name: name.clone(),
-                        n_clips: CLIPS,
-                        n_frames: CLIPS * VIDEO_FPS / clips_per_second(),
-                    })
-                    .expect("register bench video");
-                let events: Vec<EventRecord> = (0..CLIPS / 2)
-                    .map(|i| EventRecord {
-                        kind: match i % 3 {
-                            0 => "highlight",
-                            1 => "excited",
-                            _ => "caption:pit_stop",
-                        }
-                        .into(),
-                        start: i * 2,
-                        end: i * 2 + 1,
-                        driver: (i % 4 == 0).then(|| format!("Z{}", i % 64)),
-                    })
-                    .collect();
-                vdbms
-                    .catalog
-                    .store_events(&name, &events)
-                    .expect("store bench events");
-            }
-            vdbms.checkpoint().expect("checkpoint seed data");
-        }
-
-        let workers: Vec<WorkerProcess> = (0..shards)
-            .map(|shard| {
-                let args = vec![
-                    "--addr".to_string(),
-                    "127.0.0.1:0".to_string(),
-                    "--workers".to_string(),
-                    WORKERS_PER_SHARD.to_string(),
-                    "--queue-cap".to_string(),
-                    "64".to_string(),
-                    "--data-dir".to_string(),
-                    root.join(format!("shard-{shard}")).display().to_string(),
-                ];
-                spawn_worker(&binary, &args)
-                    .unwrap_or_else(|e| panic!("spawning bench shard {shard}: {e}"))
-            })
-            .collect();
-        let router = start_router(RouterConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: workers.iter().map(|w| w.addr().to_string()).collect(),
-            seed: DEFAULT_SEED,
-            retry: RetryPolicy {
-                max_retries: 2,
-                backoff_ms: 25,
-            },
-            // All-cold by construction: every request must execute, so
-            // the numbers measure scatter-gather + kernel work, not the
-            // router's result cache.
-            cache: false,
-            ..RouterConfig::default()
-        })
-        .expect("start bench router");
-
-        let report = run_load(
-            router.addr(),
-            &LoadConfig {
-                clients: CLIENTS,
-                requests_per_client: REQUESTS_PER_CLIENT,
-                video: "*".into(),
-                queries: vec![
-                    "RETRIEVE HIGHLIGHTS".to_string(),
-                    "RETRIEVE EXCITED".to_string(),
-                    "RETRIEVE PITSTOPS".to_string(),
-                ],
-                deadline_ms: None,
-                distinct: 4096,
-                zipf: None,
-                seed: 0,
-                arrival_rps: None,
-            },
-        );
-
-        let snapshot = router.registry().snapshot();
-        let forwards = |result| snapshot.counter("router.forward", &[("result", result)]);
-        let (asked, retried) = (forwards("ok"), forwards("retried"));
-        router.shutdown();
-        drop(workers); // SIGKILL + reap
-        let _ = std::fs::remove_dir_all(&root);
-        (shards, report, asked, retried)
-    };
-
-    let reports = SHARD_COUNTS.map(run_topology);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let base = reports[0].1.throughput_rps().max(1e-9);
-    let speedup = |r: &LoadReport| r.throughput_rps() / base;
-
-    let mut table = Table::new(
-        &format!(
-            "Sharding — cross-video sweeps through the scatter-gather router \
-             ({VIDEOS} videos, {CLIENTS} clients, {WORKERS_PER_SHARD} threads/shard, \
-             {cores} host cores)"
-        ),
-        &[
-            "shards", "ok", "overload", "errors", "rps", "speedup", "p50 us", "p95 us",
-        ],
-    );
-    let mut broken = Vec::new();
-    for (shards, r, asked, retried) in &reports {
-        table.row(vec![
-            Cell::Num(*shards as f64),
-            Cell::Num(r.ok as f64),
-            Cell::Num(r.overloaded as f64),
-            Cell::Num(r.errors as f64),
-            Cell::Num(r.throughput_rps()),
-            Cell::Num(speedup(r)),
-            Cell::Num(r.percentile(0.50) as f64),
-            Cell::Num(r.percentile(0.95) as f64),
-        ]);
-        require(
-            &mut broken,
-            r.errors == 0 && r.overloaded == 0 && r.ok == CLIENTS * REQUESTS_PER_CLIENT,
-            format!(
-                "{shards} shard(s): {} ok of {}, {} overloaded, {} errors (want loss-free)",
-                r.ok,
-                CLIENTS * REQUESTS_PER_CLIENT,
-                r.overloaded,
-                r.errors
-            ),
-        );
-        let sweeps = (CLIENTS * REQUESTS_PER_CLIENT) as u64;
-        require(
-            &mut broken,
-            *asked == sweeps * u64::from(*shards) && *retried == 0,
-            format!(
-                "{shards} shard(s): {asked} forwards answered and {retried} retried over \
-                 {sweeps} sweeps (want every shard asked once per sweep, no retry)"
-            ),
-        );
-    }
-    // With fewer than four cores there is nothing to scale onto, and a
-    // ratio of two wall-clock rates on a shared host proves nothing.
-    if cores >= 4 {
-        for ((shards, r, ..), want) in reports.iter().skip(1).zip([1.1, 1.5]) {
-            require(
-                &mut broken,
-                speedup(r) >= want,
-                format!(
-                    "{shards} shards run {:.2}x one shard on {cores} cores (want >= {want}x)",
-                    speedup(r)
-                ),
-            );
-        }
-    }
-    (table, broken)
 }

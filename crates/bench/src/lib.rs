@@ -6,9 +6,8 @@
 //! measured values. The tables are clients of one shared VDBMS
 //! ([`Races`]): it ingests the races, trains and installs the networks,
 //! answers `infer` and `RETRIEVE`; this crate only scores what comes
-//! back. Beside them sit `serve` and `shard`, the two
-//! many-client load runs of the serving layer, which check their own
-//! bounds; every other timing is the repo benchmark's (`benchmark/`).
+//! back. Timing the serving layer is the repo benchmark's job
+//! (`benchmark/`).
 //!
 //! Durations: the real races run ≈ 90 minutes; the harness defaults to
 //! 600 s broadcasts (the same event structure at a tractable scale —

@@ -5,8 +5,7 @@
 //! caller can interleave commands freely; this client keeps at most one
 //! request outstanding per call, while the raw
 //! [`send`](Client::send)/[`recv`](Client::recv) pair is exposed for
-//! tests (and load generators) that want pipelining or mid-request
-//! disconnects.
+//! tests that want pipelining or mid-request disconnects.
 //!
 //! Received bytes collect in the session's
 //! [`FrameDecoder`](crate::protocol::FrameDecoder), so a read that times

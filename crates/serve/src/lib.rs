@@ -15,8 +15,7 @@
 //! draining in-flight queries on shutdown ([`server`]).
 //!
 //! The same crate ships the blocking [`client`] library (used by the
-//! `cobra-cli` binary and the integration tests), the closed-loop
-//! [`load`] generator behind `experiments serve`, and the sharding
+//! `cobra-cli` binary and the integration tests) and the sharding
 //! layer: a seeded consistent-hash [`ring`] assigning videos to worker
 //! processes and a scatter-gather [`router`] that speaks the same wire
 //! protocol on both sides (`cobra-router` binary).
@@ -39,7 +38,6 @@
 
 pub mod client;
 mod front;
-pub mod load;
 pub mod protocol;
 pub mod reactor;
 pub mod ring;

@@ -118,8 +118,9 @@ mod sys {
 }
 
 /// Raises the soft `RLIMIT_NOFILE` toward `want` (capped by the hard
-/// limit) and returns the soft limit now in effect. Connection sweeps
-/// and the reactor smoke test need thousands of fds per process.
+/// limit) and returns the soft limit now in effect. The `cobra-serve`
+/// and `cobra-router` daemons call it at startup, so one process can
+/// hold thousands of connections.
 pub fn raise_nofile_limit(want: u64) -> u64 {
     let mut lim = sys::Rlimit { cur: 0, max: 0 };
     // Safety: plain out-parameter call; `lim` outlives the call.

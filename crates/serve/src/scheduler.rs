@@ -24,16 +24,6 @@ use cobra_obs::{Counter, Gauge, Registry};
 /// A unit of admitted work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// How long a client of the pool should sleep before re-submitting
-/// after [`SubmitError::Overloaded`], given how many rejections it has
-/// absorbed in a row. Bounded exponential backoff — 1ms doubling to a
-/// 64ms ceiling — so a saturated pool is never busy-spun against
-/// (`yield_now` in a retry loop burns a core without yielding queue
-/// room), yet the first retry lands fast when the overload was a blip.
-pub fn overload_backoff(attempt: u32) -> std::time::Duration {
-    std::time::Duration::from_millis(1u64 << attempt.min(6))
-}
-
 /// Why a submission was refused. Both variants are immediate — the
 /// scheduler never blocks an admission decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,8 +120,7 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// How many jobs can run or wait at once — the admission limit the
-    /// load test drives against.
+    /// How many jobs can run or wait at once — the admission limit.
     pub fn admission_limit(&self) -> usize {
         self.n_workers + self.shared.queue_cap
     }
@@ -192,7 +181,6 @@ mod tests {
             // Submit with retry: 32 jobs against capacity 4+16 will
             // transiently overload, which is the designed behavior.
             let done = Arc::clone(&done);
-            let mut attempt = 0u32;
             loop {
                 let d = Arc::clone(&done);
                 match pool.try_submit(Box::new(move || {
@@ -200,8 +188,7 @@ mod tests {
                 })) {
                     Ok(()) => break,
                     Err(SubmitError::Overloaded { .. }) => {
-                        std::thread::sleep(overload_backoff(attempt));
-                        attempt += 1;
+                        std::thread::sleep(Duration::from_millis(1));
                     }
                     Err(SubmitError::ShuttingDown) => panic!("not shutting down"),
                 }
@@ -209,14 +196,6 @@ mod tests {
         }
         pool.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 32);
-    }
-
-    #[test]
-    fn overload_backoff_doubles_to_a_ceiling() {
-        assert_eq!(overload_backoff(0), Duration::from_millis(1));
-        assert_eq!(overload_backoff(3), Duration::from_millis(8));
-        assert_eq!(overload_backoff(6), Duration::from_millis(64));
-        assert_eq!(overload_backoff(1000), Duration::from_millis(64));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Spawning and supervising `cobra-serve` worker processes.
 //!
 //! The sharded topology is real multi-process: the `cobra-router`
-//! binary, the multi-shard test harness, and the `experiments shard`
-//! benchmark all launch genuine `cobra-serve` children (OS-assigned
-//! ports, their own data dirs) and wait for the readiness line the
-//! daemon prints on stdout. This module is that shared mechanism.
+//! binary and the multi-shard test harness both launch genuine
+//! `cobra-serve` children (OS-assigned ports, their own data dirs) and
+//! wait for the readiness line the daemon prints on stdout. This module
+//! is that shared mechanism.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};

@@ -1,10 +1,12 @@
 //! Overload, deadline, disconnect and shutdown behavior — the serving
-//! layer's guard rails under adversarial timing. The server runs in
-//! debug mode so the `sleep` command provides deterministic slow
-//! queries (a budget-guarded busy-wait holding a real worker).
+//! layer's guard rails under adversarial timing. The server mostly runs
+//! in debug mode so the `sleep` command provides deterministic slow
+//! queries (a budget-guarded busy-wait holding a real worker); the
+//! admission regimes drive real all-cold queries from many clients.
 
 mod common;
 
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use cobra_faults::{FaultPlan, Trigger};
@@ -261,4 +263,85 @@ fn shutdown_drains_in_flight_queries_under_fault_injection() {
         Client::connect(addr).is_err(),
         "listener still accepting after shutdown"
     );
+}
+
+/// `clients` threads each open one session and send 50 queries back to
+/// back, so at most `clients` requests are ever in flight. Every text is
+/// distinct (a `WITH DRIVER` suffix per client and request), so neither
+/// the result cache nor single-flight coalescing absorbs any. Returns
+/// how many were answered, shed as `overloaded`, and failed otherwise.
+fn closed_loop(addr: SocketAddr, clients: usize) -> [usize; 3] {
+    const BASES: [&str; 4] = [
+        "RETRIEVE HIGHLIGHTS",
+        "RETRIEVE EXCITED",
+        "RETRIEVE PITSTOPS",
+        "PROFILE RETRIEVE HIGHLIGHTS",
+    ];
+    let threads: Vec<_> = (0..clients)
+        .map(|k| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                client
+                    .set_timeout(Some(Duration::from_secs(30)))
+                    .expect("arm the no-hang bound");
+                let mut tally = [0; 3];
+                for r in k * 50..(k + 1) * 50 {
+                    let text = format!("{} WITH DRIVER \"Z{r}\"", BASES[r % BASES.len()]);
+                    tally[match client.query(VIDEO, &text) {
+                        Ok(_) => 0,
+                        Err(e) if e.server_kind() == Some(ErrorKind::Overloaded) => 1,
+                        Err(_) => 2,
+                    }] += 1;
+                }
+                tally
+            })
+        })
+        .collect();
+    threads.into_iter().fold([0; 3], |sum, t| {
+        let tally = t.join().expect("client thread");
+        [0, 1, 2].map(|i| sum[i] + tally[i])
+    })
+}
+
+#[test]
+fn admission_sheds_only_what_exceeds_the_limit_and_types_it() {
+    const WORKERS: usize = 8;
+    const QUEUE_CAP: usize = 32;
+
+    let config = ServerConfig {
+        workers: WORKERS,
+        queue_cap: QUEUE_CAP,
+        debug: true,
+        ..ServerConfig::default()
+    };
+    let handle = start(fixture_vdbms(), config).expect("server starts");
+    let limit = handle.admission_limit();
+    assert_eq!(limit, WORKERS + QUEUE_CAP);
+
+    // 32 clients never fill 32 queue slots: nothing may be shed.
+    let tally = closed_loop(handle.addr(), 32);
+    assert_eq!(tally, [32 * 50, 0, 0], "below the admission limit");
+
+    // Twice the limit: the excess is shed as typed `overloaded` answers,
+    // the rest is answered. A 2 s `sleep` on every worker keeps all 80
+    // first queries waiting at once, so 32 are queued and the other 48
+    // are shed however fast the host runs the cold queries.
+    let mut holder = Client::connect(handle.addr()).expect("connect");
+    for _ in 0..WORKERS {
+        holder
+            .send(json!({"cmd": "sleep", "ms": 2000}))
+            .expect("send sleep");
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    let [ok, shed, failed] = closed_loop(handle.addr(), 2 * limit);
+    assert!(
+        shed >= 2 * limit - QUEUE_CAP && failed == 0 && ok > 0,
+        "at twice the limit: {ok} ok, {shed} overloaded, {failed} failed"
+    );
+    for _ in 0..WORKERS {
+        let response = holder.recv().expect("sleep answer arrives");
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
+    }
+
+    handle.shutdown();
 }

@@ -752,3 +752,87 @@ fn out_of_band_writes_arrive_by_push_and_a_dead_shard_is_never_served_from_cache
         assert_eq!(err.server_kind(), Some(ErrorKind::ShardUnavailable));
     }
 }
+
+/// Eight videos of 1,200 clips, each with 600 events and drivers
+/// `Z0`…`Z63`: enough work per part that shards have something to
+/// split.
+fn sweep_videos() -> Vec<SeedVideo> {
+    const CLIPS: usize = 1200;
+    (0..8)
+        .map(|v| {
+            let events = (0..CLIPS / 2)
+                .map(|i| {
+                    let kind = ["highlight", "excited", "caption:pit_stop"][i % 3];
+                    let driver = (i % 4 == 0).then(|| format!("Z{}", i % 64));
+                    event(kind, i * 2, i * 2 + 1, driver.as_deref())
+                })
+                .collect();
+            seed_video(&format!("race-{v}"), CLIPS, events)
+        })
+        .collect()
+}
+
+/// Closed-loop all-cold sweeps through 1, 2 and 4 shards, router cache
+/// off: every sweep is answered and asks each shard exactly once, with
+/// no retry (the router's own `router.forward` counters show a hidden
+/// retry or a shard asked twice on any host). The scaling bounds need
+/// an optimised build and four cores to scale onto.
+#[test]
+fn every_sweep_asks_each_shard_once_at_every_width() {
+    const CLIENTS: usize = 8;
+    const SWEEPS_PER_CLIENT: usize = 60;
+    const BASES: [&str; 3] = [
+        "RETRIEVE HIGHLIGHTS",
+        "RETRIEVE EXCITED",
+        "RETRIEVE PITSTOPS",
+    ];
+    let _gate = serialize();
+    let videos = sweep_videos();
+    let sweeps = CLIENTS * SWEEPS_PER_CLIENT;
+    let mut rps = Vec::new();
+    for shards in [1u32, 2, 4] {
+        let cluster = ShardCluster::start_opts(shards, &videos, false);
+        let registry = cluster.registry();
+        let before = registry.snapshot();
+        let started = std::time::Instant::now();
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|k| {
+                let mut client = cluster.client();
+                std::thread::spawn(move || {
+                    // A driver per client and sweep: nothing repeats, so
+                    // no worker answers from its result cache either.
+                    (0..SWEEPS_PER_CLIENT)
+                        .filter_map(|i| {
+                            let r = k * SWEEPS_PER_CLIENT + i;
+                            let text = format!("{} WITH DRIVER \"Z{r}\"", BASES[r % BASES.len()]);
+                            client.query("*", &text).err().map(|e| e.to_string())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let failed: Vec<String> = clients
+            .into_iter()
+            .flat_map(|t| t.join().expect("client thread"))
+            .collect();
+        rps.push(sweeps as f64 / started.elapsed().as_secs_f64());
+        assert!(failed.is_empty(), "{shards} shard(s): {failed:?}");
+        let d = registry.snapshot().delta(&before);
+        assert_eq!(
+            d.counter("router.forward", &[("result", "ok")]),
+            sweeps as u64 * u64::from(shards),
+            "{shards} shard(s): every shard asked once per sweep"
+        );
+        assert_eq!(d.counter("router.forward", &[("result", "retried")]), 0);
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if !cfg!(debug_assertions) && cores >= 4 {
+        for (shards, got, want) in [(2, rps[1], 1.1), (4, rps[2], 1.5)] {
+            assert!(
+                got / rps[0] >= want,
+                "{shards} shards run {:.2}x one shard on {cores} cores (want >= {want}x)",
+                got / rps[0]
+            );
+        }
+    }
+}
