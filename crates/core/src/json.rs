@@ -243,6 +243,38 @@ pub fn write_answered(w: &mut Writer<'_>, answered: &Answered) {
     }
 }
 
+/// The bytes [`write_answered`] writes for `answered`, to size a reply's
+/// buffer once: exact or one over when no text needs an escape (and no
+/// clip is beyond 2^53), `0` for a span tree.
+pub fn answered_len(answered: &Answered) -> usize {
+    match answered {
+        Answered::Video(entry) => {
+            r#"{"kind":"segments","segments":}"#.len() + list_len(&entry.value.segments)
+        }
+        Answered::Sweep(entries) => {
+            let groups = entries.iter().map(|(video, entry)| {
+                r#"{"segments":,"video":""},"#.len() + entry.value.list().len() + video.len()
+            });
+            r#"{"kind":"multi","videos":[]}"#.len() + groups.sum::<usize>()
+        }
+        Answered::Output(_) => 0,
+    }
+}
+
+/// The bytes `write_segments` writes for `segments`, plus the one comma
+/// counted after the last row.
+fn list_len(segments: &[RetrievedSegment]) -> usize {
+    let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let row = |seg: &RetrievedSegment| {
+        r#"{"driver":"","end":,"label":"","start":},"#.len()
+            + seg.driver.as_ref().map_or(2, String::len)
+            + seg.label.len()
+            + digits(seg.start)
+            + digits(seg.end)
+    };
+    "[]".len() + segments.iter().map(row).sum::<usize>()
+}
+
 /// Reads an array of `T`s; `None` when the value is not an array or any
 /// element is not a `T`.
 fn read_list<'a, T>(
@@ -268,11 +300,11 @@ fn read_segment(r: &mut Reader<'_>) -> Result<Option<RetrievedSegment>, ParseErr
             "end" => end = r.u64()?,
             "label" => label = r.string()?,
             "driver" => {
-                driver = if r.null()? {
-                    Some(None)
-                } else {
-                    r.string()?.map(Some)
-                }
+                let mark = r.mark();
+                driver = match r.string()? {
+                    Some(name) => Some(Some(name)),
+                    None => (r.since(mark) == "null").then_some(None),
+                };
             }
             _ => {}
         }

@@ -12,10 +12,10 @@
 //! and [`Running::shutdown`] the one shutdown order.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-use cobra_obs::Registry;
+use cobra_obs::{Counter, Registry};
 use serde_json::{json, Value};
 
 use crate::protocol::{encode_reply, err_response, ok_response, ErrorKind};
@@ -53,6 +53,21 @@ pub(crate) trait Door: Send + Sync + Sized + 'static {
     fn stopped(&self);
 }
 
+/// The commands either door speaks, whose `serve.requests{cmd}` series
+/// a front end resolves once each; any other name goes to the registry.
+const COMMANDS: [&str; 10] = [
+    "query",
+    "ping",
+    "version",
+    "stats",
+    "videos",
+    "checkpoint",
+    "subscribe",
+    "unsubscribe",
+    "write_event",
+    "sleep",
+];
+
 /// Everything a door's requests share.
 pub(crate) struct Front<D: Door> {
     pub(crate) door: D,
@@ -60,6 +75,9 @@ pub(crate) struct Front<D: Door> {
     pub(crate) pool: WorkerPool,
     pub(crate) hub: Arc<Hub<D::Source>>,
     registry: Arc<Registry>,
+    /// `serve.requests{cmd}` of each of [`COMMANDS`], resolved on its
+    /// first request.
+    requests: [OnceLock<Arc<Counter>>; COMMANDS.len()],
 }
 
 /// A started front end. Dropping it without calling
@@ -93,6 +111,7 @@ impl<D: Door> Front<D> {
             pool,
             hub,
             registry: Arc::clone(registry),
+            requests: Default::default(),
         });
         let reactor = ReactorConfig {
             name: name.into(),
@@ -106,6 +125,15 @@ impl<D: Door> Front<D> {
             front,
             reactor,
         })
+    }
+
+    /// Counts one request for `cmd` in `serve.requests{cmd}`.
+    fn count_request(&self, cmd: &str) {
+        let resolve = || self.registry.counter("serve.requests", &[("cmd", cmd)]);
+        match COMMANDS.iter().position(|&known| known == cmd) {
+            Some(i) => self.requests[i].get_or_init(resolve).inc(),
+            None => resolve().inc(),
+        }
     }
 
     /// Queues a response built as a tree on `conn`.
@@ -160,9 +188,7 @@ impl<D: Door> Service for Arc<Front<D>> {
             let missing = err_response(id, ErrorKind::BadRequest, "missing 'cmd'");
             return self.reply(conn, &missing);
         };
-        self.registry
-            .counter("serve.requests", &[("cmd", cmd)])
-            .inc();
+        self.count_request(cmd);
         match cmd {
             "ping" => self.reply(conn, &ok_response(id, json!({"kind": "pong"}))),
             // A subscription's initial evaluation is a real query, and the

@@ -86,11 +86,13 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Builds one frame around the payload `fill` writes: the length prefix
-/// is patched in once the length is known, and a payload over
-/// [`MAX_FRAME_LEN`] is refused.
-pub fn frame(fill: impl FnOnce(&mut Writer<'_>)) -> Result<Vec<u8>, FrameError> {
-    let mut out = vec![0u8; 4];
+/// Builds one frame around the payload `fill` writes, in a buffer sized
+/// for `len` payload bytes (an estimate: a longer payload still fits):
+/// the length prefix is patched in once the length is known, and a
+/// payload over [`MAX_FRAME_LEN`] is refused.
+pub fn frame(len: usize, fill: impl FnOnce(&mut Writer<'_>)) -> Result<Vec<u8>, FrameError> {
+    let mut out = Vec::with_capacity(4 + len.min(MAX_FRAME_LEN));
+    out.extend_from_slice(&[0; 4]);
     fill(&mut Writer::new(&mut out));
     let len = out.len() - 4;
     if len > MAX_FRAME_LEN {
@@ -103,7 +105,7 @@ pub fn frame(fill: impl FnOnce(&mut Writer<'_>)) -> Result<Vec<u8>, FrameError> 
 /// Serializes one frame (length prefix plus JSON) into an owned buffer,
 /// for writers that queue bytes instead of owning a socket.
 pub fn encode_frame(v: &Value) -> Result<Vec<u8>, FrameError> {
-    frame(|w| w.value(v))
+    frame(0, |w| w.value(v))
 }
 
 /// Writes one frame: length prefix plus serialized JSON, in one write.
@@ -116,13 +118,17 @@ pub fn write_frame(w: &mut impl Write, v: &Value) -> Result<(), FrameError> {
 /// The success frame for request `id` around the `result` that `body`
 /// writes straight into it: `{"id":…,"ok":true,"result":BODY[,"stamp":…]}`
 /// — byte for byte what [`ok_response`] (and a stamp inserted into it)
-/// would encode to.
+/// would encode to. `body_len` estimates the body's bytes, so that the
+/// frame is allocated once.
 pub fn ok_frame(
     id: u64,
     stamp: Option<Stamp>,
+    body_len: usize,
     body: impl FnOnce(&mut Writer<'_>),
 ) -> Result<Vec<u8>, FrameError> {
-    frame(|w| {
+    // The envelope around the body, a stamp's included.
+    const ENVELOPE: usize = 128;
+    frame(body_len + ENVELOPE, |w| {
         w.object(|w| {
             w.key("id");
             w.u64(id);
@@ -181,7 +187,13 @@ pub fn or_oversize(id: u64, built: Result<Vec<u8>, FrameError>) -> Vec<u8> {
 /// frame plus one read's worth of spillover.
 #[derive(Default)]
 pub struct FrameDecoder {
+    /// Received bytes up to `filled`; the initialised tail beyond it is
+    /// kept for the next read to land in, so a read zero-fills nothing
+    /// it did not grow.
     buf: Vec<u8>,
+    /// End of the received bytes.
+    filled: usize,
+    /// Start of the bytes not yet decoded.
     pos: usize,
 }
 
@@ -193,25 +205,34 @@ impl FrameDecoder {
 
     /// Appends freshly read bytes to the internal buffer.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
+        let end = self.room(bytes.len());
+        self.buf[self.filled..end].copy_from_slice(bytes);
+        self.filled = end;
     }
 
     /// Bytes buffered but not yet decoded.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.filled - self.pos
     }
 
-    /// Reclaims consumed prefix space once it dominates the buffer, so
-    /// a long-lived connection does not grow its buffer forever.
-    fn compact(&mut self) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
+    /// Makes `n` initialised bytes of room after the received ones and
+    /// returns where they end. Consumed prefix space is reclaimed first,
+    /// once it dominates the buffer, so a long-lived connection does not
+    /// grow its buffer forever.
+    fn room(&mut self, n: usize) -> usize {
+        if self.pos == self.filled {
+            self.filled = 0;
             self.pos = 0;
         } else if self.pos >= 4096 {
-            self.buf.drain(..self.pos);
+            self.buf.copy_within(self.pos..self.filled, 0);
+            self.filled -= self.pos;
             self.pos = 0;
         }
+        let end = self.filled + n;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        end
     }
 
     /// Reads once from `r` onto the end of the buffer and returns what
@@ -220,18 +241,16 @@ impl FrameDecoder {
     /// the next call resumes where this one stopped.
     pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
         const READ_CHUNK: usize = 16 * 1024;
-        self.compact();
-        let filled = self.buf.len();
-        self.buf.resize(filled + READ_CHUNK, 0);
-        let got = r.read(&mut self.buf[filled..]);
-        self.buf.truncate(filled + *got.as_ref().unwrap_or(&0));
-        got
+        let end = self.room(READ_CHUNK);
+        let got = r.read(&mut self.buf[self.filled..end])?;
+        self.filled += got;
+        Ok(got)
     }
 
     /// Payload length of the frame at the head of the buffer, once it
     /// has arrived whole.
     fn head(&self) -> Result<Option<usize>, FrameError> {
-        let Some(prefix) = self.buf[self.pos..].first_chunk::<4>() else {
+        let Some(prefix) = self.buf[self.pos..self.filled].first_chunk::<4>() else {
             return Ok(None);
         };
         let len = u32::from_be_bytes(*prefix) as usize;
@@ -252,7 +271,6 @@ impl FrameDecoder {
     /// it.
     pub fn next_payload(&mut self) -> Result<Option<&[u8]>, FrameError> {
         let Some(len) = self.head()? else {
-            self.compact();
             return Ok(None);
         };
         // The space is reclaimed by the next call that needs it, once
@@ -594,7 +612,7 @@ mod tests {
                 map.insert("stamp".into(), stamp_to_json(stamp));
             }
             assert_eq!(
-                ok_frame(7, stamp, |w| w.raw(body.as_bytes())).unwrap(),
+                ok_frame(7, stamp, body.len(), |w| w.raw(body.as_bytes())).unwrap(),
                 encode_frame(&tree).unwrap()
             );
         }
@@ -603,7 +621,7 @@ mod tests {
     #[test]
     fn an_oversized_reply_becomes_a_typed_error_under_its_own_id() {
         let body = format!("\"{}\"", "x".repeat(MAX_FRAME_LEN));
-        let built = ok_frame(42, None, |w| w.raw(body.as_bytes()));
+        let built = ok_frame(42, None, body.len(), |w| w.raw(body.as_bytes()));
         assert!(matches!(built, Err(FrameError::Oversized(n)) if n > MAX_FRAME_LEN));
         let substitute = or_oversize(42, built);
         let envelope = Envelope::from(serde_json::from_slice(payload(&substitute)).unwrap());
@@ -615,7 +633,10 @@ mod tests {
         );
         // Just under the cap passes through untouched.
         let body = format!("\"{}\"", "x".repeat(MAX_FRAME_LEN - 64));
-        let fits = or_oversize(42, ok_frame(42, None, |w| w.raw(body.as_bytes())));
+        let fits = or_oversize(
+            42,
+            ok_frame(42, None, body.len(), |w| w.raw(body.as_bytes())),
+        );
         assert_eq!(
             payload(&fits).len(),
             body.len() + r#"{"id":42,"ok":true,"result":}"#.len()

@@ -694,7 +694,10 @@ fn splice(id: u64, parts: &[&Part]) -> Answer {
     }
     // Parts come in shard order; the answer is in video-name order.
     groups.sort_by(|a, b| a.0.cmp(b.0));
-    Ok(pass(id, |w| join_groups(w, groups.iter().map(|g| g.1))))
+    let len = groups.iter().map(|g| g.1.len() + 1).sum();
+    Ok(pass(id, len, |w| {
+        join_groups(w, groups.iter().map(|g| g.1))
+    }))
 }
 
 /// Scatters the argument-less control command `cmd` to every shard and
@@ -728,9 +731,10 @@ fn shard_entry(shard: usize, answered: Result<Value, Fail>) -> Value {
 }
 
 /// The frame that passes the `result` `body` writes — a shard's, the
-/// cache's, a splice of them — on to the client under its request's id.
-fn pass(id: u64, body: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
-    or_oversize(id, ok_frame(id, None, body))
+/// cache's, a splice of them, about `len` bytes — on to the client under
+/// its request's id.
+fn pass(id: u64, len: usize, body: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    or_oversize(id, ok_frame(id, None, len, body))
 }
 
 /// The frame that answers request `id` with a typed failure.
@@ -791,7 +795,9 @@ fn handle_query(
         held.push(hit.or_else(|| fresh.next()).ok_or_else(no_reply)?);
     }
     let frame = match held.as_slice() {
-        [answer] if video != "*" => pass(id, |w| w.raw(answer.text().as_bytes())),
+        [answer] if video != "*" => {
+            pass(id, answer.text().len(), |w| w.raw(answer.text().as_bytes()))
+        }
         parts => splice(id, parts)?,
     };
     if let Some((cache, normalized)) = &cached {
@@ -825,7 +831,7 @@ fn write_event(shared: &RouterShared, conns: &mut [ShardConn], id: u64, request:
     let owner = [shared.ring.owner(video)];
     let mut acks = scatter(shared, conns, &owner, body, id, None, Part::read);
     let ack = acks.next().ok_or_else(no_reply)??.result;
-    Ok(pass(id, |w| w.raw(ack.text().as_bytes())))
+    Ok(pass(id, ack.text().len(), |w| w.raw(ack.text().as_bytes())))
 }
 
 /// The answer to request `id` aggregated from small per-shard trees.

@@ -32,12 +32,12 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use cobra_faults::CancellationToken;
-use cobra_obs::Registry;
-use f1_cobra::json::write_answered;
+use cobra_obs::{Histogram, Registry};
+use f1_cobra::json::{answered_len, write_answered};
 use f1_cobra::{Answered, Stamp, Vdbms};
 use f1_monet::{ExecBudget, MonetError};
 use serde_json::{json, Value};
@@ -108,8 +108,11 @@ enum Outcome {
 impl Outcome {
     fn frame(&self, id: u64) -> Vec<u8> {
         let built = match self {
-            Outcome::Answered(answer, stamp) => ok_frame(id, *stamp, |w| write_answered(w, answer)),
-            Outcome::Ok(result) => ok_frame(id, None, |w| w.value(result)),
+            Outcome::Answered(answer, stamp) => {
+                let len = answered_len(answer);
+                ok_frame(id, *stamp, len, |w| write_answered(w, answer))
+            }
+            Outcome::Ok(result) => ok_frame(id, None, 0, |w| w.value(result)),
             Outcome::Err { kind, message } => {
                 encode_frame(&err_response(id, *kind, message.as_str()))
             }
@@ -144,6 +147,8 @@ pub(crate) struct Server {
     /// map entry itself (followers may be zero), so identical requests
     /// share one worker execution instead of burning admission slots.
     flights: Mutex<HashMap<String, Vec<FlightWaiter>>>,
+    /// `serve.latency_us`, resolved on the first answer.
+    latency: OnceLock<Arc<Histogram>>,
 }
 
 type Front = front::Front<Server>;
@@ -154,6 +159,14 @@ type Handler = fn(&Arc<Front>, ConnId, u64, Value);
 impl Server {
     fn registry(&self) -> &Arc<Registry> {
         self.vdbms.kernel().metrics().registry()
+    }
+
+    /// Records one request's time from admission to its answer.
+    fn record_latency(&self, since: Instant) {
+        let latency = self
+            .latency
+            .get_or_init(|| self.registry().histogram("serve.latency_us", &[]));
+        latency.record(since.elapsed().as_micros() as u64);
     }
 
     fn inflight_for(&self, conn: ConnId) -> Inflight {
@@ -263,6 +276,7 @@ pub fn start(vdbms: Arc<Vdbms>, config: ServerConfig) -> std::io::Result<ServerH
         debug: config.debug,
         conns: Mutex::default(),
         flights: Mutex::default(),
+        latency: OnceLock::new(),
     };
     Front::start(server, vdbms, &registry, "cobra-serve-reactor", &config).map(ServerHandle)
 }
@@ -372,11 +386,8 @@ fn fan_out(front: &Front, key: &str, outcome: &Outcome) {
         let mut flights = front.door.flights.lock().expect("flight table");
         flights.remove(key).unwrap_or_default()
     };
-    let registry = front.door.registry();
     for w in waiters {
-        registry
-            .histogram("serve.latency_us", &[])
-            .record(w.since.elapsed().as_micros() as u64);
+        front.door.record_latency(w.since);
         front.ctl.send(w.conn, outcome.frame(w.id));
     }
 }
@@ -430,10 +441,7 @@ impl JobCtx {
     fn finish(&self, outcome: Outcome) {
         self.running.store(false, Ordering::SeqCst);
         self.inflight.lock().expect("inflight map").remove(&self.id);
-        let registry = self.front.door.registry();
-        registry
-            .histogram("serve.latency_us", &[])
-            .record(self.admitted_at.elapsed().as_micros() as u64);
+        self.front.door.record_latency(self.admitted_at);
         if let Some(key) = &self.flight_key {
             fan_out(&self.front, key, &outcome);
         }

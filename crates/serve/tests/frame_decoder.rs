@@ -180,3 +180,55 @@ proptest! {
         }
     }
 }
+
+/// A blocking peer's reads: one byte at a time, and once, midway, a read
+/// that times out having delivered nothing (`WouldBlock`, as a socket's
+/// read timeout reports it on Unix).
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    timeout_at: usize,
+    timed_out: bool,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.bytes.len() == self.timeout_at && !self.timed_out {
+            self.timed_out = true;
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let Some((&first, rest)) = self.bytes.split_first() else {
+            return Ok(0);
+        };
+        buf[0] = first;
+        self.bytes = rest;
+        Ok(1)
+    }
+}
+
+/// `read_from` keeps what has arrived across a timed-out read and across
+/// one-byte reads into its retained buffer: the frame reassembles whole.
+#[test]
+fn a_frame_read_one_byte_at_a_time_across_a_timeout_reassembles() {
+    let frame = json!({"id": 9, "cmd": "query", "text": "RETRIEVE HIGHLIGHTS"});
+    let wire = encode_all(&[frame.clone(), frame.clone()]);
+    let mut peer = Trickle {
+        bytes: &wire,
+        timeout_at: wire.len() / 3,
+        timed_out: false,
+    };
+    let mut decoder = FrameDecoder::new();
+    let mut decoded = Vec::new();
+    loop {
+        match decoder.read_from(&mut peer) {
+            Ok(0) => break,
+            Ok(n) => assert_eq!(n, 1),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+        }
+        while let Some(frame) = decoder.next_frame().expect("well-formed wire bytes") {
+            decoded.push(frame);
+        }
+    }
+    assert!(peer.timed_out);
+    assert_eq!(decoded, [frame.clone(), frame]);
+    assert_eq!(decoder.buffered(), 0);
+}
