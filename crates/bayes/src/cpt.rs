@@ -9,7 +9,7 @@ use crate::{BayesError, Result};
 /// Rows are indexed by the mixed-radix *parent configuration* (first parent
 /// is the least-significant digit) and hold one probability per child
 /// state. Rows always sum to one after construction or normalization.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cpt {
     card: usize,
     parent_cards: Vec<usize>,

@@ -18,7 +18,7 @@ use crate::slice::{NodeId, SliceNet};
 use crate::{BayesError, Result};
 
 /// A dynamic Bayesian network (2-TBN) with tied transition parameters.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dbn {
     slice: SliceNet,
     temporal: Vec<(NodeId, NodeId)>,

@@ -12,7 +12,7 @@ use crate::slice::NodeId;
 use crate::{BayesError, Result};
 
 /// One node's observation at one slice.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Obs {
     /// The node is observed in exactly this state.
     Hard(usize),
@@ -94,7 +94,7 @@ impl Obs {
 }
 
 /// Evidence for a whole sequence: one observation map per slice.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvidenceSeq {
     slices: Vec<HashMap<NodeId, Obs>>,
 }

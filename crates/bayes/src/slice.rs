@@ -11,7 +11,7 @@ use crate::{BayesError, Result};
 pub type NodeId = usize;
 
 /// One node of a slice.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceNode {
     /// Human-readable name ("EA", "SteAvg", …).
     pub name: String,
@@ -24,7 +24,7 @@ pub struct SliceNode {
 }
 
 /// The intra-slice structure.
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SliceNet {
     nodes: Vec<SliceNode>,
 }

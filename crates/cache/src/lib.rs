@@ -19,8 +19,9 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use cobra_faults::Recover;
 
 /// Default shard count: enough to keep 8 worker threads from serializing,
 /// small enough that per-shard capacity stays meaningful at cap 128.
@@ -99,7 +100,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
     /// Look up `key`, re-stamping it as most recently used on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut shard = self.shard(key).lock();
+        let mut shard = self.shard(key).lock().recover();
         let stamp = shard.tick();
         let entry = shard.map.get_mut(key)?;
         entry.touched = stamp;
@@ -110,7 +111,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     /// any (never the replaced value for an existing key — replacement is
     /// not an eviction).
     pub fn insert(&self, key: K, value: V) -> Option<(K, V)> {
-        let mut shard = self.shard(&key).lock();
+        let mut shard = self.shard(&key).lock().recover();
         let stamp = shard.tick();
         let evicted = if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_cap {
             shard.evict_oldest()
@@ -129,19 +130,27 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
     /// Remove `key`, returning its value if present.
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().map.remove(key).map(|e| e.value)
+        self.shard(key)
+            .lock()
+            .recover()
+            .map
+            .remove(key)
+            .map(|e| e.value)
     }
 
     /// Drop every entry.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard.lock().map.clear();
+            shard.lock().recover().map.clear();
         }
     }
 
     /// Number of resident entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().recover().map.len())
+            .sum()
     }
 
     pub fn is_empty(&self) -> bool {

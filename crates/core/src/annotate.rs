@@ -12,6 +12,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
+use cobra_faults::Recover;
 use f1_bayes::em::{train_with_faults, EmConfig};
 use f1_bayes::engine::{BkState, Engine};
 use f1_bayes::evidence::{EvidenceSeq, Obs};
@@ -30,7 +31,7 @@ use crate::session::Vdbms;
 use crate::{CobraError, Result};
 
 /// What annotation derived.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnotateReport {
     /// Highlight segments stored.
     pub n_highlights: usize,
@@ -352,12 +353,12 @@ impl Vdbms {
 
     /// Installs an externally trained network under a name.
     pub fn install_net(&self, name: &str, stored: StoredNet) {
-        self.nets.write().insert(name.to_string(), stored);
+        self.nets.write().recover().insert(name.to_string(), stored);
     }
 
     /// The network installed under `name`, with its stored levels.
     pub fn net(&self, name: &str) -> Option<StoredNet> {
-        self.nets.read().get(name).cloned()
+        self.nets.read().recover().get(name).cloned()
     }
 
     /// Every stored query's posterior under the installed `net` over

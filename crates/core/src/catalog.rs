@@ -13,11 +13,10 @@
 //! * **object layer** — drivers referenced by events and captions.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
-
+use cobra_faults::Recover;
 use cobra_store::backend::{NamedBat, SnapshotState, StorageBackend};
 use cobra_store::{CheckpointOutcome, ManifestVideo, MemBackend, Recovery, WalEvent, WalOp};
 use f1_monet::kernel::BatHandle;
@@ -27,7 +26,7 @@ use crate::cache::Stamp;
 use crate::{CobraError, Result};
 
 /// Raw-layer descriptor of a registered video.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VideoInfo {
     /// Catalog name.
     pub name: String,
@@ -38,7 +37,7 @@ pub struct VideoInfo {
 }
 
 /// An event-layer entry.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Event kind ("highlight", "start", "fly_out", "passing",
     /// "pit_stop", "caption:…", "excited", …).
@@ -82,29 +81,22 @@ impl From<WalEvent> for EventRecord {
 /// same scalar the stamps are made of, reused as a signal instead of a
 /// poll loop. (The router reuses the type to wake its hub when a
 /// shard's stamp moves; there the counter is just a tick.)
-///
-/// The guarded value is one integer, valid at every step, so a
-/// poisoned lock is recovered rather than propagated.
 #[derive(Default)]
 pub struct ChangeFeed {
-    seq: std::sync::Mutex<u64>,
-    cond: std::sync::Condvar,
+    seq: Mutex<u64>,
+    cond: Condvar,
 }
 
 impl ChangeFeed {
-    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
-        self.seq.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Advances the counter by one and wakes every waiter.
     pub fn bump(&self) {
-        *self.lock() += 1;
+        *self.seq.lock().recover() += 1;
         self.cond.notify_all();
     }
 
     /// The latest published value.
     pub fn current(&self) -> u64 {
-        *self.lock()
+        *self.seq.lock().recover()
     }
 
     /// Blocks until the published version exceeds `seen`, returning the
@@ -113,7 +105,7 @@ impl ChangeFeed {
     /// immediately without blocking.
     pub fn wait_past(&self, seen: u64, timeout: Duration) -> Option<u64> {
         let deadline = Instant::now() + timeout;
-        let mut seq = self.lock();
+        let mut seq = self.seq.lock().recover();
         loop {
             if *seq > seen {
                 return Some(*seq);
@@ -122,10 +114,7 @@ impl ChangeFeed {
             if remaining.is_zero() {
                 return None;
             }
-            let (guard, timed_out) = self
-                .cond
-                .wait_timeout(seq, remaining)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let (guard, timed_out) = self.cond.wait_timeout(seq, remaining).recover();
             seq = guard;
             if timed_out.timed_out() && *seq <= seen {
                 return None;
@@ -205,7 +194,7 @@ impl Catalog {
     /// point stored its answer under a stamp that no longer matches.
     fn commit_seq(&self, answers_of: Option<&str>) {
         match answers_of {
-            Some(video) => self.stamp_video(self.changed.write(), video),
+            Some(video) => self.stamp_video(self.changed.write().recover(), video),
             None => self.feed.bump(),
         }
     }
@@ -253,7 +242,13 @@ impl Catalog {
     pub fn video_stamp(&self, video: &str) -> Stamp {
         Stamp {
             epoch: self.epoch(),
-            seq: self.changed.read().get(video).copied().unwrap_or(0),
+            seq: self
+                .changed
+                .read()
+                .recover()
+                .get(video)
+                .copied()
+                .unwrap_or(0),
         }
     }
 
@@ -264,7 +259,7 @@ impl Catalog {
             n_clips: info.n_clips as u64,
             n_frames: info.n_frames as u64,
         };
-        let _commit = self.commit.lock();
+        let _commit = self.commit.lock().recover();
         if self.store.is_durable() {
             self.store.log(&op)?;
         }
@@ -281,6 +276,7 @@ impl Catalog {
     pub fn video(&self, name: &str) -> Result<VideoInfo> {
         self.videos
             .read()
+            .recover()
             .get(name)
             .cloned()
             .ok_or_else(|| CobraError::UnknownVideo(name.to_string()))
@@ -288,7 +284,7 @@ impl Catalog {
 
     /// Registered video names, sorted.
     pub fn videos(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.videos.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.videos.read().recover().keys().cloned().collect();
         names.sort();
         names
     }
@@ -314,7 +310,7 @@ impl Catalog {
     pub fn store_features(&self, video: &str, matrix: &[Vec<f64>]) -> Result<()> {
         self.video(video)?;
         let n_features = Self::feature_width_of(video, matrix, "matrix")?;
-        let _commit = self.commit.lock();
+        let _commit = self.commit.lock().recover();
         if self.store.is_durable() {
             self.store.log(&WalOp::StoreFeatures {
                 video: video.to_string(),
@@ -360,7 +356,7 @@ impl Catalog {
                 ),
             });
         }
-        let _commit = self.commit.lock();
+        let _commit = self.commit.lock().recover();
         if self.store.is_durable() {
             self.store.log(&WalOp::AppendFeatures {
                 video: video.to_string(),
@@ -397,7 +393,10 @@ impl Catalog {
                     .set_bat(&name, Bat::new(AtomType::Void, AtomType::Dbl))
             };
             let column = self.kernel.bat(&name).unwrap_or_else(|_| empty());
-            column.write().extend_dbls(rows.clone().map(|row| row[k]))?;
+            column
+                .write()
+                .recover()
+                .extend_dbls(rows.clone().map(|row| row[k]))?;
         }
         self.commit_seq(None);
         Ok(())
@@ -409,7 +408,7 @@ impl Catalog {
     pub fn feature_rows(&self, video: &str) -> usize {
         self.kernel
             .bat(&feature_bat_name(video, 0))
-            .map_or(0, |bat| bat.read().len())
+            .map_or(0, |bat| bat.read().recover().len())
     }
 
     /// [`load_feature_rows`] of a registered video.
@@ -422,7 +421,7 @@ impl Catalog {
     /// Logged, then applied.
     pub fn store_events(&self, video: &str, events: &[EventRecord]) -> Result<()> {
         self.video(video)?;
-        let _commit = self.commit.lock();
+        let _commit = self.commit.lock().recover();
         if self.store.is_durable() {
             self.store.log(&WalOp::StoreEvents {
                 video: video.to_string(),
@@ -443,7 +442,7 @@ impl Catalog {
         rows: &[EventRecord],
     ) -> Result<()> {
         self.video(video)?;
-        let _commit = self.commit.lock();
+        let _commit = self.commit.lock().recover();
         if self.store.is_durable() {
             self.store.log(&WalOp::ReplaceEvents {
                 video: video.to_string(),
@@ -469,7 +468,7 @@ impl Catalog {
     ) -> Result<()> {
         let names = event_names(video);
         let names = names.each_ref().map(String::as_str);
-        let mut stamps = self.changed.write();
+        let mut stamps = self.changed.write().recover();
         // An append to a layer no reader holds grows it where it lies…
         let grown = drop_kinds
             .is_empty()
@@ -486,7 +485,7 @@ impl Catalog {
                 drop(stamps);
                 let current = layer_of(video, self.kernel.bats(names))?;
                 let layer = build_layer(current.as_ref(), drop_kinds, rows)?;
-                stamps = self.changed.write();
+                stamps = self.changed.write().recover();
                 self.kernel.set_bats(names.into_iter().zip(layer));
             }
         }
@@ -503,7 +502,7 @@ impl Catalog {
     /// guards.
     pub(crate) fn event_layer(&self, video: &str) -> Result<(Stamp, Option<EventLayer>)> {
         let names = event_names(video);
-        let stamps = self.changed.read();
+        let stamps = self.changed.read().recover();
         let columns = self.kernel.bats(names.each_ref().map(String::as_str));
         let seq = stamps.get(video).copied().unwrap_or(0);
         drop(stamps);
@@ -529,7 +528,7 @@ impl Catalog {
     /// apply paths live mutations use. Runs before any concurrency.
     pub fn install_recovery(&self, recovery: Recovery) -> Result<()> {
         {
-            let mut videos = self.videos.write();
+            let mut videos = self.videos.write().recover();
             for v in &recovery.videos {
                 videos.insert(
                     v.name.clone(),
@@ -564,7 +563,7 @@ impl Catalog {
                     n_clips: n_clips as usize,
                     n_frames: n_frames as usize,
                 };
-                self.videos.write().insert(name.clone(), info);
+                self.videos.write().recover().insert(name.clone(), info);
                 self.commit_seq(Some(&name));
                 Ok(())
             }
@@ -624,9 +623,9 @@ impl Catalog {
     /// BATs, commit the new manifest, and retire covered WAL files.
     /// Returns `None` when the backend is memory-only.
     pub fn checkpoint(&self) -> Result<Option<CheckpointOutcome>> {
-        let _serial = self.ckpt.lock();
+        let _serial = self.ckpt.lock().recover();
         let state = {
-            let _commit = self.commit.lock();
+            let _commit = self.commit.lock().recover();
             if !self.store.begin_checkpoint()? {
                 return Ok(None);
             }
@@ -637,7 +636,7 @@ impl Catalog {
 
     /// Clones the catalog's durable state. Caller holds the commit lock.
     fn collect_state(&self) -> SnapshotState {
-        let videos_guard = self.videos.read();
+        let videos_guard = self.videos.read().recover();
         let mut videos: Vec<ManifestVideo> = videos_guard
             .values()
             .map(|v| ManifestVideo {
@@ -653,7 +652,7 @@ impl Catalog {
                 continue;
             }
             if let Ok(handle) = self.kernel.bat(&name) {
-                let bat = handle.read();
+                let bat = handle.read().recover();
                 bats.push(NamedBat {
                     name: name.clone(),
                     src_id: bat.id(),
@@ -702,7 +701,10 @@ impl EventLayer {
 
     /// Runs `read` over the layer's typed columns.
     pub(crate) fn read<T>(&self, read: impl FnOnce(EventColumns<'_>) -> Result<T>) -> Result<T> {
-        let guards = self.columns.each_ref().map(|column| column.read());
+        let guards = self
+            .columns
+            .each_ref()
+            .map(|column| column.read().recover());
         read(EventColumns::of(guards.each_ref().map(|bat| &**bat))?)
     }
 
@@ -840,7 +842,7 @@ fn build_layer<K: AsRef<str>>(
         None => [AtomType::Str, AtomType::Int, AtomType::Int, AtomType::Str]
             .map(|ty| Bat::new(AtomType::Void, ty)),
         Some(current) => {
-            let guards = current.each_ref().map(|column| column.read());
+            let guards = current.each_ref().map(|column| column.read().recover());
             let bats = guards.each_ref().map(|bat| &**bat);
             let old = EventColumns::of(bats)?;
             if drop_kinds.is_empty() {
@@ -898,7 +900,7 @@ pub fn load_feature_rows(kernel: &Kernel, video: &str, n_features: usize) -> Res
         };
         let handle = kernel.bat(&feature_bat_name(video, k));
         let handle = handle.map_err(|_| missing())?;
-        let bat = handle.read();
+        let bat = handle.read().recover();
         let column = bat.tail().dbls().ok_or_else(missing)?;
         if k == 0 {
             matrix = vec![vec![0.0; n_features]; column.len()];
@@ -1153,8 +1155,14 @@ mod tests {
             "got {err}"
         );
         // The failed appends left the layer untouched.
-        assert_eq!(c.kernel().bat("german.f1").unwrap().read().len(), 1);
-        assert_eq!(c.kernel().bat("german.f2").unwrap().read().len(), 1);
+        assert_eq!(
+            c.kernel().bat("german.f1").unwrap().read().recover().len(),
+            1
+        );
+        assert_eq!(
+            c.kernel().bat("german.f2").unwrap().read().recover().len(),
+            1
+        );
     }
 
     #[test]
@@ -1310,7 +1318,7 @@ mod tests {
             .unwrap();
         let dict = |field: &str| {
             let bat = c.kernel().bat(&format!("german.ev.{field}")).unwrap();
-            let bat = bat.read();
+            let bat = bat.read().recover();
             let names = bat.tail().strs().unwrap().dict().to_vec();
             names.iter().map(|s| s.to_string()).collect::<Vec<_>>()
         };
@@ -1325,7 +1333,14 @@ mod tests {
         let c = catalog();
         c.store_events("german", &[row("highlight", 0, None)])
             .unwrap();
-        let bat_id = || c.kernel().bat("german.ev.start").unwrap().read().id();
+        let bat_id = || {
+            c.kernel()
+                .bat("german.ev.start")
+                .unwrap()
+                .read()
+                .recover()
+                .id()
+        };
         let unshared = bat_id();
         c.store_events("german", &[row("highlight", 10, None)])
             .unwrap();
@@ -1372,7 +1387,15 @@ mod tests {
         assert!(ragged(
             c.replace_events("german", &["excited"], &[]).unwrap_err()
         ));
-        assert_eq!(c.kernel().bat("german.ev.kind").unwrap().read().len(), 2);
+        assert_eq!(
+            c.kernel()
+                .bat("german.ev.kind")
+                .unwrap()
+                .read()
+                .recover()
+                .len(),
+            2
+        );
         // A missing field is typed too.
         c.kernel().drop_bat("german.ev.end").unwrap();
         assert!(matches!(

@@ -13,10 +13,9 @@
 //! feature set to use to fulfil the query" (§2).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use parking_lot::RwLock;
-
+use cobra_faults::Recover;
 use f1_bayes::engine::{BkState, Engine};
 use f1_bayes::evidence::EvidenceSeq;
 use f1_bayes::paper::PaperNet;
@@ -129,7 +128,7 @@ impl MelModule for DbnModule {
         match proc {
             "dbnList" => {
                 let mut out = Bat::new(AtomType::Void, AtomType::Str);
-                let nets = self.nets.read();
+                let nets = self.nets.read().recover();
                 let mut names: Vec<&String> = nets.keys().collect();
                 names.sort();
                 for n in names {
@@ -146,7 +145,7 @@ impl MelModule for DbnModule {
                     value.as_atom().map_err(module_err)
                 };
                 let (video, net_name, query) = (arg(0)?, arg(1)?, arg(2)?);
-                let nets = self.nets.read();
+                let nets = self.nets.read().recover();
                 let stored = nets
                     .get(net_name.as_str()?)
                     .ok_or_else(|| module_err(format!("no network '{}'", net_name)))?;
@@ -176,7 +175,7 @@ impl MelModule for DbnModule {
 /// Only *transient* failures (fault sites injected with
 /// `fail_transient`, i.e. errors a re-run can plausibly clear) are
 /// retried; permanent errors fall through to the next method at once.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first failure (0 = never retry).
     pub max_retries: u32,
@@ -186,7 +185,7 @@ pub struct RetryPolicy {
 }
 
 /// A method's cost/quality profile.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodProfile {
     /// Method name.
     pub name: String,
@@ -195,7 +194,6 @@ pub struct MethodProfile {
     /// Expected quality in `[0, 1]`.
     pub quality: f64,
     /// Retry behaviour on transient failure.
-    #[serde(default)]
     pub retry: RetryPolicy,
 }
 
@@ -261,7 +259,11 @@ pub struct CostModel {
 
 impl std::fmt::Debug for CostModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CostModel({} methods measured)", self.stats.read().len())
+        write!(
+            f,
+            "CostModel({} methods measured)",
+            self.stats.read().recover().len()
+        )
     }
 }
 
@@ -276,7 +278,7 @@ impl CostModel {
         if !ms_per_clip.is_finite() || ms_per_clip < 0.0 {
             return;
         }
-        let mut stats = self.stats.write();
+        let mut stats = self.stats.write().recover();
         let s = stats.entry(method.to_string()).or_default();
         if s.samples == 0 {
             s.ewma_ms_per_clip = ms_per_clip;
@@ -292,6 +294,7 @@ impl CostModel {
     pub fn observe_failure(&self, method: &str) {
         self.stats
             .write()
+            .recover()
             .entry(method.to_string())
             .or_default()
             .failures += 1;
@@ -299,7 +302,7 @@ impl CostModel {
 
     /// Measured statistics for `method`, if any run was recorded.
     pub fn stat(&self, method: &str) -> Option<CostStat> {
-        self.stats.read().get(method).copied()
+        self.stats.read().recover().get(method).copied()
     }
 
     /// The ranking score of `profile` under a quality floor: declared
@@ -314,11 +317,11 @@ impl CostModel {
             * (1.0 + QUALITY_PENALTY * quality_gap)
     }
 
-    /// Persists the model as a line-oriented text table (the vendored
-    /// serde stubs cannot parse JSON back, so persistence is hand-rolled
-    /// and [`Self::to_json`] is export-only).
+    /// Persists the model as a line-oriented, tab-separated table. That
+    /// table *is* the persisted format, read back by [`Self::load`];
+    /// [`Self::to_json`] is an export view for `STATS`, never read back.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let stats = self.stats.read();
+        let stats = self.stats.read().recover();
         let mut names: Vec<&String> = stats.keys().collect();
         names.sort();
         let mut out = String::from("# cobra cost model v1\n");
@@ -338,7 +341,7 @@ impl CostModel {
         let text = std::fs::read_to_string(path)?;
         let model = CostModel::new();
         {
-            let mut stats = model.stats.write();
+            let mut stats = model.stats.write().recover();
             for line in text.lines() {
                 let line = line.trim();
                 if line.is_empty() || line.starts_with('#') {
@@ -370,7 +373,7 @@ impl CostModel {
 
     /// One-way JSON export of the measured statistics.
     pub fn to_json(&self) -> serde_json::Value {
-        let stats = self.stats.read();
+        let stats = self.stats.read().recover();
         let mut methods = std::collections::BTreeMap::new();
         for (name, s) in stats.iter() {
             methods.insert(
@@ -601,7 +604,7 @@ mod tests {
         let nets: NetStore = Arc::new(RwLock::new(HashMap::new()));
         let bn = audio_bn(BnStructure::FullyParameterized).unwrap();
         let query = bn.query;
-        nets.write().insert(
+        nets.write().recover().insert(
             "audio".into(),
             StoredNet {
                 net: bn,
@@ -629,7 +632,7 @@ mod tests {
             .eval_mil(r#"RETURN dbnInfer("german", "audio", "EA");"#)
             .unwrap();
         let bat = out.as_bat().unwrap();
-        let bat = bat.read();
+        let bat = bat.read().recover();
         assert_eq!(bat.len(), 3);
         let p0 = bat.tail_at(0).unwrap().as_dbl().unwrap();
         let p1 = bat.tail_at(1).unwrap().as_dbl().unwrap();
@@ -638,7 +641,7 @@ mod tests {
         assert!(!kernel.bat_names().iter().any(|name| name.contains("trace")));
         // dbnList exposes the store.
         let names = kernel.eval_mil("RETURN dbnList();").unwrap();
-        assert_eq!(names.as_bat().unwrap().read().len(), 1);
+        assert_eq!(names.as_bat().unwrap().read().recover().len(), 1);
     }
 
     #[test]

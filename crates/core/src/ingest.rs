@@ -10,6 +10,7 @@
 
 use std::time::{Duration, Instant};
 
+use cobra_faults::Recover;
 use f1_keyword::{keyword_feature, spot, AcousticModel, Grammar, PhonemeStream, SpotterConfig};
 use f1_media::features::vector::{FeatureExtractor, VectorConfig};
 use f1_media::synth::scenario::{CaptionKind, RaceScenario, Span};
@@ -24,7 +25,7 @@ use crate::{CobraError, Result};
 
 /// One extraction method the pre-processor ran (or re-ran) during
 /// ingestion, in the order attempted.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodAttempt {
     /// The method's name in the registry.
     pub method: String,
@@ -35,7 +36,7 @@ pub struct MethodAttempt {
 }
 
 /// One row of the pre-processor's extraction ranking at ingest time.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodRank {
     /// The method's name in the registry.
     pub method: String,
@@ -49,7 +50,7 @@ pub struct MethodRank {
 }
 
 /// What ingestion extracted.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngestReport {
     /// Clips processed.
     pub n_clips: usize,
@@ -76,7 +77,7 @@ pub struct IngestReport {
 }
 
 /// What one streamed ingest window stored.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkReport {
     /// Arrival index of the window.
     pub index: usize,
@@ -266,7 +267,7 @@ impl Vdbms {
         // Held for the whole window: chunks are arrival-ordered, so
         // there is nothing to parallelize, and the lock makes the order
         // check and the commits atomic against a racing duplicate.
-        let mut streams = self.streams.lock();
+        let mut streams = self.streams.lock().recover();
         if clips.start == 0 && (chunk.is_last || !streams.contains_key(name)) {
             // A new stream, whatever state an earlier one was left in.
             streams.remove(name);

@@ -25,6 +25,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use cobra_faults::Recover;
 use cobra_obs::SpanNode;
 use f1_moa::{MoaExpr, PlanChoice, Predicate};
 use f1_monet::{Atom, AtomType, ExecBudget, MonetError, PlanStats, Prepared};
@@ -770,7 +771,7 @@ impl Vdbms {
             .kernel
             .eval_prepared(program, params, budget, &layer.bindings())?
             .as_bat()?;
-        let kept = kept.read();
+        let kept = kept.read().recover();
         let head = kept.head();
         if let Some((base, len)) = head.void_run() {
             return Ok((base as usize..base as usize + len).collect());

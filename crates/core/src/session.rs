@@ -12,13 +12,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use cobra_store::backend::StorageBackend;
 use cobra_store::{CheckpointOutcome, FileBackend, MemBackend, StoreConfig, StoreStats};
-use parking_lot::{Mutex, RwLock};
-
 use f1_monet::{Kernel, Prepared};
 
 use crate::cache::{PlanCache, ResultCache};
@@ -33,7 +31,7 @@ pub use crate::retrieve::{Answer, Answered, QueryOutput, QueryProfile, VideoSegm
 
 /// What recovery-on-boot did (all zeros for a memory-only or fresh
 /// durable boot).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// The boot epoch assigned to this process.
     pub epoch: u64,

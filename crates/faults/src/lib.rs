@@ -1,6 +1,6 @@
 //! # cobra-faults — deterministic fault injection and cancellation
 //!
-//! Robustness support for the Cobra VDBMS reproduction. Two facilities:
+//! Robustness support for the Cobra VDBMS reproduction. Three facilities:
 //!
 //! * **Fault injection**: the thing under test owns a [`FaultHandle`]
 //!   (disarmed by default) and marks *named sites* with
@@ -17,15 +17,13 @@
 //! * **Cancellation**: [`CancellationToken`], a cheaply clonable flag
 //!   shared between an execution and its controller, checked
 //!   cooperatively by the MIL interpreter's execution guard.
+//! * **Lock poisoning**: [`Recover`], the one rule every `std::sync`
+//!   lock in the workspace is taken under.
 //!
 //! Site naming convention used across the workspace:
 //! `bat.{method}` (kernel BAT methods), `proc.{name}` (extension-module
 //! dispatch), `extract.{method}` (media feature extractors),
 //! `em.iteration` (Bayes EM steps).
-//!
-//! The whole injection machinery sits behind the `fault-injection`
-//! feature (on by default so the test suite exercises it); building with
-//! `--no-default-features` turns `fire` into a constant `Ok(())`.
 //!
 //! ```
 //! use cobra_faults::{FaultHandle, FaultPlan, Trigger};
@@ -39,9 +37,13 @@
 //! assert_eq!(report.fired.len(), 1);
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+mod poison;
+pub use poison::Recover;
 
 // ---------------------------------------------------------------------------
 // Cancellation
@@ -235,46 +237,39 @@ impl FaultReport {
 }
 
 // ---------------------------------------------------------------------------
-// The handle (feature-gated internals)
+// The handle
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "fault-injection")]
-mod armed {
-    use super::*;
-    use std::collections::HashMap;
-    use std::sync::Mutex;
+struct Injector {
+    plan: FaultPlan,
+    counters: Mutex<HashMap<String, u64>>,
+    fired: Mutex<Vec<FiredFault>>,
+    slowed: Mutex<Vec<FiredFault>>,
+}
 
-    pub(super) struct Injector {
-        pub(super) plan: FaultPlan,
-        pub(super) counters: Mutex<HashMap<String, u64>>,
-        pub(super) fired: Mutex<Vec<FiredFault>>,
-        pub(super) slowed: Mutex<Vec<FiredFault>>,
-    }
+/// What every clone of one [`FaultHandle`] shares.
+#[derive(Default)]
+struct Shared {
+    /// Fast-path flag: `fire()` is a single relaxed load when disarmed.
+    armed: AtomicBool,
+    injector: Mutex<Option<Arc<Injector>>>,
+    /// Serializes scopes on this handle: a second `scope` waits for
+    /// the first to disarm instead of replacing its plan mid-run.
+    turn: Mutex<()>,
+}
 
-    /// What every clone of one [`FaultHandle`] shares.
-    #[derive(Default)]
-    pub(super) struct Shared {
-        /// Fast-path flag: `fire()` is a single relaxed load when disarmed.
-        pub(super) armed: AtomicBool,
-        pub(super) injector: Mutex<Option<Arc<Injector>>>,
-        /// Serializes scopes on this handle: a second `scope` waits for
-        /// the first to disarm instead of replacing its plan mid-run.
-        pub(super) turn: Mutex<()>,
+/// SplitMix64 over (seed, site, invocation): deterministic verdicts
+/// for `Trigger::Probability` with no global RNG state.
+fn decision_hash(seed: u64, site: &str, invocation: u64) -> u64 {
+    let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
+    for b in site.bytes() {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
-
-    /// SplitMix64 over (seed, site, invocation): deterministic verdicts
-    /// for `Trigger::Probability` with no global RNG state.
-    pub(super) fn decision_hash(seed: u64, site: &str, invocation: u64) -> u64 {
-        let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
-        for b in site.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= invocation.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+    h ^= invocation.wrapping_mul(0x2545_f491_4f6c_dd1d);
+    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// The fault injector of one system under test.
@@ -287,8 +282,7 @@ mod armed {
 /// faults scripted for one handle can never fire in a neighbour's.
 #[derive(Clone, Default)]
 pub struct FaultHandle {
-    #[cfg(feature = "fault-injection")]
-    shared: Arc<armed::Shared>,
+    shared: Arc<Shared>,
 }
 
 impl fmt::Debug for FaultHandle {
@@ -299,7 +293,6 @@ impl fmt::Debug for FaultHandle {
     }
 }
 
-#[cfg(feature = "fault-injection")]
 impl FaultHandle {
     /// True while a [`scope`](Self::scope) is armed on this handle.
     pub fn is_armed(&self) -> bool {
@@ -315,18 +308,14 @@ impl FaultHandle {
             return Ok(());
         }
         let injector = {
-            let slot = self
-                .shared
-                .injector
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
+            let slot = self.shared.injector.lock().recover();
             match slot.as_ref() {
                 Some(i) => Arc::clone(i),
                 None => return Ok(()),
             }
         };
         let invocation = {
-            let mut counters = injector.counters.lock().unwrap_or_else(|p| p.into_inner());
+            let mut counters = injector.counters.lock().recover();
             let c = counters.entry(site.to_string()).or_insert(0);
             let inv = *c;
             *c += 1;
@@ -341,7 +330,7 @@ impl FaultHandle {
                 invocation >= skip as u64 && invocation < (skip + times) as u64
             }
             Trigger::Probability(p) => {
-                let h = armed::decision_hash(injector.plan.seed, site, invocation);
+                let h = decision_hash(injector.plan.seed, site, invocation);
                 (h as f64 / u64::MAX as f64) < p
             }
         };
@@ -354,19 +343,11 @@ impl FaultHandle {
         };
         if rule.delay_ms > 0 {
             // A slowdown rule: stall the caller, record it, succeed.
-            injector
-                .slowed
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(hit);
+            injector.slowed.lock().recover().push(hit);
             std::thread::sleep(std::time::Duration::from_millis(rule.delay_ms));
             return Ok(());
         }
-        injector
-            .fired
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(hit);
+        injector.fired.lock().recover().push(hit);
         Err(FaultError {
             site: site.to_string(),
             invocation,
@@ -378,60 +359,33 @@ impl FaultHandle {
     /// it), returning `f`'s result plus a report of every fault that
     /// fired. The plan is disarmed even if `f` panics.
     pub fn scope<R>(&self, plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultReport) {
-        let _turn = self.shared.turn.lock().unwrap_or_else(|p| p.into_inner());
-        let injector = Arc::new(armed::Injector {
+        let _turn = self.shared.turn.lock().recover();
+        let injector = Arc::new(Injector {
             plan,
             counters: Default::default(),
             fired: Default::default(),
             slowed: Default::default(),
         });
-        *self
-            .shared
-            .injector
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&injector));
+        *self.shared.injector.lock().recover() = Some(Arc::clone(&injector));
         self.shared.armed.store(true, Ordering::SeqCst);
 
-        struct Disarm<'a>(&'a armed::Shared);
+        struct Disarm<'a>(&'a Shared);
         impl Drop for Disarm<'_> {
             fn drop(&mut self) {
                 self.0.armed.store(false, Ordering::SeqCst);
-                *self.0.injector.lock().unwrap_or_else(|p| p.into_inner()) = None;
+                *self.0.injector.lock().recover() = None;
             }
         }
         let disarm = Disarm(&self.shared);
         let result = f();
         drop(disarm);
 
-        let take = |m: &std::sync::Mutex<Vec<FiredFault>>| {
-            std::mem::take(&mut *m.lock().unwrap_or_else(|p| p.into_inner()))
-        };
+        let take = |m: &Mutex<Vec<FiredFault>>| std::mem::take(&mut *m.lock().recover());
         let report = FaultReport {
             fired: take(&injector.fired),
             slowed: take(&injector.slowed),
         };
         (result, report)
-    }
-}
-
-/// The `fault-injection` feature is disabled: no plan ever arms and
-/// every site is a constant `Ok(())`.
-#[cfg(not(feature = "fault-injection"))]
-impl FaultHandle {
-    /// Always false.
-    pub fn is_armed(&self) -> bool {
-        false
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn fire(&self, _site: &str) -> Result<(), FaultError> {
-        Ok(())
-    }
-
-    /// Runs `f` unmodified.
-    pub fn scope<R>(&self, _plan: FaultPlan, f: impl FnOnce() -> R) -> (R, FaultReport) {
-        (f(), FaultReport::default())
     }
 }
 
@@ -448,7 +402,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn times_trigger_fails_then_recovers() {
         let h = FaultHandle::default();
@@ -472,7 +425,6 @@ mod tests {
         assert_eq!(report.count("other.site"), 0);
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn nth_trigger_skips_then_fails() {
         let h = FaultHandle::default();
@@ -493,7 +445,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn slow_rule_delays_but_succeeds() {
         let h = FaultHandle::default();
@@ -512,7 +463,6 @@ mod tests {
         assert_eq!(report.count_slowed("net.fetch"), 1);
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn prefix_wildcard_matches_site_family() {
         let h = FaultHandle::default();
@@ -524,7 +474,6 @@ mod tests {
         assert_eq!(report.fired.len(), 2);
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn probability_trigger_is_deterministic() {
         let h = FaultHandle::default();
@@ -546,7 +495,6 @@ mod tests {
         assert!(a.iter().any(|&x| x) && a.iter().any(|&x| !x));
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn disarms_even_when_scope_panics() {
         let h = FaultHandle::default();
@@ -560,7 +508,6 @@ mod tests {
         assert!(h.fire("x").is_ok());
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn a_scope_arms_its_own_handle_and_clones_only() {
         let h = FaultHandle::default();

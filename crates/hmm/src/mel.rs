@@ -11,10 +11,9 @@
 //! * `hmmClassify(obs, threads)` — the best model's name,
 //! * `hmmTrain(model, obs, iters)` — Baum–Welch on a catalog sequence.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use parking_lot::RwLock;
-
+use cobra_faults::Recover;
 use f1_monet::prelude::*;
 use f1_monet::MilValue;
 
@@ -46,7 +45,7 @@ impl HmmModule {
 
     fn obs_from_bat(value: &MilValue) -> std::result::Result<Vec<usize>, MonetError> {
         let bat = value.as_bat().map_err(module_err)?;
-        let bat = bat.read();
+        let bat = bat.read().recover();
         bat.tail()
             .iter()
             .map(|a| {
@@ -93,7 +92,7 @@ impl MelModule for HmmModule {
                 let mut columns: Vec<Vec<f64>> = Vec::with_capacity(args.len());
                 for arg in args {
                     let bat = arg.as_bat().map_err(module_err)?;
-                    let bat = bat.read();
+                    let bat = bat.read().recover();
                     let col: std::result::Result<Vec<f64>, MonetError> = bat
                         .tail()
                         .iter()
@@ -124,7 +123,7 @@ impl MelModule for HmmModule {
                     args.get(1)
                         .ok_or_else(|| module_err("hmmOneCall(model, obs)"))?,
                 )?;
-                let bank = self.bank.read();
+                let bank = self.bank.read().recover();
                 let model = bank.get(name.as_str()?).map_err(module_err)?;
                 let ll = model.log_likelihood(&obs).map_err(module_err)?;
                 Ok(MilValue::Atom(Atom::Dbl(ll)))
@@ -142,7 +141,7 @@ impl MelModule for HmmModule {
                         .map_err(module_err)? as usize,
                     None => 1,
                 };
-                let bank = self.bank.read();
+                let bank = self.bank.read().recover();
                 if proc == "hmmClassify" {
                     let (name, _) = bank.classify(&obs, threads).map_err(module_err)?;
                     return Ok(MilValue::Atom(Atom::str(name)));
@@ -174,7 +173,7 @@ impl MelModule for HmmModule {
                         .map_err(module_err)? as usize,
                     None => TrainConfig::default().max_iters,
                 };
-                let mut bank = self.bank.write();
+                let mut bank = self.bank.write().recover();
                 let model = bank.get_mut(name.as_str()?).map_err(module_err)?;
                 let report = train(
                     model,

@@ -6,7 +6,7 @@ use crate::{HmmError, Result};
 
 /// A discrete HMM λ = (A, B, π): `n` hidden states, `m` observation
 /// symbols. Rows of A and B are probability distributions.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteHmm {
     n: usize,
     m: usize,

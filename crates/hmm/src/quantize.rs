@@ -9,7 +9,7 @@
 use crate::{HmmError, Result};
 
 /// Uniform per-feature binning packed into one discrete symbol.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quantizer {
     n_features: usize,
     bins: usize,

@@ -9,7 +9,7 @@
 use crate::phoneme::PhonemeStream;
 
 /// An acoustic model with its error characteristics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcousticModel {
     /// Trained on clean read speech: excellent in quiet, brittle in noise.
     CleanSpeech,

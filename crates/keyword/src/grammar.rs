@@ -8,7 +8,7 @@
 use crate::{KeywordError, Result};
 
 /// A keyword's acceptor: the phone chain of the word.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WordFsa {
     /// The keyword (uppercase).
     pub word: String,
@@ -17,7 +17,7 @@ pub struct WordFsa {
 }
 
 /// The spotting grammar: a union of word acceptors.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grammar {
     words: Vec<WordFsa>,
 }

@@ -15,7 +15,7 @@ use f1_media::synth::scenario::RaceScenario;
 pub const SLOTS_PER_CLIP: usize = 5;
 
 /// The commentary as a phoneme stream.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhonemeStream {
     /// One entry per slot: the true phone, `None` during silence.
     pub slots: Vec<Option<char>>,

@@ -31,7 +31,7 @@ impl Default for SpotterConfig {
 }
 
 /// One spotted keyword occurrence.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Spot {
     /// The keyword.
     pub word: String,

@@ -13,7 +13,7 @@ use crate::{MediaError, Result};
 
 /// Clip-level aggregate of a frame-level feature (§5.2 computes "average
 /// values and dynamic range, and maximum values").
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClipStats {
     /// Mean over the clip's frames.
     pub avg: f64,
@@ -263,7 +263,7 @@ impl Default for AudioConfig {
 }
 
 /// Frame-level and clip-level audio features of one 0.1 s clip.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AudioClipFeatures {
     /// STE stats in the 0–882 Hz band (speech endpoint detection).
     pub ste_low: ClipStats,

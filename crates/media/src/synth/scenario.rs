@@ -33,7 +33,7 @@ pub type DriverId = usize;
 /// passing sub-network's failure outside the German GP to different
 /// camera work, so the Belgian and USA profiles jitter the camera and
 /// decorrelate the motion cue from actual passings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RaceProfile {
     /// Steady camera work; passings, fly-outs.
     German,
@@ -89,7 +89,7 @@ struct ProfileParams {
 }
 
 /// Scenario generation parameters.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Which race to imitate.
     pub profile: RaceProfile,
@@ -119,7 +119,7 @@ impl ScenarioConfig {
 }
 
 /// A half-open clip interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// First clip.
     pub start: usize,
@@ -151,7 +151,7 @@ impl Span {
 }
 
 /// A race event with its span and the driver involved (if any).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// What happened.
     pub kind: EventKind,
@@ -162,7 +162,7 @@ pub struct Event {
 }
 
 /// Event kinds the audio-visual DBN classifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// The race start.
     Start,
@@ -175,7 +175,7 @@ pub enum EventKind {
 }
 
 /// Semantic class of a superimposed caption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptionKind {
     /// Running order (one line: position + driver).
     Classification,
@@ -190,7 +190,7 @@ pub enum CaptionKind {
 }
 
 /// A caption overlay: the exact text drawn on the frames.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Caption {
     /// Semantic class.
     pub kind: CaptionKind,
@@ -205,7 +205,7 @@ pub struct Caption {
 }
 
 /// A replay: the span it airs in and the event footage it re-shows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Replay {
     /// When the replay airs.
     pub span: Span,
@@ -214,7 +214,7 @@ pub struct Replay {
 }
 
 /// A keyword utterance in the commentary.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeywordHit {
     /// The word.
     pub word: String,
@@ -223,7 +223,7 @@ pub struct KeywordHit {
 }
 
 /// A complete ground-truth race timeline.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RaceScenario {
     /// Generation parameters.
     pub config: ScenarioConfig,

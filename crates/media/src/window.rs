@@ -5,7 +5,7 @@
 //! detection, and excited speech indication" (§5.2).
 
 /// The four analysis windows considered by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Window {
     /// No shaping (boxcar).
     Rectangular,

@@ -3,7 +3,7 @@
 use f1_monet::Atom;
 
 /// Selection predicates on a collection's tail values.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Tail equals the atom.
     Eq(Atom),
@@ -15,7 +15,7 @@ pub enum Predicate {
 }
 
 /// Aggregate kinds at the logical level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregate {
     /// Sum of elements.
     Sum,
@@ -34,7 +34,7 @@ pub enum Aggregate {
 /// Extension calls are the paper's mechanism for surfacing the
 /// video-processing / HMM / DBN / rule extensions inside the algebra —
 /// they compile to the MEL procedures the kernel's modules register.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MoaExpr {
     /// A base collection (a catalog BAT).
     Collection(String),

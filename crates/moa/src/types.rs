@@ -5,7 +5,7 @@ use f1_monet::AtomType;
 /// A Moa type term. "The algebra accepts all base types of the underlying
 /// physical storage system and allows their orthogonal combination using
 /// the structure primitives: set, tuple, and object."
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MoaType {
     /// A physical base type.
     Atomic(AtomType),

@@ -22,7 +22,7 @@ use crate::error::{MonetError, Result};
 use crate::value::{Atom, AtomType};
 
 /// The dictionary of a string column together with its intern map.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct StrPool {
     /// code -> string.
     dict: Vec<Arc<str>>,
@@ -53,7 +53,7 @@ impl StrPool {
 /// column gathered from this one, so an operator's output costs its own
 /// rows whatever the dictionary's size; interning a *new* string into a
 /// shared pool copies it first.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StrColumn {
     pool: Arc<StrPool>,
     /// row -> code.
@@ -190,7 +190,7 @@ impl PartialEq for StrColumn {
 }
 
 /// Typed storage for one materialized column.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// Object identifiers.
     Oid(Vec<u64>),
@@ -328,7 +328,7 @@ impl ColumnData {
 }
 
 /// One column of a BAT: either a dense void run or typed materialized data.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Column {
     /// Dense object identifiers `seqbase .. seqbase + len`, not stored.
     Void {
@@ -581,7 +581,7 @@ fn fresh_bat_id() -> u64 {
 /// on each mutation; together they key the kernel's hash-index cache (an
 /// index built for `(id, version)` is valid exactly until the next append
 /// or replace).
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug)]
 pub struct Bat {
     head: Column,
     tail: Column,

@@ -8,10 +8,10 @@
 //! programs, exactly like `hmmOneCall` in the paper's Fig. 4.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use cobra_cache::Lru;
-use parking_lot::RwLock;
+use cobra_faults::Recover;
 
 use crate::bat::Bat;
 use crate::error::{MonetError, Result};
@@ -117,7 +117,7 @@ impl Kernel {
         v: &Atom,
         ctx: &OpCtx<'_>,
     ) -> Result<Bat> {
-        let bat = handle.read();
+        let bat = handle.read().recover();
         if let Some(name) = catalog {
             if let Some((index, hit)) = self.value_index(name, handle, &bat, ctx)? {
                 if let Some(out) = ops::select_eq_indexed(&bat, v, &index, ctx)? {
@@ -151,7 +151,7 @@ impl Kernel {
         bat: &Bat,
         ctx: &OpCtx<'_>,
     ) -> Result<Option<(Arc<ColumnIndex>, bool)>> {
-        if let Some(entry) = self.index_cache.read().get(name) {
+        if let Some(entry) = self.index_cache.read().recover().get(name) {
             if (entry.bat, entry.version) == (bat.id(), bat.version()) {
                 return Ok(Some((Arc::clone(&entry.index), true)));
             }
@@ -163,7 +163,7 @@ impl Kernel {
         // Under the name map's read lock, which every rebind holds for
         // writing while it releases, no rebind slips between the check
         // and the insert.
-        let bats = self.bats.read();
+        let bats = self.bats.read().recover();
         if bats
             .get(name)
             .is_some_and(|bound| Arc::ptr_eq(bound, handle))
@@ -176,6 +176,7 @@ impl Kernel {
             if self
                 .index_cache
                 .write()
+                .recover()
                 .insert(name.to_string(), entry)
                 .is_some()
             {
@@ -188,7 +189,7 @@ impl Kernel {
     /// Releases the cached value indexes of `names`, whose bindings are
     /// changing. Caller holds the name map for writing.
     fn release_indexes<'n>(&self, names: impl IntoIterator<Item = &'n str>) {
-        let mut cache = self.index_cache.write();
+        let mut cache = self.index_cache.write().recover();
         for name in names {
             if cache.remove(name).is_some() {
                 self.metrics.index_evictions.inc();
@@ -198,7 +199,7 @@ impl Kernel {
 
     /// Number of catalog names holding a cached value index.
     pub fn cached_indexes(&self) -> usize {
-        self.index_cache.read().len()
+        self.index_cache.read().recover().len()
     }
 
     /// The tail sketch of `bat`, cached per (BAT id, version) — stale
@@ -258,7 +259,7 @@ impl Kernel {
         }
         for &name in collections {
             if let Ok(handle) = self.bat(name) {
-                let sketch = self.tail_sketch(&handle.read());
+                let sketch = self.tail_sketch(&handle.read().recover());
                 stats.sketches.insert(name.to_string(), sketch);
             }
         }
@@ -267,7 +268,7 @@ impl Kernel {
 
     /// Registers `bat` in the catalog under `name`. Fails when taken.
     pub fn register_bat(&self, name: &str, bat: Bat) -> Result<BatHandle> {
-        let mut bats = self.bats.write();
+        let mut bats = self.bats.write().recover();
         if bats.contains_key(name) {
             return Err(MonetError::AlreadyExists(name.to_string()));
         }
@@ -279,7 +280,7 @@ impl Kernel {
     /// Registers or replaces `bat` under `name`.
     pub fn set_bat(&self, name: &str, bat: Bat) -> BatHandle {
         let handle = Arc::new(RwLock::new(bat));
-        let mut bats = self.bats.write();
+        let mut bats = self.bats.write().recover();
         self.release_indexes([name]);
         bats.insert(name.to_string(), Arc::clone(&handle));
         handle
@@ -294,7 +295,7 @@ impl Kernel {
             .into_iter()
             .map(|(name, bat)| (name.into(), Arc::new(RwLock::new(bat))))
             .collect();
-        let mut bats = self.bats.write();
+        let mut bats = self.bats.write().recover();
         self.release_indexes(group.iter().map(|(name, _)| name.as_str()));
         bats.extend(group);
     }
@@ -313,10 +314,10 @@ impl Kernel {
         if (1..N).any(|i| names[..i].contains(&names[i])) {
             return None;
         }
-        let mut map = self.bats.write();
+        let mut map = self.bats.write().recover();
         let mut group = Vec::with_capacity(N);
         for handle in map.get_disjoint_mut(names) {
-            group.push(Arc::get_mut(handle?)?.get_mut());
+            group.push(Arc::get_mut(handle?)?.get_mut().recover());
         }
         let group = group.try_into().ok()?;
         self.release_indexes(names);
@@ -327,6 +328,7 @@ impl Kernel {
     pub fn bat(&self, name: &str) -> Result<BatHandle> {
         self.bats
             .read()
+            .recover()
             .get(name)
             .cloned()
             .ok_or_else(|| MonetError::NotFound(format!("BAT '{name}'")))
@@ -336,13 +338,13 @@ impl Kernel {
     /// name map (`None` for a name that is unbound): the group as one
     /// [`set_bats`](Self::set_bats) left it.
     pub fn bats<const N: usize>(&self, names: [&str; N]) -> [Option<BatHandle>; N] {
-        let map = self.bats.read();
+        let map = self.bats.read().recover();
         names.map(|name| map.get(name).cloned())
     }
 
     /// Removes a catalog BAT, returning it.
     pub fn drop_bat(&self, name: &str) -> Result<BatHandle> {
-        let mut bats = self.bats.write();
+        let mut bats = self.bats.write().recover();
         self.release_indexes([name]);
         bats.remove(name)
             .ok_or_else(|| MonetError::NotFound(format!("BAT '{name}'")))
@@ -350,14 +352,14 @@ impl Kernel {
 
     /// Names of every catalog BAT, sorted.
     pub fn bat_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.bats.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.bats.read().recover().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// True when `name` exists in the catalog.
     pub fn has_bat(&self, name: &str) -> bool {
-        self.bats.read().contains_key(name)
+        self.bats.read().recover().contains_key(name)
     }
 
     /// Installs an extension module; its procedures become callable from
@@ -365,13 +367,13 @@ impl Kernel {
     pub fn load_module(&self, module: Arc<dyn MelModule>) -> Result<()> {
         let mname = module.name().to_string();
         {
-            let mut modules = self.modules.write();
+            let mut modules = self.modules.write().recover();
             if modules.contains_key(&mname) {
                 return Err(MonetError::AlreadyExists(format!("module '{mname}'")));
             }
             modules.insert(mname.clone(), Arc::clone(&module));
         }
-        let mut procs = self.procs.write();
+        let mut procs = self.procs.write().recover();
         for p in module.procedures() {
             if let Some(owner) = procs.get(&p) {
                 return Err(MonetError::AlreadyExists(format!(
@@ -387,6 +389,7 @@ impl Kernel {
     pub fn module(&self, name: &str) -> Result<Arc<dyn MelModule>> {
         self.modules
             .read()
+            .recover()
             .get(name)
             .cloned()
             .ok_or_else(|| MonetError::NotFound(format!("module '{name}'")))
@@ -394,8 +397,8 @@ impl Kernel {
 
     /// Resolves a bare procedure name to its owning module.
     pub fn resolve_proc(&self, proc: &str) -> Option<Arc<dyn MelModule>> {
-        let owner = self.procs.read().get(proc).cloned()?;
-        self.modules.read().get(&owner).cloned()
+        let owner = self.procs.read().recover().get(proc).cloned()?;
+        self.modules.read().recover().get(&owner).cloned()
     }
 
     /// Calls an extension procedure by bare name.
@@ -543,7 +546,7 @@ mod tests {
             "x",
             Bat::from_tail(AtomType::Dbl, [Atom::Dbl(1.0)]).unwrap(),
         );
-        assert_eq!(k.bat("x").unwrap().read().len(), 1);
+        assert_eq!(k.bat("x").unwrap().read().recover().len(), 1);
     }
 
     #[test]
@@ -557,8 +560,8 @@ mod tests {
 
         // A holder keeps its version; the map holds the new one.
         k.set_bats([("a", ints(vec![3, 4])), ("b", ints(vec![5, 6]))]);
-        assert_eq!(a.read().len() + b.read().len(), 2);
-        assert_eq!(k.bat("b").unwrap().read().len(), 2);
+        assert_eq!(a.read().recover().len() + b.read().recover().len(), 2);
+        assert_eq!(k.bat("b").unwrap().read().recover().len(), 2);
 
         // MIL reads bound names as the handles given, others by lookup.
         let program = r#"RETURN bat("a").count + bat("b").count;"#;
@@ -578,7 +581,7 @@ mod tests {
             b.extend_ints([8]).unwrap();
         };
         assert!(k.update_unshared(["a", "b"], grow).is_some());
-        assert_eq!(k.bat("a").unwrap().read().len(), 2);
+        assert_eq!(k.bat("a").unwrap().read().recover().len(), 2);
         // Unbound, named twice, or held by a reader: nothing runs.
         assert!(k.update_unshared(["a", "c"], |_| ()).is_none());
         assert!(k.update_unshared(["a", "a"], |_| ()).is_none());
@@ -587,7 +590,7 @@ mod tests {
         drop(held);
         assert!(k.update_unshared(["a", "b"], grow).is_some());
         assert_eq!(
-            k.bat("b").unwrap().read().tail().ints(),
+            k.bat("b").unwrap().read().recover().tail().ints(),
             Some(&[1, 8, 8][..])
         );
     }
@@ -620,14 +623,14 @@ mod tests {
                 let k = Arc::clone(&k);
                 std::thread::spawn(move || {
                     let bat = k.bat("shared").unwrap();
-                    bat.write().append_void(Atom::Int(i)).unwrap();
+                    bat.write().recover().append_void(Atom::Int(i)).unwrap();
                 })
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(k.bat("shared").unwrap().read().len(), 4);
+        assert_eq!(k.bat("shared").unwrap().read().recover().len(), 4);
     }
 
     /// Selections by catalog name against one kernel, counting how each

@@ -40,9 +40,9 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use parking_lot::RwLock;
+use cobra_faults::Recover;
 
 use crate::bat::Bat;
 use crate::error::{MonetError, Result};
@@ -95,7 +95,7 @@ impl MilValue {
 
     /// Clones the underlying BAT out of the handle.
     pub fn bat_snapshot(&self) -> Result<Bat> {
-        Ok(self.as_bat()?.read().clone())
+        Ok(self.as_bat()?.read().recover().clone())
     }
 }
 
@@ -104,7 +104,7 @@ impl fmt::Debug for MilValue {
         match self {
             MilValue::Nil => write!(f, "Nil"),
             MilValue::Atom(a) => write!(f, "Atom({a})"),
-            MilValue::Bat(b) => write!(f, "Bat(len={})", b.read().len()),
+            MilValue::Bat(b) => write!(f, "Bat(len={})", b.read().recover().len()),
         }
     }
 }
@@ -115,7 +115,7 @@ impl fmt::Display for MilValue {
             MilValue::Nil => write!(f, "nil"),
             MilValue::Atom(a) => write!(f, "{a}"),
             MilValue::Bat(b) => {
-                let bat = b.read();
+                let bat = b.read().recover();
                 write!(
                     f,
                     "[{} pairs of {}|{}]",
@@ -133,7 +133,9 @@ impl PartialEq for MilValue {
         match (self, other) {
             (MilValue::Nil, MilValue::Nil) => true,
             (MilValue::Atom(a), MilValue::Atom(b)) => a == b,
-            (MilValue::Bat(a), MilValue::Bat(b)) => Arc::ptr_eq(a, b) || *a.read() == *b.read(),
+            (MilValue::Bat(a), MilValue::Bat(b)) => {
+                Arc::ptr_eq(a, b) || *a.read().recover() == *b.read().recover()
+            }
             _ => false,
         }
     }
@@ -506,7 +508,7 @@ fn eval_call(env: &mut Env<'_>, name: &str, args: &[Expr]) -> Result<MilValue> {
                 .first()
                 .ok_or_else(|| MonetError::Eval("count(bat)".into()))?
                 .as_bat()?;
-            let n = b.read().len();
+            let n = b.read().recover().len();
             Ok(MilValue::Atom(Atom::Int(n as i64)))
         }
         "threadcnt" => {
@@ -702,7 +704,7 @@ fn eval_method(
     let rows = recv
         .as_bat()
         .ok()
-        .map_or(0, |handle| handle.read().len() as u64);
+        .map_or(0, |handle| handle.read().recover().len() as u64);
     let start = std::time::Instant::now();
     let out = eval_method_op(env, recv, catalog, name, args);
     env.kernel
@@ -725,7 +727,7 @@ fn eval_method_op(
         .map_err(|_| MonetError::Eval(format!("method '.{name}' requires a BAT receiver")))?;
     match name {
         "insert" => {
-            let mut bat = handle.write();
+            let mut bat = handle.write().recover();
             match args.len() {
                 1 => bat.append_void(args[0].as_atom()?)?,
                 2 => bat.append(args[0].as_atom()?, args[1].as_atom()?)?,
@@ -744,11 +746,12 @@ fn eval_method_op(
             }
             handle
                 .write()
+                .recover()
                 .replace(args[0].as_atom()?, args[1].as_atom()?)?;
             Ok(MilValue::Bat(handle))
         }
-        "reverse" => Ok(MilValue::new_bat(handle.read().reverse())),
-        "mirror" => Ok(MilValue::new_bat(handle.read().mirror())),
+        "reverse" => Ok(MilValue::new_bat(handle.read().recover().reverse())),
+        "mirror" => Ok(MilValue::new_bat(handle.read().recover().mirror())),
         "mark" => {
             let base = match args.first() {
                 Some(v) => {
@@ -765,9 +768,11 @@ fn eval_method_op(
                 }
                 None => 0,
             };
-            Ok(MilValue::new_bat(handle.read().mark(base)))
+            Ok(MilValue::new_bat(handle.read().recover().mark(base)))
         }
-        "count" => Ok(MilValue::Atom(Atom::Int(handle.read().len() as i64))),
+        "count" => Ok(MilValue::Atom(Atom::Int(
+            handle.read().recover().len() as i64
+        ))),
         "max" | "min" | "sum" | "avg" => {
             let kind = match name {
                 "max" => Aggregate::Max,
@@ -775,14 +780,17 @@ fn eval_method_op(
                 "sum" => Aggregate::Sum,
                 _ => Aggregate::Avg,
             };
-            Ok(MilValue::Atom(ops::aggregate(&handle.read(), kind)?))
+            Ok(MilValue::Atom(ops::aggregate(
+                &handle.read().recover(),
+                kind,
+            )?))
         }
         "find" => {
             let key = args
                 .first()
                 .ok_or_else(|| MonetError::Eval("find(key)".into()))?
                 .as_atom()?;
-            match handle.read().find(&key) {
+            match handle.read().recover().find(&key) {
                 Some(v) => Ok(MilValue::Atom(v)),
                 None => Err(MonetError::NotFound(format!("key {key} in BAT"))),
             }
@@ -794,7 +802,7 @@ fn eval_method_op(
                 Ok(MilValue::new_bat(out))
             }
             2 => Ok(MilValue::new_bat(ops::select_range_ctx(
-                &handle.read(),
+                &handle.read().recover(),
                 &args[0].as_atom()?,
                 &args[1].as_atom()?,
                 &op_ctx(env),
@@ -809,15 +817,15 @@ fn eval_method_op(
             }
             let lo = args[0].as_atom()?.as_int()?.max(0) as usize;
             let hi = args[1].as_atom()?.as_int()?.max(0) as usize;
-            Ok(MilValue::new_bat(handle.read().slice(lo, hi)))
+            Ok(MilValue::new_bat(handle.read().recover().slice(lo, hi)))
         }
         "join" => {
             let other = args
                 .first()
                 .ok_or_else(|| MonetError::Eval("join(bat)".into()))?
                 .as_bat()?;
-            let l = handle.read();
-            let r = other.read();
+            let l = handle.read().recover();
+            let r = other.read().recover();
             Ok(MilValue::new_bat(ops::join_ctx(&l, &r, &op_ctx(env))?))
         }
         "semijoin" => {
@@ -825,8 +833,8 @@ fn eval_method_op(
                 .first()
                 .ok_or_else(|| MonetError::Eval("semijoin(bat)".into()))?
                 .as_bat()?;
-            let l = handle.read();
-            let r = other.read();
+            let l = handle.read().recover();
+            let r = other.read().recover();
             let out = ops::semijoin_ctx(&l, &r, &op_ctx(env))?;
             drop((l, r));
             Ok(MilValue::new_bat(out))
@@ -836,15 +844,19 @@ fn eval_method_op(
                 .first()
                 .ok_or_else(|| MonetError::Eval("diff(bat)".into()))?
                 .as_bat()?;
-            let l = handle.read();
-            let r = other.read();
+            let l = handle.read().recover();
+            let r = other.read().recover();
             let out = ops::antijoin_ctx(&l, &r, &op_ctx(env))?;
             drop((l, r));
             Ok(MilValue::new_bat(out))
         }
-        "unique" => Ok(MilValue::new_bat(ops::unique_tail(&handle.read()))),
-        "histogram" => Ok(MilValue::new_bat(ops::histogram(&handle.read()))),
-        "sort" => Ok(MilValue::new_bat(ops::sort_by_tail(&handle.read()))),
+        "unique" => Ok(MilValue::new_bat(ops::unique_tail(
+            &handle.read().recover(),
+        ))),
+        "histogram" => Ok(MilValue::new_bat(ops::histogram(&handle.read().recover()))),
+        "sort" => Ok(MilValue::new_bat(ops::sort_by_tail(
+            &handle.read().recover(),
+        ))),
         other => Err(MonetError::Eval(format!("unknown BAT method '.{other}'"))),
     }
 }
@@ -975,7 +987,7 @@ mod tests {
         )
         .unwrap();
         assert!(k.has_bat("copy"));
-        assert_eq!(k.bat("copy").unwrap().read().len(), 1);
+        assert_eq!(k.bat("copy").unwrap().read().recover().len(), 1);
         k.eval_mil(r#"unregister("copy");"#).unwrap();
         assert!(!k.has_bat("copy"));
     }

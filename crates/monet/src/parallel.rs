@@ -3,8 +3,8 @@
 //! Monet exposes intra-query parallelism through a thread-count setting and
 //! a parallel block construct; the paper leans on it to evaluate six HMMs
 //! concurrently (Fig. 3/4) and to fan out DBN inference calls. This module
-//! provides the equivalent: a bounded fork/join executor built on crossbeam
-//! scoped threads, so jobs may borrow from the caller's stack.
+//! provides the equivalent: a bounded fork/join executor built on
+//! `std::thread::scope`, so jobs may borrow from the caller's stack.
 //!
 //! Jobs are distributed by striping the job list across workers up front:
 //! each worker *owns* its slice of jobs, so there are no shared claim cells
@@ -12,8 +12,7 @@
 //! [`MonetError::WorkerPanic`] instead of unwinding through the scope.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crossbeam::thread;
+use std::thread;
 
 use crate::error::{MonetError, Result};
 
@@ -59,11 +58,13 @@ where
     }
 
     let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
-    let outcome = thread::scope(|s| {
+    // Every handle is joined inside the scope, so the scope itself never
+    // re-raises a worker's panic; each job also runs under run_one's guard.
+    let worker_results = thread::scope(|s| {
         let handles: Vec<_> = stripes
             .into_iter()
             .map(|stripe| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     stripe
                         .into_iter()
                         .map(|(i, job)| (i, run_one(job)))
@@ -77,12 +78,6 @@ where
         }
         results
     });
-    let worker_results = match outcome {
-        Ok(r) => r,
-        // The scope itself only fails if a worker unwound outside our
-        // per-job guard, which run_one prevents; treat it as a panic anyway.
-        Err(p) => return Err(MonetError::WorkerPanic(panic_message(p))),
-    };
     for per_worker in worker_results {
         let pairs = per_worker.map_err(|p| MonetError::WorkerPanic(panic_message(p)))?;
         for (i, r) in pairs {

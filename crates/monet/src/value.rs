@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crate::error::{MonetError, Result};
 
 /// The type tag of an [`Atom`] (or of a virtual void column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomType {
     /// Dense object identifiers that are never materialized; only valid as a
     /// column type, there is no `Atom::Void` value.
@@ -72,7 +72,7 @@ impl fmt::Display for AtomType {
 /// (`total_cmp` / `to_bits`), so atoms form a proper `Eq + Ord + Hash`
 /// universe and can key hash joins. NaNs are therefore *equal to
 /// themselves*, which is exactly what a database needs for grouping.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Atom {
     /// Object identifier.
     Oid(u64),

@@ -10,6 +10,7 @@
 //! and procedure arguments, type names, catalog names). A parameter
 //! beyond those given is a typed eval error.
 
+use cobra_faults::Recover;
 use f1_monet::prelude::*;
 use proptest::prelude::*;
 
@@ -136,7 +137,7 @@ fn outcome(out: &Result<MilValue>) -> String {
         Ok(MilValue::Nil) => "nil".into(),
         Ok(MilValue::Atom(a)) => exact(a),
         Ok(MilValue::Bat(b)) => {
-            let b = b.read();
+            let b = b.read().recover();
             let column = |atoms: Vec<Atom>| atoms.iter().map(exact).collect::<Vec<_>>();
             format!(
                 "bat[{}|{}] {:?} {:?}",

@@ -21,10 +21,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use parking_lot::RwLock;
+use cobra_faults::Recover;
 
 /// Number of log-scaled histogram buckets: bucket `i` holds values whose
 /// bit length is `i` (bucket 0 holds exactly the value 0), so the full
@@ -376,10 +376,10 @@ fn resolve<T: Default>(
     labels: &[(&str, &str)],
 ) -> Arc<T> {
     let key = MetricKey::new(name, labels);
-    if let Some(found) = map.read().get(&key) {
+    if let Some(found) = map.read().recover().get(&key) {
         return Arc::clone(found);
     }
-    let mut map = map.write();
+    let mut map = map.write().recover();
     if let Some(found) = map.get(&key) {
         return Arc::clone(found);
     }
@@ -430,6 +430,7 @@ impl Registry {
     pub fn histograms_named(&self, name: &str) -> Vec<(MetricKey, HistogramSnapshot)> {
         self.histograms
             .read()
+            .recover()
             .iter()
             .filter(|(k, _)| k.name == name)
             .map(|(k, h)| (k.clone(), h.snapshot()))
@@ -442,18 +443,21 @@ impl Registry {
             counters: self
                 .counters
                 .read()
+                .recover()
                 .iter()
                 .map(|(k, c)| (k.clone(), c.get()))
                 .collect(),
             gauges: self
                 .gauges
                 .read()
+                .recover()
                 .iter()
                 .map(|(k, g)| (k.clone(), g.get()))
                 .collect(),
             histograms: self
                 .histograms
                 .read()
+                .recover()
                 .iter()
                 .map(|(k, h)| (k.clone(), h.snapshot()))
                 .collect(),

@@ -13,7 +13,7 @@ use crate::interval::{relation, AllenRelation, Interval};
 use crate::{Result, RuleError};
 
 /// A term in a condition or production: variable or constant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A variable, bound on first match.
     Var(String),
@@ -29,7 +29,7 @@ impl Term {
 }
 
 /// One fact pattern in a rule body.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Condition {
     /// Predicate to match.
     pub predicate: String,
@@ -48,7 +48,7 @@ impl Condition {
 }
 
 /// An Allen-relation constraint between two matched conditions.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemporalConstraint {
     /// Index of the left condition.
     pub a: usize,
@@ -59,7 +59,7 @@ pub struct TemporalConstraint {
 }
 
 /// How the produced fact's interval derives from the match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntervalSpec {
     /// Hull over every matched condition's interval.
     Hull,
@@ -68,7 +68,7 @@ pub enum IntervalSpec {
 }
 
 /// A compound-event rule.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Rule name (for diagnostics).
     pub name: String,

@@ -5,7 +5,7 @@ use std::fmt;
 use crate::interval::Interval;
 
 /// An attribute value of a fact.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// A string (driver names, caption classes, …).
     Str(String),
@@ -42,7 +42,7 @@ impl From<i64> for Value {
 }
 
 /// A fact: `predicate(args…) @ interval`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Fact {
     /// Predicate name ("highlight", "pit_stop", …).
     pub predicate: String,

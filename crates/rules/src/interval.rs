@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A half-open interval `[start, end)` on the clip grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// First clip.
     pub start: usize,
@@ -40,7 +40,7 @@ impl Interval {
 }
 
 /// Allen's thirteen basic interval relations (`a REL b`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllenRelation {
     /// a ends before b starts.
     Before,

@@ -41,6 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cobra_faults::Recover;
 use cobra_obs::{Counter, Gauge, Registry};
 use serde_json::Value;
 
@@ -295,7 +296,7 @@ impl ReactorCtl {
 
     fn enqueue(&self, op: Op) {
         let was_empty = {
-            let mut ops = self.inner.ops.lock().expect("reactor op queue poisoned");
+            let mut ops = self.inner.ops.lock().recover();
             let was_empty = ops.is_empty();
             ops.push(op);
             was_empty
@@ -344,11 +345,11 @@ impl ReactorCtl {
     /// Drains the queued ops — reactor side, and test hook for hub
     /// unit tests that run without an event loop.
     pub(crate) fn take_ops(&self) -> Vec<Op> {
-        std::mem::take(&mut *self.inner.ops.lock().expect("reactor op queue poisoned"))
+        std::mem::take(&mut *self.inner.ops.lock().recover())
     }
 
     fn take_wake_rx(&self) -> Option<UnixStream> {
-        let mut rx = self.inner.wake_rx.lock().expect("reactor waker poisoned");
+        let mut rx = self.inner.wake_rx.lock().recover();
         rx.take()
     }
 }

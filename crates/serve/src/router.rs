@@ -66,6 +66,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cobra_faults::Recover;
 use cobra_obs::Registry;
 use f1_cobra::catalog::ChangeFeed;
 use f1_cobra::json::{join_groups, read_query_output, Part};
@@ -81,7 +82,7 @@ use crate::protocol::{
 use crate::reactor::ConnId;
 use crate::ring::{Ring, DEFAULT_SEED};
 use crate::server::ServerConfig;
-use crate::stream::{answer_groups, empty_answer, recover, Group, Source, SWEEP_INTERVAL};
+use crate::stream::{answer_groups, empty_answer, Group, Source, SWEEP_INTERVAL};
 
 /// Read timeout for handshakes (`version` on a forwarding connection,
 /// the bare `subscribe` on a feed). Both are answered promptly by a
@@ -164,7 +165,7 @@ impl RouterShared {
     /// connections, nothing is dialed until a request needs a shard — a
     /// router that only answers pings owes its workers no connections.
     fn ensure_feeds(self: &Arc<Self>) {
-        let mut feeds = recover(&self.feeds);
+        let mut feeds = self.feeds.lock().recover();
         if !feeds.is_empty() {
             return;
         }
@@ -178,7 +179,7 @@ impl RouterShared {
     }
 
     fn checkout(&self) -> Vec<ShardConn> {
-        recover(&self.conn_sets).pop().unwrap_or_else(|| {
+        self.conn_sets.lock().recover().pop().unwrap_or_else(|| {
             (0..self.ring.shards())
                 .map(|shard| ShardConn {
                     shard,
@@ -191,14 +192,16 @@ impl RouterShared {
     }
 
     fn checkin(&self, set: Vec<ShardConn>) {
-        let mut sets = recover(&self.conn_sets);
+        let mut sets = self.conn_sets.lock().recover();
         if sets.len() < ROUTER_WORKERS {
             sets.push(set);
         }
     }
 
     fn addr_of(&self, shard: u32) -> Result<String, String> {
-        recover(&self.addrs)
+        self.addrs
+            .lock()
+            .recover()
             .get(shard as usize)
             .cloned()
             .ok_or_else(|| format!("shard {shard} is not on the ring"))
@@ -206,20 +209,28 @@ impl RouterShared {
 
     /// `shard`'s current stamp, `None` while its feed is down.
     fn known(&self, shard: u32) -> Option<Stamp> {
-        recover(&self.known).get(shard as usize).copied().flatten()
+        self.known
+            .lock()
+            .recover()
+            .get(shard as usize)
+            .copied()
+            .flatten()
     }
 
     /// The feed (re)connected with `stamp`, or dropped (`None`).
-    /// `router.feeds_up` counts the shards whose stamp is known.
+    /// `router.feeds_up` counts the shards whose stamp is known. It is
+    /// set under the lock: two feeds connecting at once would otherwise
+    /// publish their counts in either order, and a stale count, set
+    /// last, would stand until a feed next connected or dropped.
     fn set_known(&self, shard: u32, stamp: Option<Stamp>) {
-        let up = {
-            let mut known = recover(&self.known);
+        {
+            let mut known = self.known.lock().recover();
             if let Some(slot) = known.get_mut(shard as usize) {
                 *slot = stamp;
             }
-            known.iter().flatten().count()
-        };
-        self.registry.gauge("router.feeds_up", &[]).set(up as i64);
+            let up = known.iter().flatten().count();
+            self.registry.gauge("router.feeds_up", &[]).set(up as i64);
+        }
         self.moved.bump();
     }
 
@@ -227,7 +238,7 @@ impl RouterShared {
     /// later one. A reply cannot resurrect a stamp the feed has lost —
     /// while the feed is down the shard stays unknown.
     fn observe(&self, shard: u32, stamp: Stamp) {
-        let raised = match recover(&self.known).get_mut(shard as usize) {
+        let raised = match self.known.lock().recover().get_mut(shard as usize) {
             Some(Some(known)) if stamp > *known => {
                 *known = stamp;
                 true
@@ -379,7 +390,7 @@ impl Door for Arc<RouterShared> {
 
     fn stopped(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        let feeds = std::mem::take(&mut *recover(&self.feeds));
+        let feeds = std::mem::take(&mut *self.feeds.lock().recover());
         for feed in feeds {
             let _ = feed.join();
         }
@@ -410,7 +421,7 @@ impl RouterHandle {
     /// old connection errors, and the retry reconnects here; the
     /// shard's feed finds it on its next reconnect attempt.
     pub fn set_shard_addr(&self, shard: u32, addr: impl Into<String>) {
-        if let Some(slot) = recover(&self.shared.addrs).get_mut(shard as usize) {
+        if let Some(slot) = self.shared.addrs.lock().recover().get_mut(shard as usize) {
             *slot = addr.into();
         }
     }
@@ -842,7 +853,7 @@ fn aggregated(id: u64, result: Value) -> Answer {
 /// `version`: the topology view — one entry per shard, in shard order,
 /// with the address the router would dial.
 fn version(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -> Answer {
-    let addrs = recover(&shared.addrs).clone();
+    let addrs = shared.addrs.lock().recover().clone();
     let mut entries = Vec::with_capacity(addrs.len());
     for (shard, (result, addr)) in gather(shared, conns, "version", id).zip(addrs).enumerate() {
         let mut entry = shard_entry(shard, result);

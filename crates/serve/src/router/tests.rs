@@ -67,8 +67,12 @@ fn serve_connection(mut stream: TcpStream, shard: u64, replied: &Replied) {
             };
             let (mut set, wait) = replied
                 .moved
-                .wait_timeout_while(recover(&replied.set), PATIENCE / 2, next_shard_pending)
-                .unwrap_or_else(|p| p.into_inner());
+                .wait_timeout_while(
+                    replied.set.lock().recover(),
+                    PATIENCE / 2,
+                    next_shard_pending,
+                )
+                .recover();
             if wait.timed_out() {
                 err_response(id, ErrorKind::Internal, "the next shard never replied")
             } else {

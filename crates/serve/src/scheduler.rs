@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use cobra_faults::Recover;
 use cobra_obs::{Counter, Gauge, Registry};
 
 /// A unit of admitted work.
@@ -102,7 +103,7 @@ impl WorkerPool {
         if self.shared.shutting_down.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
-        let mut queue = self.shared.queue.lock().expect("pool lock");
+        let mut queue = self.shared.queue.lock().recover();
         // Re-check under the lock so a submission racing shutdown cannot
         // slip in after the drain decision.
         if self.shared.shutting_down.load(Ordering::SeqCst) {
@@ -132,7 +133,7 @@ impl WorkerPool {
     pub fn shutdown(&self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         self.shared.available.notify_all();
-        let handles = std::mem::take(&mut *self.workers.lock().expect("pool lock"));
+        let handles = std::mem::take(&mut *self.workers.lock().recover());
         for handle in handles {
             let _ = handle.join();
         }
@@ -142,7 +143,7 @@ impl WorkerPool {
 fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("pool lock");
+            let mut queue = shared.queue.lock().recover();
             loop {
                 if let Some(job) = queue.pop_front() {
                     shared.queue_depth.set(queue.len() as i64);
@@ -151,7 +152,7 @@ fn worker_loop(shared: &PoolShared) {
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     break None;
                 }
-                queue = shared.available.wait(queue).expect("pool lock");
+                queue = shared.available.wait(queue).recover();
             }
         };
         let Some(job) = job else { return };

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use cobra_faults::CancellationToken;
+use cobra_faults::{CancellationToken, Recover};
 use cobra_obs::{Histogram, Registry};
 use f1_cobra::json::{answered_len, write_answered};
 use f1_cobra::{Answered, Stamp, Vdbms};
@@ -170,7 +170,7 @@ impl Server {
     }
 
     fn inflight_for(&self, conn: ConnId) -> Inflight {
-        let mut conns = self.conns.lock().expect("conn table");
+        let mut conns = self.conns.lock().recover();
         Arc::clone(conns.entry(conn).or_default())
     }
 }
@@ -214,9 +214,9 @@ impl Door for Server {
 
     fn closed(&self, conn: ConnId) {
         // Client gone (or evicted): interrupt what it still has running.
-        let inflight = self.conns.lock().expect("conn table").remove(&conn);
+        let inflight = self.conns.lock().recover().remove(&conn);
         if let Some(inflight) = inflight {
-            let orphaned = std::mem::take(&mut *inflight.lock().expect("inflight map"));
+            let orphaned = std::mem::take(&mut *inflight.lock().recover());
             if !orphaned.is_empty() {
                 self.registry()
                     .counter("serve.cancelled_disconnect", &[])
@@ -383,7 +383,7 @@ fn write_event(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
 /// flight so the next identical query starts fresh.
 fn fan_out(front: &Front, key: &str, outcome: &Outcome) {
     let waiters = {
-        let mut flights = front.door.flights.lock().expect("flight table");
+        let mut flights = front.door.flights.lock().recover();
         flights.remove(key).unwrap_or_default()
     };
     for w in waiters {
@@ -440,7 +440,7 @@ impl JobCtx {
 
     fn finish(&self, outcome: Outcome) {
         self.running.store(false, Ordering::SeqCst);
-        self.inflight.lock().expect("inflight map").remove(&self.id);
+        self.inflight.lock().recover().remove(&self.id);
         self.front.door.record_latency(self.admitted_at);
         if let Some(key) = &self.flight_key {
             fan_out(&self.front, key, &outcome);
@@ -490,7 +490,7 @@ fn admit(
 ) {
     let inflight = front.door.inflight_for(conn);
     let token = CancellationToken::new();
-    let mut map = inflight.lock().expect("inflight map");
+    let mut map = inflight.lock().recover();
     map.insert(id, token.clone());
     drop(map);
     let rejection_key = flight_key.clone();
@@ -518,7 +518,7 @@ fn admit(
         run(&ctx);
     }));
     if let Err((kind, message)) = submitted {
-        inflight.lock().expect("inflight map").remove(&id);
+        inflight.lock().recover().remove(&id);
         let outcome = Outcome::Err { kind, message };
         // A rejected leader takes its (raced-in) followers with it.
         if let Some(key) = &rejection_key {
@@ -542,7 +542,7 @@ fn submit_query(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
     // worker execution, when `shareable` allows.
     let flight_key = shareable(&request, &text).map(|s| format!("{video}\u{1}{}", s.normalized()));
     if let Some(key) = &flight_key {
-        let mut flights = front.door.flights.lock().expect("flight table");
+        let mut flights = front.door.flights.lock().recover();
         if let Some(waiters) = flights.get_mut(key) {
             waiters.push(FlightWaiter {
                 id,

@@ -35,17 +35,18 @@
 //! number of frames behind is disconnected with a typed `slow_consumer`
 //! error rather than buffered for.
 //!
-//! Every hub lock recovers from poisoning: the tables hold plain maps
-//! that are valid at every step, and a panicking evaluation must not
-//! take every other subscriber's stream down with it.
+//! Every hub lock recovers from poisoning (`cobra_faults::Recover`): a
+//! panicking evaluation must not take every other subscriber's stream
+//! down with it.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use cobra_faults::Recover;
 use cobra_obs::Registry;
 use f1_cobra::{QueryOutput, RetrievedSegment, Stamp, Vdbms};
 use f1_monet::ExecBudget;
@@ -195,12 +196,6 @@ pub struct Hub<S: Source> {
     notifier: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// Locks through poisoning (see the module docs for why that is sound
-/// for the hub's and the router's tables).
-pub(crate) fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Segments in wire form.
 fn wire(segments: &[RetrievedSegment]) -> Value {
     Value::Array(
@@ -290,7 +285,7 @@ impl<S: Source> Hub<S> {
             standing.scopes.insert(scope, armed);
         }
         {
-            let mut inner = recover(&self.inner);
+            let mut inner = self.inner.lock().recover();
             let entry = inner.entry(conn).or_insert_with(|| ConnSubs {
                 pending: Arc::new(AtomicUsize::new(0)),
                 subs: HashMap::new(),
@@ -335,7 +330,10 @@ impl<S: Source> Hub<S> {
                 "unsubscribe needs integer field 'subscription'",
             );
         };
-        let removed = recover(&self.inner)
+        let removed = self
+            .inner
+            .lock()
+            .recover()
             .get_mut(&conn)
             .is_some_and(|entry| entry.subs.remove(&subscription).is_some());
         if !removed {
@@ -356,7 +354,7 @@ impl<S: Source> Hub<S> {
     /// Forgets every standing query of one connection. Called by the
     /// reactor when the connection dies, for any reason.
     pub fn drop_conn(&self, conn: ConnId) {
-        if let Some(entry) = recover(&self.inner).remove(&conn) {
+        if let Some(entry) = self.inner.lock().recover().remove(&conn) {
             self.active(-(entry.subs.len() as i64));
         }
     }
@@ -365,11 +363,11 @@ impl<S: Source> Hub<S> {
     /// once at shutdown.
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        let handle = recover(&self.notifier).take();
+        let handle = self.notifier.lock().recover().take();
         if let Some(h) = handle {
             let _ = h.join();
         }
-        let mut inner = recover(&self.inner);
+        let mut inner = self.inner.lock().recover();
         let n: usize = inner.values().map(|e| e.subs.len()).sum();
         self.active(-(n as i64));
         inner.clear();
@@ -377,7 +375,7 @@ impl<S: Source> Hub<S> {
 
     /// Spawns the hub's notifier thread on first use.
     fn ensure_notifier(self: &Arc<Self>) {
-        let mut slot = recover(&self.notifier);
+        let mut slot = self.notifier.lock().recover();
         if slot.is_some() {
             return;
         }
@@ -410,7 +408,7 @@ impl<S: Source> Hub<S> {
     /// ones are re-evaluated, and a changed *answer* is pushed as a
     /// delta frame.
     fn sweep(&self) {
-        let mut inner = recover(&self.inner);
+        let mut inner = self.inner.lock().recover();
         let mut doomed: Vec<ConnId> = Vec::new();
         'conns: for (&conn, entry) in inner.iter_mut() {
             if self.closed.load(Ordering::SeqCst) {
@@ -590,11 +588,17 @@ mod tests {
 
     impl Script {
         fn set_stamp(&self, scope: u32, seq: u64) {
-            recover(&self.stamps).insert(scope, Ok(Stamp { epoch: 1, seq }));
+            self.stamps
+                .lock()
+                .recover()
+                .insert(scope, Ok(Stamp { epoch: 1, seq }));
         }
 
         fn set_down(&self, scope: u32) {
-            recover(&self.stamps).insert(scope, Err(format!("scope {scope} is down")));
+            self.stamps
+                .lock()
+                .recover()
+                .insert(scope, Err(format!("scope {scope} is down")));
         }
 
         fn set_answer(&self, scope: u32, video: &str, starts: &[u64]) {
@@ -607,7 +611,10 @@ mod tests {
                     driver: None,
                 })
                 .collect();
-            recover(&self.answers).insert(scope, vec![(video.to_string(), segments)]);
+            self.answers
+                .lock()
+                .recover()
+                .insert(scope, vec![(video.to_string(), segments)]);
         }
     }
 
@@ -623,7 +630,9 @@ mod tests {
         }
 
         fn stamp(&self, scope: &u32) -> Result<Stamp, String> {
-            recover(&self.stamps)
+            self.stamps
+                .lock()
+                .recover()
                 .get(scope)
                 .cloned()
                 .unwrap_or(Ok(Stamp { epoch: 1, seq: 0 }))
@@ -631,7 +640,10 @@ mod tests {
 
         fn eval(&self, scope: &u32, _video: &str, _text: &str) -> Result<Vec<Group>, String> {
             self.evals.fetch_add(1, Ordering::SeqCst);
-            Ok(recover(&self.answers)
+            Ok(self
+                .answers
+                .lock()
+                .recover()
                 .get(scope)
                 .cloned()
                 .unwrap_or_default())
@@ -684,7 +696,7 @@ mod tests {
             }
             // Park a finished thread in the notifier slot so `subscribe`
             // does not start a real one.
-            *recover(&self.hub.notifier) = Some(std::thread::spawn(|| {}));
+            *self.hub.notifier.lock().recover() = Some(std::thread::spawn(|| {}));
             self.hub.subscribe(CONN, SUB, &request)
         }
 

@@ -11,11 +11,11 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use cobra_faults::Recover;
 use cobra_obs::{Counter, Gauge, Registry};
 use f1_monet::bat::Bat;
-use parking_lot::Mutex;
 
 use crate::snapshot::{
     encode_bat, encode_manifest, read_bat_file, read_manifest_file, write_atomic, Manifest,
@@ -519,11 +519,11 @@ impl StorageBackend for FileBackend {
     }
 
     fn take_recovery(&self) -> Option<Recovery> {
-        self.recovery.lock().take()
+        self.recovery.lock().recover().take()
     }
 
     fn log(&self, op: &WalOp) -> StoreResult<()> {
-        let mut wal = self.wal.lock();
+        let mut wal = self.wal.lock().recover();
         let appended = wal.append(op)?;
         drop(wal);
         self.records.fetch_add(1, Ordering::Relaxed);
@@ -543,11 +543,11 @@ impl StorageBackend for FileBackend {
     }
 
     fn begin_checkpoint(&self) -> StoreResult<bool> {
-        let mut cut = self.cut.lock();
+        let mut cut = self.cut.lock().recover();
         if cut.is_some() {
             return Err(StoreError::Protocol("checkpoint already in progress"));
         }
-        let mut wal = self.wal.lock();
+        let mut wal = self.wal.lock().recover();
         wal.flush()?;
         let cut_seq = wal.last_seq();
         let old_index = self.wal_index.load(Ordering::Relaxed);
@@ -560,7 +560,7 @@ impl StorageBackend for FileBackend {
         drop(wal);
 
         let retired: Vec<u64> = {
-            let mut live = self.live_wal.lock();
+            let mut live = self.live_wal.lock().recover();
             let retired = live.clone();
             live.push(new_index);
             retired
@@ -577,6 +577,7 @@ impl StorageBackend for FileBackend {
         let cut = self
             .cut
             .lock()
+            .recover()
             .take()
             .ok_or(StoreError::Protocol("complete_checkpoint without begin"))?;
         self.faults.fire("store.checkpoint.write")?;
@@ -589,7 +590,7 @@ impl StorageBackend for FileBackend {
         let mut new_entries: Vec<(String, BaselineEntry)> = Vec::with_capacity(state.bats.len());
         let mut manifest_bats = Vec::with_capacity(state.bats.len());
         {
-            let baseline = self.baseline.lock();
+            let baseline = self.baseline.lock().recover();
             for (i, nb) in state.bats.iter().enumerate() {
                 let unchanged = baseline
                     .get(&nb.name)
@@ -638,8 +639,8 @@ impl StorageBackend for FileBackend {
         write_atomic(&self.dir.join(MANIFEST_NAME), &bytes, &self.faults)?;
         outcome.bytes_written += bytes.len() as u64;
 
-        *self.baseline.lock() = new_entries.into_iter().collect();
-        *self.manifest.lock() = manifest.clone();
+        *self.baseline.lock().recover() = new_entries.into_iter().collect();
+        *self.manifest.lock().recover() = manifest.clone();
         self.pending.fetch_sub(
             cut.pending_at_cut.min(self.pending.load(Ordering::Relaxed)),
             Ordering::Relaxed,
@@ -649,7 +650,7 @@ impl StorageBackend for FileBackend {
 
         self.faults.fire("store.checkpoint.truncate")?;
         {
-            let mut live = self.live_wal.lock();
+            let mut live = self.live_wal.lock().recover();
             for &idx in &cut.retired {
                 let path = wal_path(&self.dir, idx);
                 if fs::remove_file(&path).is_ok() {
@@ -665,7 +666,7 @@ impl StorageBackend for FileBackend {
     }
 
     fn flush(&self) -> StoreResult<()> {
-        self.wal.lock().flush()
+        self.wal.lock().recover().flush()
     }
 
     fn stats(&self) -> StoreStats {

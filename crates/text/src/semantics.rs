@@ -8,7 +8,7 @@
 use f1_media::synth::scenario::{CaptionKind, DriverId, DRIVERS};
 
 /// A parsed caption: its semantic class plus any driver/position payload.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParsedCaption {
     /// Semantic class.
     pub kind: CaptionKind,

@@ -12,6 +12,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
+use cobra_faults::Recover;
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::{QueryOutput, Vdbms};
 
@@ -291,7 +292,15 @@ fn an_indexed_read_after_an_in_place_append_sees_the_new_row() {
             .query("v", "RETRIEVE SEGMENTS WITH DRIVER \"SCHUMACHER\"")
             .unwrap()
     };
-    let column = || vdbms.kernel().bat("v.ev.driver").unwrap().read().id();
+    let column = || {
+        vdbms
+            .kernel()
+            .bat("v.ev.driver")
+            .unwrap()
+            .read()
+            .recover()
+            .id()
+    };
     let before = read();
     let (id, cached) = (column(), vdbms.kernel().cached_indexes());
     assert!(cached > 0, "the read cached the driver column's index");

@@ -19,7 +19,7 @@ mod common;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cobra_faults::{FaultPlan, Trigger};
+use cobra_faults::{FaultPlan, Recover, Trigger};
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::{CobraError, FsyncPolicy, StoreConfig, Vdbms};
 
@@ -166,7 +166,7 @@ fn streamed_feature_appends_survive_reboot() {
             .kernel()
             .bat(&format!("german.f{k}"))
             .expect("feature column recovered");
-        let bat = handle.read();
+        let bat = handle.read().recover();
         let got: Vec<f64> = (0..bat.len())
             .map(|t| bat.tail_at(t).unwrap().as_dbl().unwrap())
             .collect();
@@ -242,7 +242,13 @@ fn retried_stream_chunk_lands_exactly_once() {
     );
 
     let check = |vdbms: &Vdbms, when: &str| {
-        let rows = vdbms.kernel().bat("german.f1").unwrap().read().len();
+        let rows = vdbms
+            .kernel()
+            .bat("german.f1")
+            .unwrap()
+            .read()
+            .recover()
+            .len();
         assert_eq!(rows, scenario.n_clips, "{when}: one feature row per clip");
         assert_eq!(
             vdbms.catalog.load_features("german", 17).unwrap(),
@@ -279,7 +285,13 @@ fn an_unfinished_stream_survives_its_process() {
         let vdbms = boot(dir.path());
         assert_eq!(vdbms.catalog.feature_rows("german"), chunks[0].clips.end);
         then(&vdbms);
-        let rows = vdbms.kernel().bat("german.f1").unwrap().read().len();
+        let rows = vdbms
+            .kernel()
+            .bat("german.f1")
+            .unwrap()
+            .read()
+            .recover()
+            .len();
         assert_eq!(rows, scenario.n_clips, "{label}: one feature row per clip");
         (
             vdbms.catalog.load_features("german", 17).unwrap(),
@@ -369,7 +381,7 @@ fn event_columns(vdbms: &Vdbms) -> Vec<String> {
                 .kernel()
                 .bat(&format!("german.ev.{field}"))
                 .expect("event column");
-            let bat = bat.read();
+            let bat = bat.read().recover();
             let (head, tail) = (bat.head().void_run(), bat.tail());
             match (tail.strs(), tail.ints()) {
                 (Some(s), _) => format!("{head:?} {:?} {:?}", s.dict(), s.codes()),

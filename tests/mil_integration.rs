@@ -10,6 +10,7 @@ use cobra_f1::hmm::{DiscreteHmm, HmmBank};
 use cobra_f1::moa::{execute, Aggregate, MoaExpr, Predicate};
 use cobra_f1::monet::prelude::*;
 use cobra_f1::monet::MilValue;
+use cobra_faults::Recover;
 
 fn kernel_with_everything() -> Kernel {
     let kernel = Kernel::new();
@@ -30,7 +31,7 @@ fn kernel_with_everything() -> Kernel {
     let nets: NetStore = Default::default();
     let bn = audio_bn(BnStructure::FullyParameterized).unwrap();
     let query = bn.query;
-    nets.write().insert(
+    nets.write().recover().insert(
         "audio".into(),
         StoredNet {
             net: bn,
@@ -91,7 +92,10 @@ fn mil_program_runs_dbn_inference_over_catalog_features() {
     let trace = kernel
         .eval_mil(r#"RETURN dbnInfer("race", "audio", "EA");"#)
         .unwrap();
-    kernel.set_bat("race.trace.EA", trace.as_bat().unwrap().read().clone());
+    kernel.set_bat(
+        "race.trace.EA",
+        trace.as_bat().unwrap().read().recover().clone(),
+    );
     let expr = MoaExpr::collection("race.trace.EA")
         .select(Predicate::Range(Atom::Dbl(0.0), Atom::Dbl(1.0)))
         .aggregate(Aggregate::Count);
