@@ -12,8 +12,9 @@
 //!
 //! The cache stores `V: Clone` values directly; callers that want cheap
 //! hits wrap payloads in `Arc`. All accounting (hit/miss/eviction counters,
-//! byte gauges) is left to the caller: `get` returns `Option<V>` and
-//! `insert` returns the evicted pair, which is exactly the information the
+//! entry and byte gauges) is left to the caller: `get` returns `Option<V>`
+//! and `insert` returns what the insert [`Displaced`] — the value it
+//! replaced or the entry it evicted — which is exactly the information the
 //! metrics layer needs without coupling this crate to `cobra-obs`.
 
 use std::collections::hash_map::DefaultHasher;
@@ -53,6 +54,17 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         let entry = self.map.remove(&oldest)?;
         Some((oldest, entry.value))
     }
+}
+
+/// What an [`Lru::insert`] took out of the cache, decided under the
+/// shard's lock: a caller that keeps gauges adjusts them by exactly this.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Displaced<K, V> {
+    /// The key was resident: its previous value, now replaced.
+    Replaced(V),
+    /// The key was new and its shard full: the least recently used
+    /// entry, evicted to make room.
+    Evicted(K, V),
 }
 
 /// A bounded map with least-recently-used eviction and sharded locking.
@@ -107,25 +119,24 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         Some(entry.value.clone())
     }
 
-    /// Insert or replace `key`. Returns the entry evicted to make room, if
-    /// any (never the replaced value for an existing key — replacement is
-    /// not an eviction).
-    pub fn insert(&self, key: K, value: V) -> Option<(K, V)> {
+    /// Insert or replace `key`. Returns what the insert displaced: the
+    /// replaced value of a resident key, or the entry evicted to make room
+    /// for a new one (replacement is not an eviction); `None` when the
+    /// entry count grew by one.
+    pub fn insert(&self, key: K, value: V) -> Option<Displaced<K, V>> {
         let mut shard = self.shard(&key).lock().recover();
-        let stamp = shard.tick();
-        let evicted = if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_cap {
-            shard.evict_oldest()
-        } else {
-            None
-        };
-        shard.map.insert(
-            key,
-            Entry {
+        let touched = shard.tick();
+        let full = shard.map.len() >= self.per_shard_cap;
+        if let Some(entry) = shard.map.get_mut(&key) {
+            entry.touched = touched;
+            return Some(Displaced::Replaced(std::mem::replace(
+                &mut entry.value,
                 value,
-                touched: stamp,
-            },
-        );
-        evicted
+            )));
+        }
+        let evicted = if full { shard.evict_oldest() } else { None };
+        shard.map.insert(key, Entry { value, touched });
+        evicted.map(|(key, value)| Displaced::Evicted(key, value))
     }
 
     /// Remove `key`, returning its value if present.
@@ -179,12 +190,12 @@ mod tests {
         assert_eq!(lru.get(&1), Some("a"));
 
         // Inserting a fourth entry must evict 2, not 1.
-        assert_eq!(lru.insert(4, "d"), Some((2, "b")));
+        assert_eq!(lru.insert(4, "d"), Some(Displaced::Evicted(2, "b")));
         assert_eq!(lru.get(&2), None);
         assert_eq!(lru.get(&1), Some("a"));
 
         // Now 3 is oldest (1 and 4 were touched more recently).
-        assert_eq!(lru.insert(5, "e"), Some((3, "c")));
+        assert_eq!(lru.insert(5, "e"), Some(Displaced::Evicted(3, "c")));
         assert_eq!(lru.len(), 3);
     }
 
@@ -193,9 +204,13 @@ mod tests {
         let lru: Lru<u32, u32> = Lru::with_shards(2, 1);
         lru.insert(1, 10);
         lru.insert(2, 20);
-        assert!(lru.insert(1, 11).is_none());
+        assert_eq!(lru.insert(1, 11), Some(Displaced::Replaced(10)));
         assert_eq!(lru.get(&1), Some(11));
         assert_eq!(lru.get(&2), Some(20));
+        assert_eq!(lru.len(), 2);
+        // A replacement re-stamps the key: 2 is now the oldest.
+        lru.insert(1, 12);
+        assert_eq!(lru.insert(3, 30), Some(Displaced::Evicted(2, 20)));
     }
 
     #[test]

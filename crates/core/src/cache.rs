@@ -25,17 +25,22 @@
 //!   the scatter-gather router guards what one shard answered — a
 //!   single-video answer, or that shard's part of a cross-video one, as
 //!   text — with that shard's stamp. An entry is an answer's bytes as
-//!   well as its rows, so a sweep is copied from it, never re-encoded.
+//!   well as its rows, so every reply is copied from it, never
+//!   re-encoded.
 //!
 //! Both caches sit on the shared [`cobra_cache::Lru`] and publish
 //! `cache.*` counters/gauges through the owner's metrics registry, so
 //! `stats` and `PROFILE` make hits, misses, evictions and residency
-//! visible.
+//! visible. Every gauge moves by a delta — decided under the LRU
+//! shard's lock ([`Displaced`] says what an insert took out), or one
+//! step for the generation — never set from a length or a value read
+//! after the lock is released, so racing writers leave the gauges equal
+//! to what is resident and to the current generation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cobra_cache::Lru;
+use cobra_cache::{Displaced, Lru};
 use cobra_obs::{Counter, Gauge, Registry};
 use f1_moa::PlanChoice;
 use f1_monet::Prepared;
@@ -137,7 +142,9 @@ impl PlanCache {
     /// (their keys carry the old generation). Returns the new value.
     pub fn advance_cost_generation(&self) -> u64 {
         let next = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        self.generation_gauge.set(next as i64);
+        // A delta, not `set(next)`: two advances racing would otherwise
+        // publish their values in either order.
+        self.generation_gauge.add(1);
         next
     }
 
@@ -162,10 +169,11 @@ impl PlanCache {
     /// Stores a freshly compiled plan under the current generation.
     pub fn store(&self, video: &str, kind: &str, plan: Arc<CompiledPlan>) {
         let key = (video.to_string(), kind.to_string(), self.cost_generation());
-        if self.plans.insert(key, plan).is_some() {
-            self.evictions.inc();
+        match self.plans.insert(key, plan) {
+            None => self.entries.add(1),
+            Some(Displaced::Evicted(..)) => self.evictions.inc(),
+            Some(Displaced::Replaced(_)) => {}
         }
-        self.entries.set(self.plans.len() as i64);
     }
 }
 
@@ -230,7 +238,7 @@ impl<V> ResultCache<V> {
             if let Some(stale) = self.entries.remove(&key) {
                 self.invalidated.inc();
                 self.bytes.add(-stale.bytes);
-                self.n_entries.set(self.entries.len() as i64);
+                self.n_entries.add(-1);
             }
         }
         self.misses.inc();
@@ -256,11 +264,16 @@ impl<V> ResultCache<V> {
             guard,
             bytes,
         });
-        if let Some((_, old)) = self.entries.insert(key, Arc::clone(&cached)) {
-            self.evictions.inc();
-            self.bytes.add(-old.bytes);
+        // Every gauge moves by what this insert displaced, decided under
+        // the shard's lock, so racing writers leave them exact.
+        match self.entries.insert(key, Arc::clone(&cached)) {
+            None => self.n_entries.add(1),
+            Some(Displaced::Replaced(old)) => self.bytes.add(-old.bytes),
+            Some(Displaced::Evicted(_, old)) => {
+                self.evictions.inc();
+                self.bytes.add(-old.bytes);
+            }
         }
-        self.n_entries.set(self.entries.len() as i64);
         cached
     }
 }
@@ -369,6 +382,62 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("cache.result.entries", &[]), 0);
         assert_eq!(snap.gauge("cache.result.bytes", &[]), 0);
+    }
+
+    #[test]
+    fn a_key_stored_twice_leaves_one_entrys_bytes() {
+        let registry = Registry::new();
+        let results = cache(&registry);
+        results.store("v", "Q", vec![1], stamp(0, 1), 12);
+        let one = registry.snapshot().gauge("cache.result.bytes", &[]);
+        assert_eq!(one, ("v".len() + "Q".len() + 12) as i64);
+        // Two requests that missed together both store their answer.
+        results.store("v", "Q", vec![1], stamp(0, 1), 12);
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("cache.result.bytes", &[]), one);
+        assert_eq!(snap.gauge("cache.result.entries", &[]), 1);
+        assert_eq!(snap.counter("cache.result", &[("result", "eviction")]), 0);
+    }
+
+    #[test]
+    fn racing_writers_leave_the_gauges_exact() {
+        let registry = Registry::new();
+        let results = cache(&registry);
+        let plans = PlanCache::new(&registry);
+        let plan = plan_stub(0);
+        // More keys than the 512-entry bound, so stores replace, evict
+        // and fill while lookups under a newer stamp invalidate.
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (results, plans, plan) = (&results, &plans, &plan);
+                s.spawn(move || {
+                    for i in 0..1_500u64 {
+                        let key = format!("Q{:04}", (i * 7 + t * 131) % 700);
+                        results.store("v", &key, vec![1], stamp(0, 1), 10);
+                        let other = format!("Q{:04}", (i * 13 + t) % 700);
+                        results.lookup("v", &other, Some(stamp(0, 2)));
+                        plans.store("v", &key, Arc::clone(plan));
+                        if i % 100 == t {
+                            plans.advance_cost_generation();
+                        }
+                    }
+                });
+            }
+        });
+        let snap = registry.snapshot();
+        let resident = results.entries.len() as i64;
+        assert_eq!(snap.gauge("cache.result.entries", &[]), resident);
+        let per_entry = ("v".len() + "Q0000".len() + 10) as i64;
+        assert_eq!(snap.gauge("cache.result.bytes", &[]), resident * per_entry);
+        assert_eq!(
+            snap.gauge("cache.plan.entries", &[]),
+            plans.plans.len() as i64
+        );
+        assert_eq!(
+            snap.gauge("cache.plan.generation", &[]),
+            plans.cost_generation() as i64
+        );
+        assert_eq!(plans.cost_generation(), 4 * 15);
     }
 
     fn plan_stub(generation: u64) -> Arc<CompiledPlan> {

@@ -22,12 +22,12 @@
 //!   the proptests below hold the two to that. The tree form also
 //!   remains what requests, control commands and push frames use.
 //! * **Stored bytes** — a result-cache entry keeps, next to its rows, the
-//!   [`segment_list`] they encode to, written the first time a sweep
-//!   splices it: [`write_answered`] writes a sweep around those lists and
-//!   one video's reply from the entry's rows, cloning none. A router
-//!   keeps what a shard answered as a [`Part`], whose groups were located
-//!   in the pass that validated it, so [`join_groups`] merges a sweep
-//!   without reading any body again.
+//!   [`segment_list`] they encode to, written once when the entry is
+//!   made: [`write_answered`] writes one video's reply and every group of
+//!   a sweep by copying those lists, so a cache hit encodes nothing. A
+//!   router keeps what a shard answered as a [`Part`], whose groups were
+//!   located in the pass that validated it, so [`join_groups`] merges a
+//!   sweep without reading any body again.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -157,10 +157,11 @@ fn write_segments(w: &mut Writer<'_>, segments: &[RetrievedSegment]) {
 }
 
 /// `segments` as JSON text: the list a reply's `segments` member holds,
-/// which a result-cache entry keeps next to its rows once a sweep has
-/// asked for it ([`Answer`](crate::Answer)).
+/// which a result-cache entry keeps next to its rows
+/// ([`Answer`](crate::Answer)).
 pub(crate) fn segment_list(segments: &[RetrievedSegment]) -> Box<[u8]> {
-    let mut list = Vec::new();
+    // A written row is rarely over 64 bytes: one allocation, trimmed once.
+    let mut list = Vec::with_capacity(2 + 64 * segments.len());
     write_segments(&mut Writer::new(&mut list), segments);
     list.into_boxed_slice()
 }
@@ -224,19 +225,16 @@ pub fn write_query_output(w: &mut Writer<'_>, out: &QueryOutput) {
 
 /// Writes the `result` body of a statement answered through the result
 /// cache: the bytes [`write_query_output`] writes for the rows
-/// [`Vdbms::run`](crate::Vdbms::run) returns. A sweep's groups copy the
-/// segment lists of its entries, each written once; one video's answer
-/// is encoded from its entry's rows, borrowed from the cache. (Copying a
-/// list there too makes `serve_hot` reads 27 % faster, which grows the
-/// benchmark's own per-read latency log past the `peak_rss_mb` bound —
-/// ROADMAP 4 (h).) Only `PROFILE` and `EXPLAIN` outputs go through
-/// `write_query_output`.
+/// [`Vdbms::run`](crate::Vdbms::run) returns. One video's answer and
+/// every group of a sweep copy the segment list their entry stored, so
+/// no row is encoded here; only `PROFILE` and `EXPLAIN` outputs go
+/// through `write_query_output`.
 pub fn write_answered(w: &mut Writer<'_>, answered: &Answered) {
     match answered {
-        Answered::Video(entry) => segments_body(w, |w| write_segments(w, &entry.value.segments)),
+        Answered::Video(entry) => segments_body(w, |w| w.raw(&entry.value.list)),
         Answered::Sweep(entries) => multi_body(w, |w| {
             for (video, entry) in entries {
-                group(w, video, |w| w.raw(entry.value.list()));
+                group(w, video, |w| w.raw(&entry.value.list));
             }
         }),
         Answered::Output(output) => write_query_output(w, output),
@@ -244,35 +242,22 @@ pub fn write_answered(w: &mut Writer<'_>, answered: &Answered) {
 }
 
 /// The bytes [`write_answered`] writes for `answered`, to size a reply's
-/// buffer once: exact or one over when no text needs an escape (and no
-/// clip is beyond 2^53), `0` for a span tree.
+/// buffer once: exact, unless a sweep names a video that needs an escape
+/// (then short by the escapes); `0` for a span tree.
 pub fn answered_len(answered: &Answered) -> usize {
     match answered {
         Answered::Video(entry) => {
-            r#"{"kind":"segments","segments":}"#.len() + list_len(&entry.value.segments)
+            r#"{"kind":"segments","segments":}"#.len() + entry.value.list.len()
         }
         Answered::Sweep(entries) => {
             let groups = entries.iter().map(|(video, entry)| {
-                r#"{"segments":,"video":""},"#.len() + entry.value.list().len() + video.len()
+                r#"{"segments":,"video":""}"#.len() + entry.value.list.len() + video.len()
             });
-            r#"{"kind":"multi","videos":[]}"#.len() + groups.sum::<usize>()
+            let commas = entries.len().saturating_sub(1);
+            r#"{"kind":"multi","videos":[]}"#.len() + groups.sum::<usize>() + commas
         }
         Answered::Output(_) => 0,
     }
-}
-
-/// The bytes `write_segments` writes for `segments`, plus the one comma
-/// counted after the last row.
-fn list_len(segments: &[RetrievedSegment]) -> usize {
-    let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
-    let row = |seg: &RetrievedSegment| {
-        r#"{"driver":"","end":,"label":"","start":},"#.len()
-            + seg.driver.as_ref().map_or(2, String::len)
-            + seg.label.len()
-            + digits(seg.start)
-            + digits(seg.end)
-    };
-    "[]".len() + segments.iter().map(row).sum::<usize>()
 }
 
 /// Reads an array of `T`s; `None` when the value is not an array or any
@@ -932,10 +917,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Whether an answer was just executed or comes from the cache,
-        /// the body written from its entries (a sweep spliced from their
-        /// stored lists) is the body
+        /// the body copied from its entries' stored lists is the body
         /// `write_query_output` writes for `run`'s rows — on every video,
-        /// on all of them (`"*"`), and for empty answers.
+        /// on all of them (`"*"`), and for empty answers — and
+        /// `answered_len` is its length.
         #[test]
         fn replies_from_stored_lists_are_the_encoded_rows(
             catalog in ArbCatalog,
@@ -973,6 +958,8 @@ mod tests {
                     let mut body = Vec::new();
                     let answered = vdbms.answer(video, text, &budget).expect("answers");
                     write_answered(&mut Writer::new(&mut body), &answered);
+                    // The reply buffer is sized to the byte.
+                    assert_eq!(answered_len(&answered), body.len(), "{text} on {video}");
                     String::from_utf8(body).expect("UTF-8")
                 };
                 let rows = || {

@@ -22,7 +22,7 @@
 //! evaluation included.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use cobra_faults::Recover;
@@ -59,50 +59,42 @@ pub struct VideoSegments {
 }
 
 /// One video's answer to a plain `RETRIEVE`, as its result-cache entry
-/// holds it: the rows, and the segment list they encode to — written
-/// once, the first time a sweep splices the answer, and copied by every
-/// later sweep instead of encoding a row.
+/// holds it: the rows, and the segment list they encode to, written once
+/// when the entry is made. Every reply from the entry — one video's or a
+/// sweep's group — copies that list instead of encoding a row.
 #[derive(Debug)]
 pub struct Answer {
     /// The retrieved segments.
     pub(crate) segments: Vec<RetrievedSegment>,
     /// `segments` as JSON text: the `[…]` a reply's `segments` member
     /// holds ([`crate::json::segment_list`]).
-    list: OnceLock<Box<[u8]>>,
+    pub(crate) list: Box<[u8]>,
 }
 
 impl Answer {
     fn new(mut segments: Vec<RetrievedSegment>) -> Answer {
         // The entry lives as long as the cache keeps it: no spare capacity.
         segments.shrink_to_fit();
-        Answer {
-            segments,
-            list: OnceLock::new(),
-        }
+        let list = crate::json::segment_list(&segments);
+        Answer { segments, list }
     }
 
-    /// The answer's segment list, encoded the first time it is asked for.
-    pub(crate) fn list(&self) -> &[u8] {
-        self.list
-            .get_or_init(|| crate::json::segment_list(&self.segments))
-    }
-
-    /// Approximate resident size of the rows, for `cache.result.bytes`
-    /// (a list written later by a sweep is not added).
+    /// Approximate resident size, for `cache.result.bytes`: the rows and
+    /// the segment list they encode to.
     fn bytes(&self) -> usize {
         let row = |s: &RetrievedSegment| {
             std::mem::size_of::<RetrievedSegment>()
                 + s.label.len()
                 + s.driver.as_deref().map_or(0, str::len)
         };
-        self.segments.iter().map(row).sum()
+        self.segments.iter().map(row).sum::<usize>() + self.list.len()
     }
 }
 
 /// A statement answered through the result cache, before anything is
 /// written: a plain `RETRIEVE` hands back the cache entries themselves,
-/// so a reply is written from them ([`crate::json::write_answered`]) —
-/// a sweep from their segment lists — and a hit clones no row.
+/// so a reply is written from them ([`crate::json::write_answered`]) by
+/// copying their segment lists, and a hit clones no row.
 #[derive(Debug)]
 pub enum Answered {
     /// A plain `RETRIEVE` on one video: its entry.

@@ -9,12 +9,13 @@
 //! A completion is an encoded frame. A query's worker takes the answer
 //! from the result cache as its entries (`Vdbms::answer`) and writes the
 //! `result` body straight into the frame from them
-//! (`f1_cobra::json::write_answered`): a sweep copies each video's
-//! segment list, encoded once per entry on its first sweep, and one
-//! video's reply encodes the entry's rows — no row is cloned; only
-//! `PROFILE`/`EXPLAIN` use `write_query_output`. A single-flight leader's
-//! answer is framed again under each follower's id, from the same
-//! entries: no thread ever builds a tree of the rows.
+//! (`f1_cobra::json::write_answered`), in a buffer sized to the byte
+//! (`answered_len`): one video's reply and each group of a sweep copy
+//! the segment list the entry stored when it was made, so a hit encodes
+//! no row and clones none; only `PROFILE`/`EXPLAIN` use
+//! `write_query_output`. A single-flight leader's answer is framed again
+//! under each follower's id, from the same entries: no thread ever
+//! builds a tree of the rows.
 //!
 //! Guard rails, all typed on the wire (admission control and graceful
 //! shutdown are the front end's):
