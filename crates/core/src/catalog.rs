@@ -135,13 +135,16 @@ impl ChangeFeed {
 pub struct Catalog {
     kernel: std::sync::Arc<Kernel>,
     videos: RwLock<HashMap<String, VideoInfo>>,
-    /// Per video: the commit seq at which its event layer or
-    /// registration last changed (absent = never, seq 0). What a cached
-    /// answer over that video is guarded by. An event-layer commit
+    /// Per video: the commit seqs its answers are guarded by (absent =
+    /// never changed, seq 0) — the last whole-layer change, and since it
+    /// the last append touching each kind, each driver and each (kind,
+    /// driver) pair ([`Changes`]). A retrieval is guarded by the largest
+    /// of those its stages read ([`guard`](Self::guard)), so a write
+    /// voids only the answers it can change. An event-layer commit
     /// publishes its columns under the write side, and a reader captures
-    /// them with their stamp under the read side
+    /// them with their guard under the read side
     /// ([`event_layer`](Self::event_layer)).
-    changed: RwLock<HashMap<String, u64>>,
+    changed: RwLock<HashMap<String, Changes>>,
     /// The durability backend ([`MemBackend`] keeps the old pure
     /// main-memory behaviour at zero overhead).
     store: Arc<dyn StorageBackend>,
@@ -186,25 +189,35 @@ impl Catalog {
     }
 
     /// Numbers the mutation just applied: advances the commit seq,
-    /// records it against `answers_of` when the mutation changed what a
-    /// query over that video can answer (its event layer or
-    /// registration), and publishes it on the change feed. Called by
-    /// every apply path, live or replayed, *after* the apply and under
-    /// the commit lock — a reader that captured its stamp before this
-    /// point stored its answer under a stamp that no longer matches.
+    /// records it against `answers_of` when the mutation changed what
+    /// any query over that video can answer (its registration, or a
+    /// replayed clear of its events), and
+    /// publishes it on the change feed. Called by every apply path, live
+    /// or replayed, *after* the apply and under the commit lock — a
+    /// reader that captured its guard before this point stored its
+    /// answer under a guard that no longer matches.
     fn commit_seq(&self, answers_of: Option<&str>) {
         match answers_of {
-            Some(video) => self.stamp_video(self.changed.write().recover(), video),
+            Some(video) => self.stamp_video(self.changed.write().recover(), video, Change::Layer),
             None => self.feed.bump(),
         }
     }
 
-    /// [`commit_seq`](Self::commit_seq) of a mutation that changed what
-    /// a query over `video` answers, applied under `stamps`, the write
-    /// guard of the per-video stamps.
-    fn stamp_video(&self, mut stamps: RwLockWriteGuard<'_, HashMap<String, u64>>, video: &str) {
+    /// [`commit_seq`](Self::commit_seq) of a mutation that made `change`
+    /// to what queries over `video` answer, applied under `stamps`, the
+    /// write guard of the per-video seqs.
+    fn stamp_video(
+        &self,
+        mut stamps: RwLockWriteGuard<'_, HashMap<String, Changes>>,
+        video: &str,
+        change: Change<'_>,
+    ) {
         // The commit lock makes this the only writer of the seq.
-        stamps.insert(video.to_string(), self.feed.current() + 1);
+        let seq = self.feed.current() + 1;
+        stamps
+            .entry(video.to_string())
+            .or_default()
+            .record(seq, change);
         drop(stamps);
         self.feed.bump();
     }
@@ -237,18 +250,31 @@ impl Catalog {
     }
 
     /// `video`'s stamp: boot epoch plus the commit seq at which its
-    /// event layer or registration last changed. Capture it *before*
-    /// executing a query over the video and guard the answer with it.
+    /// event layer or registration last changed. It moves on every
+    /// write to the video; a retrieval is guarded by the narrower
+    /// [`guard`](Self::guard) of what it reads.
     pub fn video_stamp(&self, video: &str) -> Stamp {
+        let stamps = self.changed.read().recover();
+        self.stamp_of(stamps.get(video).map_or(0, |changes| changes.last))
+    }
+
+    /// The guard of `reads` over `video`: boot epoch plus the last commit
+    /// that changed the video's whole layer or appended a row one of
+    /// `reads` covers. Equal guards across two observations prove that
+    /// no commit in between changed a row `reads` select.
+    pub(crate) fn guard<'r>(
+        &self,
+        video: &str,
+        reads: impl IntoIterator<Item = Read<'r>>,
+    ) -> Stamp {
+        let stamps = self.changed.read().recover();
+        self.stamp_of(stamps.get(video).map_or(0, |changes| changes.guard(reads)))
+    }
+
+    fn stamp_of(&self, seq: u64) -> Stamp {
         Stamp {
             epoch: self.epoch(),
-            seq: self
-                .changed
-                .read()
-                .recover()
-                .get(video)
-                .copied()
-                .unwrap_or(0),
+            seq,
         }
     }
 
@@ -456,10 +482,12 @@ impl Catalog {
     /// The one event-layer commit, live or replayed: the rows of
     /// `drop_kinds` go, the others stay in order, `rows` follow them (an
     /// append drops nothing). Readers capture a layer's four columns and
-    /// its stamp together ([`event_layer`](Self::event_layer)), under
+    /// their guard together ([`event_layer`](Self::event_layer)), under
     /// the stamp lock this publishes under, so they see the layer before
-    /// the commit or after it, never between. Caller holds the commit
-    /// lock, so the rows kept are the rows committed.
+    /// the commit or after it, never between. An append to an existing
+    /// layer moves the seqs of its rows' kinds and drivers; any other
+    /// commit moves the whole layer's. Caller holds the commit lock, so
+    /// the rows kept are the rows committed.
     fn commit_events<K: AsRef<str>>(
         &self,
         video: &str,
@@ -477,8 +505,8 @@ impl Catalog {
                     .update_unshared(names, |layer| append_rows(layer, rows))
             })
             .flatten();
-        match grown {
-            Some(appended) => appended?,
+        let change = match grown {
+            Some(appended) => appended.map(|()| Change::Append(rows))?,
             // …any other commit builds the layer aside, off the stamp
             // lock, and rebinds its four names at once.
             None => {
@@ -487,37 +515,41 @@ impl Catalog {
                 let layer = build_layer(current.as_ref(), drop_kinds, rows)?;
                 stamps = self.changed.write().recover();
                 self.kernel.set_bats(names.into_iter().zip(layer));
+                match current {
+                    Some(_) if drop_kinds.is_empty() => Change::Append(rows),
+                    _ => Change::Layer,
+                }
             }
-        }
-        self.stamp_video(stamps, video);
+        };
+        self.stamp_video(stamps, video, change);
         Ok(())
     }
 
-    /// `video`'s event layer as the last commit left it, and the stamp
-    /// it was committed at, captured in one critical section (`None`
-    /// when the video has no event layer). Commits never change a layer
-    /// a reader holds, so everything read through it — every MIL
-    /// evaluation of a retrieval, its positional reads — reads that one
-    /// commit, and an answer computed from it is exactly what the stamp
-    /// guards.
-    pub(crate) fn event_layer(&self, video: &str) -> Result<(Stamp, Option<EventLayer>)> {
+    /// `video`'s event layer as the last commit left it, and the
+    /// [`guard`](Self::guard) of `reads` at that commit, captured in one
+    /// critical section (`None` when the video has no event layer).
+    /// Commits never change a layer a reader holds, so everything read
+    /// through it — every MIL evaluation of a retrieval, its positional
+    /// reads — reads that one commit, and an answer computed from the
+    /// rows `reads` cover is exactly what the guard guards.
+    pub(crate) fn event_layer<'r>(
+        &self,
+        video: &str,
+        reads: impl IntoIterator<Item = Read<'r>>,
+    ) -> Result<(Stamp, Option<EventLayer>)> {
         let names = event_names(video);
         let stamps = self.changed.read().recover();
         let columns = self.kernel.bats(names.each_ref().map(String::as_str));
-        let seq = stamps.get(video).copied().unwrap_or(0);
+        let seq = stamps.get(video).map_or(0, |changes| changes.guard(reads));
         drop(stamps);
-        let stamp = Stamp {
-            epoch: self.epoch(),
-            seq,
-        };
         let layer = layer_of(video, columns)?.map(|columns| EventLayer { names, columns });
-        Ok((stamp, layer))
+        Ok((self.stamp_of(seq), layer))
     }
 
     /// Loads the event layer, optionally filtered by kind.
     pub fn events(&self, video: &str, kind: Option<&str>) -> Result<Vec<EventRecord>> {
         self.video(video)?;
-        match self.event_layer(video)?.1 {
+        match self.event_layer(video, [])?.1 {
             Some(layer) => layer.records(kind),
             None => Ok(Vec::new()),
         }
@@ -671,6 +703,95 @@ impl Catalog {
             videos,
             bats,
         }
+    }
+}
+
+/// A part of a video's event layer a retrieval stage reads, by the
+/// keys the catalog keeps a seq for ([`Catalog::guard`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Read<'a> {
+    /// Every row of a kind.
+    Kind(&'a str),
+    /// Every row naming a driver (`""`: naming none).
+    Driver(&'a str),
+    /// The rows of a kind that name a driver (`""`: naming none).
+    KindDriver(&'a str, &'a str),
+}
+
+/// What one commit changed of a video's answers.
+enum Change<'r> {
+    /// Registration, a replace, the first store into a video with no
+    /// layer: anything a query over the video reads.
+    Layer,
+    /// Rows appended to an existing layer: only what reads their kinds
+    /// and drivers.
+    Append(&'r [EventRecord]),
+}
+
+/// The commit seqs one video's answers are guarded by. A whole-layer
+/// change clears the per-key entries, which its own seq covers, so the
+/// maps hold only the keys appended to since — a few kinds and drivers,
+/// not a row each.
+#[derive(Debug, Default)]
+struct Changes {
+    /// The last commit of either kind: the video's stamp.
+    last: u64,
+    /// The last whole-layer change.
+    layer: u64,
+    /// Per kind: the last append touching it, and per driver (`""` =
+    /// unnamed) the last touching that (kind, driver) pair.
+    kinds: HashMap<String, (u64, HashMap<String, u64>)>,
+    /// Per driver (`""` = unnamed): the last append touching it.
+    drivers: HashMap<String, u64>,
+}
+
+impl Changes {
+    fn record(&mut self, seq: u64, change: Change<'_>) {
+        self.last = seq;
+        let rows = match change {
+            Change::Append(rows) => rows,
+            Change::Layer => {
+                self.layer = seq;
+                self.kinds.clear();
+                self.drivers.clear();
+                return;
+            }
+        };
+        fn touch(seqs: &mut HashMap<String, u64>, key: &str, seq: u64) {
+            match seqs.get_mut(key) {
+                Some(at) => *at = seq,
+                None => {
+                    seqs.insert(key.to_string(), seq);
+                }
+            }
+        }
+        for row in rows {
+            let driver = row.driver.as_deref().unwrap_or("");
+            touch(&mut self.drivers, driver, seq);
+            match self.kinds.get_mut(&row.kind) {
+                Some((at, drivers)) => {
+                    *at = seq;
+                    touch(drivers, driver, seq);
+                }
+                None => {
+                    let drivers = HashMap::from([(driver.to_string(), seq)]);
+                    self.kinds.insert(row.kind.clone(), (seq, drivers));
+                }
+            }
+        }
+    }
+
+    /// The largest seq of the whole layer and of `reads`.
+    fn guard<'r>(&self, reads: impl IntoIterator<Item = Read<'r>>) -> u64 {
+        let seq = |read| {
+            let kind = |kind| self.kinds.get(kind);
+            match read {
+                Read::Kind(k) => kind(k).map(|(at, _)| *at),
+                Read::Driver(d) => self.drivers.get(d).copied(),
+                Read::KindDriver(k, d) => kind(k).and_then(|(_, drivers)| drivers.get(d).copied()),
+            }
+        };
+        reads.into_iter().filter_map(seq).fold(self.layer, u64::max)
     }
 }
 
@@ -1271,6 +1392,59 @@ mod tests {
         }
     }
 
+    /// A guard moves with a whole-layer change and with an append of a
+    /// row it covers, to that commit's seq, and with nothing else; a
+    /// whole-layer change forgets the per-key seqs it covers.
+    #[test]
+    fn a_guard_moves_only_with_the_rows_it_reads() {
+        let c = catalog();
+        let reads = [
+            Read::Kind("highlight"),
+            Read::Driver("A"),
+            Read::KindDriver("excited", ""),
+        ];
+        let guard = || c.guard("german", reads);
+        c.store_events("german", &[row("passing", 0, Some("B"))])
+            .unwrap();
+        assert_eq!(guard(), c.stamp(), "the first store is the whole layer");
+        let held = guard();
+        for unread in [
+            row("excited", 5, Some("B")),
+            row("passing", 10, None),
+            row("fly_out", 15, Some("C")),
+        ] {
+            c.store_events("german", &[unread]).unwrap();
+            assert_eq!(guard(), held, "an append it does not read");
+        }
+        assert!(c.video_stamp("german") > held, "the video's stamp moved");
+        for read in [
+            row("highlight", 20, Some("B")),
+            row("start", 25, Some("A")),
+            row("excited", 30, None),
+        ] {
+            c.store_events("german", &[read]).unwrap();
+            assert_eq!(guard(), c.stamp(), "an append it reads");
+        }
+        let changes = |f: fn(&Changes) -> usize| f(&c.changed.read().recover()["german"]);
+        assert_eq!(changes(|ch| ch.kinds.len()), 5);
+        assert_eq!(changes(|ch| ch.drivers.len()), 4);
+        c.replace_events("german", &["passing"], &[]).unwrap();
+        assert_eq!(guard(), c.stamp(), "a replace is the whole layer");
+        assert_eq!(changes(|ch| ch.kinds.len() + ch.drivers.len()), 0);
+        c.store_events("german", &[row("fly_out", 35, None)])
+            .unwrap();
+        c.store_features("german", &vec![vec![0.5]; 4]).unwrap();
+        assert!(guard() < c.stamp());
+        c.register_video(VideoInfo {
+            name: "german".into(),
+            n_clips: 8,
+            n_frames: 20,
+        })
+        .unwrap();
+        assert_eq!(guard(), c.stamp(), "so is a registration");
+        assert_eq!(c.guard("usa", reads).seq, 0, "never changed");
+    }
+
     #[test]
     fn events_read_back_what_was_stored_with_unnamed_drivers_and_a_kind_filter() {
         let c = catalog();
@@ -1346,7 +1520,8 @@ mod tests {
             .unwrap();
         assert_eq!(bat_id(), unshared, "grown where it lies");
 
-        let (stamp, held) = c.event_layer("german").unwrap();
+        let excited = [Read::Kind("excited")];
+        let (stamp, held) = c.event_layer("german", excited).unwrap();
         let held = held.unwrap();
         c.store_events("german", &[row("excited", 20, Some("MONTOYA"))])
             .unwrap();
@@ -1355,8 +1530,8 @@ mod tests {
         assert_eq!(c.events("german", None).unwrap().len(), 3);
         assert!(c.video_stamp("german") > stamp);
         drop(held);
-        let (now, layer) = c.event_layer("german").unwrap();
-        assert_eq!(now, c.video_stamp("german"));
+        let (now, layer) = c.event_layer("german", excited).unwrap();
+        assert_eq!(now, c.video_stamp("german"), "the append it reads");
         assert_eq!(layer.unwrap().records(Some("excited")).unwrap().len(), 1);
     }
 

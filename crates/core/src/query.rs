@@ -30,7 +30,7 @@
 use crate::{CobraError, Result};
 
 /// What a query retrieves.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Target {
     /// Any segments showing a driver (caption-derived visibility).
     Segments,
@@ -51,7 +51,7 @@ pub enum Target {
 }
 
 /// A parsed retrieval query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
     /// What to retrieve.
     pub target: Target,
@@ -151,7 +151,7 @@ pub fn parse_statement(text: &str) -> Result<Statement> {
 }
 
 /// One retrieved video segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RetrievedSegment {
     /// First clip.
     pub start: usize,

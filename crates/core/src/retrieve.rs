@@ -18,8 +18,10 @@
 //! is the selection `<v>.ev.driver = D` again. `filter:driver` remains
 //! only where another stage stands in between: after `filter:pitlane`,
 //! or on a `LEADER` source. Every stage of one retrieval reads the one
-//! event layer it captured together with its stamp, every MIL
-//! evaluation included.
+//! event layer it captured together with its guard, every MIL
+//! evaluation included. Each stage declares what it reads of the layer
+//! ([`Stage::reads`]), and the answer is cached under the guard of
+//! those rows alone, so a write voids only the answers it can change.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -34,8 +36,8 @@ use f1_rules::{
     TemporalConstraint, Term, Value,
 };
 
-use crate::cache::{CachedResult, CompiledPlan, PreparedPlan};
-use crate::catalog::EventLayer;
+use crate::cache::{CachedResult, CompiledPlan, PreparedPlan, Stamp};
+use crate::catalog::{EventLayer, Read};
 use crate::query::{parse_query, parse_statement, Query, RetrievedSegment, Statement, Target};
 use crate::session::Vdbms;
 use crate::{CobraError, Result};
@@ -144,6 +146,7 @@ pub enum QueryOutput {
 
 /// One step of a retrieval, next to its span name in [`stages`]: a
 /// source first, then filters that narrow what the source produced.
+#[derive(Clone, Copy)]
 enum Stage<'q> {
     /// Events of one kind — naming one driver, when the statement asks
     /// for one and nothing stands in between — selected through Moa →
@@ -162,8 +165,62 @@ enum Stage<'q> {
     Driver(&'q str),
 }
 
-/// Resolves a query to the stages that answer it.
-fn stages(q: &Query) -> Result<Vec<(&'static str, Stage<'_>)>> {
+impl<'q> Stage<'q> {
+    /// The parts of the event layer the stage reads: its answer changes
+    /// only with a commit that changes one of them.
+    fn reads(&self) -> [Option<Read<'q>>; 2] {
+        match *self {
+            // The rows of the kind naming the driver, and by the paper's
+            // overlap rule the kind's unnamed rows and where the driver
+            // is visible.
+            Stage::SelectEvents {
+                kind,
+                driver: Some(driver),
+            } => [Some(Read::KindDriver(kind, "")), Some(Read::Driver(driver))],
+            Stage::SelectEvents { kind, driver: None } => [Some(Read::Kind(kind)), None],
+            Stage::LeaderSegments => [Some(Read::Kind("caption:classification")), None],
+            Stage::DriverVisible(driver) | Stage::Driver(driver) => {
+                [Some(Read::Driver(driver)), None]
+            }
+            Stage::Pitlane => [Some(Read::Kind("caption:pit_stop")), None],
+        }
+    }
+}
+
+/// A query's stages, each next to its span name: a source, then at
+/// most two filters, held inline — every read resolves them to probe
+/// the result cache, and allocates nothing for it.
+struct Stages<'q> {
+    slots: [(&'static str, Stage<'q>); 3],
+    len: usize,
+}
+
+impl<'q> Stages<'q> {
+    fn new(source: (&'static str, Stage<'q>)) -> Self {
+        Stages {
+            slots: [source; 3],
+            len: 1,
+        }
+    }
+
+    fn push(&mut self, stage: (&'static str, Stage<'q>)) {
+        self.slots[self.len] = stage;
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&'static str, Stage<'q>)> + '_ {
+        self.slots[..self.len].iter().copied()
+    }
+
+    /// What the stages read, together.
+    fn reads(&self) -> impl Iterator<Item = Read<'q>> + '_ {
+        self.iter().flat_map(|(_, stage)| stage.reads()).flatten()
+    }
+}
+
+/// Resolves a query to the stages that answer it: a source, then at
+/// most two filters.
+fn stages(q: &Query) -> Result<Stages<'_>> {
     // The driver predicate joins the selection's plan unless the
     // pit-lane join has to see the kind's events first.
     let driver = q.driver.as_deref().filter(|_| !q.at_pitlane);
@@ -173,7 +230,7 @@ fn stages(q: &Query) -> Result<Vec<(&'static str, Stage<'_>)>> {
             Stage::SelectEvents { kind, driver },
         )
     };
-    let mut stages = vec![match (&q.target, q.driver.as_deref()) {
+    let mut stages = Stages::new(match (&q.target, q.driver.as_deref()) {
         (Target::Highlights, _) => select("highlight"),
         (Target::Events(kind), _) => select(kind),
         (Target::Excited, _) => select("excited"),
@@ -189,14 +246,14 @@ fn stages(q: &Query) -> Result<Vec<(&'static str, Stage<'_>)>> {
                 "RETRIEVE SEGMENTS requires WITH DRIVER".into(),
             ))
         }
-    }];
+    });
     if q.at_pitlane {
         stages.push(("filter:pitlane", Stage::Pitlane));
     }
     // Nothing is left of `WITH DRIVER` for a filter when the source
     // selected by driver itself: the fused selection, or a visibility
     // source, whose every segment names its driver.
-    let by_driver = match &stages[0].1 {
+    let by_driver = match stages.slots[0].1 {
         Stage::SelectEvents { driver, .. } => driver.is_some(),
         Stage::DriverVisible(_) => true,
         _ => false,
@@ -310,6 +367,19 @@ impl Vdbms {
         Ok(entry.value.segments.clone())
     }
 
+    /// The stamp a standing `q` over `video` is armed on: the guard of
+    /// what its stages read ([`crate::Catalog::guard`]), the one its
+    /// result-cache entry is stored under. It moves with every commit
+    /// that can change the answer and with no other; a statement that
+    /// cannot run (`RETRIEVE SEGMENTS` without a driver) reads only the
+    /// layer as a whole.
+    pub fn guard(&self, video: &str, q: &Query) -> Stamp {
+        match stages(q) {
+            Ok(stages) => self.catalog.guard(video, stages.reads()),
+            Err(_) => self.catalog.guard(video, []),
+        }
+    }
+
     /// Runs a full statement: `RETRIEVE …` answers, `PROFILE RETRIEVE …`
     /// answers with a measured span tree, `EXPLAIN RETRIEVE …` returns
     /// the plan shape without executing. `video = "*"` is every catalog
@@ -376,16 +446,17 @@ impl Vdbms {
     }
 
     /// The one retrieval pipeline, and the one path through the result
-    /// cache: hand back the stored entry when the video's stamp proves
-    /// the event layer unchanged, otherwise resolve `q` to its stages,
-    /// capture the layer — its four columns and the stamp they were
-    /// committed at, together ([`crate::Catalog::event_layer`]) — run
-    /// every stage over that one layer, and (on success only) store the
-    /// answer under that stamp, for every later statement sharing the
-    /// normalized query text, `RETRIEVE` or `PROFILE` alike. A write
-    /// racing the execution rebinds the columns without touching the
-    /// ones captured, so the answer is the captured commit's exactly.
-    /// Failed queries are never cached.
+    /// cache: resolve `q` to its stages, and hand back the stored entry
+    /// when the guard of what they read ([`Stage::reads`],
+    /// [`crate::Catalog::guard`]) proves those rows unchanged; otherwise
+    /// capture the layer — its four columns and that guard at the
+    /// commit they belong to, together ([`crate::Catalog::event_layer`])
+    /// — run every stage over that one layer, and (on success only)
+    /// store the answer under that guard, for every later statement
+    /// sharing the normalized query text, `RETRIEVE` or `PROFILE` alike.
+    /// A write racing the execution rebinds the columns without touching
+    /// the ones captured, so the answer is the captured commit's
+    /// exactly. Failed queries are never cached.
     ///
     /// With `trace` on, its span becomes the `query` root of where time
     /// went: on a miss the conceptual source with Moa compilation, MIL
@@ -403,7 +474,8 @@ impl Vdbms {
         trace.meta("video", || video.to_string());
         let probing = trace.on().then(Instant::now);
         let normalized = q.normalized();
-        let current = self.catalog.video_stamp(video);
+        let stages = stages(q)?;
+        let current = self.catalog.guard(video, stages.reads());
         if let Some(hit) = self.results.lookup(video, &normalized, Some(current)) {
             if let Some(clock) = probing {
                 trace.attach(
@@ -414,18 +486,17 @@ impl Vdbms {
             }
             return Ok(hit);
         }
-        let stages = stages(q)?;
         self.catalog.video(video)?;
-        let (stamp, layer) = self.catalog.event_layer(video)?;
+        let (guard, layer) = self.catalog.event_layer(video, stages.reads())?;
         let mut segments = Vec::new();
-        for (name, stage) in stages {
+        for (name, stage) in stages.iter() {
             segments = trace.span(name, |span| {
                 self.run_stage(video, layer.as_ref(), &stage, segments, budget, span)
             })?;
         }
         let answer = Answer::new(segments);
         let bytes = answer.bytes();
-        Ok(self.results.store(video, &normalized, answer, stamp, bytes))
+        Ok(self.results.store(video, &normalized, answer, guard, bytes))
     }
 
     /// The plan of `q`: the span-tree shape `PROFILE` would produce —
@@ -438,7 +509,7 @@ impl Vdbms {
     /// stores, or skews cache counters.
     pub fn explain(&self, video: &str, q: &Query) -> Result<SpanNode> {
         let mut root = SpanNode::new("query").with_meta("target", format!("{:?}", q.target));
-        for (name, stage) in stages(q)? {
+        for (name, stage) in stages(q)?.iter() {
             let node = SpanNode::new(name);
             root = root.with_child(match stage {
                 Stage::SelectEvents { kind, driver } => {
@@ -775,7 +846,8 @@ impl Vdbms {
     }
 
     /// Leading spans from classification captions: the shown leader holds
-    /// the lead until the next classification caption.
+    /// the lead until the next classification caption, or the video's
+    /// end — a caption at or past the end leads over an empty span.
     fn leader_segments(
         &self,
         video: &str,
@@ -786,10 +858,10 @@ impl Vdbms {
         let info = self.catalog.video(video)?;
         let mut out = Vec::new();
         for (i, c) in caps.iter().enumerate() {
-            let end = caps.get(i + 1).map(|n| n.start).unwrap_or(info.n_clips);
+            let end = caps.get(i + 1).map_or(info.n_clips, |n| n.start);
             out.push(RetrievedSegment {
                 start: c.start,
-                end,
+                end: end.max(c.start),
                 label: "leading".into(),
                 driver: c.driver.clone(),
             });

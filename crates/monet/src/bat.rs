@@ -578,27 +578,26 @@ fn fresh_bat_id() -> u64 {
 /// equal length.
 ///
 /// Every BAT carries a process-unique `id` and a `version` counter bumped
-/// on each mutation; together they key the kernel's hash-index cache (an
-/// index built for `(id, version)` is valid exactly until the next append
-/// or replace).
+/// on each mutation; together they key the kernel's value-index cache (an
+/// index built for `(id, version)` is valid exactly until the next
+/// mutation, and one over the rows an append left in place can be
+/// extended by the rows it added — [`appended_since`](Bat::appended_since)).
 #[derive(Debug)]
 pub struct Bat {
     head: Column,
     tail: Column,
     id: u64,
     version: u64,
+    /// The version of the last mutation that changed a pair in place
+    /// (`replace`); every other mutation appends.
+    rewritten: u64,
 }
 
 impl Clone for Bat {
     /// Clones the columns under a *fresh* identity: the clone may diverge
     /// from the original, so it must not share cached indexes.
     fn clone(&self) -> Self {
-        Bat {
-            head: self.head.clone(),
-            tail: self.tail.clone(),
-            id: fresh_bat_id(),
-            version: 0,
-        }
+        Bat::from_columns_unchecked(self.head.clone(), self.tail.clone())
     }
 }
 
@@ -633,6 +632,7 @@ impl Bat {
             tail,
             id: fresh_bat_id(),
             version: 0,
+            rewritten: 0,
         }
     }
 
@@ -687,6 +687,13 @@ impl Bat {
     /// `extend_*` and `replace`.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// True when every mutation after `version` (of this BAT, by
+    /// [`id`](Self::id)) appended: the pairs it held at `version` are
+    /// still its first ones, unchanged.
+    pub fn appended_since(&self, version: u64) -> bool {
+        self.rewritten <= version && version <= self.version
     }
 
     /// Number of pairs (`count` in MIL).
@@ -865,6 +872,7 @@ impl Bat {
                 Column::Data(d) => {
                     d.set(i, tail)?;
                     self.touch();
+                    self.rewritten = self.version;
                     Ok(())
                 }
                 Column::Void { .. } => Err(MonetError::TypeMismatch {
@@ -1106,6 +1114,24 @@ mod tests {
         let c = b.clone();
         assert_ne!(b.id(), c.id());
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn appends_keep_earlier_versions_a_prefix_and_a_replace_does_not() {
+        let mut b = Bat::new(AtomType::Int, AtomType::Int);
+        b.append(Atom::Int(1), Atom::Int(10)).unwrap();
+        let v1 = b.version();
+        b.append(Atom::Int(2), Atom::Int(20)).unwrap();
+        assert!(b.appended_since(v1) && b.appended_since(b.version()));
+        assert!(
+            !b.appended_since(b.version() + 1),
+            "a version not yet reached"
+        );
+        b.replace(Atom::Int(1), Atom::Int(11)).unwrap();
+        assert!(!b.appended_since(v1));
+        let v3 = b.version();
+        b.replace(Atom::Int(3), Atom::Int(30)).unwrap();
+        assert!(b.appended_since(v3), "replacing an absent key appends");
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   a name looked up in the catalog — gathers the positions the index
 //!   lists for `v` instead of scanning. The kernel keeps one index per
 //!   catalog name, valid for exactly the (BAT id, version) it was built
-//!   at, built by the first selection of that version and released when
-//!   the name is rebound, dropped or grown in place. Selections on
-//!   temporaries and range selections scan.
+//!   at, built by the first selection of that version, released when
+//!   the name is rebound or dropped, and [extended](ColumnIndex::extend)
+//!   by the rows an in-place append adds. Selections on temporaries and
+//!   range selections scan.
 //! * **Joins** build one over the build side's head for the call and
 //!   drop it (a void head is probed by position, with no index).
 //!
@@ -44,7 +45,7 @@ const EXACT_F64_INT: f64 = 9_007_199_254_740_992.0; // 2^53
 /// IEEE-754 bit patterns, which coincides exactly with [`Atom`] equality
 /// (`total_cmp`): NaNs with equal payloads match, `0.0` and `-0.0` don't.
 /// Every position list is ascending.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnIndex {
     /// Index over an `oid` column.
     U64(HashMap<u64, Vec<u32>>),
@@ -143,6 +144,79 @@ impl ColumnIndex {
             ColumnData::Dbl(_) => ColumnIndex::build(column),
             _ => None,
         }
+    }
+
+    /// Extends an index over the first `from` rows of `column` by the
+    /// rows after them, to the index [`build`](Self::build) (or, for a
+    /// widened one, [`build_widened`](Self::build_widened)) makes of the
+    /// whole column. `false`, with nothing changed, when the index is not
+    /// of the column's type or the column is shorter than `from`.
+    pub fn extend(&mut self, column: &Column, from: usize) -> bool {
+        fn push<K: std::hash::Hash + Eq>(
+            index: &mut HashMap<K, Vec<u32>>,
+            from: usize,
+            keys: impl Iterator<Item = K>,
+        ) {
+            for (i, key) in keys.enumerate() {
+                index.entry(key).or_default().push((from + i) as u32);
+            }
+        }
+        let Some(data) = column.data().filter(|data| data.len() >= from) else {
+            return false;
+        };
+        match (self, data) {
+            (ColumnIndex::U64(m), ColumnData::Oid(v)) => push(m, from, v[from..].iter().copied()),
+            (ColumnIndex::I64(m), ColumnData::Int(v)) => push(m, from, v[from..].iter().copied()),
+            (ColumnIndex::F64(m), ColumnData::Dbl(v)) => {
+                push(m, from, v[from..].iter().map(|x| x.to_bits()))
+            }
+            (ColumnIndex::F64(m), ColumnData::Int(v)) => {
+                push(m, from, v[from..].iter().map(|&x| (x as f64).to_bits()))
+            }
+            (ColumnIndex::Bit(buckets), ColumnData::Bit(v)) => {
+                for (i, &b) in v[from..].iter().enumerate() {
+                    buckets[usize::from(b)].push((from + i) as u32);
+                }
+            }
+            (ColumnIndex::Str { offsets, positions }, ColumnData::Str(s)) => {
+                let (old, codes) = (offsets.len() - 1, &s.codes()[from..]);
+                if s.dict_len() < old || positions.len() != from {
+                    return false;
+                }
+                // Each code's bucket is its old rows, then its new ones:
+                // count the new rows per code, copy the old buckets to
+                // their new places leaving room behind each, then place
+                // the new rows in order.
+                let mut next = vec![0u32; s.dict_len()];
+                for &c in codes {
+                    next[c as usize] += 1;
+                }
+                let mut grown_offsets = Vec::with_capacity(next.len() + 1);
+                let mut grown = vec![0u32; from + codes.len()];
+                let mut at = 0;
+                for (c, slot) in next.iter_mut().enumerate() {
+                    grown_offsets.push(at as u32);
+                    if c < old {
+                        let bucket = &positions[offsets[c] as usize..offsets[c + 1] as usize];
+                        grown[at..at + bucket.len()].copy_from_slice(bucket);
+                        at += bucket.len();
+                    }
+                    let added = *slot as usize;
+                    *slot = at as u32;
+                    at += added;
+                }
+                grown_offsets.push(at as u32);
+                for (i, &c) in codes.iter().enumerate() {
+                    let slot = &mut next[c as usize];
+                    grown[*slot as usize] = (from + i) as u32;
+                    *slot += 1;
+                }
+                *offsets = grown_offsets;
+                *positions = grown;
+            }
+            _ => return false,
+        }
+        true
     }
 
     /// Positions holding `key` in an oid index.
@@ -279,6 +353,58 @@ mod tests {
         assert_eq!(idx.lookup_code(1), &[0, 2, 3]);
         assert_eq!(idx.lookup_code(2), NO_POSITIONS);
         assert_eq!(idx.lookup_code(3), NO_POSITIONS);
+    }
+
+    /// Extending an index over a prefix by the rows appended after it
+    /// gives the index of the whole column, at every split, for every
+    /// index type — strings first seen after the split included.
+    #[test]
+    fn an_extended_index_is_the_index_of_the_grown_column() {
+        let columns: [(AtomType, Vec<Atom>); 5] = [
+            (AtomType::Int, [3, 1, 3, 2, 9, 1].map(Atom::Int).to_vec()),
+            (AtomType::Oid, [5, 5, 0, 7, 5, 0].map(Atom::Oid).to_vec()),
+            (
+                AtomType::Dbl,
+                [0.5, -0.0, 0.0, f64::NAN, 0.5, 2.0].map(Atom::Dbl).to_vec(),
+            ),
+            (
+                AtomType::Str,
+                ["b", "a", "b", "c", "", "a", "d"].map(Atom::str).to_vec(),
+            ),
+            (
+                AtomType::Bit,
+                [true, false, false, true, true].map(Atom::Bit).to_vec(),
+            ),
+        ];
+        for (ty, values) in columns {
+            for split in 0..=values.len() {
+                let mut bat = Bat::from_tail(ty, values[..split].iter().cloned()).unwrap();
+                let built = ColumnIndex::build(bat.tail());
+                let widened = ColumnIndex::build_widened(bat.tail());
+                for v in &values[split..] {
+                    bat.append_void(v.clone()).unwrap();
+                }
+                for (index, whole) in [
+                    (built, ColumnIndex::build(bat.tail())),
+                    (widened, ColumnIndex::build_widened(bat.tail())),
+                ] {
+                    let Some(mut index) = index else {
+                        assert!(whole.is_none());
+                        continue;
+                    };
+                    assert!(index.extend(bat.tail(), split), "{ty:?} at {split}");
+                    assert_eq!(Some(index), whole, "{ty:?} at {split}");
+                }
+            }
+        }
+        // An index of another type, or over more rows than the column
+        // holds, is left as it was.
+        let ints = Bat::from_tail(AtomType::Int, [1, 2].map(Atom::Int)).unwrap();
+        let strs = Bat::from_tail(AtomType::Str, ["x"].map(Atom::str)).unwrap();
+        let mut index = ColumnIndex::build(strs.tail()).unwrap();
+        assert!(!index.extend(ints.tail(), 1));
+        assert!(!index.extend(strs.tail(), 2));
+        assert_eq!(Some(index), ColumnIndex::build(strs.tail()));
     }
 
     #[test]

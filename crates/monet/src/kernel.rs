@@ -139,10 +139,11 @@ impl Kernel {
     /// held it; `None` for a void tail, which selects positionally.
     ///
     /// The cache keeps one index per name, valid for exactly one (BAT
-    /// id, version), so it never serves a stale row: a commit, a rebind
-    /// or an in-place append makes the next probe rebuild. A build is
-    /// charged to `ctx` like the scan it replaces, and kept only while
-    /// `name` still binds `handle`: a reader of a superseded layer
+    /// id, version), so it never serves a stale row: a rebind makes the
+    /// next probe rebuild, and an in-place append carries the index to
+    /// the new version ([`update_unshared`](Self::update_unshared)). A
+    /// build is charged to `ctx` like the scan it replaces, and kept only
+    /// while `name` still binds `handle`: a reader of a superseded layer
     /// builds, uses and drops its own.
     fn value_index(
         &self,
@@ -303,9 +304,12 @@ impl Kernel {
     /// Changes a group of BATs where they lie, under one write acquisition
     /// of the name map, when the map holds the only handle to each: no
     /// reader can reach them while the lock is held, so the change is as
-    /// atomic as [`set_bats`](Self::set_bats) without copying a row.
-    /// Returns `None`, having run nothing, when a name is unbound or
-    /// named twice, or a reader still holds one of the BATs.
+    /// atomic as [`set_bats`](Self::set_bats) without copying a row. A
+    /// cached value index of a BAT the change only appended to stays
+    /// cached, extended by the rows appended, so the next reader finds
+    /// it; any other change releases it. Returns `None`, having run
+    /// nothing, when a name is unbound or named twice, or a reader still
+    /// holds one of the BATs.
     pub fn update_unshared<const N: usize, T>(
         &self,
         names: [&str; N],
@@ -319,9 +323,47 @@ impl Kernel {
         for handle in map.get_disjoint_mut(names) {
             group.push(Arc::get_mut(handle?)?.get_mut().recover());
         }
-        let group = group.try_into().ok()?;
-        self.release_indexes(names);
-        Some(update(group))
+        let group: [&mut Bat; N] = group.try_into().ok()?;
+        let before = group
+            .each_ref()
+            .map(|bat| (bat.id(), bat.version(), bat.len()));
+        let out = update(group);
+        self.carry_indexes(&map, names, before);
+        Some(out)
+    }
+
+    /// After an in-place update of `names`, which found each BAT at
+    /// `before` (id, version, rows): keeps each cached index that was
+    /// valid then, of a BAT the update only appended to, valid for the
+    /// grown BAT by extending it by the rows appended, and releases the
+    /// others. Caller holds the name map, `map`, for writing.
+    fn carry_indexes<const N: usize>(
+        &self,
+        map: &HashMap<String, BatHandle>,
+        names: [&str; N],
+        before: [(u64, u64, usize); N],
+    ) {
+        let mut cache = self.index_cache.write().recover();
+        for (name, (id, version, rows)) in names.into_iter().zip(before) {
+            let Some(entry) = cache.get_mut(name) else {
+                continue;
+            };
+            let carried = map.get(name).and_then(|handle| {
+                let bat = handle.read().recover();
+                let grown = (entry.bat, entry.version) == (id, version)
+                    && bat.id() == id
+                    && bat.appended_since(version);
+                let extended = grown && Arc::make_mut(&mut entry.index).extend(bat.tail(), rows);
+                extended.then(|| bat.version())
+            });
+            match carried {
+                Some(version) => entry.version = version,
+                None => {
+                    cache.remove(name);
+                    self.metrics.index_evictions.inc();
+                }
+            }
+        }
     }
 
     /// Fetches a catalog BAT by name.
@@ -654,14 +696,23 @@ mod tests {
         assert_eq!(index_uses(&k), (1, 1));
         assert_eq!(k.cached_indexes(), 1);
 
-        // Growing the BAT in place releases its index; the next
-        // selection rebuilds and sees the new row.
+        // Growing the BAT in place extends its index; the next
+        // selection is a hit and sees the new row.
         k.update_unshared(["x"], |[x]| x.extend_ints([7]))
             .unwrap()
             .unwrap();
-        assert_eq!(k.cached_indexes(), 0);
+        assert_eq!(k.cached_indexes(), 1);
         assert_eq!(k.eval_mil(select).unwrap(), MilValue::Atom(Atom::Int(3)));
-        assert_eq!(index_uses(&k), (1, 2));
+        assert_eq!(index_uses(&k), (2, 1));
+
+        // Changing a row in place releases it; the next selection
+        // rebuilds and sees the change.
+        k.update_unshared(["x"], |[x]| x.replace(Atom::Oid(1), Atom::Int(7)))
+            .unwrap()
+            .unwrap();
+        assert_eq!(k.cached_indexes(), 0);
+        assert_eq!(k.eval_mil(select).unwrap(), MilValue::Atom(Atom::Int(4)));
+        assert_eq!(index_uses(&k), (2, 2));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! NaN payloads and both zeros, cross-type and widened probes, keys no
 //! dictionary holds, empty BATs, gathered columns whose dictionary keeps
 //! entries no row uses, and the BAT after in-place growth
-//! (`Kernel::update_unshared`) and after a rebind (`Kernel::set_bats`),
+//! (`Kernel::update_unshared`, which extends the cached index: every
+//! selection after it is a hit) and after a rebind (`Kernel::set_bats`),
 //! where a stale index would show. String joins probe the by-code index
 //! and are held to the hash index keyed by interned string it replaced.
 
@@ -210,14 +211,18 @@ proptest! {
             }
         }
 
-        // Grown in place: the cached index is released, the next
-        // selection rebuilds and sees the new rows.
+        // Grown in place: the cached index is extended by the rows
+        // appended, so every selection after is a hit that sees them.
         let grown = kernel.update_unshared(["b"], |[bat]| grow(bat, &extra));
         prop_assert!(matches!(grown, Some(Ok(()))), "no reader holds b");
         let mut after = b.clone();
         grow(&mut after, &extra).unwrap();
         for key in &keys {
+            let before = index_uses(&kernel);
             prop_assert_eq!(select_by_name(&kernel, key), ops::select_eq(&after, key), "grown, {key:?}");
+            let (hits, built) = index_uses(&kernel);
+            let expected = if indexable(&after, key) { (1, 0) } else { (0, 0) };
+            prop_assert_eq!((hits - before.0, built - before.1), expected, "grown, {key:?}");
         }
 
         // Rebound: the new BAT answers; the old one, bound by its

@@ -116,7 +116,9 @@ pub struct PushFrame {
     pub removed: u64,
     /// Size of the full answer after this delta.
     pub total: u64,
-    /// The server's catalog `data_version` when the delta was computed.
+    /// The commit seq the delta was computed at: on a server the last
+    /// commit that changed a row the statement reads, at the router the
+    /// shard's latest `data_version`.
     pub data_version: u64,
 }
 

@@ -310,7 +310,9 @@ fn open_feed(shared: &RouterShared, shard: u32) -> Result<Client, String> {
 impl Source for RouterShared {
     type Scope = u32;
 
-    fn scopes(&self, video: &str) -> Vec<u32> {
+    /// A shard's stamp guards every statement over it alike: the text
+    /// is not read.
+    fn scopes(&self, video: &str, _text: Option<&str>) -> Vec<u32> {
         if video == "*" {
             (0..self.ring.shards()).collect()
         } else {
@@ -719,7 +721,7 @@ fn gather<'a>(
     cmd: &str,
     req_id: u64,
 ) -> impl Iterator<Item = Result<Value, Fail>> + 'a {
-    let (every, body) = (shared.scopes("*"), json!({"cmd": (cmd)}));
+    let (every, body) = (shared.scopes("*", None), json!({"cmd": (cmd)}));
     let replies = scatter(shared, conns, &every, body, req_id, None, |r| r.value());
     replies.map(|reply| Ok(reply?.result))
 }
@@ -782,7 +784,7 @@ fn handle_query(
     // shard's stamp: a single video's answer, or a part of a sweep.
     let key = |normalized: &str, shard: u32| format!("{shard} {normalized}");
     let (mut parts, mut asks) = (Vec::new(), Vec::new());
-    for shard in shared.scopes(video) {
+    for shard in shared.scopes(video, None) {
         let hit = cached
             .as_ref()
             .and_then(|(cache, text)| cache.lookup(video, &key(text, shard), shared.known(shard)));

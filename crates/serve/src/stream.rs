@@ -6,21 +6,26 @@
 //! router is only where stamps and answers come from, which the hub
 //! reaches through a [`Source`]. A *scope* is the unit a [`Stamp`]
 //! (DESIGN.md §6f) is taken of: locally a video (`"*"` being the whole
-//! catalog), at the router a shard.
+//! catalog) together with the statement, at the router a shard.
+//! Locally a statement's stamp over one video is the guard of the event
+//! rows its stages read — the one its result-cache entry is stored
+//! under — so an append of other kinds and drivers leaves it where it
+//! was; at the router every commit on the shard moves it.
 //!
 //! One notifier thread per hub waits on the source, then sweeps every
 //! standing query: a scope whose stamp equals the one the query was
 //! last evaluated against is skipped without evaluation
-//! (`stream.skipped`); a moved stamp re-evaluates, and only a changed
-//! *answer* is pushed — subscribers see deltas, not heartbeats
-//! (`stream.unchanged` counts the silent re-arms). The stamp stored is
-//! the one read *before* evaluating, so a write racing the evaluation
-//! leaves it stale and the next sweep looks again. A scope whose stamp
-//! is unknown, or whose evaluation cannot reach it, is reported to the
-//! subscriber once per outage as a typed `shard_unavailable` frame; the
-//! subscription stays armed and resumes when the stamp is known again
-//! (a reboot shows up as a fresh epoch, which is just another
-//! mismatch).
+//! (`stream.skipped`), a write outside what the statement reads
+//! included; a moved stamp re-evaluates, and only a changed *answer* is
+//! pushed — subscribers see deltas, not heartbeats (`stream.unchanged`
+//! counts the silent re-arms, one pass over the old and new rows). The
+//! stamp stored is the one read *before* evaluating, so a write racing
+//! the evaluation leaves it stale and the next sweep looks again. A
+//! scope whose stamp is unknown, or whose evaluation cannot reach it,
+//! is reported to the subscriber once per outage as a typed
+//! `shard_unavailable` frame; the subscription stays armed and resumes
+//! when the stamp is known again (a reboot shows up as a fresh epoch,
+//! which is just another mismatch).
 //!
 //! A `subscribe` without a `text` registers a *bare watcher*: no
 //! statement, no evaluation, just one `{kind: "stamp", epoch,
@@ -48,7 +53,7 @@ use std::time::Duration;
 
 use cobra_faults::Recover;
 use cobra_obs::Registry;
-use f1_cobra::{QueryOutput, RetrievedSegment, Stamp, Vdbms};
+use f1_cobra::{Query, QueryOutput, RetrievedSegment, Stamp, Vdbms};
 use f1_monet::ExecBudget;
 use serde_json::{json, Value};
 
@@ -74,9 +79,9 @@ pub trait Source: Send + Sync + 'static {
     /// The unit a stamp is taken of.
     type Scope: Eq + Hash + Send;
 
-    /// The scopes a standing query over `video` reads (fixed for the
-    /// life of the subscription).
-    fn scopes(&self, video: &str) -> Vec<Self::Scope>;
+    /// The scopes a standing query of `text` over `video` reads (fixed
+    /// for the life of the subscription; `None` for a bare watcher).
+    fn scopes(&self, video: &str, text: Option<&str>) -> Vec<Self::Scope>;
 
     /// `scope`'s current stamp; `Err` says why it is unknown. Unknown
     /// is never treated as unchanged.
@@ -116,24 +121,28 @@ pub(crate) fn answer_groups(video: &str, output: QueryOutput) -> Vec<Group> {
 }
 
 /// A server's own catalog as a source: a scope is a video name (`"*"`
-/// is the whole catalog), stamps come straight from the catalog, and
-/// the wakeup is its condvar change feed.
+/// is the whole catalog) with the statement read of it, stamps come
+/// straight from the catalog, and the wakeup is its condvar change feed.
+/// A statement's stamp over one video is its result-cache guard
+/// ([`Vdbms::guard`]), so a write outside what it reads leaves it where
+/// it was; a bare watcher's is the video's stamp.
 impl Source for Vdbms {
-    type Scope = String;
+    type Scope = (String, Option<Query>);
 
-    fn scopes(&self, video: &str) -> Vec<String> {
-        vec![video.to_string()]
+    fn scopes(&self, video: &str, text: Option<&str>) -> Vec<Self::Scope> {
+        let query = text.and_then(|text| f1_cobra::parse_query(text).ok());
+        vec![(video.to_string(), query)]
     }
 
-    fn stamp(&self, scope: &String) -> Result<Stamp, String> {
-        Ok(if scope == "*" {
-            self.catalog.stamp()
-        } else {
-            self.catalog.video_stamp(scope)
+    fn stamp(&self, (video, query): &Self::Scope) -> Result<Stamp, String> {
+        Ok(match query {
+            _ if video == "*" => self.catalog.stamp(),
+            Some(q) => self.guard(video, q),
+            None => self.catalog.video_stamp(video),
         })
     }
 
-    fn eval(&self, _scope: &String, video: &str, text: &str) -> Result<Vec<Group>, String> {
+    fn eval(&self, _scope: &Self::Scope, video: &str, text: &str) -> Result<Vec<Group>, String> {
         let output = self.run_with_budget(video, text, &ExecBudget::unlimited());
         Ok(match output {
             Ok(output) => answer_groups(video, output),
@@ -194,6 +203,30 @@ pub struct Hub<S: Source> {
     inner: Mutex<HashMap<ConnId, ConnSubs<S::Scope>>>,
     closed: AtomicBool,
     notifier: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// What a fresh answer `new` adds to the delivered `old`, in `new`'s
+/// order, and how many of `old`'s rows it no longer holds: one pass
+/// over each, by value (a row held twice counts twice).
+fn diff(old: &[RetrievedSegment], new: &[RetrievedSegment]) -> (Vec<RetrievedSegment>, usize) {
+    // Each old row: how often it was delivered, and whether `new` has it.
+    let mut kept: HashMap<&RetrievedSegment, (usize, bool)> = HashMap::with_capacity(old.len());
+    for segment in old {
+        kept.entry(segment).or_default().0 += 1;
+    }
+    let mut added = Vec::new();
+    for segment in new {
+        match kept.get_mut(segment) {
+            Some((_, seen)) => *seen = true,
+            None => added.push(segment.clone()),
+        }
+    }
+    let removed = kept
+        .values()
+        .filter(|(_, seen)| !seen)
+        .map(|(n, _)| n)
+        .sum();
+    (added, removed)
 }
 
 /// Segments in wire form.
@@ -265,7 +298,7 @@ impl<S: Source> Hub<S> {
         };
         let mut initial: Vec<Group> = Vec::new();
         let mut latest: Option<Stamp> = None;
-        for scope in self.source.scopes(video) {
+        for scope in self.source.scopes(video, text) {
             let stamp = self.source.stamp(&scope).ok();
             latest = latest.max(stamp);
             let mut views = HashMap::new();
@@ -481,13 +514,7 @@ impl<S: Source> Hub<S> {
         for (video, segments) in groups {
             let old = views.get(&video);
             let known = old.is_some();
-            let old = old.map_or(&[][..], Vec::as_slice);
-            let added: Vec<RetrievedSegment> = segments
-                .iter()
-                .filter(|s| !old.contains(s))
-                .cloned()
-                .collect();
-            let removed = old.iter().filter(|s| !segments.contains(s)).count();
+            let (added, removed) = diff(old.map_or(&[][..], Vec::as_slice), &segments);
             let total = segments.len();
             views.insert(video.clone(), segments);
             if added.is_empty() && removed == 0 && known {
@@ -621,7 +648,7 @@ mod tests {
     impl Source for Script {
         type Scope = u32;
 
-        fn scopes(&self, video: &str) -> Vec<u32> {
+        fn scopes(&self, video: &str, _text: Option<&str>) -> Vec<u32> {
             if video == "*" {
                 vec![0, 1]
             } else {
@@ -911,6 +938,44 @@ mod tests {
             0,
             "its standing queries are forgotten"
         );
+    }
+
+    /// The delta of a re-evaluation: rows added in the new answer's
+    /// order, rows removed counted, rows kept in neither — a row held
+    /// twice counting twice, as the pairwise comparison it replaced did.
+    #[test]
+    fn a_delta_lists_the_rows_added_and_counts_the_rows_removed() {
+        let row = |start: usize, driver: Option<&str>| RetrievedSegment {
+            start,
+            end: start + 5,
+            label: "pit_stop".into(),
+            driver: driver.map(str::to_string),
+        };
+        let old = [
+            row(10, None),
+            row(20, Some("A")),
+            row(30, None),
+            row(30, None),
+            row(40, Some("B")),
+        ];
+        let new = [
+            row(20, Some("A")),
+            row(50, None),
+            row(10, None),
+            row(20, Some("B")),
+            row(50, None),
+        ];
+        let (added, removed) = diff(&old, &new);
+        assert_eq!(added, [row(50, None), row(20, Some("B")), row(50, None)]);
+        assert_eq!(removed, 3, "both copies of 30, and 40");
+        // The pairwise definition, for the record.
+        let pairwise: Vec<_> = new.iter().filter(|s| !old.contains(s)).cloned().collect();
+        assert_eq!(added, pairwise);
+        assert_eq!(removed, old.iter().filter(|s| !new.contains(s)).count());
+
+        assert_eq!(diff(&old, &old), (Vec::new(), 0), "all kept");
+        assert_eq!(diff(&[], &new[..2]), (new[..2].to_vec(), 0));
+        assert_eq!(diff(&old, &[]), (Vec::new(), old.len()));
     }
 
     #[test]

@@ -282,8 +282,9 @@ fn readers_see_a_committed_event_layer_or_nothing() {
 }
 
 /// An append to a layer no reader holds grows it in place, keeping the
-/// driver column's identity; the value index the read before cached must
-/// not answer for the grown column.
+/// driver column's identity; the value index the read before cached is
+/// extended by the commit, so the read after is an index hit that sees
+/// the new row.
 #[test]
 fn an_indexed_read_after_an_in_place_append_sees_the_new_row() {
     let vdbms = fixture();
@@ -309,9 +310,11 @@ fn an_indexed_read_after_an_in_place_append_sees_the_new_row() {
     vdbms.catalog.store_events("v", &[fly_out]).unwrap();
     assert_eq!(column(), id, "the append grew the column in place");
 
-    let rebuilt = vdbms.kernel().metrics().index_misses.get();
+    let metrics = vdbms.kernel().metrics();
+    let (hits, builds) = (metrics.index_hits.get(), metrics.index_misses.get());
     let after = read();
-    assert_eq!(vdbms.kernel().metrics().index_misses.get(), rebuilt + 1);
+    assert_eq!(metrics.index_misses.get(), builds, "no rebuild");
+    assert_eq!(metrics.index_hits.get(), hits + 1);
     assert_eq!(after.len(), before.len() + 1);
     assert!(after.iter().any(|s| (s.start..s.end).contains(&155)));
 }

@@ -138,10 +138,12 @@ fn cost_model_refresh_recompiles_plans_and_keeps_answers_identical() {
         .unwrap();
     assert_eq!(misses(&vdbms), baseline_misses, "warm run must hit");
 
-    // Invalidate the result cache with an unrelated event append (the
-    // version vector moves; highlight answers are untouched), then
-    // refresh the cost model: the re-run must replan — a plan-cache
-    // miss — and still return byte-identical results.
+    // Invalidate the result cache with an unrelated re-annotation (a
+    // whole-layer change: every guard over the video moves; highlight
+    // answers are untouched), then refresh the cost model: the re-run
+    // must replan — a plan-cache miss — and still return byte-identical
+    // results. (An unrelated append would leave the highlight answer
+    // cached: its guard reads only highlight rows.)
     vdbms
         .catalog
         .store_events(
@@ -153,6 +155,10 @@ fn cost_model_refresh_recompiles_plans_and_keeps_answers_identical() {
                 driver: None,
             }],
         )
+        .unwrap();
+    vdbms
+        .catalog
+        .replace_events("v", &["caption:final_lap"], &[])
         .unwrap();
     vdbms.refresh_plan_costs();
     let after_refresh = vdbms.query("v", "RETRIEVE HIGHLIGHTS").unwrap();
@@ -258,8 +264,9 @@ fn cold_driver_reads_are_one_evaluation_over_one_value_index() {
         assert_eq!(scanned, 2 * naming(d), "D{d} scans no row of the column");
     }
 
-    // An append grows the unshared layer in place: one rebuild, which
-    // sees the new row, then probes again.
+    // An append grows the unshared layer in place and extends the
+    // cached index by its row: the read after it probes the index,
+    // rebuilds nothing, and sees the new row.
     let appended = EventRecord {
         kind: "highlight".into(),
         start: 100,
@@ -268,7 +275,7 @@ fn cold_driver_reads_are_one_evaluation_over_one_value_index() {
     };
     vdbms.catalog.store_events("v", &[appended]).unwrap();
     let (got, uses, _) = read(5);
-    assert_eq!(uses, (1, 0), "the append makes one rebuild");
+    assert_eq!(uses, (0, 1), "the append left the index cached");
     assert_eq!(got.last().map(|s| s.start), Some(100));
     let (_, uses, _) = read(6);
     assert_eq!(uses, (0, 1));

@@ -233,10 +233,12 @@ fn every_path_returns_the_same_bytes_as_a_single_node() {
         let (single_hits, single_misses) = match round {
             // The sweep of highlights finds race-0's answer just stored.
             "cold" => (1, 13),
-            // The write voided race-0's answers: its own, and its group
-            // of the pit-stop sweep; the highlight sweep finds it stored
-            // again by the single-video query before it.
-            "after a write voided it" => (12, 2),
+            // The highlight write voided race-0's highlight answer
+            // only: the pit-stop sweep's group of race-0 reads no
+            // highlight and still hits, and the highlight sweep finds
+            // race-0's answer stored again by the single-video query
+            // before it.
+            "after a write voided it" => (13, 1),
             // Every sweep is spliced from stored lists.
             _ => (14, 0),
         };

@@ -124,22 +124,32 @@ fn subscribe_delivers_exactly_the_post_write_deltas() {
     assert_eq!(push.total, 3);
     assert_eq!(push.removed, 0);
 
-    // A write the query does *not* read: the watched vector moves, the
-    // notifier re-evaluates, the answer is unchanged — silence, proven
-    // by the unchanged-counter moving while the push-counter does not.
+    // A write the query does *not* read: the statement's guard stays
+    // where it was, so the notifier skips it without evaluating —
+    // silence, proven by the skip-counter moving while the unchanged-
+    // and push-counters do not.
     let pushes_before = stream_counter(&vdbms, "stream.pushes");
     let unchanged_before = stream_counter(&vdbms, "stream.unchanged");
+    let version_before = vdbms.catalog.data_version();
     client
         .write_event("v", "caption:pit_stop", 300, 305, None)
         .expect("write unrelated event");
+    assert!(vdbms.catalog.data_version() > version_before, "committed");
+    // Two sweeps: the second began after the write was acknowledged.
+    let skipped_before = stream_counter(&vdbms, "stream.skipped");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while stream_counter(&vdbms, "stream.unchanged") == unchanged_before {
+    while stream_counter(&vdbms, "stream.skipped") < skipped_before + 2 {
         assert!(
             std::time::Instant::now() < deadline,
-            "notifier must re-evaluate after the unrelated write"
+            "notifier must look again after the unrelated write"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+    assert_eq!(
+        stream_counter(&vdbms, "stream.unchanged"),
+        unchanged_before,
+        "a write outside what the statement reads is never evaluated"
+    );
     assert_eq!(
         stream_counter(&vdbms, "stream.pushes"),
         pushes_before,
