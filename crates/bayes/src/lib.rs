@@ -37,7 +37,6 @@ pub mod dbn;
 pub mod em;
 pub mod engine;
 pub mod evidence;
-pub mod exact;
 pub mod metrics;
 pub mod paper;
 pub mod slice;

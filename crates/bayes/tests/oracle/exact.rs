@@ -3,13 +3,13 @@
 //! For tiny networks and short sequences this module computes posteriors
 //! by enumerating *every* joint configuration of *every* node across all
 //! slices. It is exponentially slow on purpose: its only job is to verify
-//! the production engine ([`crate::engine::Engine`]) and the EM E-step on
-//! hand-checkable cases.
+//! the production engine (`f1_bayes::engine::Engine`) and the EM E-step
+//! on hand-checkable cases, in `properties.rs` and in its own tests.
 
-use crate::dbn::Dbn;
-use crate::evidence::{EvidenceSeq, Obs};
-use crate::slice::NodeId;
-use crate::{BayesError, Result};
+use f1_bayes::dbn::Dbn;
+use f1_bayes::evidence::{EvidenceSeq, Obs};
+use f1_bayes::slice::NodeId;
+use f1_bayes::{BayesError, Result};
 
 /// One joint configuration: `cfg[t][n]` is node `n`'s state at slice `t`.
 type JointConfig = Vec<Vec<usize>>;
@@ -125,9 +125,9 @@ pub fn loglik(dbn: &Dbn, ev: &EvidenceSeq) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpt::Cpt;
-    use crate::engine::Engine;
-    use crate::slice::SliceNet;
+    use f1_bayes::cpt::Cpt;
+    use f1_bayes::engine::Engine;
+    use f1_bayes::slice::SliceNet;
 
     fn hmm_like() -> Dbn {
         let mut s = SliceNet::new();

@@ -1,10 +1,12 @@
 //! Property tests for BN/DBN invariants.
 
+#[path = "oracle/exact.rs"]
+mod exact;
+
 use f1_bayes::cpt::Cpt;
 use f1_bayes::dbn::Dbn;
 use f1_bayes::engine::Engine;
 use f1_bayes::evidence::{EvidenceSeq, Obs};
-use f1_bayes::exact;
 use f1_bayes::paper::{audio_dbn, BnStructure, TemporalVariant};
 use f1_bayes::slice::SliceNet;
 use proptest::prelude::*;

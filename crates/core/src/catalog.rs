@@ -444,9 +444,11 @@ impl Catalog {
     }
 
     /// Appends event-layer records (creating the BATs on first use).
-    /// Logged, then applied.
+    /// Logged, then applied; a row that ends before it starts refuses
+    /// the whole write ([`CobraError::InvalidEvent`]) before it is logged.
     pub fn store_events(&self, video: &str, events: &[EventRecord]) -> Result<()> {
         self.video(video)?;
+        check_rows(video, events)?;
         let _commit = self.commit.lock().recover();
         if self.store.is_durable() {
             self.store.log(&WalOp::StoreEvents {
@@ -460,7 +462,9 @@ impl Catalog {
     /// One event-layer transaction, a re-annotation's: the rows of
     /// `drop_kinds` go, the others stay in order, `rows` follow them.
     /// One WAL record and one commit seq: a failed append or a crash
-    /// leaves the layer as it was. Logged, then applied.
+    /// leaves the layer as it was. Logged, then applied, and refused
+    /// like [`store_events`](Self::store_events) for a row that ends
+    /// before it starts.
     pub fn replace_events(
         &self,
         video: &str,
@@ -468,6 +472,7 @@ impl Catalog {
         rows: &[EventRecord],
     ) -> Result<()> {
         self.video(video)?;
+        check_rows(video, rows)?;
         let _commit = self.commit.lock().recover();
         if self.store.is_durable() {
             self.store.log(&WalOp::ReplaceEvents {
@@ -608,7 +613,7 @@ impl Catalog {
                 self.apply_feature_layer(&video, n_features, values.chunks_exact(n_features.max(1)))
             }
             WalOp::StoreEvents { video, events } => {
-                let rows: Vec<EventRecord> = events.into_iter().map(Into::into).collect();
+                let rows = self.replayed_rows(events);
                 self.commit_events(&video, NO_KINDS, &rows)
             }
             WalOp::ReplaceEvents {
@@ -616,7 +621,7 @@ impl Catalog {
                 drop_kinds,
                 events,
             } => {
-                let rows: Vec<EventRecord> = events.into_iter().map(Into::into).collect();
+                let rows = self.replayed_rows(events);
                 self.commit_events(&video, &drop_kinds, &rows)
             }
             // Written before `ReplaceEvents` existed, only replayed now.
@@ -636,6 +641,24 @@ impl Catalog {
                 self.apply_feature_rows(&video, n_features, values.chunks_exact(n_features.max(1)))
             }
         }
+    }
+
+    /// A replayed record's rows. A store written before writes were
+    /// checked ([`check_rows`]) may hold rows that end before they start:
+    /// they are dropped, counted in `store.recovery.dropped_rows`, so the
+    /// store still boots and its video still answers.
+    fn replayed_rows(&self, events: Vec<WalEvent>) -> Vec<EventRecord> {
+        let mut rows: Vec<EventRecord> = events.into_iter().map(Into::into).collect();
+        let logged = rows.len();
+        rows.retain(|row| !ends_before_start(row));
+        let dropped = (logged - rows.len()) as u64;
+        if dropped > 0 {
+            let registry = self.kernel.metrics().registry();
+            registry
+                .counter("store.recovery.dropped_rows", &[])
+                .add(dropped);
+        }
+        rows
     }
 
     /// True when `name` is a catalog-owned BAT of `video` (a feature
@@ -995,6 +1018,28 @@ fn build_layer<K: AsRef<str>>(
 /// strings interned against the column's dictionary, each new one
 /// allocated once. The layer is checked first, so a malformed one is a
 /// typed error with nothing appended.
+/// Whether `row` ends before it starts — the one event row the catalog
+/// refuses, since every reader builds an interval from a row's clips.
+/// A row past the video's registered `n_clips` is kept: readers clamp
+/// it, and where a live video ends is still open while it grows.
+fn ends_before_start(row: &EventRecord) -> bool {
+    row.end < row.start
+}
+
+/// Refuses a write holding a row that [`ends_before_start`], before it
+/// is logged: the catalog stays unchanged.
+fn check_rows(video: &str, rows: &[EventRecord]) -> Result<()> {
+    match rows.iter().find(|row| ends_before_start(row)) {
+        Some(row) => Err(CobraError::InvalidEvent {
+            video: video.to_string(),
+            kind: row.kind.clone(),
+            start: row.start,
+            end: row.end,
+        }),
+        None => Ok(()),
+    }
+}
+
 fn append_rows([kinds, starts, ends, drivers]: [&mut Bat; 4], rows: &[EventRecord]) -> Result<()> {
     EventColumns::of([&*kinds, &*starts, &*ends, &*drivers])?;
     kinds.extend_strs(rows.iter().map(|e| e.kind.as_str()))?;
@@ -1362,6 +1407,71 @@ mod tests {
         }
         let recovered = crate::Vdbms::open(&config).unwrap();
         assert_eq!(recovered.catalog.events("german", None).unwrap(), [row(50)]);
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A row that ends before it starts is refused before it is logged,
+    /// so the video keeps answering retrievals that build intervals from
+    /// its rows; a log that already holds one (written before the check)
+    /// still boots, the row dropped and counted.
+    #[test]
+    fn a_row_that_ends_before_it_starts_is_refused_and_dropped_on_replay() {
+        let row = |kind: &str, start, end| EventRecord {
+            kind: kind.into(),
+            start,
+            end,
+            driver: None,
+        };
+        let (highlight, pit_stop) = (row("highlight", 10, 40), row("caption:pit_stop", 20, 35));
+        let bad = row("caption:pit_stop", 15, 5);
+
+        let vdbms = crate::Vdbms::try_new().unwrap();
+        let c = &vdbms.catalog;
+        c.register_video(catalog().video("german").unwrap())
+            .unwrap();
+        c.store_events("german", &[highlight.clone(), pit_stop.clone()])
+            .unwrap();
+        let version = c.data_version();
+        let refused = c.store_events("german", &[highlight.clone(), bad.clone()]);
+        assert!(matches!(
+            refused,
+            Err(CobraError::InvalidEvent {
+                start: 15,
+                end: 5,
+                ..
+            })
+        ));
+        let refused = c.replace_events("german", &["highlight"], std::slice::from_ref(&bad));
+        assert!(matches!(refused, Err(CobraError::InvalidEvent { .. })));
+        assert_eq!(c.data_version(), version, "a refused write changes nothing");
+        let answer = vdbms.run("german", "RETRIEVE HIGHLIGHTS AT PITLANE");
+        assert!(matches!(answer, Ok(crate::QueryOutput::Segments(s)) if s.len() == 1));
+
+        let dir = std::env::temp_dir().join(format!("cobra-badrow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = cobra_store::StoreConfig::new(&dir);
+        {
+            let old = crate::Vdbms::open(&config).unwrap();
+            old.catalog
+                .register_video(catalog().video("german").unwrap())
+                .unwrap();
+            let logged = WalOp::StoreEvents {
+                video: "german".into(),
+                events: [&bad, &highlight, &pit_stop].map(WalEvent::from).into(),
+            };
+            old.catalog.store().log(&logged).unwrap();
+        }
+        let recovered = crate::Vdbms::open(&config).unwrap();
+        let rows = recovered.catalog.events("german", None).unwrap();
+        assert_eq!(rows, [highlight, pit_stop]);
+        let registry = recovered.kernel().metrics().registry();
+        let dropped = registry
+            .snapshot()
+            .counter("store.recovery.dropped_rows", &[]);
+        assert_eq!(dropped, 1);
+        let answer = recovered.run("german", "RETRIEVE HIGHLIGHTS AT PITLANE");
+        assert!(matches!(answer, Ok(crate::QueryOutput::Segments(s)) if s.len() == 1));
         drop(recovered);
         std::fs::remove_dir_all(&dir).unwrap();
     }

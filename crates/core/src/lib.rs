@@ -94,6 +94,18 @@ pub enum CobraError {
         /// The clip the chunk actually started at.
         got: usize,
     },
+    /// An event row that ends before it starts; the write carrying it
+    /// was refused and the catalog is unchanged.
+    InvalidEvent {
+        /// The video written to.
+        video: String,
+        /// The row's kind.
+        kind: String,
+        /// The row's first clip.
+        start: usize,
+        /// The row's end, before `start`.
+        end: usize,
+    },
 }
 
 impl std::fmt::Display for CobraError {
@@ -125,6 +137,15 @@ impl std::fmt::Display for CobraError {
                     "video '{video}': chunk starts at clip {got} but the stream expects clip {expected}"
                 )
             }
+            CobraError::InvalidEvent {
+                video,
+                kind,
+                start,
+                end,
+            } => write!(
+                f,
+                "video '{video}': event '{kind}' ends at clip {end}, before its start at clip {start}"
+            ),
         }
     }
 }
@@ -144,7 +165,8 @@ impl std::error::Error for CobraError {
             CobraError::UnknownVideo(_)
             | CobraError::MissingMetadata { .. }
             | CobraError::Parse(_)
-            | CobraError::StreamOrder { .. } => None,
+            | CobraError::StreamOrder { .. }
+            | CobraError::InvalidEvent { .. } => None,
         }
     }
 }

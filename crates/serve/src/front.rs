@@ -7,9 +7,12 @@
 //! a missing `cmd` and an unknown command on the reactor, and runs
 //! `subscribe`/`unsubscribe` through the hub on the pool; every other
 //! command is resolved in the door's table ([`Door::command`]) and run by
-//! the door ([`Door::run`]). [`Front::submit`] is the one place a full or
-//! closing pool becomes a typed `overloaded` or `shutting_down` answer,
-//! and [`Running::shutdown`] the one shutdown order.
+//! the door ([`Door::run`]). Every pool job goes through
+//! [`Front::pooled`], the one place a full or closing pool becomes a
+//! typed `overloaded` or `shutting_down` answer; an admitted job returns
+//! its reply frame, which the pool's worker sends once it has retired
+//! the job (a job that unwinds is answered `internal` there). And
+//! [`Running::shutdown`] is the one shutdown order.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, OnceLock};
@@ -20,7 +23,7 @@ use serde_json::{json, Value};
 
 use crate::protocol::{encode_reply, err_response, ok_response, ErrorKind};
 use crate::reactor::{self, ConnId, ReactorConfig, ReactorCtl, Service};
-use crate::scheduler::{Job, SubmitError, WorkerPool};
+use crate::scheduler::{SubmitError, WorkerPool};
 use crate::server::ServerConfig;
 use crate::stream::{Hub, Source};
 
@@ -89,40 +92,48 @@ pub(crate) struct Running<D: Door> {
 }
 
 impl<D: Door> Front<D> {
-    /// Serves `door` as `config` sizes it (a router is sized like a
-    /// server, without debug commands): the hub reads `source`, the
-    /// reactor thread is called `name`, every series goes to `registry`.
-    pub(crate) fn start(
+    /// The front end of `door`, sized by `config` (a router is sized like
+    /// a server): the hub reads `source`, every series goes to `registry`,
+    /// and nothing listens until [`start`](Self::start).
+    pub(crate) fn new(
         door: D,
         source: Arc<D::Source>,
         registry: &Arc<Registry>,
-        name: &str,
         config: &ServerConfig,
-    ) -> std::io::Result<Running<D>> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let pool = WorkerPool::new(config.workers, config.queue_cap, registry)?;
+    ) -> std::io::Result<Arc<Self>> {
         let ctl = ReactorCtl::new()?;
+        let pool = WorkerPool::new(config.workers, config.queue_cap, registry, ctl.clone())?;
         let cap = config.push_queue_cap;
         let hub = Hub::new(source, Arc::clone(registry), ctl.clone(), cap);
-        let front = Arc::new(Front {
+        Ok(Arc::new(Front {
             door,
             ctl,
             pool,
             hub,
             registry: Arc::clone(registry),
             requests: Default::default(),
-        });
+        }))
+    }
+
+    /// Serves this front end on `config`'s address, its reactor thread
+    /// called `name`.
+    pub(crate) fn start(
+        self: Arc<Self>,
+        name: &str,
+        config: &ServerConfig,
+    ) -> std::io::Result<Running<D>> {
+        let listener = TcpListener::bind(&config.addr).inspect_err(|_| self.pool.shutdown())?;
+        let addr = listener.local_addr()?;
         let reactor = ReactorConfig {
             name: name.into(),
             idle_timeout: config.idle_timeout,
             sndbuf: config.sndbuf,
         };
-        let service = Arc::new(Arc::clone(&front));
-        let reactor = reactor::spawn(listener, &front.ctl, reactor, registry, service)?;
+        let service = Arc::new(Arc::clone(&self));
+        let reactor = reactor::spawn(listener, &self.ctl, reactor, &self.registry, service)?;
         Ok(Running {
             addr,
-            front,
+            front: self,
             reactor,
         })
     }
@@ -141,43 +152,33 @@ impl<D: Door> Front<D> {
         self.ctl.send(conn, encode_reply(response));
     }
 
-    /// Admits `job` to the pool. A refusal is counted in
-    /// `serve.rejected{kind}` and returned as the typed failure that
-    /// answers the request.
-    pub(crate) fn submit(&self, job: Job) -> Result<(), Fail> {
-        self.pool.try_submit(job).map_err(|e| {
-            let (kind, message) = match e {
-                SubmitError::Overloaded { queue_cap } => (
-                    ErrorKind::Overloaded,
-                    format!("queue full ({queue_cap} waiting); retry with backoff"),
-                ),
-                SubmitError::ShuttingDown => {
-                    (ErrorKind::ShuttingDown, "service is shutting down".into())
-                }
-            };
-            self.registry
-                .counter("serve.rejected", &[("kind", kind.as_str())])
-                .inc();
-            (kind, message)
-        })
-    }
-
-    /// Runs `job` on the pool and queues the frame it returns on `conn`;
-    /// a refused job answers request `id` with its typed failure.
+    /// Runs `job` on the pool, whose worker sends the frame it returns on
+    /// `conn` (`internal` if it unwinds). A refused job is dropped unrun:
+    /// its typed `overloaded` or `shutting_down` is counted in
+    /// `serve.rejected{kind}`, answers request `id` at once, and is returned.
     pub(crate) fn pooled(
         self: &Arc<Self>,
         conn: ConnId,
         id: u64,
         job: impl FnOnce(&Arc<Self>) -> Vec<u8> + Send + 'static,
-    ) {
+    ) -> Option<Fail> {
         let front = Arc::clone(self);
-        let submitted = self.submit(Box::new(move || {
-            let frame = job(&front);
-            front.ctl.send(conn, frame);
-        }));
-        if let Err((kind, message)) = submitted {
-            self.reply(conn, &err_response(id, kind, message));
-        }
+        let job = Box::new(move || job(&front));
+        let refused = self.pool.try_submit((conn, id, job)).err()?;
+        let (kind, message) = match refused {
+            SubmitError::Overloaded { queue_cap } => (
+                ErrorKind::Overloaded,
+                format!("queue full ({queue_cap} waiting); retry with backoff"),
+            ),
+            SubmitError::ShuttingDown => {
+                (ErrorKind::ShuttingDown, "service is shutting down".into())
+            }
+        };
+        self.registry
+            .counter("serve.rejected", &[("kind", kind.as_str())])
+            .inc();
+        self.reply(conn, &err_response(id, kind, message.as_str()));
+        Some((kind, message))
     }
 }
 
@@ -193,13 +194,17 @@ impl<D: Door> Service for Arc<Front<D>> {
             "ping" => self.reply(conn, &ok_response(id, json!({"kind": "pong"}))),
             // A subscription's initial evaluation is a real query, and the
             // hub lock is held across sweep evaluations: pool work.
-            "subscribe" => self.pooled(conn, id, move |front| {
-                front.door.subscribing();
-                encode_reply(&front.hub.subscribe(conn, id, &request))
-            }),
-            "unsubscribe" => self.pooled(conn, id, move |front| {
-                encode_reply(&front.hub.unsubscribe(conn, id, &request))
-            }),
+            "subscribe" => {
+                self.pooled(conn, id, move |front| {
+                    front.door.subscribing();
+                    encode_reply(&front.hub.subscribe(conn, id, &request))
+                });
+            }
+            "unsubscribe" => {
+                self.pooled(conn, id, move |front| {
+                    encode_reply(&front.hub.unsubscribe(conn, id, &request))
+                });
+            }
             _ => match self.door.command(cmd) {
                 Some(command) => D::run(self, conn, id, command, request),
                 None => {

@@ -9,10 +9,11 @@
 //! incremental frame decoder, per-connection write buffers with
 //! backpressure, and idle timeouts on a timer wheel, so a connection
 //! costs a few kilobytes of bookkeeping rather than two OS threads.
-//! CPU work still runs on a bounded worker pool with admission control
-//! ([`scheduler`]), translating per-request deadlines into kernel
-//! [`ExecBudget`]s, cancelling work whose client disconnected, and
-//! draining in-flight queries on shutdown ([`server`]).
+//! CPU work still runs on a bounded worker pool with admission control,
+//! whose workers send every pooled reply (a job that panics is answered
+//! with a typed `internal` error). The [`server`] translates per-request
+//! deadlines into kernel [`ExecBudget`]s, cancels work whose client
+//! disconnected, and drains in-flight queries on shutdown.
 //!
 //! The same crate ships the blocking [`client`] library (used by the
 //! `cobra-cli` binary and the integration tests) and the sharding
@@ -42,7 +43,7 @@ pub mod protocol;
 pub mod reactor;
 pub mod ring;
 pub mod router;
-pub mod scheduler;
+mod scheduler;
 pub mod server;
 pub mod spawn;
 pub mod stream;
@@ -52,7 +53,6 @@ pub use protocol::{ErrorKind, FrameDecoder};
 pub use reactor::raise_nofile_limit;
 pub use ring::{Ring, DEFAULT_SEED};
 pub use router::{RouterConfig, RouterHandle};
-pub use scheduler::{SubmitError, WorkerPool};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use spawn::{find_worker_binary, spawn_worker, WorkerProcess};
 pub use stream::{Hub, Source, DEFAULT_PUSH_QUEUE_CAP};

@@ -523,6 +523,7 @@ pub fn classify(err: &f1_cobra::CobraError) -> ErrorKind {
     match err {
         CobraError::Parse(_) => ErrorKind::Parse,
         CobraError::UnknownVideo(_) => ErrorKind::UnknownVideo,
+        CobraError::InvalidEvent { .. } => ErrorKind::BadRequest,
         CobraError::Kernel(MonetError::Deadline) => ErrorKind::Deadline,
         CobraError::Kernel(MonetError::Interrupted) => ErrorKind::Cancelled,
         CobraError::Kernel(MonetError::BudgetExhausted { .. }) => ErrorKind::BudgetExhausted,

@@ -348,7 +348,7 @@ impl ReactorCtl {
         std::mem::take(&mut *self.inner.ops.lock().recover())
     }
 
-    fn take_wake_rx(&self) -> Option<UnixStream> {
+    pub(crate) fn take_wake_rx(&self) -> Option<UnixStream> {
         let mut rx = self.inner.wake_rx.lock().recover();
         rx.take()
     }

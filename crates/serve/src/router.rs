@@ -382,7 +382,7 @@ impl Door for Arc<RouterShared> {
             let mut conns = shared.checkout();
             let frame = routed(shared, &mut conns, id, &request);
             shared.checkin(conns);
-            frame.unwrap_or_else(|fail| refuse(id, fail))
+            frame.unwrap_or_else(|(kind, why)| encode_reply(&err_response(id, kind, why)))
         });
     }
 
@@ -459,7 +459,8 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         ..ServerConfig::default()
     };
     let (door, source) = (Arc::clone(&shared), Arc::clone(&shared));
-    let running = Front::start(door, source, &registry, "cobra-router-reactor", &sizing)?;
+    let front = Front::new(door, source, &registry, &sizing)?;
+    let running = front.start("cobra-router-reactor", &sizing)?;
     Ok(RouterHandle { shared, running })
 }
 
@@ -748,11 +749,6 @@ fn shard_entry(shard: usize, answered: Result<Value, Fail>) -> Value {
 /// its request's id.
 fn pass(id: u64, len: usize, body: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
     or_oversize(id, ok_frame(id, None, len, body))
-}
-
-/// The frame that answers request `id` with a typed failure.
-fn refuse(id: u64, (kind, message): Fail) -> Vec<u8> {
-    encode_reply(&err_response(id, kind, message))
 }
 
 fn handle_query(

@@ -3,10 +3,11 @@
 //!
 //! Its command table answers `version`, `stats` and `videos` inline on
 //! the reactor; queries, checkpoints and debug writes take engine locks
-//! and run on the pool, whose completions are queued back to the reactor
-//! and flushed without ever blocking a worker on a slow client.
+//! and run on the pool. Each such job returns its reply frame, which the
+//! pool's worker queues to the reactor once it has retired the job, so
+//! no worker ever blocks on a slow client.
 //!
-//! A completion is an encoded frame. A query's worker takes the answer
+//! A reply is an encoded frame. A query's worker takes the answer
 //! from the result cache as its entries (`Vdbms::answer`) and writes the
 //! `result` body straight into the frame from them
 //! (`f1_cobra::json::write_answered`), in a buffer sized to the byte
@@ -24,6 +25,8 @@
 //!   `deadline`. Time spent waiting in the queue counts.
 //! * **Disconnect cancellation** — when a client's socket closes, every
 //!   query it still has in flight is cancelled through its budget token.
+//! * **Panics** — a query that unwinds is answered `internal` by the
+//!   pool, and so are its single-flight followers.
 //! * **Epoch fence** — a routed frame addressed to another incarnation
 //!   of this catalog is refused with `shard_unavailable`.
 //! * **Backpressure** — a connection whose peer stops draining is not
@@ -32,7 +35,6 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -49,6 +51,7 @@ use crate::protocol::{
     ErrorKind,
 };
 use crate::reactor::ConnId;
+use crate::scheduler::UNWOUND;
 use crate::stream::DEFAULT_PUSH_QUEUE_CAP;
 
 /// How the server is sized and where it listens.
@@ -130,18 +133,15 @@ struct FlightWaiter {
     since: Instant,
 }
 
-/// Per-request state tracked while the query is in the pool:
-/// cancelling the token interrupts the running query via its budget.
-type Inflight = Arc<Mutex<HashMap<u64, CancellationToken>>>;
-
 /// The server's door: its catalog, and what its requests share.
 pub(crate) struct Server {
     vdbms: Arc<Vdbms>,
     /// Whether the debug commands (`sleep`, `write_event`) exist.
     debug: bool,
-    /// In-flight cancellation tokens per connection; an entry appears
-    /// with the connection's first admitted request and dies with it.
-    conns: Mutex<HashMap<ConnId, Inflight>>,
+    /// The cancellation token of every admitted query-shaped request,
+    /// by connection and request id: cancelling one interrupts the
+    /// running query through its budget.
+    inflight: Mutex<HashMap<(ConnId, u64), CancellationToken>>,
     /// Single-flight table: (video, normalized statement) of every
     /// coalescable query currently admitted, mapped to the followers
     /// that arrived while it was in flight. The leader's presence is the
@@ -168,11 +168,6 @@ impl Server {
             .latency
             .get_or_init(|| self.registry().histogram("serve.latency_us", &[]));
         latency.record(since.elapsed().as_micros() as u64);
-    }
-
-    fn inflight_for(&self, conn: ConnId) -> Inflight {
-        let mut conns = self.conns.lock().recover();
-        Arc::clone(conns.entry(conn).or_default())
     }
 }
 
@@ -215,16 +210,15 @@ impl Door for Server {
 
     fn closed(&self, conn: ConnId) {
         // Client gone (or evicted): interrupt what it still has running.
-        let inflight = self.conns.lock().recover().remove(&conn);
-        if let Some(inflight) = inflight {
-            let orphaned = std::mem::take(&mut *inflight.lock().recover());
-            if !orphaned.is_empty() {
-                self.registry()
-                    .counter("serve.cancelled_disconnect", &[])
-                    .add(orphaned.len() as u64);
-                for token in orphaned.into_values() {
-                    token.cancel();
-                }
+        let mut inflight = self.inflight.lock().recover();
+        let orphaned: Vec<_> = inflight.extract_if(|&(c, _), _| c == conn).collect();
+        drop(inflight);
+        if !orphaned.is_empty() {
+            self.registry()
+                .counter("serve.cancelled_disconnect", &[])
+                .add(orphaned.len() as u64);
+            for (_, token) in orphaned {
+                token.cancel();
             }
         }
     }
@@ -275,11 +269,14 @@ pub fn start(vdbms: Arc<Vdbms>, config: ServerConfig) -> std::io::Result<ServerH
     let server = Server {
         vdbms: Arc::clone(&vdbms),
         debug: config.debug,
-        conns: Mutex::default(),
+        inflight: Mutex::default(),
         flights: Mutex::default(),
         latency: OnceLock::new(),
     };
-    Front::start(server, vdbms, &registry, "cobra-serve-reactor", &config).map(ServerHandle)
+    let front = Front::new(server, vdbms, &registry, &config)?;
+    front
+        .start("cobra-serve-reactor", &config)
+        .map(ServerHandle)
 }
 
 /// The router's connection handshake and the operator's topology probe:
@@ -379,38 +376,24 @@ fn write_event(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
     });
 }
 
-/// Delivers the leader's `outcome` to every follower coalesced under
-/// `key`, framed under each follower's own request id, and retires the
-/// flight so the next identical query starts fresh.
-fn fan_out(front: &Front, key: &str, outcome: &Outcome) {
-    let waiters = {
-        let mut flights = front.door.flights.lock().recover();
-        flights.remove(key).unwrap_or_default()
-    };
-    for w in waiters {
-        front.door.record_latency(w.since);
-        front.ctl.send(w.conn, outcome.frame(w.id));
-    }
-}
-
-/// Everything a pooled job needs to report its outcome.
+/// A query-shaped request from admission to its answer: its budget, its
+/// cancellation token in the in-flight map and, as a single-flight
+/// leader, its group. The job and [`admit`] share it; dropping the last
+/// handle is the one release, however the job ended: the token leaves
+/// the map, and the followers get the `outcome` that was set (the answer
+/// or the leader's typed refusal), or `internal` if the job unwound.
 struct JobCtx {
     front: Arc<Front>,
-    id: u64,
     conn: ConnId,
-    inflight: Inflight,
+    id: u64,
     token: CancellationToken,
     deadline_at: Option<Instant>,
     fuel: Option<u64>,
     admitted_at: Instant,
-    /// Set when this job leads a single-flight group; its outcome is
-    /// fanned out to the group's followers.
+    /// Set when this job leads a single-flight group.
     flight_key: Option<String>,
-    /// True from the moment the worker starts running the job until a
-    /// response is sent; arms the drop guard that releases followers if
-    /// the worker dies mid-query. Not armed while the job sits in the
-    /// queue, so an admission rejection reports its own (typed) error.
-    running: AtomicBool,
+    /// What the request concluded, for its followers.
+    outcome: OnceLock<Outcome>,
 }
 
 impl JobCtx {
@@ -439,67 +422,70 @@ impl JobCtx {
         None
     }
 
-    fn finish(&self, outcome: Outcome) {
-        self.running.store(false, Ordering::SeqCst);
-        self.inflight.lock().recover().remove(&self.id);
-        self.front.door.record_latency(self.admitted_at);
-        if let Some(key) = &self.flight_key {
-            fan_out(&self.front, key, &outcome);
-        }
-        self.front.ctl.send(self.conn, outcome.frame(self.id));
-    }
-
-    fn fail(&self, kind: ErrorKind, message: impl Into<String>) {
+    /// A typed failure, counted in `serve.failed{kind}`.
+    fn fail(&self, kind: ErrorKind, message: impl Into<String>) -> Outcome {
         let registry = self.front.door.registry();
         registry
             .counter("serve.failed", &[("kind", kind.as_str())])
             .inc();
-        self.finish(Outcome::Err {
+        Outcome::Err {
             kind,
             message: message.into(),
-        });
+        }
+    }
+
+    /// Runs the job, unless the request expired in the queue, and
+    /// returns the frame that answers it.
+    fn finish(&self, run: impl FnOnce(&JobCtx) -> Outcome) -> Vec<u8> {
+        let outcome = match self.expired() {
+            Some(kind) => self.fail(kind, "request expired before execution"),
+            None => run(self),
+        };
+        self.front.door.record_latency(self.admitted_at);
+        let frame = outcome.frame(self.id);
+        let _ = self.outcome.set(outcome);
+        frame
     }
 }
 
 impl Drop for JobCtx {
-    /// A job that dies without responding (worker panic) must not wedge
-    /// its single-flight group: release the followers with an error so
-    /// the next identical query becomes a fresh leader.
     fn drop(&mut self) {
-        if !self.running.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Some(key) = self.flight_key.take() {
-            let outcome = Outcome::Err {
-                kind: ErrorKind::Internal,
-                message: "query worker terminated before responding".into(),
-            };
-            fan_out(&self.front, &key, &outcome);
+        let door = &self.front.door;
+        door.inflight.lock().recover().remove(&(self.conn, self.id));
+        let Some(key) = &self.flight_key else { return };
+        // The flight retires, so the next identical query leads afresh.
+        let followers = door.flights.lock().recover().remove(key);
+        let outcome = self.outcome.take().unwrap_or_else(|| Outcome::Err {
+            kind: ErrorKind::Internal,
+            message: UNWOUND.into(),
+        });
+        for w in followers.into_iter().flatten() {
+            door.record_latency(w.since);
+            self.front.ctl.send(w.conn, outcome.frame(w.id));
         }
     }
 }
 
 /// Admits a query-shaped job: a cancellation token for disconnects, the
-/// request's deadline and fuel, and its single-flight group.
+/// request's deadline and fuel, and its single-flight group. It goes
+/// through [`Front::pooled`](front::Front::pooled) like every pool job,
+/// which answers a refusal; a refused leader's followers get the same
+/// typed refusal.
 fn admit(
     front: &Arc<Front>,
     conn: ConnId,
     id: u64,
     request: &Value,
     flight_key: Option<String>,
-    run: impl FnOnce(&JobCtx) + Send + 'static,
+    run: impl FnOnce(&JobCtx) -> Outcome + Send + 'static,
 ) {
-    let inflight = front.door.inflight_for(conn);
     let token = CancellationToken::new();
-    let mut map = inflight.lock().recover();
-    map.insert(id, token.clone());
-    drop(map);
-    let rejection_key = flight_key.clone();
-    let ctx = JobCtx {
+    let inflight = &front.door.inflight;
+    inflight.lock().recover().insert((conn, id), token.clone());
+    let ctx = Arc::new(JobCtx {
         front: Arc::clone(front),
-        id,
         conn,
-        inflight: Arc::clone(&inflight),
+        id,
         token,
         deadline_at: request
             .get("deadline_ms")
@@ -508,24 +494,11 @@ fn admit(
         fuel: request.get("fuel").and_then(Value::as_u64),
         admitted_at: Instant::now(),
         flight_key,
-        running: AtomicBool::new(false),
-    };
-    let submitted = front.submit(Box::new(move || {
-        ctx.running.store(true, Ordering::SeqCst);
-        if let Some(kind) = ctx.expired() {
-            ctx.fail(kind, "request expired before execution");
-            return;
-        }
-        run(&ctx);
-    }));
-    if let Err((kind, message)) = submitted {
-        inflight.lock().recover().remove(&id);
-        let outcome = Outcome::Err { kind, message };
-        // A rejected leader takes its (raced-in) followers with it.
-        if let Some(key) = &rejection_key {
-            fan_out(front, key, &outcome);
-        }
-        front.ctl.send(conn, outcome.frame(id));
+        outcome: OnceLock::new(),
+    });
+    let job = Arc::clone(&ctx);
+    if let Some((kind, message)) = front.pooled(conn, id, move |_| job.finish(run)) {
+        let _ = ctx.outcome.set(Outcome::Err { kind, message });
     }
 }
 
@@ -566,7 +539,7 @@ fn submit_query(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
         // cross-video form the scatter-gather router also speaks, so a
         // single worker answers it identically to a one-shard cluster.
         match vdbms.answer(&video, &text, &budget) {
-            Ok(answer) => ctx.finish(Outcome::Answered(answer, stamp)),
+            Ok(answer) => Outcome::Answered(answer, stamp),
             Err(e) => ctx.fail(crate::protocol::classify(&e), e.to_string()),
         }
     });
@@ -597,11 +570,120 @@ fn submit_sleep(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
                         MonetError::BudgetExhausted { .. } => ErrorKind::BudgetExhausted,
                         _ => ErrorKind::Internal,
                     };
-                    ctx.fail(kind, e.to_string());
-                    return;
+                    return ctx.fail(kind, e.to_string());
                 }
             }
         }
-        ctx.finish(Outcome::Ok(json!({"kind": "slept", "ms": (ms as f64)})));
+        Outcome::Ok(json!({"kind": "slept", "ms": (ms as f64)}))
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reactor::Op;
+
+    /// A server front end with `queue_cap` queue slots over an empty
+    /// catalog and no reactor: its replies stay on the op queue.
+    fn detached(queue_cap: usize) -> Arc<Front> {
+        let vdbms = Arc::new(Vdbms::try_new().expect("a fresh catalog"));
+        let registry = Arc::clone(vdbms.kernel().metrics().registry());
+        let server = Server {
+            vdbms: Arc::clone(&vdbms),
+            debug: true,
+            inflight: Mutex::default(),
+            flights: Mutex::default(),
+            latency: OnceLock::new(),
+        };
+        let config = ServerConfig {
+            workers: 1,
+            queue_cap,
+            ..ServerConfig::default()
+        };
+        Front::new(server, vdbms, &registry, &config).expect("the front end")
+    }
+
+    /// Request 1 on connection 1 leads a single-flight group that
+    /// requests 2 and 3 on connections 2 and 3 follow, and runs `run`.
+    fn lead(front: &Arc<Front>, run: impl FnOnce(&JobCtx) -> Outcome + Send + 'static) {
+        let key = "v\u{1}RETRIEVE HIGHLIGHTS".to_string();
+        let followers = [2, 3].map(|k| FlightWaiter {
+            id: k,
+            conn: ConnId(k),
+            since: Instant::now(),
+        });
+        front
+            .door
+            .flights
+            .lock()
+            .recover()
+            .insert(key.clone(), followers.into());
+        admit(front, ConnId(1), 1, &json!({}), Some(key), run);
+    }
+
+    /// The error kind each of the three requests was answered with,
+    /// checking that each reply went to its requester under its id.
+    fn answers(front: &Front) -> Vec<String> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut answers = Vec::new();
+        while answers.len() < 3 {
+            assert!(Instant::now() < deadline, "answered only {answers:?}");
+            for op in front.ctl.take_ops() {
+                let Op::Send { conn, frame } = op else {
+                    panic!("only replies are queued");
+                };
+                let reply: Value = serde_json::from_slice(&frame[4..]).expect("JSON");
+                let id = reply.get("id").and_then(Value::as_u64);
+                assert_eq!(id, Some(conn.0), "{reply}");
+                let kind = reply.get("error").and_then(|e| e.get("kind"));
+                answers.push((id, kind.and_then(Value::as_str).map(str::to_string)));
+            }
+            std::thread::yield_now();
+        }
+        answers.sort();
+        answers
+            .into_iter()
+            .map(|(_, kind)| kind.unwrap_or_default())
+            .collect()
+    }
+
+    /// After the group is released: no flight is left, and a close of
+    /// the leader's connection finds no token to cancel.
+    fn released(front: &Front) {
+        assert!(front.door.flights.lock().recover().is_empty());
+        front.door.closed(ConnId(1));
+        let registry = front.door.registry();
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("serve.cancelled_disconnect", &[]),
+            0
+        );
+    }
+
+    #[test]
+    fn an_unwound_leader_and_its_followers_are_answered_internal() {
+        let front = detached(4);
+        lead(&front, |_| panic!("the leader unwinds"));
+        assert_eq!(answers(&front), ["internal"; 3]);
+        released(&front);
+        let panics = front.door.registry().snapshot();
+        assert_eq!(panics.counter("serve.worker_panics", &[]), 1);
+        front.pool.shutdown();
+    }
+
+    #[test]
+    fn a_refused_leader_and_its_followers_get_its_typed_refusal() {
+        // No queue slot: every submission is refused as overloaded.
+        let front = detached(0);
+        lead(&front, |_| unreachable!("a refused job never runs"));
+        assert_eq!(answers(&front), ["overloaded"; 3]);
+        released(&front);
+
+        let front = detached(4);
+        front.pool.shutdown();
+        lead(&front, |_| unreachable!("a refused job never runs"));
+        assert_eq!(answers(&front), ["shutting_down"; 3]);
+        released(&front);
+    }
 }

@@ -77,3 +77,17 @@ impl RawSession {
         payload
     }
 }
+
+/// Asserts, once and without waiting, that a server's pool is at rest:
+/// no job running, none queued. Called right after the last reply of a
+/// quiescent test arrives — a pool retires a job before it sends the
+/// job's reply, so a gauge that still counts it is a lie, not a race.
+pub fn assert_pool_at_rest(registry: &cobra_obs::Registry) {
+    let snapshot = registry.snapshot();
+    let gauges = ["serve.running", "serve.queue_depth"].map(|g| snapshot.gauge(g, &[]));
+    assert_eq!(
+        gauges,
+        [0, 0],
+        "serve.running and serve.queue_depth at rest"
+    );
+}

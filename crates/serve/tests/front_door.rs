@@ -121,6 +121,8 @@ fn holds_the_contract(
         let response = client.recv().expect("both requests are answered");
         answers.push((response.get("id").and_then(Value::as_u64), response));
     }
+    common::assert_pool_at_rest(counted);
+    common::assert_pool_at_rest(worker_registry);
     answers.sort_by_key(|(id, _)| *id);
     let [(Some(first), answered), (Some(second), refused)] = &answers[..] else {
         panic!("two answers with ids, got {answers:?}");

@@ -36,6 +36,10 @@ fn tiny_debug_server() -> (
     (handle, vdbms)
 }
 
+fn registry(vdbms: &f1_cobra::Vdbms) -> &std::sync::Arc<cobra_obs::Registry> {
+    vdbms.kernel().metrics().registry()
+}
+
 fn error_kind(response: &Value) -> Option<&str> {
     response
         .get("error")
@@ -45,7 +49,7 @@ fn error_kind(response: &Value) -> Option<&str> {
 
 #[test]
 fn queue_full_rejects_promptly_without_hanging() {
-    let (handle, _vdbms) = tiny_debug_server();
+    let (handle, vdbms) = tiny_debug_server();
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Occupy the worker, give the pool a beat to pick the job up, then
@@ -86,13 +90,14 @@ fn queue_full_rejects_promptly_without_hanging() {
     }
     ok_ids.sort_unstable();
     assert_eq!(ok_ids, vec![id_running, id_queued]);
+    common::assert_pool_at_rest(registry(&vdbms));
 
     handle.shutdown();
 }
 
 #[test]
 fn deadline_cancels_server_side_and_frees_the_worker() {
-    let (handle, _vdbms) = tiny_debug_server();
+    let (handle, vdbms) = tiny_debug_server();
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // A 10-second job under a 100 ms deadline: the budget interrupts it
@@ -121,13 +126,14 @@ fn deadline_cancels_server_side_and_frees_the_worker() {
         .sleep_ms(20, RequestOpts::default())
         .expect("worker must be free after a deadline cancellation");
     assert!(t.elapsed() < Duration::from_secs(5));
+    common::assert_pool_at_rest(registry(&vdbms));
 
     handle.shutdown();
 }
 
 #[test]
 fn deadline_lapsing_in_the_queue_fails_without_running() {
-    let (handle, _vdbms) = tiny_debug_server();
+    let (handle, vdbms) = tiny_debug_server();
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Worker busy for 700 ms; the queued request's 50 ms deadline lapses
@@ -151,6 +157,7 @@ fn deadline_lapsing_in_the_queue_fails_without_running() {
         }
     }
     assert!(saw_deadline, "queued request never got its deadline answer");
+    common::assert_pool_at_rest(registry(&vdbms));
     assert!(
         t.elapsed() < Duration::from_secs(3),
         "queue-lapsed deadline took {:?}; it must not run the 5s body",
@@ -193,6 +200,7 @@ fn client_disconnect_cancels_in_flight_work() {
         .snapshot()
         .counter("serve.cancelled_disconnect", &[]);
     assert_eq!(cancelled, 1, "disconnect cancellation not recorded");
+    common::assert_pool_at_rest(registry(&vdbms));
 
     handle.shutdown();
 }
@@ -246,6 +254,7 @@ fn shutdown_drains_in_flight_queries_under_fault_injection() {
         answered.sort_unstable();
         expected.sort_unstable();
         assert_eq!(answered, expected);
+        common::assert_pool_at_rest(registry(&vdbms));
     });
 
     let addr = handle.addr();
@@ -314,7 +323,9 @@ fn admission_sheds_only_what_exceeds_the_limit_and_types_it() {
         debug: true,
         ..ServerConfig::default()
     };
-    let handle = start(fixture_vdbms(), config).expect("server starts");
+    let vdbms = fixture_vdbms();
+    let registry = std::sync::Arc::clone(registry(&vdbms));
+    let handle = start(vdbms, config).expect("server starts");
     let limit = handle.admission_limit();
     assert_eq!(limit, WORKERS + QUEUE_CAP);
 
@@ -342,6 +353,7 @@ fn admission_sheds_only_what_exceeds_the_limit_and_types_it() {
         let response = holder.recv().expect("sleep answer arrives");
         assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
     }
+    common::assert_pool_at_rest(&registry);
 
     handle.shutdown();
 }

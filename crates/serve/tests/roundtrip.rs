@@ -113,6 +113,40 @@ fn typed_errors_reach_the_client() {
     handle.shutdown();
 }
 
+/// A row that ends before it starts is refused at the write, typed, so
+/// the video keeps answering the retrievals that read that kind.
+#[test]
+fn a_row_that_ends_before_it_starts_is_refused_and_the_video_keeps_answering() {
+    let vdbms = fixture_vdbms();
+    let registry = std::sync::Arc::clone(vdbms.kernel().metrics().registry());
+    let config = ServerConfig {
+        debug: true,
+        ..ServerConfig::default()
+    };
+    let handle = start(vdbms, config).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(std::time::Duration::from_secs(15)))
+        .expect("the no-hang bound");
+
+    let err = client
+        .write_event(VIDEO, "caption:pit_stop", 15, 5, None)
+        .unwrap_err();
+    assert_eq!(err.server_kind(), Some(ErrorKind::BadRequest), "{err}");
+    match client
+        .query(VIDEO, "RETRIEVE HIGHLIGHTS AT PITLANE")
+        .expect("the video still answers")
+    {
+        QueryReply::Segments(segments) => assert_eq!(segments.len(), 1),
+        other => panic!("expected segments, got {other:?}"),
+    }
+    let panics = registry.snapshot().counter("serve.worker_panics", &[]);
+    assert_eq!(panics, 0);
+    common::assert_pool_at_rest(&registry);
+
+    handle.shutdown();
+}
+
 #[test]
 fn pipelined_requests_correlate_by_id() {
     let vdbms = fixture_vdbms();
