@@ -441,13 +441,13 @@ impl Vdbms {
             .events(video, None)?
             .into_iter()
             .map(|e| {
-                Fact::new(
+                Ok(Fact::new(
                     e.kind.trim_start_matches("caption:"),
                     vec![Value::str(e.driver.unwrap_or_default())],
-                    Interval::new(e.start, e.end),
-                )
+                    Interval::try_new(e.start, e.end)?,
+                ))
             })
-            .collect();
+            .collect::<Result<_>>()?;
         let derived = engine.run(facts)?;
         let records: Vec<EventRecord> = derived
             .iter()

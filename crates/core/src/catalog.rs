@@ -23,6 +23,7 @@ use f1_monet::kernel::BatHandle;
 use f1_monet::prelude::*;
 
 use crate::cache::Stamp;
+use crate::guard::{guard_in, Change, Changes, Read, Touched};
 use crate::{CobraError, Result};
 
 /// Raw-layer descriptor of a registered video.
@@ -260,15 +261,29 @@ impl Catalog {
 
     /// The guard of `reads` over `video`: boot epoch plus the last commit
     /// that changed the video's whole layer or appended a row one of
-    /// `reads` covers. Equal guards across two observations prove that
-    /// no commit in between changed a row `reads` select.
+    /// `reads` covers (`"*"`: the largest over every video). Equal guards
+    /// across two observations prove that no commit in between changed a
+    /// row `reads` select.
     pub(crate) fn guard<'r>(
         &self,
         video: &str,
-        reads: impl IntoIterator<Item = Read<'r>>,
+        reads: impl IntoIterator<Item = Read<'r>> + Clone,
     ) -> Stamp {
         let stamps = self.changed.read().recover();
-        self.stamp_of(stamps.get(video).map_or(0, |changes| changes.guard(reads)))
+        self.stamp_of(guard_in(&stamps, video, 0, reads))
+    }
+
+    /// What the commits after seq `since` touched, and the catalog's stamp
+    /// the report reaches, read together under one read of the per-video
+    /// seqs ([`Touched`]). A router keeps its copy of those seqs from such
+    /// reports ([`crate::guard::Mirror`]).
+    pub fn touched_since(&self, since: u64) -> (Stamp, Touched) {
+        let stamps = self.changed.read().recover();
+        // Every event-layer commit records its seq before publishing it,
+        // so the report holds every commit the stamp counts (and perhaps
+        // one it does not count yet, whose keys then move twice).
+        let stamp = self.stamp();
+        (stamp, Touched::of(&stamps, since))
     }
 
     fn stamp_of(&self, seq: u64) -> Stamp {
@@ -540,12 +555,12 @@ impl Catalog {
     pub(crate) fn event_layer<'r>(
         &self,
         video: &str,
-        reads: impl IntoIterator<Item = Read<'r>>,
+        reads: impl IntoIterator<Item = Read<'r>> + Clone,
     ) -> Result<(Stamp, Option<EventLayer>)> {
         let names = event_names(video);
         let stamps = self.changed.read().recover();
         let columns = self.kernel.bats(names.each_ref().map(String::as_str));
-        let seq = stamps.get(video).map_or(0, |changes| changes.guard(reads));
+        let seq = guard_in(&stamps, video, 0, reads);
         drop(stamps);
         let layer = layer_of(video, columns)?.map(|columns| EventLayer { names, columns });
         Ok((self.stamp_of(seq), layer))
@@ -726,95 +741,6 @@ impl Catalog {
             videos,
             bats,
         }
-    }
-}
-
-/// A part of a video's event layer a retrieval stage reads, by the
-/// keys the catalog keeps a seq for ([`Catalog::guard`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Read<'a> {
-    /// Every row of a kind.
-    Kind(&'a str),
-    /// Every row naming a driver (`""`: naming none).
-    Driver(&'a str),
-    /// The rows of a kind that name a driver (`""`: naming none).
-    KindDriver(&'a str, &'a str),
-}
-
-/// What one commit changed of a video's answers.
-enum Change<'r> {
-    /// Registration, a replace, the first store into a video with no
-    /// layer: anything a query over the video reads.
-    Layer,
-    /// Rows appended to an existing layer: only what reads their kinds
-    /// and drivers.
-    Append(&'r [EventRecord]),
-}
-
-/// The commit seqs one video's answers are guarded by. A whole-layer
-/// change clears the per-key entries, which its own seq covers, so the
-/// maps hold only the keys appended to since — a few kinds and drivers,
-/// not a row each.
-#[derive(Debug, Default)]
-struct Changes {
-    /// The last commit of either kind: the video's stamp.
-    last: u64,
-    /// The last whole-layer change.
-    layer: u64,
-    /// Per kind: the last append touching it, and per driver (`""` =
-    /// unnamed) the last touching that (kind, driver) pair.
-    kinds: HashMap<String, (u64, HashMap<String, u64>)>,
-    /// Per driver (`""` = unnamed): the last append touching it.
-    drivers: HashMap<String, u64>,
-}
-
-impl Changes {
-    fn record(&mut self, seq: u64, change: Change<'_>) {
-        self.last = seq;
-        let rows = match change {
-            Change::Append(rows) => rows,
-            Change::Layer => {
-                self.layer = seq;
-                self.kinds.clear();
-                self.drivers.clear();
-                return;
-            }
-        };
-        fn touch(seqs: &mut HashMap<String, u64>, key: &str, seq: u64) {
-            match seqs.get_mut(key) {
-                Some(at) => *at = seq,
-                None => {
-                    seqs.insert(key.to_string(), seq);
-                }
-            }
-        }
-        for row in rows {
-            let driver = row.driver.as_deref().unwrap_or("");
-            touch(&mut self.drivers, driver, seq);
-            match self.kinds.get_mut(&row.kind) {
-                Some((at, drivers)) => {
-                    *at = seq;
-                    touch(drivers, driver, seq);
-                }
-                None => {
-                    let drivers = HashMap::from([(driver.to_string(), seq)]);
-                    self.kinds.insert(row.kind.clone(), (seq, drivers));
-                }
-            }
-        }
-    }
-
-    /// The largest seq of the whole layer and of `reads`.
-    fn guard<'r>(&self, reads: impl IntoIterator<Item = Read<'r>>) -> u64 {
-        let seq = |read| {
-            let kind = |kind| self.kinds.get(kind);
-            match read {
-                Read::Kind(k) => kind(k).map(|(at, _)| *at),
-                Read::Driver(d) => self.drivers.get(d).copied(),
-                Read::KindDriver(k, d) => kind(k).and_then(|(_, drivers)| drivers.get(d).copied()),
-            }
-        };
-        reads.into_iter().filter_map(seq).fold(self.layer, u64::max)
     }
 }
 

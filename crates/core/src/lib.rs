@@ -18,7 +18,10 @@
 //!   cost/quality ranking ([`Vdbms::ingest`], [`Vdbms::ingest_chunk`]).
 //! * **Content-based retrieval** — the §5.6 query set over a small
 //!   retrieval language ([`query`]), combining DBN event detection with
-//!   recognized superimposed text ([`Vdbms::run`]).
+//!   recognized superimposed text ([`Vdbms::run`]). Every cached answer
+//!   and standing query, on a server or a router, is guarded by one
+//!   rule: what its stages read against what commits changed
+//!   ([`guard`]).
 //!
 //! [`Vdbms`] ([`session`]) is the facade; its ingest, annotate and
 //! retrieve steps live in one private module each.
@@ -27,6 +30,7 @@ mod annotate;
 pub mod cache;
 pub mod catalog;
 pub mod extensions;
+pub mod guard;
 mod ingest;
 pub mod json;
 pub mod query;

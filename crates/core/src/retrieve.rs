@@ -37,7 +37,8 @@ use f1_rules::{
 };
 
 use crate::cache::{CachedResult, CompiledPlan, PreparedPlan, Stamp};
-use crate::catalog::{EventLayer, Read};
+use crate::catalog::EventLayer;
+use crate::guard::{self, Read};
 use crate::query::{parse_query, parse_statement, Query, RetrievedSegment, Statement, Target};
 use crate::session::Vdbms;
 use crate::{CobraError, Result};
@@ -147,7 +148,7 @@ pub enum QueryOutput {
 /// One step of a retrieval, next to its span name in [`stages`]: a
 /// source first, then filters that narrow what the source produced.
 #[derive(Clone, Copy)]
-enum Stage<'q> {
+pub(crate) enum Stage<'q> {
     /// Events of one kind — naming one driver, when the statement asks
     /// for one and nothing stands in between — selected through Moa →
     /// MIL → kernel.
@@ -165,32 +166,11 @@ enum Stage<'q> {
     Driver(&'q str),
 }
 
-impl<'q> Stage<'q> {
-    /// The parts of the event layer the stage reads: its answer changes
-    /// only with a commit that changes one of them.
-    fn reads(&self) -> [Option<Read<'q>>; 2] {
-        match *self {
-            // The rows of the kind naming the driver, and by the paper's
-            // overlap rule the kind's unnamed rows and where the driver
-            // is visible.
-            Stage::SelectEvents {
-                kind,
-                driver: Some(driver),
-            } => [Some(Read::KindDriver(kind, "")), Some(Read::Driver(driver))],
-            Stage::SelectEvents { kind, driver: None } => [Some(Read::Kind(kind)), None],
-            Stage::LeaderSegments => [Some(Read::Kind("caption:classification")), None],
-            Stage::DriverVisible(driver) | Stage::Driver(driver) => {
-                [Some(Read::Driver(driver)), None]
-            }
-            Stage::Pitlane => [Some(Read::Kind("caption:pit_stop")), None],
-        }
-    }
-}
-
 /// A query's stages, each next to its span name: a source, then at
 /// most two filters, held inline — every read resolves them to probe
 /// the result cache, and allocates nothing for it.
-struct Stages<'q> {
+#[derive(Clone)]
+pub(crate) struct Stages<'q> {
     slots: [(&'static str, Stage<'q>); 3],
     len: usize,
 }
@@ -208,19 +188,29 @@ impl<'q> Stages<'q> {
         self.len += 1;
     }
 
-    fn iter(&self) -> impl Iterator<Item = (&'static str, Stage<'q>)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (&'static str, Stage<'q>)> + Clone + '_ {
         self.slots[..self.len].iter().copied()
     }
 
-    /// What the stages read, together.
-    fn reads(&self) -> impl Iterator<Item = Read<'q>> + '_ {
+    /// What the stages read, together ([`Stage::reads`]).
+    fn reads(&self) -> impl Iterator<Item = Read<'q>> + Clone + '_ {
         self.iter().flat_map(|(_, stage)| stage.reads()).flatten()
+    }
+
+    /// [`reads`](Self::reads), owning the stages.
+    pub(crate) fn into_reads(self) -> impl Iterator<Item = Read<'q>> + Clone {
+        let len = self.len;
+        self.slots
+            .into_iter()
+            .take(len)
+            .flat_map(|(_, stage)| stage.reads())
+            .flatten()
     }
 }
 
 /// Resolves a query to the stages that answer it: a source, then at
 /// most two filters.
-fn stages(q: &Query) -> Result<Stages<'_>> {
+pub(crate) fn stages(q: &Query) -> Result<Stages<'_>> {
     // The driver predicate joins the selection's plan unless the
     // pit-lane join has to see the kind's events first.
     let driver = q.driver.as_deref().filter(|_| !q.at_pitlane);
@@ -368,16 +358,13 @@ impl Vdbms {
     }
 
     /// The stamp a standing `q` over `video` is armed on: the guard of
-    /// what its stages read ([`crate::Catalog::guard`]), the one its
-    /// result-cache entry is stored under. It moves with every commit
-    /// that can change the answer and with no other; a statement that
-    /// cannot run (`RETRIEVE SEGMENTS` without a driver) reads only the
-    /// layer as a whole.
+    /// what its stages read ([`guard::reads`]), the one its result-cache
+    /// entry is stored under. It moves with every commit that can change
+    /// the answer and with no other. Over `"*"` it is the largest over
+    /// the catalog's videos, so a commit none of their answers read
+    /// leaves it where it was.
     pub fn guard(&self, video: &str, q: &Query) -> Stamp {
-        match stages(q) {
-            Ok(stages) => self.catalog.guard(video, stages.reads()),
-            Err(_) => self.catalog.guard(video, []),
-        }
+        self.catalog.guard(video, guard::reads(q))
     }
 
     /// Runs a full statement: `RETRIEVE …` answers, `PROFILE RETRIEVE …`
@@ -936,14 +923,14 @@ impl Vdbms {
             facts.push(Fact::new(
                 "candidate",
                 vec![Value::Int(i as i64)],
-                Interval::new(seg.start, seg.end),
+                Interval::try_new(seg.start, seg.end)?,
             ));
         }
         for pit in records(layer, "caption:pit_stop")? {
             facts.push(Fact::new(
                 "pit_stop",
                 vec![Value::str(pit.driver.unwrap_or_default())],
-                Interval::new(pit.start, pit.end),
+                Interval::try_new(pit.start, pit.end)?,
             ));
         }
         let derived = engine.run(facts)?;

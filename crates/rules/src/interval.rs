@@ -12,10 +12,20 @@ pub struct Interval {
 }
 
 impl Interval {
-    /// Creates an interval; `end` must not precede `start`.
+    /// Creates an interval from constants; `end` must not precede
+    /// `start`. Bounds read from data take [`try_new`](Self::try_new).
     pub fn new(start: usize, end: usize) -> Self {
         assert!(end >= start, "interval end before start");
         Interval { start, end }
+    }
+
+    /// Creates an interval, or the typed error bounds that end before
+    /// they start are.
+    pub fn try_new(start: usize, end: usize) -> crate::Result<Self> {
+        if end < start {
+            return Err(crate::RuleError::EndBeforeStart { start, end });
+        }
+        Ok(Interval { start, end })
     }
 
     /// Length in clips.
@@ -148,6 +158,15 @@ mod tests {
 
     fn iv(s: usize, e: usize) -> Interval {
         Interval::new(s, e)
+    }
+
+    #[test]
+    fn bounds_from_data_that_end_before_they_start_are_a_typed_error() {
+        assert_eq!(Interval::try_new(3, 3), Ok(iv(3, 3)));
+        assert_eq!(
+            Interval::try_new(15, 5),
+            Err(crate::RuleError::EndBeforeStart { start: 15, end: 5 })
+        );
     }
 
     #[test]

@@ -34,6 +34,14 @@ pub enum RuleError {
     BadConditionIndex(usize),
     /// Iteration limit reached before the fixpoint (runaway rule set).
     NoFixpoint,
+    /// An interval read from data ends before it starts
+    /// ([`Interval::try_new`]).
+    EndBeforeStart {
+        /// First clip.
+        start: usize,
+        /// One past the last clip.
+        end: usize,
+    },
 }
 
 impl std::fmt::Display for RuleError {
@@ -44,6 +52,9 @@ impl std::fmt::Display for RuleError {
                 write!(f, "temporal constraint on condition {i} out of range")
             }
             RuleError::NoFixpoint => write!(f, "rule evaluation did not reach a fixpoint"),
+            RuleError::EndBeforeStart { start, end } => {
+                write!(f, "interval [{start}, {end}) ends before it starts")
+            }
         }
     }
 }

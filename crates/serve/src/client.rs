@@ -116,9 +116,10 @@ pub struct PushFrame {
     pub removed: u64,
     /// Size of the full answer after this delta.
     pub total: u64,
-    /// The commit seq the delta was computed at: on a server the last
-    /// commit that changed a row the statement reads, at the router the
-    /// shard's latest `data_version`.
+    /// The commit seq the delta was computed at: the last commit that
+    /// changed a row the statement reads (at the router, as its mirror of
+    /// the shard's guards says, or the shard's latest `data_version`
+    /// where the mirror lags).
     pub data_version: u64,
 }
 

@@ -19,6 +19,16 @@
 //! overload and deadline tests use as a deterministic slow query, and
 //! `write_event`, a one-record event append.
 //!
+//! **Routed frames.** A router stamps each frame it forwards with a
+//! `shard` object: `req`, the client's request id; `epoch`, the
+//! incarnation it handshook with (a worker of another refuses the frame
+//! with `shard_unavailable`); and, while it mirrors the worker's guards,
+//! `since`, the seq its mirror covers. A routed query's reply and a
+//! routed `write_event`'s ack carry, beside `result`, the catalog's
+//! `stamp` and, when `since` came, `touched`: what the commits after
+//! `since` touched, up to that stamp ([`Marked`]). A direct client's
+//! replies carry neither.
+//!
 //! **Frames are bytes, built once.** Whoever produces a frame encodes it
 //! ([`frame`] and what is built on it: [`encode_frame`] for a [`Value`],
 //! [`ok_frame`] around a `result` body written straight into it), and
@@ -46,6 +56,7 @@
 
 use std::io::{Read, Write};
 
+use f1_cobra::guard::Touched;
 use f1_cobra::Stamp;
 use serde_json::{json, ParseError, Reader, Value, Writer};
 
@@ -116,13 +127,14 @@ pub fn write_frame(w: &mut impl Write, v: &Value) -> Result<(), FrameError> {
 }
 
 /// The success frame for request `id` around the `result` that `body`
-/// writes straight into it: `{"id":…,"ok":true,"result":BODY[,"stamp":…]}`
-/// — byte for byte what [`ok_response`] (and a stamp inserted into it)
-/// would encode to. `body_len` estimates the body's bytes, so that the
-/// frame is allocated once.
+/// writes straight into it:
+/// `{"id":…,"ok":true,"result":BODY[,"stamp":…[,"touched":…]]}` — byte
+/// for byte what [`ok_response`] (and a [`Marked`] stamp and report
+/// inserted into it) would encode to. `body_len` estimates the body's
+/// bytes, so that the frame is allocated once.
 pub fn ok_frame(
     id: u64,
-    stamp: Option<Stamp>,
+    marked: Option<&Marked>,
     body_len: usize,
     body: impl FnOnce(&mut Writer<'_>),
 ) -> Result<Vec<u8>, FrameError> {
@@ -136,14 +148,18 @@ pub fn ok_frame(
             w.bool(true);
             w.key("result");
             body(w);
-            if let Some(stamp) = stamp {
+            if let Some(marked) = marked {
                 w.key("stamp");
                 w.object(|w| {
                     w.key("data_version");
-                    w.u64(stamp.seq);
+                    w.u64(marked.stamp.seq);
                     w.key("epoch");
-                    w.u64(stamp.epoch);
+                    w.u64(marked.stamp.epoch);
                 });
+                if let Some(touched) = &marked.touched {
+                    w.key("touched");
+                    w.value(&touched_to_json(touched));
+                }
             }
         })
     })
@@ -398,6 +414,60 @@ pub fn stamp_to_json(stamp: Stamp) -> Value {
     json!({"epoch": (stamp.epoch as f64), "data_version": (stamp.seq as f64)})
 }
 
+/// What marks a reply to a routed frame (one carrying the router's
+/// `shard` object), beside its `result`: the catalog's stamp and, when
+/// the frame's `shard` named a `since` seq, what the commits after it
+/// touched, up to that stamp. The router keeps its mirror of the shard's
+/// guards from these ([`f1_cobra::guard::Mirror`]); direct clients never
+/// see either.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Marked {
+    /// The catalog's stamp.
+    pub stamp: Stamp,
+    /// What commits after the frame's `since` touched, up to `stamp`.
+    pub touched: Option<Touched>,
+}
+
+/// The wire form of a [`Touched`] report: `{"since":…}`, plus the
+/// `"layers"` (video names) and `"pairs"` (`[video, kind, driver]`) it
+/// names, each only when there is one.
+pub fn touched_to_json(touched: &Touched) -> Value {
+    let mut report = json!({"since": (touched.since as f64)});
+    if let Value::Object(map) = &mut report {
+        if !touched.layers.is_empty() {
+            map.insert("layers".into(), json!(touched.layers.clone()));
+        }
+        if !touched.pairs.is_empty() {
+            let pairs = touched
+                .pairs
+                .iter()
+                .map(|(v, k, d)| json!([(v.as_str()), (k.as_str()), (d.as_str())]));
+            map.insert("pairs".into(), Value::Array(pairs.collect()));
+        }
+    }
+    report
+}
+
+/// Reads a [`touched_to_json`] report; anything else is no report, which
+/// leaves the router's mirror where it was.
+pub fn touched_from_json(report: &Value) -> Option<Touched> {
+    // A list member; an absent one is empty.
+    let list = |name: &str| match report.get(name) {
+        None => Some(&[][..]),
+        Some(list) => list.as_array().map(Vec::as_slice),
+    };
+    let text = |v: &Value| v.as_str().map(str::to_string);
+    let pair = |v: &Value| match v.as_array()?.as_slice() {
+        [v, k, d] => Some((text(v)?, text(k)?, text(d)?)),
+        _ => None,
+    };
+    Some(Touched {
+        since: report.get("since")?.as_u64()?,
+        layers: list("layers")?.iter().map(text).collect::<Option<_>>()?,
+        pairs: list("pairs")?.iter().map(pair).collect::<Option<_>>()?,
+    })
+}
+
 /// Reads the `epoch`/`data_version` pair out of `object` — a `version`
 /// answer, a `subscribed` answer, a stamp push, or the `stamp` a worker
 /// attaches to a routed reply.
@@ -422,6 +492,8 @@ pub struct Envelope<T> {
     pub result: Option<T>,
     /// The stamp a worker attaches to a routed reply.
     pub stamp: Option<Stamp>,
+    /// The report beside that stamp ([`Marked`]).
+    pub touched: Option<Touched>,
     /// The `error` member: its kind (unknown names are `Internal`) and
     /// message.
     pub error: Option<(ErrorKind, String)>,
@@ -436,6 +508,7 @@ impl From<Value> for Envelope<Value> {
             ok: response.get("ok").and_then(Value::as_bool),
             push: response.get("push").and_then(Value::as_bool) == Some(true),
             stamp: response.get("stamp").and_then(stamp_from_json),
+            touched: response.get("touched").and_then(touched_from_json),
             error: response.get("error").map(|e| {
                 let kind = ErrorKind::parse(&text(e.get("kind")));
                 (kind, text(e.get("message")))
@@ -465,6 +538,7 @@ pub fn read_envelope<'a, T>(
         push: false,
         result: None,
         stamp: None,
+        touched: None,
         error: None,
     };
     let mut reader = Reader::from_slice(payload)?;
@@ -486,6 +560,7 @@ pub fn read_envelope<'a, T>(
                 })?;
                 envelope.stamp = epoch.zip(seq).map(|(epoch, seq)| Stamp { epoch, seq });
             }
+            "touched" => envelope.touched = touched_from_json(&r.value()?),
             "error" => {
                 let (mut kind, mut message) = (None, None);
                 r.object(|key, r| {
@@ -607,15 +682,37 @@ mod tests {
             "segments": [{"start": 1, "end": 2, "label": "a\"b", "driver": null}],
         });
         let body = result.to_string();
-        for stamp in [None, Some(Stamp { epoch: 3, seq: 41 })] {
+        let stamp = Stamp { epoch: 3, seq: 41 };
+        let touched = Touched {
+            since: 40,
+            layers: vec!["w".into()],
+            pairs: vec![("v".into(), "caption:pit_stop".into(), "".into())],
+        };
+        for marked in [
+            None,
+            Some(Marked {
+                stamp,
+                touched: None,
+            }),
+            Some(Marked {
+                stamp,
+                touched: Some(Touched::default()),
+            }),
+            Some(Marked {
+                stamp,
+                touched: Some(touched),
+            }),
+        ] {
             let mut tree = ok_response(7, result.clone());
-            if let (Value::Object(map), Some(stamp)) = (&mut tree, stamp) {
-                map.insert("stamp".into(), stamp_to_json(stamp));
+            if let (Value::Object(map), Some(marked)) = (&mut tree, &marked) {
+                map.insert("stamp".into(), stamp_to_json(marked.stamp));
+                if let Some(touched) = &marked.touched {
+                    map.insert("touched".into(), touched_to_json(touched));
+                    assert_eq!(touched_from_json(&map["touched"]).as_ref(), Some(touched));
+                }
             }
-            assert_eq!(
-                ok_frame(7, stamp, body.len(), |w| w.raw(body.as_bytes())).unwrap(),
-                encode_frame(&tree).unwrap()
-            );
+            let frame = ok_frame(7, marked.as_ref(), body.len(), |w| w.raw(body.as_bytes()));
+            assert_eq!(frame.unwrap(), encode_frame(&tree).unwrap());
         }
     }
 
@@ -655,7 +752,9 @@ mod tests {
             ok_response(1, result.clone()).to_string(),
             err_response(2, ErrorKind::Overloaded, "queue full").to_string(),
             json!({"id": 3, "ok": true, "push": true, "result": {"kind": "stamp"}}).to_string(),
-            json!({"id": 4, "ok": true, "result": (result.clone()), "stamp": (stamp)}).to_string(),
+            json!({"id": 4, "ok": true, "result": (result.clone()), "stamp": (stamp.clone())}).to_string(),
+            json!({"id": 4, "ok": true, "result": 1, "stamp": (stamp), "touched": {"since": 3, "pairs": [["v", "k", ""]]}}).to_string(),
+            r#"{"id":4,"ok":true,"touched":{"since":3,"pairs":[["v","k"]]}}"#.into(),
             // Shapes a well-behaved server never sends.
             r#"{"id":-1,"ok":"yes","push":1,"stamp":{"epoch":1},"error":"flat"}"#.into(),
             r#"{"id":1,"id":2,"ok":false,"ok":true,"result":1,"result":[2],"error":{"kind":"future_kind"}}"#.into(),
@@ -689,6 +788,7 @@ mod tests {
                         ok: skipped.ok,
                         push: skipped.push,
                         stamp: skipped.stamp,
+                        touched: skipped.touched,
                         error: skipped.error,
                     };
                     assert_eq!(format!("{reread:?}"), from_tree, "{text}");

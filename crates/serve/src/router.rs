@@ -40,20 +40,31 @@
 //!   reply carries the shard's stamp too. `known[shard]` is the later
 //!   of the two while the feed is up, and *unknown* — never
 //!   "unchanged" — while it is down.
+//! * **Shards say what each commit touched.** Beside each stamp comes a
+//!   report ([`Touched`]): on a feed frame, what the commits since the
+//!   frame before touched; on a reply, what the commits since the
+//!   `since` seq the router put in the frame's `shard` object touched.
+//!   The router keeps a [`Mirror`] of each shard's guards from them, and
+//!   guards a statement by what it reads there ([`guard::reads`], the
+//!   rule a worker guards by). Where the mirror does not cover
+//!   `known[shard]` — a stamp came without a report, the feed reconnected,
+//!   the epoch changed — the shard's guards fall back to its whole stamp.
 //! * **The router result cache** is the same
 //!   [`ResultCache`](f1_cobra::ResultCache) a worker uses, holding what
 //!   one shard answered as the [`Part`] it was read into — a single
 //!   video's `result` body (a hit is an envelope around it) or a part of
-//!   a sweep (spliced by its stored offsets) — guarded by the stamp that
-//!   reply carried. It hits only while the guard equals `known[shard]`:
-//!   a write on shard A voids exactly what read shard A, so the next
-//!   sweep re-asks shard A alone, and what read a shard whose feed is
-//!   down misses and is forwarded — a dead shard surfaces as the typed
-//!   error, never as a stale answer.
+//!   a sweep (spliced by its stored offsets) — guarded by the statement's
+//!   guard over that shard at the stamp the reply carried. It hits only
+//!   while that guard holds at `known[shard]`: a write on shard A voids
+//!   exactly what read the rows it wrote on shard A, so the next sweep
+//!   re-asks shard A only if its part read them, and what read a shard
+//!   whose feed is down misses and is forwarded — a dead shard surfaces
+//!   as the typed error, never as a stale answer.
 //! * **Standing `subscribe` queries** run on the same
 //!   [`Hub`](crate::stream::Hub) as a worker's, with the router as its
-//!   [`Source`]: a scope is a shard and its stamp is `known[shard]`, so
-//!   a write on shard A re-issues standing queries to shard A only.
+//!   [`Source`]: a scope is a shard with the statement, and its stamp is
+//!   the statement's guard there, so a write on shard A re-issues to
+//!   shard A only the standing queries that read what it wrote.
 //!
 //! Fault site: `router.forward` fires at the top of every forward
 //! attempt, simulating a transport failure without touching the real
@@ -69,15 +80,16 @@ use std::time::{Duration, Instant};
 use cobra_faults::Recover;
 use cobra_obs::Registry;
 use f1_cobra::catalog::ChangeFeed;
+use f1_cobra::guard::{self, Mirror, Read, Touched};
 use f1_cobra::json::{join_groups, read_query_output, Part};
-use f1_cobra::{ResultCache, RetryPolicy, Stamp};
+use f1_cobra::{Query, ResultCache, RetryPolicy, Stamp, Statement};
 use serde_json::{json, ParseError, Reader, Value, Writer};
 
 use crate::client::{unwrap_envelope, unwrap_response, Client, ClientError};
 use crate::front::{shareable, Door, Fail, Front, Running};
 use crate::protocol::{
-    encode_reply, err_response, ok_frame, ok_response, or_oversize, stamp_from_json, ErrorKind,
-    FrameError,
+    encode_reply, err_response, ok_frame, ok_response, or_oversize, stamp_from_json,
+    touched_from_json, ErrorKind, FrameError,
 };
 use crate::reactor::ConnId;
 use crate::ring::{Ring, DEFAULT_SEED};
@@ -145,10 +157,10 @@ struct RouterShared {
     /// the groups its read located.
     cache: Option<ResultCache<Part>>,
     shutting_down: AtomicBool,
-    /// Per shard: the latest stamp seen on its feed or on a forwarded
-    /// reply; `None` while the feed connection is down.
-    known: Mutex<Vec<Option<Stamp>>>,
-    /// Ticks whenever `known` changes; the hub's notifier waits on it.
+    /// Per shard: what the router knows of its data.
+    views: Mutex<Vec<ShardView>>,
+    /// Ticks whenever a shard's known stamp changes; the hub's notifier
+    /// waits on it.
     moved: ChangeFeed,
     /// Idle shard-connection sets. A pooled job (or a hub evaluation)
     /// checks one out for its whole run, so no two users ever share a
@@ -158,6 +170,19 @@ struct RouterShared {
     /// The feed threads, one per shard, once the first request that
     /// needs a shard has started them.
     feeds: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// What the router knows of one shard's data.
+#[derive(Default)]
+struct ShardView {
+    /// The latest stamp seen on its feed or on a forwarded reply; `None`
+    /// while the feed connection is down.
+    known: Option<Stamp>,
+    /// Its guards, kept from the reports beside those stamps. It starts
+    /// at a feed handshake, the first or the first of a new incarnation;
+    /// a reconnect to the same incarnation keeps it, behind the
+    /// handshake's stamp, until a forwarded reply's report catches it up.
+    mirror: Option<Mirror>,
 }
 
 impl RouterShared {
@@ -207,14 +232,48 @@ impl RouterShared {
             .ok_or_else(|| format!("shard {shard} is not on the ring"))
     }
 
+    /// The shards a statement over `video` reads: its owner, or every
+    /// shard for `"*"`.
+    fn owners(&self, video: &str) -> Vec<u32> {
+        if video == "*" {
+            (0..self.ring.shards()).collect()
+        } else {
+            vec![self.ring.owner(video)]
+        }
+    }
+
     /// `shard`'s current stamp, `None` while its feed is down.
     fn known(&self, shard: u32) -> Option<Stamp> {
-        self.known
-            .lock()
-            .recover()
-            .get(shard as usize)
-            .copied()
-            .flatten()
+        self.views.lock().recover().get(shard as usize)?.known
+    }
+
+    /// The guard of `reads` over `video` on `shard` at its stamp `at` —
+    /// what an answer read at `at` is stored under — or, for `None`, at
+    /// its known stamp (`None` while the feed is down): the mirrored guard
+    /// where the mirror covers that stamp, the stamp itself where not.
+    fn guard<'r>(
+        &self,
+        shard: u32,
+        at: Option<Stamp>,
+        video: &str,
+        reads: impl IntoIterator<Item = Read<'r>> + Clone,
+    ) -> Option<Stamp> {
+        let views = self.views.lock().recover();
+        let view = views.get(shard as usize)?;
+        let at = at.or(view.known)?;
+        Some(
+            view.mirror
+                .as_ref()
+                .map_or(at, |m| m.guard(at, video, reads)),
+        )
+    }
+
+    /// The seq `shard`'s mirror covers, for a frame to a worker of
+    /// incarnation `epoch` to name as its `since`.
+    fn since(&self, shard: u32, epoch: u64) -> Option<u64> {
+        let views = self.views.lock().recover();
+        let covered = views.get(shard as usize)?.mirror.as_ref()?.covered();
+        (covered.epoch == epoch).then_some(covered.seq)
     }
 
     /// The feed (re)connected with `stamp`, or dropped (`None`).
@@ -224,26 +283,44 @@ impl RouterShared {
     /// last, would stand until a feed next connected or dropped.
     fn set_known(&self, shard: u32, stamp: Option<Stamp>) {
         {
-            let mut known = self.known.lock().recover();
-            if let Some(slot) = known.get_mut(shard as usize) {
-                *slot = stamp;
+            let mut views = self.views.lock().recover();
+            if let Some(view) = views.get_mut(shard as usize) {
+                view.known = stamp;
+                // A handshake starts a mirror at its stamp, unless one of
+                // the same incarnation, no further along, can catch up.
+                let covered = view.mirror.as_ref().map(Mirror::covered);
+                if let Some(stamp) = stamp
+                    .filter(|stamp| covered.is_none_or(|at| at.epoch != stamp.epoch || at > *stamp))
+                {
+                    view.mirror = Some(Mirror::new(stamp));
+                }
             }
-            let up = known.iter().flatten().count();
+            let up = views.iter().filter(|view| view.known.is_some()).count();
             self.registry.gauge("router.feeds_up", &[]).set(up as i64);
         }
         self.moved.bump();
     }
 
-    /// A stamp frame or a forwarded reply reported `stamp`: keep the
-    /// later one. A reply cannot resurrect a stamp the feed has lost —
-    /// while the feed is down the shard stays unknown.
-    fn observe(&self, shard: u32, stamp: Stamp) {
-        let raised = match self.known.lock().recover().get_mut(shard as usize) {
-            Some(Some(known)) if stamp > *known => {
-                *known = stamp;
-                true
+    /// A stamp frame or a forwarded reply reported `stamp`, and what the
+    /// commits up to it `touched`: the mirror takes the report, and the
+    /// later stamp is kept. A reply cannot resurrect a stamp the feed has
+    /// lost — while the feed is down the shard stays unknown.
+    fn observe(&self, shard: u32, stamp: Stamp, touched: Option<&Touched>) {
+        let raised = {
+            let mut views = self.views.lock().recover();
+            let Some(view) = views.get_mut(shard as usize) else {
+                return;
+            };
+            if let (Some(mirror), Some(touched)) = (&mut view.mirror, touched) {
+                mirror.apply(stamp, touched);
             }
-            _ => false,
+            match &mut view.known {
+                Some(known) if stamp > *known => {
+                    *known = stamp;
+                    true
+                }
+                _ => false,
+            }
         };
         if raised {
             self.moved.bump();
@@ -268,8 +345,12 @@ fn follow_shard(shared: &RouterShared, shard: u32) {
             loop {
                 match feed.recv() {
                     Ok(frame) => {
-                        if let Some(stamp) = frame.get("result").and_then(stamp_from_json) {
-                            shared.observe(shard, stamp);
+                        let Some(moved) = frame.get("result") else {
+                            continue;
+                        };
+                        if let Some(stamp) = stamp_from_json(moved) {
+                            let touched = moved.get("touched").and_then(touched_from_json);
+                            shared.observe(shard, stamp, touched.as_ref());
                         }
                     }
                     Err(ClientError::Transport(FrameError::Io(e)))
@@ -307,25 +388,32 @@ fn open_feed(shared: &RouterShared, shard: u32) -> Result<Client, String> {
     }
 }
 
+/// A standing query's scope at the router: a shard it reads, the video
+/// and the statement (`None` for a bare watcher).
+type ShardScope = (u32, String, Option<Query>);
+
 impl Source for RouterShared {
-    type Scope = u32;
+    type Scope = ShardScope;
 
-    /// A shard's stamp guards every statement over it alike: the text
-    /// is not read.
-    fn scopes(&self, video: &str, _text: Option<&str>) -> Vec<u32> {
-        if video == "*" {
-            (0..self.ring.shards()).collect()
-        } else {
-            vec![self.ring.owner(video)]
-        }
+    /// One scope per shard the statement reads.
+    fn scopes(&self, video: &str, text: Option<&str>) -> Vec<ShardScope> {
+        let query = text.and_then(|text| f1_cobra::parse_query(text).ok());
+        let scope = |shard| (shard, video.to_string(), query.clone());
+        self.owners(video).into_iter().map(scope).collect()
     }
 
-    fn stamp(&self, shard: &u32) -> Result<Stamp, String> {
-        self.known(*shard)
-            .ok_or_else(|| format!("the stamp feed from shard {shard} is down"))
+    /// A statement's guard on the shard, the one its cached parts are
+    /// checked against; a bare watcher's is the shard's stamp.
+    fn stamp(&self, (shard, video, query): &ShardScope) -> Result<Stamp, String> {
+        let guard = match query {
+            Some(q) => self.guard(*shard, None, video, guard::reads(q)),
+            None => self.known(*shard),
+        };
+        guard.ok_or_else(|| format!("the stamp feed from shard {shard} is down"))
     }
 
-    fn eval(&self, shard: &u32, video: &str, text: &str) -> Result<Vec<Group>, String> {
+    fn eval(&self, scope: &ShardScope, video: &str, text: &str) -> Result<Vec<Group>, String> {
+        let shard = &scope.0;
         let body = json!({"cmd": "query", "video": (video), "text": (text)});
         let mut conns = self.checkout();
         let asks = [*shard];
@@ -447,7 +535,11 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         cache: config.cache.then(|| ResultCache::new(&registry)),
         registry: Arc::clone(&registry),
         shutting_down: AtomicBool::new(false),
-        known: Mutex::new(vec![None; config.shards.len()]),
+        views: Mutex::new(
+            (0..config.shards.len())
+                .map(|_| ShardView::default())
+                .collect(),
+        ),
         moved: ChangeFeed::default(),
         conn_sets: Mutex::new(Vec::new()),
         feeds: Mutex::new(Vec::new()),
@@ -539,10 +631,15 @@ fn send_attempt<T>(
     if let Value::Object(map) = &mut frame {
         // Stamp the interconnect frame: original request id for
         // tracing, handshook epoch so a rebooted worker refuses it.
-        map.insert(
-            "shard".into(),
-            json!({"req": (req_id as f64), "epoch": (conn.epoch as f64)}),
-        );
+        let mut shard = json!({"req": (req_id as f64), "epoch": (conn.epoch as f64)});
+        // The seq the router's mirror covers: the reply reports what the
+        // commits after it touched.
+        if let (Value::Object(shard), Some(since)) =
+            (&mut shard, shared.since(conn.shard, conn.epoch))
+        {
+            shard.insert("since".into(), Value::Number(since as f64));
+        }
+        map.insert("shard".into(), shard);
         if let Some(at) = deadline_at {
             // The worker gets what is *left* of the client's deadline —
             // routing and queue time already consumed the rest.
@@ -589,13 +686,14 @@ fn recv_attempt<T>(
 
     // Only the envelope is parsed; reading the result validates it, so
     // a malformed reply fails here, as a transport failure.
-    let answered = client
-        .await_reply(sent, read)
-        .and_then(|envelope| Ok((envelope.stamp, unwrap_envelope(envelope)?)));
+    let answered = client.await_reply(sent, read).and_then(|mut envelope| {
+        let touched = envelope.touched.take();
+        Ok((envelope.stamp, touched, unwrap_envelope(envelope)?))
+    });
     let why = match answered {
-        Ok((stamp, result)) => {
+        Ok((stamp, touched, result)) => {
             if let Some(stamp) = stamp {
-                shared.observe(conn.shard, stamp);
+                shared.observe(conn.shard, stamp, touched.as_ref());
             }
             return Attempt::Done(Ok(Reply { result, stamp }));
         }
@@ -722,7 +820,7 @@ fn gather<'a>(
     cmd: &str,
     req_id: u64,
 ) -> impl Iterator<Item = Result<Value, Fail>> + 'a {
-    let (every, body) = (shared.scopes("*", None), json!({"cmd": (cmd)}));
+    let (every, body) = (shared.owners("*"), json!({"cmd": (cmd)}));
     let replies = scatter(shared, conns, &every, body, req_id, None, |r| r.value());
     replies.map(|reply| Ok(reply?.result))
 }
@@ -770,20 +868,22 @@ fn handle_query(
         .map(|ms| Instant::now() + Duration::from_millis(ms));
     // What may be cached is what a worker may coalesce (`shareable`),
     // and only plain retrievals.
-    let normalized = match shareable(request, text) {
-        Some(s @ f1_cobra::Statement::Retrieve(_)) => Some(s.normalized()),
+    let retrieval = match shareable(request, text) {
+        Some(Statement::Retrieve(q)) => Some((q.normalized(), q)),
         _ => None,
     };
-    let cached = shared.cache.as_ref().zip(normalized);
+    let cached = shared.cache.as_ref().zip(retrieval);
     // What each shard this answer reads has to say is one cache entry,
-    // keyed by the shard beside the statement and guarded by that
-    // shard's stamp: a single video's answer, or a part of a sweep.
+    // keyed by the shard beside the statement and guarded by the guard
+    // of what the statement reads there: a single video's answer, or a
+    // part of a sweep.
     let key = |normalized: &str, shard: u32| format!("{shard} {normalized}");
     let (mut parts, mut asks) = (Vec::new(), Vec::new());
-    for shard in shared.scopes(video, None) {
-        let hit = cached
-            .as_ref()
-            .and_then(|(cache, text)| cache.lookup(video, &key(text, shard), shared.known(shard)));
+    for shard in shared.owners(video) {
+        let hit = cached.as_ref().and_then(|(cache, (text, q))| {
+            let current = shared.guard(shard, None, video, guard::reads(q));
+            cache.lookup(video, &key(text, shard), current)
+        });
         if hit.is_none() {
             asks.push(shard);
         }
@@ -809,14 +909,19 @@ fn handle_query(
         }
         parts => splice(id, parts)?,
     };
-    if let Some((cache, normalized)) = &cached {
+    if let Some((cache, (normalized, q))) = &cached {
         for (&shard, reply) in asks.iter().zip(replies) {
-            // The guard is the stamp the reply itself carried — read by
-            // the shard before it executed — never `known`, which a
-            // concurrent write's ack may already have raised past it.
-            if let Some(stamp) = reply.stamp {
+            // The guard is taken at the stamp the reply itself carried —
+            // read by the shard before it executed — never at `known`,
+            // which a concurrent write's ack may already have raised
+            // past it.
+            let reads = guard::reads(q);
+            let held = reply
+                .stamp
+                .and_then(|at| shared.guard(shard, Some(at), video, reads));
+            if let Some(held) = held {
                 let bytes = reply.result.text().len();
-                cache.store(video, &key(normalized, shard), reply.result, stamp, bytes);
+                cache.store(video, &key(normalized, shard), reply.result, held, bytes);
             }
         }
     }
@@ -825,9 +930,10 @@ fn handle_query(
 
 /// `write_event`, forwarded to the owner, whose ack passes through as
 /// bytes; the worker enforces its own debug gate. The router cache needs
-/// no eager invalidation — the ack carries the shard's post-commit stamp,
-/// which raises `known` before the client sees the ack, so every cached
-/// answer that read this shard fails its next guard check.
+/// no eager invalidation — the ack carries the shard's post-commit stamp
+/// and what the commit touched, which raise `known` and move the
+/// mirrored guards before the client sees the ack, so every cached
+/// answer that read the rows written fails its next guard check.
 fn write_event(shared: &RouterShared, conns: &mut [ShardConn], id: u64, request: &Value) -> Answer {
     let Some(video) = request.get("video").and_then(Value::as_str) else {
         return Err((ErrorKind::BadRequest, "write_event needs 'video'".into()));

@@ -162,7 +162,7 @@ impl Cluster {
     /// by a deadline so a broken gather fails instead of hanging.
     fn gather(&mut self, body: Value, req: u64) -> Vec<Result<Value, Fail>> {
         let shared = &self.router.shared;
-        let every = shared.scopes("*", None);
+        let every = shared.owners("*");
         let deadline = Some(Instant::now() + PATIENCE);
         scatter(shared, &mut self.conns, &every, body, req, deadline, |r| {
             r.value()

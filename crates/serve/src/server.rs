@@ -41,14 +41,14 @@ use std::time::{Duration, Instant};
 use cobra_faults::{CancellationToken, Recover};
 use cobra_obs::{Histogram, Registry};
 use f1_cobra::json::{answered_len, write_answered};
-use f1_cobra::{Answered, Stamp, Vdbms};
+use f1_cobra::{Answered, Catalog, Vdbms};
 use f1_monet::{ExecBudget, MonetError};
 use serde_json::{json, Value};
 
 use crate::front::{self, shareable, Door, Running};
 use crate::protocol::{
     encode_frame, encode_reply, err_response, ok_frame, ok_response, or_oversize, stamp_to_json,
-    ErrorKind,
+    touched_to_json, ErrorKind, Marked,
 };
 use crate::reactor::ConnId;
 use crate::scheduler::UNWOUND;
@@ -97,12 +97,12 @@ impl Default for ServerConfig {
 /// a single-flight leader's outcome is framed once for itself and once
 /// per follower, from the same cache entries.
 enum Outcome {
-    /// A query's answer, and the stamp that marks a reply to a routed
-    /// frame (one carrying the router's `shard` object) — this
-    /// catalog's, read *before* executing the read. It rides in the
-    /// envelope beside `result`, so the router can peel it off and
-    /// forward the result untouched; direct clients never see one.
-    Answered(Answered, Option<Stamp>),
+    /// A query's answer, and what marks a reply to a routed frame (one
+    /// carrying the router's `shard` object): this catalog's stamp and
+    /// report, read *before* executing the read. They ride in the
+    /// envelope beside `result`, so the router can peel them off and
+    /// forward the result untouched; direct clients never see them.
+    Answered(Answered, Option<Marked>),
     /// Another success: a small `result` tree.
     Ok(Value),
     /// A typed failure.
@@ -112,9 +112,9 @@ enum Outcome {
 impl Outcome {
     fn frame(&self, id: u64) -> Vec<u8> {
         let built = match self {
-            Outcome::Answered(answer, stamp) => {
+            Outcome::Answered(answer, marked) => {
                 let len = answered_len(answer);
-                ok_frame(id, *stamp, len, |w| write_answered(w, answer))
+                ok_frame(id, marked.as_ref(), len, |w| write_answered(w, answer))
             }
             Outcome::Ok(result) => ok_frame(id, None, 0, |w| w.value(result)),
             Outcome::Err { kind, message } => {
@@ -363,17 +363,42 @@ fn write_event(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
                 let version = catalog.data_version();
                 let ack = json!({"kind": "written", "data_version": (version as f64)});
                 let mut response = ok_response(id, ack);
-                // The ack of a routed write carries this catalog's stamp,
-                // read *after* the commit (see `Outcome::Answered` for the
-                // read side).
-                if let (Value::Object(map), Some(_)) = (&mut response, request.get("shard")) {
-                    map.insert("stamp".into(), stamp_to_json(catalog.stamp()));
+                // The ack of a routed write carries this catalog's stamp
+                // and report, read *after* the commit (see
+                // `Outcome::Answered` for the read side).
+                if let (Value::Object(map), Some(marked)) =
+                    (&mut response, marked(catalog, request.get("shard")))
+                {
+                    map.insert("stamp".into(), stamp_to_json(marked.stamp));
+                    if let Some(touched) = &marked.touched {
+                        map.insert("touched".into(), touched_to_json(touched));
+                    }
                 }
                 response
             }
             Err(e) => err_response(id, crate::protocol::classify(&e), e.to_string()),
         })
     });
+}
+
+/// What marks the reply to a routed frame, one carrying the router's
+/// `shard` object: the catalog's stamp and, when the router named the
+/// seq its mirror covers (`shard.since`), what commits after it touched,
+/// read together.
+fn marked(catalog: &Catalog, shard: Option<&Value>) -> Option<Marked> {
+    Some(match shard?.get("since").and_then(Value::as_u64) {
+        Some(since) => {
+            let (stamp, touched) = catalog.touched_since(since);
+            Marked {
+                stamp,
+                touched: Some(touched),
+            }
+        }
+        None => Marked {
+            stamp: catalog.stamp(),
+            touched: None,
+        },
+    })
 }
 
 /// A query-shaped request from admission to its answer: its budget, its
@@ -513,8 +538,13 @@ fn submit_query(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
     let (video, text) = (video.to_string(), text.to_string());
 
     // Single-flight: identical statements already in flight share one
-    // worker execution, when `shareable` allows.
-    let flight_key = shareable(&request, &text).map(|s| format!("{video}\u{1}{}", s.normalized()));
+    // worker execution, when `shareable` allows. Routed and direct
+    // requests never share one (their keys differ in the separator), so
+    // only routed replies carry a mark.
+    let shard = request.get("shard").cloned();
+    let separator = if shard.is_some() { '\u{2}' } else { '\u{1}' };
+    let flight_key =
+        shareable(&request, &text).map(|s| format!("{video}{separator}{}", s.normalized()));
     if let Some(key) = &flight_key {
         let mut flights = front.door.flights.lock().recover();
         if let Some(waiters) = flights.get_mut(key) {
@@ -530,16 +560,15 @@ fn submit_query(front: &Arc<Front>, conn: ConnId, id: u64, request: Value) {
         flights.insert(key.clone(), Vec::new());
     }
 
-    let routed = request.get("shard").is_some();
     admit(front, conn, id, &request, flight_key, move |ctx| {
         let vdbms = &ctx.front.door.vdbms;
-        let stamp = routed.then(|| vdbms.catalog.stamp());
+        let marked = marked(&vdbms.catalog, shard.as_ref());
         let budget = ctx.budget();
         // `"*"` runs the statement against every catalogued video — the
         // cross-video form the scatter-gather router also speaks, so a
         // single worker answers it identically to a one-shard cluster.
         match vdbms.answer(&video, &text, &budget) {
-            Ok(answer) => Outcome::Answered(answer, stamp),
+            Ok(answer) => Outcome::Answered(answer, marked),
             Err(e) => ctx.fail(crate::protocol::classify(&e), e.to_string()),
         }
     });

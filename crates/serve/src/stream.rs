@@ -6,11 +6,12 @@
 //! router is only where stamps and answers come from, which the hub
 //! reaches through a [`Source`]. A *scope* is the unit a [`Stamp`]
 //! (DESIGN.md §6f) is taken of: locally a video (`"*"` being the whole
-//! catalog) together with the statement, at the router a shard.
-//! Locally a statement's stamp over one video is the guard of the event
-//! rows its stages read — the one its result-cache entry is stored
-//! under — so an append of other kinds and drivers leaves it where it
-//! was; at the router every commit on the shard moves it.
+//! catalog) together with the statement, at the router a shard together
+//! with the video and the statement. Either way a statement's stamp is
+//! the guard of the event rows its stages read — the one its
+//! result-cache entry is stored under; over `"*"` the largest over the
+//! videos — so an append of other kinds and drivers leaves it where it
+//! was.
 //!
 //! One notifier thread per hub waits on the source, then sweeps every
 //! standing query: a scope whose stamp equals the one the query was
@@ -31,7 +32,11 @@
 //! statement, no evaluation, just one `{kind: "stamp", epoch,
 //! data_version}` push per stamp move. That is how a router follows its
 //! shards — one long-lived watcher connection per shard instead of a
-//! poll loop.
+//! poll loop. A server's `"*"` watcher frame also carries `touched`
+//! ([`Touched`], `protocol::touched_to_json`): what the commits since the
+//! frame before touched, per video the whole layer or the (kind, driver)
+//! pairs appended to, from which the router keeps its mirror of the
+//! shard's guards.
 //!
 //! Push frames are encoded here, by the notifier thread, and queued on
 //! the reactor alongside ordinary responses, marked `"push": true` and
@@ -53,11 +58,12 @@ use std::time::Duration;
 
 use cobra_faults::Recover;
 use cobra_obs::Registry;
+use f1_cobra::guard::Touched;
 use f1_cobra::{Query, QueryOutput, RetrievedSegment, Stamp, Vdbms};
 use f1_monet::ExecBudget;
 use serde_json::{json, Value};
 
-use crate::protocol::{encode_reply, err_response, ok_response, ErrorKind};
+use crate::protocol::{encode_reply, err_response, ok_response, touched_to_json, ErrorKind};
 use crate::reactor::{ConnId, ReactorCtl};
 
 /// Default bound on push frames queued behind one connection.
@@ -86,6 +92,13 @@ pub trait Source: Send + Sync + 'static {
     /// `scope`'s current stamp; `Err` says why it is unknown. Unknown
     /// is never treated as unchanged.
     fn stamp(&self, scope: &Self::Scope) -> Result<Stamp, String>;
+
+    /// What the commits after the stamp `since` touched in a bare
+    /// watcher's `scope`, and the stamp that report reaches, read
+    /// together; `None` where the source keeps no such record.
+    fn touched(&self, _scope: &Self::Scope, _since: Stamp) -> Option<(Stamp, Touched)> {
+        None
+    }
 
     /// The current answer of `text` over `video` from `scope`. A
     /// statement that cannot be answered *yet* (video not ingested, not
@@ -123,9 +136,11 @@ pub(crate) fn answer_groups(video: &str, output: QueryOutput) -> Vec<Group> {
 /// A server's own catalog as a source: a scope is a video name (`"*"`
 /// is the whole catalog) with the statement read of it, stamps come
 /// straight from the catalog, and the wakeup is its condvar change feed.
-/// A statement's stamp over one video is its result-cache guard
-/// ([`Vdbms::guard`]), so a write outside what it reads leaves it where
-/// it was; a bare watcher's is the video's stamp.
+/// A statement's stamp is its result-cache guard ([`Vdbms::guard`]; over
+/// `"*"` the largest over the catalog's videos), so a write outside what
+/// it reads leaves it where it was. A bare watcher's is the video's
+/// stamp, or over `"*"` the catalog's, whose frames also report what
+/// the commits since the frame before touched.
 impl Source for Vdbms {
     type Scope = (String, Option<Query>);
 
@@ -136,10 +151,15 @@ impl Source for Vdbms {
 
     fn stamp(&self, (video, query): &Self::Scope) -> Result<Stamp, String> {
         Ok(match query {
-            _ if video == "*" => self.catalog.stamp(),
             Some(q) => self.guard(video, q),
+            None if video == "*" => self.catalog.stamp(),
             None => self.catalog.video_stamp(video),
         })
+    }
+
+    fn touched(&self, (video, query): &Self::Scope, since: Stamp) -> Option<(Stamp, Touched)> {
+        let whole = video == "*" && query.is_none() && since.epoch == self.catalog.epoch();
+        whole.then(|| self.catalog.touched_since(since.seq))
     }
 
     fn eval(&self, _scope: &Self::Scope, video: &str, text: &str) -> Result<Vec<Group>, String> {
@@ -237,6 +257,22 @@ fn wire(segments: &[RetrievedSegment]) -> Value {
             .map(f1_cobra::json::segment_to_json)
             .collect(),
     )
+}
+
+/// A bare watcher's push: its scope's stamp moved to `stamp`, and, where
+/// the source reports it, what the commits since the frame before
+/// touched (`"touched"`, [`crate::protocol::touched_to_json`]).
+fn stamp_moved(sub_id: u64, stamp: Stamp, touched: Option<Touched>) -> Value {
+    let mut moved = json!({
+        "kind": "stamp",
+        "subscription": (sub_id as f64),
+        "epoch": (stamp.epoch as f64),
+        "data_version": (stamp.seq as f64),
+    });
+    if let (Value::Object(map), Some(touched)) = (&mut moved, touched) {
+        map.insert("touched".into(), touched_to_json(&touched));
+    }
+    moved
 }
 
 fn push_frame(sub_id: u64, result: Value) -> Value {
@@ -449,7 +485,7 @@ impl<S: Source> Hub<S> {
             }
             for (&sub_id, standing) in entry.subs.iter_mut() {
                 for (scope, armed) in standing.scopes.iter_mut() {
-                    let stamp = match self.source.stamp(scope) {
+                    let mut stamp = match self.source.stamp(scope) {
                         Ok(stamp) => stamp,
                         Err(why) => {
                             self.report_down(conn, sub_id, armed, &why);
@@ -461,15 +497,15 @@ impl<S: Source> Hub<S> {
                         Vec::new()
                     } else {
                         match &standing.text {
-                            None => vec![push_frame(
-                                sub_id,
-                                json!({
-                                    "kind": "stamp",
-                                    "subscription": (sub_id as f64),
-                                    "epoch": (stamp.epoch as f64),
-                                    "data_version": (stamp.seq as f64),
-                                }),
-                            )],
+                            None => {
+                                let since = armed.stamp;
+                                let report = since.and_then(|at| self.source.touched(scope, at));
+                                let touched = report.map(|(at, touched)| {
+                                    stamp = at;
+                                    touched
+                                });
+                                vec![push_frame(sub_id, stamp_moved(sub_id, stamp, touched))]
+                            }
                             Some(text) => match self.source.eval(scope, &standing.video, text) {
                                 Ok(groups) => self.deltas(sub_id, stamp, &mut armed.views, groups),
                                 Err(why) => {

@@ -214,6 +214,20 @@ impl ShardCluster {
         self.router_ref().registry()
     }
 
+    /// The router at its quiescent end, right after the last reply:
+    /// every feed up, and its pool at rest — `serve.running` and
+    /// `serve.queue_depth` read 0, once, without waiting.
+    pub fn assert_router_at_rest(&self) {
+        let snapshot = self.registry().snapshot();
+        assert_eq!(
+            snapshot.gauge("router.feeds_up", &[]),
+            self.workers.len() as i64,
+            "router.feeds_up at rest"
+        );
+        let gauges = ["serve.running", "serve.queue_depth"].map(|g| snapshot.gauge(g, &[]));
+        assert_eq!(gauges, [0, 0], "the router's pool at rest");
+    }
+
     /// Where the router listens.
     pub fn router_addr(&self) -> std::net::SocketAddr {
         self.router_ref().addr()

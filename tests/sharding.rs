@@ -92,6 +92,7 @@ fn queries_route_to_the_owning_shard() {
             assert_eq!(err.server_kind(), Some(ErrorKind::UnknownVideo));
         }
     }
+    cluster.assert_router_at_rest();
 }
 
 #[test]
@@ -135,6 +136,7 @@ fn cross_video_answers_merge_deterministically() {
             "sweep group for {name} must equal the single-video answer"
         );
     }
+    cluster.assert_router_at_rest();
 }
 
 /// The single node: `videos` in one in-process server, and its metrics.
@@ -259,12 +261,12 @@ fn every_path_returns_the_same_bytes_as_a_single_node() {
             "cold" => (0, 0),
             // Two single-video answers, two sweeps of three parts.
             "from the router cache" | "from both caches" => (2 + 2 * 3, 0),
-            // The write moved race-0's shard: what read it is void —
-            // race-0's answer, that shard's part of both sweeps, and
-            // race-3's answer if it lives there too. The sweeps' other
-            // two parts still hit.
-            _ if cluster.owner("race-3") == cluster.owner("race-0") => (2 * 2, 4),
-            _ => (1 + 2 * 2, 3),
+            // The highlight write on race-0 voids what reads its rows:
+            // race-0's answer and race-0's shard's part of the highlight
+            // sweep. Race-3's answer reads another driver, and the
+            // pit-stop sweep another kind, so they hit wherever they
+            // live, as do the highlight sweep's other two parts.
+            _ => (1 + 2 + 3, 2),
         };
         assert_eq!(
             d.counter("cache.result", &[("result", "hit")]),
@@ -306,6 +308,7 @@ fn every_path_returns_the_same_bytes_as_a_single_node() {
     });
     assert_eq!(routed.call(&explain), owner.call(&explain));
 
+    cluster.assert_router_at_rest();
     single.shutdown();
 }
 
@@ -524,6 +527,7 @@ fn cross_shard_writes_invalidate_only_dependent_cached_answers() {
     assert_eq!(count(&mut router, &video_a), 3);
     let d = registry.snapshot().delta(&snap);
     assert_eq!(d.counter("cache.result", &[("result", "hit")]), 1);
+    cluster.assert_router_at_rest();
 }
 
 /// The shard is the unit of a cached sweep: a write on shard 0 sends the
@@ -662,6 +666,7 @@ fn topology_commands_report_every_shard() {
             .map(Vec::len),
         Some(3)
     );
+    cluster.assert_router_at_rest();
 }
 
 /// Reads one worker's `serve.requests{cmd=…}` counter over the wire.

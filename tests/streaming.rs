@@ -185,6 +185,84 @@ fn subscribe_delivers_exactly_the_post_write_deltas() {
     handle.shutdown();
 }
 
+/// A standing query over every video (`"*"`) is guarded like one over
+/// a single video: by the largest guard of what it reads over the
+/// catalog's videos. A write outside that — another kind, or a feature
+/// store — moves `stream.skipped` and pushes nothing; a write it reads
+/// pushes its delta.
+#[test]
+fn a_sweep_subscription_skips_writes_outside_what_it_reads() {
+    let vdbms = fixture(&[ev("highlight", 10, 40, Some("MONTOYA"))]);
+    vdbms
+        .catalog
+        .register_video(VideoInfo {
+            name: "w".into(),
+            n_clips: 400,
+            n_frames: 400 * 25 / 10,
+        })
+        .expect("register a second video");
+    vdbms
+        .catalog
+        .store_events("w", &[ev("excited", 0, 5, None)])
+        .expect("seed the second video");
+    let handle = start(
+        Arc::clone(&vdbms),
+        ServerConfig {
+            debug: true,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let mut client = cobra_serve::Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(10)))
+        .expect("arm timeout");
+    let text = "RETRIEVE HIGHLIGHTS WITH DRIVER \"MONTOYA\"";
+    let (sub, _) = client.subscribe("*", text).expect("subscribe");
+
+    let pushes_before = stream_counter(&vdbms, "stream.pushes");
+    let unchanged_before = stream_counter(&vdbms, "stream.unchanged");
+    for video in ["v", "w"] {
+        client
+            .write_event(video, "caption:pit_stop", 300, 305, Some("BARRICHELLO"))
+            .expect("write another kind and driver");
+    }
+    vdbms
+        .catalog
+        .store_features("w", &vec![vec![0.5]; 4])
+        .expect("store features");
+    // Two sweeps: the second began after the writes were acknowledged.
+    let skipped_before = stream_counter(&vdbms, "stream.skipped");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while stream_counter(&vdbms, "stream.skipped") < skipped_before + 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "notifier must look again after the writes"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(
+        stream_counter(&vdbms, "stream.unchanged"),
+        unchanged_before,
+        "writes outside what the statement reads are never evaluated"
+    );
+    assert_eq!(
+        stream_counter(&vdbms, "stream.pushes"),
+        pushes_before,
+        "writes outside the answer must not push"
+    );
+
+    client
+        .write_event("w", "highlight", 200, 230, Some("MONTOYA"))
+        .expect("write a row it reads");
+    let push = client.next_push().expect("delta after the write");
+    assert_eq!(push.subscription, sub);
+    assert_eq!(push.video, "w");
+    assert_eq!(push.added.len(), 1);
+    assert_eq!(push.added[0].start, 200);
+    handle.shutdown();
+}
+
 #[test]
 fn unsubscribe_stops_the_stream() {
     let vdbms = fixture(&[ev("highlight", 10, 40, None)]);
