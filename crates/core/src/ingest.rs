@@ -3,51 +3,22 @@
 //! There is one path. A live broadcast arrives as arrival-order windows
 //! ([`Vdbms::ingest_chunk`]); a recorded one is the stream of a single
 //! window covering the whole broadcast ([`Vdbms::ingest`]). Either way a
-//! window goes through the paper's query pre-processor: rank the
-//! registry's extraction methods by the measured cost model, retry
-//! transient failures per the method's policy, fall through to the next
-//! method on anything else.
+//! window runs the one feature extractor once. Its error goes back to
+//! the caller typed, and sending the window again is the retry.
 
 use std::time::{Duration, Instant};
 
 use cobra_faults::Recover;
 use f1_keyword::{keyword_feature, spot, AcousticModel, Grammar, PhonemeStream, SpotterConfig};
-use f1_media::features::vector::{FeatureExtractor, VectorConfig};
+use f1_media::features::vector::FeatureExtractor;
 use f1_media::synth::scenario::{CaptionKind, RaceScenario, Span};
 use f1_media::synth::stream::Chunk;
 use f1_media::synth::video::VideoSynth;
 use f1_text::{scan_broadcast, Vocabulary};
 
 use crate::catalog::{EventRecord, VideoInfo};
-use crate::extensions::{CostModel, MethodProfile};
 use crate::session::Vdbms;
 use crate::{CobraError, Result};
-
-/// One extraction method the pre-processor ran (or re-ran) during
-/// ingestion, in the order attempted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MethodAttempt {
-    /// The method's name in the registry.
-    pub method: String,
-    /// How many times it ran (> 1 when transient failures were retried).
-    pub tries: u32,
-    /// The final error, rendered; `None` when this attempt succeeded.
-    pub error: Option<String>,
-}
-
-/// One row of the pre-processor's extraction ranking at ingest time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MethodRank {
-    /// The method's name in the registry.
-    pub method: String,
-    /// Its [`CostModel`] score at ranking time (lower ranks first).
-    pub score: f64,
-    /// True when the score reflects recorded measurements rather than
-    /// the static table alone.
-    pub measured: bool,
-    /// Failures the cost model has recorded against the method.
-    pub failures: u64,
-}
 
 /// What ingestion extracted.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,22 +29,6 @@ pub struct IngestReport {
     pub n_keyword_spots: usize,
     /// Captions recognized.
     pub n_captions: usize,
-    /// Feature-extraction method that ultimately produced the features.
-    pub extraction_method: String,
-    /// Every extraction method attempted, failures included, in order.
-    /// The last entry is the one that succeeded.
-    pub attempts: Vec<MethodAttempt>,
-    /// True when the succeeding method was not the pre-processor's first
-    /// choice — the features are usable but of lower declared quality.
-    pub degraded: bool,
-    /// The pre-processor's extraction ranking at ingest time, best
-    /// first, with the score behind each position.
-    pub ranking: Vec<MethodRank>,
-    /// True when measured costs changed the order the static
-    /// cost/quality table would have produced.
-    pub reranked: bool,
-    /// Why the ranking looked the way it did.
-    pub rationale: String,
 }
 
 /// What one streamed ingest window stored.
@@ -102,12 +57,9 @@ pub struct ChunkReport {
 /// Keyword spotting runs once when the stream opens (the phoneme
 /// stream is a broadcast-wide signal), producing a per-clip score
 /// vector indexed absolutely by clip, so each window extracts
-/// `fx.extract(&kw, lo, hi)` without re-reading earlier audio. The
-/// extraction method that served the opening window is pinned, so a
-/// mid-race re-rank cannot mix feature qualities within one video.
+/// `fx.extract(&kw, lo, hi)` without re-reading earlier audio.
 pub(crate) struct StreamState {
     kw: Vec<f64>,
-    method: String,
 }
 
 /// Recognizes superimposed text over `[frame_lo, frame_hi)` and maps
@@ -147,48 +99,10 @@ fn scan_captions(scenario: &RaceScenario, frame_lo: usize, frame_hi: usize) -> V
         .collect()
 }
 
-/// Compares the live extraction ranking against the static (unmeasured)
-/// order and explains any difference the measurements made.
-fn rank_rationale(
-    ranking: &[MethodProfile],
-    model: &CostModel,
-    min_quality: f64,
-) -> (bool, String) {
-    let unmeasured = CostModel::new();
-    let mut static_order: Vec<&MethodProfile> = ranking.iter().collect();
-    static_order.sort_by(|a, b| {
-        unmeasured
-            .score(a, min_quality)
-            .total_cmp(&unmeasured.score(b, min_quality))
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    let reranked = static_order
-        .iter()
-        .map(|m| m.name.as_str())
-        .ne(ranking.iter().map(|m| m.name.as_str()));
-    if !reranked {
-        return (false, "static cost/quality ranking".into());
-    }
-    let demoted = &static_order[0].name;
-    let stat = model.stat(demoted).unwrap_or_default();
-    (
-        true,
-        format!(
-            "measured cost model demoted '{demoted}' (running {:.1}x its best pace, \
-             {} recorded failure(s)); preferring '{}'",
-            stat.slowdown(),
-            stat.failures,
-            ranking[0].name,
-        ),
-    )
-}
-
 impl Vdbms {
     /// Ingests a recorded broadcast: the stream of one window covering
     /// all of it, replacing whatever feature layer an earlier ingest of
-    /// `name` — finished or not — left behind. The report keeps the
-    /// pre-processor's whole attempt history plus the ranking and its
-    /// rationale, so a degraded or reranked ingest stays visible.
+    /// `name` — finished or not — left behind.
     pub fn ingest(&self, name: &str, scenario: &RaceScenario) -> Result<IngestReport> {
         let whole = Chunk {
             index: 0,
@@ -205,9 +119,7 @@ impl Vdbms {
     /// A chunk at clip 0 opens the stream, replacing whatever an earlier
     /// ingest of the name left (so a stream that died with its process
     /// can be started over): it registers the video, runs keyword
-    /// spotting over the broadcast audio, and walks the pre-processor's
-    /// extraction ranking; the method that serves it stays pinned while
-    /// this process holds the stream. Every chunk recognizes captions
+    /// spotting over the broadcast audio. Every chunk recognizes captions
     /// inside its frame window and extracts features for exactly its
     /// clip window; both commit through the log-before-apply path and
     /// bump `data_version`, which the
@@ -222,8 +134,7 @@ impl Vdbms {
     /// captions before them only those the event layer lacks are
     /// stored. So a chunk that failed part-way can be sent again — to
     /// this process, or to the one that recovers its data directory and
-    /// spots keywords and ranks the methods afresh — and lands exactly
-    /// once. A caption straddling a window boundary is recognized per
+    /// spots keywords afresh — and lands exactly once. A caption straddling a window boundary is recognized per
     /// window, so it may surface as two adjacent events where a
     /// one-window ingest stores one.
     pub fn ingest_chunk(
@@ -289,7 +200,8 @@ impl Vdbms {
         // Opening the stream or, after a reboot, picking it up again.
         let mut n_keyword_spots = 0;
         let mut opened_kw = Vec::new();
-        if !streams.contains_key(name) {
+        let opening = !streams.contains_key(name);
+        if opening {
             if clips.start == 0 {
                 registry.counter("ingest.runs", &[]).inc();
                 let t = Instant::now();
@@ -312,42 +224,15 @@ impl Vdbms {
             opened_kw = keyword_feature(&spots, scenario.n_clips);
             stage("keyword_spotting", t.elapsed());
         }
-        let (kw, pinned) = match streams.get(name) {
-            Some(open) => (&open.kw[..], Some(open.method.as_str())),
-            None => (&opened_kw[..], None),
+        let kw = match streams.get(name) {
+            Some(open) => &open.kw[..],
+            None => &opened_kw[..],
         };
 
-        // Audio-visual feature extraction by the pre-processor: the
-        // whole ranking while nothing is pinned, the pinned method after.
+        // Audio-visual feature extraction.
         let t = Instant::now();
-        let cost_model = self.methods.cost_model();
-        let ranking: Vec<MethodProfile> = self
-            .methods
-            .ranked("feature_extraction", 0.9)
-            .into_iter()
-            .filter(|m| pinned.is_none_or(|p| p == m.name))
-            .cloned()
-            .collect();
-        let ranks = ranking
-            .iter()
-            .map(|m| {
-                let stat = cost_model.stat(&m.name).unwrap_or_default();
-                MethodRank {
-                    method: m.name.clone(),
-                    score: cost_model.score(m, 0.9),
-                    measured: stat.samples > 0,
-                    failures: stat.failures,
-                }
-            })
-            .collect();
-        let (reranked, rationale) = rank_rationale(&ranking, cost_model, 0.9);
-        let (method, matrix, attempts) =
-            self.extract_ranked(name, scenario, kw, clips, &ranking)?;
+        let matrix = self.extract(scenario, kw, clips)?;
         let extracting = t.elapsed();
-        let degraded = ranking[0].name != method;
-        if degraded {
-            registry.counter("ingest.degraded", &[]).inc();
-        }
 
         // Superimposed text: recognize captions, store as events — only
         // those the event layer lacks, so a window sent again after a
@@ -382,130 +267,28 @@ impl Vdbms {
 
         if chunk.is_last {
             streams.remove(name);
-        } else if pinned.is_none() {
-            let open = StreamState {
-                kw: opened_kw,
-                method: method.clone(),
-            };
-            streams.insert(name.to_string(), open);
+        } else if opening {
+            streams.insert(name.to_string(), StreamState { kw: opened_kw });
         }
         let report = IngestReport {
             n_clips: clips.len(),
             n_keyword_spots,
             n_captions: captions.len(),
-            extraction_method: method,
-            attempts,
-            degraded,
-            ranking: ranks,
-            reranked,
-            rationale,
         };
         Ok((report, data_version))
     }
 
-    /// Walks `ranking` until a method extracts `clips`: transient
-    /// failures retry per the method's policy, anything else falls
-    /// through to the next method. Returns the method that succeeded,
-    /// its feature matrix, and the attempt history; when every method
-    /// fails, the last one's error wrapped in
-    /// [`CobraError::ExtractionFailed`].
-    fn extract_ranked(
-        &self,
-        video: &str,
-        scenario: &RaceScenario,
-        kw: &[f64],
-        clips: Span,
-        ranking: &[MethodProfile],
-    ) -> Result<(String, Vec<Vec<f64>>, Vec<MethodAttempt>)> {
-        let registry = self.kernel.metrics().registry();
-        let cost_model = self.methods.cost_model();
-        let mut attempts = Vec::new();
-        let mut last_err = CobraError::MissingMetadata {
-            video: video.to_string(),
-            what: "no feature_extraction methods registered".into(),
-        };
-        for profile in ranking {
-            let mut tries = 0u32;
-            let outcome = loop {
-                tries += 1;
-                let attempt = Instant::now();
-                let e = match self.extract(&profile.name, scenario, kw, clips) {
-                    Ok(matrix) => {
-                        let ms = attempt.elapsed().as_secs_f64() * 1e3;
-                        cost_model.observe(&profile.name, ms / clips.len().max(1) as f64);
-                        break Ok(matrix);
-                    }
-                    Err(e) => e,
-                };
-                cost_model.observe_failure(&profile.name);
-                let site = format!("extract.{}", profile.name);
-                registry
-                    .counter("faults.failures", &[("site", &site)])
-                    .inc();
-                let transient = matches!(
-                    &e,
-                    CobraError::Kernel(f1_monet::MonetError::Fault {
-                        transient: true,
-                        ..
-                    }) | CobraError::Media(f1_media::MediaError::Fault {
-                        transient: true,
-                        ..
-                    })
-                );
-                if !transient || tries > profile.retry.max_retries {
-                    break Err(e);
-                }
-                std::thread::sleep(Duration::from_millis(profile.retry.backoff_ms));
-            };
-            attempts.push(MethodAttempt {
-                method: profile.name.clone(),
-                tries,
-                error: outcome.as_ref().err().map(|e| e.to_string()),
-            });
-            match outcome {
-                Ok(matrix) => return Ok((profile.name.clone(), matrix, attempts)),
-                Err(e) => last_err = e,
-            }
-        }
-        Err(CobraError::ExtractionFailed {
-            video: video.to_string(),
-            source: Box::new(last_err),
-        })
-    }
-
-    /// Runs one extraction method over `clips`. The keyword vector is
+    /// Extracts the feature rows of `clips`. The keyword vector is
     /// indexed absolutely by clip, so one broadcast-wide vector serves
-    /// every window. The fault site `extract.{method}` lets tests knock
-    /// out a specific method. The video frames a successful run decoded
-    /// are added to the `ingest.frames_decoded` counter, and its time in
-    /// each part of extraction (`decode`, `audio_features`,
-    /// `video_features`) to `ingest.stage_ns{stage=…}`, beside the whole
-    /// that `ingest_window` records as `feature_extraction`.
-    fn extract(
-        &self,
-        method: &str,
-        scenario: &RaceScenario,
-        kw: &[f64],
-        clips: Span,
-    ) -> Result<Vec<Vec<f64>>> {
-        if self.faults().is_armed() {
-            self.faults()
-                .fire(&format!("extract.{method}"))
-                .map_err(f1_monet::MonetError::from)?;
-        }
-        let fx = match method {
-            // The degraded profile: coarser wipe detection, same
-            // 17-dimensional output shape.
-            "fast" => FeatureExtractor::with_config(
-                scenario,
-                VectorConfig {
-                    wipe_stride: VectorConfig::default().wipe_stride * 2,
-                    ..VectorConfig::default()
-                },
-            )?,
-            _ => FeatureExtractor::new(scenario)?,
-        }
-        .with_faults(self.faults().clone());
+    /// every window. The extractor fires the `media.vector.extract`
+    /// fault site on this instance's [`FaultHandle`](cobra_faults::FaultHandle).
+    /// The video frames a successful run decoded are added to the
+    /// `ingest.frames_decoded` counter, and its time in each part of
+    /// extraction (`decode`, `audio_features`, `video_features`) to
+    /// `ingest.stage_ns{stage=…}`, beside the whole that `ingest_window`
+    /// records as `feature_extraction`.
+    fn extract(&self, scenario: &RaceScenario, kw: &[f64], clips: Span) -> Result<Vec<Vec<f64>>> {
+        let fx = FeatureExtractor::new(scenario)?.with_faults(self.faults().clone());
         let matrix = fx.extract(kw, clips.start, clips.end)?;
         // What "each frame is decoded once" comes to, as a count.
         let registry = self.kernel.metrics().registry();
@@ -646,11 +429,10 @@ mod tests {
         // A failed opening window leaves nothing a new stream trips on.
         let (failed, _) = vdbms.faults().scope(
             cobra_faults::FaultPlan::new(1)
-                .fail("extract.full", cobra_faults::Trigger::Always)
-                .fail("extract.fast", cobra_faults::Trigger::Always),
+                .fail("media.vector.extract", cobra_faults::Trigger::Always),
             || vdbms.ingest_chunk("other", &scenario, &chunks[0]),
         );
-        assert!(matches!(failed, Err(CobraError::ExtractionFailed { .. })));
+        assert!(matches!(failed, Err(CobraError::Media(_))), "{failed:?}");
         for chunk in &chunks {
             vdbms.ingest_chunk("other", &scenario, chunk).unwrap();
         }

@@ -10,12 +10,12 @@
 //!   whose procedures run inference against catalog feature BATs
 //!   ([`extensions::DbnModule`]); the HMM extension comes from
 //!   `f1_hmm::mel`; the rule extension derives compound events.
-//! * **Query pre-processor** — checks metadata availability, invokes
-//!   feature/semantic extraction dynamically, and chooses extraction
-//!   methods by cost and quality models ([`extensions::MethodRegistry`]);
-//!   when the chosen method fails, ingestion — of a whole broadcast or
-//!   of one streamed window — retries and falls back down the
-//!   cost/quality ranking ([`Vdbms::ingest`], [`Vdbms::ingest_chunk`]).
+//! * **Query pre-processor** — checks metadata availability and invokes
+//!   feature/semantic extraction: ingestion, of a whole broadcast or of
+//!   one streamed window, runs the one feature extractor once and
+//!   returns its error typed; sending the window again is the retry
+//!   ([`Vdbms::ingest`], [`Vdbms::ingest_chunk`]). The Moa planner's
+//!   measured per-opcode cost model chooses how a query runs.
 //! * **Content-based retrieval** — the §5.6 query set over a small
 //!   retrieval language ([`query`]), combining DBN event detection with
 //!   recognized superimposed text ([`Vdbms::run`]). Every cached answer
@@ -41,11 +41,9 @@ pub use annotate::{query_truth, training_windows, Annotator, LevelScore, TrainQu
 pub use cache::{CachedResult, CompiledPlan, PlanCache, PreparedPlan, ResultCache, Stamp};
 pub use catalog::Catalog;
 pub use cobra_store::{CheckpointOutcome, FsyncPolicy, StoreConfig, StoreStats};
-pub use extensions::{CostModel, CostStat, MethodRegistry, RetryPolicy};
 pub use query::{parse_query, parse_statement, Query, RetrievedSegment, Statement};
 pub use session::{
-    Answer, Answered, IngestReport, MethodAttempt, MethodRank, QueryOutput, QueryProfile,
-    RecoveryReport, Vdbms, VideoSegments,
+    Answer, Answered, IngestReport, QueryOutput, QueryProfile, RecoveryReport, Vdbms, VideoSegments,
 };
 
 /// Errors raised by the VDBMS layer.
@@ -76,14 +74,6 @@ pub enum CobraError {
     Text(f1_text::TextError),
     /// The keyword-spotting layer failed.
     Keyword(f1_keyword::KeywordError),
-    /// Every extraction method in the pre-processor's ranking failed;
-    /// `source` is the last method's error.
-    ExtractionFailed {
-        /// The video being ingested.
-        video: String,
-        /// The final method's failure.
-        source: Box<CobraError>,
-    },
     /// The durable storage layer failed. Raised *before* a mutation is
     /// applied or acknowledged: a caller seeing this error knows the
     /// catalog is unchanged.
@@ -127,9 +117,6 @@ impl std::fmt::Display for CobraError {
             CobraError::Moa(e) => write!(f, "moa: {e}"),
             CobraError::Text(e) => write!(f, "text: {e}"),
             CobraError::Keyword(e) => write!(f, "keyword: {e}"),
-            CobraError::ExtractionFailed { video, .. } => {
-                write!(f, "every extraction method failed for video '{video}'")
-            }
             CobraError::Store(e) => write!(f, "store: {e}"),
             CobraError::StreamOrder {
                 video,
@@ -164,7 +151,6 @@ impl std::error::Error for CobraError {
             CobraError::Moa(e) => Some(e),
             CobraError::Text(e) => Some(e),
             CobraError::Keyword(e) => Some(e),
-            CobraError::ExtractionFailed { source, .. } => Some(source.as_ref()),
             CobraError::Store(e) => Some(e),
             CobraError::UnknownVideo(_)
             | CobraError::MissingMetadata { .. }

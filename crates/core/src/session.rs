@@ -21,12 +21,12 @@ use f1_monet::{Kernel, Prepared};
 
 use crate::cache::{PlanCache, ResultCache};
 use crate::catalog::Catalog;
-use crate::extensions::{DbnModule, MethodRegistry, NetStore};
+use crate::extensions::{DbnModule, NetStore};
 use crate::ingest::StreamState;
 use crate::Result;
 
 pub use crate::annotate::AnnotateReport;
-pub use crate::ingest::{ChunkReport, IngestReport, MethodAttempt, MethodRank};
+pub use crate::ingest::{ChunkReport, IngestReport};
 pub use crate::retrieve::{Answer, Answered, QueryOutput, QueryProfile, VideoSegments};
 
 /// What recovery-on-boot did (all zeros for a memory-only or fresh
@@ -55,7 +55,6 @@ pub struct Vdbms {
     /// The metadata catalog (shared with the background checkpointer).
     pub catalog: Arc<Catalog>,
     pub(crate) nets: NetStore,
-    pub(crate) methods: MethodRegistry,
     /// Compiled-plan and stamp-guarded result caches (§"never recompute
     /// what the system already knows"), shared by every retrieval entry
     /// point.
@@ -204,7 +203,6 @@ impl Vdbms {
             catalog,
             kernel,
             nets,
-            methods: MethodRegistry::formula1(),
             plans,
             results,
             naming,
@@ -288,7 +286,6 @@ mod tests {
         assert_eq!(report.n_clips, scenario.n_clips);
         assert!(report.n_captions > 0, "captions should be recognized");
         assert!(report.n_keyword_spots > 0);
-        assert_eq!(report.extraction_method, "full");
 
         vdbms
             .train_highlight_net(

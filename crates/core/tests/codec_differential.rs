@@ -22,7 +22,7 @@ use std::ops::Range;
 
 use cobra_obs::SpanNode;
 use f1_cobra::json::write_query_output;
-use f1_cobra::json::{query_output_from_json, query_output_to_json, read_query_output, Part};
+use f1_cobra::json::{query_output_to_json, read_query_output, Part};
 use f1_cobra::{QueryOutput, QueryProfile, RetrievedSegment, VideoSegments};
 use proptest::prelude::*;
 use serde_json::{ParseError, Reader, Value, Writer};
@@ -173,7 +173,7 @@ fn reply_new(doc: &[u8]) -> Result<Option<Value>, ParseError> {
 
 fn reply_old(doc: &[u8]) -> Result<Option<Value>, ParseError> {
     tree_old(doc).map(|tree| {
-        query_output_from_json(&tree)
+        oracle::tree::query_output_from_json(&tree)
             .as_ref()
             .map(query_output_to_json)
     })

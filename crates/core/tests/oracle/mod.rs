@@ -3,9 +3,12 @@
 //! `Value` tree and `ParseError`, which both share) as the oracle of
 //! `codec_differential.rs`. The fast paths must write the bytes this
 //! writer writes, and read what this reader reads, failing where it
-//! fails with the same offset and message.
+//! fails with the same offset and message. [`tree`] decodes a reply
+//! from its `Value` tree, the definition the byte reader is held to.
 
 #![allow(dead_code)]
+
+pub mod tree;
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;

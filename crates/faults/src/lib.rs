@@ -22,7 +22,7 @@
 //!
 //! Site naming convention used across the workspace:
 //! `bat.{method}` (kernel BAT methods), `proc.{name}` (extension-module
-//! dispatch), `extract.{method}` (media feature extractors),
+//! dispatch), `media.vector.extract` (the feature extractor),
 //! `em.iteration` (Bayes EM steps).
 //!
 //! ```
@@ -82,7 +82,7 @@ impl CancellationToken {
 /// The error an armed fault site raises.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultError {
-    /// The site that failed (e.g. `"extract.full"`).
+    /// The site that failed (e.g. `"media.vector.extract"`).
     pub site: String,
     /// Zero-based invocation index at which the site failed.
     pub invocation: u64,

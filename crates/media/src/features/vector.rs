@@ -41,6 +41,9 @@ use crate::Result;
 /// Number of features in the paper's vector.
 pub const N_FEATURES: usize = 17;
 
+/// Frame stride of the wipe scan.
+const WIPE_STRIDE: usize = 3;
+
 /// Normalization constants mapping raw feature values into `[0, 1]`.
 #[derive(Debug, Clone)]
 pub struct VectorConfig {
@@ -60,8 +63,6 @@ pub struct VectorConfig {
     pub dust_scale: f64,
     /// Minimum / maximum replay length in frames for wipe pairing.
     pub replay_len_frames: (usize, usize),
-    /// Frame stride of the wipe scan.
-    pub wipe_stride: usize,
 }
 
 impl Default for VectorConfig {
@@ -75,7 +76,6 @@ impl Default for VectorConfig {
             color_diff_scale: 12.0,
             dust_scale: 3.0,
             replay_len_frames: (2 * VIDEO_FPS, 20 * VIDEO_FPS),
-            wipe_stride: 3,
         }
     }
 }
@@ -178,11 +178,7 @@ pub struct FeatureExtractor<'a> {
 impl<'a> FeatureExtractor<'a> {
     /// Builds an extractor over a scenario with default calibration.
     pub fn new(scenario: &'a RaceScenario) -> Result<Self> {
-        Self::with_config(scenario, VectorConfig::default())
-    }
-
-    /// Builds an extractor with explicit calibration.
-    pub fn with_config(scenario: &'a RaceScenario, cfg: VectorConfig) -> Result<Self> {
+        let cfg = VectorConfig::default();
         Ok(FeatureExtractor {
             scenario,
             audio: AudioSynth::new(scenario),
@@ -225,7 +221,7 @@ impl<'a> FeatureExtractor<'a> {
     /// One pass in clip order through a [`DecodeWindow`]: a frame is
     /// decoded once, its luma plane is computed once, and its wipe
     /// evidence is taken when the pass reaches it if it lies on the
-    /// `wipe_stride` grid. The replay feature needs the wipes of the
+    /// `WIPE_STRIDE` grid. The replay feature needs the wipes of the
     /// whole range, so it is filled in after the pass.
     pub fn extract(
         &self,
@@ -265,7 +261,7 @@ impl<'a> FeatureExtractor<'a> {
                 if timed(&mut ns[VIDEO_FEATURES], || wipe_in(plane)) > 0.5 {
                     wipes.push(next_wipe);
                 }
-                next_wipe += self.cfg.wipe_stride;
+                next_wipe += WIPE_STRIDE;
             }
             // A second motion sample half a clip later makes the passing
             // cue robust to cuts and momentary occlusion.
@@ -391,34 +387,25 @@ mod tests {
 
     /// Pins the f1…f17 matrix of one broadcast bit for bit: whole, in
     /// 50-clip arrival windows, and over a window that starts on an odd
-    /// clip and ends at the last one, for both registered extraction
-    /// methods (`pinned[method][split]`). The digests were recorded at
-    /// the commit before the extractor's kernels were rewritten over
-    /// planes and rows — per-pixel `Frame::get`, five decodes per clip, a
-    /// separate wipe pre-pass. (Windows of 50 clips are too short to
-    /// pair two wipes, so `full` and `fast` agree on them.)
-    fn assert_matrices_pinned(profile: RaceProfile, secs: usize, pinned: [[u64; 3]; 2]) {
+    /// clip and ends at the last one (`pinned[split]`). The digests were
+    /// recorded at the commit before the extractor's kernels were
+    /// rewritten over planes and rows — per-pixel `Frame::get`, five
+    /// decodes per clip, a separate wipe pre-pass.
+    fn assert_matrices_pinned(profile: RaceProfile, secs: usize, pinned: [u64; 3]) {
         let sc = RaceScenario::generate(ScenarioConfig::new(profile, secs));
         let n = sc.n_clips;
-        // `full` and `fast` as `Vdbms::extract` configures them.
-        for (wipe_stride, pinned) in [3, 6].into_iter().zip(pinned) {
-            let cfg = VectorConfig {
-                wipe_stride,
-                ..VectorConfig::default()
-            };
-            let fx = FeatureExtractor::with_config(&sc, cfg).unwrap();
-            let whole = fx.extract(&[], 0, n).unwrap();
-            let windows: Vec<Vec<f64>> = (0..n)
-                .step_by(50)
-                .flat_map(|lo| fx.extract(&[], lo, lo + 50).unwrap())
-                .collect();
-            let tail = fx.extract(&[], n - 175, n).unwrap();
-            assert_eq!(
-                [digest(&whole), digest(&windows), digest(&tail)],
-                pinned,
-                "{profile:?}, wipe stride {wipe_stride}"
-            );
-        }
+        let fx = FeatureExtractor::new(&sc).unwrap();
+        let whole = fx.extract(&[], 0, n).unwrap();
+        let windows: Vec<Vec<f64>> = (0..n)
+            .step_by(50)
+            .flat_map(|lo| fx.extract(&[], lo, lo + 50).unwrap())
+            .collect();
+        let tail = fx.extract(&[], n - 175, n).unwrap();
+        assert_eq!(
+            [digest(&whole), digest(&windows), digest(&tail)],
+            pinned,
+            "{profile:?}"
+        );
     }
 
     #[test]
@@ -426,10 +413,7 @@ mod tests {
         assert_matrices_pinned(
             RaceProfile::German,
             90,
-            [
-                [0x3c7ebc2483fe5d8c, 0x805ff1b8323b689f, 0x477a2db4d37d1c50],
-                [0xf95c815c31acd3c3, 0x805ff1b8323b689f, 0x477a2db4d37d1c50],
-            ],
+            [0x3c7ebc2483fe5d8c, 0x805ff1b8323b689f, 0x477a2db4d37d1c50],
         );
     }
 
@@ -438,10 +422,7 @@ mod tests {
         assert_matrices_pinned(
             RaceProfile::Belgian,
             60,
-            [
-                [0xe56e7781425ff0d3, 0xc459c3970b5a0d0e, 0xe1c8490c1eabf53c],
-                [0xc5b33f4657dae514, 0xc459c3970b5a0d0e, 0xc1ab807afc24aafe],
-            ],
+            [0xe56e7781425ff0d3, 0xc459c3970b5a0d0e, 0xe1c8490c1eabf53c],
         );
     }
 
@@ -450,10 +431,7 @@ mod tests {
         assert_matrices_pinned(
             RaceProfile::Usa,
             70,
-            [
-                [0x61b9765c40a2d78b, 0xfa2a41fdd2afed38, 0x08d2d182c520ea64],
-                [0x72ebe5c420df0048, 0xfa2a41fdd2afed38, 0x08d2d182c520ea64],
-            ],
+            [0x61b9765c40a2d78b, 0xfa2a41fdd2afed38, 0x08d2d182c520ea64],
         );
     }
 

@@ -24,9 +24,8 @@
 use std::path::PathBuf;
 
 use cobra_serve::ring::{Ring, DEFAULT_SEED};
-use cobra_serve::router::{start, RouterConfig};
+use cobra_serve::router::{start, RetryPolicy, RouterConfig};
 use cobra_serve::spawn::{await_quit, find_worker_binary, spawn_worker, WorkerProcess};
-use f1_cobra::RetryPolicy;
 
 struct Cli {
     addr: String,

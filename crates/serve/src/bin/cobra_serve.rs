@@ -169,8 +169,8 @@ fn prepare_demo(
     let scenario = RaceScenario::generate(demo_config(seconds, seed));
     let report = vdbms.ingest("german", &scenario)?;
     eprintln!(
-        "demo: ingested {} clips ({} captions, {} keyword spots) via '{}'",
-        report.n_clips, report.n_captions, report.n_keyword_spots, report.extraction_method
+        "demo: ingested {} clips ({} captions, {} keyword spots)",
+        report.n_clips, report.n_captions, report.n_keyword_spots
     );
     let windows = f1_cobra::training_windows(scenario.n_clips);
     vdbms.train_highlight_net("german", &scenario, &windows, true)?;

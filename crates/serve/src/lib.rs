@@ -52,7 +52,7 @@ pub use client::{Client, ClientError, PushFrame, QueryReply, RequestOpts};
 pub use protocol::{ErrorKind, FrameDecoder};
 pub use reactor::raise_nofile_limit;
 pub use ring::{Ring, DEFAULT_SEED};
-pub use router::{RouterConfig, RouterHandle};
+pub use router::{RetryPolicy, RouterConfig, RouterHandle};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use spawn::{find_worker_binary, spawn_worker, WorkerProcess};
 pub use stream::{Hub, Source, DEFAULT_PUSH_QUEUE_CAP};

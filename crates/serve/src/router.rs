@@ -82,7 +82,7 @@ use cobra_obs::Registry;
 use f1_cobra::catalog::ChangeFeed;
 use f1_cobra::guard::{self, Mirror, Read, Touched};
 use f1_cobra::json::{join_groups, read_query_output, Part};
-use f1_cobra::{Query, ResultCache, RetryPolicy, Stamp, Statement};
+use f1_cobra::{Query, ResultCache, Stamp, Statement};
 use serde_json::{json, ParseError, Reader, Value, Writer};
 
 use crate::client::{unwrap_envelope, unwrap_response, Client, ClientError};
@@ -106,6 +106,16 @@ const PROBE_TIMEOUT: Duration = Duration::from_secs(5);
 /// one; the queue bounds how many requests may wait behind them.
 const ROUTER_WORKERS: usize = 16;
 const ROUTER_QUEUE_CAP: usize = 256;
+
+/// How the router retries a forward, or re-dials a feed, whose worker
+/// died or rebooted.
+#[derive(Debug, Clone)]
+pub struct RetryPolicy {
+    /// Extra attempts after the first failure (0 = never retry).
+    pub max_retries: u32,
+    /// Pause between attempts.
+    pub backoff_ms: u64,
+}
 
 /// How the router is wired.
 #[derive(Debug, Clone)]

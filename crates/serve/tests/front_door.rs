@@ -57,11 +57,14 @@ fn gauge(registry: &Registry, name: &str) -> i64 {
 /// The contract of one door: `door` is the address under test and
 /// `counted` the registry it counts requests in; `worker` is the
 /// in-process server behind it (the door itself, for the server) and its
-/// registry; `shutdown` stops the door.
+/// registry; `feeds` is the door's `router.feeds_up` once a subscription
+/// has started its shard feeds (0 for the server, which has none);
+/// `shutdown` stops the door.
 fn holds_the_contract(
     door: SocketAddr,
     counted: &Registry,
     (worker, worker_registry): (SocketAddr, &Registry),
+    feeds: i64,
     shutdown: impl FnOnce() + Send + 'static,
 ) {
     let mut client = Client::connect(door).expect("connect");
@@ -95,6 +98,11 @@ fn holds_the_contract(
         "{again}"
     );
     assert_eq!((requests("subscribe"), requests("unsubscribe")), (1, 2));
+    // A feed's handshake is a pool job at the worker: it must be done
+    // before the worker is held, or it queues beside the query below.
+    await_until("the shard feeds are up", || {
+        gauge(counted, "router.feeds_up") == feeds
+    });
 
     // Hold the worker, so that a query sent now is admitted and waits.
     let mut holder = Client::connect(worker).expect("connect to the worker");
@@ -142,7 +150,7 @@ fn holds_the_contract(
 fn the_server_holds_the_front_door_contract() {
     let (server, registry) = worker();
     let addr = server.addr();
-    holds_the_contract(addr, &registry, (addr, &registry), move || {
+    holds_the_contract(addr, &registry, (addr, &registry), 0, move || {
         server.shutdown()
     });
 }
@@ -157,7 +165,7 @@ fn the_router_holds_the_front_door_contract() {
     .expect("the router starts");
     let (addr, registry) = (router.addr(), router.registry());
     let behind = (worker.addr(), &*worker_registry);
-    holds_the_contract(addr, &registry, behind, move || router.shutdown());
+    holds_the_contract(addr, &registry, behind, 1, move || router.shutdown());
     worker.shutdown();
 }
 

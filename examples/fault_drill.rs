@@ -1,6 +1,7 @@
 //! Demonstrates the fault-tolerance machinery end to end: guarded MIL
-//! execution (fuel, deadline, cancellation) and fault-injected ingest
-//! falling back to a cheaper extraction method.
+//! execution (fuel, deadline, cancellation), and a fault-injected
+//! ingest window that fails typed, changes nothing, and lands once
+//! when it is sent again.
 //!
 //! ```text
 //! cargo run --release --example fault_drill
@@ -48,40 +49,51 @@ fn main() {
         .expect("bounded loop fits the budget");
     println!("bounded loop   -> {v:?}");
 
-    // 5. Ingest with the primary extractor scripted to fail: the
-    //    pre-processor retries, then falls back to the next-ranked method.
+    // 5. A streamed ingest whose extractor fails on a mid-stream
+    //    window: the window returns the typed fault and changes nothing.
     eprintln!("\nsynthesizing a short German GP broadcast…");
     let scenario = RaceScenario::generate(ScenarioConfig::new(RaceProfile::German, 45));
-
-    let plan = FaultPlan::new(7).fail("extract.full", Trigger::Always);
+    let chunks: Vec<_> = scenario.chunks(15).collect();
     let vdbms = Vdbms::try_new().expect("boot");
-    let (report, faults) = vdbms.faults().scope(plan, || {
-        vdbms.ingest("german", &scenario).expect("fallback ingest")
-    });
-    println!("faults fired          -> {}", faults.count("extract.full"));
-    println!(
-        "extraction method     -> {} (degraded: {})",
-        report.extraction_method, report.degraded
-    );
-    for a in &report.attempts {
-        match &a.error {
-            Some(e) => println!("  attempt {:<6} tries {} -> {e}", a.method, a.tries),
-            None => println!("  attempt {:<6} tries {} -> ok", a.method, a.tries),
-        }
-    }
-
-    // 6. Every extractor down: ingest surfaces a typed error chain.
-    let plan = FaultPlan::new(11).fail("extract.*", Trigger::Always);
-    let vdbms = Vdbms::try_new().expect("boot");
-    let (err, _) = vdbms.faults().scope(plan, || {
+    vdbms
+        .ingest_chunk("german", &scenario, &chunks[0])
+        .expect("the opening window lands");
+    let stored = || {
+        let rows = vdbms.catalog.feature_rows("german");
+        (vdbms.catalog.data_version(), rows)
+    };
+    let before = stored();
+    let plan = FaultPlan::new(7).fail("media.vector.extract", Trigger::Always);
+    let (err, faults) = vdbms.faults().scope(plan, || {
         vdbms
-            .ingest("german", &scenario)
-            .expect_err("no extractor left")
+            .ingest_chunk("german", &scenario, &chunks[1])
+            .expect_err("the extractor is down")
     });
-    println!("all methods down      -> {err}");
+    println!(
+        "faults fired          -> {}",
+        faults.count("media.vector.extract")
+    );
+    println!("failed window         -> {err}");
     let mut cause: Option<&dyn std::error::Error> = std::error::Error::source(&err);
     while let Some(c) = cause {
         println!("  caused by           -> {c}");
         cause = c.source();
     }
+    println!(
+        "(version, rows)       -> {before:?} before, {:?} after",
+        stored()
+    );
+
+    // 6. The fault clears: sending the window again is the retry, and
+    //    the rest of the stream follows it.
+    for chunk in &chunks[1..] {
+        vdbms
+            .ingest_chunk("german", &scenario, chunk)
+            .expect("the window lands");
+    }
+    println!(
+        "feature rows          -> {} of {} clips",
+        vdbms.catalog.feature_rows("german"),
+        scenario.n_clips
+    );
 }

@@ -29,8 +29,8 @@ fn main() {
         .ingest("german", &scenario)
         .expect("ingestion succeeds");
     println!(
-        "ingested {} clips with method '{}': {} keyword spots, {} captions recognized",
-        report.n_clips, report.extraction_method, report.n_keyword_spots, report.n_captions
+        "ingested {} clips: {} keyword spots, {} captions recognized",
+        report.n_clips, report.n_keyword_spots, report.n_captions
     );
 
     // Train the audio-visual DBN on six 50-second windows (§5.5) and

@@ -27,11 +27,11 @@ use std::time::Duration;
 use cobra_faults::FaultHandle;
 use cobra_obs::Registry;
 use cobra_serve::ring::{Ring, DEFAULT_SEED};
-use cobra_serve::router::{self, RouterConfig, RouterHandle};
+use cobra_serve::router::{self, RetryPolicy, RouterConfig, RouterHandle};
 use cobra_serve::spawn::{find_worker_binary, spawn_worker, WorkerProcess};
 use cobra_serve::Client;
 use f1_cobra::catalog::{EventRecord, VideoInfo};
-use f1_cobra::{RetryPolicy, StoreConfig, Vdbms};
+use f1_cobra::{StoreConfig, Vdbms};
 
 /// Read timeout on every harness client: the no-hang bound. A request
 /// that outlives this fails its test with a transport timeout instead

@@ -29,14 +29,12 @@ use std::time::{Duration, Instant};
 
 use cobra_serve::client::{ClientError, QueryReply};
 use cobra_serve::ring::{Ring, DEFAULT_SEED};
-use cobra_serve::router::{self, RouterConfig, RouterHandle};
+use cobra_serve::router::{self, RetryPolicy, RouterConfig, RouterHandle};
 use cobra_serve::server::{self, ServerConfig, ServerHandle};
 use cobra_serve::{Client, ErrorKind};
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::json::segment_to_json;
-use f1_cobra::{
-    FsyncPolicy, QueryOutput, RetrievedSegment, RetryPolicy, Stamp, StoreConfig, Vdbms,
-};
+use f1_cobra::{FsyncPolicy, QueryOutput, RetrievedSegment, Stamp, StoreConfig, Vdbms};
 use proptest::prelude::*;
 use serde_json::{json, Value};
 

@@ -17,6 +17,7 @@ mod common;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use cobra_obs::Registry;
 use cobra_serve::client::ClientError;
 use cobra_serve::server::{start, ServerConfig};
 use cobra_serve::ErrorKind;
@@ -70,6 +71,20 @@ fn stream_counter(vdbms: &Vdbms, name: &str) -> u64 {
         .registry()
         .snapshot()
         .counter(name, &[])
+}
+
+/// A served test's quiescent end, right after its last reply, read
+/// once without waiting: `open` standing queries in the hub, and the
+/// pool at rest.
+fn assert_at_rest(registry: &Registry, open: i64) {
+    let snapshot = registry.snapshot();
+    let gauges =
+        ["stream.active", "serve.running", "serve.queue_depth"].map(|g| snapshot.gauge(g, &[]));
+    assert_eq!(
+        gauges,
+        [open, 0, 0],
+        "stream.active, serve.running and serve.queue_depth at rest"
+    );
 }
 
 /// The acceptance criterion verbatim: a write that changes the answer
@@ -181,6 +196,7 @@ fn subscribe_delivers_exactly_the_post_write_deltas() {
         matches!(client.next_push(), Err(ClientError::Transport(_))),
         "no push frame may be in flight"
     );
+    assert_at_rest(vdbms.kernel().metrics().registry(), 1);
 
     handle.shutdown();
 }
@@ -260,6 +276,7 @@ fn a_sweep_subscription_skips_writes_outside_what_it_reads() {
     assert_eq!(push.video, "w");
     assert_eq!(push.added.len(), 1);
     assert_eq!(push.added[0].start, 200);
+    assert_at_rest(vdbms.kernel().metrics().registry(), 1);
     handle.shutdown();
 }
 
@@ -307,16 +324,8 @@ fn unsubscribe_stops_the_stream() {
         pushes_before,
         "a retired subscription must not push"
     );
-    assert_eq!(
-        vdbms
-            .kernel()
-            .metrics()
-            .registry()
-            .snapshot()
-            .gauge("stream.active", &[]),
-        0,
-        "no standing query may remain registered"
-    );
+    // No standing query may remain registered.
+    assert_at_rest(vdbms.kernel().metrics().registry(), 0);
     handle.shutdown();
 }
 
@@ -396,6 +405,7 @@ fn chunked_ingest_streams_deltas_to_a_live_subscriber() {
     // The drained stream is the direct-query answer: no segment was
     // lost on the way, none sent twice.
     assert_eq!(streamed, answer);
+    assert_at_rest(vdbms.kernel().metrics().registry(), 1);
     handle.shutdown();
 }
 
@@ -456,6 +466,7 @@ fn a_reannotation_is_at_most_one_delta_and_never_an_empty_answer() {
         matches!(client.next_push(), Err(ClientError::Transport(_))),
         "no push frame may be in flight"
     );
+    assert_at_rest(vdbms.kernel().metrics().registry(), 1);
     handle.shutdown();
 }
 
@@ -550,6 +561,8 @@ fn sharded_write_notifies_only_the_owning_shards_subscribers() {
         matches!(watcher_b.next_push(), Err(ClientError::Transport(_))),
         "shard B's subscriber must see no push"
     );
+    cluster.assert_router_at_rest();
+    assert_at_rest(&cluster.registry(), 2);
 }
 
 #[test]
@@ -597,4 +610,6 @@ fn dead_shard_surfaces_typed_error_and_subscription_resumes_after_reboot() {
         push.added.iter().any(|s| s.start == 300),
         "the post-reboot write must arrive as a delta"
     );
+    cluster.assert_router_at_rest();
+    assert_at_rest(&cluster.registry(), 1);
 }
