@@ -156,6 +156,18 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         }
     }
 
+    /// Calls `f` on every resident value, one shard locked at a time.
+    pub fn for_each(&self, mut f: impl FnMut(&V)) {
+        for shard in self.shards.iter() {
+            shard
+                .lock()
+                .recover()
+                .map
+                .values()
+                .for_each(|e| f(&e.value));
+        }
+    }
+
     /// Number of resident entries across all shards.
     pub fn len(&self) -> usize {
         self.shards

@@ -276,6 +276,23 @@ impl<V> ResultCache<V> {
         }
         cached
     }
+
+    /// What the `cache.result.entries` and `cache.result.bytes` gauges
+    /// read at rest, counted from the resident entries themselves: the
+    /// entries, and the sum of their bytes. With no lookup or store in
+    /// flight, each gauge equals its count; a test's quiescent end
+    /// asserts that once, without waiting.
+    pub fn at_rest(&self) -> [(&'static str, i64); 2] {
+        let (mut entries, mut bytes) = (0, 0);
+        self.entries.for_each(|cached| {
+            entries += 1;
+            bytes += cached.bytes;
+        });
+        [
+            ("cache.result.entries", entries),
+            ("cache.result.bytes", bytes),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use f1_monet::kernel::BatHandle;
 use f1_monet::prelude::*;
 
 use crate::cache::Stamp;
-use crate::guard::{guard_in, Change, Changes, Read, Touched};
+use crate::guard::{guard_in, Change, Changes, Read, Touched, Unnamed};
 use crate::{CobraError, Result};
 
 /// Raw-layer descriptor of a registered video.
@@ -190,16 +190,19 @@ impl Catalog {
     }
 
     /// Numbers the mutation just applied: advances the commit seq,
-    /// records it against `answers_of` when the mutation changed what
-    /// any query over that video can answer (its registration, or a
-    /// replayed clear of its events), and
-    /// publishes it on the change feed. Called by every apply path, live
-    /// or replayed, *after* the apply and under the commit lock — a
-    /// reader that captured its guard before this point stored its
-    /// answer under a guard that no longer matches.
-    fn commit_seq(&self, answers_of: Option<&str>) {
-        match answers_of {
-            Some(video) => self.stamp_video(self.changed.write().recover(), video, Change::Layer),
+    /// records it against the video whose whole event layer it changed
+    /// (its registration, or a replayed clear of its events), with the
+    /// kinds that layer has unnamed rows of, and publishes it on the
+    /// change feed. Called by every apply path, live or replayed,
+    /// *after* the apply and under the commit lock — a reader that
+    /// captured its guard before this point stored its answer under a
+    /// guard that no longer matches.
+    fn commit_seq(&self, relayered: Option<(&str, Option<Unnamed>)>) {
+        match relayered {
+            Some((video, unnamed)) => {
+                let stamps = self.changed.write().recover();
+                self.stamp_video(stamps, video, Change::Layer(unnamed))
+            }
             None => self.feed.bump(),
         }
     }
@@ -276,7 +279,8 @@ impl Catalog {
     /// What the commits after seq `since` touched, and the catalog's stamp
     /// the report reaches, read together under one read of the per-video
     /// seqs ([`Touched`]). A router keeps its copy of those seqs from such
-    /// reports ([`crate::guard::Mirror`]).
+    /// reports ([`crate::guard::Mirror`]), starting from
+    /// [`unnamed_kinds`](Self::unnamed_kinds).
     pub fn touched_since(&self, since: u64) -> (Stamp, Touched) {
         let stamps = self.changed.read().recover();
         // Every event-layer commit records its seq before publishing it,
@@ -284,6 +288,33 @@ impl Catalog {
         // one it does not count yet, whose keys then move twice).
         let stamp = self.stamp();
         (stamp, Touched::of(&stamps, since))
+    }
+
+    /// Per video whose kinds it knows, the kinds with unnamed rows, and
+    /// the catalog's stamp, read together like
+    /// [`touched_since`](Self::touched_since): where a router's mirror of
+    /// the per-video seqs starts.
+    pub fn unnamed_kinds(&self) -> (Stamp, Vec<(String, Unnamed)>) {
+        let stamps = self.changed.read().recover();
+        let stamp = self.stamp();
+        let known = stamps
+            .iter()
+            .filter_map(|(video, changes)| Some((video.clone(), changes.unnamed.clone()?)));
+        (stamp, known.collect())
+    }
+
+    /// The kinds of `video`'s current event layer with unnamed rows (none
+    /// without a layer; `None` for a layer no commit leaves), in one pass
+    /// over its kind and driver columns.
+    fn unnamed_in(&self, video: &str) -> Option<Unnamed> {
+        let names = event_names(video);
+        let found = self.kernel.bats(names.each_ref().map(String::as_str));
+        let Some(columns) = layer_of(video, found).ok()? else {
+            return Some(Unnamed::new());
+        };
+        let guards = columns.each_ref().map(|column| column.read().recover());
+        let layer = EventColumns::of(guards.each_ref().map(|bat| &**bat)).ok()?;
+        Some(unnamed_of(&layer))
     }
 
     fn stamp_of(&self, seq: u64) -> Stamp {
@@ -506,8 +537,9 @@ impl Catalog {
     /// the stamp lock this publishes under, so they see the layer before
     /// the commit or after it, never between. An append to an existing
     /// layer moves the seqs of its rows' kinds and drivers; any other
-    /// commit moves the whole layer's. Caller holds the commit lock, so
-    /// the rows kept are the rows committed.
+    /// commit moves the whole layer's, and says which kinds the layer it
+    /// leaves has unnamed rows of. Caller holds the commit lock, so the
+    /// rows kept are the rows committed.
     fn commit_events<K: AsRef<str>>(
         &self,
         video: &str,
@@ -530,15 +562,29 @@ impl Catalog {
             // …any other commit builds the layer aside, off the stamp
             // lock, and rebinds its four names at once.
             None => {
+                let known = stamps
+                    .get(video)
+                    .and_then(|changes| changes.unnamed.clone());
                 drop(stamps);
                 let current = layer_of(video, self.kernel.bats(names))?;
                 let layer = build_layer(current.as_ref(), drop_kinds, rows)?;
+                let change = match current {
+                    Some(_) if drop_kinds.is_empty() => Change::Append(rows),
+                    // The rows are the whole layer…
+                    None => Change::Layer(Some(unnamed_rows(rows))),
+                    // …or the kinds dropped lose their unnamed rows, and
+                    // the rows add theirs.
+                    Some(_) => Change::Layer(known.map(|mut unnamed| {
+                        for kind in drop_kinds {
+                            unnamed.remove(kind.as_ref());
+                        }
+                        unnamed.extend(unnamed_rows(rows));
+                        unnamed
+                    })),
+                };
                 stamps = self.changed.write().recover();
                 self.kernel.set_bats(names.into_iter().zip(layer));
-                match current {
-                    Some(_) if drop_kinds.is_empty() => Change::Append(rows),
-                    _ => Change::Layer,
-                }
+                change
             }
         };
         self.stamp_video(stamps, video, change);
@@ -595,6 +641,14 @@ impl Catalog {
         for (name, bat) in recovery.bats {
             self.kernel.set_bat(&name, bat);
         }
+        // A snapshot's layers were never committed here: their unnamed
+        // kinds come from one pass over each.
+        {
+            let mut stamps = self.changed.write().recover();
+            for v in &recovery.videos {
+                stamps.entry(v.name.clone()).or_default().unnamed = self.unnamed_in(&v.name);
+            }
+        }
         for op in recovery.replay {
             self.apply_op(op)?;
         }
@@ -616,7 +670,8 @@ impl Catalog {
                     n_frames: n_frames as usize,
                 };
                 self.videos.write().recover().insert(name.clone(), info);
-                self.commit_seq(Some(&name));
+                // A registration keeps the rows a layer has.
+                self.commit_seq(Some((&name, self.unnamed_in(&name))));
                 Ok(())
             }
             WalOp::StoreFeatures {
@@ -644,7 +699,7 @@ impl Catalog {
                 for name in event_names(&video) {
                     let _ = self.kernel.drop_bat(&name);
                 }
-                self.commit_seq(Some(&video));
+                self.commit_seq(Some((&video, Some(Unnamed::new()))));
                 Ok(())
             }
             WalOp::AppendFeatures {
@@ -973,6 +1028,31 @@ fn append_rows([kinds, starts, ends, drivers]: [&mut Bat; 4], rows: &[EventRecor
     ends.extend_ints(rows.iter().map(|e| e.end as i64))?;
     drivers.extend_strs(rows.iter().map(|e| e.driver.as_deref().unwrap_or("")))?;
     Ok(())
+}
+
+/// The kinds of `rows` with a row naming no driver.
+fn unnamed_rows(rows: &[EventRecord]) -> Unnamed {
+    let unnamed = rows
+        .iter()
+        .filter(|row| row.driver.as_deref().unwrap_or("").is_empty());
+    unnamed.map(|row| row.kind.clone()).collect()
+}
+
+/// The kinds of `layer` with a row naming no driver, in one pass over
+/// its kind and driver codes.
+fn unnamed_of(layer: &EventColumns<'_>) -> Unnamed {
+    let Some(none) = layer.drivers.code_of("") else {
+        return Unnamed::new();
+    };
+    let mut unnamed = vec![false; layer.kinds.dict_len()];
+    for (&kind, &driver) in layer.kinds.codes().iter().zip(layer.drivers.codes()) {
+        unnamed[kind as usize] |= driver == none;
+    }
+    let kinds = layer.kinds.dict().iter().zip(unnamed);
+    kinds
+        .filter(|(_, unnamed)| *unnamed)
+        .map(|(kind, _)| kind.to_string())
+        .collect()
 }
 
 fn feature_bat_name(video: &str, feature: usize) -> String {

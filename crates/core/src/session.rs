@@ -240,6 +240,12 @@ impl Vdbms {
         &self.kernel
     }
 
+    /// The result cache's gauges as its resident entries count them
+    /// ([`ResultCache::at_rest`]).
+    pub fn results_at_rest(&self) -> [(&'static str, i64); 2] {
+        self.results.at_rest()
+    }
+
     /// This system's fault injector: the kernel's handle, shared with
     /// the storage backend, the extractors and EM training, so
     /// `vdbms.faults().scope(plan, || …)` scripts failures anywhere in

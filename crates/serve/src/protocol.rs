@@ -26,8 +26,11 @@
 //! `since`, the seq its mirror covers. A routed query's reply and a
 //! routed `write_event`'s ack carry, beside `result`, the catalog's
 //! `stamp` and, when `since` came, `touched`: what the commits after
-//! `since` touched, up to that stamp ([`Marked`]). A direct client's
-//! replies carry neither.
+//! `since` touched, up to that stamp ([`Marked`]), a whole layer with
+//! the kinds it then has unnamed rows of. A direct client's replies
+//! carry neither. The router's feed is a bare `"*"` watcher; the
+//! `subscribed` answer that starts it also names, per video, the kinds
+//! with unnamed rows at its stamp (`unnamed`, [`unnamed_to_json`]).
 //!
 //! **Frames are bytes, built once.** Whoever produces a frame encodes it
 //! ([`frame`] and what is built on it: [`encode_frame`] for a [`Value`],
@@ -56,7 +59,7 @@
 
 use std::io::{Read, Write};
 
-use f1_cobra::guard::Touched;
+use f1_cobra::guard::{Touched, Unnamed};
 use f1_cobra::Stamp;
 use serde_json::{json, ParseError, Reader, Value, Writer};
 
@@ -429,13 +432,18 @@ pub struct Marked {
 }
 
 /// The wire form of a [`Touched`] report: `{"since":…}`, plus the
-/// `"layers"` (video names) and `"pairs"` (`[video, kind, driver]`) it
-/// names, each only when there is one.
+/// `"layers"` and `"pairs"` (`[video, kind, driver]`) it names, each
+/// only when there is one. A layer is `[video, kind…]`, the kinds it has
+/// unnamed rows of, or the bare video name where those are unknown.
 pub fn touched_to_json(touched: &Touched) -> Value {
     let mut report = json!({"since": (touched.since as f64)});
     if let Value::Object(map) = &mut report {
         if !touched.layers.is_empty() {
-            map.insert("layers".into(), json!(touched.layers.clone()));
+            let layers = touched.layers.iter().map(|(video, unnamed)| match unnamed {
+                Some(unnamed) => kinds_to_json(video, unnamed),
+                None => json!(video.as_str()),
+            });
+            map.insert("layers".into(), Value::Array(layers.collect()));
         }
         if !touched.pairs.is_empty() {
             let pairs = touched
@@ -456,16 +464,49 @@ pub fn touched_from_json(report: &Value) -> Option<Touched> {
         None => Some(&[][..]),
         Some(list) => list.as_array().map(Vec::as_slice),
     };
-    let text = |v: &Value| v.as_str().map(str::to_string);
     let pair = |v: &Value| match v.as_array()?.as_slice() {
         [v, k, d] => Some((text(v)?, text(k)?, text(d)?)),
         _ => None,
     };
+    let layer = |v: &Value| match text(v) {
+        Some(video) => Some((video, None)),
+        None => kinds_from_json(v).map(|(video, unnamed)| (video, Some(unnamed))),
+    };
     Some(Touched {
         since: report.get("since")?.as_u64()?,
-        layers: list("layers")?.iter().map(text).collect::<Option<_>>()?,
+        layers: list("layers")?.iter().map(layer).collect::<Option<_>>()?,
         pairs: list("pairs")?.iter().map(pair).collect::<Option<_>>()?,
     })
+}
+
+/// The `unnamed` member of a feed handshake: `[[video, kind…], …]`, per
+/// video whose kinds the shard knows, the kinds with unnamed rows.
+pub fn unnamed_to_json(unnamed: &[(String, Unnamed)]) -> Value {
+    let videos = unnamed
+        .iter()
+        .map(|(video, kinds)| kinds_to_json(video, kinds));
+    Value::Array(videos.collect())
+}
+
+/// Reads an [`unnamed_to_json`] list; anything else is `None`, which
+/// leaves every video's kinds unknown.
+pub fn unnamed_from_json(unnamed: &Value) -> Option<Vec<(String, Unnamed)>> {
+    unnamed.as_array()?.iter().map(kinds_from_json).collect()
+}
+
+fn text(v: &Value) -> Option<String> {
+    v.as_str().map(str::to_string)
+}
+
+/// `[video, kind…]`.
+fn kinds_to_json(video: &str, unnamed: &Unnamed) -> Value {
+    let members = std::iter::once(video).chain(unnamed.iter().map(String::as_str));
+    Value::Array(members.map(|s| json!(s)).collect())
+}
+
+fn kinds_from_json(v: &Value) -> Option<(String, Unnamed)> {
+    let (video, kinds) = v.as_array()?.split_first()?;
+    Some((text(video)?, kinds.iter().map(text).collect::<Option<_>>()?))
 }
 
 /// Reads the `epoch`/`data_version` pair out of `object` — a `version`
@@ -685,7 +726,14 @@ mod tests {
         let stamp = Stamp { epoch: 3, seq: 41 };
         let touched = Touched {
             since: 40,
-            layers: vec!["w".into()],
+            layers: vec![
+                ("w".into(), None),
+                ("x".into(), Some(Unnamed::new())),
+                (
+                    "y".into(),
+                    Some(["excited".into(), "highlight".into()].into()),
+                ),
+            ],
             pairs: vec![("v".into(), "caption:pit_stop".into(), "".into())],
         };
         for marked in [
@@ -714,6 +762,13 @@ mod tests {
             let frame = ok_frame(7, marked.as_ref(), body.len(), |w| w.raw(body.as_bytes()));
             assert_eq!(frame.unwrap(), encode_frame(&tree).unwrap());
         }
+        let unnamed = vec![
+            ("v".to_string(), Unnamed::new()),
+            ("w".to_string(), ["highlight".to_string()].into()),
+        ];
+        let handshake = unnamed_to_json(&unnamed);
+        assert_eq!(handshake.to_string(), r#"[["v"],["w","highlight"]]"#);
+        assert_eq!(unnamed_from_json(&handshake), Some(unnamed));
     }
 
     #[test]

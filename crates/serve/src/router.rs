@@ -46,7 +46,11 @@
 //!   `since` seq the router put in the frame's `shard` object touched.
 //!   The router keeps a [`Mirror`] of each shard's guards from them, and
 //!   guards a statement by what it reads there ([`guard::reads`], the
-//!   rule a worker guards by). Where the mirror does not cover
+//!   rule a worker guards by). The mirror starts from the feed
+//!   handshake, which names each video's kinds with unnamed rows, so a
+//!   driver-named selection reads the driver's other rows only where its
+//!   kind has unnamed rows, as on the worker; a video whose kinds it
+//!   does not know reads them all. Where the mirror does not cover
 //!   `known[shard]` — a stamp came without a report, the feed reconnected,
 //!   the epoch changed — the shard's guards fall back to its whole stamp.
 //! * **The router result cache** is the same
@@ -80,7 +84,7 @@ use std::time::{Duration, Instant};
 use cobra_faults::Recover;
 use cobra_obs::Registry;
 use f1_cobra::catalog::ChangeFeed;
-use f1_cobra::guard::{self, Mirror, Read, Touched};
+use f1_cobra::guard::{self, Mirror, Read, Touched, Unnamed};
 use f1_cobra::json::{join_groups, read_query_output, Part};
 use f1_cobra::{Query, ResultCache, Stamp, Statement};
 use serde_json::{json, ParseError, Reader, Value, Writer};
@@ -89,7 +93,7 @@ use crate::client::{unwrap_envelope, unwrap_response, Client, ClientError};
 use crate::front::{shareable, Door, Fail, Front, Running};
 use crate::protocol::{
     encode_reply, err_response, ok_frame, ok_response, or_oversize, stamp_from_json,
-    touched_from_json, ErrorKind, FrameError,
+    touched_from_json, unnamed_from_json, ErrorKind, FrameError,
 };
 use crate::reactor::ConnId;
 use crate::ring::{Ring, DEFAULT_SEED};
@@ -286,23 +290,24 @@ impl RouterShared {
         (covered.epoch == epoch).then_some(covered.seq)
     }
 
-    /// The feed (re)connected with `stamp`, or dropped (`None`).
+    /// The feed (re)connected with a handshake — its stamp, and the
+    /// kinds with unnamed rows it named per video — or dropped (`None`).
     /// `router.feeds_up` counts the shards whose stamp is known. It is
     /// set under the lock: two feeds connecting at once would otherwise
     /// publish their counts in either order, and a stale count, set
     /// last, would stand until a feed next connected or dropped.
-    fn set_known(&self, shard: u32, stamp: Option<Stamp>) {
+    fn set_known(&self, shard: u32, handshake: Option<(Stamp, Vec<(String, Unnamed)>)>) {
         {
             let mut views = self.views.lock().recover();
             if let Some(view) = views.get_mut(shard as usize) {
-                view.known = stamp;
+                view.known = handshake.as_ref().map(|(stamp, _)| *stamp);
                 // A handshake starts a mirror at its stamp, unless one of
                 // the same incarnation, no further along, can catch up.
                 let covered = view.mirror.as_ref().map(Mirror::covered);
-                if let Some(stamp) = stamp
-                    .filter(|stamp| covered.is_none_or(|at| at.epoch != stamp.epoch || at > *stamp))
-                {
-                    view.mirror = Some(Mirror::new(stamp));
+                if let Some((stamp, unnamed)) = handshake.filter(|(stamp, _)| {
+                    covered.is_none_or(|at| at.epoch != stamp.epoch || at > *stamp)
+                }) {
+                    view.mirror = Some(Mirror::new(stamp, unnamed));
                 }
             }
             let up = views.iter().filter(|view| view.known.is_some()).count();
@@ -378,7 +383,9 @@ fn follow_shard(shared: &RouterShared, shard: u32) {
 }
 
 /// Opens `shard`'s feed: the `subscribed` answer to the bare `subscribe`
-/// is the handshake and carries the shard's current stamp.
+/// is the handshake and carries the shard's current stamp and, per
+/// video, the kinds with unnamed rows at that stamp (none named: every
+/// video's unknown).
 fn open_feed(shared: &RouterShared, shard: u32) -> Result<Client, String> {
     let mut feed = Client::connect(shared.addr_of(shard)?).map_err(|e| e.to_string())?;
     let _ = feed.set_timeout(Some(PROBE_TIMEOUT));
@@ -393,7 +400,8 @@ fn open_feed(shared: &RouterShared, shard: u32) -> Result<Client, String> {
         let subscribed = unwrap_response(response).map_err(|e| e.to_string())?;
         let stamp = stamp_from_json(&subscribed)
             .ok_or_else(|| format!("shard {shard} subscribed the feed without a stamp"))?;
-        shared.set_known(shard, Some(stamp));
+        let unnamed = subscribed.get("unnamed").and_then(unnamed_from_json);
+        shared.set_known(shard, Some((stamp, unnamed.unwrap_or_default())));
         return Ok(feed);
     }
 }
@@ -514,6 +522,12 @@ impl RouterHandle {
     /// `cache.result`, `serve.requests` series).
     pub fn registry(&self) -> Arc<Registry> {
         Arc::clone(&self.shared.registry)
+    }
+
+    /// The router cache's gauges as its resident entries count them
+    /// (`ResultCache::at_rest`); `None` without a cache.
+    pub fn cache_at_rest(&self) -> Option<[(&'static str, i64); 2]> {
+        self.shared.cache.as_ref().map(ResultCache::at_rest)
     }
 
     /// Re-points `shard` at a new worker address (a restarted worker

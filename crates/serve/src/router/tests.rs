@@ -290,7 +290,7 @@ fn a_sweep_part_without_segment_groups_is_a_typed_error_not_an_empty_splice() {
     // The stamp the fake shards attach, as if their feeds had said so:
     // a part stored under it would hit.
     for shard in 0..2 {
-        shared.set_known(shard, Some(Stamp { epoch: 1, seq: 1 }));
+        shared.set_known(shard, Some((Stamp { epoch: 1, seq: 1 }, Vec::new())));
     }
     let sweep = json!({"cmd": "query", "video": "*", "text": "RETRIEVE HIGHLIGHTS"});
     for (id, asked) in [(1, 2), (2, 4)] {

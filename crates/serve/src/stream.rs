@@ -34,9 +34,12 @@
 //! shards — one long-lived watcher connection per shard instead of a
 //! poll loop. A server's `"*"` watcher frame also carries `touched`
 //! ([`Touched`], `protocol::touched_to_json`): what the commits since the
-//! frame before touched, per video the whole layer or the (kind, driver)
-//! pairs appended to, from which the router keeps its mirror of the
-//! shard's guards.
+//! frame before touched, per video the whole layer (with the kinds it
+//! then has unnamed rows of) or the (kind, driver) pairs appended to,
+//! from which the router keeps its mirror of the shard's guards. The
+//! `subscribed` answer of such a watcher starts that mirror: its
+//! `unnamed` names each video's kinds with unnamed rows, read with the
+//! stamp it carries.
 //!
 //! Push frames are encoded here, by the notifier thread, and queued on
 //! the reactor alongside ordinary responses, marked `"push": true` and
@@ -58,12 +61,14 @@ use std::time::Duration;
 
 use cobra_faults::Recover;
 use cobra_obs::Registry;
-use f1_cobra::guard::Touched;
+use f1_cobra::guard::{Touched, Unnamed};
 use f1_cobra::{Query, QueryOutput, RetrievedSegment, Stamp, Vdbms};
 use f1_monet::ExecBudget;
 use serde_json::{json, Value};
 
-use crate::protocol::{encode_reply, err_response, ok_response, touched_to_json, ErrorKind};
+use crate::protocol::{
+    encode_reply, err_response, ok_response, touched_to_json, unnamed_to_json, ErrorKind,
+};
 use crate::reactor::{ConnId, ReactorCtl};
 
 /// Default bound on push frames queued behind one connection.
@@ -97,6 +102,13 @@ pub trait Source: Send + Sync + 'static {
     /// watcher's `scope`, and the stamp that report reaches, read
     /// together; `None` where the source keeps no such record.
     fn touched(&self, _scope: &Self::Scope, _since: Stamp) -> Option<(Stamp, Touched)> {
+        None
+    }
+
+    /// Per video, the kinds with unnamed rows a bare watcher's `scope`
+    /// knows, and the stamp they hold at, read together; `None` where
+    /// the source keeps no such record.
+    fn unnamed(&self, _scope: &Self::Scope) -> Option<(Stamp, Vec<(String, Unnamed)>)> {
         None
     }
 
@@ -140,7 +152,8 @@ pub(crate) fn answer_groups(video: &str, output: QueryOutput) -> Vec<Group> {
 /// `"*"` the largest over the catalog's videos), so a write outside what
 /// it reads leaves it where it was. A bare watcher's is the video's
 /// stamp, or over `"*"` the catalog's, whose frames also report what
-/// the commits since the frame before touched.
+/// the commits since the frame before touched, and whose `subscribed`
+/// answer names the kinds with unnamed rows.
 impl Source for Vdbms {
     type Scope = (String, Option<Query>);
 
@@ -160,6 +173,11 @@ impl Source for Vdbms {
     fn touched(&self, (video, query): &Self::Scope, since: Stamp) -> Option<(Stamp, Touched)> {
         let whole = video == "*" && query.is_none() && since.epoch == self.catalog.epoch();
         whole.then(|| self.catalog.touched_since(since.seq))
+    }
+
+    fn unnamed(&self, (video, query): &Self::Scope) -> Option<(Stamp, Vec<(String, Unnamed)>)> {
+        let whole = video == "*" && query.is_none();
+        whole.then(|| self.catalog.unnamed_kinds())
     }
 
     fn eval(&self, _scope: &Self::Scope, video: &str, text: &str) -> Result<Vec<Group>, String> {
@@ -334,8 +352,15 @@ impl<S: Source> Hub<S> {
         };
         let mut initial: Vec<Group> = Vec::new();
         let mut latest: Option<Stamp> = None;
+        let mut unnamed = None;
         for scope in self.source.scopes(video, text) {
-            let stamp = self.source.stamp(&scope).ok();
+            let stamp = match self.source.unnamed(&scope) {
+                Some((stamp, kinds)) => {
+                    unnamed = Some(kinds);
+                    Some(stamp)
+                }
+                None => self.source.stamp(&scope).ok(),
+            };
             latest = latest.max(stamp);
             let mut views = HashMap::new();
             if let Some(text) = text {
@@ -378,16 +403,17 @@ impl<S: Source> Hub<S> {
             .into_iter()
             .map(|(video, segments)| json!({"video": (video), "segments": (wire(&segments))}))
             .collect();
-        ok_response(
-            id,
-            json!({
-                "kind": "subscribed",
-                "subscription": (id as f64),
-                "videos": (initial),
-                "epoch": (latest.epoch as f64),
-                "data_version": (latest.seq as f64),
-            }),
-        )
+        let mut subscribed = json!({
+            "kind": "subscribed",
+            "subscription": (id as f64),
+            "videos": (initial),
+            "epoch": (latest.epoch as f64),
+            "data_version": (latest.seq as f64),
+        });
+        if let (Value::Object(map), Some(unnamed)) = (&mut subscribed, unnamed) {
+            map.insert("unnamed".into(), unnamed_to_json(&unnamed));
+        }
+        ok_response(id, subscribed)
     }
 
     /// Handles an `unsubscribe` request: retires a standing query.

@@ -9,9 +9,17 @@
 //! computes on its first and only evaluation. It also requires that a
 //! statement whose guard did not move kept its answer, which is what
 //! lets a standing query skip such a write.
+//!
+//! A driver-named selection reads the driver's other rows only while its
+//! kind has rows naming no driver (the overlap rule). A scripted case
+//! walks that set through appends, a replace and reopens of a durable
+//! catalog from checkpoint and WAL, and requires both halves: the guard
+//! holds where the answer cannot change, and moves where it can.
+
+use std::path::Path;
 
 use f1_cobra::catalog::{EventRecord, VideoInfo};
-use f1_cobra::{parse_query, Result, RetrievedSegment, Vdbms};
+use f1_cobra::{parse_query, FsyncPolicy, Result, RetrievedSegment, StoreConfig, Vdbms};
 use proptest::prelude::*;
 
 const VIDEOS: [&str; 2] = ["v", "w"];
@@ -127,6 +135,15 @@ fn guards(vdbms: &Vdbms, statements: &[String]) -> Vec<f1_cobra::Stamp> {
         .collect()
 }
 
+/// The result cache's gauges equal what its resident entries count, read
+/// once at a quiescent end.
+fn assert_results_at_rest(vdbms: &Vdbms) {
+    let snapshot = vdbms.kernel().metrics().registry().snapshot();
+    for (gauge, resident) in vdbms.results_at_rest() {
+        assert_eq!(snapshot.gauge(gauge, &[]), resident, "{gauge} at rest");
+    }
+}
+
 fn result_hits(vdbms: &Vdbms) -> u64 {
     let registry = vdbms.kernel().metrics().registry();
     registry
@@ -190,5 +207,142 @@ proptest! {
             }
             last = Some((stamps, answers));
         }
+        // Every answer voided, then swept by racing readers: two that
+        // miss the same statement both store it, the second replacing
+        // the first's entry.
+        for v in 0..VIDEOS.len() {
+            let commit = Commit::Register(v, 240);
+            apply(&live, &commit).unwrap();
+            log.push(commit);
+        }
+        let fresh = Vdbms::try_new().unwrap();
+        for commit in &log {
+            apply(&fresh, commit).unwrap();
+        }
+        let expected = sweep(&fresh, &statements);
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4).map(|_| s.spawn(|| sweep(&live, &statements))).collect();
+            for reader in readers {
+                assert_eq!(reader.join().unwrap(), expected, "a racing sweep");
+            }
+        });
+        assert_results_at_rest(&live);
     }
+}
+
+fn durable(dir: &Path) -> Vdbms {
+    let config = StoreConfig {
+        fsync: FsyncPolicy::Never,
+        checkpoint_every: 0,
+        ..StoreConfig::new(dir)
+    };
+    Vdbms::open(&config).unwrap()
+}
+
+fn row(kind: &str, start: usize, driver: Option<&str>) -> EventRecord {
+    EventRecord {
+        kind: kind.into(),
+        start,
+        end: start + 10,
+        driver: driver.map(str::to_string),
+    }
+}
+
+/// One step of the scripted case.
+enum Step {
+    Write(Commit),
+    Checkpoint,
+    /// The catalog reopened from its checkpoint and WAL.
+    Reopen,
+}
+
+/// `RETRIEVE HIGHLIGHTS WITH DRIVER "A"` reads A's other rows — where A
+/// is visible — only while highlights have unnamed rows: a write naming
+/// A leaves its guard, and its cached answer, where they were until an
+/// unnamed highlight appears, moves them while there is one, and leaves
+/// them again once a replace took the unnamed highlights away. The set
+/// holds across reopens from checkpoint and WAL. Every answer equals a
+/// fresh system's over the same commits, so a guard that holds where it
+/// should move serves a stale answer and fails.
+#[test]
+fn a_driver_named_answer_reads_the_drivers_rows_only_while_its_kind_has_unnamed_rows() {
+    use Step::*;
+    let named_a = |kind: &str, start| Write(Commit::Append(0, vec![row(kind, start, Some("A"))]));
+    let unnamed = |kind: &str, start| Write(Commit::Append(0, vec![row(kind, start, None)]));
+    // Each step, and whether the guard moves with it. A is visible
+    // within 50 clips of a row naming A.
+    let script = [
+        (named_a("caption:pit_stop", 200), false),
+        (unnamed("excited", 20), false),
+        (unnamed("highlight", 112), true),
+        (named_a("caption:pit_stop", 300), true),
+        (unnamed("highlight", 305), true),
+        (
+            Write(Commit::Replace(
+                0,
+                vec!["highlight"],
+                vec![row("highlight", 120, Some("A"))],
+            )),
+            true,
+        ),
+        (named_a("caption:pit_stop", 20), false),
+        (Checkpoint, false),
+        (unnamed("caption:winner", 0), false),
+        (Reopen, false),
+        (named_a("caption:pit_stop", 40), false),
+        // Out of A's view: the answer does not hold it…
+        (unnamed("highlight", 480), true),
+        (Checkpoint, false),
+        (Reopen, false),
+        // …until a row naming A puts it in view.
+        (named_a("caption:pit_stop", 470), true),
+        (Reopen, false),
+        (named_a("fly_out", 232), true),
+    ];
+    let dir = std::env::temp_dir().join(format!("cobra-read-guards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = "RETRIEVE HIGHLIGHTS WITH DRIVER \"A\"";
+    let q = parse_query(text).unwrap();
+    let mut live = durable(&dir);
+    let mut log = vec![
+        Commit::Register(0, 600),
+        Commit::Append(0, vec![row("highlight", 100, Some("A"))]),
+    ];
+    for commit in &log {
+        apply(&live, commit).unwrap();
+    }
+    let answer = |live: &Vdbms, log: &[Commit], step: usize| {
+        let fresh = Vdbms::try_new().unwrap();
+        for commit in log {
+            apply(&fresh, commit).unwrap();
+        }
+        let want = fresh.query("v", text).unwrap();
+        assert_eq!(live.query("v", text).unwrap(), want, "step {step}");
+    };
+    answer(&live, &log, 0);
+    for (i, (step, moves)) in script.into_iter().enumerate() {
+        let before = live.guard("v", &q);
+        match step {
+            Write(commit) => {
+                apply(&live, &commit).unwrap();
+                log.push(commit);
+            }
+            Checkpoint => {
+                live.checkpoint().unwrap();
+            }
+            Reopen => {
+                drop(live);
+                live = durable(&dir);
+                answer(&live, &log, i + 1);
+                continue;
+            }
+        }
+        assert_eq!(live.guard("v", &q) != before, moves, "step {}", i + 1);
+        answer(&live, &log, i + 1);
+    }
+    let held = live.query("v", text).unwrap();
+    assert!(held.iter().any(|s| s.start == 480), "in view at last");
+    assert_results_at_rest(&live);
+    drop(live);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,6 +16,12 @@
 //! queries must equal what a fresh single node, replaying the same
 //! commits, computes on its first and only evaluation.
 //!
+//! A scripted case walks the overlap rule's unnamed rows through the same
+//! doors: a driver-named answer whose kind has no unnamed rows stays in
+//! the router's cache through a write naming the driver, on a mirror
+//! started by the feed handshake, kept through a replace's report, and
+//! restarted by a reboot's.
+//!
 //! After a commit straight into a shard's catalog the test waits, on a
 //! bare watcher of the router, until the router has seen the shard's
 //! stamp move past it: the router's view lags a direct commit by design,
@@ -541,8 +547,24 @@ impl Cluster {
         Ok(())
     }
 
+    /// Whether the router answers `text` over video `v` from its cache.
+    fn router_hit(&mut self, v: usize, text: &str) -> bool {
+        let registry = self.router().registry();
+        let hits = || {
+            registry
+                .snapshot()
+                .counter("cache.result", &[("result", "hit")])
+        };
+        let before = hits();
+        self.client
+            .query(&self.names[v], text)
+            .expect("a routed read");
+        hits() > before
+    }
+
     /// The quiescent end: no push is owed or in flight, every feed is up
-    /// and the router's pool is at rest, read once without waiting.
+    /// and the router's pool and cache are at rest, read once without
+    /// waiting.
     fn at_rest(&mut self) -> Result<(), TestCaseError> {
         for standing in &mut self.standing {
             let _ = standing
@@ -569,6 +591,10 @@ impl Cluster {
         let snapshot = self.router().registry().snapshot();
         let gauges = ["serve.running", "serve.queue_depth"].map(|g| snapshot.gauge(g, &[]));
         prop_assert_eq!(gauges, [0, 0], "the router's pool at rest");
+        let resident = self.router().cache_at_rest().expect("the router caches");
+        for (gauge, resident) in resident {
+            prop_assert_eq!(snapshot.gauge(gauge, &[]), resident, "{} at rest", gauge);
+        }
         Ok(())
     }
 }
@@ -615,4 +641,90 @@ proptest! {
         }
         cluster.at_rest()?;
     }
+}
+
+fn row(kind: &str, start: usize, driver: Option<&str>) -> EventRecord {
+    EventRecord {
+        kind: kind.into(),
+        start,
+        end: start + 10,
+        driver: driver.map(str::to_string),
+    }
+}
+
+/// The overlap rule behind the router. Every video starts with one
+/// highlight, naming A, so `RETRIEVE HIGHLIGHTS WITH DRIVER "A"` over
+/// video 0 reads no other row naming A: a write naming A leaves it in
+/// the router's cache. Unnamed rows then come through `write_event`
+/// without a driver and straight into a shard, across a feed drop and a
+/// reboot, and a replace takes video 0's away again; a reboot starts
+/// the mirror while the shard's other video has one. Each step, every
+/// routed answer and push equals a fresh node's, and the cache holds
+/// exactly where the statement's answer cannot have changed.
+#[test]
+fn a_driver_named_answer_stays_cached_behind_the_router_while_its_kind_has_no_unnamed_rows() {
+    const TEXT: &str = "RETRIEVE HIGHLIGHTS WITH DRIVER \"A\"";
+    let mut cluster = Cluster::start();
+    let home = cluster.shard_of(0);
+    let on = |shard_is_home: bool| {
+        let mut videos =
+            (1..cluster.names.len()).filter(|&v| (cluster.shard_of(v) == home) == shard_is_home);
+        videos.next().expect("a video there")
+    };
+    let (twin, away) = (on(true), on(false));
+    let named_a = |start| row("caption:pit_stop", start, Some("A"));
+    // Each step, and whether the read of TEXT over the video named after
+    // it is a router cache hit. A reconnected feed's mirror lags its
+    // handshake, and a reboot starts a new epoch: both miss.
+    let script = [
+        (Op::Routed(0, named_a(100)), 0, true),
+        (Op::Routed(0, row("highlight", 30, None)), 0, false),
+        (Op::Routed(0, named_a(200)), 0, false),
+        (
+            Op::Direct(Commit::Append(away, vec![row("highlight", 40, None)])),
+            0,
+            true,
+        ),
+        (
+            Op::FeedDrop(home, Commit::Append(0, vec![named_a(150)])),
+            0,
+            false,
+        ),
+        (Op::Reboot(home), 0, false),
+        (
+            Op::Direct(Commit::Replace(
+                0,
+                vec!["highlight"],
+                vec![row("highlight", 60, Some("A"))],
+            )),
+            0,
+            false,
+        ),
+        (Op::Routed(0, named_a(120)), 0, true),
+        (Op::Direct(Commit::Append(0, vec![named_a(300)])), 0, true),
+        (Op::Reboot(home), 0, false),
+        (Op::Routed(0, named_a(140)), 0, true),
+        (Op::Routed(0, row("highlight", 170, None)), 0, false),
+        (
+            Op::FeedDrop(home, Commit::Append(0, vec![named_a(190)])),
+            0,
+            false,
+        ),
+        (Op::Idle, 0, true),
+        // An unnamed highlight out of A's view on the shard's other
+        // video; the mirror a reboot starts knows of it from the
+        // handshake alone, and a row naming A then puts it in view.
+        (Op::Routed(twin, row("highlight", 200, None)), twin, false),
+        (Op::Reboot(home), twin, false),
+        (Op::Routed(twin, named_a(195)), twin, false),
+        (Op::Idle, twin, true),
+    ];
+    cluster.check_reads().unwrap();
+    for (i, (op, v, hit)) in script.into_iter().enumerate() {
+        cluster.step(op);
+        assert_eq!(cluster.router_hit(v, TEXT), hit, "step {}", i + 1);
+        cluster.check_pushes().unwrap();
+        cluster.check_reads().unwrap();
+    }
+    cluster.at_rest().unwrap();
 }

@@ -280,6 +280,96 @@ fn a_sweep_subscription_skips_writes_outside_what_it_reads() {
     handle.shutdown();
 }
 
+/// Waits until the notifier has swept twice more, the second sweep
+/// begun after the write before this call was acknowledged.
+fn two_sweeps(vdbms: &Vdbms) {
+    let skipped_before = stream_counter(vdbms, "stream.skipped");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while stream_counter(vdbms, "stream.skipped") < skipped_before + 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "notifier must look again after the write"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The overlap rule at the hub: a driver-named standing query reads
+/// where the driver is visible only while its kind has unnamed rows. On
+/// a video whose highlights all name someone, a write naming the driver
+/// is skipped without evaluation; an unnamed highlight in the driver's
+/// view pushes its delta, and from then on a write naming the driver is
+/// evaluated again.
+#[test]
+fn a_driver_named_subscription_reads_the_drivers_rows_only_while_its_kind_has_unnamed_rows() {
+    let vdbms = fixture(&[
+        ev("highlight", 100, 130, Some("A")),
+        ev("highlight", 200, 230, Some("B")),
+    ]);
+    let handle = start(
+        Arc::clone(&vdbms),
+        ServerConfig {
+            debug: true,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let mut client = cobra_serve::Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(10)))
+        .expect("arm timeout");
+    let (sub, _) = client
+        .subscribe("v", "RETRIEVE HIGHLIGHTS WITH DRIVER \"A\"")
+        .expect("subscribe");
+
+    // Every highlight names someone: where A is visible cannot matter.
+    let pushes_before = stream_counter(&vdbms, "stream.pushes");
+    let unchanged_before = stream_counter(&vdbms, "stream.unchanged");
+    client
+        .write_event("v", "caption:pit_stop", 300, 305, Some("A"))
+        .expect("write a caption naming A");
+    two_sweeps(&vdbms);
+    assert_eq!(
+        stream_counter(&vdbms, "stream.unchanged"),
+        unchanged_before,
+        "a write naming A is not evaluated while no highlight is unnamed"
+    );
+    assert_eq!(stream_counter(&vdbms, "stream.pushes"), pushes_before);
+
+    // An unnamed highlight where A is visible (50 clips around a row
+    // naming A) joins the answer.
+    client
+        .write_event("v", "highlight", 140, 150, None)
+        .expect("write an unnamed highlight");
+    let push = client.next_push().expect("delta after the write");
+    assert_eq!(push.subscription, sub);
+    assert_eq!(push.added.len(), 1);
+    assert_eq!((push.added[0].start, push.total), (140, 2));
+
+    // Now a write naming A can move the answer, so it is evaluated,
+    // though this one, far from the unnamed highlight, does not.
+    client
+        .write_event("v", "caption:pit_stop", 380, 385, Some("A"))
+        .expect("write another caption naming A");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while stream_counter(&vdbms, "stream.unchanged") == unchanged_before {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a write naming A is evaluated once a highlight is unnamed"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    client
+        .set_timeout(Some(Duration::from_millis(200)))
+        .expect("shorten timeout");
+    assert!(
+        matches!(client.next_push(), Err(ClientError::Transport(_))),
+        "an unchanged answer pushes nothing"
+    );
+    assert_at_rest(vdbms.kernel().metrics().registry(), 1);
+    handle.shutdown();
+}
+
 #[test]
 fn unsubscribe_stops_the_stream() {
     let vdbms = fixture(&[ev("highlight", 10, 40, None)]);
