@@ -553,9 +553,8 @@ impl Vdbms {
     }
 
     /// What an event selection is costed against: the kernel's current
-    /// measured statistics (per-opcode ns/row, index hit rate, morsel
-    /// throughput) with the sketches of the two fields a selection can
-    /// constrain.
+    /// measured statistics (per-opcode ns/row, morsel throughput) with
+    /// the sketches of the two fields a selection can constrain.
     fn event_plan_stats(&self, video: &str) -> PlanStats {
         let fields = [event_field(video, "kind"), event_field(video, "driver")];
         self.kernel.plan_stats(&[&fields[0], &fields[1]])

@@ -2,24 +2,12 @@
 //!
 //! The fixed rewrite in [`crate::compile::optimize`] gives every query
 //! the same shape regardless of the data; this module sits between that
-//! rewrite and MIL emission and picks among *result-identical* plan
-//! variants using measured statistics ([`f1_monet::PlanStats`]): per
-//! opcode ns/row from the `mil.op_ns`/`mil.op_rows` histograms,
-//! head-index cache hit rates, sequential vs parallel morsel
-//! throughput, and per-BAT tail sketches.
+//! rewrite and MIL emission, costs the plan against measured statistics
+//! ([`f1_monet::PlanStats`]): per opcode ns/row from the
+//! `mil.op_ns`/`mil.op_rows` histograms, sequential vs parallel morsel
+//! throughput, and per-BAT tail sketches. It decides two things, both
+//! proven byte-identical:
 //!
-//! Only rewrites proven byte-identical are enumerated:
-//!
-//! * **Predicate reordering** — stacked selections commute exactly: each
-//!   `select` keeps qualifying rows in input order, so any predicate
-//!   order yields the same rows in the same order.
-//! * **Join reassociation** — the kernel's join emits probe-major output
-//!   with build positions in ascending order, so `(A⋈B)⋈C` and
-//!   `A⋈(B⋈C)` both enumerate matches in lexicographic `(i, j, k)`
-//!   order over the same match set.
-//! * **`threadcnt` sizing** — morsel-parallel operators are
-//!   order-preserving (per-morsel results concatenate in range order),
-//!   so the thread count never changes bytes, only wall time.
 //! * **Conjunction order** — a [`MoaExpr::Conjunction`] over aligned,
 //!   void-headed field collections may start from any of its terms:
 //!   select on that term's field, then fetch every further term's field
@@ -28,16 +16,22 @@
 //!   over dense ascending oids, so every order yields exactly the oids
 //!   at which all terms hold, ascending; the closing `mirror` pairs
 //!   each with itself, which makes the orders byte-identical whatever
-//!   field the last step read. (Semijoining the terms' selections is
-//!   result-identical too but not enumerated: it scans every term's
-//!   field in full, so it can only win by estimation noise, and each
-//!   evaluation would leave a hash index of a temporary in the kernel's
-//!   index cache.)
+//!   field the last step read. Every order of a conjunction of at most
+//!   four terms is scored, the written one first.
+//!   (Semijoining the terms' selections is result-identical too but not
+//!   scored: it scans every term's field in full, so it can only win by
+//!   estimation noise, and each evaluation would leave a hash index of
+//!   a temporary in the kernel's index cache.)
+//! * **`threadcnt` sizing** — morsel-parallel operators are
+//!   order-preserving (per-morsel results concatenate in range order),
+//!   so the thread count never changes bytes, only wall time.
 //!
-//! Extension calls are opaque (possibly stateful) and are never
-//! reordered, re-associated, or descended into. When nothing is
-//! measured the coster falls back to fixed default constants, keeping
-//! planning deterministic on a cold system.
+//! Every other expression (select stacks, join chains, semijoins,
+//! aggregates, extension calls) is planned as its fixed rewrite: the
+//! only expression a statement reaches the planner with is a
+//! conjunction over a video's event tuple. When nothing is measured the
+//! coster falls back to fixed default constants, keeping planning
+//! deterministic on a cold system.
 
 use f1_monet::ops::MIN_PAR_ROWS_PER_THREAD;
 use f1_monet::sketch::{BatSketch, PlanStats};
@@ -46,14 +40,8 @@ use f1_monet::{Atom, Kernel, Prepared};
 use crate::compile::{compile, compile_bound, fetch_chain, optimize};
 use crate::expr::{MoaExpr, Predicate};
 
-/// Upper bound on scored candidates per query, against pathological
-/// join-chain × select-stack blowup.
-const MAX_CANDIDATES: usize = 64;
-/// Select stacks longer than this are not fully permuted; only the
-/// identity and the selectivity-sorted orders are scored.
-const MAX_PERMUTED_PREDS: usize = 4;
-/// Join chains longer than this keep their written association.
-const MAX_ASSOC_LEAVES: usize = 5;
+/// Conjunctions of more terms than this keep their written order.
+const MAX_PERMUTED_TERMS: usize = 4;
 
 /// Default cardinality of a collection with no sketch.
 const DEFAULT_ROWS: f64 = 1024.0;
@@ -111,7 +99,7 @@ pub struct PlanNode {
 pub struct PlanChoice {
     /// The fixed-rewrite (rule-based) plan.
     pub baseline: MoaExpr,
-    /// The cheapest enumerated variant (== `baseline` when nothing beat it).
+    /// The cheapest scored variant (== `baseline` when nothing beat it).
     pub chosen: MoaExpr,
     /// Estimated cost of the baseline, ns.
     pub baseline_cost: f64,
@@ -123,8 +111,6 @@ pub struct PlanChoice {
     pub chosen_nodes: Vec<PlanNode>,
     /// Chosen worker count (1 = sequential).
     pub threads: usize,
-    /// Number of candidate plans scored.
-    pub candidates: usize,
     /// One-line human rationale for the decision.
     pub rationale: String,
 }
@@ -244,17 +230,15 @@ fn estimate(expr: &MoaExpr, stats: &PlanStats) -> Est {
         MoaExpr::Join { left, right } => {
             let l = estimate(left, stats);
             let mut r = estimate(right, stats);
-            // The right side is the build side: an index over its head is
-            // reused from the kernel cache at the measured hit rate and
-            // built otherwise — unless the head is void, which the kernel
-            // probes by position without any index.
+            // The right side is the build side: the kernel builds an
+            // index over its head for the call — unless the head is void,
+            // which it probes by position without any index.
             let positional = matches!(&**right, MoaExpr::Collection(name)
                 if stats.sketch(name).is_some_and(|s| s.head_void));
-            let miss_rate = 1.0 - stats.index_hit_rate.unwrap_or(0.0);
             let build_ns = if positional {
                 0.0
             } else {
-                r.rows * INDEX_BUILD_NS_PER_ROW * miss_rate
+                r.rows * INDEX_BUILD_NS_PER_ROW
             };
             let probe_ns = l.rows * op_cost(stats, "join");
             // FK-style containment assumption: every probe row matches
@@ -277,8 +261,7 @@ fn estimate(expr: &MoaExpr, stats: &PlanStats) -> Est {
         MoaExpr::Semijoin { left, right } => {
             let l = estimate(left, stats);
             let mut r = estimate(right, stats);
-            let miss_rate = 1.0 - stats.index_hit_rate.unwrap_or(0.0);
-            let build_ns = r.rows * INDEX_BUILD_NS_PER_ROW * miss_rate;
+            let build_ns = r.rows * INDEX_BUILD_NS_PER_ROW;
             let probe_ns = l.rows * op_cost(stats, "semijoin");
             let rows = l.rows * DEFAULT_SEMI_SEL;
             let mut nodes = l.nodes;
@@ -375,140 +358,12 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Peels a stack of selections: `(base, predicates innermost-first)`.
-fn peel_selects(expr: &MoaExpr) -> (&MoaExpr, Vec<&Predicate>) {
+/// The plans scored for `expr`, the fixed rewrite first: every term
+/// order of a conjunction of at most `MAX_PERMUTED_TERMS` terms (the
+/// first permutation is the written order), and `expr` alone otherwise.
+fn candidates(expr: &MoaExpr) -> Vec<MoaExpr> {
     match expr {
-        MoaExpr::Select { input, pred } => {
-            let (base, mut preds) = peel_selects(input);
-            preds.push(pred);
-            (base, preds)
-        }
-        other => (other, Vec::new()),
-    }
-}
-
-/// Rebuilds a select stack applying `preds` innermost-first.
-fn stack_selects(base: MoaExpr, preds: &[&Predicate]) -> MoaExpr {
-    preds.iter().fold(base, |acc, &p| acc.select(p.clone()))
-}
-
-/// Flattens a pure `Join` spine into its leaves, left to right.
-/// Returns `None` when the spine is shorter than two joins (nothing to
-/// re-associate).
-fn join_leaves(expr: &MoaExpr) -> Option<Vec<&MoaExpr>> {
-    fn collect<'e>(expr: &'e MoaExpr, out: &mut Vec<&'e MoaExpr>) {
-        match expr {
-            MoaExpr::Join { left, right } => {
-                collect(left, out);
-                collect(right, out);
-            }
-            other => out.push(other),
-        }
-    }
-    let mut leaves = Vec::new();
-    collect(expr, &mut leaves);
-    (leaves.len() >= 3).then_some(leaves)
-}
-
-/// All order-preserving binary join trees over `leaves[lo..hi]`.
-fn associations(leaves: &[MoaExpr], lo: usize, hi: usize) -> Vec<MoaExpr> {
-    if hi - lo == 1 {
-        return vec![leaves[lo].clone()];
-    }
-    let mut out = Vec::new();
-    for split in lo + 1..hi {
-        for l in associations(leaves, lo, split) {
-            for r in associations(leaves, split, hi) {
-                out.push(l.clone().join(r));
-            }
-        }
-    }
-    out
-}
-
-/// Enumerates result-identical variants of `expr` (always including
-/// `expr` itself first), bounded by [`MAX_CANDIDATES`].
-fn enumerate(expr: &MoaExpr, stats: &PlanStats) -> Vec<MoaExpr> {
-    let mut out = enumerate_inner(expr, stats);
-    out.truncate(MAX_CANDIDATES);
-    out
-}
-
-fn enumerate_inner(expr: &MoaExpr, stats: &PlanStats) -> Vec<MoaExpr> {
-    match expr {
-        MoaExpr::Select { .. } => {
-            let (base, preds) = peel_selects(expr);
-            let bases = enumerate_inner(base, stats);
-            let orders: Vec<Vec<usize>> = if preds.len() <= 1 {
-                vec![(0..preds.len()).collect()]
-            } else if preds.len() <= MAX_PERMUTED_PREDS {
-                permutations(preds.len())
-            } else {
-                // Too many to permute: identity plus selectivity-sorted.
-                let sketch = base.tail_origin().and_then(|n| stats.sketch(n));
-                let mut sorted: Vec<usize> = (0..preds.len()).collect();
-                sorted.sort_by(|&a, &b| {
-                    selectivity(preds[a], sketch)
-                        .partial_cmp(&selectivity(preds[b], sketch))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                vec![(0..preds.len()).collect(), sorted]
-            };
-            let mut out = Vec::new();
-            for b in &bases {
-                for order in &orders {
-                    let ordered: Vec<&Predicate> = order.iter().map(|&i| preds[i]).collect();
-                    let cand = stack_selects(b.clone(), &ordered);
-                    if !out.contains(&cand) {
-                        out.push(cand);
-                    }
-                    if out.len() >= MAX_CANDIDATES {
-                        return out;
-                    }
-                }
-            }
-            out
-        }
-        MoaExpr::Join { left, right } => {
-            if let Some(leaves) = join_leaves(expr) {
-                if leaves.len() <= MAX_ASSOC_LEAVES {
-                    // Fix each leaf at its cheapest variant (leaf costs are
-                    // additive, so the greedy choice is optimal), then
-                    // score every association of the spine.
-                    let best_leaves: Vec<MoaExpr> = leaves
-                        .iter()
-                        .map(|leaf| cheapest(enumerate_inner(leaf, stats), stats))
-                        .collect();
-                    let mut out = vec![expr.clone()];
-                    for cand in associations(&best_leaves, 0, best_leaves.len()) {
-                        if !out.contains(&cand) {
-                            out.push(cand);
-                        }
-                        if out.len() >= MAX_CANDIDATES {
-                            break;
-                        }
-                    }
-                    return out;
-                }
-            }
-            cross(
-                enumerate_inner(left, stats),
-                enumerate_inner(right, stats),
-                |l, r| l.join(r),
-            )
-        }
-        MoaExpr::Semijoin { left, right } => cross(
-            enumerate_inner(left, stats),
-            enumerate_inner(right, stats),
-            |l, r| l.semijoin(r),
-        ),
-        MoaExpr::Mirror { input } => enumerate_inner(input, stats)
-            .into_iter()
-            .map(MoaExpr::mirror)
-            .collect(),
-        // Every order of the terms; the first permutation is the
-        // written order, the expression itself.
-        MoaExpr::Conjunction { terms } if terms.len() <= MAX_PERMUTED_PREDS => {
+        MoaExpr::Conjunction { terms } if terms.len() <= MAX_PERMUTED_TERMS => {
             permutations(terms.len())
                 .into_iter()
                 .map(|order| {
@@ -516,46 +371,8 @@ fn enumerate_inner(expr: &MoaExpr, stats: &PlanStats) -> Vec<MoaExpr> {
                 })
                 .collect()
         }
-        MoaExpr::Aggregate { input, kind } => enumerate_inner(input, stats)
-            .into_iter()
-            .map(|i| i.aggregate(*kind))
-            .collect(),
-        // Extension calls may be stateful: opaque, never rewritten.
         other => vec![other.clone()],
     }
-}
-
-/// Cross product of two variant sets under `combine`, capped.
-fn cross(
-    ls: Vec<MoaExpr>,
-    rs: Vec<MoaExpr>,
-    combine: impl Fn(MoaExpr, MoaExpr) -> MoaExpr,
-) -> Vec<MoaExpr> {
-    let mut out = Vec::new();
-    for l in &ls {
-        for r in &rs {
-            out.push(combine(l.clone(), r.clone()));
-            if out.len() >= MAX_CANDIDATES {
-                return out;
-            }
-        }
-    }
-    out
-}
-
-/// The cheapest of `variants` (first wins ties, so the written order is
-/// stable under an uninformed coster).
-fn cheapest(variants: Vec<MoaExpr>, stats: &PlanStats) -> MoaExpr {
-    let mut best_cost = f64::INFINITY;
-    let mut best = None;
-    for v in variants {
-        let cost = estimate(&v, stats).cost;
-        if cost + 1e-9 < best_cost {
-            best_cost = cost;
-            best = Some(v);
-        }
-    }
-    best.unwrap_or(MoaExpr::Literal(f1_monet::Atom::Int(0)))
 }
 
 /// Picks the largest power-of-two worker count that both clears the
@@ -574,15 +391,15 @@ fn choose_threads(max_op_input: f64, stats: &PlanStats, cfg: &PlannerConfig) -> 
     chosen
 }
 
-/// Plans `expr`: applies the fixed rewrite, enumerates result-identical
-/// variants, scores them against `stats`, and returns the cheapest with
-/// a before/after account suitable for `EXPLAIN`.
+/// Plans `expr`: applies the fixed rewrite, scores its result-identical
+/// [`candidates`] against `stats`, and returns the cheapest with a
+/// before/after account suitable for `EXPLAIN`.
 pub fn plan(expr: MoaExpr, stats: &PlanStats, cfg: &PlannerConfig) -> PlanChoice {
     let baseline = optimize(expr);
     let base_est = estimate(&baseline, stats);
     let mut chosen = baseline.clone();
     let mut chosen_est = estimate(&baseline, stats);
-    let candidates = enumerate(&baseline, stats);
+    let candidates = candidates(&baseline);
     let n_candidates = candidates.len();
     for cand in candidates {
         let est = estimate(&cand, stats);
@@ -616,7 +433,6 @@ pub fn plan(expr: MoaExpr, stats: &PlanStats, cfg: &PlannerConfig) -> PlanChoice
         baseline_nodes: base_est.nodes,
         chosen_nodes: chosen_est.nodes,
         threads,
-        candidates: n_candidates,
         rationale,
     }
 }
@@ -644,64 +460,31 @@ mod tests {
     }
 
     #[test]
-    fn selective_predicate_moves_first() {
-        // Written order: wide range first, rare equality last. The
-        // coster must flip them so the cheap filter shrinks the input
-        // of the expensive one.
-        let expr = MoaExpr::collection("ev")
+    fn select_stacks_and_join_chains_plan_as_their_fixed_rewrite() {
+        // Written order: wide range first, rare equality last; and a
+        // right-deep chain with a huge middle collection. Neither is a
+        // conjunction, so each is scored alone and kept as written.
+        let mut stats = stats_with("ev", keyed_sketch(100_000, 50_000));
+        for (name, rows) in [("a", 100), ("b", 1_000_000), ("c", 1_000)] {
+            stats
+                .sketches
+                .insert(name.into(), Arc::new(keyed_sketch(rows, rows)));
+        }
+        let stack = MoaExpr::collection("ev")
             .select(Predicate::Range(Atom::Int(0), Atom::Int(90_000)))
             .select(Predicate::Eq(Atom::Int(7)));
-        let stats = stats_with("ev", keyed_sketch(100_000, 50_000));
-        let choice = plan(expr, &stats, &PlannerConfig::default());
-        assert!(choice.reordered(), "{}", choice.rationale);
-        assert!(choice.chosen_cost < choice.baseline_cost);
-        // The chosen plan applies Eq innermost (first).
-        let (_, preds) = peel_selects(&choice.chosen);
-        assert!(matches!(preds[0], Predicate::Eq(_)), "{:?}", choice.chosen);
-        assert!(
-            choice.mil().starts_with("((bat(\"ev\")).select(7))"),
-            "{}",
-            choice.mil()
-        );
-    }
-
-    #[test]
-    fn already_optimal_order_is_kept() {
-        let expr = MoaExpr::collection("ev")
-            .select(Predicate::Eq(Atom::Int(7)))
-            .select(Predicate::Range(Atom::Int(0), Atom::Int(90_000)));
-        let stats = stats_with("ev", keyed_sketch(100_000, 50_000));
-        let choice = plan(expr, &stats, &PlannerConfig::default());
-        assert!(!choice.reordered(), "{}", choice.rationale);
-        assert_eq!(choice.baseline, choice.chosen);
-    }
-
-    #[test]
-    fn join_reassociation_prefers_small_build_sides() {
-        // A ⋈ B ⋈ C with a huge B: (A⋈B)⋈C probes A's rows into B and
-        // the result into C; A⋈(B⋈C) must first build/probe the huge
-        // B⋈C. Left-deep should win when A is small.
-        let mut stats = stats_with("a", keyed_sketch(100, 100));
-        stats
-            .sketches
-            .insert("b".into(), Arc::new(keyed_sketch(1_000_000, 1_000_000)));
-        stats
-            .sketches
-            .insert("c".into(), Arc::new(keyed_sketch(1_000, 1_000)));
-        let right_deep =
+        let chain =
             MoaExpr::collection("a").join(MoaExpr::collection("b").join(MoaExpr::collection("c")));
-        let choice = plan(right_deep, &stats, &PlannerConfig::default());
-        assert!(choice.reordered(), "{}", choice.rationale);
-        match &choice.chosen {
-            MoaExpr::Join { left, right } => {
-                assert!(
-                    matches!(**left, MoaExpr::Join { .. }),
-                    "{:?}",
-                    choice.chosen
-                );
-                assert!(matches!(**right, MoaExpr::Collection(_)));
-            }
-            other => panic!("expected join, got {other:?}"),
+        for expr in [stack, chain] {
+            let choice = plan(expr.clone(), &stats, &PlannerConfig::default());
+            assert!(!choice.reordered(), "{}", choice.rationale);
+            assert_eq!(choice.chosen, optimize(expr));
+            assert_eq!(choice.chosen_cost, choice.baseline_cost);
+            assert!(
+                choice.rationale.contains("scored 1 candidate(s)"),
+                "{}",
+                choice.rationale
+            );
         }
     }
 
@@ -816,7 +599,7 @@ mod tests {
                 .collect();
 
             let conjunction = MoaExpr::conjunction(terms[..n_terms].to_vec());
-            let variants = enumerate(&conjunction, &kernel.plan_stats(&["t.kind", "t.driver", "t.start"]));
+            let variants = candidates(&conjunction);
             // n! orders, the written one first.
             prop_assert_eq!(variants.len(), [1, 2, 6][n_terms - 1]);
             prop_assert_eq!(&variants[0], &conjunction);

@@ -83,7 +83,6 @@ fn warm_stats(kernel: &Kernel) -> PlanStats {
     stats.op_ns_per_row.insert("join".into(), 25.0);
     stats.op_ns_per_row.insert("semijoin".into(), 18.0);
     stats.op_ns_per_row.insert("select".into(), 1.5);
-    stats.index_hit_rate = Some(0.75);
     stats.seq_ns_per_row = Some(2.0);
     stats.par_ns_per_row = Some(1.0);
     stats

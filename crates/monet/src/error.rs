@@ -66,12 +66,6 @@ pub enum MonetError {
         /// Whether the injected fault models a transient condition.
         transient: bool,
     },
-    /// A grouped aggregation met a head value with no entry in the
-    /// grouping BAT, so the row has no group to aggregate into.
-    GroupMismatch {
-        /// The ungrouped head value.
-        head: String,
-    },
     /// A worker thread of the parallel executor panicked; the panic is
     /// captured and surfaced as an error instead of aborting the caller.
     WorkerPanic(String),
@@ -107,9 +101,6 @@ impl fmt::Display for MonetError {
                     "injected {} fault at site '{site}'",
                     if *transient { "transient" } else { "permanent" }
                 )
-            }
-            MonetError::GroupMismatch { head } => {
-                write!(f, "grouped aggregate: head {head} has no group")
             }
             MonetError::WorkerPanic(msg) => {
                 write!(f, "parallel worker panicked: {msg}")
@@ -186,10 +177,6 @@ mod tests {
                     transient: true,
                 },
                 "injected transient fault at site 'bat.insert'",
-            ),
-            (
-                MonetError::GroupMismatch { head: "7@0".into() },
-                "grouped aggregate: head 7@0 has no group",
             ),
             (
                 MonetError::WorkerPanic("boom".into()),

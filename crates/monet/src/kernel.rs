@@ -131,7 +131,7 @@ impl Kernel {
                 }
             }
         }
-        ops::select_eq_ctx(&bat, v, ctx)
+        ops::select_eq(&bat, v, ctx)
     }
 
     /// The value index over the tail of `bat`, which a MIL evaluation
@@ -236,7 +236,6 @@ impl Kernel {
         }
         for (key, h) in snap.histograms_named("mil.op_ns") {
             let Some(op) = key.label("op") else { continue };
-            stats.ops_observed += h.count();
             let rows = rows_per_op.get(op).copied().unwrap_or(0);
             if rows > 0 && h.sum() > 0 {
                 stats

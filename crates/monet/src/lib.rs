@@ -8,7 +8,7 @@
 //!   main-memory tables whose head is frequently a dense *void* column
 //!   ([`bat::Bat`], [`bat::Column`]).
 //! * **Relational operators** over BATs: selections, hash joins, semijoins,
-//!   grouping, aggregation and sorting ([`ops`]).
+//!   anti-joins, duplicate elimination, aggregation and sorting ([`ops`]).
 //! * A **kernel catalog** of named BATs plus MEL-style *extension modules*
 //!   that register foreign procedures callable from MIL ([`kernel`]).
 //! * A small **MIL interpreter** (Monet Interface Language) so that the

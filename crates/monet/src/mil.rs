@@ -801,7 +801,7 @@ fn eval_method_op(
                 let out = env.kernel.select_eq(catalog, &handle, &v, &op_ctx(env))?;
                 Ok(MilValue::new_bat(out))
             }
-            2 => Ok(MilValue::new_bat(ops::select_range_ctx(
+            2 => Ok(MilValue::new_bat(ops::select_range(
                 &handle.read().recover(),
                 &args[0].as_atom()?,
                 &args[1].as_atom()?,
@@ -826,7 +826,7 @@ fn eval_method_op(
                 .as_bat()?;
             let l = handle.read().recover();
             let r = other.read().recover();
-            Ok(MilValue::new_bat(ops::join_ctx(&l, &r, &op_ctx(env))?))
+            Ok(MilValue::new_bat(ops::join(&l, &r, &op_ctx(env))?))
         }
         "semijoin" => {
             let other = args
@@ -835,7 +835,7 @@ fn eval_method_op(
                 .as_bat()?;
             let l = handle.read().recover();
             let r = other.read().recover();
-            let out = ops::semijoin_ctx(&l, &r, &op_ctx(env))?;
+            let out = ops::semijoin(&l, &r, &op_ctx(env))?;
             drop((l, r));
             Ok(MilValue::new_bat(out))
         }
@@ -846,7 +846,7 @@ fn eval_method_op(
                 .as_bat()?;
             let l = handle.read().recover();
             let r = other.read().recover();
-            let out = ops::antijoin_ctx(&l, &r, &op_ctx(env))?;
+            let out = ops::antijoin(&l, &r, &op_ctx(env))?;
             drop((l, r));
             Ok(MilValue::new_bat(out))
         }

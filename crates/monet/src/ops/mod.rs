@@ -2,9 +2,9 @@
 //!
 //! These are the algebra primitives that MIL programs (and therefore the
 //! Moa logical layer) are compiled into: selections, hash joins, semijoins,
-//! grouping, aggregation and sorting. All operators are pure — they return
-//! fresh BATs and never mutate their inputs, which keeps the kernel easy to
-//! parallelize.
+//! anti-joins, duplicate elimination, histograms, aggregation and sorting.
+//! All operators are pure — they return fresh BATs and never mutate their
+//! inputs, which keeps the kernel easy to parallelize.
 //!
 //! The implementations are **vectorized**: each operator dispatches on the
 //! column type once per call, then runs tight loops over typed slices
@@ -12,20 +12,19 @@
 //! positions that a single [`Bat::gather`] turns into the output. Range
 //! selection over a `Void` column is O(1) seqbase arithmetic, an equality
 //! selection handed a value index over its column gathers the index's
-//! positions instead of scanning (`select_eq_indexed`), joins probe a
-//! typed [`ColumnIndex`] built for the call, and grouped aggregation runs
-//! in a single pass over typed accumulators.
+//! positions instead of scanning (`select_eq_indexed`), and joins probe a
+//! typed [`ColumnIndex`] built for the call.
 //!
-//! Every operator keeps its historical atom-at-a-time signature; the
-//! `*_ctx` variants additionally take an [`OpCtx`] that morselizes the
-//! input across [`crate::parallel::run_jobs`] workers (honouring MIL's
+//! Each operator has one implementation. The scanning ones (selections
+//! and the three joins) take an [`OpCtx`] that morselizes the input
+//! across [`crate::parallel::run_jobs`] workers (honouring MIL's
 //! `threadcnt`) and charges an [`ExecGuard`] tick per morsel so budgeted
-//! evaluations stay bounded inside operators, not just between them.
-//! `OpCtx::default()` (one thread, no guard) makes the `*_ctx` variants
-//! behave exactly like the plain ones. The pre-vectorization reference
-//! implementations live on, outside every build of the kernel, in
-//! `tests/naive/mod.rs`, where `tests/vectorized_differential.rs` holds
-//! each operator here to them.
+//! evaluations stay bounded inside operators, not just between them;
+//! `OpCtx::default()` runs them on the calling thread with no guard. The
+//! pre-vectorization reference implementations live on, outside every
+//! build of the kernel, in `tests/naive/mod.rs`, where
+//! `tests/vectorized_differential.rs` holds each operator here to them at
+//! several thread counts.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -39,7 +38,7 @@ use crate::metrics::KernelMetrics;
 use crate::parallel;
 use crate::value::{Atom, AtomType};
 
-/// Execution context for the `*_ctx` operator variants: a worker count for
+/// Execution context for the scanning operators: a worker count for
 /// morsel-driven parallelism, an optional execution guard charged at
 /// every morsel boundary, and optional metric handles recording morsel
 /// utilization. Leave `metrics` unset (the default) to keep operators
@@ -47,7 +46,8 @@ use crate::value::{Atom, AtomType};
 #[derive(Clone, Copy, Default)]
 pub struct OpCtx<'g> {
     /// Worker threads to spread morsels over; `0`/`1` means sequential
-    /// execution with bit-identical results to the plain operators.
+    /// execution on the calling thread. Results are bit-identical at
+    /// every count.
     pub threads: usize,
     /// Budget guard ticked once per morsel, so fuel/deadline/cancellation
     /// interrupt long scans between morsels.
@@ -422,12 +422,7 @@ fn scan_bounded<T: Copy, K: Copy>(
 }
 
 /// `select(b, v)`: pairs whose tail equals `v`.
-pub fn select_eq(b: &Bat, v: &Atom) -> Bat {
-    b.gather(&eq_positions(b.tail(), v, 0..b.len()))
-}
-
-/// [`select_eq`] with morsel-driven parallelism and budget checks.
-pub fn select_eq_ctx(b: &Bat, v: &Atom, ctx: &OpCtx<'_>) -> Result<Bat> {
+pub fn select_eq(b: &Bat, v: &Atom, ctx: &OpCtx<'_>) -> Result<Bat> {
     let chunks = run_morsels(ctx, b.len(), |r| eq_positions(b.tail(), v, r))?;
     Ok(b.gather(&concat_positions(chunks)))
 }
@@ -467,27 +462,9 @@ pub(crate) fn select_eq_indexed(
 }
 
 /// `select(b, lo, hi)`: pairs whose tail lies in the inclusive range.
-pub fn select_range(b: &Bat, lo: &Atom, hi: &Atom) -> Bat {
-    b.gather(&range_positions(b.tail(), lo, hi, 0..b.len()))
-}
-
-/// [`select_range`] with morsel-driven parallelism and budget checks.
-pub fn select_range_ctx(b: &Bat, lo: &Atom, hi: &Atom, ctx: &OpCtx<'_>) -> Result<Bat> {
+pub fn select_range(b: &Bat, lo: &Atom, hi: &Atom, ctx: &OpCtx<'_>) -> Result<Bat> {
     let chunks = run_morsels(ctx, b.len(), |r| range_positions(b.tail(), lo, hi, r))?;
     Ok(b.gather(&concat_positions(chunks)))
-}
-
-/// Generic filter on (head, tail) pairs. The predicate sees materialized
-/// atoms, so this stays a scalar loop; use the typed selections when the
-/// predicate is an equality or range test.
-pub fn select_where(b: &Bat, mut pred: impl FnMut(&Atom, &Atom) -> bool) -> Bat {
-    let mut keep: Vec<u32> = Vec::new();
-    for (i, (h, t)) in b.iter().enumerate() {
-        if pred(&h, &t) {
-            keep.push(i as u32);
-        }
-    }
-    b.gather(&keep)
 }
 
 // ---------------------------------------------------------------------------
@@ -632,17 +609,7 @@ fn join_core(
 
 /// `join(l, r)`: Monet's positional join — matches `l.tail` against
 /// `r.head` and yields `(l.head, r.tail)` for every match.
-pub fn join(l: &Bat, r: &Bat) -> Bat {
-    if !joinable(l.tail().atom_type(), r.head().atom_type()) {
-        return empty_out(l.head().atom_type(), r.tail().atom_type());
-    }
-    let plan = plan_index(l.tail(), r.head());
-    let (lpos, rpos) = join_core(l, r, plan.as_ref(), 0..l.len());
-    Bat::from_columns_unchecked(l.head().gather(&lpos), r.tail().gather(&rpos))
-}
-
-/// [`join`] with morsel-driven parallelism and budget checks.
-pub fn join_ctx(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
+pub fn join(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
     if !joinable(l.tail().atom_type(), r.head().atom_type()) {
         return Ok(empty_out(l.head().atom_type(), r.tail().atom_type()));
     }
@@ -678,25 +645,9 @@ fn membership_core(
     keep
 }
 
-fn membership(l: &Bat, r: &Bat, keep_matches: bool) -> Bat {
-    if !joinable(l.head().atom_type(), r.head().atom_type()) {
-        return if keep_matches {
-            empty_out(l.head().atom_type(), l.tail().atom_type())
-        } else {
-            l.gather(&(0..l.len() as u32).collect::<Vec<_>>())
-        };
-    }
-    let plan = plan_index(l.head(), r.head());
-    l.gather(&membership_core(
-        l,
-        r,
-        plan.as_ref(),
-        keep_matches,
-        0..l.len(),
-    ))
-}
-
-fn membership_ctx(l: &Bat, r: &Bat, keep_matches: bool, ctx: &OpCtx<'_>) -> Result<Bat> {
+/// The pairs of `l` whose head occurs among `r`'s heads
+/// (`keep_matches`), or does not.
+fn membership(l: &Bat, r: &Bat, keep_matches: bool, ctx: &OpCtx<'_>) -> Result<Bat> {
     if !joinable(l.head().atom_type(), r.head().atom_type()) {
         return Ok(if keep_matches {
             empty_out(l.head().atom_type(), l.tail().atom_type())
@@ -713,47 +664,18 @@ fn membership_ctx(l: &Bat, r: &Bat, keep_matches: bool, ctx: &OpCtx<'_>) -> Resu
 }
 
 /// `semijoin(l, r)`: pairs of `l` whose head occurs among `r`'s heads.
-pub fn semijoin(l: &Bat, r: &Bat) -> Bat {
-    membership(l, r, true)
-}
-
-/// [`semijoin`] with morsel-driven parallelism and budget checks.
-pub fn semijoin_ctx(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
-    membership_ctx(l, r, true, ctx)
+pub fn semijoin(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
+    membership(l, r, true, ctx)
 }
 
 /// `diff(l, r)`: pairs of `l` whose head does **not** occur among `r`'s heads.
-pub fn antijoin(l: &Bat, r: &Bat) -> Bat {
-    membership(l, r, false)
-}
-
-/// [`antijoin`] with morsel-driven parallelism and budget checks.
-pub fn antijoin_ctx(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
-    membership_ctx(l, r, false, ctx)
+pub fn antijoin(l: &Bat, r: &Bat, ctx: &OpCtx<'_>) -> Result<Bat> {
+    membership(l, r, false, ctx)
 }
 
 // ---------------------------------------------------------------------------
-// Mapping, grouping, sorting
+// Duplicates, histograms, sorting
 // ---------------------------------------------------------------------------
-
-/// Applies `f` to every tail value, keeping heads (`[f]()` map in MIL).
-pub fn map_tail(
-    b: &Bat,
-    out_ty: AtomType,
-    mut f: impl FnMut(&Atom) -> Result<Atom>,
-) -> Result<Bat> {
-    let (ht, _) = b.types();
-    let mut out = Bat::new(ht, out_ty);
-    for (h, t) in b.iter() {
-        let v = f(&t)?;
-        // Void heads stay dense because we re-append in order.
-        match ht {
-            AtomType::Void => out.append_void(v)?,
-            _ => out.append(h, v)?,
-        }
-    }
-    Ok(out)
-}
 
 /// Assigns dense ids to equal values of a typed key iterator: returns the
 /// id of every row plus the first-occurrence position of every id.
@@ -813,16 +735,6 @@ pub fn histogram(b: &Bat) -> Bat {
     )
 }
 
-/// `group(b)`: maps every head to a group id shared by equal tail values.
-pub fn group(b: &Bat) -> Bat {
-    let (ids, _) = dense_ids(b.tail());
-    let gids: Vec<u64> = ids.into_iter().map(u64::from).collect();
-    Bat::from_columns_unchecked(
-        b.head().materialize(),
-        Column::from_data(ColumnData::Oid(gids)),
-    )
-}
-
 /// The permutation that stably sorts `col` ascending under atom order.
 fn sort_permutation(col: &Column) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..col.len() as u32).collect();
@@ -863,8 +775,6 @@ pub enum Aggregate {
     Min,
     /// Maximum tail value.
     Max,
-    /// Number of pairs.
-    Count,
 }
 
 fn non_numeric(first: Atom) -> MonetError {
@@ -876,9 +786,6 @@ fn non_numeric(first: Atom) -> MonetError {
 
 /// Computes a numeric aggregate over the tail column.
 pub fn aggregate(b: &Bat, kind: Aggregate) -> Result<Atom> {
-    if kind == Aggregate::Count {
-        return Ok(Atom::Int(b.len() as i64));
-    }
     if b.is_empty() {
         return Err(MonetError::EmptyBat(format!("{kind:?}").to_lowercase()));
     }
@@ -910,7 +817,6 @@ pub fn aggregate(b: &Bat, kind: Aggregate) -> Result<Atom> {
                     Ok(Atom::Dbl(fsum / v.len() as f64))
                 }
             }
-            Aggregate::Count => unreachable!("handled above"),
         },
         ColumnData::Dbl(v) => match kind {
             Aggregate::Min => {
@@ -939,7 +845,6 @@ pub fn aggregate(b: &Bat, kind: Aggregate) -> Result<Atom> {
                     Ok(Atom::Dbl(fsum / v.len() as f64))
                 }
             }
-            Aggregate::Count => unreachable!("handled above"),
         },
         ColumnData::Oid(v) => match kind {
             Aggregate::Min => Ok(Atom::Oid(v.iter().copied().fold(u64::MAX, u64::min))),
@@ -971,218 +876,6 @@ pub fn aggregate(b: &Bat, kind: Aggregate) -> Result<Atom> {
     }
 }
 
-/// Per-group running totals for the single-pass grouped aggregation.
-#[derive(Clone, Copy)]
-struct Accum {
-    count: i64,
-    fsum: f64,
-    isum: i64,
-    all_int: bool,
-    min: f64,
-    max: f64,
-}
-
-impl Accum {
-    fn new() -> Self {
-        Accum {
-            count: 0,
-            fsum: 0.0,
-            isum: 0,
-            all_int: true,
-            min: 0.0,
-            max: 0.0,
-        }
-    }
-
-    fn add_f(&mut self, v: f64, int_exact: Option<i64>) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            if v.total_cmp(&self.min).is_lt() {
-                self.min = v;
-            }
-            if v.total_cmp(&self.max).is_gt() {
-                self.max = v;
-            }
-        }
-        self.count += 1;
-        self.fsum += v;
-        match int_exact {
-            Some(i) => self.isum = self.isum.wrapping_add(i),
-            None => self.all_int = false,
-        }
-    }
-
-    fn add_count(&mut self) {
-        self.count += 1;
-    }
-
-    /// Merges `other` into `self`; `other` accumulated later rows.
-    fn merge(&mut self, other: &Accum) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        if other.min.total_cmp(&self.min).is_lt() {
-            self.min = other.min;
-        }
-        if other.max.total_cmp(&self.max).is_gt() {
-            self.max = other.max;
-        }
-        self.count += other.count;
-        self.fsum += other.fsum;
-        self.isum = self.isum.wrapping_add(other.isum);
-        self.all_int &= other.all_int;
-    }
-
-    fn finish(&self, kind: Aggregate) -> Atom {
-        match kind {
-            Aggregate::Count => Atom::Int(self.count),
-            Aggregate::Sum => Atom::Dbl(if self.all_int {
-                // Matches the naive path: an int group sums with wrapping
-                // i64 arithmetic, then widens once.
-                self.isum as f64
-            } else {
-                self.fsum
-            }),
-            Aggregate::Avg => Atom::Dbl(self.fsum / self.count as f64),
-            Aggregate::Min => Atom::Dbl(self.min),
-            Aggregate::Max => Atom::Dbl(self.max),
-        }
-    }
-}
-
-/// Typed view of the values column for grouped aggregation.
-enum NumView<'a> {
-    Int(&'a [i64]),
-    Dbl(&'a [f64]),
-    /// Non-numeric values: only `Count` may touch them.
-    Opaque,
-}
-
-/// One morsel's worth of grouped accumulation: group slots in
-/// first-occurrence order plus their running totals.
-struct MorselAgg {
-    order: Vec<u32>,
-    accums: HashMap<u32, Accum>,
-}
-
-/// Grouped aggregation: `grouped(values, groups, kind)` where `groups`
-/// assigns a group id to every head of `values`. Returns (group id, agg)
-/// with group ids in first-occurrence order of the values rows.
-///
-/// Every `values` head must occur among `groups` heads; a missing head
-/// raises [`MonetError::GroupMismatch`] (the naive reference silently
-/// dropped such rows).
-pub fn grouped_aggregate(values: &Bat, groups: &Bat, kind: Aggregate) -> Result<Bat> {
-    grouped_aggregate_ctx(values, groups, kind, &OpCtx::default())
-}
-
-/// [`grouped_aggregate`] with morsel-driven parallelism and budget checks.
-/// At `threads <= 1` results are bit-identical to the sequential path;
-/// with more threads, float sums may differ in rounding (ints, counts and
-/// min/max stay exact).
-pub fn grouped_aggregate_ctx(
-    values: &Bat,
-    groups: &Bat,
-    kind: Aggregate,
-    ctx: &OpCtx<'_>,
-) -> Result<Bat> {
-    let out_ty = if kind == Aggregate::Count {
-        AtomType::Int
-    } else {
-        AtomType::Dbl
-    };
-    let mut out = Bat::new(out_type(groups.tail().atom_type()), out_ty);
-    if values.is_empty() {
-        return Ok(out);
-    }
-    if !joinable(values.head().atom_type(), groups.head().atom_type()) {
-        return Err(MonetError::GroupMismatch {
-            head: match values.head_at(0) {
-                Ok(a) => a.to_string(),
-                Err(_) => "<head>".into(),
-            },
-        });
-    }
-
-    // Slot every groups row by its tail value (two heads can share a gid).
-    let (gslots, gfirst) = dense_ids(groups.tail());
-
-    let view = match values.tail().data() {
-        Some(ColumnData::Int(v)) => NumView::Int(v),
-        Some(ColumnData::Dbl(v)) => NumView::Dbl(v),
-        _ => NumView::Opaque,
-    };
-    if kind != Aggregate::Count && matches!(view, NumView::Opaque) {
-        return Err(non_numeric(values.tail_at(0)?));
-    }
-
-    let plan = plan_index(values.head(), groups.head());
-    let idx = plan.as_ref();
-
-    let chunks = run_morsels(ctx, values.len(), |range| -> Result<MorselAgg> {
-        let mut agg = MorselAgg {
-            order: Vec::new(),
-            accums: HashMap::new(),
-        };
-        let mut missing: Option<usize> = None;
-        probe_loop(values.head(), groups.head(), idx, range, |i, hits| {
-            let Some(&p) = hits.first() else {
-                missing.get_or_insert(i);
-                return;
-            };
-            let slot = gslots[p as usize];
-            let acc = agg.accums.entry(slot).or_insert_with(|| {
-                agg.order.push(slot);
-                Accum::new()
-            });
-            match view {
-                NumView::Int(v) => acc.add_f(v[i] as f64, Some(v[i])),
-                NumView::Dbl(v) => acc.add_f(v[i], None),
-                NumView::Opaque => acc.add_count(),
-            }
-        });
-        if let Some(i) = missing {
-            return Err(MonetError::GroupMismatch {
-                head: values.head_at(i)?.to_string(),
-            });
-        }
-        Ok(agg)
-    })?;
-
-    // Merge morsels in range order: first-occurrence group order and int
-    // accumulations are deterministic at every thread count.
-    let mut order: Vec<u32> = Vec::new();
-    let mut merged: HashMap<u32, Accum> = HashMap::new();
-    for chunk in chunks {
-        let chunk = chunk?;
-        for slot in chunk.order {
-            let acc = merged.entry(slot).or_insert_with(|| {
-                order.push(slot);
-                Accum::new()
-            });
-            if let Some(part) = chunk.accums.get(&slot) {
-                acc.merge(part);
-            }
-        }
-    }
-
-    for slot in order {
-        let gid = groups.tail_at(gfirst[slot as usize] as usize)?;
-        let acc = merged
-            .get(&slot)
-            .copied()
-            .ok_or_else(|| MonetError::Eval("grouped aggregate lost a slot".into()))?;
-        out.append(gid, acc.finish(kind))?;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1204,7 +897,7 @@ mod tests {
     #[test]
     fn select_eq_filters_by_tail() {
         let b = named_points();
-        let s = select_eq(&b, &Atom::Int(8));
+        let s = select_eq(&b, &Atom::Int(8), &OpCtx::default()).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.head_at(0).unwrap(), Atom::str("hakkinen"));
     }
@@ -1212,7 +905,7 @@ mod tests {
     #[test]
     fn select_range_is_inclusive() {
         let b = named_points();
-        let s = select_range(&b, &Atom::Int(7), &Atom::Int(10));
+        let s = select_range(&b, &Atom::Int(7), &Atom::Int(10), &OpCtx::default()).unwrap();
         assert_eq!(s.len(), 3);
     }
 
@@ -1221,12 +914,17 @@ mod tests {
         let b = Bat::from_tail(AtomType::Int, (0..8).map(Atom::Int))
             .unwrap()
             .reverse(); // head: int, tail: void oids 0..8
-        let s = select_range(&b, &Atom::Oid(2), &Atom::Oid(5));
+        let s = select_range(&b, &Atom::Oid(2), &Atom::Oid(5), &OpCtx::default()).unwrap();
         assert_eq!(s.len(), 4);
         assert_eq!(s.tail_at(0).unwrap(), Atom::Oid(2));
         assert_eq!(s.tail_at(3).unwrap(), Atom::Oid(5));
         // Bounds clamp: an over-wide range selects everything.
-        assert_eq!(select_range(&b, &Atom::Oid(0), &Atom::Oid(100)).len(), 8);
+        assert_eq!(
+            select_range(&b, &Atom::Oid(0), &Atom::Oid(100), &OpCtx::default())
+                .unwrap()
+                .len(),
+            8
+        );
     }
 
     #[test]
@@ -1246,7 +944,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let j = join(&l, &r);
+        let j = join(&l, &r, &OpCtx::default()).unwrap();
         assert_eq!(j.len(), 2);
         assert_eq!(j.find(&Atom::Oid(0)), Some(Atom::str("ferrari")));
         assert_eq!(j.find(&Atom::Oid(1)), Some(Atom::str("mclaren")));
@@ -1264,7 +962,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(join(&l, &r).len(), 2);
+        assert_eq!(join(&l, &r, &OpCtx::default()).unwrap().len(), 2);
     }
 
     #[test]
@@ -1281,7 +979,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let j = join(&l, &r);
+        let j = join(&l, &r, &OpCtx::default()).unwrap();
         assert_eq!(j.len(), 2);
         assert_eq!(j.find(&Atom::Int(10)), Some(Atom::str("c")));
         assert_eq!(j.find(&Atom::Int(12)), Some(Atom::str("a")));
@@ -1296,7 +994,7 @@ mod tests {
             [(Atom::Int(2), Atom::str("two"))],
         )
         .unwrap();
-        let j = join(&l, &r);
+        let j = join(&l, &r, &OpCtx::default()).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(j.find(&Atom::Oid(0)), Some(Atom::str("two")));
     }
@@ -1306,7 +1004,7 @@ mod tests {
         let l = Bat::from_tail(AtomType::Str, [Atom::str("x")]).unwrap();
         let r =
             Bat::from_pairs(AtomType::Int, AtomType::Int, [(Atom::Int(1), Atom::Int(2))]).unwrap();
-        let j = join(&l, &r);
+        let j = join(&l, &r, &OpCtx::default()).unwrap();
         assert!(j.is_empty());
         assert_eq!(j.types(), (AtomType::Oid, AtomType::Int));
     }
@@ -1320,19 +1018,11 @@ mod tests {
             [(Atom::str("schumacher"), Atom::Int(0))],
         )
         .unwrap();
-        let semi = semijoin(&l, &r);
-        let anti = antijoin(&l, &r);
+        let semi = semijoin(&l, &r, &OpCtx::default()).unwrap();
+        let anti = antijoin(&l, &r, &OpCtx::default()).unwrap();
         assert_eq!(semi.len(), 2);
         assert_eq!(anti.len(), 2);
         assert_eq!(semi.len() + anti.len(), l.len());
-    }
-
-    #[test]
-    fn map_tail_preserves_void_head() {
-        let b = Bat::from_tail(AtomType::Int, (1..=3).map(Atom::Int)).unwrap();
-        let doubled = map_tail(&b, AtomType::Int, |a| Ok(Atom::Int(a.as_int()? * 2))).unwrap();
-        assert_eq!(doubled.head().atom_type(), AtomType::Void);
-        assert_eq!(doubled.tail_at(2).unwrap(), Atom::Int(6));
     }
 
     #[test]
@@ -1350,15 +1040,6 @@ mod tests {
         let h = histogram(&b);
         assert_eq!(h.find(&Atom::Int(8)), Some(Atom::Int(2)));
         assert_eq!(h.find(&Atom::Int(10)), Some(Atom::Int(1)));
-    }
-
-    #[test]
-    fn group_assigns_shared_ids() {
-        let b = named_points();
-        let g = group(&b);
-        // rows 1 and 3 share tail value 8 → same group id.
-        assert_eq!(g.tail_at(1).unwrap(), g.tail_at(3).unwrap());
-        assert_ne!(g.tail_at(0).unwrap(), g.tail_at(1).unwrap());
     }
 
     #[test]
@@ -1382,17 +1063,15 @@ mod tests {
         assert_eq!(aggregate(&b, Aggregate::Avg).unwrap(), Atom::Dbl(8.0));
         assert_eq!(aggregate(&b, Aggregate::Min).unwrap(), Atom::Int(6));
         assert_eq!(aggregate(&b, Aggregate::Max).unwrap(), Atom::Int(10));
-        assert_eq!(aggregate(&b, Aggregate::Count).unwrap(), Atom::Int(4));
 
         let d = Bat::from_tail(AtomType::Dbl, [Atom::Dbl(0.5), Atom::Dbl(1.5)]).unwrap();
         assert_eq!(aggregate(&d, Aggregate::Sum).unwrap(), Atom::Dbl(2.0));
     }
 
     #[test]
-    fn aggregate_on_empty_bat_errors_except_count() {
+    fn aggregate_on_empty_bat_errors() {
         let b = Bat::new(AtomType::Void, AtomType::Dbl);
         assert!(aggregate(&b, Aggregate::Max).is_err());
-        assert_eq!(aggregate(&b, Aggregate::Count).unwrap(), Atom::Int(0));
     }
 
     #[test]
@@ -1416,70 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_aggregate_sums_per_group() {
-        // values: oid -> points ; groups: oid -> group id (by driver)
-        let values = Bat::from_tail(AtomType::Int, [10, 8, 6, 8].map(Atom::Int)).unwrap();
-        let groups = Bat::from_pairs(
-            AtomType::Oid,
-            AtomType::Oid,
-            [
-                (Atom::Oid(0), Atom::Oid(0)),
-                (Atom::Oid(1), Atom::Oid(1)),
-                (Atom::Oid(2), Atom::Oid(0)),
-                (Atom::Oid(3), Atom::Oid(2)),
-            ],
-        )
-        .unwrap();
-        let agg = grouped_aggregate(&values, &groups, Aggregate::Sum).unwrap();
-        assert_eq!(agg.find(&Atom::Oid(0)), Some(Atom::Dbl(16.0)));
-        assert_eq!(agg.find(&Atom::Oid(1)), Some(Atom::Dbl(8.0)));
-        let counts = grouped_aggregate(&values, &groups, Aggregate::Count).unwrap();
-        assert_eq!(counts.find(&Atom::Oid(0)), Some(Atom::Int(2)));
-    }
-
-    #[test]
-    fn grouped_aggregate_rejects_ungrouped_heads() {
-        let values = Bat::from_tail(AtomType::Int, [10, 8].map(Atom::Int)).unwrap();
-        // Only head 0 is grouped; head 1 is missing.
-        let groups =
-            Bat::from_pairs(AtomType::Oid, AtomType::Oid, [(Atom::Oid(0), Atom::Oid(0))]).unwrap();
-        let err = grouped_aggregate(&values, &groups, Aggregate::Sum).unwrap_err();
-        assert_eq!(err, MonetError::GroupMismatch { head: "1@0".into() });
-    }
-
-    #[test]
-    fn ctx_variants_match_plain_operators() {
-        let b = Bat::from_tail(AtomType::Int, (0..10_000).map(|v| Atom::Int(v % 97))).unwrap();
-        let keys = Bat::from_pairs(
-            AtomType::Int,
-            AtomType::Int,
-            (0..50).map(|v| (Atom::Int(v), Atom::Int(v * 2))),
-        )
-        .unwrap();
-        for threads in [1, 2, 4] {
-            let ctx = OpCtx::with_threads(threads);
-            assert_eq!(
-                select_eq_ctx(&b, &Atom::Int(13), &ctx).unwrap(),
-                select_eq(&b, &Atom::Int(13))
-            );
-            assert_eq!(
-                select_range_ctx(&b, &Atom::Int(10), &Atom::Int(20), &ctx).unwrap(),
-                select_range(&b, &Atom::Int(10), &Atom::Int(20))
-            );
-            assert_eq!(join_ctx(&b, &keys, &ctx).unwrap(), join(&b, &keys));
-            let rev = b.reverse();
-            assert_eq!(
-                semijoin_ctx(&rev, &keys, &ctx).unwrap(),
-                semijoin(&rev, &keys)
-            );
-            assert_eq!(
-                antijoin_ctx(&rev, &keys, &ctx).unwrap(),
-                antijoin(&rev, &keys)
-            );
-        }
-    }
-
-    #[test]
     fn ctx_operators_respect_budget() {
         let guard = crate::guard::ExecBudget::unlimited().with_fuel(1).start();
         let ctx = OpCtx::new(4, &guard);
@@ -1487,7 +1102,7 @@ mod tests {
         let rows = 4 * MIN_PAR_ROWS_PER_THREAD + 1;
         let b = Bat::from_tail(AtomType::Int, (0..rows as i64).map(Atom::Int)).unwrap();
         // More than one morsel, one fuel unit: the scan must be cut short.
-        let err = select_range_ctx(&b, &Atom::Int(0), &Atom::Int(99), &ctx).unwrap_err();
+        let err = select_range(&b, &Atom::Int(0), &Atom::Int(99), &ctx).unwrap_err();
         assert!(matches!(err, MonetError::BudgetExhausted { .. }));
     }
 
@@ -1503,13 +1118,13 @@ mod tests {
             guard: None,
             metrics: Some(&metrics),
         };
-        select_range_ctx(&small, &Atom::Int(5), &Atom::Int(50), &ctx).unwrap();
+        select_range(&small, &Atom::Int(5), &Atom::Int(50), &ctx).unwrap();
         assert_eq!(metrics.morsel_runs_seq.get(), 1);
         assert_eq!(metrics.morsel_runs_par.get(), 0);
 
         let big_rows = 2 * MIN_PAR_ROWS_PER_THREAD;
         let big = Bat::from_tail(AtomType::Int, (0..big_rows as i64).map(Atom::Int)).unwrap();
-        select_range_ctx(&big, &Atom::Int(5), &Atom::Int(50), &ctx).unwrap();
+        select_range(&big, &Atom::Int(5), &Atom::Int(50), &ctx).unwrap();
         assert_eq!(metrics.morsel_runs_par.get(), 1);
         // Both modes recorded their measured throughput for the planner.
         assert!(metrics.morsel_seq_rows.get() >= 100_000);
@@ -1527,7 +1142,7 @@ mod tests {
             Atom::Int(8),
         ] {
             let indexed = select_eq_indexed(&b, &v, &idx, &ctx).unwrap().unwrap();
-            assert_eq!(indexed, select_eq(&b, &v));
+            assert_eq!(indexed, select_eq(&b, &v, &ctx).unwrap());
         }
     }
 

@@ -90,23 +90,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` in parallel, preserving order.
-pub fn par_map<I, T, F>(threads: usize, items: Vec<I>, f: F) -> Result<Vec<T>>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    let jobs: Vec<_> = items
-        .into_iter()
-        .map(|item| {
-            let f = &f;
-            move || f(item)
-        })
-        .collect();
-    run_jobs(threads, jobs)
-}
-
 /// Splits `0..len` into at most `parts` contiguous morsel ranges of
 /// near-equal size (empty input yields no morsels).
 pub fn morsels(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
@@ -165,14 +148,6 @@ mod tests {
             .collect();
         run_jobs(8, jobs).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn par_map_matches_serial_map() {
-        let items: Vec<i64> = (0..50).collect();
-        let par = par_map(6, items.clone(), |v| v * 3 - 1).unwrap();
-        let ser: Vec<i64> = items.into_iter().map(|v| v * 3 - 1).collect();
-        assert_eq!(par, ser);
     }
 
     #[test]

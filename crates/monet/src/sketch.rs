@@ -4,10 +4,11 @@
 //! A [`BatSketch`] is a cheap summary of one BAT's tail column — row
 //! count, a distinct-count estimate, and min/max for numeric tails —
 //! built lazily and cached by the kernel per `(bat id, version)`, the
-//! same discipline as the head-index cache. [`PlanStats`] packages the
-//! sketches together with the measured per-opcode costs and cache hit
-//! rates already flowing through the metrics registry, so the logical
-//! layer (`f1-moa`) can cost candidate plans without depending on the
+//! same discipline as the value-index cache. [`PlanStats`] packages the
+//! sketches together with the measured per-opcode costs and sequential
+//! vs parallel morsel throughput already flowing through the metrics
+//! registry, so the logical layer (`f1-moa`) can cost a conjunction's
+//! term orders and size `threadcnt` without depending on the
 //! observability crate directly.
 
 use std::collections::{HashMap, HashSet};
@@ -176,8 +177,7 @@ fn atom_as_f64(a: &Atom) -> Option<f64> {
 }
 
 /// The measured statistics a planning pass runs against: per-opcode
-/// costs, cache behaviour, morsel throughput, and per-collection
-/// sketches. `PlanStats::default()` is the cold system — everything
+/// costs, morsel throughput, and per-collection sketches. `PlanStats::default()` is the cold system — everything
 /// unmeasured — under which the planner must degrade to the fixed
 /// rewrite's behaviour.
 #[derive(Debug, Clone, Default)]
@@ -185,20 +185,12 @@ pub struct PlanStats {
     /// Measured nanoseconds per input row per MIL opcode
     /// (`mil.op_ns{op}.sum / mil.op_rows{op}.sum`); absent = unmeasured.
     pub op_ns_per_row: HashMap<String, f64>,
-    /// Share of joins whose build-side index is reused, in `[0, 1]`;
-    /// `None` prices every build. The kernel builds a join's index for
-    /// the call, so [`Kernel::plan_stats`](crate::Kernel::plan_stats)
-    /// leaves it unset.
-    pub index_hit_rate: Option<f64>,
     /// Measured ns/row of sequential operator runs; `None` when unmeasured.
     pub seq_ns_per_row: Option<f64>,
     /// Measured ns/row of parallel operator runs; `None` when unmeasured.
     pub par_ns_per_row: Option<f64>,
     /// Tail sketches keyed by catalog BAT name.
     pub sketches: HashMap<String, Arc<BatSketch>>,
-    /// Total MIL method invocations observed when these stats were read
-    /// (drives the plan-cache generation refresh policy).
-    pub ops_observed: u64,
 }
 
 impl PlanStats {

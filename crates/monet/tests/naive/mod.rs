@@ -157,23 +157,6 @@ pub fn histogram(b: &Bat) -> Bat {
     out
 }
 
-/// `group(b)`: maps every head to a group id shared by equal tail values.
-pub fn group(b: &Bat) -> Bat {
-    let (ht, _) = b.types();
-    let mut ids: HashMap<Atom, u64> = HashMap::new();
-    let mut next = 0u64;
-    let mut out = Bat::new(out_type(ht), AtomType::Oid);
-    for (h, t) in b.iter() {
-        let id = *ids.entry(t).or_insert_with(|| {
-            let id = next;
-            next += 1;
-            id
-        });
-        out.append(h, Atom::Oid(id)).expect("type preserved");
-    }
-    out
-}
-
 /// `sort(b)`: pairs ordered by tail value (stable).
 pub fn sort_by_tail(b: &Bat) -> Bat {
     let (ht, tt) = b.types();
@@ -188,9 +171,6 @@ pub fn sort_by_tail(b: &Bat) -> Bat {
 
 /// Computes a numeric aggregate over the tail column.
 pub fn aggregate(b: &Bat, kind: Aggregate) -> Result<Atom> {
-    if kind == Aggregate::Count {
-        return Ok(Atom::Int(b.len() as i64));
-    }
     if b.is_empty() {
         return Err(MonetError::EmptyBat(format!("{kind:?}").to_lowercase()));
     }
@@ -237,51 +217,7 @@ pub fn aggregate(b: &Bat, kind: Aggregate) -> Result<Atom> {
                 Ok(Atom::Dbl(sum / b.len() as f64))
             }
         }
-        Aggregate::Count => unreachable!("handled above"),
     }
-}
-
-/// Grouped aggregation: `grouped(values, groups, kind)` where `groups`
-/// assigns a group id to every head of `values`. Returns (group id, agg).
-///
-/// Heads of `values` absent from `groups` are silently dropped — the
-/// historical semantics the vectorized operator replaces with a typed
-/// [`MonetError::GroupMismatch`].
-pub fn grouped_aggregate(values: &Bat, groups: &Bat, kind: Aggregate) -> Result<Bat> {
-    let gidx = HashIndex::build(groups.head());
-    let mut buckets: HashMap<Atom, Vec<Atom>> = HashMap::new();
-    let mut order: Vec<Atom> = Vec::new();
-    for (h, t) in values.iter() {
-        let positions = gidx.lookup(&h);
-        let gid = match positions.first() {
-            Some(&p) => groups.tail_at(p)?,
-            None => continue, // head absent from grouping — dropped
-        };
-        let bucket = buckets.entry(gid.clone()).or_insert_with(|| {
-            order.push(gid.clone());
-            Vec::new()
-        });
-        bucket.push(t);
-    }
-    let out_ty = if kind == Aggregate::Count {
-        AtomType::Int
-    } else {
-        AtomType::Dbl
-    };
-    let mut out = Bat::new(out_type(groups.tail().atom_type()), out_ty);
-    for gid in order {
-        let vals = &buckets[&gid];
-        let tmp = Bat::from_tail(
-            vals.first().map(|a| a.atom_type()).unwrap_or(AtomType::Dbl),
-            vals.iter().cloned(),
-        )?;
-        let mut agg = aggregate(&tmp, kind)?;
-        if out_ty == AtomType::Dbl {
-            agg = Atom::Dbl(agg.as_dbl()?);
-        }
-        out.append(gid, agg)?;
-    }
-    Ok(out)
 }
 
 #[test]

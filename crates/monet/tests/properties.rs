@@ -1,6 +1,6 @@
 //! Property-based tests for the BAT kernel invariants.
 
-use f1_monet::ops::{self, Aggregate};
+use f1_monet::ops::{self, Aggregate, OpCtx};
 use f1_monet::prelude::*;
 use proptest::prelude::*;
 
@@ -47,7 +47,7 @@ proptest! {
 
     #[test]
     fn select_range_returns_only_in_range(b in arb_keyed_bat(), lo in -50i64..50, hi in -50i64..50) {
-        let s = ops::select_range(&b, &Atom::Int(lo), &Atom::Int(hi));
+        let s = ops::select_range(&b, &Atom::Int(lo), &Atom::Int(hi), &OpCtx::default()).unwrap();
         for (_, t) in s.iter() {
             let v = t.as_int().unwrap();
             prop_assert!(v >= lo && v <= hi);
@@ -62,14 +62,14 @@ proptest! {
 
     #[test]
     fn semijoin_antijoin_partition_input(l in arb_keyed_bat(), r in arb_keyed_bat()) {
-        let semi = ops::semijoin(&l, &r);
-        let anti = ops::antijoin(&l, &r);
+        let semi = ops::semijoin(&l, &r, &OpCtx::default()).unwrap();
+        let anti = ops::antijoin(&l, &r, &OpCtx::default()).unwrap();
         prop_assert_eq!(semi.len() + anti.len(), l.len());
     }
 
     #[test]
     fn join_size_matches_key_multiplicity(l in arb_keyed_bat(), r in arb_keyed_bat()) {
-        let j = ops::join(&l, &r);
+        let j = ops::join(&l, &r, &OpCtx::default()).unwrap();
         let expected: usize = l.iter().map(|(_, t)| {
             r.iter().filter(|(h, _)| *h == t).count()
         }).sum();

@@ -11,7 +11,7 @@
 
 mod naive;
 
-use f1_monet::ops::{self, Aggregate, OpCtx};
+use f1_monet::ops::{self, Aggregate, OpCtx, MIN_PAR_ROWS_PER_THREAD};
 use f1_monet::prelude::*;
 use proptest::prelude::*;
 
@@ -77,59 +77,95 @@ fn oid_tail_bat() -> impl Strategy<Value = Bat> {
     })
 }
 
+/// The thread counts every scanning operator is held to the reference at.
+const THREADS: [usize; 3] = [1, 2, 4];
+
+fn select_eq(b: &Bat, v: &Atom, threads: usize) -> Bat {
+    ops::select_eq(b, v, &OpCtx::with_threads(threads)).expect("no guard to trip")
+}
+
+fn select_range(b: &Bat, lo: &Atom, hi: &Atom, threads: usize) -> Bat {
+    ops::select_range(b, lo, hi, &OpCtx::with_threads(threads)).expect("no guard to trip")
+}
+
+fn join(l: &Bat, r: &Bat, threads: usize) -> Bat {
+    ops::join(l, r, &OpCtx::with_threads(threads)).expect("no guard to trip")
+}
+
+fn semijoin(l: &Bat, r: &Bat, threads: usize) -> Bat {
+    ops::semijoin(l, r, &OpCtx::with_threads(threads)).expect("no guard to trip")
+}
+
+fn antijoin(l: &Bat, r: &Bat, threads: usize) -> Bat {
+    ops::antijoin(l, r, &OpCtx::with_threads(threads)).expect("no guard to trip")
+}
+
 proptest! {
     #[test]
     fn select_eq_matches_naive(b in keyed_int_bat(), probe in -60i64..60) {
-        prop_assert_eq!(ops::select_eq(&b, &Atom::Int(probe)), naive::select_eq(&b, &Atom::Int(probe)));
+        let v = Atom::Int(probe);
         // A widened dbl probe must hit the same int rows.
         let d = Atom::Dbl(probe as f64);
-        prop_assert_eq!(ops::select_eq(&b, &d), naive::select_eq(&b, &d));
+        for t in THREADS {
+            prop_assert_eq!(select_eq(&b, &v, t), naive::select_eq(&b, &v));
+            prop_assert_eq!(select_eq(&b, &d, t), naive::select_eq(&b, &d));
+        }
     }
 
     #[test]
     fn select_eq_on_doubles_matches_naive(b in dbl_bat(), probe in 0i64..20) {
         let v = Atom::Dbl(tricky_dbl(probe));
-        prop_assert_eq!(ops::select_eq(&b, &v), naive::select_eq(&b, &v));
+        for t in THREADS {
+            prop_assert_eq!(select_eq(&b, &v, t), naive::select_eq(&b, &v));
+        }
     }
 
     #[test]
     fn select_range_matches_naive(b in keyed_int_bat(), lo in -60i64..60, hi in -60i64..60) {
         let (lo, hi) = (Atom::Int(lo), Atom::Int(hi));
-        prop_assert_eq!(ops::select_range(&b, &lo, &hi), naive::select_range(&b, &lo, &hi));
         // Mixed-type bounds: dbl lo against the int column.
         let dlo = Atom::Dbl(lo.as_dbl().unwrap() + 0.5);
-        prop_assert_eq!(ops::select_range(&b, &dlo, &hi), naive::select_range(&b, &dlo, &hi));
+        for t in THREADS {
+            prop_assert_eq!(select_range(&b, &lo, &hi, t), naive::select_range(&b, &lo, &hi));
+            prop_assert_eq!(select_range(&b, &dlo, &hi, t), naive::select_range(&b, &dlo, &hi));
+        }
     }
 
     #[test]
     fn select_range_on_doubles_matches_naive(b in dbl_bat(), lo in 0i64..20, hi in 0i64..20) {
         let (lo, hi) = (Atom::Dbl(tricky_dbl(lo)), Atom::Dbl(tricky_dbl(hi)));
-        prop_assert_eq!(ops::select_range(&b, &lo, &hi), naive::select_range(&b, &lo, &hi));
+        for t in THREADS {
+            prop_assert_eq!(select_range(&b, &lo, &hi, t), naive::select_range(&b, &lo, &hi));
+        }
     }
 
     #[test]
     fn select_range_on_strings_matches_naive(b in str_bat(), lo in 0i64..8, hi in 0i64..8) {
         let (lo, hi) = (word(lo), word(hi));
-        prop_assert_eq!(ops::select_range(&b, &lo, &hi), naive::select_range(&b, &lo, &hi));
-        // Cross-type bounds collapse to constants in both implementations.
-        prop_assert_eq!(
-            ops::select_range(&b, &Atom::Int(0), &hi),
-            naive::select_range(&b, &Atom::Int(0), &hi)
-        );
+        let zero = Atom::Int(0);
+        for t in THREADS {
+            prop_assert_eq!(select_range(&b, &lo, &hi, t), naive::select_range(&b, &lo, &hi));
+            // Cross-type bounds collapse to constants in both implementations.
+            prop_assert_eq!(select_range(&b, &zero, &hi, t), naive::select_range(&b, &zero, &hi));
+        }
     }
 
     #[test]
     fn select_range_on_void_tail_matches_naive(n in 0usize..48, lo in 0u64..64, hi in 0u64..64) {
         let b = Bat::from_tail(AtomType::Int, (0..n as i64).map(Atom::Int)).unwrap().reverse();
         let (lo, hi) = (Atom::Oid(lo), Atom::Oid(hi));
-        prop_assert_eq!(ops::select_range(&b, &lo, &hi), naive::select_range(&b, &lo, &hi));
+        for t in THREADS {
+            prop_assert_eq!(select_range(&b, &lo, &hi, t), naive::select_range(&b, &lo, &hi));
+        }
     }
 
     #[test]
     fn join_matches_naive(l in keyed_int_bat(), r in keyed_int_bat()) {
-        prop_assert_eq!(ops::join(&l, &r), naive::join(&l, &r));
-        prop_assert_eq!(ops::semijoin(&l, &r), naive::semijoin(&l, &r));
-        prop_assert_eq!(ops::antijoin(&l, &r), naive::antijoin(&l, &r));
+        for t in THREADS {
+            prop_assert_eq!(join(&l, &r, t), naive::join(&l, &r));
+            prop_assert_eq!(semijoin(&l, &r, t), naive::semijoin(&l, &r));
+            prop_assert_eq!(antijoin(&l, &r, t), naive::antijoin(&l, &r));
+        }
     }
 
     #[test]
@@ -137,29 +173,35 @@ proptest! {
         // r's head is a void run 0..n — the vectorized join uses pure
         // oid arithmetic where the naive one builds a positional index.
         let r = Bat::from_tail(AtomType::Int, (0..n as i64).map(Atom::Int)).unwrap();
-        prop_assert_eq!(ops::join(&l, &r), naive::join(&l, &r));
+        for t in THREADS {
+            prop_assert_eq!(join(&l, &r, t), naive::join(&l, &r));
+        }
     }
 
     #[test]
     fn join_with_mixed_numeric_keys_matches_naive(l in dbl_bat(), r in keyed_int_bat()) {
         // Dbl probes into an int build side force the widened index.
-        prop_assert_eq!(ops::join(&l.reverse(), &r), naive::join(&l.reverse(), &r));
+        let l = l.reverse();
+        for t in THREADS {
+            prop_assert_eq!(join(&l, &r, t), naive::join(&l, &r));
+        }
     }
 
     #[test]
     fn join_on_strings_matches_naive(l in str_bat(), r in str_bat()) {
         let rk = r.reverse(); // str head, void tail
-        prop_assert_eq!(ops::join(&l, &rk), naive::join(&l, &rk));
         let lk = l.reverse();
-        prop_assert_eq!(ops::semijoin(&lk, &rk), naive::semijoin(&lk, &rk));
-        prop_assert_eq!(ops::antijoin(&lk, &rk), naive::antijoin(&lk, &rk));
+        for t in THREADS {
+            prop_assert_eq!(join(&l, &rk, t), naive::join(&l, &rk));
+            prop_assert_eq!(semijoin(&lk, &rk, t), naive::semijoin(&lk, &rk));
+            prop_assert_eq!(antijoin(&lk, &rk, t), naive::antijoin(&lk, &rk));
+        }
     }
 
     #[test]
     fn grouping_ops_match_naive(b in keyed_int_bat()) {
         prop_assert_eq!(ops::unique_tail(&b), naive::unique_tail(&b));
         prop_assert_eq!(ops::histogram(&b), naive::histogram(&b));
-        prop_assert_eq!(ops::group(&b), naive::group(&b));
         prop_assert_eq!(ops::sort_by_tail(&b), naive::sort_by_tail(&b));
     }
 
@@ -168,7 +210,6 @@ proptest! {
         for b in [&d, &s] {
             prop_assert_eq!(ops::unique_tail(b), naive::unique_tail(b));
             prop_assert_eq!(ops::histogram(b), naive::histogram(b));
-            prop_assert_eq!(ops::group(b), naive::group(b));
             prop_assert_eq!(ops::sort_by_tail(b), naive::sort_by_tail(b));
         }
     }
@@ -176,69 +217,43 @@ proptest! {
     #[test]
     fn aggregates_match_naive(b in void_int_bat(), d in dbl_bat()) {
         for bat in [&b, &d] {
-            for kind in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max, Aggregate::Count] {
+            for kind in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
                 prop_assert_eq!(ops::aggregate(bat, kind), naive::aggregate(bat, kind));
             }
         }
     }
+}
 
-    #[test]
-    fn grouped_aggregate_matches_naive(vals in proptest::collection::vec(-50i64..50, 1..48), g in 1u64..6) {
-        let values = Bat::from_tail(AtomType::Int, vals.iter().copied().map(Atom::Int)).unwrap();
-        // Cover every head: oid i -> group i % g, so nothing is dropped
-        // by the naive path and nothing errors in the vectorized one.
-        let groups = Bat::from_pairs(
-            AtomType::Oid,
-            AtomType::Oid,
-            (0..values.len() as u64).map(|i| (Atom::Oid(i), Atom::Oid(i % g))),
-        )
-        .unwrap();
-        for kind in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max, Aggregate::Count] {
-            prop_assert_eq!(
-                ops::grouped_aggregate(&values, &groups, kind),
-                naive::grouped_aggregate(&values, &groups, kind)
-            );
-        }
-    }
-
-    #[test]
-    fn ctx_variants_are_thread_count_invariant(l in keyed_int_bat(), r in keyed_int_bat(), probe in -60i64..60) {
-        for threads in [1usize, 2, 4] {
-            let ctx = OpCtx::with_threads(threads);
-            prop_assert_eq!(ops::select_eq_ctx(&l, &Atom::Int(probe), &ctx).unwrap(), ops::select_eq(&l, &Atom::Int(probe)));
-            prop_assert_eq!(
-                ops::select_range_ctx(&l, &Atom::Int(-10), &Atom::Int(probe), &ctx).unwrap(),
-                ops::select_range(&l, &Atom::Int(-10), &Atom::Int(probe))
-            );
-            prop_assert_eq!(ops::join_ctx(&l, &r, &ctx).unwrap(), ops::join(&l, &r));
-            prop_assert_eq!(ops::semijoin_ctx(&l, &r, &ctx).unwrap(), ops::semijoin(&l, &r));
-            prop_assert_eq!(ops::antijoin_ctx(&l, &r, &ctx).unwrap(), ops::antijoin(&l, &r));
-        }
-    }
-
-    #[test]
-    fn grouped_aggregate_ctx_is_exact_on_ints_at_any_thread_count(vals in proptest::collection::vec(-50i64..50, 1..48), g in 1u64..6) {
-        let values = Bat::from_tail(AtomType::Int, vals.iter().copied().map(Atom::Int)).unwrap();
-        let groups = Bat::from_pairs(
-            AtomType::Oid,
-            AtomType::Oid,
-            (0..values.len() as u64).map(|i| (Atom::Oid(i), Atom::Oid(i % g))),
-        )
-        .unwrap();
-        let baseline = ops::grouped_aggregate(&values, &groups, Aggregate::Sum).unwrap();
-        for threads in [2usize, 4] {
-            let ctx = OpCtx::with_threads(threads);
-            // Integer sums accumulate in wrapping i64 per morsel and merge
-            // exactly — the thread count must not change a single bit.
-            prop_assert_eq!(
-                ops::grouped_aggregate_ctx(&values, &groups, Aggregate::Sum, &ctx).unwrap(),
-                baseline.clone()
-            );
-            prop_assert_eq!(
-                ops::grouped_aggregate_ctx(&values, &groups, Aggregate::Count, &ctx).unwrap(),
-                ops::grouped_aggregate(&values, &groups, Aggregate::Count).unwrap()
-            );
-        }
+/// Above the per-thread floor at every count in [`THREADS`], so 2 and 4
+/// threads cut the scan into morsels on separate workers.
+#[test]
+fn fanned_out_scans_match_naive() {
+    let rows = (4 * MIN_PAR_ROWS_PER_THREAD + 1) as i64;
+    let b = Bat::from_tail(AtomType::Int, (0..rows).map(|v| Atom::Int(v % 97))).unwrap();
+    let keys = Bat::from_pairs(
+        AtomType::Int,
+        AtomType::Int,
+        (0..50).map(|v| (Atom::Int(v), Atom::Int(v * 2))),
+    )
+    .unwrap();
+    let rev = b.reverse();
+    let (v, lo, hi) = (Atom::Int(13), Atom::Int(10), Atom::Int(20));
+    let want = [
+        naive::select_eq(&b, &v),
+        naive::select_range(&b, &lo, &hi),
+        naive::join(&b, &keys),
+        naive::semijoin(&rev, &keys),
+        naive::antijoin(&rev, &keys),
+    ];
+    for t in THREADS {
+        let got = [
+            select_eq(&b, &v, t),
+            select_range(&b, &lo, &hi, t),
+            join(&b, &keys, t),
+            semijoin(&rev, &keys, t),
+            antijoin(&rev, &keys, t),
+        ];
+        assert!(got == want, "threads {t}");
     }
 }
 
@@ -272,10 +287,10 @@ proptest! {
         )
         .expect("typed pairs");
         prop_assert_eq!(&gathered, &by_atom);
-        let selected = ops::select_eq(&b, &word(probe));
+        let selected = select_eq(&b, &word(probe), 1);
         prop_assert_eq!(&selected, &naive::select_eq(&b, &word(probe)));
         // Oids into the void head: the positional fetch of a string field.
-        let fetched = ops::join(&oids, &b);
+        let fetched = join(&oids, &b, 1);
         prop_assert_eq!(&fetched, &naive::join(&oids, &b));
 
         // Shared, not copied; and what the snapshot format writes —

@@ -10,9 +10,8 @@
 //!   with p50/p95/p99 readouts and associative merge,
 //! * [`Registry`] — a labeled metric namespace with cheap `Arc` handles,
 //!   consistent snapshots and snapshot deltas,
-//! * [`SpanNode`] / [`SpanTimer`] — per-query span trees backing the
-//!   `PROFILE <query>` / `EXPLAIN <query>` surface at the conceptual
-//!   level.
+//! * [`SpanNode`] — per-query span trees backing the `PROFILE <query>` /
+//!   `EXPLAIN <query>` surface at the conceptual level.
 //!
 //! All hot-path types are wait-free on record (a relaxed atomic add);
 //! locks are only taken when resolving a handle by name or when
@@ -22,7 +21,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
 use cobra_faults::Recover;
 
@@ -148,11 +146,6 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Records the elapsed time of `start` in nanoseconds.
-    pub fn record_since(&self, start: Instant) {
-        self.record(start.elapsed().as_nanos() as u64);
     }
 
     /// Takes a point-in-time copy of the buckets.
@@ -708,46 +701,6 @@ impl SpanNode {
     }
 }
 
-/// Builds a [`SpanNode`] around a running stage.
-#[derive(Debug)]
-pub struct SpanTimer {
-    node: SpanNode,
-    start: Instant,
-}
-
-impl SpanTimer {
-    /// Starts timing a stage.
-    pub fn start(name: &str) -> Self {
-        SpanTimer {
-            node: SpanNode::new(name),
-            start: Instant::now(),
-        }
-    }
-
-    /// Adds a metadata annotation.
-    pub fn meta(&mut self, key: &str, value: impl Into<String>) {
-        self.node.meta.push((key.to_string(), value.into()));
-    }
-
-    /// Appends a completed child span.
-    pub fn child(&mut self, child: SpanNode) {
-        self.node.children.push(child);
-    }
-
-    /// Stops the clock and returns the finished node.
-    pub fn finish(mut self) -> SpanNode {
-        self.node.elapsed_ns = self.start.elapsed().as_nanos() as u64;
-        self.node
-    }
-}
-
-/// Times a closure, returning its result and a finished leaf span.
-pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, SpanNode) {
-    let start = Instant::now();
-    let out = f();
-    (out, SpanNode::leaf(name, start.elapsed().as_nanos() as u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -858,11 +811,10 @@ mod tests {
 
     #[test]
     fn span_tree_shape_and_zeroing() {
-        let mut timer = SpanTimer::start("query");
-        timer.meta("video", "german");
-        timer.child(SpanNode::leaf("conceptual.parse", 10));
-        timer.child(SpanNode::new("mil.eval").with_child(SpanNode::leaf("kernel.op.join", 5)));
-        let node = timer.finish();
+        let node = SpanNode::leaf("query", 20)
+            .with_meta("video", "german")
+            .with_child(SpanNode::leaf("conceptual.parse", 10))
+            .with_child(SpanNode::new("mil.eval").with_child(SpanNode::leaf("kernel.op.join", 5)));
         assert!(node.find("kernel.op.join").is_some());
         let zeroed = node.zeroed();
         assert_eq!(zeroed.elapsed_ns, 0);

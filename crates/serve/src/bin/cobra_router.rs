@@ -4,7 +4,7 @@
 //! cobra-router [--addr 127.0.0.1:7478]
 //!              (--shards N | --worker-addrs HOST:PORT,HOST:PORT,...)
 //!              [--data-dir PATH] [--seed N] [--demo SECONDS]
-//!              [--workers W] [--queue-cap C] [--debug] [--no-cache]
+//!              [--workers W] [--queue-cap C] [--debug]
 //!              [--retries R] [--backoff-ms MS]
 //! ```
 //!
@@ -37,7 +37,6 @@ struct Cli {
     workers: usize,
     queue_cap: usize,
     debug: bool,
-    cache: bool,
     retry: RetryPolicy,
 }
 
@@ -52,7 +51,6 @@ fn parse_args() -> Result<Cli, String> {
         workers: 4,
         queue_cap: 32,
         debug: false,
-        cache: true,
         retry: RetryPolicy {
             max_retries: 2,
             backoff_ms: 50,
@@ -101,7 +99,6 @@ fn parse_args() -> Result<Cli, String> {
                     .map_err(|e| format!("--queue-cap: {e}"))?
             }
             "--debug" => cli.debug = true,
-            "--no-cache" => cli.cache = false,
             "--retries" => {
                 cli.retry.max_retries = take("--retries")?
                     .parse()
@@ -195,7 +192,6 @@ fn main() {
         shards: shard_addrs,
         seed: cli.seed,
         retry: cli.retry,
-        cache: cli.cache,
         ..RouterConfig::default()
     };
     let n_shards = config.shards.len();

@@ -134,8 +134,6 @@ pub struct RouterConfig {
     pub seed: u64,
     /// Per-forward retry policy for dead or rebooted workers.
     pub retry: RetryPolicy,
-    /// Enables the router-side result cache.
-    pub cache: bool,
     /// Injector behind the `router.forward` site (disarmed by default).
     pub faults: cobra_faults::FaultHandle,
 }
@@ -150,7 +148,6 @@ impl Default for RouterConfig {
                 max_retries: 2,
                 backoff_ms: 50,
             },
-            cache: true,
             faults: cobra_faults::FaultHandle::default(),
         }
     }
@@ -169,7 +166,7 @@ struct RouterShared {
     registry: Arc<Registry>,
     /// Cached `result` bodies, as the shards encoded them, each with
     /// the groups its read located.
-    cache: Option<ResultCache<Part>>,
+    cache: ResultCache<Part>,
     shutting_down: AtomicBool,
     /// Per shard: what the router knows of its data.
     views: Mutex<Vec<ShardView>>,
@@ -525,9 +522,9 @@ impl RouterHandle {
     }
 
     /// The router cache's gauges as its resident entries count them
-    /// (`ResultCache::at_rest`); `None` without a cache.
-    pub fn cache_at_rest(&self) -> Option<[(&'static str, i64); 2]> {
-        self.shared.cache.as_ref().map(ResultCache::at_rest)
+    /// (`ResultCache::at_rest`).
+    pub fn cache_at_rest(&self) -> [(&'static str, i64); 2] {
+        self.shared.cache.at_rest()
     }
 
     /// Re-points `shard` at a new worker address (a restarted worker
@@ -556,7 +553,7 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         addrs: Mutex::new(config.shards.clone()),
         retry: config.retry,
         faults: config.faults,
-        cache: config.cache.then(|| ResultCache::new(&registry)),
+        cache: ResultCache::new(&registry),
         registry: Arc::clone(&registry),
         shutting_down: AtomicBool::new(false),
         views: Mutex::new(
@@ -896,7 +893,6 @@ fn handle_query(
         Some(Statement::Retrieve(q)) => Some((q.normalized(), q)),
         _ => None,
     };
-    let cached = shared.cache.as_ref().zip(retrieval);
     // What each shard this answer reads has to say is one cache entry,
     // keyed by the shard beside the statement and guarded by the guard
     // of what the statement reads there: a single video's answer, or a
@@ -904,9 +900,9 @@ fn handle_query(
     let key = |normalized: &str, shard: u32| format!("{shard} {normalized}");
     let (mut parts, mut asks) = (Vec::new(), Vec::new());
     for shard in shared.owners(video) {
-        let hit = cached.as_ref().and_then(|(cache, (text, q))| {
+        let hit = retrieval.as_ref().and_then(|(text, q)| {
             let current = shared.guard(shard, None, video, guard::reads(q));
-            cache.lookup(video, &key(text, shard), current)
+            shared.cache.lookup(video, &key(text, shard), current)
         });
         if hit.is_none() {
             asks.push(shard);
@@ -933,7 +929,7 @@ fn handle_query(
         }
         parts => splice(id, parts)?,
     };
-    if let Some((cache, (normalized, q))) = &cached {
+    if let Some((normalized, q)) = &retrieval {
         for (&shard, reply) in asks.iter().zip(replies) {
             // The guard is taken at the stamp the reply itself carried —
             // read by the shard before it executed — never at `known`,
@@ -945,7 +941,9 @@ fn handle_query(
                 .and_then(|at| shared.guard(shard, Some(at), video, reads));
             if let Some(held) = held {
                 let bytes = reply.result.text().len();
-                cache.store(video, &key(normalized, shard), reply.result, held, bytes);
+                shared
+                    .cache
+                    .store(video, &key(normalized, shard), reply.result, held, bytes);
             }
         }
     }

@@ -8,6 +8,8 @@
 
 pub mod shard;
 
+use f1_cobra::Vdbms;
+
 use f1_media::synth::scenario::{RaceProfile, RaceScenario, ScenarioConfig, Span};
 use f1_media::time::clips_per_second;
 
@@ -27,4 +29,15 @@ pub fn training_windows(sc: &RaceScenario, count: usize, window_secs: usize) -> 
         })
         .filter(|w| !w.is_empty())
         .collect()
+}
+
+/// The result cache's gauges equal what its resident entries count
+/// (`cache.result.entries` and `cache.result.bytes`), read once, without
+/// waiting, at a quiescent end: when every thread that used `vdbms` has
+/// joined.
+pub fn assert_results_at_rest(vdbms: &Vdbms) {
+    let snapshot = vdbms.kernel().metrics().registry().snapshot();
+    for (gauge, resident) in vdbms.results_at_rest() {
+        assert_eq!(snapshot.gauge(gauge, &[]), resident, "{gauge} at rest");
+    }
 }

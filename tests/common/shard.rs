@@ -102,13 +102,8 @@ pub struct ShardCluster {
 }
 
 impl ShardCluster {
-    /// Starts `shards` workers seeded with `videos`, router cache on.
+    /// Starts `shards` workers seeded with `videos`, behind a router.
     pub fn start(shards: u32, videos: &[SeedVideo]) -> ShardCluster {
-        Self::start_opts(shards, videos, true)
-    }
-
-    /// Starts the cluster with an explicit router-cache setting.
-    pub fn start_opts(shards: u32, videos: &[SeedVideo], cache: bool) -> ShardCluster {
         let root = std::env::temp_dir().join(format!(
             "cobra-shard-cluster-{}-{}",
             std::process::id(),
@@ -156,7 +151,6 @@ impl ShardCluster {
                 max_retries: 2,
                 backoff_ms: 25,
             },
-            cache,
             faults: faults.clone(),
         })
         .expect("start router");

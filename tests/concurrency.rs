@@ -8,11 +8,14 @@
 //! at runtime.) Debug builds barely interleave: CI also runs this file
 //! with `--release`.
 
+mod common;
+
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use cobra_faults::Recover;
+use common::assert_results_at_rest;
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::{QueryOutput, Vdbms};
 
@@ -100,6 +103,7 @@ fn concurrent_runs_match_single_threaded_answers() {
     for t in threads {
         t.join().expect("worker thread panicked");
     }
+    assert_results_at_rest(&vdbms);
 }
 
 #[test]
@@ -257,6 +261,7 @@ fn readers_see_a_committed_event_layer_or_nothing() {
         .flat_map(|r| r.join().expect("reader panicked"))
         .collect();
     assert!(index_hits() > hits_before, "no read probed a cached index");
+    assert_results_at_rest(&vdbms);
 
     // What each committed layer answers, on an instance nothing races.
     let layers = committed.lock().unwrap();

@@ -16,8 +16,11 @@
 //! catalog from checkpoint and WAL, and requires both halves: the guard
 //! holds where the answer cannot change, and moves where it can.
 
+mod common;
+
 use std::path::Path;
 
+use common::assert_results_at_rest;
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::{parse_query, FsyncPolicy, Result, RetrievedSegment, StoreConfig, Vdbms};
 use proptest::prelude::*;
@@ -133,15 +136,6 @@ fn guards(vdbms: &Vdbms, statements: &[String]) -> Vec<f1_cobra::Stamp> {
                 .map(move |text| vdbms.guard(video, &parse_query(text).unwrap()))
         })
         .collect()
-}
-
-/// The result cache's gauges equal what its resident entries count, read
-/// once at a quiescent end.
-fn assert_results_at_rest(vdbms: &Vdbms) {
-    let snapshot = vdbms.kernel().metrics().registry().snapshot();
-    for (gauge, resident) in vdbms.results_at_rest() {
-        assert_eq!(snapshot.gauge(gauge, &[]), resident, "{gauge} at rest");
-    }
 }
 
 fn result_hits(vdbms: &Vdbms) -> u64 {

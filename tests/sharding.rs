@@ -47,7 +47,24 @@ fn fixture_videos() -> Vec<SeedVideo> {
 /// Sends a query over the raw protocol and returns the undecoded
 /// `result` object — for byte-identical comparisons.
 fn raw_query(client: &mut Client, video: &str, text: &str) -> Result<Value, ClientError> {
-    let id = client.send(json!({"cmd": "query", "video": (video), "text": (text)}))?;
+    raw_request(
+        client,
+        json!({"cmd": "query", "video": (video), "text": (text)}),
+    )
+}
+
+/// [`raw_query`] with a deadline of its own, which keeps the query out
+/// of the router's result cache (`front::shareable`): the router
+/// forwards it to every shard it reads and merges the replies afresh.
+fn uncached_query(client: &mut Client, video: &str, text: &str) -> Result<Value, ClientError> {
+    raw_request(
+        client,
+        json!({"cmd": "query", "video": (video), "text": (text), "deadline_ms": 60_000}),
+    )
+}
+
+fn raw_request(client: &mut Client, request: Value) -> Result<Value, ClientError> {
+    let id = client.send(request)?;
     loop {
         let response = client.recv()?;
         if response.get("id").and_then(Value::as_u64) != Some(id) {
@@ -99,13 +116,13 @@ fn queries_route_to_the_owning_shard() {
 fn cross_video_answers_merge_deterministically() {
     let _gate = serialize();
     let videos = fixture_videos();
-    // Cache off: both sweeps must *execute* and still agree — the merge
-    // order itself is deterministic, not just memoized.
-    let cluster = ShardCluster::start_opts(3, &videos, false);
+    // Past the router cache: both sweeps must *execute* and still
+    // agree — the merge order itself is deterministic, not just memoized.
+    let cluster = ShardCluster::start(3, &videos);
     let mut router = cluster.client();
 
-    let first = raw_query(&mut router, "*", "RETRIEVE HIGHLIGHTS").expect("first sweep");
-    let second = raw_query(&mut router, "*", "RETRIEVE HIGHLIGHTS").expect("second sweep");
+    let first = uncached_query(&mut router, "*", "RETRIEVE HIGHLIGHTS").expect("first sweep");
+    let second = uncached_query(&mut router, "*", "RETRIEVE HIGHLIGHTS").expect("second sweep");
     assert_eq!(first, second, "identical sweeps must answer identically");
 
     assert_eq!(first.get("kind").and_then(Value::as_str), Some("multi"));
@@ -129,7 +146,8 @@ fn cross_video_answers_merge_deterministically() {
     // The sweep equals the union of single-video answers.
     for group in groups {
         let name = group.get("video").and_then(Value::as_str).expect("name");
-        let single = raw_query(&mut router, name, "RETRIEVE HIGHLIGHTS").expect("single query");
+        let single =
+            uncached_query(&mut router, name, "RETRIEVE HIGHLIGHTS").expect("single query");
         assert_eq!(
             group.get("segments"),
             single.get("segments"),
@@ -401,18 +419,18 @@ fn worker_death_mid_scatter_is_typed_and_never_hangs() {
 fn injected_forward_faults_are_retried_then_typed() {
     let _gate = serialize();
     let videos = fixture_videos();
-    // Cache off so each request is exactly one forward (no version
-    // probes consuming armed fault invocations).
-    let cluster = ShardCluster::start_opts(2, &videos, false);
+    // Past the router cache, so each request is exactly one forward (no
+    // version probes consuming armed fault invocations).
+    let cluster = ShardCluster::start(2, &videos);
     let registry = cluster.registry();
     let mut router = cluster.client();
-    raw_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS").expect("warm-up query");
+    uncached_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS").expect("warm-up query");
 
     // One transient transport fault: masked by a re-dispatch.
     let snap = registry.snapshot();
     let (result, report) = cluster.faults().scope(
         FaultPlan::new(7).fail_transient("router.forward", Trigger::Times(1)),
-        || raw_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS"),
+        || uncached_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS"),
     );
     result.expect("one transport blip must be masked by re-dispatch");
     assert_eq!(report.count("router.forward"), 1);
@@ -425,7 +443,7 @@ fn injected_forward_faults_are_retried_then_typed() {
     let snap = registry.snapshot();
     let (result, report) = cluster.faults().scope(
         FaultPlan::new(7).fail_transient("router.forward", Trigger::Always),
-        || raw_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS"),
+        || uncached_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS"),
     );
     let err = result.expect_err("a dead transport must surface");
     assert_eq!(err.server_kind(), Some(ErrorKind::ShardUnavailable));
@@ -435,7 +453,7 @@ fn injected_forward_faults_are_retried_then_typed() {
 
     // Faults disarmed: the same session keeps working (the simulated
     // failure never corrupted the real connection).
-    raw_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS").expect("recovery after faults");
+    uncached_query(&mut router, "race-0", "RETRIEVE HIGHLIGHTS").expect("recovery after faults");
 }
 
 /// Two videos on provably different shards of a 2-shard ring: the
@@ -798,7 +816,7 @@ fn every_sweep_asks_each_shard_once_at_every_width() {
     let sweeps = CLIENTS * SWEEPS_PER_CLIENT;
     let mut rps = Vec::new();
     for shards in [1u32, 2, 4] {
-        let cluster = ShardCluster::start_opts(shards, &videos, false);
+        let cluster = ShardCluster::start(shards, &videos);
         let registry = cluster.registry();
         let before = registry.snapshot();
         let started = std::time::Instant::now();
