@@ -9,11 +9,11 @@
 //!
 //! * **The byte codec** — [`write_query_output`] / [`read_query_output`]
 //!   — goes between a [`QueryOutput`] and JSON text directly, over the
-//!   vendored `serde_json`'s streaming [`Writer`] and [`Reader`]. It is
-//!   what a `RETRIEVE` reply passes through on a server, a router and a
-//!   client: rows are never built into a tree. (Span trees of
-//!   `PROFILE`/`EXPLAIN` answers are small and arbitrarily shaped; they
-//!   cross as [`Value`]s inside it.)
+//!   vendored `serde_json`'s streaming [`Writer`] and [`Reader`]: rows
+//!   are never built into a tree. A row in exactly the layout the writer
+//!   writes is read in one pass ([`Reader::recognise`]); at the first
+//!   byte that differs, the visitor reads it from its start. (Span trees
+//!   of `PROFILE`/`EXPLAIN` answers cross as [`Value`]s inside it.)
 //! * **The tree functions** — `*_to_json` over [`Value`] — define the
 //!   format: `write_query_output` is byte-identical to
 //!   `query_output_to_json(..).to_string()` (keys in the sorted order a
@@ -242,7 +242,43 @@ fn read_list<'a, T>(
     Ok(list.filter(|_| is_array))
 }
 
+/// A row in exactly the layout [`write_segments`] writes, with strings
+/// that need no escape and integers of at most 15 digits, and its length.
+/// `None` at the first byte that differs, for the visitor to read the row
+/// from its start: so every other verdict, error and offset is its own.
+fn written_row(text: &str) -> Option<(RetrievedSegment, usize)> {
+    // A string token that needs no escape and an integer of at most 15
+    // digits, by the reader's own rules, each with the text after it.
+    fn string(text: &str) -> Option<(&str, &str)> {
+        let body = text.strip_prefix('"')?;
+        let len = serde_json::plain_len(body.as_bytes());
+        Some((body.get(..len)?, body.get(len..)?.strip_prefix('"')?))
+    }
+    fn int(text: &str) -> Option<(usize, &str)> {
+        let (n, len) = serde_json::short_int(text.as_bytes())?;
+        Some((n as usize, text.get(len..)?))
+    }
+    let rest = text.strip_prefix(r#"{"driver":"#)?;
+    let (driver, rest) = match rest.strip_prefix("null") {
+        Some(rest) => (None, rest),
+        None => string(rest).map(|(driver, rest)| (Some(driver), rest))?,
+    };
+    let (end, rest) = int(rest.strip_prefix(r#","end":"#)?)?;
+    let (label, rest) = string(rest.strip_prefix(r#","label":"#)?)?;
+    let (start, rest) = int(rest.strip_prefix(r#","start":"#)?)?;
+    let row = RetrievedSegment {
+        start,
+        end,
+        label: label.to_owned(),
+        driver: driver.map(str::to_owned),
+    };
+    Some((row, text.len() - rest.strip_prefix('}')?.len()))
+}
+
 fn read_segment(r: &mut Reader<'_>) -> Result<Option<RetrievedSegment>, ParseError> {
+    if let Some(row) = r.recognise(written_row) {
+        return Ok(Some(row));
+    }
     let (mut start, mut end, mut label, mut driver) = (None, None, None, None);
     r.object(|key, r| {
         match key.as_ref() {
@@ -389,4 +425,102 @@ pub fn join_groups<'a>(w: &mut Writer<'_>, groups: impl IntoIterator<Item = &'a 
             w.raw(group.as_bytes());
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Text that needs no escape: ASCII, `/`, DEL and non-ASCII scalars.
+    fn plain_text(rng: &mut TestRng) -> String {
+        const ODD: [char; 6] = ['/', '\u{7f}', 'É', '€', '😀', '\u{2028}'];
+        (0..rng.below(12))
+            .map(|_| match rng.below(4) {
+                0 => ODD[rng.below(ODD.len() as u64) as usize],
+                _ => char::from(b' ' + rng.below(95) as u8),
+            })
+            .filter(|&c| c != '"' && c != '\\')
+            .collect()
+    }
+
+    /// An integer of at most 15 digits, often at the edges.
+    fn short(rng: &mut TestRng) -> usize {
+        let n = match rng.below(3) {
+            0 => rng.below(10),
+            1 => 10u64.pow(rng.below(16) as u32) - 1,
+            _ => rng.below(1_000_000_000_000_000),
+        };
+        n as usize
+    }
+
+    /// Rows whose strings need no escape and whose integers have at
+    /// most 15 digits: every such row the writer writes.
+    struct PlainRows;
+
+    impl Strategy for PlainRows {
+        type Value = Vec<RetrievedSegment>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<RetrievedSegment> {
+            (0..1 + rng.below(6))
+                .map(|_| RetrievedSegment {
+                    start: short(rng),
+                    end: short(rng),
+                    label: plain_text(rng),
+                    driver: (rng.below(2) == 0).then(|| plain_text(rng)),
+                })
+                .collect()
+        }
+    }
+
+    /// One row as [`write_segments`] writes it.
+    fn written(row: &RetrievedSegment) -> String {
+        let mut list = Vec::new();
+        write_segments(&mut Writer::new(&mut list), std::slice::from_ref(row));
+        let list = String::from_utf8(list).unwrap();
+        list[1..list.len() - 1].to_owned()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The writer's layout and the recogniser's literal agree: every
+        /// such row is recognised at exactly its written length, whatever
+        /// follows it, and a reply of them decodes to the rows.
+        #[test]
+        fn every_plain_written_row_is_recognised_whole(rows in PlainRows) {
+            for row in &rows {
+                let text = written(row);
+                for tail in ["", ",", "]", ",{\"driver\":null}"] {
+                    let got = written_row(&format!("{text}{tail}"));
+                    prop_assert_eq!(got, Some((row.clone(), text.len())), "{}", text);
+                }
+            }
+            let mut body = Vec::new();
+            write_query_output(&mut Writer::new(&mut body), &QueryOutput::Segments(rows.clone()));
+            let mut r = Reader::from_slice(&body).unwrap();
+            let read = read_query_output(&mut r).unwrap();
+            prop_assert!(matches!(read, Some(QueryOutput::Segments(read)) if read == rows));
+        }
+    }
+
+    /// What the recogniser leaves to the visitor: a string that needs an
+    /// escape, and an integer past 15 digits.
+    #[test]
+    fn escaped_strings_and_long_integers_are_left_to_the_visitor() {
+        let row = |label: &str, end: usize| RetrievedSegment {
+            start: 1,
+            end,
+            label: label.to_owned(),
+            driver: None,
+        };
+        assert!(written_row(&written(&row("a", 999_999_999_999_999))).is_some());
+        assert_eq!(written_row(&written(&row("a\"b", 2))), None);
+        assert_eq!(written_row(&written(&row("a\nb", 2))), None);
+        assert_eq!(
+            written_row(&written(&row("a", 1_000_000_000_000_000))),
+            None
+        );
+    }
 }

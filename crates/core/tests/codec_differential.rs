@@ -688,3 +688,111 @@ fn numbers_around_the_fast_path_read_as_before() {
         }
     }
 }
+
+/// Rows in the writer's layout and near misses of it, each in a reply,
+/// two to a reply and in a sweep's group: read as the old codec reads
+/// them, whether the typed decode recognises the row or its visitor
+/// reads it.
+#[test]
+fn written_rows_and_near_misses_read_as_before() {
+    let member = |key: &str, value: &str| format!("\"{key}\":{value}");
+    let (driver, end, label, start) = (
+        member("driver", "\"HAM\""),
+        member("end", "20"),
+        member("label", "\"highlight\""),
+        member("start", "10"),
+    );
+    let written = [driver.as_str(), &end, &label, &start];
+    let row = |members: &[&str]| format!("{{{}}}", members.join(","));
+    let mut rows = vec![
+        row(&written),
+        row(&[&member("driver", "null"), &end, &label, &start]),
+    ];
+    // Every order of the members, and each member missing or repeated.
+    for order in 0..256 {
+        let order: Vec<usize> = (0..4).map(|i| order >> (2 * i) & 3).collect();
+        if (0..4).all(|i| order.contains(&i)) {
+            rows.push(row(&order.iter().map(|&i| written[i]).collect::<Vec<_>>()));
+        }
+    }
+    for at in 0..4 {
+        let mut missing = written.to_vec();
+        missing.remove(at);
+        rows.push(row(&missing));
+        let mut repeated = written.to_vec();
+        repeated.insert(at, written[at]);
+        rows.push(row(&repeated));
+        let key = ["driver", "end", "label", "start"][at];
+        let mut again = written.to_vec();
+        let other = member(key, "7");
+        again.push(&other);
+        rows.push(row(&again));
+    }
+    // One value at a time: escapes, control bytes, non-ASCII and `null`
+    // in the strings; leading zeros, 16 digits, floats and signs in the
+    // integers.
+    let strings = [
+        "null",
+        "nul",
+        "\"null\"",
+        "\"\"",
+        r#""a\"b""#,
+        r#""a\\b""#,
+        r#""\u0041""#,
+        "\"a\u{1}b\"",
+        "\"a\nb\"",
+        "\"Räikkönen\"",
+        "\"😀\"",
+        "\"\u{7f}\"",
+        "\"a",
+        "1",
+        "[]",
+    ];
+    let ints = [
+        "0",
+        "00",
+        "010",
+        "-0",
+        "-20",
+        "20.0",
+        "20.5",
+        "2e1",
+        "2E1",
+        "123456789012345",
+        "1234567890123456",
+        "9007199254740992",
+        "\"20\"",
+        "null",
+    ];
+    for (at, values) in [
+        (0, &strings[..]),
+        (2, &strings[..]),
+        (1, &ints[..]),
+        (3, &ints[..]),
+    ] {
+        for value in values {
+            let mut members = written.map(str::to_owned);
+            let key = ["driver", "end", "label", "start"][at];
+            members[at] = member(key, value);
+            rows.push(format!("{{{}}}", members.join(",")));
+        }
+    }
+    // Whitespace at every byte, and the row cut off at every byte.
+    let plain = rows[0].clone();
+    for at in 0..=plain.len() {
+        for ws in [" ", "\n"] {
+            rows.push(format!("{}{ws}{}", &plain[..at], &plain[at..]));
+        }
+        rows.push(plain[..at].to_owned());
+    }
+    for row in &rows {
+        for doc in [
+            format!("{{\"kind\":\"segments\",\"segments\":[{row}]}}"),
+            format!("{{\"kind\":\"segments\",\"segments\":[{row},{plain}]}}"),
+            format!("{{\"kind\":\"segments\",\"segments\":[{plain},{row}]}}"),
+            format!("{{\"kind\":\"multi\",\"videos\":[{{\"segments\":[{row}],\"video\":\"v\"}}]}}"),
+        ] {
+            reads_as_before(doc.as_bytes());
+        }
+    }
+}

@@ -162,6 +162,7 @@ impl PlanChoice {
 }
 
 /// A costed sub-plan.
+#[derive(Clone)]
 struct Est {
     /// Estimated output rows.
     rows: f64,
@@ -398,10 +399,11 @@ pub fn plan(expr: MoaExpr, stats: &PlanStats, cfg: &PlannerConfig) -> PlanChoice
     let baseline = optimize(expr);
     let base_est = estimate(&baseline, stats);
     let mut chosen = baseline.clone();
-    let mut chosen_est = estimate(&baseline, stats);
+    let mut chosen_est = base_est.clone();
     let candidates = candidates(&baseline);
     let n_candidates = candidates.len();
-    for cand in candidates {
+    // Candidate 0 is the baseline itself, scored above.
+    for cand in candidates.into_iter().skip(1) {
         let est = estimate(&cand, stats);
         if est.cost + 1e-9 < chosen_est.cost {
             chosen = cand;

@@ -2,10 +2,12 @@
 //! *result-identical* to the fixed-rewrite plan, on random BATs and
 //! random query shapes — select stacks, left- and right-deep join
 //! chains, semijoins, aggregates — and independent of the `threadcnt`
-//! the planner (or the caller) picks. The planner only enumerates
-//! rewrites proven byte-identical (predicate reordering, join
-//! reassociation, thread sizing), so any divergence here is a bug in
-//! either the enumeration or that proof.
+//! the planner (or the caller) picks. The planner scores term orders of
+//! a conjunction only, and none of these shapes is one: each is planned
+//! as its fixed rewrite, written association kept, so what varies here
+//! is thread sizing. A divergence is a bug in the rewrite, the compiler
+//! or the morsel executor. Conjunction orders have their own proptest,
+//! `every_conjunction_variant_selects_the_same_rows` in `plan.rs`.
 
 use f1_moa::{compile, optimize, plan, Aggregate, MoaExpr, PlannerConfig, Predicate};
 use f1_monet::prelude::*;
@@ -41,8 +43,8 @@ fn stack(base: MoaExpr, preds: Vec<Predicate>) -> MoaExpr {
 
 /// Random query shapes over the registered collections: leaves are
 /// collections wrapped in 0..3 selections, combined into join chains
-/// (both associations), semijoins and aggregates, with optional outer
-/// selections on top.
+/// (both associations, each planned as written), semijoins and
+/// aggregates, with optional outer selections on top.
 fn expr() -> impl Strategy<Value = MoaExpr> {
     (
         0usize..7,

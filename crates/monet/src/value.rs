@@ -144,11 +144,6 @@ impl Atom {
             other => Err(type_err("bit", other)),
         }
     }
-
-    /// True when both atoms are numeric (`int` or `dbl`).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Atom::Int(_) | Atom::Dbl(_))
-    }
 }
 
 fn type_err(expected: &str, found: &Atom) -> MonetError {

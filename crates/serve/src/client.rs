@@ -14,9 +14,9 @@
 //! is read by its envelope
 //! ([`read_envelope`](crate::protocol::read_envelope)) with `result`
 //! decoded as the call wants it — [`query`](Client::query) straight into
-//! a [`QueryReply`] (`f1_cobra::json::read_query_output`), the control
-//! commands as a tree they then own, the router's forwards as the raw
-//! slice — while interleaved push frames are buffered for
+//! a [`QueryReply`] (`f1_cobra::json::read_query_output`: a row in the
+//! writer's layout in one pass), control commands as a tree, forwards as
+//! the raw slice — while interleaved push frames are buffered for
 //! [`next_push`](Client::next_push) and stale ids are skipped, whichever
 //! way the result is read.
 

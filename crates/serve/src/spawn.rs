@@ -45,11 +45,6 @@ impl WorkerProcess {
         }
         let _ = self.child.wait();
     }
-
-    /// Whether the process is still running.
-    pub fn is_alive(&mut self) -> bool {
-        matches!(self.child.try_wait(), Ok(None))
-    }
 }
 
 impl Drop for WorkerProcess {
