@@ -850,7 +850,7 @@ impl EventLayer {
                 kind: layer.kinds.value(i).to_string(),
                 start: layer.starts[i] as usize,
                 end: layer.ends[i] as usize,
-                driver: layer.driver(i),
+                driver: layer.driver(i).as_deref().map(str::to_owned),
             };
             Ok((0..codes.len())
                 .filter(|&i| wanted.is_none_or(|code| codes[i] == code))
@@ -934,10 +934,11 @@ impl<'a> EventColumns<'a> {
         }
     }
 
-    /// The driver the event at `row` names, if it names one.
-    pub(crate) fn driver(&self, row: usize) -> Option<String> {
+    /// The driver the event at `row` names, if it names one: the
+    /// dictionary's own string, so no row allocates one.
+    pub(crate) fn driver(&self, row: usize) -> Option<Arc<str>> {
         let name = self.drivers.value(row);
-        (!name.is_empty()).then(|| name.to_string())
+        (!name.is_empty()).then(|| Arc::clone(name))
     }
 }
 

@@ -33,6 +33,7 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::Arc;
 
 use cobra_obs::SpanNode;
 use serde_json::{json, ParseError, Reader, Value, Writer};
@@ -45,8 +46,8 @@ pub fn segment_to_json(seg: &RetrievedSegment) -> Value {
     json!({
         "start": (seg.start as f64),
         "end": (seg.end as f64),
-        "label": (seg.label.clone()),
-        "driver": (seg.driver.clone()),
+        "label": (&*seg.label),
+        "driver": (seg.driver.as_deref()),
     })
 }
 
@@ -55,12 +56,12 @@ pub fn segment_to_json(seg: &RetrievedSegment) -> Value {
 pub fn segment_from_json(v: &Value) -> Option<RetrievedSegment> {
     let driver = match v.get("driver")? {
         Value::Null => None,
-        other => Some(other.as_str()?.to_string()),
+        other => Some(other.as_str()?.into()),
     };
     Some(RetrievedSegment {
         start: v.get("start")?.as_u64()? as usize,
         end: v.get("end")?.as_u64()? as usize,
-        label: v.get("label")?.as_str()?.to_string(),
+        label: v.get("label")?.as_str()?.into(),
         driver,
     })
 }
@@ -242,11 +243,35 @@ fn read_list<'a, T>(
     Ok(list.filter(|_| is_array))
 }
 
+/// The distinct strings of one reply's rows, so that its rows share one
+/// allocation per label and driver: found by their bytes, and at most
+/// [`Strings::CAP`] of them kept, past which a string is allocated for
+/// each row that holds it.
+#[derive(Default)]
+struct Strings(Vec<Arc<str>>);
+
+impl Strings {
+    /// A reply holds a handful of labels and, filtered by driver, one
+    /// driver; a sweep of every driver's rows outgrows any small table.
+    const CAP: usize = 16;
+
+    fn get(&mut self, s: &str) -> Arc<str> {
+        if let Some(kept) = self.0.iter().find(|kept| kept.as_ref() == s) {
+            return Arc::clone(kept);
+        }
+        let made = Arc::<str>::from(s);
+        if self.0.len() < Self::CAP {
+            self.0.push(Arc::clone(&made));
+        }
+        made
+    }
+}
+
 /// A row in exactly the layout [`write_segments`] writes, with strings
 /// that need no escape and integers of at most 15 digits, and its length.
 /// `None` at the first byte that differs, for the visitor to read the row
 /// from its start: so every other verdict, error and offset is its own.
-fn written_row(text: &str) -> Option<(RetrievedSegment, usize)> {
+fn written_row(text: &str, strings: &mut Strings) -> Option<(RetrievedSegment, usize)> {
     // A string token that needs no escape and an integer of at most 15
     // digits, by the reader's own rules, each with the text after it.
     fn string(text: &str) -> Option<(&str, &str)> {
@@ -266,17 +291,21 @@ fn written_row(text: &str) -> Option<(RetrievedSegment, usize)> {
     let (end, rest) = int(rest.strip_prefix(r#","end":"#)?)?;
     let (label, rest) = string(rest.strip_prefix(r#","label":"#)?)?;
     let (start, rest) = int(rest.strip_prefix(r#","start":"#)?)?;
+    let len = text.len() - rest.strip_prefix('}')?.len();
     let row = RetrievedSegment {
         start,
         end,
-        label: label.to_owned(),
-        driver: driver.map(str::to_owned),
+        label: strings.get(label),
+        driver: driver.map(|driver| strings.get(driver)),
     };
-    Some((row, text.len() - rest.strip_prefix('}')?.len()))
+    Some((row, len))
 }
 
-fn read_segment(r: &mut Reader<'_>) -> Result<Option<RetrievedSegment>, ParseError> {
-    if let Some(row) = r.recognise(written_row) {
+fn read_segment(
+    r: &mut Reader<'_>,
+    strings: &mut Strings,
+) -> Result<Option<RetrievedSegment>, ParseError> {
+    if let Some(row) = r.recognise(|text| written_row(text, strings)) {
         return Ok(Some(row));
     }
     let (mut start, mut end, mut label, mut driver) = (None, None, None, None);
@@ -300,19 +329,22 @@ fn read_segment(r: &mut Reader<'_>) -> Result<Option<RetrievedSegment>, ParseErr
         (Some(start), Some(end), Some(label), Some(driver)) => Some(RetrievedSegment {
             start: start as usize,
             end: end as usize,
-            label: label.into_owned(),
-            driver: driver.map(Cow::into_owned),
+            label: strings.get(&label),
+            driver: driver.map(|driver| strings.get(&driver)),
         }),
         _ => None,
     })
 }
 
-fn read_group(r: &mut Reader<'_>) -> Result<Option<VideoSegments>, ParseError> {
+fn read_group(
+    r: &mut Reader<'_>,
+    strings: &mut Strings,
+) -> Result<Option<VideoSegments>, ParseError> {
     let (mut video, mut segments) = (None, None);
     r.object(|key, r| {
         match key.as_ref() {
             "video" => video = r.string()?,
-            "segments" => segments = read_list(r, read_segment)?,
+            "segments" => segments = read_list(r, |r| read_segment(r, strings))?,
             _ => {}
         }
         Ok(())
@@ -326,15 +358,17 @@ fn read_group(r: &mut Reader<'_>) -> Result<Option<VideoSegments>, ParseError> {
 /// Reads a query answer straight out of its JSON text — the next value
 /// of `r`, which is consumed and validated whatever it turns out to be.
 /// `Ok(None)` is a well-formed value of the wrong shape, exactly where
-/// the tree decoder returns `None` for its tree.
+/// the tree decoder returns `None` for its tree. The rows share their
+/// strings: one allocation per distinct label and driver of the reply.
 pub fn read_query_output(r: &mut Reader<'_>) -> Result<Option<QueryOutput>, ParseError> {
     let (mut kind, mut segments, mut span, mut videos) = (None, None, None, None);
+    let mut strings = Strings::default();
     r.object(|key, r| {
         match key.as_ref() {
             "kind" => kind = r.string()?,
-            "segments" => segments = read_list(r, read_segment)?,
+            "segments" => segments = read_list(r, |r| read_segment(r, &mut strings))?,
             "span" => span = SpanNode::from_json(&r.value()?),
-            "videos" => videos = read_list(r, read_group)?,
+            "videos" => videos = read_list(r, |r| read_group(r, &mut strings))?,
             _ => {}
         }
         Ok(())
@@ -467,8 +501,8 @@ mod tests {
                 .map(|_| RetrievedSegment {
                     start: short(rng),
                     end: short(rng),
-                    label: plain_text(rng),
-                    driver: (rng.below(2) == 0).then(|| plain_text(rng)),
+                    label: plain_text(rng).into(),
+                    driver: (rng.below(2) == 0).then(|| plain_text(rng).into()),
                 })
                 .collect()
         }
@@ -493,7 +527,7 @@ mod tests {
             for row in &rows {
                 let text = written(row);
                 for tail in ["", ",", "]", ",{\"driver\":null}"] {
-                    let got = written_row(&format!("{text}{tail}"));
+                    let got = written_row(&format!("{text}{tail}"), &mut Strings::default());
                     prop_assert_eq!(got, Some((row.clone(), text.len())), "{}", text);
                 }
             }
@@ -512,14 +546,15 @@ mod tests {
         let row = |label: &str, end: usize| RetrievedSegment {
             start: 1,
             end,
-            label: label.to_owned(),
+            label: label.into(),
             driver: None,
         };
-        assert!(written_row(&written(&row("a", 999_999_999_999_999))).is_some());
-        assert_eq!(written_row(&written(&row("a\"b", 2))), None);
-        assert_eq!(written_row(&written(&row("a\nb", 2))), None);
+        let strings = &mut Strings::default();
+        assert!(written_row(&written(&row("a", 999_999_999_999_999)), strings).is_some());
+        assert_eq!(written_row(&written(&row("a\"b", 2)), strings), None);
+        assert_eq!(written_row(&written(&row("a\nb", 2)), strings), None);
         assert_eq!(
-            written_row(&written(&row("a", 1_000_000_000_000_000))),
+            written_row(&written(&row("a", 1_000_000_000_000_000)), strings),
             None
         );
     }

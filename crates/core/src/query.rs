@@ -27,6 +27,8 @@
 //! three-level architecture) or `EXPLAIN` (return the plan's span-tree
 //! shape without executing); see [`parse_statement`].
 
+use std::sync::Arc;
+
 use crate::{CobraError, Result};
 
 /// What a query retrieves.
@@ -151,6 +153,12 @@ pub fn parse_statement(text: &str) -> Result<Statement> {
 }
 
 /// One retrieved video segment.
+///
+/// The strings are shared: the rows of one answer, as an event selection
+/// builds them and as [`read_query_output`](crate::json::read_query_output)
+/// decodes them, hold one allocation per distinct label and driver, and
+/// cloning a row allocates nothing. An `Arc<str>` compares and hashes as
+/// the `str` it holds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RetrievedSegment {
     /// First clip.
@@ -158,9 +166,9 @@ pub struct RetrievedSegment {
     /// One past the last clip.
     pub end: usize,
     /// Human-readable label ("highlight", "fly_out", …).
-    pub label: String,
+    pub label: Arc<str>,
     /// Driver involved, when known.
-    pub driver: Option<String>,
+    pub driver: Option<Arc<str>>,
 }
 
 fn tokenize(text: &str) -> Result<Vec<String>> {

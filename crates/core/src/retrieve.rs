@@ -83,7 +83,9 @@ impl Answer {
     }
 
     /// Approximate resident size, for `cache.result.bytes`: the rows and
-    /// the segment list they encode to.
+    /// the segment list they encode to. Each row counts its strings,
+    /// though the rows share one allocation per distinct label and
+    /// driver, so this is an upper bound.
     fn bytes(&self) -> usize {
         let row = |s: &RetrievedSegment| {
             std::mem::size_of::<RetrievedSegment>()
@@ -539,11 +541,12 @@ impl Vdbms {
                 let visible = self.driver_visible(video, layer, driver, budget)?;
                 let mut out = input;
                 out.retain(|seg| match &seg.driver {
-                    Some(named) => named == driver,
+                    Some(named) => &**named == *driver,
                     None => overlaps_any(&visible, seg.start, seg.end),
                 });
+                let name = Arc::<str>::from(*driver);
                 for seg in &mut out {
-                    seg.driver.get_or_insert_with(|| driver.to_string());
+                    seg.driver.get_or_insert_with(|| Arc::clone(&name));
                 }
                 out
             }
@@ -775,9 +778,12 @@ impl Vdbms {
             span.attach(eval);
         }
 
-        // Materialize the answer from the fields of the rows kept.
+        // Materialize the answer from the fields of the rows kept. Its
+        // rows share one label and, when a driver is named, one driver;
+        // otherwise each row's driver is the layer dictionary's string.
         span.span("fetch:results", |span| {
-            let label = kind.trim_start_matches("caption:");
+            let label = Arc::<str>::from(kind.trim_start_matches("caption:"));
+            let named = driver.map(Arc::<str>::from);
             let out = layer.read(|events| {
                 for row in unnamed {
                     let (start, end) = events.span(row)?;
@@ -792,9 +798,9 @@ impl Vdbms {
                     Ok(RetrievedSegment {
                         start,
                         end,
-                        label: label.to_string(),
-                        driver: match driver {
-                            Some(name) => Some(name.to_string()),
+                        label: Arc::clone(&label),
+                        driver: match &named {
+                            Some(name) => Some(Arc::clone(name)),
                             None => events.driver(row),
                         },
                     })
@@ -842,14 +848,15 @@ impl Vdbms {
         let mut caps = records(layer, "caption:classification")?;
         caps.sort_by_key(|e| e.start);
         let info = self.catalog.video(video)?;
+        let label = Arc::<str>::from("leading");
         let mut out = Vec::new();
         for (i, c) in caps.iter().enumerate() {
             let end = caps.get(i + 1).map_or(info.n_clips, |n| n.start);
             out.push(RetrievedSegment {
                 start: c.start,
                 end: end.max(c.start),
-                label: "leading".into(),
-                driver: c.driver.clone(),
+                label: Arc::clone(&label),
+                driver: c.driver.as_deref().map(Arc::from),
             });
         }
         Ok(out)
@@ -870,14 +877,15 @@ impl Vdbms {
         };
         let params = [Atom::str(event_field(video, "driver")), Atom::str(driver)];
         let rows = self.selected_rows(layer, &self.naming, &params, budget)?;
+        let (label, driver) = (Arc::<str>::from("segment"), Arc::<str>::from(driver));
         layer.read(|events| {
             let visible = |&row| {
                 let (start, end) = events.span(row)?;
                 Ok(RetrievedSegment {
                     start: start.saturating_sub(VISIBILITY_PAD),
                     end: end + VISIBILITY_PAD,
-                    label: "segment".into(),
-                    driver: Some(driver.to_string()),
+                    label: Arc::clone(&label),
+                    driver: Some(Arc::clone(&driver)),
                 })
             };
             rows.iter().map(visible).collect()
@@ -939,7 +947,7 @@ impl Vdbms {
             let mut seg = segments[*i as usize].clone();
             if let Value::Str(d) = &f.args[1] {
                 if !d.is_empty() && seg.driver.is_none() {
-                    seg.driver = Some(d.clone());
+                    seg.driver = Some(d.as_str().into());
                 }
             }
             if !out.contains(&seg) {

@@ -335,7 +335,7 @@ mod tests {
         assert!(!filtered.is_empty());
         assert!(filtered
             .iter()
-            .all(|p| p.driver.as_deref() == Some(driver.as_str())));
+            .all(|p| p.driver.as_deref() == Some(&*driver)));
 
         // One leading span per recognized classification caption, each
         // carrying its driver. (The synthetic schedule is not guaranteed

@@ -18,7 +18,9 @@
 mod oracle;
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::ops::Range;
+use std::sync::Arc;
 
 use cobra_obs::SpanNode;
 use f1_cobra::json::write_query_output;
@@ -407,8 +409,8 @@ fn arb_segments(rng: &mut TestRng) -> Vec<RetrievedSegment> {
         .map(|_| RetrievedSegment {
             start: arb_u64(rng) as usize,
             end: arb_u64(rng) as usize,
-            label: arb_text(rng),
-            driver: (rng.below(2) == 0).then(|| arb_text(rng)),
+            label: arb_text(rng).into(),
+            driver: (rng.below(2) == 0).then(|| arb_text(rng).into()),
         })
         .collect()
 }
@@ -793,6 +795,102 @@ fn written_rows_and_near_misses_read_as_before() {
             format!("{{\"kind\":\"multi\",\"videos\":[{{\"segments\":[{row}],\"video\":\"v\"}}]}}"),
         ] {
             reads_as_before(doc.as_bytes());
+        }
+    }
+}
+
+// ---- sharing: one allocation per distinct string of a reply ----
+
+/// The distinct allocations among `strings`, told apart by address.
+fn allocations<'a>(strings: impl IntoIterator<Item = &'a Arc<str>>) -> usize {
+    let addresses: HashSet<*const str> = strings.into_iter().map(Arc::as_ptr).collect();
+    addresses.len()
+}
+
+/// The rows of a reply read typed, every group's in order.
+fn decoded_rows(doc: &[u8]) -> Vec<RetrievedSegment> {
+    let mut r = Reader::from_slice(doc).unwrap();
+    let output = read_query_output(&mut r).unwrap();
+    r.end().unwrap();
+    match output {
+        Some(QueryOutput::Segments(rows)) => rows,
+        Some(QueryOutput::Multi(groups)) => groups.into_iter().flat_map(|g| g.segments).collect(),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// `row` as the writer writes it.
+fn written(row: &RetrievedSegment) -> String {
+    let reply = encoded(&QueryOutput::Segments(vec![row.clone()]));
+    let reply = String::from_utf8(reply).unwrap();
+    let list = reply.strip_prefix(r#"{"kind":"segments","segments":["#);
+    list.and_then(|list| list.strip_suffix("]}"))
+        .unwrap()
+        .to_owned()
+}
+
+/// `row` with its members in another order than the writer's, which
+/// only the visitor reads.
+fn reordered(row: &RetrievedSegment) -> String {
+    let driver = row.driver.as_deref().map(|d| format!("\"{d}\""));
+    format!(
+        "{{\"start\":{},\"driver\":{},\"end\":{},\"label\":\"{}\"}}",
+        row.start,
+        driver.as_deref().unwrap_or("null"),
+        row.end,
+        row.label,
+    )
+}
+
+/// A reply of 200 rows over four drivers decodes to rows that share one
+/// label and four drivers, whether the recogniser or the visitor reads
+/// them (a row's members out of order force the visitor), within one
+/// video's list and across a sweep's groups; with more distinct drivers
+/// than its table keeps, it still decodes as the old codec does.
+#[test]
+fn the_rows_of_a_reply_share_their_strings() {
+    let rows = |drivers: usize| -> Vec<RetrievedSegment> {
+        (0..200)
+            .map(|i| RetrievedSegment {
+                start: i * 3,
+                end: i * 3 + 2,
+                label: "highlight".into(),
+                driver: (i % 5 > 0).then(|| format!("D{:02}", i % drivers).into()),
+            })
+            .collect()
+    };
+    let list = |rows: &[RetrievedSegment], visited: fn(usize) -> bool| {
+        let text = |(i, row): (usize, &RetrievedSegment)| match visited(i) {
+            true => reordered(row),
+            false => written(row),
+        };
+        rows.iter()
+            .enumerate()
+            .map(text)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let shapes: [fn(usize) -> bool; 3] = [|_| false, |_| true, |i| i % 2 == 1];
+    for drivers in [4, 40] {
+        let rows = rows(drivers);
+        for visited in shapes {
+            let (head, tail) = rows.split_at(rows.len() / 2);
+            for doc in [
+                format!("{{\"kind\":\"segments\",\"segments\":[{}]}}", list(&rows, visited)),
+                format!(
+                    "{{\"kind\":\"multi\",\"videos\":[{{\"segments\":[{}],\"video\":\"a\"}},{{\"segments\":[{}],\"video\":\"b\"}}]}}",
+                    list(head, visited),
+                    list(tail, visited),
+                ),
+            ] {
+                reads_as_before(doc.as_bytes());
+                let read = decoded_rows(doc.as_bytes());
+                assert_eq!(read, rows, "{doc}");
+                if drivers == 4 {
+                    assert_eq!(allocations(read.iter().map(|s| &s.label)), 1, "{doc}");
+                    assert_eq!(allocations(read.iter().flat_map(|s| &s.driver)), 4, "{doc}");
+                }
+            }
         }
     }
 }

@@ -7,6 +7,9 @@
 //! statement shape is compared with — on random event layers, cold and
 //! again after an append.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use f1_cobra::catalog::{EventRecord, VideoInfo};
 use f1_cobra::{CobraError, QueryOutput, RetrievedSegment, Vdbms};
 use proptest::prelude::*;
@@ -68,7 +71,7 @@ fn of_kind(events: &[EventRecord], kind: &str) -> Vec<RetrievedSegment> {
             start: e.start,
             end: e.end,
             label: kind.trim_start_matches("caption:").into(),
-            driver: e.driver.clone(),
+            driver: e.driver.as_deref().map(Into::into),
         })
         .collect()
 }
@@ -87,11 +90,11 @@ fn with_driver(
         .map(|e| (e.start.saturating_sub(50), e.end + 50))
         .collect();
     segments.retain(|seg| match &seg.driver {
-        Some(named) => named == driver,
+        Some(named) => &**named == driver,
         None => visible.iter().any(|&(s, e)| s < seg.end && seg.start < e),
     });
     for seg in &mut segments {
-        seg.driver = Some(driver.to_string());
+        seg.driver = Some(driver.into());
     }
     segments
 }
@@ -228,4 +231,42 @@ fn unknown_drivers_and_missing_event_layers_answer_nothing() {
         .unwrap();
     assert_eq!(hl.len(), 2, "one names him, one overlaps his pit stop");
     assert!(hl.iter().all(|s| s.driver.as_deref() == Some("MONTOYA")));
+}
+
+/// The distinct allocations among `strings`, told apart by address.
+fn allocations<'a>(strings: impl IntoIterator<Item = &'a Arc<str>>) -> usize {
+    let addresses: HashSet<*const str> = strings.into_iter().map(Arc::as_ptr).collect();
+    addresses.len()
+}
+
+/// A cold answer's rows share their strings: one label, and one driver
+/// when the statement names one, whether a row names the driver or the
+/// overlap rule kept it; otherwise a row's driver is the event layer's
+/// own string, one per name.
+#[test]
+fn the_rows_of_a_cold_answer_share_their_strings() {
+    let vdbms = vdbms();
+    let events: Vec<EventRecord> = (0..60)
+        .map(|i| EventRecord {
+            kind: "highlight".into(),
+            start: i * 5,
+            end: i * 5 + 3,
+            driver: (i % 4 > 0).then(|| DRIVERS[i % 4 - 1].to_string()),
+        })
+        .collect();
+    vdbms.catalog.store_events("v", &events).expect("store");
+
+    let named = query(&vdbms, "RETRIEVE HIGHLIGHTS WITH DRIVER \"MONTOYA\"").unwrap();
+    assert!(
+        named.iter().any(|s| s.start % 20 == 0),
+        "the overlap rule kept none"
+    );
+    assert!(named.len() > 15, "{named:?}");
+    assert_eq!(allocations(named.iter().map(|s| &s.label)), 1);
+    assert_eq!(allocations(named.iter().flat_map(|s| &s.driver)), 1);
+
+    let all = query(&vdbms, "RETRIEVE HIGHLIGHTS").unwrap();
+    assert_eq!(all.len(), events.len());
+    assert_eq!(allocations(all.iter().map(|s| &s.label)), 1);
+    assert_eq!(allocations(all.iter().flat_map(|s| &s.driver)), 3);
 }

@@ -186,8 +186,8 @@ fn arb_segments(rng: &mut TestRng) -> Vec<RetrievedSegment> {
         .map(|_| RetrievedSegment {
             start: arb_clip(rng),
             end: arb_clip(rng),
-            label: arb_text(rng),
-            driver: (rng.below(2) == 0).then(|| arb_text(rng)),
+            label: arb_text(rng).into(),
+            driver: (rng.below(2) == 0).then(|| arb_text(rng).into()),
         })
         .collect()
 }

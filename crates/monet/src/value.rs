@@ -103,14 +103,6 @@ impl Atom {
         }
     }
 
-    /// Extracts an `oid`, failing with a typed error otherwise.
-    pub fn as_oid(&self) -> Result<u64> {
-        match self {
-            Atom::Oid(v) => Ok(*v),
-            other => Err(type_err("oid", other)),
-        }
-    }
-
     /// Extracts an `int`, failing with a typed error otherwise.
     pub fn as_int(&self) -> Result<i64> {
         match self {
@@ -283,7 +275,6 @@ mod tests {
         assert_eq!(Atom::Dbl(2.5).as_dbl().unwrap(), 2.5);
         assert!(Atom::str("x").as_bit().is_err());
         assert!(Atom::Bit(true).as_bit().unwrap());
-        assert_eq!(Atom::Oid(7).as_oid().unwrap(), 7);
     }
 
     #[test]

@@ -1011,7 +1011,7 @@ mod tests {
             start,
             end: start + 5,
             label: "pit_stop".into(),
-            driver: driver.map(str::to_string),
+            driver: driver.map(Into::into),
         };
         let old = [
             row(10, None),

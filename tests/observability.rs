@@ -327,7 +327,7 @@ fn retrieval_still_reads_catalog_truth_through_the_kernel_path() {
     assert_eq!(pits.len(), 1);
     assert_eq!(pits[0].start, 20);
     assert_eq!(pits[0].end, 35);
-    assert_eq!(pits[0].label, "pit_stop");
+    assert_eq!(&*pits[0].label, "pit_stop");
     assert_eq!(pits[0].driver.as_deref(), Some("MONTOYA"));
     // Driverless events come back with `None`, not an empty string.
     let hl = vdbms.query("v", "RETRIEVE HIGHLIGHTS").unwrap();
