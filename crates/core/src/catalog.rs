@@ -612,13 +612,25 @@ impl Catalog {
         Ok((self.stamp_of(seq), layer))
     }
 
-    /// Loads the event layer, optionally filtered by kind.
+    /// Loads the event layer, optionally filtered by kind, in one pass
+    /// over the typed columns.
     pub fn events(&self, video: &str, kind: Option<&str>) -> Result<Vec<EventRecord>> {
         self.video(video)?;
-        match self.event_layer(video, [])?.1 {
-            Some(layer) => layer.records(kind),
-            None => Ok(Vec::new()),
-        }
+        let Some(layer) = self.event_layer(video, [])?.1 else {
+            return Ok(Vec::new());
+        };
+        layer.read(|layer| {
+            let record = |i: usize| EventRecord {
+                kind: layer.kinds.value(i).to_string(),
+                start: layer.starts[i] as usize,
+                end: layer.ends[i] as usize,
+                driver: layer.driver(i).as_deref().map(str::to_owned),
+            };
+            Ok(match kind {
+                Some(kind) => layer.rows_of(kind).map(record).collect(),
+                None => (0..layer.len()).map(record).collect(),
+            })
+        })
     }
 
     /// Installs the state recovery found at boot: the manifest's videos
@@ -832,32 +844,6 @@ impl EventLayer {
             .map(|column| column.read().recover());
         read(EventColumns::of(guards.each_ref().map(|bat| &**bat))?)
     }
-
-    /// The layer's rows, optionally only those of one kind, in one pass
-    /// over the typed columns.
-    pub(crate) fn records(&self, kind: Option<&str>) -> Result<Vec<EventRecord>> {
-        self.read(|layer| {
-            // A kind filter compares dictionary codes: one lookup
-            // resolves it, and a kind the layer never stored matches no
-            // row.
-            let wanted = match kind.map(|kind| layer.kinds.code_of(kind)) {
-                Some(None) => return Ok(Vec::new()),
-                Some(code) => code,
-                None => None,
-            };
-            let codes = layer.kinds.codes();
-            let record = |i: usize| EventRecord {
-                kind: layer.kinds.value(i).to_string(),
-                start: layer.starts[i] as usize,
-                end: layer.ends[i] as usize,
-                driver: layer.driver(i).as_deref().map(str::to_owned),
-            };
-            Ok((0..codes.len())
-                .filter(|&i| wanted.is_none_or(|code| codes[i] == code))
-                .map(record)
-                .collect())
-        })
-    }
 }
 
 /// The typed columns of one event layer, all of one length.
@@ -919,6 +905,17 @@ impl<'a> EventColumns<'a> {
     /// Number of events.
     fn len(&self) -> usize {
         self.kinds.len()
+    }
+
+    /// The rows of `kind`, in layer order. They compare dictionary
+    /// codes: one lookup resolves the kind, and a kind the layer never
+    /// stored matches no row.
+    pub(crate) fn rows_of(&self, kind: &str) -> impl Iterator<Item = usize> + '_ {
+        let code = self.kinds.code_of(kind);
+        let codes = self.kinds.codes().iter();
+        codes
+            .enumerate()
+            .filter_map(move |(row, &c)| (Some(c) == code).then_some(row))
     }
 
     /// `[start, end)` of the event at `row`; a row past the layer's end
@@ -1643,13 +1640,14 @@ mod tests {
         c.store_events("german", &[row("excited", 20, Some("MONTOYA"))])
             .unwrap();
         assert_ne!(bat_id(), unshared, "copied");
-        assert_eq!(held.records(None).unwrap().len(), 2);
+        assert_eq!(held.read(|events| Ok(events.len())).unwrap(), 2);
         assert_eq!(c.events("german", None).unwrap().len(), 3);
         assert!(c.video_stamp("german") > stamp);
         drop(held);
         let (now, layer) = c.event_layer("german", excited).unwrap();
         assert_eq!(now, c.video_stamp("german"), "the append it reads");
-        assert_eq!(layer.unwrap().records(Some("excited")).unwrap().len(), 1);
+        let excited = |events: EventColumns<'_>| Ok(events.rows_of("excited").count());
+        assert_eq!(layer.unwrap().read(excited).unwrap(), 1);
     }
 
     /// Commits are atomic, so only a binding made by hand leaves the four

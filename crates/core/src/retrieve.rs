@@ -544,9 +544,12 @@ impl Vdbms {
                     Some(named) => &**named == *driver,
                     None => overlaps_any(&visible, seg.start, seg.end),
                 });
-                let name = Arc::<str>::from(*driver);
-                for seg in &mut out {
-                    seg.driver.get_or_insert_with(|| Arc::clone(&name));
+                // A row kept by the overlap takes the visibility
+                // segments' driver: the layer dictionary's own string.
+                if let Some(name) = visible.first().and_then(|seg| seg.driver.as_ref()) {
+                    for seg in &mut out {
+                        seg.driver.get_or_insert_with(|| Arc::clone(name));
+                    }
                 }
                 out
             }
@@ -845,21 +848,26 @@ impl Vdbms {
         video: &str,
         layer: Option<&EventLayer>,
     ) -> Result<Vec<RetrievedSegment>> {
-        let mut caps = records(layer, "caption:classification")?;
-        caps.sort_by_key(|e| e.start);
-        let info = self.catalog.video(video)?;
+        let n_clips = self.catalog.video(video)?.n_clips;
+        let Some(layer) = layer else {
+            return Ok(Vec::new());
+        };
         let label = Arc::<str>::from("leading");
-        let mut out = Vec::new();
-        for (i, c) in caps.iter().enumerate() {
-            let end = caps.get(i + 1).map_or(info.n_clips, |n| n.start);
-            out.push(RetrievedSegment {
-                start: c.start,
-                end: end.max(c.start),
+        layer.read(|events| {
+            let mut caps = Vec::new();
+            for row in events.rows_of("caption:classification") {
+                caps.push((events.span(row)?.0, row));
+            }
+            caps.sort_by_key(|&(start, _)| start);
+            let ends = caps.iter().skip(1).map(|&(start, _)| start);
+            let lead = |(&(start, row), end): (&(usize, usize), usize)| RetrievedSegment {
+                start,
+                end: end.max(start),
                 label: Arc::clone(&label),
-                driver: c.driver.as_deref().map(Arc::from),
-            });
-        }
-        Ok(out)
+                driver: events.driver(row),
+            };
+            Ok(caps.iter().zip(ends.chain([n_clips])).map(lead).collect())
+        })
     }
 
     /// Segments where a driver is visibly involved: the events naming
@@ -877,7 +885,7 @@ impl Vdbms {
         };
         let params = [Atom::str(event_field(video, "driver")), Atom::str(driver)];
         let rows = self.selected_rows(layer, &self.naming, &params, budget)?;
-        let (label, driver) = (Arc::<str>::from("segment"), Arc::<str>::from(driver));
+        let label = Arc::<str>::from("segment");
         layer.read(|events| {
             let visible = |&row| {
                 let (start, end) = events.span(row)?;
@@ -885,7 +893,8 @@ impl Vdbms {
                     start: start.saturating_sub(VISIBILITY_PAD),
                     end: end + VISIBILITY_PAD,
                     label: Arc::clone(&label),
-                    driver: Some(Arc::clone(&driver)),
+                    // The layer dictionary's own string.
+                    driver: Some(Arc::clone(events.drivers.value(row))),
                 })
             };
             rows.iter().map(visible).collect()
@@ -893,12 +902,16 @@ impl Vdbms {
     }
 
     /// The rule-extension join: keep segments overlapping a pit-stop
-    /// caption of `layer`, carrying over the pit driver.
+    /// caption of `layer`, carrying over the pit driver — the layer
+    /// dictionary's string, as a pit stop's fact names its row.
     fn join_with_pitlane(
         &self,
         layer: Option<&EventLayer>,
         segments: Vec<RetrievedSegment>,
     ) -> Result<Vec<RetrievedSegment>> {
+        let Some(layer) = layer else {
+            return Ok(Vec::new());
+        };
         let mut engine = RuleEngine::new();
         engine.add_rule(Rule {
             name: "at_pitlane".into(),
@@ -933,35 +946,33 @@ impl Vdbms {
                 Interval::try_new(seg.start, seg.end)?,
             ));
         }
-        for pit in records(layer, "caption:pit_stop")? {
-            facts.push(Fact::new(
-                "pit_stop",
-                vec![Value::str(pit.driver.unwrap_or_default())],
-                Interval::try_new(pit.start, pit.end)?,
-            ));
-        }
-        let derived = engine.run(facts)?;
-        let mut out = Vec::new();
-        for f in derived.iter().filter(|f| f.predicate == "at_pitlane") {
-            let Value::Int(i) = &f.args[0] else { continue };
-            let mut seg = segments[*i as usize].clone();
-            if let Value::Str(d) = &f.args[1] {
-                if !d.is_empty() && seg.driver.is_none() {
-                    seg.driver = Some(d.as_str().into());
+        layer.read(|events| {
+            for row in events.rows_of("caption:pit_stop") {
+                let (start, end) = events.span(row)?;
+                facts.push(Fact::new(
+                    "pit_stop",
+                    vec![Value::Int(row as i64)],
+                    Interval::try_new(start, end)?,
+                ));
+            }
+            let derived = engine.run(facts)?;
+            let mut out = Vec::new();
+            for f in derived.iter().filter(|f| f.predicate == "at_pitlane") {
+                let (Value::Int(i), Value::Int(pit)) = (&f.args[0], &f.args[1]) else {
+                    continue;
+                };
+                let mut seg = segments[*i as usize].clone();
+                if seg.driver.is_none() {
+                    seg.driver = events.driver(*pit as usize);
+                }
+                if !out.contains(&seg) {
+                    out.push(seg);
                 }
             }
-            if !out.contains(&seg) {
-                out.push(seg);
-            }
-        }
-        out.sort_by_key(|s: &RetrievedSegment| s.start);
-        Ok(out)
+            out.sort_by_key(|s: &RetrievedSegment| s.start);
+            Ok(out)
+        })
     }
-}
-
-/// The events of `kind` in `layer`, none without a layer.
-fn records(layer: Option<&EventLayer>, kind: &str) -> Result<Vec<crate::catalog::EventRecord>> {
-    layer.map_or(Ok(Vec::new()), |layer| layer.records(Some(kind)))
 }
 
 #[cfg(test)]

@@ -239,20 +239,42 @@ fn allocations<'a>(strings: impl IntoIterator<Item = &'a Arc<str>>) -> usize {
     addresses.len()
 }
 
+/// How many distinct names `rows` carry.
+fn names(rows: &[RetrievedSegment]) -> usize {
+    let names: HashSet<&str> = rows.iter().flat_map(|s| s.driver.as_deref()).collect();
+    names.len()
+}
+
 /// A cold answer's rows share their strings: one label, and one driver
 /// when the statement names one, whether a row names the driver or the
 /// overlap rule kept it; otherwise a row's driver is the event layer's
-/// own string, one per name.
+/// own string, one per name — the leaders' and the pit stops' too.
 #[test]
 fn the_rows_of_a_cold_answer_share_their_strings() {
     let vdbms = vdbms();
-    let events: Vec<EventRecord> = (0..60)
-        .map(|i| EventRecord {
-            kind: "highlight".into(),
-            start: i * 5,
-            end: i * 5 + 3,
-            driver: (i % 4 > 0).then(|| DRIVERS[i % 4 - 1].to_string()),
-        })
+    let row = |kind: &str, i: usize, driver: Option<&str>| EventRecord {
+        kind: kind.into(),
+        start: i * 5,
+        end: i * 5 + 3,
+        driver: driver.map(str::to_owned),
+    };
+    let highlights: Vec<EventRecord> = (0..60)
+        .map(|i| row("highlight", i, (i % 4 > 0).then(|| DRIVERS[i % 4 - 1])))
+        .collect();
+    // A leader every 35 clips, cycling through three names and no one,
+    // and a pit stop under the same name 10 clips later; one more pit
+    // stop, naming no one, under the unnamed highlight at clip 20.
+    let captions = (0..8).flat_map(|i| {
+        let driver = (i % 4 > 0).then(|| DRIVERS[i % 4 - 1]);
+        let leader = row("caption:classification", i * 7, driver);
+        [leader, row("caption:pit_stop", i * 7 + 2, driver)]
+    });
+    let unnamed_pit = row("caption:pit_stop", 4, None);
+    let events: Vec<EventRecord> = highlights
+        .iter()
+        .cloned()
+        .chain(captions)
+        .chain([unnamed_pit])
         .collect();
     vdbms.catalog.store_events("v", &events).expect("store");
 
@@ -266,7 +288,25 @@ fn the_rows_of_a_cold_answer_share_their_strings() {
     assert_eq!(allocations(named.iter().flat_map(|s| &s.driver)), 1);
 
     let all = query(&vdbms, "RETRIEVE HIGHLIGHTS").unwrap();
-    assert_eq!(all.len(), events.len());
+    assert_eq!(all.len(), highlights.len());
     assert_eq!(allocations(all.iter().map(|s| &s.label)), 1);
     assert_eq!(allocations(all.iter().flat_map(|s| &s.driver)), 3);
+
+    let shared = |text: &str| {
+        let rows = query(&vdbms, text).unwrap();
+        assert_eq!(allocations(rows.iter().map(|s| &s.label)), 1, "{text}");
+        let drivers = allocations(rows.iter().flat_map(|s| &s.driver));
+        assert_eq!(drivers, names(&rows), "{text}: {rows:?}");
+        rows
+    };
+    assert_eq!(names(&shared("RETRIEVE LEADER")), 3);
+    // The unnamed highlight at clip 80 takes its pit stop's driver.
+    let pitlane = shared("RETRIEVE HIGHLIGHTS AT PITLANE");
+    let at_80 = pitlane.iter().find(|s| s.start == 80);
+    assert_eq!(at_80.and_then(|s| s.driver.as_deref()), Some(DRIVERS[1]));
+    // The one at clip 20 has an unnamed pit stop and is kept by the
+    // overlap rule.
+    let montoya = shared("RETRIEVE HIGHLIGHTS AT PITLANE WITH DRIVER \"MONTOYA\"");
+    assert!(montoya.iter().any(|s| s.start == 20), "{montoya:?}");
+    assert_eq!(names(&montoya), 1);
 }
