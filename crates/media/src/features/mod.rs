@@ -2,7 +2,8 @@
 
 pub mod audio;
 pub mod endpoint;
-#[cfg(test)]
-mod reference;
 pub mod vector;
 pub mod video;
+
+#[cfg(test)]
+mod reference;

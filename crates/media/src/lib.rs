@@ -37,8 +37,6 @@ pub mod font;
 pub mod frame;
 pub mod signal;
 pub mod synth;
-#[cfg(test)]
-pub(crate) mod test_support;
 pub mod time;
 pub mod window;
 
@@ -89,3 +87,6 @@ impl std::error::Error for MediaError {}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, MediaError>;
+
+#[cfg(test)]
+pub(crate) mod test_support;

@@ -9,9 +9,10 @@
 //! request id and the shard epoch the router handshook with.
 //!
 //! The client-facing side is the same [front end](crate::front) as
-//! `cobra-serve`'s; the router's command table runs every command on
-//! the pool, each job over a set of shard connections checked out of a
-//! shared pool, so shard sockets are never contended by two jobs at once.
+//! `cobra-serve`'s. A `query` whose every part the router cache holds is
+//! answered on the reactor; every other request runs on the pool, each
+//! job over a set of shard connections checked out of a shared pool, so
+//! shard sockets are never contended and the reactor never waits on one.
 //!
 //! * **Single-video queries** are forwarded to the owning shard, whose
 //!   answer passes through as bytes: the router parses the reply's
@@ -56,12 +57,10 @@
 //! * **The router result cache** is the same
 //!   [`ResultCache`](f1_cobra::ResultCache) a worker uses, holding what
 //!   one shard answered as the [`Part`] it was read into — a single
-//!   video's `result` body (a hit is an envelope around it) or a part of
-//!   a sweep (spliced by its stored offsets) — guarded by the statement's
+//!   video's `result` body or a part of a sweep — under the statement's
 //!   guard over that shard at the stamp the reply carried. It hits only
 //!   while that guard holds at `known[shard]`: a write on shard A voids
-//!   exactly what read the rows it wrote on shard A, so the next sweep
-//!   re-asks shard A only if its part read them, and what read a shard
+//!   exactly what read the rows it wrote there, and what read a shard
 //!   whose feed is down misses and is forwarded — a dead shard surfaces
 //!   as the typed error, never as a stale answer.
 //! * **Standing `subscribe` queries** run on the same
@@ -86,7 +85,7 @@ use cobra_obs::Registry;
 use f1_cobra::catalog::ChangeFeed;
 use f1_cobra::guard::{self, Mirror, Read, Touched, Unnamed};
 use f1_cobra::json::{join_groups, read_query_output, Part};
-use f1_cobra::{Query, ResultCache, Stamp, Statement};
+use f1_cobra::{CachedResult, Query, ResultCache, Stamp, Statement};
 use serde_json::{json, ParseError, Reader, Value, Writer};
 
 use crate::client::{unwrap_envelope, unwrap_response, Client, ClientError};
@@ -215,16 +214,12 @@ impl RouterShared {
     }
 
     fn checkout(&self) -> Vec<ShardConn> {
-        self.conn_sets.lock().recover().pop().unwrap_or_else(|| {
-            (0..self.ring.shards())
-                .map(|shard| ShardConn {
-                    shard,
-                    client: None,
-                    epoch: 0,
-                    read_timeout: None,
-                })
-                .collect()
-        })
+        let idle = self.conn_sets.lock().recover().pop();
+        let conn = |shard| ShardConn {
+            shard,
+            ..ShardConn::default()
+        };
+        idle.unwrap_or_else(|| (0..self.ring.shards()).map(conn).collect())
     }
 
     fn checkin(&self, set: Vec<ShardConn>) {
@@ -453,9 +448,12 @@ impl Source for RouterShared {
     }
 }
 
-/// A router command: answers one request over a checked-out set of
-/// shard connections.
-type Routed = fn(&RouterShared, &mut [ShardConn], u64, &Value) -> Answer;
+/// A router command: `query`, which starts on the reactor ([`resolve`]),
+/// or one answered on the pool over a checked-out set of shard connections.
+enum Routed {
+    Query,
+    Pooled(fn(&RouterShared, &mut [ShardConn], u64, &Value) -> Answer),
+}
 
 /// The frame that answers a request, or the typed failure it ends in.
 type Answer = Result<Vec<u8>, Fail>;
@@ -466,24 +464,36 @@ impl Door for Arc<RouterShared> {
 
     fn command(&self, cmd: &str) -> Option<Routed> {
         Some(match cmd {
-            "query" => handle_query,
-            "write_event" => write_event,
-            "version" => version,
-            "videos" => videos,
-            "stats" => stats,
-            "checkpoint" => checkpoint,
+            "query" => Routed::Query,
+            "write_event" => Routed::Pooled(write_event),
+            "version" => Routed::Pooled(version),
+            "videos" => Routed::Pooled(videos),
+            "stats" => Routed::Pooled(stats),
+            "checkpoint" => Routed::Pooled(checkpoint),
             _ => return None,
         })
     }
 
-    /// Every router command waits on shards, so all of them run on the
-    /// pool, each job over a connection set of its own.
+    /// A `query` whose every part is cached, or that lacks its fields, is
+    /// answered here on the reactor, taking no admission slot. Everything
+    /// else waits on shards, so it runs on the pool, each job over a
+    /// connection set of its own; a query takes the hits it holds along.
     fn run(front: &Arc<Front<Self>>, conn: ConnId, id: u64, routed: Routed, request: Value) {
+        let held = match routed {
+            Routed::Pooled(_) => Held::default(),
+            Routed::Query => match resolve(&front.door, id, &request) {
+                Ok(held) => held,
+                Err(frame) => return front.ctl.send(conn, frame),
+            },
+        };
         front.pooled(conn, id, move |front| {
             let shared = &front.door;
             shared.ensure_feeds();
             let mut conns = shared.checkout();
-            let frame = routed(shared, &mut conns, id, &request);
+            let frame = match routed {
+                Routed::Query => complete(shared, &mut conns, id, &request, held),
+                Routed::Pooled(routed) => routed(shared, &mut conns, id, &request),
+            };
             shared.checkin(conns);
             frame.unwrap_or_else(|(kind, why)| encode_reply(&err_response(id, kind, why)))
         });
@@ -556,11 +566,7 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         cache: ResultCache::new(&registry),
         registry: Arc::clone(&registry),
         shutting_down: AtomicBool::new(false),
-        views: Mutex::new(
-            (0..config.shards.len())
-                .map(|_| ShardView::default())
-                .collect(),
-        ),
+        views: Mutex::new(config.shards.iter().map(|_| ShardView::default()).collect()),
         moved: ChangeFeed::default(),
         conn_sets: Mutex::new(Vec::new()),
         feeds: Mutex::new(Vec::new()),
@@ -579,6 +585,7 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
 
 /// One connection to one shard of a checked-out set, plus the epoch
 /// handshook at connect time.
+#[derive(Default)]
 struct ShardConn {
     shard: u32,
     client: Option<Client>,
@@ -814,10 +821,15 @@ fn scatter<'a, T: 'a>(
         .map(move |(conn, first)| forward(shared, conn, &body, req_id, deadline_at, first, read))
 }
 
-/// The frame of a cross-video answer merged from the shards' parts,
-/// ordered by video name: one sort and one join over the groups each
-/// part located when it was read — no part is read again.
-fn splice(id: u64, parts: &[&Part]) -> Answer {
+/// The frame of a query's answer over `video` from the parts of the
+/// shards it read, in shard order: a single video's part passes through;
+/// a sweep's are merged by video name — one sort and one join over the
+/// groups each part located when it was read, so no part is read again.
+fn splice(id: u64, video: &str, parts: &[&Part]) -> Answer {
+    if let ([answer], false) = (parts, video == "*") {
+        let text = answer.text();
+        return Ok(pass(id, text.len(), |w| w.raw(text.as_bytes())));
+    }
     let mut groups = Vec::new();
     for part in parts {
         groups.extend(part.groups().ok_or((
@@ -870,67 +882,88 @@ fn pass(id: u64, len: usize, body: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
     or_oversize(id, ok_frame(id, None, len, body))
 }
 
-fn handle_query(
+/// The cache key of `shard`'s part of an answer to a statement: what
+/// each shard a statement reads has to say is one entry.
+fn key(normalized: &str, shard: u32) -> String {
+    format!("{shard} {normalized}")
+}
+
+/// A `query`'s string fields `video` and `text`.
+fn fields(request: &Value) -> Result<(&str, &str), Fail> {
+    let field = |name| request.get(name).and_then(Value::as_str);
+    let why = "query needs string fields 'video' and 'text'";
+    let both = field("video").zip(field("text"));
+    both.ok_or((ErrorKind::BadRequest, why.into()))
+}
+
+/// What a `query` holds before any shard is asked: its statement where
+/// its answer may be cached (normalized, parsed), per shard it reads the
+/// part the cache held there, in shard order, and the shards to ask.
+#[derive(Default)]
+struct Held {
+    retrieval: Option<(String, Query)>,
+    parts: Vec<Option<Arc<CachedResult<Part>>>>,
+    asks: Vec<u32>,
+}
+
+/// The reactor's half of a `query`: one guard check and one cache lookup
+/// per shard the statement reads, each guarded by what the statement
+/// reads there, taking the `views` and cache locks alone. The frame when
+/// every part hit or the request is malformed, otherwise what it holds.
+fn resolve(shared: &RouterShared, id: u64, request: &Value) -> Result<Held, Vec<u8>> {
+    let refuse = |(kind, why)| encode_reply(&err_response(id, kind, why));
+    let (video, text) = fields(request).map_err(refuse)?;
+    // What may be cached is what a worker may coalesce (`shareable`),
+    // and only plain retrievals.
+    let mut held = Held::default();
+    if let Some(Statement::Retrieve(q)) = shareable(request, text) {
+        held.retrieval = Some((q.normalized(), q));
+    }
+    for shard in shared.owners(video) {
+        let hit = held.retrieval.as_ref().and_then(|(normalized, q)| {
+            let current = shared.guard(shard, None, video, guard::reads(q));
+            shared.cache.lookup(video, &key(normalized, shard), current)
+        });
+        held.asks.extend(hit.is_none().then_some(shard));
+        held.parts.push(hit);
+    }
+    if !held.asks.is_empty() {
+        return Ok(held);
+    }
+    let hits: Vec<_> = held.parts.iter().flatten().map(|hit| &hit.value).collect();
+    Err(splice(id, video, &hits).unwrap_or_else(refuse))
+}
+
+/// The pool's half of a `query`: asks the shards `held` names — strictly,
+/// the lowest failed shard id deciding the error — frames the answer
+/// from every part, and caches what the shards answered.
+fn complete(
     shared: &RouterShared,
     conns: &mut [ShardConn],
     id: u64,
     request: &Value,
+    held: Held,
 ) -> Answer {
-    let (Some(video), Some(text)) = (
-        request.get("video").and_then(Value::as_str),
-        request.get("text").and_then(Value::as_str),
-    ) else {
-        let why = "query needs string fields 'video' and 'text'";
-        return Err((ErrorKind::BadRequest, why.into()));
-    };
+    let (video, text) = fields(request)?;
     let deadline_at = request
         .get("deadline_ms")
         .and_then(Value::as_u64)
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    // What may be cached is what a worker may coalesce (`shareable`),
-    // and only plain retrievals.
-    let retrieval = match shareable(request, text) {
-        Some(Statement::Retrieve(q)) => Some((q.normalized(), q)),
-        _ => None,
-    };
-    // What each shard this answer reads has to say is one cache entry,
-    // keyed by the shard beside the statement and guarded by the guard
-    // of what the statement reads there: a single video's answer, or a
-    // part of a sweep.
-    let key = |normalized: &str, shard: u32| format!("{shard} {normalized}");
-    let (mut parts, mut asks) = (Vec::new(), Vec::new());
-    for shard in shared.owners(video) {
-        let hit = retrieval.as_ref().and_then(|(text, q)| {
-            let current = shared.guard(shard, None, video, guard::reads(q));
-            shared.cache.lookup(video, &key(text, shard), current)
-        });
-        if hit.is_none() {
-            asks.push(shard);
-        }
-        parts.push(hit);
-    }
-
     let mut body = json!({"cmd": "query", "video": (video), "text": (text)});
     if let (Value::Object(map), Some(fuel)) = (&mut body, request.get("fuel")) {
         map.insert("fuel".into(), fuel.clone());
     }
-    // Queries are strict: the lowest failed shard id decides the error.
-    let replies = scatter(shared, conns, &asks, body, id, deadline_at, Part::read);
+    let replies = scatter(shared, conns, &held.asks, body, id, deadline_at, Part::read);
     let replies: Vec<Reply<Part>> = replies.collect::<Result<_, _>>()?;
     let mut fresh = replies.iter().map(|reply| &reply.result);
-    let mut held = Vec::with_capacity(parts.len());
-    for part in &parts {
-        let hit = part.as_ref().map(|hit| &hit.value);
-        held.push(hit.or_else(|| fresh.next()).ok_or_else(no_reply)?);
+    let mut parts = Vec::with_capacity(held.parts.len());
+    for hit in &held.parts {
+        let hit = hit.as_ref().map(|hit| &hit.value);
+        parts.push(hit.or_else(|| fresh.next()).ok_or_else(no_reply)?);
     }
-    let frame = match held.as_slice() {
-        [answer] if video != "*" => {
-            pass(id, answer.text().len(), |w| w.raw(answer.text().as_bytes()))
-        }
-        parts => splice(id, parts)?,
-    };
-    if let Some((normalized, q)) = &retrieval {
-        for (&shard, reply) in asks.iter().zip(replies) {
+    let frame = splice(id, video, &parts)?;
+    if let Some((normalized, q)) = &held.retrieval {
+        for (&shard, reply) in held.asks.iter().zip(replies) {
             // The guard is taken at the stamp the reply itself carried —
             // read by the shard before it executed — never at `known`,
             // which a concurrent write's ack may already have raised
@@ -940,10 +973,8 @@ fn handle_query(
                 .stamp
                 .and_then(|at| shared.guard(shard, Some(at), video, reads));
             if let Some(held) = held {
-                let bytes = reply.result.text().len();
-                shared
-                    .cache
-                    .store(video, &key(normalized, shard), reply.result, held, bytes);
+                let (key, bytes) = (key(normalized, shard), reply.result.text().len());
+                shared.cache.store(video, &key, reply.result, held, bytes);
             }
         }
     }
@@ -988,14 +1019,9 @@ fn version(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -
         }
         entries.push(entry);
     }
-    aggregated(
-        id,
-        json!({
-            "kind": "version",
-            "seed": (shared.ring.seed() as f64),
-            "shards": (Value::Array(entries)),
-        }),
-    )
+    let seed = shared.ring.seed() as f64;
+    let result = json!({"kind": "version", "seed": (seed), "shards": (entries)});
+    aggregated(id, result)
 }
 
 fn videos(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -> Answer {
@@ -1022,14 +1048,9 @@ fn stats(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -> 
             shard_entry(shard, result.map(|v| json!({"snapshot": (snapshot(v))})))
         })
         .collect();
-    aggregated(
-        id,
-        json!({
-            "kind": "stats",
-            "snapshot": (shared.registry.snapshot().to_json()),
-            "shards": (Value::Array(entries)),
-        }),
-    )
+    let snapshot = shared.registry.snapshot().to_json();
+    let result = json!({"kind": "stats", "snapshot": (snapshot), "shards": (entries)});
+    aggregated(id, result)
 }
 
 fn checkpoint(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value) -> Answer {
@@ -1040,14 +1061,8 @@ fn checkpoint(shared: &RouterShared, conns: &mut [ShardConn], id: u64, _: &Value
         durable |= v.get("durable").and_then(Value::as_bool).unwrap_or(false);
         entries.push(shard_entry(shard, Ok(v)));
     }
-    aggregated(
-        id,
-        json!({
-            "kind": "checkpoint",
-            "durable": (durable),
-            "shards": (Value::Array(entries)),
-        }),
-    )
+    let result = json!({"kind": "checkpoint", "durable": (durable), "shards": (entries)});
+    aggregated(id, result)
 }
 
 #[cfg(test)]

@@ -294,7 +294,8 @@ fn a_sweep_part_without_segment_groups_is_a_typed_error_not_an_empty_splice() {
     }
     let sweep = json!({"cmd": "query", "video": "*", "text": "RETRIEVE HIGHLIGHTS"});
     for (id, asked) in [(1, 2), (2, 4)] {
-        let (kind, message) = handle_query(shared, &mut cluster.conns, id, &sweep)
+        let held = resolve(shared, id, &sweep).expect("nothing is cached: the shards are asked");
+        let (kind, message) = complete(shared, &mut cluster.conns, id, &sweep, held)
             .expect_err("a part without groups cannot be spliced");
         assert_eq!(kind, ErrorKind::Internal);
         assert_eq!(

@@ -269,3 +269,96 @@ fn a_request_with_its_own_deadline_is_neither_coalesced_nor_cached() {
     router.shutdown();
     worker.shutdown();
 }
+
+/// A query whose every part the router holds is answered on its reactor:
+/// with the shard's only worker asleep and every router worker parked on
+/// a forward to it, a cached `RETRIEVE` and a cached sweep still come
+/// back at once, while all sixteen stay parked.
+#[test]
+fn a_cached_answer_waits_for_no_router_worker() {
+    const ROUTER_WORKERS: i64 = 16;
+    const SLEEP: Duration = Duration::from_secs(3);
+    let (worker, worker_registry) = worker();
+    let router = router::start(RouterConfig {
+        shards: vec![worker.addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("the router starts");
+    let registry = router.registry();
+    let mut client = Client::connect(router.addr()).expect("connect");
+    client
+        .set_timeout(Some(PATIENCE))
+        .expect("the no-hang bound");
+    // A part hits only while its shard's feed is up; the first request
+    // that needs a shard starts the feed.
+    client.videos().expect("videos");
+    await_until("the feed is up", || {
+        gauge(&registry, "router.feeds_up") == 1
+    });
+    let cached = [(VIDEO, "RETRIEVE WINNER"), ("*", "RETRIEVE HIGHLIGHTS")];
+    let answers: Vec<_> = cached
+        .iter()
+        .map(|&(video, text)| format!("{:?}", client.query(video, text).expect("query")))
+        .collect();
+    let hits = || {
+        registry
+            .snapshot()
+            .counter("cache.result", &[("result", "hit")])
+    };
+    let before = hits();
+    for &(video, text) in &cached {
+        client.query(video, text).expect("query");
+    }
+    assert_eq!(hits() - before, 2, "both statements are cached");
+
+    // Hold the shard's only worker, then park every router worker on a
+    // forward to it: a query with its own deadline is never a hit.
+    let mut holder = Client::connect(worker.addr()).expect("connect to the worker");
+    holder
+        .send(json!({"cmd": "sleep", "ms": (SLEEP.as_millis() as f64)}))
+        .expect("hold the worker");
+    let held_at = Instant::now();
+    await_until("the worker sleeps", || {
+        gauge(&worker_registry, "serve.running") == 1
+    });
+    let mut parker = Client::connect(router.addr()).expect("connect");
+    parker
+        .set_timeout(Some(PATIENCE))
+        .expect("the no-hang bound");
+    for _ in 0..ROUTER_WORKERS {
+        let forwarded = json!({
+            "cmd": "query", "video": (VIDEO), "text": "RETRIEVE PITSTOPS", "deadline_ms": 10_000,
+        });
+        parker.send(forwarded).expect("send");
+    }
+    await_until("every router worker is parked", || {
+        gauge(&registry, "serve.running") == ROUTER_WORKERS
+    });
+
+    for (&(video, text), answer) in cached.iter().zip(&answers) {
+        let again = client.query(video, text).expect("a cached answer");
+        assert_eq!(&format!("{again:?}"), answer, "{video} {text}");
+    }
+    assert!(
+        held_at.elapsed() < SLEEP,
+        "a cached answer waited for the shard"
+    );
+    assert_eq!(
+        gauge(&registry, "serve.running"),
+        ROUTER_WORKERS,
+        "a cached answer took a router worker"
+    );
+
+    for _ in 0..ROUTER_WORKERS {
+        let response = parker.recv().expect("every parked query is answered");
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{response}"
+        );
+    }
+    holder.recv().expect("the worker wakes");
+    common::assert_pool_at_rest(&registry);
+    router.shutdown();
+    worker.shutdown();
+}

@@ -630,6 +630,48 @@ fn a_write_on_one_shard_reasks_only_that_shard_for_a_sweep() {
     single.shutdown();
 }
 
+/// Each part a routed statement reads is looked up in the router cache
+/// exactly once, whether a shard is asked for it or the router answers
+/// from the cache: `cache.result` hits plus misses move by the number of
+/// shards the statement reads, one for a single video and every shard
+/// for `"*"`, so `router.cache_hit_ratio` counts parts.
+#[test]
+fn each_part_is_looked_up_exactly_once() {
+    let _gate = serialize();
+    let videos = one_video_per_shard();
+    let cluster = ShardCluster::start(2, &videos);
+    let registry = cluster.registry();
+    let mut routed = RawSession::connect(cluster.router_addr());
+    let text = "RETRIEVE HIGHLIGHTS";
+    let query = |video: &str| json!({"id": 1, "cmd": "query", "video": (video), "text": (text)});
+    let (single, sweep) = (query(&videos[0].name), query("*"));
+    // Asks `request` and checks how many parts it looked up, hit and
+    // forwarded.
+    let mut step = |what: &str, request: &Value, [reads, hits, forwards]: [u64; 3]| {
+        let snap = registry.snapshot();
+        let reply = routed.call(request);
+        assert!(reply.contains("\"ok\":true"), "{what}: {reply}");
+        let d = registry.snapshot().delta(&snap);
+        let looked = |result| d.counter("cache.result", &[("result", result)]);
+        assert_eq!(looked("hit") + looked("miss"), reads, "{what}: lookups");
+        assert_eq!(looked("hit"), hits, "{what}: hits");
+        let forwarded = d.counter("router.forward", &[("result", "ok")]);
+        assert_eq!(forwarded, forwards, "{what}: forwards");
+    };
+    step("a single video, cold", &single, [1, 0, 1]);
+    step("a single video, cached", &single, [1, 1, 0]);
+    step("a sweep, cold", &sweep, [2, 0, 2]);
+    step("a sweep, cached", &sweep, [2, 2, 0]);
+    // A write on shard 1 voids that shard's part of the sweep alone.
+    let write = json!({
+        "id": 2, "cmd": "write_event", "video": (videos[1].name.as_str()),
+        "kind": "highlight", "start": 300, "end": 310,
+    });
+    let ack = RawSession::connect(cluster.router_addr()).call(&write);
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    step("a sweep after a write on shard 1", &sweep, [2, 1, 1]);
+}
+
 #[test]
 fn topology_commands_report_every_shard() {
     let _gate = serialize();

@@ -193,17 +193,36 @@ fn one_implementation_per_operator() {
     });
 }
 
+/// The lines of the top-level item whose first line starts with
+/// `signature`, to its closing `}`.
+fn body<'a>(lines: &'a [String], signature: &str) -> &'a [String] {
+    let start = lines.iter().position(|l| l.starts_with(signature));
+    let body = &lines[start.unwrap_or_else(|| panic!("no {signature}"))..];
+    let end = body.iter().position(|l| l.starts_with('}'));
+    &body[..end.map_or(body.len(), |at| at + 1)]
+}
+
 /// One encode per answer: a reply from result-cache entries copies their
 /// stored segments; `write_answered` (to its closing `}`) encodes none.
 #[test]
 fn one_encode_per_answer() {
     let json = non_test("crates/core/src/json.rs");
-    let signature = "pub fn write_answered(";
-    let start = json.iter().position(|l| l.starts_with(signature));
-    let body = &json[start.unwrap_or_else(|| panic!("no {signature}"))..];
-    let end = body.iter().position(|l| l.starts_with('}'));
-    let body = &body[..end.map_or(body.len(), |at| at + 1)];
-    allow_any(body, "write_segments(", 0..=0);
+    allow_any(
+        body(&json, "pub fn write_answered("),
+        "write_segments(",
+        0..=0,
+    );
+}
+
+/// The reactor never waits on a shard: the router's half of a `query`
+/// that runs on the reactor (`resolve`) checks out no connection set,
+/// asks no shard and starts no feed.
+#[test]
+fn the_reactor_never_waits_on_a_shard() {
+    let router = non_test("crates/serve/src/router.rs");
+    let resolve = body(&router, "fn resolve(");
+    let waits = "checkout(|scatter(|forward(|connect_shard(|ensure_feeds(";
+    allow_any(resolve, waits, 0..=0);
 }
 
 /// One guard per answer: a retrieval is guarded by what its stages
