@@ -241,13 +241,21 @@ impl Vdbms {
         let t = Instant::now();
         let captions = scan_captions(scenario, chunk.frame_lo, chunk.frame_hi);
         if !captions.is_empty() {
-            let mut stored = self.catalog.events(name, None)?;
-            stored.retain(|e| e.start >= clips.start);
-            let new: Vec<EventRecord> = captions
-                .iter()
-                .filter(|c| !stored.contains(c))
-                .cloned()
-                .collect();
+            let new: Vec<EventRecord> = match self.catalog.event_layer(name, [])?.1 {
+                Some(layer) => layer.read(|stored| {
+                    // Held: a row at or past the window's first clip has
+                    // the caption's kind, span and driver.
+                    let held = |c: &EventRecord| {
+                        c.start >= clips.start
+                            && stored.rows_of(&c.kind).any(|row| {
+                                stored.span(row).is_ok_and(|span| span == (c.start, c.end))
+                                    && stored.driver(row).as_deref() == c.driver.as_deref()
+                            })
+                    };
+                    Ok(captions.iter().filter(|c| !held(c)).cloned().collect())
+                })?,
+                None => captions.clone(),
+            };
             if !new.is_empty() {
                 self.catalog.store_events(name, &new)?;
             }

@@ -29,6 +29,10 @@ pub use crate::annotate::AnnotateReport;
 pub use crate::ingest::{ChunkReport, IngestReport};
 pub use crate::retrieve::{Answer, Answered, QueryOutput, QueryProfile, VideoSegments};
 
+/// How often the background checkpointer compares the backend's pending
+/// records with `StoreConfig::checkpoint_every`.
+const CHECKPOINT_POLL: Duration = Duration::from_millis(500);
+
 /// What recovery-on-boot did (all zeros for a memory-only or fresh
 /// durable boot).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -163,7 +167,6 @@ impl Vdbms {
                 let stop = Arc::clone(&ckpt_stop);
                 let catalog = Arc::clone(&catalog);
                 let every = c.checkpoint_every;
-                let interval = Duration::from_millis(c.checkpoint_interval_ms.max(10));
                 let errors = kernel
                     .metrics()
                     .registry()
@@ -172,7 +175,7 @@ impl Vdbms {
                     .name("cobra-checkpointer".into())
                     .spawn(move || {
                         while !stop.load(Ordering::Relaxed) {
-                            std::thread::park_timeout(interval);
+                            std::thread::park_timeout(CHECKPOINT_POLL);
                             if stop.load(Ordering::Relaxed) {
                                 break;
                             }

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `--idle-timeout-ms N` closes connections that stay silent for N
-//! milliseconds (the reactor's timer wheel; off by default).
+//! milliseconds (the reactor's deadline pass; off by default).
 //! `--push-queue-cap N` bounds how many push frames a subscriber may
 //! fall behind before the typed `slow_consumer` disconnect, and
 //! `--sndbuf BYTES` clamps each connection's kernel send buffer so the

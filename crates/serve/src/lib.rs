@@ -7,7 +7,8 @@
 //! with all socket I/O owned by a single epoll-based readiness
 //! [`reactor`] — nonblocking accept/read/write state machines, an
 //! incremental frame decoder, per-connection write buffers with
-//! backpressure, and idle timeouts on a timer wheel, so a connection
+//! backpressure, and at most one deadline per connection (its idle
+//! timeout or its close window) checked by one pass, so a connection
 //! costs a few kilobytes of bookkeeping rather than two OS threads.
 //! CPU work still runs on a bounded worker pool with admission control,
 //! whose workers send every pooled reply (a job that panics is answered

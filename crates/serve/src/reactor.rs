@@ -8,6 +8,8 @@
 //! the bounded `WorkerPool`: workers complete requests onto the
 //! reactor's op queue ([`ReactorCtl`]) and wake the loop through a
 //! self-pipe, so the reactor never blocks on anything but `epoll_wait`.
+//! What the reactor thread queues itself needs no wake: the loop drains
+//! the queue before it waits.
 //!
 //! The op queue carries *encoded frames*: whoever produces a response
 //! or a push — a pool worker, the stream hub, a service's `on_frame` —
@@ -24,8 +26,10 @@
 //! * subscription pushes carry a pending counter that is decremented
 //!   only when the push's bytes have fully reached the socket, so the
 //!   slow-consumer cap in the stream hub measures real backlog;
-//! * idle connections are evicted by a coarse timer wheel when an
-//!   `idle_timeout` is configured.
+//! * a connection has at most one deadline — its idle timeout while
+//!   open, if one is configured, or its close window once closing — and
+//!   one pass over the connections, at most once per tick, drops those
+//!   whose deadline has come.
 //!
 //! The module speaks to `epoll` directly through a small `extern "C"`
 //! block — the vendored-dependency policy rules out mio, and std
@@ -37,8 +41,8 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use cobra_faults::Recover;
@@ -236,9 +240,9 @@ pub trait Service: Send + Sync + 'static {
     fn on_frame(&self, conn: ConnId, frame: Value);
 
     /// `conn` is gone (peer closed, error, idle eviction, or a
-    /// server-initiated close finished flushing). Called exactly once
-    /// per connection the service ever saw a frame from, and runs on
-    /// the reactor thread.
+    /// server-initiated close finished flushing or ran out of its
+    /// window). Called exactly once per connection, and runs on the
+    /// reactor thread.
     fn on_close(&self, conn: ConnId);
 }
 
@@ -268,11 +272,14 @@ struct CtlInner {
     wake_tx: UnixStream,
     /// Read end, taken by the reactor thread at startup.
     wake_rx: Mutex<Option<UnixStream>>,
+    /// The reactor thread, once its loop has started.
+    reactor: OnceLock<ThreadId>,
 }
 
 /// Handle for talking to a reactor from any thread: worker-pool
 /// completions, the stream hub, and shutdown all go through here.
-/// Cloning is cheap; every enqueue tickles the reactor's self-pipe.
+/// Cloning is cheap; an enqueue from another thread tickles the
+/// reactor's self-pipe.
 #[derive(Clone)]
 pub struct ReactorCtl {
     inner: Arc<CtlInner>,
@@ -290,6 +297,7 @@ impl ReactorCtl {
                 ops: Mutex::new(Vec::new()),
                 wake_tx,
                 wake_rx: Mutex::new(Some(wake_rx)),
+                reactor: OnceLock::new(),
             }),
         })
     }
@@ -305,8 +313,10 @@ impl ReactorCtl {
         // queue means an earlier enqueue's byte is still in the pipe
         // (the reactor drains the waker before taking the queue), so
         // completions arriving in bursts cost one syscall, not N. A
-        // full pipe likewise means a wakeup is already pending.
-        if was_empty {
+        // full pipe likewise means a wakeup is already pending. The
+        // reactor thread writes none: the loop drains what it queued
+        // before its next wait (`Reactor::run`).
+        if was_empty && self.inner.reactor.get() != Some(&thread::current().id()) {
             let _ = (&self.inner.wake_tx).write(&[1]);
         }
     }
@@ -359,7 +369,7 @@ pub struct ReactorConfig {
     /// Thread name, for diagnostics.
     pub name: String,
     /// Evict connections with no traffic in either direction for this
-    /// long. `None` disables the timer wheel entirely.
+    /// long. `None` gives open connections no deadline.
     pub idle_timeout: Option<Duration>,
     /// Clamp the kernel send buffer of accepted sockets. Test aid: a
     /// tiny `SO_SNDBUF` makes slow consumers visible to the push
@@ -455,81 +465,56 @@ struct Conn {
     out: OutBuf,
     /// Events currently registered with epoll, to skip no-op MODs.
     interest: u32,
-    last_activity: Instant,
     /// Reads above HIGH_WATER are paused until the buffer drains to
     /// LOW_WATER; hysteresis avoids flapping the interest mask.
     paused: bool,
-    /// Set once the reactor decided to close: no more reads, drop as
-    /// soon as (or before, see `doomed`) the write buffer drains.
-    closing: bool,
-    /// Whether the service has been told about this connection's end.
-    notified: bool,
+    timing: Timing,
 }
 
-/// Coarse hashed timer wheel for idle eviction. Slots cover `tick`
-/// each; entries re-arm lazily, so a touch costs nothing until the
-/// wheel sweeps past the connection.
-struct IdleWheel {
-    timeout: Duration,
+/// What a connection's one deadline is made of.
+#[derive(Clone, Copy)]
+struct Timing {
+    last_activity: Instant,
+    /// The end of the close window, once the reactor decided to close:
+    /// no more reads, and the connection drops when its write buffer
+    /// drains or at this instant, whichever comes first.
+    closing: Option<Instant>,
+}
+
+impl Timing {
+    /// The connection's deadline: the end of its close window once it is
+    /// closing, else `idle` past its last traffic when a timeout is set.
+    fn due(&self, idle: Option<Duration>) -> Option<Instant> {
+        self.closing.or_else(|| Some(self.last_activity + idle?))
+    }
+}
+
+/// One deadline pass at `now` over `conns`: the ids whose deadline has
+/// come, each with whether it idled out rather than closed, and when the
+/// next pass is due — the earliest deadline left, but no sooner than
+/// `tick` from now, so a pass runs at most once per tick and a deadline
+/// is met within one tick.
+fn deadline_pass(
+    conns: impl IntoIterator<Item = (u64, Timing)>,
+    idle: Option<Duration>,
+    now: Instant,
     tick: Duration,
-    slots: Vec<Vec<u64>>,
-    cursor: usize,
-    cursor_time: Instant,
-}
-
-impl IdleWheel {
-    fn new(timeout: Duration, now: Instant) -> IdleWheel {
-        let tick = (timeout / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
-        // Enough slots to place `timeout` in the future from any
-        // cursor position, plus slack for lazy re-arming.
-        let n = (timeout.as_nanos() / tick.as_nanos()).max(1) as usize + 2;
-        IdleWheel {
-            timeout,
-            tick,
-            slots: vec![Vec::new(); n],
-            cursor: 0,
-            cursor_time: now,
+) -> (Vec<(u64, bool)>, Option<Instant>) {
+    let mut due = Vec::new();
+    let mut next: Option<Instant> = None;
+    for (id, timing) in conns {
+        match timing.due(idle) {
+            Some(at) if at <= now => due.push((id, timing.closing.is_none())),
+            Some(at) => next = Some(next.map_or(at, |next| next.min(at))),
+            None => {}
         }
     }
-
-    fn schedule(&mut self, id: u64, due: Instant) {
-        let ahead = if due > self.cursor_time {
-            ((due - self.cursor_time).as_nanos() / self.tick.as_nanos()) as usize + 1
-        } else {
-            1
-        };
-        let ahead = ahead.min(self.slots.len() - 1);
-        let slot = (self.cursor + ahead) % self.slots.len();
-        self.slots[slot].push(id);
-    }
-
-    /// Advances the cursor up to `now` and returns every id whose slot
-    /// fired. Callers re-check real idle time and re-arm survivors.
-    fn advance(&mut self, now: Instant) -> Vec<u64> {
-        let mut fired = Vec::new();
-        while self.cursor_time + self.tick <= now {
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            self.cursor_time += self.tick;
-            fired.append(&mut self.slots[self.cursor]);
-        }
-        fired
-    }
-
-    /// When the next slot with entries comes due, for the epoll
-    /// timeout.
-    fn next_due(&self) -> Option<Instant> {
-        for k in 1..=self.slots.len() {
-            if !self.slots[(self.cursor + k) % self.slots.len()].is_empty() {
-                return Some(self.cursor_time + self.tick * k as u32);
-            }
-        }
-        None
-    }
+    (due, next.map(|next| next.max(now + tick)))
 }
 
 struct Metrics {
     connections: Arc<Gauge>,
-    idle_closed: Arc<Gauge>,
+    idle_closed: Arc<Counter>,
     wakeups: Arc<Counter>,
     events: Arc<Counter>,
     flush_batch: Arc<Counter>,
@@ -545,10 +530,12 @@ struct Reactor {
     config: ReactorConfig,
     conns: HashMap<u64, Conn>,
     next_id: u64,
-    wheel: Option<IdleWheel>,
-    /// Connections given a bounded flush window before a forced drop,
-    /// in deadline order.
-    doomed: VecDeque<(Instant, u64)>,
+    /// When the next deadline pass is due; `None` while no connection
+    /// has a deadline.
+    next_due: Option<Instant>,
+    /// The least time between two deadline passes: a quarter of the idle
+    /// timeout (of the close window without one), within [10 ms, 1 s].
+    tick: Duration,
     /// Connections with bytes enqueued this iteration, flushed as one
     /// batch at the end of it.
     dirty: Vec<u64>,
@@ -584,13 +571,13 @@ pub fn spawn(
     )?;
     let metrics = Metrics {
         connections: registry.gauge("serve.connections", &[]),
-        idle_closed: registry.gauge("serve.idle_closed", &[]),
+        idle_closed: registry.counter("serve.idle_closed", &[]),
         wakeups: registry.counter("reactor.wakeups", &[]),
         events: registry.counter("reactor.events", &[]),
         flush_batch: registry.counter("reactor.flush_batch", &[]),
         accepted: registry.counter("serve.accepted", &[]),
     };
-    let now = Instant::now();
+    let tick = config.idle_timeout.unwrap_or(CLOSE_FLUSH_WINDOW) / 4;
     let mut reactor = Reactor {
         poller,
         listener: Some(listener),
@@ -599,9 +586,9 @@ pub fn spawn(
         service,
         conns: HashMap::new(),
         next_id: 1,
-        wheel: config.idle_timeout.map(|t| IdleWheel::new(t, now)),
+        next_due: None,
+        tick: tick.clamp(Duration::from_millis(10), Duration::from_secs(1)),
         config,
-        doomed: VecDeque::new(),
         dirty: Vec::new(),
         stopping: false,
         metrics,
@@ -614,6 +601,7 @@ pub fn spawn(
 
 impl Reactor {
     fn run(&mut self) {
+        let _ = self.ctl.inner.reactor.set(thread::current().id());
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 1024];
         let mut scratch = vec![0u8; 64 * 1024];
         loop {
@@ -644,30 +632,42 @@ impl Reactor {
                     id => self.conn_event(id, mask, &mut scratch),
                 }
             }
-            self.apply_ops();
-            self.run_timers();
-            self.flush_dirty();
+            if let Some(due) = self.next_due {
+                let now = Instant::now();
+                if due <= now {
+                    self.pass_deadlines(now);
+                }
+            }
+            // Drain until nothing is queued or unflushed: what this thread
+            // queued itself — answers from `on_frame`, ops from `on_close`
+            // — is applied before the next wait, and nothing runs between
+            // here and that wait, so such an enqueue writes no wake byte.
+            loop {
+                let ops = self.ctl.take_ops();
+                if ops.is_empty() && self.dirty.is_empty() {
+                    break;
+                }
+                self.apply_ops(ops);
+                self.flush_dirty();
+            }
         }
     }
 
-    /// Epoll timeout: sleep until the nearest timer (idle wheel slot or
-    /// doomed-connection deadline), or forever when none is armed.
+    /// Epoll timeout: sleep until the next deadline pass, or forever
+    /// when no connection has a deadline.
     fn poll_timeout(&self) -> i32 {
-        let mut due: Option<Instant> = self.wheel.as_ref().and_then(|w| w.next_due());
-        if let Some(&(deadline, _)) = self.doomed.front() {
-            due = Some(due.map_or(deadline, |d| d.min(deadline)));
-        }
-        match due {
+        match self.next_due {
             None => -1,
-            Some(at) => {
-                let now = Instant::now();
-                if at <= now {
-                    0
-                } else {
-                    at.duration_since(now).as_millis().min(60_000) as i32 + 1
-                }
+            Some(due) => {
+                let left = due.saturating_duration_since(Instant::now());
+                left.as_micros().div_ceil(1000).min(60_000) as i32
             }
         }
+    }
+
+    /// Makes the next deadline pass due no later than `at`.
+    fn arm(&mut self, at: Instant) {
+        self.next_due = Some(self.next_due.map_or(at, |due| due.min(at)));
     }
 
     fn accept_ready(&mut self) {
@@ -713,14 +713,15 @@ impl Reactor {
                 decoder: FrameDecoder::new(),
                 out: OutBuf::default(),
                 interest,
-                last_activity: now,
                 paused: false,
-                closing: false,
-                notified: false,
+                timing: Timing {
+                    last_activity: now,
+                    closing: None,
+                },
             },
         );
-        if let Some(wheel) = self.wheel.as_mut() {
-            wheel.schedule(id, now + wheel.timeout);
+        if let Some(idle) = self.config.idle_timeout {
+            self.arm(now + idle);
         }
         self.metrics.accepted.inc();
         self.metrics.connections.add(1);
@@ -760,7 +761,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
-            if conn.closing {
+            if conn.timing.closing.is_some() {
                 return;
             }
             match conn.stream.read(scratch) {
@@ -769,7 +770,7 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    conn.last_activity = Instant::now();
+                    conn.timing.last_activity = Instant::now();
                     conn.decoder.extend(&scratch[..n]);
                     if !self.decode_frames(id) {
                         return;
@@ -839,24 +840,18 @@ impl Reactor {
         }
     }
 
-    fn apply_ops(&mut self) {
-        loop {
-            let ops = self.ctl.take_ops();
-            if ops.is_empty() {
-                return;
-            }
-            for op in ops {
-                match op {
-                    Op::Send { conn, frame } => self.enqueue_frame(conn.0, frame, None),
-                    Op::Push {
-                        conn,
-                        frame,
-                        pending,
-                    } => self.enqueue_frame(conn.0, frame, Some(pending)),
-                    Op::Close { conn } => self.begin_close(conn.0),
-                    Op::Drain => self.do_drain(),
-                    Op::Stop => self.do_stop(),
-                }
+    fn apply_ops(&mut self, ops: Vec<Op>) {
+        for op in ops {
+            match op {
+                Op::Send { conn, frame } => self.enqueue_frame(conn.0, frame, None),
+                Op::Push {
+                    conn,
+                    frame,
+                    pending,
+                } => self.enqueue_frame(conn.0, frame, Some(pending)),
+                Op::Close { conn } => self.begin_close(conn.0),
+                Op::Drain => self.do_drain(),
+                Op::Stop => self.do_stop(),
             }
         }
     }
@@ -893,46 +888,27 @@ impl Reactor {
             self.drop_conn(id);
             return;
         }
-        if !conn.closing {
-            conn.closing = true;
+        if conn.timing.closing.is_none() {
+            let window_end = Instant::now() + CLOSE_FLUSH_WINDOW;
+            conn.timing.closing = Some(window_end);
             // No more reads; the peer sees EOF for anything it sends.
             let _ = conn.stream.shutdown(Shutdown::Read);
-            self.doomed
-                .push_back((Instant::now() + CLOSE_FLUSH_WINDOW, id));
+            self.arm(window_end);
             self.update_interest(id);
         }
     }
 
-    fn run_timers(&mut self) {
-        let now = Instant::now();
-        while let Some(&(deadline, id)) = self.doomed.front() {
-            if deadline > now {
-                break;
+    /// Drops every connection whose deadline has come at `now`, counting
+    /// the idle ones in `serve.idle_closed`, and sets the next pass.
+    fn pass_deadlines(&mut self, now: Instant) {
+        let timings = self.conns.iter().map(|(&id, conn)| (id, conn.timing));
+        let (due, next) = deadline_pass(timings, self.config.idle_timeout, now, self.tick);
+        self.next_due = next;
+        for (id, idle) in due {
+            if idle {
+                self.metrics.idle_closed.inc();
             }
-            self.doomed.pop_front();
-            if self.conns.contains_key(&id) {
-                self.drop_conn(id);
-            }
-        }
-        let Some(wheel) = self.wheel.as_mut() else {
-            return;
-        };
-        let timeout = wheel.timeout;
-        let fired = wheel.advance(now);
-        for id in fired {
-            let Some(conn) = self.conns.get(&id) else {
-                continue;
-            };
-            if conn.closing {
-                continue;
-            }
-            let idle_for = now.duration_since(conn.last_activity);
-            if idle_for >= timeout {
-                self.metrics.idle_closed.add(1);
-                self.drop_conn(id);
-            } else if let Some(wheel) = self.wheel.as_mut() {
-                wheel.schedule(id, conn.last_activity + timeout);
-            }
+            self.drop_conn(id);
         }
     }
 
@@ -956,9 +932,9 @@ impl Reactor {
         match conn.out.flush(&mut conn.stream) {
             Ok(sent) => {
                 if sent > 0 {
-                    conn.last_activity = Instant::now();
+                    conn.timing.last_activity = Instant::now();
                 }
-                if conn.closing && conn.out.is_empty() {
+                if conn.timing.closing.is_some() && conn.out.is_empty() {
                     self.drop_conn(id);
                     return;
                 }
@@ -986,7 +962,7 @@ impl Reactor {
             conn.paused = true;
         }
         let mut want = sys::EPOLLRDHUP;
-        if !conn.closing && !conn.paused {
+        if conn.timing.closing.is_none() && !conn.paused {
             want |= sys::EPOLLIN;
         }
         if !conn.out.is_empty() {
@@ -1008,10 +984,7 @@ impl Reactor {
             .poller
             .ctl(sys::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, id);
         self.metrics.connections.add(-1);
-        if !conn.notified {
-            conn.notified = true;
-            self.service.on_close(ConnId(id));
-        }
+        self.service.on_close(ConnId(id));
         // The fd closes when `conn.stream` drops here.
     }
 }
@@ -1021,15 +994,54 @@ mod tests {
     use super::*;
 
     #[test]
-    fn idle_wheel_fires_and_rearms() {
-        let start = Instant::now();
-        let mut wheel = IdleWheel::new(Duration::from_millis(100), start);
-        wheel.schedule(7, start + Duration::from_millis(100));
-        assert!(wheel.next_due().is_some());
-        assert!(wheel.advance(start + Duration::from_millis(20)).is_empty());
-        let fired = wheel.advance(start + Duration::from_millis(500));
-        assert_eq!(fired, vec![7]);
-        assert!(wheel.next_due().is_none());
+    fn a_deadline_pass_drops_what_is_due_and_sets_the_next() {
+        // A synthetic now, far enough ahead to subtract from.
+        let t0 = Instant::now() + Duration::from_secs(60);
+        let ms = |n: u64| Duration::from_millis(n);
+        let open = |idle_ms: u64| Timing {
+            last_activity: t0 - ms(idle_ms),
+            closing: None,
+        };
+        let closing = |left_ms: u64| Timing {
+            last_activity: t0,
+            closing: Some(t0 + ms(left_ms)),
+        };
+        let idle = Some(ms(100));
+        let tick = ms(25);
+        let conns = [
+            (1, open(100)),     // idle exactly the timeout: due
+            (2, open(40)),      // due in 60 ms
+            (3, closing(0)),    // its window ends now: due
+            (4, closing(1000)), // due in 1 s
+            // Closing, its window ends in 30 ms, however long it idled.
+            (
+                5,
+                Timing {
+                    closing: Some(t0 + ms(30)),
+                    ..open(500)
+                },
+            ),
+        ];
+        let (due, next) = deadline_pass(conns, idle, t0, tick);
+        let idle_then_closing = [(1, true), (3, false)];
+        assert_eq!(
+            due, idle_then_closing,
+            "the idle and the closing connection due now"
+        );
+        assert_eq!(next, Some(t0 + ms(30)), "the earliest deadline left");
+
+        // A deadline within a tick waits for the tick.
+        let (due, next) = deadline_pass([(2, open(95))], idle, t0, tick);
+        assert!(due.is_empty());
+        assert_eq!(next, Some(t0 + tick));
+
+        // Without an idle timeout only a closing connection has a deadline.
+        let (due, next) = deadline_pass([(1, open(10_000)), (4, closing(1000))], None, t0, tick);
+        assert!(due.is_empty(), "an open connection never idles out");
+        assert_eq!(next, Some(t0 + ms(1000)));
+        let (due, next) = deadline_pass([(1, open(10_000))], None, t0, tick);
+        assert!(due.is_empty());
+        assert_eq!(next, None, "nothing left to wait for");
     }
 
     #[test]

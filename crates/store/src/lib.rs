@@ -160,19 +160,16 @@ pub struct StoreConfig {
     /// Checkpoint after this many WAL records accumulate (0 disables the
     /// automatic trigger; explicit `CHECKPOINT` still works).
     pub checkpoint_every: u64,
-    /// How often the background checkpointer polls, in milliseconds.
-    pub checkpoint_interval_ms: u64,
 }
 
 impl StoreConfig {
     /// A durable configuration with the default policy: fsync on every
-    /// record, checkpoint every 256 records, poll twice a second.
+    /// record, checkpoint every 256 records.
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         StoreConfig {
             data_dir: data_dir.into(),
             fsync: FsyncPolicy::Always,
             checkpoint_every: 256,
-            checkpoint_interval_ms: 500,
         }
     }
 }

@@ -164,6 +164,18 @@ fn no_god_files() {
     assert!(lines <= 1088, "{file}: {lines} non-test lines");
 }
 
+/// One timer in the reactor: the non-test part of `reactor.rs`, where
+/// one deadline pass serves idle eviction and the close window, a
+/// ratchet to lower when it shrinks, never to raise.
+#[test]
+fn one_reactor_timer() {
+    let lines = non_test("crates/serve/src/reactor.rs").len();
+    assert!(
+        lines <= 991,
+        "crates/serve/src/reactor.rs: {lines} non-test lines"
+    );
+}
+
 /// One evaluator: a cold read binds its driver as a parameter of its
 /// cached plan, so nothing rebinds a literal or compiles in `retrieve.rs`.
 #[test]
